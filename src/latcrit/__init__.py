@@ -44,17 +44,12 @@ from .shells import (
 from .design import (
     DesignComputationError,
     DesignVerdict,
-    HarmonicPoly,
-    IrrationalMomentError,
     design_constant,
-    harm2_basis,
-    harmonic_moment,
-    is_2_design_moment,
     is_t_design,
     moment_matrix,
     pair_power_sum,
+    two_design_verdict,
 )
-from .theta import QSeries, theta_product, theta_series, vanishing_report
 from .certify import (
     FullyCriticalReport,
     VERDICT_CRITICAL,

@@ -1,37 +1,42 @@
 """Certification that every layer of a lattice is a spherical 2-design.
 
-The finite check horizon comes from viewing weighted theta series inside a
-space of modular forms for Gamma_1(level): a form of known weight and level
-that vanishes to a high enough order vanishes identically.  The horizon used
-here is the Sturm bound ceil(weight * index / 12), a sound over-approximation
-of the sharpest possible pivot exponent; externally computed pivot data can
-be supplied as an override for fast runs.
+The finite check horizon comes from the modularity of the layers'
+generating function weighted by a degree-2 harmonic polynomial: it is a
+modular form for Gamma_1(level), and a form of known weight and level that
+vanishes to a high enough order vanishes identically.  The horizon used here
+is the Sturm bound ceil(weight * index / 12), a sound over-approximation of
+the sharpest possible pivot exponent; externally computed pivot data can be
+supplied as an override for fast runs.  Each layer up to the horizon is
+decided by ``design.two_design_verdict`` on streamed second moments.
 
-Odd lattices are doubled (a homothety, harmless to the design structure) and
-odd dimensions are handled through an auxiliary orthogonal A1 summand whose
-theta factor is a nonzero series, so vanishing transfers back.
+Odd lattices are doubled (a homothety, harmless to the design structure).
+Odd dimensions take their horizon from the form plus an orthogonal A1
+summand: its generating function is the form's times A1's, a nonzero
+series, so vanishing transfers back.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from .design import DesignComputationError, DesignVerdict
+from .design import DesignVerdict, two_design_verdict
 from .gram import (
     GramMatrix,
     LatticeDescriptor,
     double,
-    gram_inverse,
     is_even,
     level,
     orthosum_A1,
 )
-from .shells import DEFAULT_MAX_VECTORS, EnumerationBudgetError, layer_moments
+from .shells import (
+    DEFAULT_MAX_VECTORS,
+    EnumerationBudgetError,
+    _int_matrix_and_denominator,
+    layer_moments,
+)
 
 VERDICT_CRITICAL = "fully-critical"
 VERDICT_FAILURE = "failure"
@@ -131,35 +136,10 @@ class FullyCriticalReport:
         }
 
 
-def _moment_verdict(n: int, m_scaled: int, card: int, S, P_int: np.ndarray,
-                    doubled: bool) -> DesignVerdict:
-    """Exact t=2 verdict from streamed moments of the working integral form.
-
-    lhs = Tr(P S P S) over the full working layer.  The verdict is restated
-    in the original lattice's normalization (doubling scales norms by 2 and
-    pair sums by 4) and per antipodal pair class (one representative of
-    {x, -x}; sums and counts quarter resp. halve), which is the convention
-    of the reference transcripts this report is diffed against.
-    """
-    Po = P_int.astype(object)
-    A = np.dot(Po, S)
-    lhs_full_work = int(np.trace(np.dot(A, A)))
-    lhs = Fraction(lhs_full_work, (16 if doubled else 4))
-    m = Fraction(m_scaled, 2 if doubled else 1)
-    pairs = card // 2
-    rhs = Fraction(m * m * pairs * pairs, n)
-    if lhs < rhs:
-        raise DesignComputationError(
-            f"pair sum {lhs} fell below the design value {rhs} at norm {m}"
-        )
-    return DesignVerdict(norm=m, t=2, lhs=lhs, rhs=rhs, is_design=lhs == rhs)
-
-
 def fully_critical(
     L: LatticeDescriptor | GramMatrix,
     override_bound: Optional[int] = None,
     *,
-    force_augment: bool = False,
     max_vectors: int = DEFAULT_MAX_VECTORS,
 ) -> FullyCriticalReport:
     """Certify (or refute) that every layer of an integral lattice is a 2-design.
@@ -171,10 +151,6 @@ def fully_critical(
     (e.g. externally computed pivot data).  A failed layer is a definitive
     refutation; an exhausted enumeration budget is reported as inconclusive
     with the largest certified bound, never as a failure.
-
-    ``force_augment`` routes even dimensions through a double A1 augmentation
-    (keeping the working dimension even); the resulting horizon is still
-    sound, which is exercised by the test suite.
     """
     desc = L if isinstance(L, LatticeDescriptor) else LatticeDescriptor(gram=L, name=L.name)
     Q = desc.gram
@@ -183,16 +159,11 @@ def fully_critical(
     n = Q.n
     doubled = not is_even(Q)
     work = double(Q) if doubled else Q
+    s = 2 if doubled else 1
 
     if n % 2 == 1:
-        aug_form = orthosum_A1(work)
-        lvl = level(aug_form)
+        lvl = level(orthosum_A1(work))
         weight = (n + 1) // 2 + 2
-        augmented = True
-    elif force_augment:
-        aug_form = orthosum_A1(orthosum_A1(work))
-        lvl = level(aug_form)
-        weight = (n + 2) // 2 + 2
         augmented = True
     else:
         lvl = level(work)
@@ -203,7 +174,7 @@ def fully_critical(
     if B < 1:
         raise ValueError("certification bound must be positive")
 
-    P_int = np.array([[int(v) for v in row] for row in work.entries], dtype=np.int64)
+    P, d = _int_matrix_and_denominator(work)
 
     bound = 2 * B
     note = ""
@@ -223,14 +194,16 @@ def fully_critical(
     per_layer = []
     cards = []
     failure_norm = None
-    for m_scaled, (card, S) in moments.items():
-        v = _moment_verdict(n, int(m_scaled), card, S, P_int, doubled)
+    for m_work, (card, S) in moments.items():
+        w = two_design_verdict(m_work, card, S, P, d)
+        # restated per antipodal pair (sums quarter) and in the input's norms
+        v = replace(w, norm=w.norm / s, lhs=w.lhs / (4 * s * s), rhs=w.rhs / (4 * s * s))
         per_layer.append(v)
         cards.append((v.norm, card // 2))
         if failure_norm is None and not v.is_design:
             failure_norm = v.norm
 
-    certified = Fraction(bound, 2 if doubled else 1)
+    certified = Fraction(bound, s)
     if failure_norm is not None:
         verdict = VERDICT_FAILURE
     elif bound == 2 * B:

@@ -3,7 +3,13 @@
 Subcommands: analyze, layers, design, fully-critical, height, stationarity,
 tables, probe-conjecture.  Exit codes: 0 success, 1 definitive failure
 (a refuted design property or a conjecture counterexample candidate),
-2 inconclusive outcomes or exhausted budgets.
+2 inconclusive outcomes and errors.  ``main`` maps every library exception
+it can meet to exit 2 with a one-line message on stderr: an exhausted
+enumeration budget (EnumerationBudgetError, prefixed "inconclusive:"), a
+height truncation that cannot be certified (TruncationError), a broken
+design inequality (DesignComputationError), arithmetic failures
+(ArithmeticError) and bad input (ValueError, KeyError, OSError).  Exit 1
+therefore always means a definitive refutation.
 
 Text output for certification runs mirrors the reference transcript style
 ("150 = 150, 2-DESIGN on the layer (x,x)=3") so diffs against it are
@@ -31,10 +37,11 @@ from .certify import (
     conjecture_probe,
     fully_critical,
 )
-from .design import is_t_design
+from .design import DesignComputationError, is_t_design
 from .gram import GramMatrix, LatticeDescriptor, determinant, is_even, level, double, load_gram
-from .height import DEFAULT_CUTOFF, height, stationarity_residual
+from .height import DEFAULT_CUTOFF, TruncationError, height, stationarity_residual
 from .shells import (
+    DEFAULT_MAX_VECTORS,
     EnumerationBudgetError,
     cardinality_vector,
     dump_spectrum,
@@ -146,11 +153,7 @@ def _cmd_layers(args) -> int:
     if args.bound is None:
         raise SystemExit("error: layers requires --bound B")
     t0 = time.time()
-    try:
-        spec = enumerate_layers(desc.gram, Fraction(args.bound))
-    except EnumerationBudgetError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+    spec = enumerate_layers(desc.gram, Fraction(args.bound), max_vectors=args.max_vectors)
     cards = layer_cardinalities(spec)
     outcome = {"bound": args.bound,
                "layers": [[_frac_str(m), c] for m, c in cards]}
@@ -175,7 +178,7 @@ def _cmd_design(args) -> int:
         raise SystemExit("error: design requires --layer-norm M")
     m = Fraction(args.layer_norm)
     t0 = time.time()
-    spec = enumerate_layers(desc.gram, m)
+    spec = enumerate_layers(desc.gram, m, max_vectors=args.max_vectors)
     lay = spec.layer_at(m)
     if lay is None:
         rep = RunReport("design", _input_dict(desc),
@@ -242,11 +245,7 @@ def _cmd_fully_critical(args) -> int:
     if args.bound is not None:
         override = int(args.bound)
     t0 = time.time()
-    try:
-        rep = fully_critical(desc, override, max_vectors=args.max_vectors)
-    except EnumerationBudgetError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+    rep = fully_critical(desc, override, max_vectors=args.max_vectors)
     run = RunReport("fully-critical", _input_dict(desc), rep.to_dict(),
                     time.time() - t0,
                     {"bound_B": rep.bound_B, "certified_upto": str(rep.certified_upto)},
@@ -405,9 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
         if with_input:
             _add_input_flags(p)
         p.add_argument("--format", choices=["json", "text"], default="text")
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker processes for batch commands (0 = auto)")
-        p.add_argument("--max-vectors", type=int, default=60_000_000,
+
+    def budget(p):
+        p.add_argument("--max-vectors", type=int, default=DEFAULT_MAX_VECTORS,
                        help="enumeration budget")
 
     p = sub.add_parser("analyze", help="structural summary of a form")
@@ -416,18 +415,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("layers", help="enumerate layers up to a norm bound")
     common(p)
+    budget(p)
     p.add_argument("--bound", help="norm bound B (rational)")
     p.add_argument("--dump-layers", metavar="PATH", help="write the layer dump file")
     p.set_defaults(func=_cmd_layers)
 
     p = sub.add_parser("design", help="exact t-design test of a single layer")
     common(p)
+    budget(p)
     p.add_argument("--layer-norm", help="norm of the layer to test (rational)")
     p.add_argument("--t", type=int, default=2, help="design strength (even)")
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("fully-critical", help="certify 2-designs on every layer")
     common(p)
+    budget(p)
     p.add_argument("--bound", help="override certification bound B")
     p.add_argument("--fast-paper-bound", action="store_true",
                    help="use the catalogue's externally computed pivot exponent N")
@@ -444,6 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="reproduce the catalogue classification")
     common(p, with_input=False)
+    budget(p)
+    p.add_argument("--threads", type=int, default=0,
+                   help="worker processes (0 = auto)")
     p.add_argument("--dims", help="comma-separated dimensions (default 2,3,4,5,6)")
     p.add_argument("--fast-paper-bound", action="store_true")
     p.set_defaults(func=_cmd_tables)
@@ -451,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe-conjecture",
                        help="test: do 2-designs on the first two layers propagate?")
     common(p)
+    budget(p)
     p.add_argument("--all-catalog", action="store_true")
     p.add_argument("--random", type=int, default=0, metavar="K",
                    help="also probe K random integral SPD forms")
@@ -466,7 +472,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except EnumerationBudgetError as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except (TruncationError, DesignComputationError, ArithmeticError,
+            ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
 

@@ -1,11 +1,22 @@
-"""Exact spherical t-design certification of lattice layers.
+"""Exact spherical t-design tests of lattice layers.
 
-A layer is certified through the pair-power-sum identity or, equivalently,
-through its second-moment matrix; both tests are exact identities between
-integers (rationals when the form is not integral), so a verdict is a proof,
-not a numerical judgement.  For antipodal sets and even t the pair sum always
-dominates the design value; equality holds exactly on designs and the two
-routes must agree on every input.
+Every t = 2 verdict comes from one trace identity.  For a layer M of norm m
+of the form Q in dimension n, let S be the sum of x x^t over M.  The sum of
+(x^t Q y)^2 over ordered pairs of M is Tr(QSQS), and Tr(QS) = m |M|.  The
+eigenvalues of QS are real and nonnegative (QS is similar to Q^(1/2) S
+Q^(1/2)), so Cauchy-Schwarz on them gives
+
+    Tr(QSQS) >= Tr(QS)^2 / n = m^2 |M|^2 / n,
+
+with equality exactly when QS is a multiple of the identity, that is when
+n S = m |M| Q^{-1}: the moment identity that makes an antipodal layer a
+2-design.  ``two_design_verdict`` evaluates both sides with the integral
+form P = d Q, so the verdict is an identity between integers (rationals when
+Q is not integral): a proof, not a numerical judgement.  A left side below
+the right one contradicts the inequality and raises.
+
+Higher even t use the general pair-power sum, which dominates the design
+value c_t m^t |M|^2 with equality exactly on t-designs.
 """
 
 from __future__ import annotations
@@ -13,12 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from .gram import GramMatrix, _as_fraction
-from .shells import Layer, half_layer
+from .shells import Layer, _int_matrix_and_denominator, half_layer
 
 
 class DesignComputationError(RuntimeError):
@@ -48,36 +57,6 @@ class DesignVerdict:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class HarmonicPoly:
-    """Homogeneous harmonic polynomial of degree 2, x -> x^t P x.
-
-    Harmonicity for the standard Laplacian is exactly tracelessness of the
-    coefficient matrix.
-    """
-
-    coeff: tuple[tuple[Fraction, ...], ...]
-
-    def __init__(self, coeff: Sequence[Sequence]):
-        rows = tuple(tuple(_as_fraction(v) for v in row) for row in coeff)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("coefficient matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("coefficient matrix must be symmetric")
-        if sum(rows[i][i] for i in range(n)) != 0:
-            raise ValueError("coefficient matrix must be traceless (harmonicity)")
-        object.__setattr__(self, "coeff", rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.coeff)
-
-    degree: int = 2
-
-
 def design_constant(n: int, t: int, size: int) -> Fraction:
     """Exact c_t = |X| * (1*3*...*(t-1)) / (n*(n+2)*...*(n+t-2))."""
     if t % 2 != 0 or t < 2:
@@ -101,27 +80,15 @@ def moment_matrix(L: Layer) -> np.ndarray:
     return 2 * S
 
 
-def _scaled_int_gram(Q: GramMatrix) -> tuple[np.ndarray, int]:
-    rows, d = Q.integral_rescale()
-    return np.array(rows, dtype=np.int64), d
-
-
 def pair_power_sum(L: Layer, t: int) -> Fraction:
     """Exact sum over ordered pairs (x, y) of the layer of (x^t Q y)^t.
 
     Antipodal symmetry and even t let the sum run over half-layer pairs
-    times 4.  The t = 2 case contracts against the second-moment matrix,
-    which is what makes certification of large layers cheap.
+    times 4.
     """
     if t % 2 != 0 or t < 2:
         raise ValueError("t must be an even positive integer")
-    Q = L.gram
-    P, d = _scaled_int_gram(Q)
-    if t == 2:
-        S = moment_matrix(L)
-        A = np.dot(P.astype(object), S)
-        val = int(np.trace(np.dot(A, A)))
-        return Fraction(val, d * d)
+    P, d = _int_matrix_and_denominator(L.gram)
     H = half_layer(L)
     k = len(H)
     if k == 0:
@@ -137,16 +104,38 @@ def pair_power_sum(L: Layer, t: int) -> Fraction:
     return Fraction(total, d ** t)
 
 
-def is_t_design(L: Layer, t: int, n: int) -> DesignVerdict:
-    """Exact pair-sum design test; equality with the design value certifies.
+def two_design_verdict(norm: Fraction, card: int, S: np.ndarray, P: np.ndarray,
+                       d: int) -> DesignVerdict:
+    """Exact t = 2 verdict of a layer from its second moment.
 
-    The pair sum provably dominates the design value for antipodal layers
-    and even t; a strictly smaller sum indicates a broken computation and
-    raises instead of reporting a verdict.
+    ``S`` is the exact sum of x x^t over the full layer of the given norm and
+    cardinality, and ``P = d * Q`` the integral form.  Returns
+    lhs = Tr(PSPS) / d^2, the sum of (x^t Q y)^2 over ordered pairs, and
+    rhs = norm^2 * card^2 / n; they are equal exactly on 2-designs.
+    """
+    A = np.dot(P.astype(object), S)
+    lhs = Fraction(int(np.trace(np.dot(A, A))), d * d)
+    rhs = Fraction(card * card, P.shape[0]) * norm * norm
+    if lhs < rhs:
+        raise DesignComputationError(
+            f"pair sum {lhs} fell below the design value {rhs} at norm {norm}"
+        )
+    return DesignVerdict(norm=norm, t=2, lhs=lhs, rhs=rhs, is_design=lhs == rhs)
+
+
+def is_t_design(L: Layer, t: int, n: int) -> DesignVerdict:
+    """Exact design test of a layer, in the full-set convention.
+
+    t = 2 goes through ``two_design_verdict``; higher even t compare the
+    pair-power sum with the design value, which it provably dominates, so a
+    strictly smaller sum indicates a broken computation and raises.
     """
     if n != L.gram.n:
         raise ValueError("stated dimension does not match the layer's form")
     card = L.cardinality
+    if t == 2:
+        P, d = _int_matrix_and_denominator(L.gram)
+        return two_design_verdict(L.norm, card, moment_matrix(L), P, d)
     lhs = pair_power_sum(L, t)
     rhs = design_constant(n, t, card) * L.norm ** t * card
     if lhs < rhs:
@@ -154,117 +143,3 @@ def is_t_design(L: Layer, t: int, n: int) -> DesignVerdict:
             f"pair sum {lhs} fell below the design value {rhs} at norm {L.norm}"
         )
     return DesignVerdict(norm=L.norm, t=t, lhs=lhs, rhs=rhs, is_design=lhs == rhs)
-
-
-def is_2_design_moment(L: Layer, Q: GramMatrix) -> bool:
-    """Moment-matrix route: n * sum(x x^t) == m * |M| * Q^{-1}, cross-multiplied."""
-    from .gram import gram_inverse
-
-    if Q != L.gram:
-        raise ValueError("layer was not computed from this form")
-    S = moment_matrix(L)
-    n = Q.n
-    qinv = gram_inverse(Q)
-    m = L.norm
-    card = L.cardinality
-    for i in range(n):
-        for j in range(n):
-            if n * S[i, j] != m * card * qinv.entries[i][j]:
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# harmonic moments (ambient evaluation)
-
-
-class IrrationalMomentError(ArithmeticError):
-    """The ambient harmonic moment is irrational for this form/polynomial."""
-
-
-def _ldl(Q: GramMatrix) -> tuple[list[list[Fraction]], list[Fraction]]:
-    n = Q.n
-    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    for j in range(n):
-        s = Q.entries[j][j] - sum(L[j][k] ** 2 * d[k] for k in range(j))
-        d[j] = s
-        for i in range(j + 1, n):
-            s = Q.entries[i][j] - sum(L[i][k] * L[j][k] * d[k] for k in range(j))
-            L[i][j] = s / d[j]
-    return L, d
-
-
-def _sqrt_decompose(r: Fraction) -> tuple[Fraction, int]:
-    """Write sqrt(r) = c * sqrt(f) with c rational and f squarefree."""
-    if r < 0:
-        raise ValueError("negative radicand")
-    if r == 0:
-        return Fraction(0), 1
-    N = r.numerator * r.denominator
-    s, f, p = 1, 1, 2
-    m = N
-    while p * p <= m:
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        s *= p ** (e // 2)
-        if e % 2:
-            f *= p
-        p += 1 if p == 2 else 2
-    f *= m  # residual prime
-    return Fraction(s, r.denominator), f
-
-
-def harmonic_moment(L: Layer, P: HarmonicPoly) -> Fraction:
-    """Exact sum of P(x) over the layer, x taken in the ambient embedding.
-
-    The embedding uses the LDL^t square root of the form; irrational parts
-    are tracked per squarefree radicand and must cancel exactly, which they
-    do in particular whenever the form admits a rational Cholesky factor.
-    A residual radical raises IrrationalMomentError with the offending
-    radicands named.
-    """
-    Q = L.gram
-    if P.n != Q.n:
-        raise ValueError("polynomial dimension does not match the layer")
-    S = moment_matrix(L)
-    Lm, d = _ldl(Q)
-    n = Q.n
-    # M = L^t S L, then sum_ij P_ij * sqrt(d_i d_j) * M_ij
-    M = [[sum(Lm[a][i] * S[a, b] * Lm[b][j] for a in range(n) for b in range(n))
-          for j in range(n)] for i in range(n)]
-    buckets: dict[int, Fraction] = {}
-    for i in range(n):
-        for j in range(n):
-            c = P.coeff[i][j] * M[i][j]
-            if c == 0:
-                continue
-            rat, f = _sqrt_decompose(d[i] * d[j])
-            buckets[f] = buckets.get(f, Fraction(0)) + c * rat
-    residue = {f: v for f, v in buckets.items() if f != 1 and v != 0}
-    if residue:
-        raise IrrationalMomentError(
-            "harmonic moment is irrational; uncancelled radicals sqrt of "
-            + ", ".join(str(f) for f in sorted(residue))
-        )
-    return buckets.get(1, Fraction(0))
-
-
-def harm2_basis(n: int) -> list[HarmonicPoly]:
-    """Basis of degree-2 harmonics: n(n+1)/2 - 1 traceless symmetric matrices."""
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = [[Fraction(0)] * n for _ in range(n)]
-            m[i][j] = m[j][i] = Fraction(1)
-            out.append(HarmonicPoly(m))
-    for i in range(n - 1):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        m[i][i] = Fraction(1)
-        m[i + 1][i + 1] = Fraction(-1)
-        out.append(HarmonicPoly(m))
-    return out

@@ -100,7 +100,8 @@ def _collect(A: np.ndarray, radius: float, dual_radius: float) -> _FormVectors:
 def completed_zeta(Q, s: float, *, cutoff: float = DEFAULT_CUTOFF) -> float:
     """pi^{-s} Gamma(s) Z(Q, s): the symmetric continuation.
 
-    Poisson splitting of the theta integral gives
+    Splitting the Mellin integral of the lattice sum at 1 and applying
+    Poisson summation to one half gives
         det^{-1/2}/(s - n/2) - 1/s + S_Q(s) + det^{-1/2} S_{Q^{-1}}(n/2 - s)
     with S_A(s) the incomplete-gamma sum over the nonzero vectors of A; the
     determinant factor on the dual sum is the general-determinant form of

@@ -53,13 +53,41 @@ def box_vectors(Q: GramMatrix, norm) -> list[tuple[int, ...]]:
 
 
 def pair_sum_bruteforce(vectors, Q: GramMatrix, t: int) -> Fraction:
-    """Sum over all ordered pairs of (x^t Q y)^t with nested loops."""
-    total = Fraction(0)
+    """Sum over all ordered pairs of (x^t Q y)^t with nested loops.
+
+    Runs in the integers of d*Q and divides by d^t once at the end.
+    """
+    rows, d = Q.integral_rescale()
+    n = Q.n
     vecs = [list(map(int, v)) for v in vectors]
+    total = 0
     for x in vecs:
+        px = [sum(rows[i][j] * x[j] for j in range(n)) for i in range(n)]
         for y in vecs:
-            total += Q.inner(x, y) ** t
-    return total
+            total += sum(px[i] * y[i] for i in range(n)) ** t
+    return Fraction(total, d ** t)
+
+
+def moment_identity_holds(Q: GramMatrix, vectors) -> bool:
+    """n * S == m * |M| * Q^{-1} entrywise for a layer M of norm m.
+
+    S is summed from the given vectors; Q^{-1} is adj(Q) / det(Q) with
+    cofactors from Bareiss determinants, so both sides are multiplied by
+    det(Q) and compared exactly.
+    """
+    n = Q.n
+    vecs = [list(map(int, v)) for v in vectors]
+    m = Q.inner(vecs[0], vecs[0])
+    det = bareiss_determinant(Q.entries)
+    for i in range(n):
+        for j in range(n):
+            s_ij = sum(v[i] * v[j] for v in vecs)
+            minor = [[Q.entries[r][c] for c in range(n) if c != i]
+                     for r in range(n) if r != j]
+            adj_ij = (-1) ** (i + j) * bareiss_determinant(minor)
+            if n * s_ij * det != m * len(vecs) * adj_ij:
+                return False
+    return True
 
 
 def bareiss_determinant(rows) -> Fraction:

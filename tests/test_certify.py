@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,11 +18,12 @@ from latcrit import (
     level,
     orthosum_A1,
     double,
+    enumerate_layers,
     sturm_bound,
 )
 from latcrit.catalog import load_catalog
 
-from helpers import random_unimodular, transform_gram
+from helpers import box_layers, random_unimodular, transform_gram
 
 D12 = GramMatrix([[1, 0], [0, 2]])
 
@@ -122,14 +124,6 @@ class TestFullyCritical:
                 qq = transform_gram(q, random_unimodular(q.n, rng))
                 assert fully_critical(qq).verdict == base
 
-    def test_force_augment_even_dims(self):
-        for name in ("sta2", "sta3", "stc4", "stc12"):
-            e = load_catalog().by_name(name)
-            plain = fully_critical(e)
-            forced = fully_critical(e, force_augment=True)
-            assert forced.augmented_with_A1
-            assert plain.verdict == forced.verdict == VERDICT_CRITICAL
-
     def test_rejects_non_integral(self):
         with pytest.raises(ValueError):
             fully_critical(GramMatrix([["1/2", 0], [0, 1]]))
@@ -152,6 +146,25 @@ class TestFullyCritical:
         rep = fully_critical(load_catalog().by_name("sta3"))
         cards = dict(rep.cardinalities)
         assert cards[Fraction(2)] == 3  # 6 vectors, 3 antipodal pairs
+
+
+class TestA1Augmentation:
+    @pytest.mark.parametrize("name", ["sta3", "stb6", "stc12"])
+    def test_layer_counts_convolve_with_a1(self, name):
+        # premise of the odd-dimension horizon: the layers of Q + A1 are the
+        # convolution of Q's layers with A1's (two vectors at each norm 2k^2)
+        q = load_catalog().by_name(name).gram
+        B = 12
+        base = box_layers(q, B)
+        base[Fraction(0)] = 1
+        expected: dict[Fraction, int] = {}
+        for m, c in base.items():
+            for k in range(math.isqrt(B // 2) + 1):
+                norm = m + 2 * k * k
+                if 0 < norm <= B:
+                    expected[norm] = expected.get(norm, 0) + c * (1 if k == 0 else 2)
+        got = enumerate_layers(orthosum_A1(q), B).layers
+        assert {lay.norm: lay.cardinality for lay in got} == expected
 
 
 class TestDuality:

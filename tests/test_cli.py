@@ -81,6 +81,16 @@ class TestLayers:
         lines = dump.read_text().strip().splitlines()
         assert lines[0] == "1 4"
 
+    @pytest.mark.parametrize("argv", [
+        ["layers", "--name", "stf28a", "--bound", "40"],
+        ["design", "--name", "stf28a", "--layer-norm", "40"],
+    ])
+    def test_budget_is_honoured(self, argv, capsys):
+        rc = main(argv + ["--max-vectors", "1000"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("inconclusive: enumeration budget exceeded")
+
     def test_json_vectors(self, capsys):
         rc = main(["layers", "--name", "sta2", "--bound", "5", "--format", "json"])
         rep = RunReport.from_json(capsys.readouterr().out)
@@ -112,6 +122,17 @@ class TestNumericCommands:
         assert rc == 0
         assert rep.outcome["height"] < 1.06
         assert rep.outcome["tail_estimate"] < 1e-12 * abs(rep.outcome["F_value"])
+
+    def test_height_truncation_failure_exits_2(self, capsys):
+        rc = main(["height", "--name", "stc12", "--radius", "0.01"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_threads_only_on_tables(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["height", "--name", "sta3", "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_stationarity(self, capsys):
         rc = main(["stationarity", "--name", "stc12"])

@@ -6,22 +6,25 @@ import pytest
 from latcrit import (
     DesignComputationError,
     GramMatrix,
-    HarmonicPoly,
-    IrrationalMomentError,
     design_constant,
     double,
     enumerate_layers,
     gram_inverse,
-    harm2_basis,
-    harmonic_moment,
-    is_2_design_moment,
     is_t_design,
     moment_matrix,
     pair_power_sum,
+    two_design_verdict,
 )
 from latcrit.catalog import load_catalog
 
-from helpers import box_vectors, pair_sum_bruteforce, random_unimodular, transform_gram
+from helpers import (
+    box_vectors,
+    moment_identity_holds,
+    pair_sum_bruteforce,
+    random_rational_spd,
+    random_unimodular,
+    transform_gram,
+)
 
 I2 = GramMatrix([[1, 0], [0, 1]])
 A2 = GramMatrix([[2, 1], [1, 2]])
@@ -145,76 +148,38 @@ class TestMomentMatrix:
                 assert 2 * S[i, j] == 2 * 6 * qinv.entries[i][j]
 
 
+def routine_verdict(lay):
+    rows, d = lay.gram.integral_rescale()
+    return two_design_verdict(lay.norm, lay.cardinality, moment_matrix(lay),
+                              np.array(rows, dtype=np.int64), d)
+
+
 class TestMomentRoute:
     def test_examples(self):
-        assert is_2_design_moment(layer_of(I2, 1), I2)
-        assert not is_2_design_moment(layer_of(D12, 1), D12)
+        assert routine_verdict(layer_of(I2, 1)).is_design
+        assert not routine_verdict(layer_of(D12, 1)).is_design
         q = load_catalog().by_name("ste10a").gram
-        assert is_2_design_moment(layer_of(q, 3), q)
+        assert routine_verdict(layer_of(q, 3)).is_design
+
+    def test_broken_moment_raises(self):
+        # a zero moment for a nonempty layer breaks Tr(PSPS) >= m^2 |M|^2 / n
+        with pytest.raises(DesignComputationError):
+            two_design_verdict(Fraction(1), 4, np.zeros((2, 2), dtype=object),
+                               np.eye(2, dtype=np.int64), 1)
 
     def test_route_agreement_everywhere(self):
-        for name in ("sta2", "sta3", "stb4", "stc9", "stc12"):
-            q = load_catalog().by_name(name).gram
+        # the trace identity against the entrywise moment identity and the
+        # brute-force pair sum, both built from box-enumerated vectors
+        rng = np.random.default_rng(17)
+        forms = [e.gram for e in load_catalog().entries if e.gram.n <= 4]
+        forms += [random_rational_spd(n, rng) for n in (2, 2, 3, 3, 4, 4)]
+        for q in forms:
             for lay in enumerate_layers(q, 8).layers:
-                assert is_2_design_moment(lay, q) == is_t_design(lay, 2, q.n).is_design
-
-    def test_harmonic_route_agreement(self):
-        # vanishing of every basis moment <=> moment identity, on forms
-        # where the ambient moments are rational
-        for Q in (I2, D12, GramMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])):
-            for lay in enumerate_layers(Q, 4).layers:
-                allzero = all(harmonic_moment(lay, P) == 0 for P in harm2_basis(Q.n))
-                assert allzero == is_2_design_moment(lay, Q)
-
-
-class TestHarmonicMoment:
-    def test_z2_difference_poly(self):
-        P = HarmonicPoly([[1, 0], [0, -1]])
-        assert harmonic_moment(layer_of(I2, 1), P) == 0
-
-    def test_z2_cross_poly_norm2(self):
-        P = HarmonicPoly([[0, "1/2"], ["1/2", 0]])  # x1 x2
-        assert harmonic_moment(layer_of(I2, 2), P) == 0
-
-    def test_diag12_nonzero(self):
-        P = HarmonicPoly([[1, 0], [0, -1]])
-        assert harmonic_moment(layer_of(D12, 1), P) == 2
-
-    def test_radical_cancellation_on_scaled_z2(self):
-        # 2*I2 has no rational triangular square root, yet every harmonic
-        # moment is rational (zero): the radical bookkeeping cancels
-        q = double(I2)
-        for lay in enumerate_layers(q, 8).layers:
-            for P in harm2_basis(2):
-                assert harmonic_moment(lay, P) == 0
-
-    def test_irrational_moment_raises(self):
-        # layer {(1,-1), (-1,1)} of [[3,2],[2,2]]: ambient second moment has
-        # an off-diagonal entry against the radicand d1*d2 = 2, so the
-        # cross-term moment is a nonzero multiple of sqrt(2)
-        q = GramMatrix([[3, 2], [2, 2]])
-        lay = layer_of(q, 1)
-        assert lay.cardinality == 2
-        P = HarmonicPoly([[0, "1/2"], ["1/2", 0]])
-        with pytest.raises(IrrationalMomentError, match="2"):
-            harmonic_moment(lay, P)
-
-    def test_traceless_enforced(self):
-        with pytest.raises(ValueError):
-            HarmonicPoly([[1, 0], [0, 1]])
-
-
-class TestHarmBasis:
-    def test_counts(self):
-        assert len(harm2_basis(2)) == 2
-        assert len(harm2_basis(6)) == 20
-
-    def test_traceless_and_independent(self):
-        basis = harm2_basis(4)
-        flat = np.array([[float(v) for row in P.coeff for v in row] for P in basis])
-        assert np.linalg.matrix_rank(flat) == len(basis)
-        for P in basis:
-            assert sum(P.coeff[i][i] for i in range(4)) == 0
+                v = routine_verdict(lay)
+                assert is_t_design(lay, 2, q.n) == v
+                vecs = box_vectors(q, lay.norm)
+                assert v.is_design == moment_identity_holds(q, vecs)
+                assert v.lhs == pair_sum_bruteforce(vecs, q, 2)
 
 
 class TestInvarianceProperties:

@@ -1,134 +1,101 @@
-from fractions import Fraction
+"""Theta-series facts, checked on the layers they count.
 
-import pytest
+The theta series of an integral form Q is the sum of q^(Q[x]/2) over the
+lattice, so its coefficients are the layer cardinalities of
+``enumerate_layers``; its degree-2 spherical series vanishes at q^(m/2)
+exactly when the layer of norm m is a 2-design.
+"""
+
+from fractions import Fraction
 
 from latcrit import (
     GramMatrix,
-    HarmonicPoly,
-    QSeries,
     double,
     enumerate_layers,
-    harm2_basis,
+    fully_critical,
+    is_t_design,
     orthosum_A1,
-    theta_product,
-    theta_series,
-    vanishing_report,
 )
 from latcrit.catalog import load_catalog
+
+from helpers import box_layers
 
 I2 = GramMatrix([[1, 0], [0, 1]])
 A2 = GramMatrix([[2, 1], [1, 2]])
 A1 = GramMatrix([[2]])
 
 
-class TestQSeries:
-    def test_rejects_off_grid_exponent(self):
-        with pytest.raises(ValueError):
-            QSeries({Fraction(1, 3): 1}, 5)
+def counts(Q: GramMatrix, bound) -> dict[Fraction, int]:
+    return {lay.norm: lay.cardinality for lay in enumerate_layers(Q, bound).layers}
 
-    def test_rejects_beyond_truncation(self):
-        with pytest.raises(ValueError):
-            QSeries({6: 1}, 5)
 
-    def test_drops_zero_coefficients(self):
-        s = QSeries({1: 0, 2: 3}, 5)
-        assert s.coeffs == ((Fraction(2), Fraction(3)),)
-
-    def test_str(self):
-        s = QSeries({0: 1, 1: 2, 4: 2}, 9)
-        assert str(s) == "1 + 2*q + 2*q^4"
-
-    def test_json_round_trip(self):
-        s = QSeries({0: 1, Fraction(3, 2): Fraction(-5, 2)}, 4)
-        assert QSeries.from_json(s.to_json()) == s
+def convolve(a: dict, b: dict, bound) -> dict:
+    """Layer counts of an orthogonal sum from those of its summands."""
+    a = {Fraction(0): 1, **a}
+    b = {Fraction(0): 1, **b}
+    out: dict = {}
+    for m, c in a.items():
+        for k, e in b.items():
+            if 0 < m + k <= bound:
+                out[m + k] = out.get(m + k, 0) + c * e
+    return out
 
 
 class TestThetaSeries:
     def test_a1_classical(self):
-        s = theta_series(A1, None, 9)
-        assert str(s) == "1 + 2*q + 2*q^4 + 2*q^9"
+        # 1 + 2q + 2q^4 + 2q^9
+        assert counts(A1, 18) == {2: 2, 8: 2, 18: 2}
 
     def test_a2_truncated(self):
-        s = theta_series(A2, None, 2)
-        assert s.coeff(0) == 1 and s.coeff(1) == 6 and s.coeff(2) == 0
+        # 1 + 6q + 0q^2 + ...
+        assert counts(A2, 4) == {2: 6}
 
     def test_odd_lattice_half_integer_exponents(self):
-        s = theta_series(I2, None, 3)
-        assert s.coeff(Fraction(1, 2)) == 4
-        assert s.coeff(1) == 4
+        c = counts(I2, 2)
+        assert c[Fraction(1)] == 4
+        assert c[Fraction(2)] == 4
 
     def test_weighted_series_of_scaled_z2_vanishes(self):
         q = double(I2)
-        for P in harm2_basis(2):
-            assert theta_series(q, P, 20).is_zero()
+        layers = enumerate_layers(q, 40).layers
+        assert layers
+        assert all(is_t_design(lay, 2, 2).is_design for lay in layers)
 
     def test_coefficient_cardinality_identity(self):
         for name in ("sta3", "stb6", "stc12"):
             q = load_catalog().by_name(name).gram
-            s = theta_series(q, None, 6)
-            spec = enumerate_layers(q, 12)
-            for lay in spec.layers:
-                assert s.coeff(lay.norm / 2) == lay.cardinality
-
-    def test_requires_integral(self):
-        with pytest.raises(ValueError):
-            theta_series(GramMatrix([["1/2", 0], [0, 1]]), None, 2)
+            assert counts(q, 12) == box_layers(q, 12)
 
 
 class TestThetaProduct:
     def test_multiplicativity_a2_a1(self):
-        lhs = theta_series(orthosum_A1(A2), None, 20)
-        rhs = theta_product(theta_series(A2, None, 20), theta_series(A1, None, 20))
-        assert lhs == rhs
+        assert counts(orthosum_A1(A2), 40) == convolve(counts(A2, 40), counts(A1, 40), 40)
 
     def test_multiplicativity_a1_a1(self):
         q = GramMatrix([[2, 0], [0, 2]])
-        lhs = theta_series(q, None, 25)
-        a1 = theta_series(A1, None, 25)
-        assert lhs == theta_product(a1, a1)
-
-    def test_identity_element(self):
-        one = QSeries({0: 1}, 30)
-        s = theta_series(A2, None, 12)
-        assert theta_product(s, one) == s
-
-    def test_truncation_is_min(self):
-        a = QSeries({0: 1, 2: 1}, 8)
-        b = QSeries({0: 1, 3: 1}, 5)
-        p = theta_product(a, b)
-        assert p.truncation == 5
-        assert p.coeff(5) == 1 and p.coeff(2) == 1
+        a1 = counts(A1, 50)
+        assert counts(q, 50) == convolve(a1, a1, 50)
 
 
 class TestVanishingReport:
     def test_ste10a_doubled_all_vanish(self):
         q = double(load_catalog().by_name("ste10a").gram)
-        rep = vanishing_report(q, 2, 60)
-        assert len(rep) == 61
-        assert all(flag for _, flag in rep)
+        layers = enumerate_layers(q, 120).layers
+        assert len(layers) == 58
+        assert all(is_t_design(lay, 2, q.n).is_design for lay in layers)
 
     def test_diag24_fails_at_first_exponent(self):
-        rep = vanishing_report(GramMatrix([[2, 0], [0, 4]]), 2, 5)
-        flags = dict(rep)
-        assert flags[0] is True
-        assert flags[1] is False  # layer (x,x)=2 is {+-e1}
-
-    def test_exponent_zero_vacuous(self):
-        rep = vanishing_report(double(I2), 2, 3)
-        assert rep[0] == (0, True)
+        q = GramMatrix([[2, 0], [0, 4]])
+        first = enumerate_layers(q, 2).layers
+        assert [lay.norm for lay in first] == [2]  # layer (x,x)=2 is {+-e1}
+        assert not is_t_design(first[0], 2, 2).is_design
 
     def test_matches_per_layer_verdicts(self):
-        from latcrit import is_2_design_moment
-
-        q = GramMatrix([[2, 0], [0, 4]])
-        rep = dict(vanishing_report(q, 2, 6))
-        spec = enumerate_layers(q, 12)
-        for lay in spec.layers:
-            k = int(lay.norm) // 2
-            assert rep[k] == is_2_design_moment(lay, q)
-
-    def test_requires_even(self):
-        with pytest.raises(ValueError):
-            vanishing_report(I2, 2, 4)
-        with pytest.raises(ValueError):
-            vanishing_report(double(I2), 4, 4)
+        cat = load_catalog()
+        forms = [GramMatrix([[2, 0], [0, 4]])] + [cat.by_name(n).gram for n in ("stc4", "stb6")]
+        for q in forms:
+            rep = fully_critical(q)
+            top = max(v.norm for v in rep.per_layer)
+            direct = {lay.norm: is_t_design(lay, 2, q.n).is_design
+                      for lay in enumerate_layers(q, top).layers}
+            assert {v.norm: v.is_design for v in rep.per_layer} == direct
