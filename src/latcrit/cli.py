@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ from .certify import (
     VERDICT_FAILURE,
     VERDICT_INCONCLUSIVE,
     FullyCriticalReport,
-    conjecture_probe,
     fully_critical,
 )
 from .design import DesignComputationError, is_t_design
@@ -260,7 +260,7 @@ def _cmd_fully_critical(args) -> int:
 
 def _cmd_height(args) -> int:
     desc = _resolve_input(args)
-    cutoff = DEFAULT_CUTOFF if args.radius is None else float(args.radius) * 3.141592653589793
+    cutoff = DEFAULT_CUTOFF if args.radius is None else float(args.radius) * math.pi
     t0 = time.time()
     hrep = height(desc, cutoff=cutoff)
     run = RunReport("height", _input_dict(desc), hrep.to_dict(), time.time() - t0,
@@ -363,15 +363,17 @@ def _cmd_probe(args) -> int:
         override = args.bound if args.bound is not None else (
             desc.reference_N if desc.reference_N is not None else 12)
         try:
-            first_two, full = conjecture_probe(desc, override, max_vectors=args.max_vectors)
+            rep = fully_critical(desc, override, max_vectors=args.max_vectors)
         except EnumerationBudgetError as exc:
             rows.append({"name": desc.name, "error": str(exc)})
             lines.append(f"{desc.name}: inconclusive ({exc})")
             continue
+        # the same pair conjecture_probe returns, plus the verdict behind it
+        first_two = all(v.is_design for v in rep.per_layer[:2])
         rows.append({"name": desc.name, "first_two_designs": first_two,
-                     "fully_critical": full})
-        lines.append(f"{desc.name}: first_two={first_two} fully_critical={full}")
-        if first_two and not full:
+                     "verdict": rep.verdict_text})
+        lines.append(f"{desc.name}: first_two={first_two} verdict={rep.verdict_text}")
+        if first_two and rep.verdict == VERDICT_FAILURE:
             hits.append(desc.name)
     if hits:
         lines.append("!!! COUNTEREXAMPLE CANDIDATE(S): first two layers are 2-designs "
@@ -437,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("height", help="torus height of the determinant-1 form")
     common(p)
-    p.add_argument("--radius", help="truncation radius R (include Q[m] <= R)")
+    p.add_argument("--radius", help="starting truncation radius R (include Q[m] <= R), "
+                   "grown x1.35 per round for up to 10 rounds until the tail is certified")
     p.set_defaults(func=_cmd_height)
 
     p = sub.add_parser("stationarity", help="stationarity residual of the height")

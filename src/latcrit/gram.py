@@ -304,8 +304,13 @@ def exp_map(Q0: GramMatrix, H: TangentDirection, t: float = 1.0) -> np.ndarray:
     """
     if H.base != Q0:
         raise GramError("tangent direction is based at a different matrix")
-    sq, isq = _sym_sqrt(Q0.to_float())
-    core = isq @ (t * H.H) @ isq
+    return exp_map_float(Q0.to_float(), H.H, t)
+
+
+def exp_map_float(A: np.ndarray, H: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """The float core of ``exp_map`` for a float base form and direction."""
+    sq, isq = _sym_sqrt(A)
+    core = isq @ (t * H) @ isq
     core = 0.5 * (core + core.T)
     w, V = np.linalg.eigh(core)
     if np.max(np.abs(w)) > 700.0:

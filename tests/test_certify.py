@@ -197,3 +197,8 @@ class TestConjectureProbe:
     def test_counterexamples_to_first_layer(self):
         assert conjecture_probe(D12) == (False, False)
         assert conjecture_probe(GramMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])) == (False, False)
+
+    def test_budget_cut_run_refutes_nothing(self):
+        e = load_catalog().by_name("ste10a")
+        assert fully_critical(e, e.reference_N, max_vectors=200).verdict == VERDICT_INCONCLUSIVE
+        assert conjecture_probe(e, e.reference_N, max_vectors=200) == (True, True)

@@ -129,6 +129,12 @@ class TestNumericCommands:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_height_zero_radius_rejected_before_enumeration(self, capsys):
+        rc = main(["height", "--name", "sta2", "--radius", "0"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: cutoff must be positive") and err.count("\n") == 1
+
     def test_threads_only_on_tables(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["height", "--name", "sta3", "--threads", "2"])
@@ -156,6 +162,18 @@ class TestProbe:
         out = capsys.readouterr().out
         assert rc == 0
         assert "no counterexample candidates" in out
+
+    def test_exhausted_budget_is_not_a_counterexample(self, capsys):
+        # the budget cuts the horizon: inconclusive, as fully-critical says
+        rc = main(["probe-conjecture", "--name", "ste10a", "--max-vectors", "200"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "ste10a: first_two=True verdict=inconclusive" in out
+        assert "no counterexample candidates" in out
+        rc = main(["fully-critical", "--name", "ste10a", "--fast-paper-bound",
+                   "--max-vectors", "200"])
+        assert rc == 2
+        assert "inconclusive" in capsys.readouterr().out
 
     def test_random_forms(self, capsys):
         rc = main(["probe-conjecture", "--random", "5", "--dims", "2,3",

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from latcrit import (
+    VERDICT_CRITICAL,
     GramMatrix,
     TangentDirection,
     ZetaPoleError,
@@ -12,12 +14,15 @@ from latcrit import (
     directional_derivative_fd,
     epstein_zeta,
     F_value,
+    fully_critical,
     grad_F,
+    gram_inverse,
     height,
     height_constant,
     normalized_to_det1,
     stationarity_residual,
     tangent_project,
+    upper_gamma,
 )
 from latcrit.catalog import load_catalog
 
@@ -248,6 +253,15 @@ class TestStationarity:
     def test_d4_is_stationary(self):
         assert stationarity_residual(D4) < 1e-7
 
+    def test_dims_2_to_5_certified_catalog_is_stationary(self):
+        # the paper's theorem end to end: every layer a 2-design, hence a
+        # stationary point of the height, for the lattice and for its dual
+        for e in load_catalog().entries:
+            if e.gram.n <= 5:
+                assert fully_critical(e, e.reference_N).verdict == VERDICT_CRITICAL, e.name
+                assert stationarity_residual(e.gram) <= 1e-12, e.name
+                assert stationarity_residual(gram_inverse(e.gram)) <= 1e-12, e.name
+
     def test_dims_2_to_4_catalog_is_stationary(self):
         for e in load_catalog().entries:
             if e.gram.n <= 4:
@@ -258,8 +272,49 @@ class TestStationarity:
         assert stationarity_residual(GramMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])) > 1e-3
 
     def test_duals_of_dims_2_to_4_are_stationary(self):
-        from latcrit import gram_inverse
-
         for e in load_catalog().entries:
             if e.gram.n <= 4:
                 assert stationarity_residual(gram_inverse(e.gram)) < 1e-6, e.name
+
+
+class TestOneLatticeSumLoop:
+    def test_one_enumeration_per_side_per_round(self, monkeypatch):
+        H = sys.modules["latcrit.height"]
+        real = H.short_vectors_float
+        radii = []
+
+        def counting(A, radius):
+            radii.append(radius)
+            return real(A, radius)
+
+        monkeypatch.setattr(H, "short_vectors_float", counting)
+        rep = height(load_catalog().by_name("std5b"))
+        # two radius rounds, each enumerating the form and its dual once
+        assert len(radii) == 4
+        assert radii[0] == radii[1] < radii[2] == radii[3] == rep.truncation_radius
+
+    def test_grad_F_takes_no_pinned_radius(self):
+        with pytest.raises(TypeError):
+            grad_F(I2.to_float(), radius=20.0)
+
+    @pytest.mark.parametrize("name", ["sta3", "stc12", "std5b", "ste10a"])
+    def test_height_agrees_with_F_value_and_grad_F(self, name):
+        Q = load_catalog().by_name(name).gram
+        rep = height(Q)
+        A = normalized_to_det1(Q)
+        assert abs(rep.F_value - F_value(A)) <= rep.tail_estimate
+        assert np.linalg.norm(rep.gradient - grad_F(A)) <= rep.tail_estimate
+        assert stationarity_residual(Q) == rep.projected_residual
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_recurrence_gradient_weight(self, n):
+        # psi1 from F's summand f by Gamma(a+1, x) = a Gamma(a, x) + x^a e^{-x},
+        # across both regimes of upper_gamma (series below a + 1, continued
+        # fraction above)
+        H = sys.modules["latcrit.height"]
+        xs = np.array([0.05, 0.3, 1.0, 2.0, 3.4, 4.4, 10.0, 25.0, 60.0, 120.0])
+        f = xs ** (-n / 2) * np.array([upper_gamma(n / 2, x) for x in xs])
+        w = H._gradient_weight(n, xs, f)
+        for x, wx in zip(xs, w):
+            ref = mp.pi * mp.mpf(x) ** (-(n / 2 + 1)) * mp.gammainc(mp.mpf(n) / 2 + 1, x)
+            assert abs(wx - ref) <= 1e-14 * ref, (n, x)
