@@ -151,9 +151,6 @@ INCOMPLETE_DIMS = frozenset({7})
 class Catalog:
     entries: tuple[LatticeDescriptor, ...]
 
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
-
     def by_name(self, name: str) -> LatticeDescriptor:
         for e in self.entries:
             if e.name == name:

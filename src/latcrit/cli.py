@@ -357,6 +357,7 @@ def _cmd_probe(args) -> int:
     if not jobs:
         raise SystemExit("error: nothing to probe (use --name/--gram/--all-catalog/--random)")
     hits = []
+    inconclusive = 0
     rows = []
     lines = []
     for desc in jobs:
@@ -367,6 +368,7 @@ def _cmd_probe(args) -> int:
         except EnumerationBudgetError as exc:
             rows.append({"name": desc.name, "error": str(exc)})
             lines.append(f"{desc.name}: inconclusive ({exc})")
+            inconclusive += 1
             continue
         # the same pair conjecture_probe returns, plus the verdict behind it
         first_two = all(v.is_design for v in rep.per_layer[:2])
@@ -375,6 +377,8 @@ def _cmd_probe(args) -> int:
         lines.append(f"{desc.name}: first_two={first_two} verdict={rep.verdict_text}")
         if first_two and rep.verdict == VERDICT_FAILURE:
             hits.append(desc.name)
+        if rep.verdict == VERDICT_INCONCLUSIVE:
+            inconclusive += 1
     if hits:
         lines.append("!!! COUNTEREXAMPLE CANDIDATE(S): first two layers are 2-designs "
                      f"but a later tested layer fails: {', '.join(hits)}")
@@ -383,7 +387,9 @@ def _cmd_probe(args) -> int:
     run = RunReport("probe-conjecture", {"jobs": [d.name for d in jobs]},
                     {"rows": rows, "hits": hits}, time.time() - t0, {}, __version__)
     _emit(args, run, "\n".join(lines))
-    return EXIT_FAILURE if hits else EXIT_OK
+    if hits:
+        return EXIT_FAILURE
+    return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

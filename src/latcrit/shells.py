@@ -2,9 +2,13 @@
 
 All nonzero integer vectors x with Q[x] <= B are found by a branch-and-bound
 walk over a floating-point Cholesky factorization (Fincke-Pohst), after an
-exact LLL reduction of the Gram matrix.  The float search tree is pruned with
-an inflated bound and every candidate is re-verified in exact integer
-arithmetic, so the resulting layers are complete and exact.
+exact LLL reduction of the Gram matrix.  The walk (``_fp_rows``) goes one
+tree level at a time over numpy frontiers, depth first, and yields int64 row
+arrays of at most ``_CHUNK_ROWS`` rows; both the exact path
+(``_half_candidates``) and the float path (``short_vectors_float``) read
+them.  The float search tree is pruned with an inflated bound and every
+candidate is re-verified in exact integer arithmetic, so the resulting layers
+are complete and exact.
 
 Only one representative per antipodal pair {x, -x} is walked (the highest
 nonzero coordinate is kept positive); full layers are reconstituted from the
@@ -24,7 +28,7 @@ import numpy as np
 
 from .gram import GramMatrix, RationalLike, _as_fraction
 
-_CHUNK_ROWS = 1 << 16
+_CHUNK_ROWS = 1 << 14
 DEFAULT_MAX_VECTORS = 60_000_000
 
 
@@ -108,66 +112,59 @@ def lll_reduce(Q: GramMatrix, delta: Fraction = Fraction(99, 100)) -> tuple[Gram
 # Fincke-Pohst core
 
 
-def _fp_blocks(R: np.ndarray, bound: float) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Yield (tail, lo, hi) blocks: tail fixes coordinates 1..n-1, coordinate 0
-    runs over [lo, hi].  Covers one representative per antipodal pair, zero
-    vector excluded; the float bound carries a small inflation so boundary
-    vectors are never pruned (an exact filter trims the excess)."""
+def _fp_rows(R: np.ndarray, bound: float) -> Iterator[np.ndarray]:
+    """Yield int64 row arrays covering every x != 0 with |R x|^2 <= bound.
+
+    The Cholesky factor R is walked from coordinate n-1 down to 0 over numpy
+    frontiers.  A node at level i holds its fixed coordinates, its centres
+    S[:i+1] and its budget; its children x_i fill the interval
+    |r_ii*x_i + S_i| <= sqrt(budget), laid out by cumulative counts and
+    offsets, and keep budget - u^2 (u = r_ii*x_i + S_i, pruned if negative)
+    and centres S[:i] + R[:i, i]*x_i.  Children are cut into slices of at
+    most ``_CHUNK_ROWS`` and each slice is walked to the leaves before the
+    next, so rows come out in per-node recursion order and no frontier or
+    yielded array exceeds ``_CHUNK_ROWS`` rows.  One slice per level is
+    alive, about 16n + 120 bytes a row, so memory is at most
+    n * (16n + 120) * _CHUNK_ROWS bytes (27 MB at n = 7, 2^14 rows); the
+    traced peak of ``fully_critical(stf28a, max_vectors=4_000_000)`` is
+    12 MB, against 46 MB at 2^16 rows.
+
+    Nodes whose fixed coordinates are all zero take x_i >= 0 (x_0 >= 1), so
+    the highest nonzero coordinate is positive: one vector per antipodal
+    pair.  The bound carries a 1e-9 relative inflation and the interval ends
+    a 1e-12 guard, so boundary vectors are never pruned; callers filter.
+    """
     n = R.shape[0]
-    slack = 1e-9 * bound + 1e-9
-    budget0 = bound + slack
-    prefix = [0] * n
-    Rdiag = np.diag(R).copy()
 
-    def rec(i: int, S: np.ndarray, budget: float, all_zero: bool):
-        rii = Rdiag[i]
-        ti = S[i]
-        rad = math.sqrt(budget) if budget > 0 else 0.0
-        lo = math.ceil((-rad - ti) / rii - 1e-12)
-        hi = math.floor((rad - ti) / rii + 1e-12)
-        if all_zero and lo < 0:
-            lo = 0
-        if i == 0:
-            if all_zero and lo < 1:
-                lo = 1
-            if lo <= hi:
-                yield tuple(prefix[1:]), lo, hi
-            return
-        for xi in range(lo, hi + 1):
-            u = rii * xi + ti
-            nb = budget - u * u
-            if nb < 0:
+    def expand(i, X, S, budget, zero):
+        rii, t = R[i, i], S[:, i]
+        rad = np.sqrt(budget)
+        lo = np.ceil((-rad - t) / rii - 1e-12).astype(np.int64)
+        hi = np.floor((rad - t) / rii + 1e-12).astype(np.int64)
+        lo = np.where(zero, np.maximum(lo, 1 if i == 0 else 0), lo)
+        ends = np.cumsum(np.maximum(hi - lo + 1, 0))
+        total = int(ends[-1]) if len(ends) else 0
+        for a in range(0, total, _CHUNK_ROWS):
+            # parent p's children are the indices up to ends[p] - 1, which is x = hi[p]
+            j = np.arange(a, min(a + _CHUNK_ROWS, total))
+            p = np.searchsorted(ends, j, side="right")
+            x = hi[p] + (j - ends[p] + 1)
+            if i == 0:
+                rows = X[p]
+                rows[:, 0] = x
+                yield rows
                 continue
-            prefix[i] = xi
-            yield from rec(i - 1, S[:i] + R[:i, i] * xi, nb, all_zero and xi == 0)
-        prefix[i] = 0
+            u = rii * x + t[p]
+            nb = budget[p] - u * u
+            keep = nb >= 0
+            p, x, nb = p[keep], x[keep], nb[keep]
+            Xc = X[p]
+            Xc[:, i] = x
+            yield from expand(i - 1, Xc, S[p, :i] + R[:i, i] * x[:, None], nb, zero[p] & (x == 0))
 
-    yield from rec(n - 1, np.zeros(n), budget0, True)
-
-
-def _materialize(blocks, n: int, chunk_rows: int = _CHUNK_ROWS) -> Iterator[np.ndarray]:
-    buf: list[tuple[tuple[int, ...], int, int]] = []
-    total = 0
-    for blk in blocks:
-        buf.append(blk)
-        total += blk[2] - blk[1] + 1
-        if total >= chunk_rows:
-            yield _build_rows(buf, n, total)
-            buf, total = [], 0
-    if buf:
-        yield _build_rows(buf, n, total)
-
-
-def _build_rows(buf, n: int, total: int) -> np.ndarray:
-    X = np.empty((total, n), dtype=np.int64)
-    pos = 0
-    for tail, lo, hi in buf:
-        k = hi - lo + 1
-        X[pos:pos + k, 0] = np.arange(lo, hi + 1)
-        if n > 1:
-            X[pos:pos + k, 1:] = tail
-        pos += k
-    return X
+    budget = bound + (1e-9 * bound + 1e-9)
+    yield from expand(n - 1, np.zeros((1, n), dtype=np.int64), np.zeros((1, n)),
+                      np.array([budget]), np.array([True]))
 
 
 def _int_matrix_and_denominator(Q: GramMatrix) -> tuple[np.ndarray, int]:
@@ -196,7 +193,6 @@ def _half_candidates(
     Q: GramMatrix,
     bound: Fraction,
     *,
-    use_lll: bool = True,
     max_vectors: int = DEFAULT_MAX_VECTORS,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """Yield (X_orig, norms_scaled, denominator) chunks of exact short vectors.
@@ -206,10 +202,7 @@ def _half_candidates(
     """
     if bound <= 0:
         raise ValueError("enumeration bound must be positive")
-    if use_lll:
-        Qred, U = lll_reduce(Q)
-    else:
-        Qred, U = Q, np.eye(Q.n, dtype=np.int64)
+    Qred, U = lll_reduce(Q)
     P, d = _int_matrix_and_denominator(Qred)
     bound_int = math.floor(bound * d)
     if bound_int < 1:
@@ -218,7 +211,7 @@ def _half_candidates(
     R = L.T.copy()
     safe = _check_int64_safe(P, bound_int)
     seen = 0
-    for X in _materialize(_fp_blocks(R, float(bound_int)), Q.n):
+    for X in _fp_rows(R, float(bound_int)):
         norms = _exact_norms(X, P, safe)
         mask = norms <= bound_int
         X, norms = X[mask], norms[mask]
@@ -247,10 +240,6 @@ class Layer:
     def cardinality(self) -> int:
         return len(self.vectors)
 
-    def half(self) -> np.ndarray:
-        """One representative per antipodal pair (highest nonzero coordinate > 0)."""
-        return half_layer(self)
-
 
 @dataclass(frozen=True, eq=False)
 class LayerSpectrum:
@@ -269,9 +258,6 @@ class LayerSpectrum:
             if lay.norm == norm:
                 return lay
         return None
-
-    def total_vectors(self) -> int:
-        return sum(lay.cardinality for lay in self.layers)
 
 
 def half_layer(L: Layer) -> np.ndarray:
@@ -298,7 +284,6 @@ def enumerate_layers(
     Q: GramMatrix,
     bound: RationalLike,
     *,
-    use_lll: bool = True,
     max_vectors: int = DEFAULT_MAX_VECTORS,
 ) -> LayerSpectrum:
     """Every nonzero x with 0 < Q[x] <= bound, grouped by exact norm."""
@@ -306,7 +291,7 @@ def enumerate_layers(
     halves: list[np.ndarray] = []
     norm_chunks: list[np.ndarray] = []
     denom = 1
-    for X, norms, d in _half_candidates(Q, bound, use_lll=use_lll, max_vectors=max_vectors):
+    for X, norms, d in _half_candidates(Q, bound, max_vectors=max_vectors):
         halves.append(X)
         norm_chunks.append(norms)
         denom = d
@@ -357,7 +342,6 @@ def layer_moments(
     Q: GramMatrix,
     bound: RationalLike,
     *,
-    use_lll: bool = True,
     max_vectors: int = DEFAULT_MAX_VECTORS,
     callback: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
 ) -> dict[Fraction, tuple[int, np.ndarray]]:
@@ -372,7 +356,7 @@ def layer_moments(
     acc: dict[int, list] = {}
     denom = 1
     n = Q.n
-    for X, norms, d in _half_candidates(Q, bound, use_lll=use_lll, max_vectors=max_vectors):
+    for X, norms, d in _half_candidates(Q, bound, max_vectors=max_vectors):
         denom = d
         if callback is not None:
             callback(X, norms)
@@ -402,7 +386,7 @@ def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[np.ndarray, np.nd
     Qf = np.asarray(Qf, dtype=float)
     L = np.linalg.cholesky(Qf)
     R = L.T.copy()
-    chunks = list(_materialize(_fp_blocks(R, float(bound)), Qf.shape[0]))
+    chunks = list(_fp_rows(R, float(bound)))
     if not chunks:
         return np.empty((0, Qf.shape[0]), dtype=np.int64), np.empty(0)
     X = np.concatenate(chunks)

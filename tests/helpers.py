@@ -35,6 +35,38 @@ def box_layers(Q: GramMatrix, bound) -> dict[Fraction, int]:
     return out
 
 
+def fincke_pohst_rows(R: np.ndarray, bound: float) -> np.ndarray:
+    """Per-node recursion over the Cholesky factor R, one scalar node at a time.
+
+    The reference for ``shells._fp_rows``: the same float operations per node
+    (1e-9 bound inflation, 1e-12 interval guards, u = r_ii*x_i + S_i, centres
+    S[:i] + R[:i, i]*x_i, highest nonzero coordinate > 0), so the rows must
+    agree exactly and in order.
+    """
+    n = R.shape[0]
+    rows: list[list[int]] = []
+    x = [0] * n
+
+    def rec(i, S, budget, all_zero):
+        rad = math.sqrt(budget)
+        lo = math.ceil((-rad - S[i]) / R[i, i] - 1e-12)
+        hi = math.floor((rad - S[i]) / R[i, i] + 1e-12)
+        if all_zero:
+            lo = max(lo, 1 if i == 0 else 0)
+        for xi in range(lo, hi + 1):
+            x[i] = xi
+            if i == 0:
+                rows.append(list(x))
+                continue
+            u = R[i, i] * xi + S[i]
+            if budget - u * u >= 0:
+                rec(i - 1, S[:i] + R[:i, i] * xi, budget - u * u, all_zero and xi == 0)
+        x[i] = 0
+
+    rec(n - 1, np.zeros(n), bound + (1e-9 * bound + 1e-9), True)
+    return np.array(rows, dtype=np.int64).reshape(-1, n)
+
+
 def box_vectors(Q: GramMatrix, norm) -> list[tuple[int, ...]]:
     """All integer vectors with Q[x] equal to the given norm, by box search."""
     norm = Fraction(norm)

@@ -167,13 +167,21 @@ class TestProbe:
         # the budget cuts the horizon: inconclusive, as fully-critical says
         rc = main(["probe-conjecture", "--name", "ste10a", "--max-vectors", "200"])
         out = capsys.readouterr().out
-        assert rc == 0
+        assert rc == 2
         assert "ste10a: first_two=True verdict=inconclusive" in out
         assert "no counterexample candidates" in out
         rc = main(["fully-critical", "--name", "ste10a", "--fast-paper-bound",
                    "--max-vectors", "200"])
         assert rc == 2
         assert "inconclusive" in capsys.readouterr().out
+
+    def test_budget_error_row_is_inconclusive(self, capsys):
+        # fully_critical itself gives up (no bound >= 2 fits the budget): exit 2, no hit
+        rc = main(["probe-conjecture", "--name", "sta2", "--max-vectors", "1"])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert "sta2: inconclusive (enumeration budget exceeded" in out
+        assert "no counterexample candidates" in out
 
     def test_random_forms(self, capsys):
         rc = main(["probe-conjecture", "--random", "5", "--dims", "2,3",

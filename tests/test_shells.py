@@ -14,10 +14,13 @@ from latcrit import (
     layer_cardinalities,
     layer_moments,
     lll_reduce,
+    normalized_to_det1,
+    short_vectors_float,
 )
+from latcrit import shells
 from latcrit.catalog import load_catalog
 
-from helpers import box_layers, random_unimodular, transform_gram
+from helpers import box_layers, fincke_pohst_rows, random_unimodular, transform_gram
 
 I2 = GramMatrix([[1, 0], [0, 1]])
 A2 = GramMatrix([[2, 1], [1, 2]])
@@ -67,11 +70,66 @@ class TestOracleEquivalence:
         got = {m: c for m, c in layer_cardinalities(enumerate_layers(q, 3))}
         assert got == box_layers(q, 3)
 
-    def test_without_lll(self):
+    def test_float_walk_on_unreduced_basis(self):
+        # short_vectors_float walks the basis it is given, with no LLL step
         q = load_catalog().by_name("stc9").gram
-        a = layer_cardinalities(enumerate_layers(q, 16))
-        b = layer_cardinalities(enumerate_layers(q, 16, use_lll=False))
-        assert a == b
+        skewed = transform_gram(q, random_unimodular(q.n, np.random.default_rng(29), ops=12))
+        assert max(skewed.entries[i][i] for i in range(q.n)) > 4 * max(q.entries[i][i] for i in range(q.n))
+        X, norms = short_vectors_float(np.array(skewed.entries, dtype=float), 16)
+        got: dict[Fraction, int] = {}
+        for x, m in zip(X, np.rint(norms).astype(int)):
+            assert skewed.value(tuple(int(v) for v in x)) == m
+            got[Fraction(int(m))] = got.get(Fraction(int(m)), 0) + 2
+        assert got == box_layers(skewed, 16)
+
+    def test_seeded_fuzz_dims_2_to_5(self):
+        # every catalogue form of dims 2-5 in a random basis, against a box over that basis
+        rng = np.random.default_rng(2024)
+        entries = [e for e in load_catalog().entries if e.gram.n <= 5]
+        assert len(entries) == 18
+        for e in entries:
+            qq = transform_gram(e.gram, random_unimodular(e.gram.n, rng))
+            bound = {2: 20, 3: 20, 4: 16, 5: 12}[e.gram.n]
+            got = {m: c for m, c in layer_cardinalities(enumerate_layers(qq, bound))}
+            assert got == box_layers(qq, bound), e.name
+
+
+class TestArrayWalk:
+    @pytest.mark.parametrize("name,bound", [
+        ("sta2", 40), ("stb3", 40), ("stc12", 40), ("std5a", 24), ("ste10a", 20), ("stf8", 20),
+    ])
+    def test_rows_match_per_node_recursion(self, name, bound, monkeypatch):
+        Qred, _ = lll_reduce(load_catalog().by_name(name).gram)
+        R = np.linalg.cholesky(np.array(Qred.entries, dtype=float)).T.copy()
+        ref = fincke_pohst_rows(R, float(bound))
+        for chunk in (shells._CHUNK_ROWS, 8):
+            monkeypatch.setattr(shells, "_CHUNK_ROWS", chunk)
+            got = list(shells._fp_rows(R, float(bound)))
+            assert max(len(X) for X in got) <= chunk
+            assert np.array_equal(np.concatenate(got), ref)
+
+
+class TestSplitFrontiers:
+    """With a tiny _CHUNK_ROWS every frontier is split; the results must not move."""
+
+    def test_split_walk_matches_default_and_box(self, monkeypatch):
+        cat = load_catalog()
+        cases = [(cat.by_name("stf8").gram, 16), (cat.by_name("ste10a").gram, 8)]
+        default = [enumerate_layers(q, b) for q, b in cases]
+        sta3 = normalized_to_det1(cat.by_name("sta3").gram)
+        float_default = short_vectors_float(sta3, 6.0)
+        chunks = []
+        monkeypatch.setattr(shells, "_CHUNK_ROWS", 8)
+        for (q, b), ref in zip(cases, default):
+            spec = enumerate_layers(q, b)
+            assert layer_cardinalities(spec) == layer_cardinalities(ref)
+            for lay, lay_ref in zip(spec.layers, ref.layers):
+                assert (lay.vectors == lay_ref.vectors).all()
+            assert {m: c for m, c in layer_cardinalities(spec)} == box_layers(q, b)
+            layer_moments(q, b, callback=lambda X, norms: chunks.append(len(X)))
+        assert len(chunks) > 1 and max(chunks) <= 8
+        X, norms = short_vectors_float(sta3, 6.0)
+        assert (X == float_default[0]).all() and (norms == float_default[1]).all()
 
 
 class TestInvariants:
