@@ -103,12 +103,6 @@ class FullyCriticalReport:
     note: str = ""
 
     @property
-    def working_failure_norm(self) -> Optional[Fraction]:
-        if self.failure_norm is None:
-            return None
-        return self.failure_norm * 2 if self.doubled else self.failure_norm
-
-    @property
     def verdict_text(self) -> str:
         if self.verdict == VERDICT_FAILURE:
             m = self.failure_norm

@@ -8,8 +8,10 @@ it can meet to exit 2 with a one-line message on stderr: an exhausted
 enumeration budget (EnumerationBudgetError, prefixed "inconclusive:"), a
 height truncation that cannot be certified (TruncationError), a broken
 design inequality (DesignComputationError), arithmetic failures
-(ArithmeticError) and bad input (ValueError, KeyError, OSError).  Exit 1
-therefore always means a definitive refutation.
+(ArithmeticError) and bad input or usage (ValueError, KeyError, OSError).
+Exit 1 therefore always means a definitive refutation; ``tables`` exits 1
+only when some row is a failure, and 2 when a row is inconclusive or an
+error.
 
 Text output for certification runs mirrors the reference transcript style
 ("150 = 150, 2-DESIGN on the layer (x,x)=3") so diffs against it are
@@ -95,7 +97,7 @@ def _resolve_input(args) -> LatticeDescriptor:
     if getattr(args, "gram", None):
         g = load_gram(args.gram)
         return LatticeDescriptor(gram=g, name=g.name or args.gram)
-    raise SystemExit("error: supply --name CATALOG_NAME or --gram FILE")
+    raise ValueError("supply --name CATALOG_NAME or --gram FILE")
 
 
 def _input_dict(desc: LatticeDescriptor) -> dict:
@@ -151,7 +153,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_layers(args) -> int:
     desc = _resolve_input(args)
     if args.bound is None:
-        raise SystemExit("error: layers requires --bound B")
+        raise ValueError("layers requires --bound B")
     t0 = time.time()
     spec = enumerate_layers(desc.gram, Fraction(args.bound), max_vectors=args.max_vectors)
     cards = layer_cardinalities(spec)
@@ -175,7 +177,7 @@ def _cmd_layers(args) -> int:
 def _cmd_design(args) -> int:
     desc = _resolve_input(args)
     if args.layer_norm is None:
-        raise SystemExit("error: design requires --layer-norm M")
+        raise ValueError("design requires --layer-norm M")
     m = Fraction(args.layer_norm)
     t0 = time.time()
     spec = enumerate_layers(desc.gram, m, max_vectors=args.max_vectors)
@@ -240,7 +242,7 @@ def _cmd_fully_critical(args) -> int:
     override = None
     if args.fast_paper_bound:
         if desc.reference_N is None:
-            raise SystemExit("error: --fast-paper-bound needs catalogue reference data")
+            raise ValueError("--fast-paper-bound needs catalogue reference data")
         override = desc.reference_N
     if args.bound is not None:
         override = int(args.bound)
@@ -294,7 +296,6 @@ def _cmd_tables(args) -> int:
     rows_out = []
     lines = [f"{'name':9s} {'dim':3s} {'verdict':16s} {'expected':14s} "
              f"{'sturm':6s} {'N':4s} {'ok':2s}"]
-    errors = 0
     for r in summary.rows:
         rows_out.append({
             "name": r.name, "dim": r.dim, "traditional_name": r.traditional_name,
@@ -308,14 +309,13 @@ def _cmd_tables(args) -> int:
         lines.append(f"{r.name:9s} {r.dim:<3d} {r.verdict:16s} {r.expected:14s} "
                      f"{r.sturm:<6d} {r.reference_N!s:4s} {flag}{note}")
         if r.error:
-            errors += 1
             lines.append(f"    error: {r.error}")
     mism = summary.mismatches
     lines.append(f"{len(summary.rows)} entries, {len(mism)} mismatches")
     run = RunReport("tables", {"dims": dims}, {"rows": rows_out,
                     "mismatches": len(mism)}, time.time() - t0, {}, __version__)
     _emit(args, run, "\n".join(lines))
-    if any(r.verdict.startswith("failure") for r in summary.rows) or (mism and not errors):
+    if any(r.verdict.startswith("failure") for r in summary.rows):
         return EXIT_FAILURE
     if mism:
         return EXIT_INCONCLUSIVE
@@ -355,7 +355,7 @@ def _cmd_probe(args) -> int:
                 gram=_random_integral_spd(dims[k % len(dims)], rng),
                 name=f"random-{k}"))
     if not jobs:
-        raise SystemExit("error: nothing to probe (use --name/--gram/--all-catalog/--random)")
+        raise ValueError("nothing to probe (use --name/--gram/--all-catalog/--random)")
     hits = []
     inconclusive = 0
     rows = []

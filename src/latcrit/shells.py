@@ -2,7 +2,8 @@
 
 All nonzero integer vectors x with Q[x] <= B are found by a branch-and-bound
 walk over a floating-point Cholesky factorization (Fincke-Pohst), after an
-exact LLL reduction of the Gram matrix.  The walk (``_fp_rows``) goes one
+exact LLL reduction of the Gram matrix that updates the reduced Gram matrix
+in place with each column operation.  The walk (``_fp_rows``) goes one
 tree level at a time over numpy frontiers, depth first, and yields int64 row
 arrays of at most ``_CHUNK_ROWS`` rows; both the exact path
 (``_half_candidates``) and the float path (``short_vectors_float``) read
@@ -14,7 +15,8 @@ Only one representative per antipodal pair {x, -x} is walked (the highest
 nonzero coordinate is kept positive); full layers are reconstituted from the
 halves.  A streaming interface accumulates per-layer counts and second
 moments without storing vectors, which is what the certification driver uses
-for large bounds.
+for large bounds.  Both the stored and the streamed layers group vectors by
+sorting their norms and cutting the runs of equal norms (``_runs``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -49,30 +51,34 @@ class EnumerationBudgetError(RuntimeError):
 # exact LLL reduction on the Gram matrix
 
 
-def lll_reduce(Q: GramMatrix, delta: Fraction = Fraction(99, 100)) -> tuple[GramMatrix, np.ndarray]:
-    """Exact LLL reduction; returns (Q_red, U) with Q_red = U^t Q U, U unimodular.
+_LLL_DELTA = Fraction(99, 100)
 
-    Works on the Gram matrix alone (no basis embedding); all Gram-Schmidt data
-    is recomputed in rational arithmetic, which is cheap at these dimensions.
+
+def lll_reduce(Q: GramMatrix) -> tuple[GramMatrix, np.ndarray]:
+    """Exact LLL reduction (delta = 99/100); returns (Q_red, U) with Q_red = U^t Q U.
+
+    Works on the Gram matrix alone (no basis embedding), as in Cohen, "A
+    Course in Computational Algebraic Number Theory", 2.6.  G starts as Q and
+    every column operation that builds the unimodular U -- the size reduction
+    b_k -= q*b_j and the swap b_k <-> b_{k-1} -- is applied to G in place, on
+    its columns and rows, so G = U^t Q U throughout.  The Gram-Schmidt data
+    of b_0..b_k is read off G in rational arithmetic at each step, and a size
+    reduction updates row k of mu in place.
     """
     n = Q.n
-    G0 = [[Fraction(v) for v in row] for row in Q.entries]
-    U = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    G = [[Fraction(v) for v in row] for row in Q.entries]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def current_gram():
-        # U^t G0 U with exact arithmetic
-        GU = [[sum(G0[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        return [[sum(U[k][i] * GU[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-    def gso(G):
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        B = [Fraction(0)] * n
-        r = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
+    def gso(k):
+        # mu[i][j] and B[i] = |b_i*|^2 for i <= k
+        mu = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
+        B = [Fraction(0)] * (k + 1)
+        r = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
+        for i in range(k + 1):
             for j in range(i + 1):
                 s = G[i][j]
-                for k in range(j):
-                    s -= r[i][k] * mu[j][k]
+                for l in range(j):
+                    s -= r[i][l] * mu[j][l]
                 r[i][j] = s
                 if j < i:
                     mu[i][j] = s / B[j]
@@ -80,32 +86,29 @@ def lll_reduce(Q: GramMatrix, delta: Fraction = Fraction(99, 100)) -> tuple[Gram
                     B[i] = s
         return mu, B
 
-    def col_addmul(dst: int, src: int, q: Fraction):
-        for row in U:
-            row[dst] += q * row[src]
-
-    def col_swap(a: int, b: int):
-        for row in U:
-            row[a], row[b] = row[b], row[a]
-
     k = 1
     while k < n:
-        G = current_gram()
-        mu, B = gso(G)
+        mu, B = gso(k)
         for j in range(k - 1, -1, -1):
             q = math.floor(mu[k][j] + Fraction(1, 2))
             if q != 0:
-                col_addmul(k, j, Fraction(-q))
-                G = current_gram()
-                mu, B = gso(G)
-        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+                for row in U:
+                    row[k] -= q * row[j]
+                for row in G:
+                    row[k] -= q * row[j]
+                G[k] = [a - q * b for a, b in zip(G[k], G[j])]
+                mu[k][j] -= q
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+        if B[k] >= (_LLL_DELTA - mu[k][k - 1] ** 2) * B[k - 1]:
             k += 1
         else:
-            col_swap(k, k - 1)
+            for row in U + G:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            G[k], G[k - 1] = G[k - 1], G[k]
             k = max(k - 1, 1)
 
-    Ured = np.array([[int(v) for v in row] for row in U], dtype=np.int64)
-    return GramMatrix(current_gram()), Ured
+    return GramMatrix(G), np.array(U, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +283,12 @@ def _sorted_rows(X: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
+def _runs(norms: np.ndarray) -> Iterator[tuple[int, int, int]]:
+    """(norm, start, stop) of each run of equal values in sorted norms."""
+    cuts = [0, *(np.flatnonzero(norms[1:] != norms[:-1]) + 1).tolist(), len(norms)]
+    return ((norms[a], a, b) for a, b in zip(cuts, cuts[1:]))
+
+
 def enumerate_layers(
     Q: GramMatrix,
     bound: RationalLike,
@@ -303,13 +312,9 @@ def enumerate_layers(
     norms = np.concatenate([nh, nh])
     order = _sorted_rows(X, norms)
     X, norms = X[order], norms[order]
-    layers = []
-    uniq, starts = np.unique(norms, return_index=True)
-    bounds_idx = list(starts) + [len(norms)]
-    for i, m in enumerate(uniq):
-        seg = X[bounds_idx[i]:bounds_idx[i + 1]]
-        layers.append(Layer(norm=Fraction(int(m), denom), vectors=seg, gram=Q))
-    return LayerSpectrum(gram=Q, bound=bound, layers=tuple(layers))
+    layers = tuple(Layer(norm=Fraction(int(m), denom), vectors=X[a:b], gram=Q)
+                   for m, a, b in _runs(norms))
+    return LayerSpectrum(gram=Q, bound=bound, layers=layers)
 
 
 def layer_cardinalities(S: LayerSpectrum) -> list[tuple[Fraction, int]]:
@@ -343,14 +348,13 @@ def layer_moments(
     bound: RationalLike,
     *,
     max_vectors: int = DEFAULT_MAX_VECTORS,
-    callback: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
 ) -> dict[Fraction, tuple[int, np.ndarray]]:
     """Per-layer cardinalities and exact second moments, streamed.
 
     Returns {norm: (cardinality, S)} with S = sum over the full layer of
-    x x^t as an object-dtype array of Python ints.  ``callback`` (if given)
-    additionally receives every half-chunk (X, scaled_norms) as enumerated,
-    which is the hook for custom streaming consumers.
+    x x^t as an object-dtype array of Python ints.  Each chunk of half-layer
+    vectors is grouped by one stable sort of its norms; every run of equal
+    norms adds its X^t X (doubled for the antipodes) to that layer's sum.
     """
     bound = _as_fraction(bound)
     acc: dict[int, list] = {}
@@ -358,15 +362,13 @@ def layer_moments(
     n = Q.n
     for X, norms, d in _half_candidates(Q, bound, max_vectors=max_vectors):
         denom = d
-        if callback is not None:
-            callback(X, norms)
-        uniq, inv = np.unique(norms, return_inverse=True)
-        for i, m in enumerate(uniq):
-            Xg = X[inv == i]
-            S = Xg.T @ Xg
+        order = np.argsort(norms, kind="stable")
+        X, norms = X[order], norms[order]
+        for m, a, b in _runs(norms):
+            Xg = X[a:b]
             slot = acc.setdefault(int(m), [0, np.zeros((n, n), dtype=object)])
             slot[0] += 2 * len(Xg)
-            slot[1] = slot[1] + 2 * S.astype(object)
+            slot[1] = slot[1] + 2 * (Xg.T @ Xg).astype(object)
     return {
         Fraction(m, denom): (cnt, S) for m, (cnt, S) in sorted(acc.items())
     }

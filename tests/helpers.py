@@ -144,6 +144,29 @@ def bareiss_determinant(rows) -> Fraction:
     return sign * a[n - 1][n - 1]
 
 
+def is_lll_reduced(Q: GramMatrix) -> bool:
+    """|mu_ij| <= 1/2 and the Lovasz condition at delta = 99/100, exactly.
+
+    Gram-Schmidt straight from the entries: mu_ij = (Q_ij - sum_{l<j}
+    mu_il mu_jl B_l) / B_j and B_i = Q_ii - sum_{l<i} mu_il^2 B_l, with
+    B_i = |b_i*|^2, in nested loops over Fractions.
+    """
+    n = Q.n
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    B = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            s = Q.entries[i][j]
+            for l in range(j):
+                s -= mu[i][l] * mu[j][l] * B[l]
+            mu[i][j] = s / B[j]
+        B[i] = Q.entries[i][i] - sum((mu[i][l] ** 2 * B[l] for l in range(i)), Fraction(0))
+    size_reduced = all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i))
+    lovasz = all(B[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * B[k - 1]
+                 for k in range(1, n))
+    return size_reduced and lovasz
+
+
 def random_unimodular(n: int, rng, ops: int = 8, entry_bound: int = 2) -> np.ndarray:
     """Product of integer shear/swap matrices: det +-1, smallish entries."""
     U = np.eye(n, dtype=np.int64)

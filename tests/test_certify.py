@@ -87,8 +87,7 @@ class TestFullyCritical:
         rep = fully_critical(D12)
         assert rep.verdict == VERDICT_FAILURE
         assert rep.verdict_text == "failure-at(1)"
-        assert rep.failure_norm == 1 and rep.working_failure_norm == 2
-        assert rep.doubled
+        assert rep.failure_norm == 1 and rep.doubled
 
     def test_doubled_input_same_failure(self):
         rep = fully_critical(GramMatrix([[2, 0], [0, 4]]))

@@ -114,6 +114,13 @@ class TestTables:
         assert rc == 0
         assert "5 entries, 0 mismatches" in out
 
+    def test_inconclusive_rows_exit_2(self, capsys):
+        rc = main(["tables", "--dims", "4", "--max-vectors", "1000", "--threads", "1"])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert [l.split()[2] for l in out.splitlines() if l.startswith("stc9")] == ["inconclusive"]
+        assert "failure" not in out
+
 
 class TestNumericCommands:
     def test_height_json(self, capsys):
@@ -201,3 +208,21 @@ class TestRunReport:
         rc = main(["analyze", "--name", "nope"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["layers", "--name", "sta2"],
+        ["design", "--name", "sta2"],
+        ["analyze"],
+        ["fully-critical", "--gram", "DIAG12", "--fast-paper-bound"],
+        ["probe-conjecture"],
+    ])
+    def test_exit_2_with_one_error_line(self, argv, diag12_file, capsys):
+        rc = main([diag12_file if a == "DIAG12" else a for a in argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "error: error" not in lines[0]

@@ -7,10 +7,12 @@ from latcrit import (
     EnumerationBudgetError,
     GramMatrix,
     cardinality_vector,
+    double,
     dump_spectrum,
     enumerate_layers,
     gram_inverse,
     half_layer,
+    is_even,
     layer_cardinalities,
     layer_moments,
     lll_reduce,
@@ -20,7 +22,14 @@ from latcrit import (
 from latcrit import shells
 from latcrit.catalog import load_catalog
 
-from helpers import box_layers, fincke_pohst_rows, random_unimodular, transform_gram
+from helpers import (
+    box_layers,
+    fincke_pohst_rows,
+    is_lll_reduced,
+    random_rational_spd,
+    random_unimodular,
+    transform_gram,
+)
 
 I2 = GramMatrix([[1, 0], [0, 1]])
 A2 = GramMatrix([[2, 1], [1, 2]])
@@ -116,18 +125,20 @@ class TestSplitFrontiers:
         cat = load_catalog()
         cases = [(cat.by_name("stf8").gram, 16), (cat.by_name("ste10a").gram, 8)]
         default = [enumerate_layers(q, b) for q, b in cases]
+        default_moments = [layer_moments(q, b) for q, b in cases]
         sta3 = normalized_to_det1(cat.by_name("sta3").gram)
         float_default = short_vectors_float(sta3, 6.0)
-        chunks = []
         monkeypatch.setattr(shells, "_CHUNK_ROWS", 8)
-        for (q, b), ref in zip(cases, default):
+        for (q, b), ref, ref_moments in zip(cases, default, default_moments):
             spec = enumerate_layers(q, b)
             assert layer_cardinalities(spec) == layer_cardinalities(ref)
             for lay, lay_ref in zip(spec.layers, ref.layers):
                 assert (lay.vectors == lay_ref.vectors).all()
             assert {m: c for m, c in layer_cardinalities(spec)} == box_layers(q, b)
-            layer_moments(q, b, callback=lambda X, norms: chunks.append(len(X)))
-        assert len(chunks) > 1 and max(chunks) <= 8
+            moments = layer_moments(q, b)
+            assert list(moments) == list(ref_moments)
+            for m, (cnt, S) in moments.items():
+                assert cnt == ref_moments[m][0] and (S == ref_moments[m][1]).all()
         X, norms = short_vectors_float(sta3, 6.0)
         assert (X == float_default[0]).all() and (norms == float_default[1]).all()
 
@@ -194,11 +205,6 @@ class TestStreaming:
             direct = lay.vectors.T.astype(object) @ lay.vectors.astype(object)
             assert (S == direct).all()
 
-    def test_callback_sees_chunks(self):
-        seen = []
-        layer_moments(A2, 8, callback=lambda X, norms: seen.append(len(X)))
-        assert sum(seen) > 0
-
     def test_budget_error(self):
         q = load_catalog().by_name("ste10a").gram
         with pytest.raises(EnumerationBudgetError) as exc:
@@ -215,6 +221,20 @@ class TestLLL:
             red, U = lll_reduce(skewed)
             assert abs(round(np.linalg.det(U.astype(float)))) == 1
             assert transform_gram(skewed, U) == red
+
+    def test_output_is_lll_reduced(self):
+        rng = np.random.default_rng(29)
+        forms = []
+        for e in load_catalog().entries:
+            q = e.gram
+            forms += [q, q if is_even(q) else double(q),
+                      transform_gram(q, random_unimodular(q.n, rng, ops=12))]
+        forms += [random_rational_spd(n, rng) for n in range(2, 7) for _ in range(4)]
+        for q in forms:
+            red, U = lll_reduce(q)
+            assert is_lll_reduced(red)
+            assert abs(round(np.linalg.det(U.astype(float)))) == 1
+            assert transform_gram(q, U) == red
 
     def test_reduces_skewed_basis(self):
         U = np.array([[1, 7], [0, 1]], dtype=np.int64)
