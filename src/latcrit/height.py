@@ -9,11 +9,12 @@ loop, ``_certified_sum``: each round enumerates the form and its inverse
 once each, evaluates the sums the caller needs on that collection, and grows
 the radius until their certified tails are within tolerance.  ``height``
 takes F and its gradient from the same collection, the gradient's weight
-derived from F's summand by the incomplete-gamma recurrence, so each vector
-costs one special-function call.  Tails are majorants: shells are counted
-by coordinate boxes and the summands are monotone, so the reported tail
-estimate is a true upper bound.  Fixed enumeration order keeps reports
-bit-reproducible.
+derived from F's summand by the incomplete-gamma recurrence.  Each sum
+costs one array call of ``upper_gamma`` per round over all its vectors, and
+each tail majorant one more over a fixed grid of unit shells.  Tails are
+majorants: shells are counted by coordinate boxes and the summands are
+monotone, so the reported tail estimate is a true upper bound.  Fixed
+enumeration order keeps reports bit-reproducible.
 """
 
 from __future__ import annotations
@@ -60,27 +61,23 @@ def _as_form(Q) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def _gamma_arr(a: float, xs: np.ndarray) -> np.ndarray:
-    return np.array([upper_gamma(a, float(x)) for x in xs])
-
-
 def _tail_bound(box_diag: np.ndarray, radius: float, g) -> float:
     """Upper bound for sum over Q[m] > radius of g(Q[m]), g nonincreasing.
 
     The count of lattice points with Q[m] <= x is bounded by the coordinate
     box prod(2 sqrt(x Qinv_ii) + 1); summand monotonicity turns the shell
-    sum into a majorant series that is followed until it underflows.
+    sum into a majorant series over the unit shells j = floor(radius), ...,
+    floor(radius) + 1199.  ``g`` takes an array and is evaluated on the
+    whole grid in one call; the terms are summed in order up to and
+    including the first that underflows to zero.
     """
-    total = 0.0
-    j = float(math.floor(radius))
-    for _ in range(1200):
-        cnt = float(np.prod(2.0 * np.sqrt(np.maximum(box_diag, 0.0) * (j + 1.0)) + 1.0))
-        term = cnt * g(max(j, radius))
-        total += term
-        if term == 0.0:
-            return total
-        j += 1.0
-    raise TruncationError("tail majorant did not underflow; radius far too small")
+    js = math.floor(radius) + np.arange(1200.0)
+    cnt = np.prod(2.0 * np.sqrt(np.maximum(box_diag, 0.0) * (js[:, None] + 1.0)) + 1.0, axis=1)
+    terms = cnt * g(np.maximum(js, radius))
+    zero = np.flatnonzero(terms == 0.0)
+    if not zero.size:
+        raise TruncationError("tail majorant did not underflow; radius far too small")
+    return float(np.cumsum(terms[:zero[0] + 1])[-1])
 
 
 @dataclass(frozen=True)
@@ -140,8 +137,8 @@ def completed_zeta(Q, s: float, *, cutoff: float = DEFAULT_CUTOFF) -> float:
     def sums(fv: _FormVectors):
         xs = math.pi * fv.norms
         ys = math.pi * fv.dual_norms
-        sum1 = 2.0 * float(np.sum(xs ** (-s) * _gamma_arr(s, xs)))
-        sum2 = 2.0 * float(np.sum(ys ** (-(n / 2 - s)) * _gamma_arr(n / 2 - s, ys)))
+        sum1 = 2.0 * float(np.sum(xs ** (-s) * upper_gamma(s, xs)))
+        sum2 = 2.0 * float(np.sum(ys ** (-(n / 2 - s)) * upper_gamma(n / 2 - s, ys)))
         g1 = lambda c: (math.pi * c) ** (-s) * upper_gamma(s, math.pi * c)
         g2 = lambda c: (math.pi * c) ** (-(n / 2 - s)) * upper_gamma(n / 2 - s, math.pi * c)
         tail = (_tail_bound(np.diag(fv.Ainv), fv.radius, g1)
@@ -154,7 +151,13 @@ def completed_zeta(Q, s: float, *, cutoff: float = DEFAULT_CUTOFF) -> float:
 
 
 def epstein_zeta(Q, s: float, *, cutoff: float = DEFAULT_CUTOFF) -> float:
-    """Analytically continued Z(Q, s) for real s, away from 0 and n/2."""
+    """Analytically continued Z(Q, s) for real s, away from 0 and n/2.
+
+    At a negative integer s, 1/Gamma(s) = 0 and Z has its trivial zero.
+    """
+    if s < 0 and s == math.floor(s):
+        _as_form(Q)
+        return 0.0
     rhs = completed_zeta(Q, s, cutoff=cutoff)
     return math.pi ** s / math.gamma(s) * rhs
 
@@ -163,14 +166,14 @@ def _main_summands(fv: _FormVectors) -> np.ndarray:
     """f = x^{-n/2} Gamma(n/2, x) at x = pi A[m], over the form's half-set."""
     n = fv.A.shape[0]
     xs = math.pi * fv.norms
-    return xs ** (-n / 2) * _gamma_arr(n / 2, xs)
+    return xs ** (-n / 2) * upper_gamma(n / 2, xs)
 
 
 def _F_sum(fv: _FormVectors, f: np.ndarray) -> tuple[float, float, bool]:
     """(F value, certified tail, tail within TAIL_REL |F|) from the main summands f."""
     n = fv.A.shape[0]
     ys = math.pi * fv.dual_norms
-    part_dual = 2.0 * float(np.sum(_gamma_arr(0.0, ys)))
+    part_dual = 2.0 * float(np.sum(upper_gamma(0.0, ys)))
     part_main = 2.0 * float(np.sum(f))
     g_dual = lambda b: upper_gamma(0.0, math.pi * b)
     g_main = lambda c: (math.pi * c) ** (-n / 2) * upper_gamma(n / 2, math.pi * c)
@@ -200,7 +203,7 @@ def _grad_sum(fv: _FormVectors, f: np.ndarray) -> tuple[np.ndarray, float, bool]
     lam_max = float(np.linalg.eigvalsh(fv.A)[-1])
     g1 = lambda c: (math.pi * (math.pi * c) ** (-(n / 2 + 1))
                     * upper_gamma(n / 2 + 1, math.pi * c) * c * lam_max_inv)
-    g2 = lambda bb: math.exp(-math.pi * bb) * lam_max
+    g2 = lambda bb: np.exp(-math.pi * bb) * lam_max
     tail = (_tail_bound(np.diag(fv.Ainv), fv.radius, g1)
             + _tail_bound(np.diag(fv.A), fv.radius, g2))
     ok = tail <= 1e-14 + TAIL_REL * float(np.linalg.norm(G))

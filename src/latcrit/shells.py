@@ -176,8 +176,10 @@ def _int_matrix_and_denominator(Q: GramMatrix) -> tuple[np.ndarray, int]:
 
 
 def _check_int64_safe(P: np.ndarray, bound_int: int) -> bool:
-    # conservative overflow guard for norms computed by int64 einsum
-    n = P.shape[0]
+    # conservative overflow guard for the int64 norms ((X @ P) * X).sum(1):
+    # worst bounds sum_jk |x_j||P_jk||x_k| with every |x_k| <= xmax_k and
+    # xmax_k >= 2, so it also bounds each entry of X @ P, each product and
+    # each partial sum
     Pf = np.abs(P).astype(float)
     dinv = np.linalg.inv(P.astype(float))
     xmax = np.sqrt(np.maximum(np.diag(dinv), 0.0) * float(bound_int)) + 2.0
@@ -187,7 +189,7 @@ def _check_int64_safe(P: np.ndarray, bound_int: int) -> bool:
 
 def _exact_norms(X: np.ndarray, P: np.ndarray, int64_safe: bool) -> np.ndarray:
     if int64_safe:
-        return np.einsum("ij,jk,ik->i", X, P, X)
+        return ((X @ P) * X).sum(1)
     Xo = X.astype(object)
     return np.asarray((Xo @ P.astype(object) * Xo).sum(axis=1))
 

@@ -1,16 +1,22 @@
 """Upper incomplete gamma function for the analytic lattice sums.
 
-Non-regularized Gamma(a, x) for real a and x > 0, to ~1e-14 relative
-accuracy: a power series around the lower function for x < a + 1, a
-modified-Lentz continued fraction beyond, the exponential-integral series
-for a = 0 at small x, and downward recurrence for negative a.  These are the
-classical evaluation regimes; both branches are exercised against quadrature
-in the tests.
+Non-regularized Gamma(a, x) for real a and finite x > 0, to ~1e-14 relative
+accuracy, evaluated lane-wise over a numpy array of x: a power series around
+the lower function for x < a + 1, a modified-Lentz continued fraction
+(Thompson & Barnett 1986) for x >= max(a + 1, 1), the exponential-integral
+series for a = 0 and x < 1, and downward recurrence for negative a and
+x < 1.  These are the classical evaluation regimes; each is exercised
+against quadrature and mpmath in the tests.  Every lane runs the scalar
+recurrence of its regime and stops at its own convergence test; converged
+lanes are compressed out of the working arrays, so a lane's value does not
+depend on the other lanes in the call.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _EPS = 1e-16
 _FPMIN = 1e-300
@@ -21,71 +27,110 @@ class GammaDomainError(ValueError):
     pass
 
 
-def _lower_series(a: float, x: float) -> float:
+def _converge(x: np.ndarray, state: list[np.ndarray], step, what: str) -> np.ndarray:
+    """Iterate ``step`` lane-wise; each lane's value is its state[0] when it converges.
+
+    ``step(k, x, state)`` makes iteration k = 1, 2, ... and returns the new
+    state and the mask of lanes that converged at it; those lanes leave x
+    and the state arrays.
+    """
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    k = 0
+    while idx.size:
+        k += 1
+        if k == _MAX_ITER:
+            raise ArithmeticError(f"{what} failed to converge (x={x[0]})")
+        state, done = step(k, x, state)
+        if done.any():
+            out[idx[done]] = state[0][done]
+            keep = ~done
+            x, idx, state = x[keep], idx[keep], [s[keep] for s in state]
+    return out
+
+
+def _lower_series(a: float, x: np.ndarray) -> np.ndarray:
     """Regularized-free lower gamma via series; valid for a > 0, x < a + 1."""
-    term = 1.0 / a
-    total = term
-    ap = a
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + a * math.log(x))
-    raise ArithmeticError(f"lower gamma series failed to converge (a={a}, x={x})")
+    def step(k, x, s):
+        total, term, ap = s
+        ap = ap + 1.0
+        term = term * (x / ap)
+        total = total + term
+        return [total, term, ap], np.abs(term) < np.abs(total) * _EPS
+
+    first = np.full_like(x, 1.0 / a)
+    total = _converge(x, [first, first, np.full_like(x, a)], step, "lower gamma series")
+    return total * np.exp(-x + a * np.log(x))
 
 
-def _upper_cf(a: float, x: float) -> float:
+def _upper_cf(a: float, x: np.ndarray) -> np.ndarray:
     """Continued fraction for Gamma(a, x); valid for x > 0, x >= a + 1 or a <= 0."""
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
+    def step(i, x, s):
+        h, b, c, d = s
         an = -i * (i - a)
-        b += 2.0
+        b = b + 2.0
         d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
+        d[np.abs(d) < _FPMIN] = _FPMIN
         c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
+        c[np.abs(c) < _FPMIN] = _FPMIN
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + a * math.log(x))
-    raise ArithmeticError(f"incomplete gamma continued fraction failed (a={a}, x={x})")
+        return [h * delta, b, c, d], np.abs(delta - 1.0) < _EPS
+
+    b = x + 1.0 - a
+    d = 1.0 / b
+    h = _converge(x, [d, b, np.full_like(x, 1.0 / _FPMIN), d], step,
+                  "incomplete gamma continued fraction")
+    return h * np.exp(-x + a * np.log(x))
 
 
-def _exp1_series(x: float) -> float:
+def _exp1_series(x: np.ndarray) -> np.ndarray:
     """E1(x) for small x: -gamma - log x + sum (-1)^{k+1} x^k / (k k!)."""
-    total = -0.5772156649015328606 - math.log(x)
-    term = 1.0
-    for k in range(1, _MAX_ITER):
-        term *= -x / k
+    def step(k, x, s):
+        total, term = s
+        term = term * (-x / k)
         piece = -term / k
-        total += piece
-        if abs(piece) < abs(total) * _EPS + 1e-300:
-            return total
-    raise ArithmeticError(f"E1 series failed to converge (x={x})")
+        total = total + piece
+        return [total, term], np.abs(piece) < np.abs(total) * _EPS + 1e-300
+
+    return _converge(x, [-0.5772156649015328606 - np.log(x), np.ones_like(x)], step,
+                     "E1 series")
 
 
-def upper_gamma(a: float, x: float) -> float:
-    """Gamma(a, x) = integral_x^inf e^{-t} t^{a-1} dt, for x > 0.
+def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(a, x) over a 1-D array of finite x > 0, each lane in its own regime.
 
-    Gamma(0, x) is the exponential integral E1(x); negative a is reached by
-    the downward recurrence Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a.
+    Lanes below max(a + 1, 1) take the lower series (a > 0), the E1 series
+    (a = 0) or the downward recurrence (a < 0); the others take the
+    continued fraction, which for a < 0 avoids the recurrence's cancellation
+    at large x.
     """
-    if not x > 0:
-        raise GammaDomainError(f"upper incomplete gamma requires x > 0, got {x}")
+    out = np.empty_like(x)
+    low = x < max(a + 1.0, 1.0)
+    xl = x[low]
     if a < 0:
-        return (upper_gamma(a + 1.0, x) - math.exp(-x + a * math.log(x))) / a
-    if a == 0.0:
-        return _exp1_series(x) if x < 1.0 else _upper_cf(0.0, x)
-    if x < a + 1.0:
-        return math.gamma(a) - _lower_series(a, x)
-    return _upper_cf(a, x)
+        out[low] = (_upper_gamma(a + 1.0, xl) - np.exp(-xl + a * np.log(xl))) / a
+    elif a == 0.0:
+        out[low] = _exp1_series(xl)
+    else:
+        out[low] = math.gamma(a) - _lower_series(a, xl)
+    out[~low] = _upper_cf(a, x[~low])
+    return out
+
+
+def upper_gamma(a: float, x):
+    """Gamma(a, x) = integral_x^inf e^{-t} t^{a-1} dt, for finite x > 0.
+
+    ``x`` is a float or an array; an array gives an array of its shape, a
+    float gives a float.  Gamma(0, x) is the exponential integral E1(x);
+    for negative a and x < 1 it is reached by the downward recurrence
+    Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a.
+    """
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs) & (xs > 0)):
+        raise GammaDomainError(f"upper incomplete gamma requires finite x > 0, got {x}")
+    vals = _upper_gamma(float(a), xs.ravel())
+    return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
 
 
 def exp1(x: float) -> float:

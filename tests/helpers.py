@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from latcrit import GramMatrix
+from latcrit import GramMatrix, TruncationError
 
 
 def box_layers(Q: GramMatrix, bound) -> dict[Fraction, int]:
@@ -196,3 +196,22 @@ def random_rational_spd(n: int, rng, denom: int = 4) -> GramMatrix:
     for i in range(n):
         rows[i][i] += Fraction(1 + int(rng.integers(0, denom)), denom)
     return GramMatrix(rows)
+
+
+def tail_bound_loop(box_diag: np.ndarray, radius: float, g) -> float:
+    """Per-shell reference for ``height._tail_bound``: one call of g per unit shell.
+
+    Walks the shells j = floor(radius), floor(radius) + 1, ... and adds
+    prod(2 sqrt(box_ii (j + 1)) + 1) * g(max(j, radius)) until a term
+    underflows to zero; a walk of 1200 shells without one raises.
+    """
+    total = 0.0
+    j = float(math.floor(radius))
+    for _ in range(1200):
+        cnt = float(np.prod(2.0 * np.sqrt(np.maximum(box_diag, 0.0) * (j + 1.0)) + 1.0))
+        term = cnt * float(g(max(j, radius)))
+        total += term
+        if term == 0.0:
+            return total
+        j += 1.0
+    raise TruncationError("tail majorant did not underflow; radius far too small")

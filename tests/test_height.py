@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 
@@ -9,6 +10,7 @@ from latcrit import (
     VERDICT_CRITICAL,
     GramMatrix,
     TangentDirection,
+    TruncationError,
     ZetaPoleError,
     completed_zeta,
     directional_derivative_fd,
@@ -26,7 +28,7 @@ from latcrit import (
 )
 from latcrit.catalog import load_catalog
 
-from helpers import random_unimodular, transform_gram
+from helpers import random_unimodular, tail_bound_loop, transform_gram
 
 I2 = GramMatrix([[1, 0], [0, 1]])
 A2 = GramMatrix([[2, 1], [1, 2]])
@@ -78,6 +80,17 @@ class TestEpsteinZeta:
             epstein_zeta(I2, 1.0)  # n/2 = 1
         with pytest.raises(ZetaPoleError):
             epstein_zeta(I2, 0.0)
+
+    @pytest.mark.parametrize("Q", [I2, A2], ids=["I2", "A2"])
+    @pytest.mark.parametrize("s", [-1.0, -2.0])
+    def test_trivial_zeros_at_negative_integers(self, Q, s):
+        assert epstein_zeta(Q, s) == 0.0
+
+    @pytest.mark.parametrize("s", [-1.001, -0.999, -1.5, -2.001])
+    def test_continuation_near_trivial_zeros(self, s):
+        # Z(I2, s) = 4 zeta(s) beta(s) also at negative s
+        oracle = float(4 * mp.zeta(s) * mp.dirichlet(s, [0, 1, 0, -1]))
+        assert abs(epstein_zeta(I2, s) - oracle) < 1e-12
 
     def test_functional_equation_symmetry(self):
         rng = np.random.default_rng(2)
@@ -313,8 +326,48 @@ class TestOneLatticeSumLoop:
         # fraction above)
         H = sys.modules["latcrit.height"]
         xs = np.array([0.05, 0.3, 1.0, 2.0, 3.4, 4.4, 10.0, 25.0, 60.0, 120.0])
-        f = xs ** (-n / 2) * np.array([upper_gamma(n / 2, x) for x in xs])
+        f = xs ** (-n / 2) * upper_gamma(n / 2, xs)
         w = H._gradient_weight(n, xs, f)
         for x, wx in zip(xs, w):
             ref = mp.pi * mp.mpf(x) ** (-(n / 2 + 1)) * mp.gammainc(mp.mpf(n) / 2 + 1, x)
             assert abs(wx - ref) <= 1e-14 * ref, (n, x)
+
+
+class TestTailMajorant:
+    def test_grid_matches_per_shell_loop_on_catalogue(self, monkeypatch):
+        H = sys.modules["latcrit.height"]
+        real = H._tail_bound
+        calls = []
+
+        def recording(box_diag, radius, g):
+            val = real(box_diag, radius, g)
+            calls.append((box_diag, radius, g, val))
+            return val
+
+        monkeypatch.setattr(H, "_tail_bound", recording)
+        for e in load_catalog().entries:
+            height(e)
+        # F's two majorants and the gradient's two, per radius round
+        assert len(calls) >= 4 * 42
+        # the oracle's scalar calls repeat across entries (the same shells at
+        # the same orders): remember them, as upper_gamma is a pure function
+        memo = functools.lru_cache(maxsize=None)(H.upper_gamma)
+        monkeypatch.setattr(H, "upper_gamma", memo)
+        for box_diag, radius, g, val in calls:
+            ref = tail_bound_loop(box_diag, radius, g)
+            assert abs(val - ref) <= 1e-15 * ref, (radius, val, ref)
+
+    @pytest.mark.parametrize("last", [1198, 1199, 1200])
+    def test_truncation_error_exactly_where_the_loop_raises(self, last):
+        # g vanishes from shell floor(radius) + last on: the walk of 1200
+        # shells sees the zero term for last <= 1199 only
+        H = sys.modules["latcrit.height"]
+        radius, diag = 3.5, np.array([0.7, 1.3])
+        g = lambda c: np.where(c < 3.0 + last, np.exp(-0.01 * c), 0.0)
+        if last < 1200:
+            assert H._tail_bound(diag, radius, g) == tail_bound_loop(diag, radius, g)
+        else:
+            with pytest.raises(TruncationError):
+                tail_bound_loop(diag, radius, g)
+            with pytest.raises(TruncationError):
+                H._tail_bound(diag, radius, g)

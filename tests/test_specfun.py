@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from latcrit import GammaDomainError, exp1, upper_gamma
+from latcrit.specfun import _lower_series, _upper_cf
 
 
 def gamma_quadrature(a: float, x: float) -> float:
@@ -71,10 +73,77 @@ class TestDomain:
         with pytest.raises(GammaDomainError):
             upper_gamma(1.0, -2.0)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_x(self, x):
+        with pytest.raises(GammaDomainError, match="finite x > 0"):
+            upper_gamma(1.0, x)
+        with pytest.raises(GammaDomainError, match="finite x > 0"):
+            upper_gamma(2.5, np.array([1.0, x, 3.0]))
+
     def test_both_branches_agree_at_crossover(self):
         for a in (0.7, 2.0, 3.5):
             x = a + 1.0
-            from latcrit.specfun import _lower_series, _upper_cf
-            lo = math.gamma(a) - _lower_series(a, x * (1 - 1e-13))
-            hi = _upper_cf(a, x * (1 + 1e-13))
+            lo = math.gamma(a) - _lower_series(a, np.array([x * (1 - 1e-13)]))[0]
+            hi = _upper_cf(a, np.array([x * (1 + 1e-13)]))[0]
             assert abs(lo - hi) < 1e-12 * abs(hi)
+
+    @pytest.mark.parametrize("a", [0.0, -0.5, -1.5])
+    def test_continuous_across_the_switch_at_one(self, a):
+        # x < 1: E1 series or downward recurrence; x >= 1: continued fraction
+        lo = upper_gamma(a, 1.0 - 1e-13)
+        hi = upper_gamma(a, 1.0 + 1e-13)
+        assert abs(lo - hi) < 1e-12 * abs(hi)
+
+
+MIXED_X = [0.05, 0.3, 0.999, 1.0, 1.5, 3.0, 4.4, 4.5, 4.6, 25.0, 120.0, 700.0]
+
+
+def mixed_lanes(a: float) -> np.ndarray:
+    """Lanes in every regime of order a, with some at both switch points +- 1e-13."""
+    edges = [a + 1.0 - 1e-13, a + 1.0, a + 1.0 + 1e-13, 1.0 - 1e-13, 1.0 + 1e-13]
+    return np.array(MIXED_X + [e for e in edges if e > 0])
+
+
+class TestArrayKernel:
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 2.5, 3.5, 4.5, -0.5, -1.5, -1e-4])
+    def test_against_mpmath(self, a):
+        xs = np.geomspace(0.05, 700.0, 160)
+        with mp.workdps(40):
+            ref = np.array([float(mp.gammainc(mp.mpf(a), mp.mpf(float(x)))) for x in xs])
+        # a < 0 keeps the bounds of TestNegativeOrder; near a = 0 the
+        # recurrence below x = 1 cancels about four digits
+        tol = 1e-12 if a >= 0 else (1e-9 if a > -1e-2 else 1e-10)
+        rel = np.abs(upper_gamma(a, xs) - ref) / np.abs(ref)
+        assert rel.max() <= tol, (a, xs[rel.argmax()], rel.max())
+
+    @pytest.mark.parametrize("a", [-10.0, -30.5])
+    def test_large_negative_order_against_mpmath(self, a):
+        # the continued fraction covers x >= 1, where the downward recurrence
+        # would cancel; mpmath needs extra digits at these orders
+        xs = np.geomspace(0.05, 300.0, 60)
+        with mp.workdps(60):
+            ref = np.array([float(mp.gammainc(mp.mpf(a), mp.mpf(float(x)))) for x in xs])
+        rel = np.abs(upper_gamma(a, xs) - ref) / np.abs(ref)
+        assert rel.max() <= 1e-12, (a, xs[rel.argmax()], rel.max())
+
+    @pytest.mark.parametrize("a", [0.0, 0.7, 2.0, 3.5, 4.5, -0.5, -1.5])
+    def test_lanes_match_one_element_calls(self, a):
+        xs = mixed_lanes(a)
+        vals = upper_gamma(a, xs)
+        singles = np.array([upper_gamma(a, float(x)) for x in xs])
+        assert np.array_equal(vals, singles)
+
+    @pytest.mark.parametrize("a", [0.0, 2.5, -1.5])
+    def test_permuting_input_permutes_output(self, a):
+        xs = mixed_lanes(a)
+        perm = np.random.default_rng(5).permutation(len(xs))
+        assert np.array_equal(upper_gamma(a, xs[perm]), upper_gamma(a, xs)[perm])
+
+    def test_shapes(self):
+        empty = upper_gamma(1.5, np.empty(0))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        assert type(upper_gamma(1.5, 2.0)) is float
+        assert type(upper_gamma(1.5, np.float64(2.0))) is float
+        assert type(exp1(2.0)) is float
+        grid = np.array([[0.5, 2.0], [7.0, 40.0]])
+        assert np.array_equal(upper_gamma(1.5, grid), upper_gamma(1.5, grid.ravel()).reshape(2, 2))
