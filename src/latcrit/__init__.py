@@ -13,11 +13,9 @@ from .gram import (
     GramMatrix,
     LatticeDescriptor,
     ParityError,
-    TangentDirection,
     adjugate,
     determinant,
     double,
-    exp_map,
     gram_from_json,
     gram_from_text,
     gram_inverse,
@@ -26,7 +24,6 @@ from .gram import (
     load_gram,
     normalized_to_det1,
     orthosum_A1,
-    tangent_project,
 )
 from .shells import (
     EnumerationBudgetError,
@@ -58,7 +55,7 @@ from .certify import (
     conjecture_probe,
     dual_descriptor,
     fully_critical,
-    gamma1_index,
+    gamma0_index,
     sturm_bound,
 )
 from .specfun import GammaDomainError, exp1, upper_gamma

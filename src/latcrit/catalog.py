@@ -3,9 +3,12 @@
 Gram matrices follow the Batut-Martinet naming scheme (sta2, stc12, ...).
 Each entry carries two pieces of externally computed reference data for the
 modular-form space attached to its even working form: the dimension of the
-space (dim M) and the exponent of the last echelon pivot (N).  N is the
-sharpest known certification horizon; the built-in Sturm bound must always
-dominate it, which the test suite checks entry by entry.
+space (dim M) and the exponent of the last echelon pivot (N).  That space is
+the larger Gamma_1 one (dim M equals dim M_k(Gamma_1(level)) on every entry
+of level >= 5), so N is dominated by the Gamma_1 Sturm bound but not by the
+Gamma_0 horizon ``fully_critical`` uses, which is at or below N on every
+entry.  Both stay as regression data: ``fully_critical(e, e.reference_N)``
+reproduces the reference transcripts.
 
 Dimension 7 is a partial list: the source catalogue of strongly eutactic
 lattices is not complete there.
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .certify import VERDICT_CRITICAL, fully_critical, sturm_bound
+from .certify import VERDICT_CRITICAL, fully_critical
 from .gram import GramMatrix, LatticeDescriptor
 
 # name: (gram rows, dim M, N, traditional name)
@@ -195,7 +198,6 @@ class TableRow:
     traditional_name: str
     verdict: str
     expected: str
-    sturm: int
     reference_N: Optional[int]
     bound_used: int
     matches: bool
@@ -212,25 +214,23 @@ class TableSummary:
         return [r for r in self.rows if not r.matches]
 
 
-def _table_row(name: str, fast: bool, max_vectors: int) -> TableRow:
+def _table_row(name: str, max_vectors: int) -> TableRow:
     cat = load_catalog()
     entry = cat.by_name(name)
     n = entry.gram.n
-    override = entry.reference_N if fast else None
     try:
-        rep = fully_critical(entry, override, max_vectors=max_vectors)
-        sturm = sturm_bound(rep.weight, rep.level)
+        rep = fully_critical(entry, max_vectors=max_vectors)
         return TableRow(
             name=name, dim=n, traditional_name=entry.traditional_name,
             verdict=rep.verdict_text, expected=VERDICT_CRITICAL,
-            sturm=sturm, reference_N=entry.reference_N, bound_used=rep.bound_B,
+            reference_N=entry.reference_N, bound_used=rep.bound_B,
             matches=rep.verdict == VERDICT_CRITICAL,
             incomplete_dim=n in INCOMPLETE_DIMS,
         )
     except Exception as exc:  # per-entry budget failures keep the run going
         return TableRow(
             name=name, dim=n, traditional_name=entry.traditional_name,
-            verdict="error", expected=VERDICT_CRITICAL, sturm=0,
+            verdict="error", expected=VERDICT_CRITICAL,
             reference_N=entry.reference_N, bound_used=0, matches=False,
             incomplete_dim=n in INCOMPLETE_DIMS, error=str(exc),
         )
@@ -239,16 +239,16 @@ def _table_row(name: str, fast: bool, max_vectors: int) -> TableRow:
 def reproduce_tables(
     dims: Iterable[int],
     *,
-    fast: bool = False,
     threads: int = 1,
     max_vectors: int = 60_000_000,
 ) -> TableSummary:
     """Run the certification on every catalogue entry of the given dimensions.
 
-    ``fast`` certifies up to the externally computed pivot exponent N instead
-    of the (larger, self-contained) Sturm bound.  threads > 1 distributes
-    entries over processes; 0 means one per CPU.  Row order is fixed by the
-    catalogue regardless of scheduling.
+    Each entry is certified at the self-contained Gamma_0 horizon of
+    ``fully_critical``; its row reports that bound next to the catalogue's
+    reference N.  threads > 1 distributes entries over processes; 0 means
+    one per CPU.  Row order is fixed by the catalogue regardless of
+    scheduling.
     """
     dims = sorted(set(int(d) for d in dims))
     bad = [d for d in dims if d not in _EXPECTED_PER_DIM]
@@ -263,8 +263,7 @@ def reproduce_tables(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_table_row, names, [fast] * len(names),
-                                 [max_vectors] * len(names)))
+            rows = list(pool.map(_table_row, names, [max_vectors] * len(names)))
     else:
-        rows = [_table_row(nm, fast, max_vectors) for nm in names]
+        rows = [_table_row(nm, max_vectors) for nm in names]
     return TableSummary(rows=tuple(rows))

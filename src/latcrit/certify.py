@@ -1,18 +1,24 @@
 """Certification that every layer of a lattice is a spherical 2-design.
 
-The finite check horizon comes from the modularity of the layers'
-generating function weighted by a degree-2 harmonic polynomial: it is a
-modular form for Gamma_1(level), and a form of known weight and level that
-vanishes to a high enough order vanishes identically.  The horizon used here
-is the Sturm bound ceil(weight * index / 12), a sound over-approximation of
-the sharpest possible pivot exponent; externally computed pivot data can be
-supplied as an override for fast runs.  Each layer up to the horizon is
-decided by ``design.two_design_verdict`` on streamed second moments.
+The finite check horizon comes from modularity.  For an even lattice of
+level N in even dimension n and a harmonic polynomial P of degree 2, the
+generating function sum_x P(x) q^{(x.x)/2} is a cusp form of weight
+k = n/2 + 2 on Gamma_0(N) with the character chi_D(d) = (D/d),
+D = (-1)^{n/2} det (Miyake, *Modular Forms* 4.9).  Sturm's theorem, which
+holds for forms with a character (Sturm 1987), makes it vanish once its
+order at infinity exceeds k [SL_2(Z) : Gamma_0(N)] / 12; a layer is a
+2-design exactly when the coefficients of every such P vanish on it.  So
+every layer with (x.x) <= 2B is tested, B = ``sturm_bound(k, N)``, and a
+pass proves every layer.  Each layer is decided by
+``design.two_design_verdict`` on streamed second moments.
 
 Odd lattices are doubled (a homothety, harmless to the design structure).
 Odd dimensions take their horizon from the form plus an orthogonal A1
-summand: its generating function is the form's times A1's, a nonzero
-series, so vanishing transfers back.
+summand: its generating function is the form's times A1's, a series with
+constant term 1, so vanishing transfers back.  The report names its
+premises: the group, the character's discriminant D of the (augmented)
+working form, the weight and the bound, and how many nonempty layers the
+certificate actually tested (``vacuous`` when none).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .design import DesignVerdict, two_design_verdict
 from .gram import (
     GramMatrix,
     LatticeDescriptor,
+    determinant,
     double,
     is_even,
     level,
@@ -43,38 +50,32 @@ VERDICT_FAILURE = "failure"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-def _factorize(N: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    m, p = N, 2
-    while p * p <= m:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
-def gamma1_index(N: int) -> int:
-    """Index of Gamma_1(N) in SL_2(Z): N^2 prod(1 - 1/p^2), with small-N cases 1, 3."""
+def gamma0_index(N: int) -> int:
+    """Index of Gamma_0(N) in SL_2(Z): N prod_{p | N} (1 + 1/p)."""
     if N < 1:
         raise ValueError("N must be a positive integer")
-    if N == 1:
-        return 1
-    if N == 2:
-        return 3
-    idx = 1
-    for p, e in _factorize(N).items():
-        idx *= p ** (2 * e - 2) * (p * p - 1)
+    idx, m, p = N, N, 2
+    while m > 1:
+        if p * p > m:
+            p = m
+        if m % p == 0:
+            idx = idx // p * (p + 1)
+            while m % p == 0:
+                m //= p
+        p += 1
     return idx
 
 
 def sturm_bound(k: int, N: int) -> int:
-    """Vanishing order that forces a weight-k form on Gamma_1(N) to be zero."""
+    """Sturm bound B of weight k on Gamma_0(N), for forms with any character.
+
+    Such a form is zero once its order at infinity exceeds k * index / 12,
+    so vanishing through q^B with B = floor(k * index / 12) suffices; B is
+    at least 1, so level-1 input still tests a layer.
+    """
     if k < 1 or N < 1:
         raise ValueError("weight and level must be positive integers")
-    return math.ceil(Fraction(k * gamma1_index(N), 12))
+    return max(1, k * gamma0_index(N) // 12)
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,10 @@ class FullyCriticalReport:
     reference transcripts (pair sums quarter, cardinalities halve relative
     to full-set values; the design verdicts are identical either way).
     ``failure_norm`` is in the same normalization; the working even form's
-    norm is twice it when ``doubled`` is set.
+    norm is twice it when ``doubled`` is set.  The horizon's premises are
+    the group Gamma_0(level), the character's discriminant ``character_D``
+    and ``weight``; ``layers_tested`` counts the nonempty layers behind the
+    verdict, and a fully-critical verdict that tested none is ``vacuous``.
     """
 
     input: LatticeDescriptor
@@ -95,6 +99,7 @@ class FullyCriticalReport:
     level: int
     weight: int
     bound_B: int
+    character_D: int
     per_layer: tuple[DesignVerdict, ...]  # nonempty layers, pair convention
     cardinalities: tuple[tuple[Fraction, int], ...]  # antipodal pair counts
     verdict: str
@@ -110,6 +115,18 @@ class FullyCriticalReport:
             return f"failure-at({mtxt})"
         return self.verdict
 
+    @property
+    def group(self) -> str:
+        return f"Gamma0({self.level})"
+
+    @property
+    def layers_tested(self) -> int:
+        return len(self.per_layer)
+
+    @property
+    def vacuous(self) -> bool:
+        return self.verdict == VERDICT_CRITICAL and not self.per_layer
+
     def to_dict(self) -> dict:
         def enc(v: Fraction):
             return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
@@ -118,9 +135,13 @@ class FullyCriticalReport:
             "name": self.input.name,
             "doubled": self.doubled,
             "augmented_with_A1": self.augmented_with_A1,
+            "group": self.group,
             "level": self.level,
+            "character_D": self.character_D,
             "weight": self.weight,
             "bound_B": self.bound_B,
+            "layers_tested": self.layers_tested,
+            "vacuous": self.vacuous,
             "verdict": self.verdict_text,
             "failure_norm": None if self.failure_norm is None else enc(self.failure_norm),
             "certified_upto": None if self.certified_upto is None else enc(self.certified_upto),
@@ -139,12 +160,13 @@ def fully_critical(
     """Certify (or refute) that every layer of an integral lattice is a 2-design.
 
     Pipeline: double odd forms; in odd dimension derive the horizon from the
-    A1-augmented form (weight (n+1)/2 + 2, its level), else weight n/2 + 2 and
-    the form's own level; test every layer of the working even form up to
-    (x.x) = 2B with B the Sturm bound, or ``override_bound`` when supplied
-    (e.g. externally computed pivot data).  A failed layer is a definitive
-    refutation; an exhausted enumeration budget is reported as inconclusive
-    with the largest certified bound, never as a failure.
+    A1-augmented form (weight (n+1)/2 + 2, its level and determinant), else
+    weight n/2 + 2 and the form's own; test every layer of the working even
+    form up to (x.x) = 2B with B the Gamma_0 Sturm bound, or
+    ``override_bound`` when supplied (e.g. the catalogue's reference N, to
+    reproduce its transcripts).  A failed layer is a definitive refutation;
+    an exhausted enumeration budget is reported as inconclusive with the
+    largest certified bound, never as a failure.
     """
     desc = L if isinstance(L, LatticeDescriptor) else LatticeDescriptor(gram=L, name=L.name)
     Q = desc.gram
@@ -155,14 +177,11 @@ def fully_critical(
     work = double(Q) if doubled else Q
     s = 2 if doubled else 1
 
-    if n % 2 == 1:
-        lvl = level(orthosum_A1(work))
-        weight = (n + 1) // 2 + 2
-        augmented = True
-    else:
-        lvl = level(work)
-        weight = n // 2 + 2
-        augmented = False
+    augmented = n % 2 == 1
+    form = orthosum_A1(work) if augmented else work
+    lvl = level(form)
+    weight = form.n // 2 + 2
+    D = (-1) ** (form.n // 2) * int(determinant(form))
 
     B = int(override_bound) if override_bound is not None else sturm_bound(weight, lvl)
     if B < 1:
@@ -212,6 +231,7 @@ def fully_critical(
         level=lvl,
         weight=weight,
         bound_B=B,
+        character_D=D,
         per_layer=tuple(per_layer),
         cardinalities=tuple(cards),
         verdict=verdict,

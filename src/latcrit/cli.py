@@ -204,8 +204,10 @@ def _cmd_design(args) -> int:
 
 def _transcript(report: FullyCriticalReport) -> str:
     lines = [
-        f"{report.input.name or 'input'}: level {report.level}, weight {report.weight}, "
-        f"bound B = {report.bound_B}"
+        f"{report.input.name or 'input'}: {report.group} with character D = "
+        f"{report.character_D}, weight {report.weight}, bound B = {report.bound_B}, "
+        f"{report.layers_tested} nonempty layers tested"
+        + (" (vacuous)" if report.vacuous else "")
         + (" (doubled)" if report.doubled else "")
         + (" (A1-augmented horizon)" if report.augmented_with_A1 else "")
     ]
@@ -239,13 +241,7 @@ def _transcript(report: FullyCriticalReport) -> str:
 
 def _cmd_fully_critical(args) -> int:
     desc = _resolve_input(args)
-    override = None
-    if args.fast_paper_bound:
-        if desc.reference_N is None:
-            raise ValueError("--fast-paper-bound needs catalogue reference data")
-        override = desc.reference_N
-    if args.bound is not None:
-        override = int(args.bound)
+    override = None if args.bound is None else int(args.bound)
     t0 = time.time()
     rep = fully_critical(desc, override, max_vectors=args.max_vectors)
     run = RunReport("fully-critical", _input_dict(desc), rep.to_dict(),
@@ -291,15 +287,14 @@ def _cmd_stationarity(args) -> int:
 def _cmd_tables(args) -> int:
     dims = [int(d) for d in args.dims.split(",")] if args.dims else [2, 3, 4, 5, 6]
     t0 = time.time()
-    summary = reproduce_tables(dims, fast=args.fast_paper_bound,
-                               threads=args.threads, max_vectors=args.max_vectors)
+    summary = reproduce_tables(dims, threads=args.threads, max_vectors=args.max_vectors)
     rows_out = []
     lines = [f"{'name':9s} {'dim':3s} {'verdict':16s} {'expected':14s} "
-             f"{'sturm':6s} {'N':4s} {'ok':2s}"]
+             f"{'B':6s} {'N':4s} {'ok':2s}"]
     for r in summary.rows:
         rows_out.append({
             "name": r.name, "dim": r.dim, "traditional_name": r.traditional_name,
-            "verdict": r.verdict, "expected": r.expected, "sturm": r.sturm,
+            "verdict": r.verdict, "expected": r.expected,
             "reference_N": r.reference_N, "bound_used": r.bound_used,
             "matches": r.matches, "incomplete_dim": r.incomplete_dim,
             "error": r.error,
@@ -307,7 +302,7 @@ def _cmd_tables(args) -> int:
         flag = "ok" if r.matches else "XX"
         note = " [catalogue incomplete]" if r.incomplete_dim else ""
         lines.append(f"{r.name:9s} {r.dim:<3d} {r.verdict:16s} {r.expected:14s} "
-                     f"{r.sturm:<6d} {r.reference_N!s:4s} {flag}{note}")
+                     f"{r.bound_used:<6d} {r.reference_N!s:4s} {flag}{note}")
         if r.error:
             lines.append(f"    error: {r.error}")
     mism = summary.mismatches
@@ -438,9 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fully-critical", help="certify 2-designs on every layer")
     common(p)
     budget(p)
-    p.add_argument("--bound", help="override certification bound B")
-    p.add_argument("--fast-paper-bound", action="store_true",
-                   help="use the catalogue's externally computed pivot exponent N")
+    p.add_argument("--bound", help="override the Gamma0 Sturm bound B")
     p.set_defaults(func=_cmd_fully_critical)
 
     p = sub.add_parser("height", help="torus height of the determinant-1 form")
@@ -459,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=0,
                    help="worker processes (0 = auto)")
     p.add_argument("--dims", help="comma-separated dimensions (default 2,3,4,5,6)")
-    p.add_argument("--fast-paper-bound", action="store_true")
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("probe-conjecture",

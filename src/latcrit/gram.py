@@ -141,8 +141,9 @@ class LatticeDescriptor:
     """A named lattice: Gram matrix plus optional reference metadata.
 
     ``reference_dimM`` and ``reference_N`` carry externally computed
-    modular-form space dimensions and pivot exponents used as regression
-    data and as the fast certification bound.
+    modular-form space dimensions and pivot exponents, kept as regression
+    data; ``fully_critical(desc, desc.reference_N)`` reproduces the
+    reference transcripts.
     """
 
     gram: GramMatrix
@@ -155,31 +156,6 @@ class LatticeDescriptor:
         for v in (self.reference_dimM, self.reference_N):
             if v is not None and v < 1:
                 raise GramError("reference metadata must be positive")
-
-
-@dataclass(frozen=True, eq=False)
-class TangentDirection:
-    """Symmetric direction H at Q0 with Tr(Q0^{-1} H) = 0.
-
-    Trace-orthogonality to Q0^{-1} is what keeps the exponential-map curve
-    inside the determinant-1 manifold.
-    """
-
-    base: GramMatrix
-    H: np.ndarray
-
-    def __post_init__(self):
-        H = np.asarray(self.H, dtype=float)
-        if H.shape != (self.base.n, self.base.n):
-            raise GramError("direction shape does not match base dimension")
-        if not np.allclose(H, H.T, atol=1e-12):
-            raise GramError("direction must be symmetric")
-        qinv = gram_inverse(self.base).to_float()
-        t = float(np.tensordot(qinv, H))
-        scale = max(1.0, float(np.linalg.norm(H)))
-        if abs(t) > 1e-12 * scale:
-            raise GramError(f"direction not trace-orthogonal to Q0^-1 (Tr = {t:.3e})")
-        object.__setattr__(self, "H", H)
 
 
 def _leading_minors(rows: tuple[tuple[Fraction, ...], ...]) -> list[Fraction]:
@@ -294,21 +270,14 @@ def _sym_sqrt(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (V * s) @ V.T, (V / s) @ V.T
 
 
-def exp_map(Q0: GramMatrix, H: TangentDirection, t: float = 1.0) -> np.ndarray:
-    """Geodesic chart Q0 * exp(t * Q0^{-1} H), evaluated symmetrically.
+def exp_map_float(A: np.ndarray, H: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """Geodesic chart A exp(t A^{-1} H) of a float form A, evaluated symmetrically.
 
-    Computed as Q0^{1/2} exp(t Q0^{-1/2} H Q0^{-1/2}) Q0^{1/2} via the
+    Computed as A^{1/2} exp(t A^{-1/2} H A^{-1/2}) A^{1/2} via the
     eigendecomposition of the symmetrized core, so the result is symmetric
     positive definite by construction and the determinant is preserved to
-    roundoff when Tr(Q0^{-1} H) = 0.
+    roundoff when Tr(A^{-1} H) = 0.
     """
-    if H.base != Q0:
-        raise GramError("tangent direction is based at a different matrix")
-    return exp_map_float(Q0.to_float(), H.H, t)
-
-
-def exp_map_float(A: np.ndarray, H: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """The float core of ``exp_map`` for a float base form and direction."""
     sq, isq = _sym_sqrt(A)
     core = isq @ (t * H) @ isq
     core = 0.5 * (core + core.T)
@@ -320,18 +289,6 @@ def exp_map_float(A: np.ndarray, H: np.ndarray, t: float = 1.0) -> np.ndarray:
     E = (V * np.exp(w)) @ V.T
     out = sq @ E @ sq
     return 0.5 * (out + out.T)
-
-
-def tangent_project(Q0: GramMatrix, S: np.ndarray) -> TangentDirection:
-    """Remove the Q0^{-1}-parallel component of a symmetric matrix.
-
-    Returns S - lambda * Q0^{-1} with lambda = <Q0^{-1}, S>/<Q0^{-1}, Q0^{-1}>;
-    idempotent and linear in S.
-    """
-    S = np.asarray(S, dtype=float)
-    qinv = gram_inverse(Q0).to_float()
-    lam = float(np.tensordot(qinv, S)) / float(np.tensordot(qinv, qinv))
-    return TangentDirection(base=Q0, H=S - lam * qinv)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ import numpy as np
 from .gram import (
     GramMatrix,
     LatticeDescriptor,
-    TangentDirection,
     exp_map_float,
     normalized_to_det1,
 )
@@ -265,6 +264,7 @@ def _det1_form(L) -> np.ndarray:
 
 
 def _projected_residual(A: np.ndarray, G: np.ndarray) -> float:
+    """|G - lam A^-1| / |G|: G's part in the determinant-1 tangent space, relative."""
     Ainv = np.linalg.inv(A)
     Ainv = 0.5 * (Ainv + Ainv.T)
     lam = float(np.tensordot(Ainv, G)) / float(np.tensordot(Ainv, Ainv))
@@ -324,7 +324,7 @@ def directional_derivative_fd(Q0, H, step: float = 1e-4, *,
     <grad_F(Q0), H> as the step shrinks.
     """
     A = _as_form(Q0)
-    Hm = H.H if isinstance(H, TangentDirection) else np.asarray(H, dtype=float)
-    fp = F_value(exp_map_float(A, Hm, step), cutoff=cutoff)
-    fm = F_value(exp_map_float(A, Hm, -step), cutoff=cutoff)
+    H = np.asarray(H, dtype=float)
+    fp = F_value(exp_map_float(A, H, step), cutoff=cutoff)
+    fm = F_value(exp_map_float(A, H, -step), cutoff=cutoff)
     return (fp - fm) / (2.0 * step)

@@ -384,8 +384,9 @@ def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[np.ndarray, np.nd
     """Half-set of short vectors of a float SPD matrix, with float norms.
 
     Used by the analytic (floating-point) code paths, where a relative 1e-9
-    slack at the boundary is harmless.  Returns (X, norms) sorted by
-    (norm, lexicographic), one representative per antipodal pair.
+    slack at the boundary is harmless.  Returns (X, norms), one
+    representative per antipodal pair, sorted by norm; vectors of equal norm
+    keep the walk's order, which does not depend on the bound.
     """
     Qf = np.asarray(Qf, dtype=float)
     L = np.linalg.cholesky(Qf)
@@ -394,10 +395,11 @@ def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[np.ndarray, np.nd
     if not chunks:
         return np.empty((0, Qf.shape[0]), dtype=np.int64), np.empty(0)
     X = np.concatenate(chunks)
-    norms = np.einsum("ij,jk,ik->i", X.astype(float), Qf, X.astype(float))
+    Xf = X.astype(float)
+    norms = ((Xf @ Qf) * Xf).sum(1)
     mask = norms <= bound * (1 + 1e-9) + 1e-9
     X, norms = X[mask], norms[mask]
-    order = _sorted_rows(X, norms)
+    order = np.argsort(norms, kind="stable")
     return X[order], norms[order]
 
 

@@ -3,13 +3,14 @@
 Non-regularized Gamma(a, x) for real a and finite x > 0, to ~1e-14 relative
 accuracy, evaluated lane-wise over a numpy array of x: a power series around
 the lower function for x < a + 1, a modified-Lentz continued fraction
-(Thompson & Barnett 1986) for x >= max(a + 1, 1), the exponential-integral
-series for a = 0 and x < 1, and downward recurrence for negative a and
-x < 1.  These are the classical evaluation regimes; each is exercised
-against quadrature and mpmath in the tests.  Every lane runs the scalar
-recurrence of its regime and stops at its own convergence test; converged
-lanes are compressed out of the working arrays, so a lane's value does not
-depend on the other lanes in the call.
+(Thompson & Barnett 1986) for x >= max(a + 1, 1), a small-order series for
+|a| <= 0.3 and x < 1 (the exponential-integral series at a = 0), and
+downward recurrence for other negative a and x < 1.  These are the
+classical evaluation regimes; each is exercised against quadrature and
+mpmath in the tests.  Every lane runs the scalar recurrence of its regime
+and stops at its own convergence test; converged lanes are compressed out
+of the working arrays, so a lane's value does not depend on the other lanes
+in the call.
 """
 
 from __future__ import annotations
@@ -21,6 +22,17 @@ import numpy as np
 _EPS = 1e-16
 _FPMIN = 1e-300
 _MAX_ITER = 500
+_SMALL_A = 0.3
+# 1/Gamma(1 + a) = 1 + sum_j _RGAM[j-1] a^j (Abramowitz & Stegun 6.1.34), to
+# a^18: the next term is below 1e-19 relative at |a| <= _SMALL_A
+_RGAM = (
+    0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
+    0.16653861138229148, -0.04219773455554433, -0.009621971527876973,
+    0.0072189432466631, -0.0011651675918590652, -0.00021524167411495098,
+    0.0001280502823881162, -2.013485478078824e-05, -1.2504934821426706e-06,
+    1.133027231981696e-06, -2.056338416977607e-07, 6.116095104481416e-09,
+    5.002007644469223e-09, -1.18127457048702e-09, 1.0434267116911005e-10,
+)
 
 
 class GammaDomainError(ValueError):
@@ -84,34 +96,47 @@ def _upper_cf(a: float, x: np.ndarray) -> np.ndarray:
     return h * np.exp(-x + a * np.log(x))
 
 
-def _exp1_series(x: np.ndarray) -> np.ndarray:
-    """E1(x) for small x: -gamma - log x + sum (-1)^{k+1} x^k / (k k!)."""
+def _small_order(a: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(a, x) for |a| <= 0.3 and x < 1, without cancellation as a -> 0.
+
+    Gamma(a, x) = (Gamma(1+a) - 1)/a - expm1(a log x)/a
+                  - x^a sum_{k>=1} (-x)^k / (k! (a + k)),
+    each term finite at a = 0, where this is the E1 series
+    -gamma - log x - sum (-x)^k / (k k!).  (Gamma(1+a) - 1)/a = -h/(1 + a h)
+    with 1/Gamma(1+a) = 1 + a h(a) from the Taylor coefficients _RGAM.
+    """
     def step(k, x, s):
         total, term = s
         term = term * (-x / k)
-        piece = -term / k
+        piece = term / (a + k)
         total = total + piece
         return [total, term], np.abs(piece) < np.abs(total) * _EPS + 1e-300
 
-    return _converge(x, [-0.5772156649015328606 - np.log(x), np.ones_like(x)], step,
-                     "E1 series")
+    h = 0.0
+    for c in reversed(_RGAM):
+        h = h * a + c
+    lx = np.log(x)
+    head = -lx if a == 0.0 else -np.expm1(a * lx) / a
+    tail = _converge(x, [np.zeros_like(x), np.ones_like(x)], step, "small-order series")
+    return -h / (1.0 + a * h) + head - np.exp(a * lx) * tail
 
 
 def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
     """Gamma(a, x) over a 1-D array of finite x > 0, each lane in its own regime.
 
-    Lanes below max(a + 1, 1) take the lower series (a > 0), the E1 series
-    (a = 0) or the downward recurrence (a < 0); the others take the
-    continued fraction, which for a < 0 avoids the recurrence's cancellation
-    at large x.
+    For |a| <= 0.3, lanes below 1 take the small-order series.  Otherwise
+    lanes below max(a + 1, 1) take the lower series (a > 0) or the downward
+    recurrence (a < 0).  The others take the continued fraction, which for
+    a < 0 avoids the recurrence's cancellation at large x.
     """
     out = np.empty_like(x)
-    low = x < max(a + 1.0, 1.0)
+    small = abs(a) <= _SMALL_A
+    low = x < (1.0 if small else max(a + 1.0, 1.0))
     xl = x[low]
-    if a < 0:
+    if small:
+        out[low] = _small_order(a, xl)
+    elif a < 0:
         out[low] = (_upper_gamma(a + 1.0, xl) - np.exp(-xl + a * np.log(xl))) / a
-    elif a == 0.0:
-        out[low] = _exp1_series(xl)
     else:
         out[low] = math.gamma(a) - _lower_series(a, xl)
     out[~low] = _upper_cf(a, x[~low])
@@ -123,7 +148,7 @@ def upper_gamma(a: float, x):
 
     ``x`` is a float or an array; an array gives an array of its shape, a
     float gives a float.  Gamma(0, x) is the exponential integral E1(x);
-    for negative a and x < 1 it is reached by the downward recurrence
+    for a < -0.3 and x < 1 it is reached by the downward recurrence
     Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a.
     """
     xs = np.asarray(x, dtype=float)

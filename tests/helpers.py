@@ -188,6 +188,12 @@ def transform_gram(Q: GramMatrix, U: np.ndarray) -> GramMatrix:
     return GramMatrix((Uo.T @ G @ Uo).tolist())
 
 
+def tangent_part(A: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """S minus its component along A^{-1}: trace-orthogonal to A^{-1}."""
+    Ainv = np.linalg.inv(A)
+    return S - np.tensordot(Ainv, S) / np.tensordot(Ainv, Ainv) * Ainv
+
+
 def random_rational_spd(n: int, rng, denom: int = 4) -> GramMatrix:
     """Random SPD rational matrix: B^t B + eps I with rational B."""
     B = rng.integers(-3, 4, size=(n, n)).astype(object)
@@ -215,3 +221,127 @@ def tail_bound_loop(box_diag: np.ndarray, radius: float, g) -> float:
             return total
         j += 1.0
     raise TruncationError("tail majorant did not underflow; radius far too small")
+
+
+# ---------------------------------------------------------------------------
+# modular-form premises of the certification horizon
+
+
+def _prime_divisors(N: int) -> list[int]:
+    return [p for p in range(2, N + 1) if N % p == 0 and all(p % q for q in range(2, p))]
+
+
+def gamma1_index(N: int) -> int:
+    """Index of Gamma_1(N) in SL_2(Z): N^2 prod(1 - 1/p^2), with small-N cases 1, 3."""
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    if N <= 2:
+        return (1, 3)[N - 1]
+    idx = Fraction(N * N)
+    for p in _prime_divisors(N):
+        idx *= 1 - Fraction(1, p * p)
+    return int(idx)
+
+
+def sturm_bound_gamma1(k: int, N: int) -> int:
+    """ceil(k [SL_2(Z) : Gamma_1(N)] / 12): the horizon a Gamma_1 argument needs."""
+    return math.ceil(Fraction(k * gamma1_index(N), 12))
+
+
+def projective_line_size(N: int) -> int:
+    """|P^1(Z/N)| by brute force: primitive pairs (c, d) mod N up to unit scaling.
+
+    This count is the index of Gamma_0(N) in SL_2(Z).
+    """
+    units = [u for u in range(N) if math.gcd(u, N) == 1]
+    points = set()
+    for c in range(N):
+        for d in range(N):
+            if math.gcd(math.gcd(c, d), N) == 1:
+                points.add(min(((u * c) % N, (u * d) % N) for u in units))
+    return len(points)
+
+
+def dim_M_gamma1(k: int, N: int) -> int:
+    """dim M_k(Gamma_1(N)) for N >= 5 and k >= 2 (Diamond-Shurman 3.5, 3.6, 3.9).
+
+    For N >= 5, Gamma_1(N) has no elliptic points, every cusp is regular and
+    -I is not in it, so dim = (k - 1)(g - 1) + k eps/2 with eps cusps and
+    genus g = 1 + [SL_2(Z) : Gamma_1(N)]/24 - eps/2.
+    """
+    if N < 5 or k < 2:
+        raise ValueError("formula needs N >= 5 and k >= 2")
+
+    def phi(m: int) -> int:
+        return sum(1 for u in range(1, m + 1) if math.gcd(u, m) == 1)
+
+    eps = Fraction(sum(phi(d) * phi(N // d) for d in range(1, N + 1) if N % d == 0), 2)
+    g = 1 + Fraction(gamma1_index(N), 24) - eps / 2
+    dim = (k - 1) * (g - 1) + k * eps / 2
+    assert dim.denominator == 1 and g.denominator == 1
+    return int(dim)
+
+
+def jacobi_symbol(a: int, n: int) -> int:
+    """(a/n) for odd n > 0 by quadratic reciprocity."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def character_mod(D: int, N: int) -> list[int]:
+    """chi_D(x) = (D/d) for x mod N, d an odd positive representative; 0 off the units.
+
+    Asserts that the value does not depend on the representative, i.e. that
+    chi_D is a Dirichlet character mod N.
+    """
+    out = []
+    for x in range(N):
+        reps = [d for d in range(x or N, x + 8 * N + 1, N) if d % 2 == 1]
+        vals = {jacobi_symbol(D, d) for d in reps} if math.gcd(x, N) == 1 else {0}
+        assert len(vals) == 1, f"(D/.) is not a character mod {N}"
+        out.append(vals.pop())
+    return out
+
+
+def dim_S_gamma0_chi(k: int, N: int, D: int) -> int:
+    """dim S_k(Gamma_0(N), chi_D) for k >= 3 (Cohen-Oesterle 1977).
+
+    (k-1)/12 [SL_2(Z) : Gamma_0(N)] - 1/2 prod_p lambda(r_p, s_p, p)
+    + gamma_4(k) sum_{x^2+1=0} chi(x) + gamma_3(k) sum_{x^2+x+1=0} chi(x),
+    r_p and s_p the exponents of p in N and in the conductor of chi.
+    """
+    if k < 3:
+        raise ValueError("formula used for k >= 3 only")
+    chi = character_mod(D, N)
+    assert N == 1 or chi[N - 1] == (-1) ** k, "character parity differs from the weight's"
+    cond = min(f for f in range(1, N + 1) if N % f == 0 and all(
+        chi[x] == chi[y] for x in range(N) for y in range(x % f, N, f) if chi[x] and chi[y]))
+    index = Fraction(N)
+    lam = Fraction(1)
+    for p in _prime_divisors(N):
+        index *= 1 + Fraction(1, p)
+        r = next(e for e in range(N) if N % p ** (e + 1))
+        s = next(e for e in range(N) if cond % p ** (e + 1))
+        if 2 * s > r:
+            lam *= 2 * p ** (r - s)
+        elif r % 2:
+            lam *= 2 * p ** (r // 2)
+        else:
+            lam *= p ** (r // 2) + p ** (r // 2 - 1)
+    g4 = {0: Fraction(1, 4), 2: Fraction(-1, 4)}.get(k % 4, 0)
+    g3 = {0: Fraction(1, 3), 2: Fraction(-1, 3)}.get(k % 3, 0)
+    s4 = sum(chi[x] for x in range(N) if (x * x + 1) % N == 0)
+    s3 = sum(chi[x] for x in range(N) if (x * x + x + 1) % N == 0)
+    dim = Fraction(k - 1, 12) * index - lam / 2 + g4 * s4 + g3 * s3
+    assert dim.denominator == 1 and dim >= 0
+    return int(dim)

@@ -61,15 +61,18 @@ class TestReproduceTables:
         assert not summary.mismatches
         for r in summary.rows:
             assert r.verdict == "fully-critical"
-            assert r.sturm >= r.reference_N
+            assert r.bound_used <= r.reference_N
 
     def test_dim_4_fast_mode(self):
-        summary = reproduce_tables([4], fast=True)
+        # the default Gamma_0 horizon is never beyond the reference N
+        summary = reproduce_tables([4])
         assert len(summary.rows) == 6
         assert all(r.verdict == "fully-critical" for r in summary.rows)
+        assert [r.bound_used for r in summary.rows] == [2, 2, 1, 4, 2, 1]
+        assert all(r.bound_used <= r.reference_N for r in summary.rows)
 
     def test_dim_7_flagged_incomplete(self):
-        summary = reproduce_tables([7], fast=True, max_vectors=2_000_000)
+        summary = reproduce_tables([7], max_vectors=2_000_000)
         assert all(r.incomplete_dim for r in summary.rows)
         assert len(summary.rows) == 7
 

@@ -13,7 +13,7 @@ from latcrit import (
     conjecture_probe,
     dual_descriptor,
     fully_critical,
-    gamma1_index,
+    gamma0_index,
     is_even,
     level,
     orthosum_A1,
@@ -22,8 +22,18 @@ from latcrit import (
     sturm_bound,
 )
 from latcrit.catalog import load_catalog
+from latcrit.cli import _random_integral_spd
 
-from helpers import box_layers, random_unimodular, transform_gram
+from helpers import (
+    box_layers,
+    dim_M_gamma1,
+    dim_S_gamma0_chi,
+    gamma1_index,
+    projective_line_size,
+    random_unimodular,
+    sturm_bound_gamma1,
+    transform_gram,
+)
 
 D12 = GramMatrix([[1, 0], [0, 2]])
 
@@ -57,16 +67,66 @@ class TestGamma1Index:
             gamma1_index(0)
 
 
+class TestGamma0Index:
+    def test_against_projective_line(self):
+        # [SL2(Z) : Gamma_0(N)] = |P^1(Z/N)|
+        assert [gamma0_index(N) for N in range(1, 31)] == [
+            projective_line_size(N) for N in range(1, 31)]
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            gamma0_index(0)
+
+
 class TestSturmBound:
     def test_examples(self):
-        assert sturm_bound(5, 20) == 120
-        assert sturm_bound(4, 3) == 3          # ceil(4*8/12)
-        assert sturm_bound(12, 1) == 1         # ceil(12*1/12)
+        assert sturm_bound(5, 20) == 15        # floor(5*36/12)
+        assert sturm_bound(4, 3) == 1          # floor(4*4/12)
+        assert sturm_bound(12, 1) == 1         # floor(12*1/12)
+        assert sturm_bound(6, 1) == 1          # floor(6/12) = 0, raised to 1
 
     def test_dominates_reference_pivots(self):
+        # the reference pivots come from the Gamma_1 space: its bound
+        # dominates them, and the Gamma_0 horizon is at or below them
         for e in load_catalog().entries:
             rep = fully_critical(e, override_bound=1)
-            assert sturm_bound(rep.weight, rep.level) >= e.reference_N
+            assert sturm_bound_gamma1(rep.weight, rep.level) >= e.reference_N
+            assert sturm_bound(rep.weight, rep.level) <= e.reference_N
+
+    def test_reference_dimension_is_gamma1(self):
+        levels = 0
+        for e in load_catalog().entries:
+            rep = fully_critical(e, override_bound=1)
+            if rep.level >= 5:
+                levels += 1
+                assert dim_M_gamma1(rep.weight, rep.level) == e.reference_dimM, e.name
+        assert levels == 26
+
+    def test_cusp_space_fits_under_the_horizon(self):
+        # Sturm makes the coefficients through q^B injective on the cusp
+        # space, so its dimension is at most B; the formula also asserts that
+        # chi_D is a character mod N with the weight's parity
+        assert [dim_S_gamma0_chi(k, 1, 1) for k in (6, 12, 24)] == [0, 1, 2]
+        assert dim_S_gamma0_chi(3, 7, -7) == dim_S_gamma0_chi(4, 5, 1) == 1
+        for e in load_catalog().entries:
+            rep = fully_critical(e, override_bound=1)
+            dim = dim_S_gamma0_chi(rep.weight, rep.level, rep.character_D)
+            assert dim <= sturm_bound(rep.weight, rep.level), e.name
+
+    def test_gamma0_certificates_hold_at_gamma1(self):
+        # seeded random forms: the Gamma_0 horizon never exceeds the Gamma_1
+        # one, and nothing it certifies fails within the larger Gamma_1 range
+        rng = np.random.default_rng(2026)
+        verdicts = {VERDICT_CRITICAL: 0, VERDICT_FAILURE: 0}
+        for k in range(120):
+            q = _random_integral_spd(2 + k % 4, rng)
+            rep = fully_critical(q)
+            verdicts[rep.verdict] += 1
+            wide = sturm_bound_gamma1(rep.weight, rep.level)
+            assert rep.bound_B <= wide
+            if rep.verdict == VERDICT_CRITICAL:
+                assert fully_critical(q, wide).verdict == VERDICT_CRITICAL
+        assert verdicts == {VERDICT_CRITICAL: 9, VERDICT_FAILURE: 111}
 
 
 class TestFullyCritical:
@@ -98,6 +158,33 @@ class TestFullyCritical:
         rep = fully_critical(load_catalog().by_name("sta3"))
         assert rep.verdict == VERDICT_CRITICAL
         assert not rep.doubled and not rep.augmented_with_A1
+
+    def test_e8_certifies_at_bound_one(self):
+        # level 1, weight 6: floor(6/12) = 0, so the floor of 1 applies
+        e8 = GramMatrix([[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0],
+                         [0, -1, 2, -1, 0, 0, 0, 0], [0, 0, -1, 2, -1, 0, 0, 0],
+                         [0, 0, 0, -1, 2, -1, 0, -1], [0, 0, 0, 0, -1, 2, -1, 0],
+                         [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, 0, 0, -1, 0, 0, 2]])
+        rep = fully_critical(e8)
+        assert rep.verdict == VERDICT_CRITICAL
+        assert (rep.level, rep.weight, rep.bound_B, rep.character_D) == (1, 6, 1, 1)
+        assert rep.cardinalities == ((2, 120),)
+
+    def test_report_states_its_premises(self):
+        d = fully_critical(load_catalog().by_name("sta3")).to_dict()
+        assert (d["group"], d["character_D"], d["weight"], d["bound_B"]) == ("Gamma0(3)", -3, 3, 1)
+        assert d["layers_tested"] == 1 and d["vacuous"] is False
+
+    def test_ste27_certificate_is_vacuous(self):
+        rep = fully_critical(load_catalog().by_name("ste27"))
+        assert rep.verdict == VERDICT_CRITICAL
+        assert rep.layers_tested == 0 and rep.vacuous
+        # nothing to test: its cusp space S_5(Gamma_0(3), chi_-243) is zero
+        assert dim_S_gamma0_chi(rep.weight, rep.level, rep.character_D) == 0
+        assert rep.to_dict()["vacuous"] is True
+        # its minimum is 4, beyond the horizon (x.x) <= 2B = 2
+        wider = fully_critical(load_catalog().by_name("ste27"), 2)
+        assert wider.cardinalities == ((4, 27),) and not wider.vacuous
 
     def test_odd_dimension_uses_augmented_level(self):
         e = load_catalog().by_name("stb6")  # A3, even, dim 3

@@ -32,8 +32,23 @@ class TestFullyCritical:
         assert "FAILURE" in out
 
     def test_fast_paper_bound(self, capsys):
-        rc = main(["fully-critical", "--name", "stc12", "--fast-paper-bound"])
+        # the flag is gone: the default Gamma_0 horizon is at or below the reference N
+        with pytest.raises(SystemExit) as exc:
+            main(["fully-critical", "--name", "stc12", "--fast-paper-bound"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        rc = main(["fully-critical", "--name", "stc12"])
         assert rc == 0
+        assert "stc12: Gamma0(2) with character D = 4, weight 4, bound B = 1" in (
+            capsys.readouterr().out)
+
+    def test_vacuous_certificate_is_flagged(self, capsys):
+        rc = main(["fully-critical", "--name", "ste27"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.splitlines()[0] == (
+            "ste27: Gamma0(3) with character D = -243, weight 5, bound B = 1, "
+            "0 nonempty layers tested (vacuous)")
 
     def test_budget_inconclusive_exit_code(self, capsys):
         rc = main(["fully-critical", "--name", "ste10a", "--bound", "60",
@@ -50,6 +65,8 @@ class TestFullyCritical:
         assert rep.command == "fully-critical"
         assert rep.outcome["verdict"] == "fully-critical"
         assert rep.outcome["level"] == 3
+        assert rep.outcome["group"] == "Gamma0(3)" and rep.outcome["character_D"] == -3
+        assert rep.outcome["layers_tested"] == 1 and rep.outcome["vacuous"] is False
 
 
 class TestDesign:
@@ -101,7 +118,7 @@ class TestLayers:
 
 class TestTables:
     def test_dim_4(self, capsys):
-        rc = main(["tables", "--dims", "4", "--fast-paper-bound", "--threads", "1"])
+        rc = main(["tables", "--dims", "4", "--threads", "1"])
         out = capsys.readouterr().out
         assert rc == 0
         rows = [l for l in out.splitlines() if l.startswith("stc")]
@@ -115,10 +132,11 @@ class TestTables:
         assert "5 entries, 0 mismatches" in out
 
     def test_inconclusive_rows_exit_2(self, capsys):
-        rc = main(["tables", "--dims", "4", "--max-vectors", "1000", "--threads", "1"])
+        rc = main(["tables", "--dims", "4", "--max-vectors", "30", "--threads", "1"])
         out = capsys.readouterr().out
         assert rc == 2
-        assert [l.split()[2] for l in out.splitlines() if l.startswith("stc9")] == ["inconclusive"]
+        assert [l.split()[0] for l in out.splitlines() if "inconclusive" in l] == [
+            "stc4", "stc10"]
         assert "failure" not in out
 
 
@@ -177,7 +195,7 @@ class TestProbe:
         assert rc == 2
         assert "ste10a: first_two=True verdict=inconclusive" in out
         assert "no counterexample candidates" in out
-        rc = main(["fully-critical", "--name", "ste10a", "--fast-paper-bound",
+        rc = main(["fully-critical", "--name", "ste10a", "--bound", "60",
                    "--max-vectors", "200"])
         assert rc == 2
         assert "inconclusive" in capsys.readouterr().out
@@ -215,7 +233,7 @@ class TestUsageErrors:
         ["layers", "--name", "sta2"],
         ["design", "--name", "sta2"],
         ["analyze"],
-        ["fully-critical", "--gram", "DIAG12", "--fast-paper-bound"],
+        ["fully-critical", "--gram", "DIAG12", "--bound", "0"],
         ["probe-conjecture"],
     ])
     def test_exit_2_with_one_error_line(self, argv, diag12_file, capsys):
