@@ -8,12 +8,10 @@ manifold.
 """
 
 from .gram import (
-    ExpMapError,
     GramError,
     GramMatrix,
     LatticeDescriptor,
     ParityError,
-    adjugate,
     determinant,
     double,
     gram_from_json,
@@ -32,7 +30,6 @@ from .shells import (
     cardinality_vector,
     dump_spectrum,
     enumerate_layers,
-    half_layer,
     layer_cardinalities,
     layer_moments,
     lll_reduce,
@@ -41,10 +38,6 @@ from .shells import (
 from .design import (
     DesignComputationError,
     DesignVerdict,
-    design_constant,
-    is_t_design,
-    moment_matrix,
-    pair_power_sum,
     two_design_verdict,
 )
 from .certify import (
@@ -53,20 +46,17 @@ from .certify import (
     VERDICT_FAILURE,
     VERDICT_INCONCLUSIVE,
     conjecture_probe,
-    dual_descriptor,
     fully_critical,
     gamma0_index,
     sturm_bound,
 )
-from .specfun import GammaDomainError, exp1, upper_gamma
+from .specfun import GammaDomainError, upper_gamma
 from .height import (
     HeightReport,
     TruncationError,
     ZetaPoleError,
     completed_zeta,
-    directional_derivative_fd,
     epstein_zeta,
-    F_value,
     grad_F,
     height,
     height_constant,

@@ -31,6 +31,7 @@ from typing import Iterable, Optional
 
 from .certify import VERDICT_CRITICAL, fully_critical
 from .gram import GramMatrix, LatticeDescriptor
+from .shells import DEFAULT_MAX_VECTORS
 
 # name: (gram rows, dim M, N, traditional name)
 _RAW: dict[str, tuple[list[list[int]], int, int, str]] = {
@@ -240,7 +241,7 @@ def reproduce_tables(
     dims: Iterable[int],
     *,
     threads: int = 1,
-    max_vectors: int = 60_000_000,
+    max_vectors: int = DEFAULT_MAX_VECTORS,
 ) -> TableSummary:
     """Run the certification on every catalogue entry of the given dimensions.
 

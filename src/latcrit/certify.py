@@ -23,8 +23,7 @@ certificate actually tested (``vacuous`` when none).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -32,6 +31,7 @@ from .design import DesignVerdict, two_design_verdict
 from .gram import (
     GramMatrix,
     LatticeDescriptor,
+    _frac_str,
     determinant,
     double,
     is_even,
@@ -104,15 +104,13 @@ class FullyCriticalReport:
     cardinalities: tuple[tuple[Fraction, int], ...]  # antipodal pair counts
     verdict: str
     failure_norm: Optional[Fraction] = None
-    certified_upto: Optional[Fraction] = field(default=None)
+    certified_upto: Optional[Fraction] = None
     note: str = ""
 
     @property
     def verdict_text(self) -> str:
         if self.verdict == VERDICT_FAILURE:
-            m = self.failure_norm
-            mtxt = str(int(m)) if m.denominator == 1 else str(m)
-            return f"failure-at({mtxt})"
+            return f"failure-at({self.failure_norm})"
         return self.verdict
 
     @property
@@ -128,9 +126,6 @@ class FullyCriticalReport:
         return self.verdict == VERDICT_CRITICAL and not self.per_layer
 
     def to_dict(self) -> dict:
-        def enc(v: Fraction):
-            return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
         return {
             "name": self.input.name,
             "doubled": self.doubled,
@@ -143,10 +138,12 @@ class FullyCriticalReport:
             "layers_tested": self.layers_tested,
             "vacuous": self.vacuous,
             "verdict": self.verdict_text,
-            "failure_norm": None if self.failure_norm is None else enc(self.failure_norm),
-            "certified_upto": None if self.certified_upto is None else enc(self.certified_upto),
+            "failure_norm": (None if self.failure_norm is None
+                             else _frac_str(self.failure_norm)),
+            "certified_upto": (None if self.certified_upto is None
+                               else _frac_str(self.certified_upto)),
             "per_layer": [v.to_dict() for v in self.per_layer],
-            "cardinalities": [[enc(m), c] for m, c in self.cardinalities],
+            "cardinalities": [[_frac_str(m), c] for m, c in self.cardinalities],
             "note": self.note,
         }
 
@@ -239,26 +236,6 @@ def fully_critical(
         certified_upto=certified,
         note=note,
     )
-
-
-def dual_descriptor(L: LatticeDescriptor | GramMatrix) -> LatticeDescriptor:
-    """Integral model of the dual: det(Q) * Q^{-1} with content divided out.
-
-    Similar to the dual lattice, so it has the same design structure, while
-    staying in the integral domain of the certification pipeline.
-    """
-    desc = L if isinstance(L, LatticeDescriptor) else LatticeDescriptor(gram=L, name=L.name)
-    Q = desc.gram
-    from .gram import adjugate
-
-    adj = adjugate(Q)
-    g = 0
-    for row in adj.entries:
-        for v in row:
-            g = math.gcd(g, int(v))
-    reduced = adj.scale(Fraction(1, g)) if g > 1 else adj
-    name = f"{desc.name}*" if desc.name else None
-    return LatticeDescriptor(gram=GramMatrix(reduced.entries, name=name), name=name)
 
 
 def conjecture_probe(

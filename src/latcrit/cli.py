@@ -39,16 +39,18 @@ from .certify import (
     FullyCriticalReport,
     fully_critical,
 )
-from .design import DesignComputationError, is_t_design
+from .design import DesignComputationError, two_design_verdict
 from .gram import GramMatrix, LatticeDescriptor, determinant, is_even, level, double, load_gram
 from .height import DEFAULT_CUTOFF, TruncationError, height, stationarity_residual
 from .shells import (
     DEFAULT_MAX_VECTORS,
     EnumerationBudgetError,
+    _int_matrix_and_denominator,
     cardinality_vector,
     dump_spectrum,
     enumerate_layers,
     layer_cardinalities,
+    layer_moments,
 )
 
 EXIT_OK = 0
@@ -87,10 +89,6 @@ class RunReport:
         )
 
 
-def _frac_str(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
 def _resolve_input(args) -> LatticeDescriptor:
     if getattr(args, "name", None):
         return load_catalog().by_name(args.name)
@@ -104,7 +102,7 @@ def _input_dict(desc: LatticeDescriptor) -> dict:
     return {
         "name": desc.name,
         "n": desc.gram.n,
-        "gram": [[_frac_str(v) for v in row] for row in desc.gram.entries],
+        "gram": [[str(v) for v in row] for row in desc.gram.entries],
     }
 
 
@@ -127,7 +125,7 @@ def _cmd_analyze(args) -> int:
     even = is_even(Q)
     info = {
         "n": Q.n,
-        "determinant": _frac_str(det),
+        "determinant": str(det),
         "integral": Q.is_integral,
         "even": even,
     }
@@ -136,7 +134,7 @@ def _cmd_analyze(args) -> int:
         info["doubled_for_level"] = not even
     spec = enumerate_layers(Q, max(Q.entries[i][i] for i in range(Q.n)))
     if spec.layers:
-        info["min_norm"] = _frac_str(spec.layers[0].norm)
+        info["min_norm"] = str(spec.layers[0].norm)
         info["kissing_number"] = spec.layers[0].cardinality
     rep = RunReport("analyze", _input_dict(desc), info, time.time() - t0, {}, __version__)
     lines = [f"{desc.name or 'input'}: dimension {Q.n}, determinant {info['determinant']}"]
@@ -158,7 +156,7 @@ def _cmd_layers(args) -> int:
     spec = enumerate_layers(desc.gram, Fraction(args.bound), max_vectors=args.max_vectors)
     cards = layer_cardinalities(spec)
     outcome = {"bound": args.bound,
-               "layers": [[_frac_str(m), c] for m, c in cards]}
+               "layers": [[str(m), c] for m, c in cards]}
     if desc.gram.is_integral and all(m.denominator == 1 for m, _ in cards):
         upto = int(Fraction(args.bound))
         outcome["cardinality_vector"] = cardinality_vector(spec, upto)
@@ -169,7 +167,7 @@ def _cmd_layers(args) -> int:
     rep = RunReport("layers", _input_dict(desc), outcome, time.time() - t0, {}, __version__)
     lines = [f"layers of {desc.name or 'input'} up to Q[x] <= {args.bound}:"]
     for m, c in cards:
-        lines.append(f"  (x,x)={_frac_str(m)}: {c} vectors ({c // 2} antipodal pairs)")
+        lines.append(f"  (x,x)={m}: {c} vectors ({c // 2} antipodal pairs)")
     _emit(args, rep, "\n".join(lines))
     return EXIT_OK
 
@@ -180,25 +178,23 @@ def _cmd_design(args) -> int:
         raise ValueError("design requires --layer-norm M")
     m = Fraction(args.layer_norm)
     t0 = time.time()
-    spec = enumerate_layers(desc.gram, m, max_vectors=args.max_vectors)
-    lay = spec.layer_at(m)
-    if lay is None:
+    layer = layer_moments(desc.gram, m, max_vectors=args.max_vectors).get(m)
+    if layer is None:
         rep = RunReport("design", _input_dict(desc),
                         {"layer_norm": str(m), "empty": True},
                         time.time() - t0, {}, __version__)
-        _emit(args, rep, f"the layer (x,x)={_frac_str(m)} is empty")
+        _emit(args, rep, f"the layer (x,x)={m} is empty")
         return EXIT_OK
-    verdict = is_t_design(lay, args.t, desc.gram.n)
+    card, S = layer
+    P, d = _int_matrix_and_denominator(desc.gram)
+    verdict = two_design_verdict(m, card, S, P, d)
     rep = RunReport("design", _input_dict(desc), verdict.to_dict(),
                     time.time() - t0, {}, __version__)
     if verdict.is_design:
-        text = (f"{_frac_str(verdict.lhs)} = {_frac_str(verdict.rhs)}, "
-                f"{args.t}-DESIGN on the layer (x,x)={_frac_str(m)}")
-        _emit(args, rep, text)
+        _emit(args, rep, f"{verdict.lhs} = {verdict.rhs}, 2-DESIGN on the layer (x,x)={m}")
         return EXIT_OK
-    text = (f"{_frac_str(verdict.lhs)} != {_frac_str(verdict.rhs)}, "
-            f"NOT a {args.t}-design on the layer (x,x)={_frac_str(m)} -- FAILURE")
-    _emit(args, rep, text)
+    _emit(args, rep, f"{verdict.lhs} != {verdict.rhs}, "
+                     f"NOT a 2-design on the layer (x,x)={m} -- FAILURE")
     return EXIT_FAILURE
 
 
@@ -219,21 +215,18 @@ def _transcript(report: FullyCriticalReport) -> str:
             if v is None:
                 lines.append(f"the layer (x,x)={k} is empty")
             elif v.is_design:
-                lines.append(f"{_frac_str(v.lhs)} = {_frac_str(v.rhs)}, "
-                             f"2-DESIGN on the layer (x,x)={k}")
+                lines.append(f"{v.lhs} = {v.rhs}, 2-DESIGN on the layer (x,x)={k}")
             else:
-                lines.append(f"{_frac_str(v.lhs)} != {_frac_str(v.rhs)}, "
-                             f"NOT a 2-design on the layer (x,x)={k}")
+                lines.append(f"{v.lhs} != {v.rhs}, NOT a 2-design on the layer (x,x)={k}")
     else:
         for v in report.per_layer:
             tag = "2-DESIGN" if v.is_design else "NOT a 2-design"
             rel = "=" if v.is_design else "!="
-            lines.append(f"{_frac_str(v.lhs)} {rel} {_frac_str(v.rhs)}, {tag} "
-                         f"on the layer (x,x)={_frac_str(v.norm)}")
+            lines.append(f"{v.lhs} {rel} {v.rhs}, {tag} on the layer (x,x)={v.norm}")
     if report.verdict == VERDICT_CRITICAL:
         lines.append("RESULT: fully critical (2-designs on every layer)")
     elif report.verdict == VERDICT_FAILURE:
-        lines.append(f"RESULT: FAILURE at the layer (x,x)={_frac_str(report.failure_norm)}")
+        lines.append(f"RESULT: FAILURE at the layer (x,x)={report.failure_norm}")
     else:
         lines.append(f"RESULT: inconclusive ({report.note})")
     return "\n".join(lines)
@@ -423,11 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-layers", metavar="PATH", help="write the layer dump file")
     p.set_defaults(func=_cmd_layers)
 
-    p = sub.add_parser("design", help="exact t-design test of a single layer")
+    p = sub.add_parser("design", help="exact 2-design test of a single layer")
     common(p)
     budget(p)
     p.add_argument("--layer-norm", help="norm of the layer to test (rational)")
-    p.add_argument("--t", type=int, default=2, help="design strength (even)")
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("fully-critical", help="certify 2-designs on every layer")

@@ -4,8 +4,8 @@ A positive definite symmetric matrix of rationals plays a double role: it is
 the Gram matrix of a full-rank Euclidean lattice and the matrix of a positive
 quadratic form on integer vectors.  Everything structural (inverse, parity,
 level, block sums) is computed in exact arbitrary-precision rationals;
-floating point enters only through the exponential-map chart used by the
-height machinery.
+floating point enters only through the float copies the height machinery
+reads (``to_float``, ``normalized_to_det1``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-Rational = Fraction
 RationalLike = int | Fraction | str
 
 
@@ -75,30 +74,6 @@ class GramMatrix:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
-
-    def value(self, x: Sequence[int]) -> Fraction:
-        """Evaluate the quadratic form x^t Q x exactly."""
-        e = self.entries
-        n = self.n
-        total = Fraction(0)
-        for i in range(n):
-            xi = x[i]
-            if xi == 0:
-                continue
-            row = e[i]
-            s = sum(row[j] * x[j] for j in range(n) if x[j] != 0)
-            total += xi * s
-        return total
-
-    def inner(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
-        """Inner product x^t Q y."""
-        e = self.entries
-        n = self.n
-        return sum(x[i] * sum(e[i][j] * y[j] for j in range(n)) for i in range(n))
 
     @property
     def is_integral(self) -> bool:
@@ -205,12 +180,6 @@ def gram_inverse(Q: GramMatrix) -> GramMatrix:
     return GramMatrix([row[n:] for row in a])
 
 
-def adjugate(Q: GramMatrix) -> GramMatrix:
-    """det(Q) * Q^{-1}; integral whenever Q is integral."""
-    d = determinant(Q)
-    return gram_inverse(Q).scale(d)
-
-
 def is_even(Q: GramMatrix) -> bool:
     """True iff all entries are integers and the diagonal is even."""
     if not Q.is_integral:
@@ -256,39 +225,6 @@ def normalized_to_det1(Q: GramMatrix) -> np.ndarray:
     """Q / det(Q)^{1/n} as a float matrix (determinant-1 representative)."""
     d = float(determinant(Q))
     return Q.to_float() / d ** (1.0 / Q.n)
-
-
-class ExpMapError(GramError):
-    """Matrix exponential could not be evaluated reliably."""
-
-
-def _sym_sqrt(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, V = np.linalg.eigh(A)
-    if np.any(w <= 0):
-        raise ExpMapError("base matrix of exponential map is not positive definite")
-    s = np.sqrt(w)
-    return (V * s) @ V.T, (V / s) @ V.T
-
-
-def exp_map_float(A: np.ndarray, H: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """Geodesic chart A exp(t A^{-1} H) of a float form A, evaluated symmetrically.
-
-    Computed as A^{1/2} exp(t A^{-1/2} H A^{-1/2}) A^{1/2} via the
-    eigendecomposition of the symmetrized core, so the result is symmetric
-    positive definite by construction and the determinant is preserved to
-    roundoff when Tr(A^{-1} H) = 0.
-    """
-    sq, isq = _sym_sqrt(A)
-    core = isq @ (t * H) @ isq
-    core = 0.5 * (core + core.T)
-    w, V = np.linalg.eigh(core)
-    if np.max(np.abs(w)) > 700.0:
-        raise ExpMapError(
-            f"exponential map diverges: spectral magnitude {np.max(np.abs(w)):.3e}"
-        )
-    E = (V * np.exp(w)) @ V.T
-    out = sq @ E @ sq
-    return 0.5 * (out + out.T)
 
 
 # ---------------------------------------------------------------------------

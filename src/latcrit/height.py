@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import (
-    GramMatrix,
-    LatticeDescriptor,
-    exp_map_float,
-    normalized_to_det1,
-)
+from .gram import GramMatrix, LatticeDescriptor, normalized_to_det1
 from .shells import short_vectors_float
 from .specfun import upper_gamma
 
@@ -209,17 +204,6 @@ def _grad_sum(fv: _FormVectors, f: np.ndarray) -> tuple[np.ndarray, float, bool]
     return 0.5 * (G + G.T), tail, ok
 
 
-def F_value(Q, *, cutoff: float = DEFAULT_CUTOFF) -> float:
-    """F(Q, 0): the Q-dependent part of the zeta derivative at s = 0.
-
-    Two positive exponentially convergent sums, one over the form and one
-    over its inverse; invariant under unimodular change of basis.
-    """
-    val, _, _ = _certified_sum(_as_form(Q), cutoff,
-                               lambda fv: _F_sum(fv, _main_summands(fv)), "F value")
-    return val
-
-
 def grad_F(Q, *, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
     """Gradient of F(., 0) at the given form, as a symmetric matrix.
 
@@ -310,21 +294,3 @@ def stationarity_residual(Q0, *, cutoff: float = DEFAULT_CUTOFF) -> float:
     """
     A = _det1_form(Q0)
     return _projected_residual(A, grad_F(A, cutoff=cutoff))
-
-
-# ---------------------------------------------------------------------------
-# finite differences along geodesics
-
-
-def directional_derivative_fd(Q0, H, step: float = 1e-4, *,
-                              cutoff: float = DEFAULT_CUTOFF) -> float:
-    """Central difference of F along the geodesic through Q0 in direction H.
-
-    This is the independent oracle for grad_F: the value converges to
-    <grad_F(Q0), H> as the step shrinks.
-    """
-    A = _as_form(Q0)
-    H = np.asarray(H, dtype=float)
-    fp = F_value(exp_map_float(A, H, step), cutoff=cutoff)
-    fm = F_value(exp_map_float(A, H, -step), cutoff=cutoff)
-    return (fp - fm) / (2.0 * step)

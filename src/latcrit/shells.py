@@ -14,9 +14,10 @@ are complete and exact.
 Only one representative per antipodal pair {x, -x} is walked (the highest
 nonzero coordinate is kept positive); full layers are reconstituted from the
 halves.  A streaming interface accumulates per-layer counts and second
-moments without storing vectors, which is what the certification driver uses
-for large bounds.  Both the stored and the streamed layers group vectors by
-sorting their norms and cutting the runs of equal norms (``_runs``).
+moments without storing vectors; every 2-design verdict (``fully_critical``
+and the ``design`` command) reads it.  Both the stored and the streamed
+layers group vectors by sorting their norms and cutting the runs of equal
+norms (``_runs``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -239,7 +240,6 @@ class Layer:
 
     norm: Fraction
     vectors: np.ndarray  # (cardinality, n) int64, antipodally closed, sorted
-    gram: GramMatrix
 
     @property
     def cardinality(self) -> int:
@@ -256,28 +256,6 @@ class LayerSpectrum:
 
     def norms(self) -> list[Fraction]:
         return [lay.norm for lay in self.layers]
-
-    def layer_at(self, norm: RationalLike) -> Optional[Layer]:
-        norm = _as_fraction(norm)
-        for lay in self.layers:
-            if lay.norm == norm:
-                return lay
-        return None
-
-
-def half_layer(L: Layer) -> np.ndarray:
-    """Representatives of the antipodal pairs of a layer.
-
-    Convention: the highest-index nonzero coordinate is positive.  Empty
-    layers give an empty array.
-    """
-    X = L.vectors
-    if len(X) == 0:
-        return X.reshape(0, L.gram.n)
-    nz = X[:, ::-1] != 0
-    last = X.shape[1] - 1 - np.argmax(nz, axis=1)
-    sign = X[np.arange(len(X)), last]
-    return X[sign > 0]
 
 
 def _sorted_rows(X: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -314,7 +292,7 @@ def enumerate_layers(
     norms = np.concatenate([nh, nh])
     order = _sorted_rows(X, norms)
     X, norms = X[order], norms[order]
-    layers = tuple(Layer(norm=Fraction(int(m), denom), vectors=X[a:b], gram=Q)
+    layers = tuple(Layer(norm=Fraction(int(m), denom), vectors=X[a:b])
                    for m, a, b in _runs(norms))
     return LayerSpectrum(gram=Q, bound=bound, layers=layers)
 
@@ -407,9 +385,7 @@ def dump_spectrum(S: LayerSpectrum) -> str:
     """Layer dump format: 'm_k count' header lines, one vector per line."""
     lines = []
     for lay in S.layers:
-        m = lay.norm
-        mtxt = str(m.numerator) if m.denominator == 1 else f"{m.numerator}/{m.denominator}"
-        lines.append(f"{mtxt} {lay.cardinality}")
+        lines.append(f"{lay.norm} {lay.cardinality}")
         for row in lay.vectors:
             lines.append(" ".join(str(int(v)) for v in row))
     return "\n".join(lines) + ("\n" if lines else "")

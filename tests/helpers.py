@@ -2,17 +2,22 @@
 
 Everything here is deliberately naive (boxes, nested loops, cofactor
 formulas) so it cannot share a failure mode with the library's optimized
-paths.
+paths.  Two helpers run library code on purpose: ``streamed_verdicts`` is the
+2-design route under test, and the gradient's finite-difference oracle
+evaluates F with the library's lattice sums (it checks the gradient, not F).
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from latcrit import GramMatrix, TruncationError
+from latcrit import GramMatrix, TruncationError, layer_moments, two_design_verdict
+
+_height = importlib.import_module("latcrit.height")  # the module; latcrit.height is the function
 
 
 def box_layers(Q: GramMatrix, bound) -> dict[Fraction, int]:
@@ -100,6 +105,25 @@ def pair_sum_bruteforce(vectors, Q: GramMatrix, t: int) -> Fraction:
     return Fraction(total, d ** t)
 
 
+def quadratic_value(Q: GramMatrix, x) -> Fraction:
+    """x^t Q x exactly, by a double loop over the entries."""
+    n = Q.n
+    return sum((Q.entries[i][j] * int(x[i]) * int(x[j]) for i in range(n) for j in range(n)),
+               Fraction(0))
+
+
+def streamed_verdicts(Q: GramMatrix, bound) -> dict:
+    """{norm: 2-design verdict} of every nonempty layer up to the bound.
+
+    The route of ``latcrit design`` and ``fully_critical``: streamed
+    ``layer_moments`` into ``two_design_verdict`` with the input's d * Q.
+    """
+    rows, d = Q.integral_rescale()
+    P = np.array(rows, dtype=np.int64)
+    return {m: two_design_verdict(m, card, S, P, d)
+            for m, (card, S) in layer_moments(Q, bound).items()}
+
+
 def moment_identity_holds(Q: GramMatrix, vectors) -> bool:
     """n * S == m * |M| * Q^{-1} entrywise for a layer M of norm m.
 
@@ -109,7 +133,7 @@ def moment_identity_holds(Q: GramMatrix, vectors) -> bool:
     """
     n = Q.n
     vecs = [list(map(int, v)) for v in vectors]
-    m = Q.inner(vecs[0], vecs[0])
+    m = quadratic_value(Q, vecs[0])
     det = bareiss_determinant(Q.entries)
     for i in range(n):
         for j in range(n):
@@ -345,3 +369,66 @@ def dim_S_gamma0_chi(k: int, N: int, D: int) -> int:
     dim = Fraction(k - 1, 12) * index - lam / 2 + g4 * s4 + g3 * s3
     assert dim.denominator == 1 and dim >= 0
     return int(dim)
+
+
+# ---------------------------------------------------------------------------
+# the gradient's finite-difference oracle: F along geodesics of the form space
+
+
+class ExpMapError(ValueError):
+    """Matrix exponential could not be evaluated reliably."""
+
+
+def _sym_sqrt(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w, V = np.linalg.eigh(A)
+    if np.any(w <= 0):
+        raise ExpMapError("base matrix of exponential map is not positive definite")
+    s = np.sqrt(w)
+    return (V * s) @ V.T, (V / s) @ V.T
+
+
+def exp_map_float(A: np.ndarray, H: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """Geodesic chart A exp(t A^{-1} H) of a float form A, evaluated symmetrically.
+
+    Computed as A^{1/2} exp(t A^{-1/2} H A^{-1/2}) A^{1/2} via the
+    eigendecomposition of the symmetrized core, so the result is symmetric
+    positive definite by construction and the determinant is preserved to
+    roundoff when Tr(A^{-1} H) = 0.
+    """
+    sq, isq = _sym_sqrt(A)
+    core = isq @ (t * H) @ isq
+    core = 0.5 * (core + core.T)
+    w, V = np.linalg.eigh(core)
+    if np.max(np.abs(w)) > 700.0:
+        raise ExpMapError(
+            f"exponential map diverges: spectral magnitude {np.max(np.abs(w)):.3e}"
+        )
+    E = (V * np.exp(w)) @ V.T
+    out = sq @ E @ sq
+    return 0.5 * (out + out.T)
+
+
+def F_value(Q, *, cutoff: float = _height.DEFAULT_CUTOFF) -> float:
+    """F(Q, 0) of the form as given (no rescaling to determinant 1).
+
+    The F half of ``height``: its summands through the one certified radius
+    loop, without the gradient.  Invariant under unimodular change of basis.
+    """
+    H = _height
+    val, _, _ = H._certified_sum(H._as_form(Q), cutoff,
+                                 lambda fv: H._F_sum(fv, H._main_summands(fv)), "F value")
+    return val
+
+
+def directional_derivative_fd(Q0, H, step: float = 1e-4, *,
+                              cutoff: float = _height.DEFAULT_CUTOFF) -> float:
+    """Central difference of F along the geodesic through Q0 in direction H.
+
+    This is the independent oracle for grad_F: the value converges to
+    <grad_F(Q0), H> as the step shrinks.
+    """
+    A = _height._as_form(Q0)
+    H = np.asarray(H, dtype=float)
+    fp = F_value(exp_map_float(A, H, step), cutoff=cutoff)
+    fm = F_value(exp_map_float(A, H, -step), cutoff=cutoff)
+    return (fp - fm) / (2.0 * step)

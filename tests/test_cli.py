@@ -1,8 +1,13 @@
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from latcrit import GramMatrix
 from latcrit.cli import RunReport, main
+
+from helpers import box_vectors, moment_identity_holds, pair_sum_bruteforce, random_rational_spd
 
 DIAG12 = '{"name": "diag12", "n": 2, "gram": [[1, 0], [0, 2]]}'
 
@@ -71,13 +76,13 @@ class TestFullyCritical:
 
 class TestDesign:
     def test_counterexample(self, diag12_file, capsys):
-        rc = main(["design", "--gram", diag12_file, "--layer-norm", "1", "--t", "2"])
+        rc = main(["design", "--gram", diag12_file, "--layer-norm", "1"])
         out = capsys.readouterr().out
         assert rc == 1
         assert "4 != 2, NOT a 2-design" in out
 
     def test_design_layer(self, capsys):
-        rc = main(["design", "--name", "sta3", "--layer-norm", "2", "--t", "2"])
+        rc = main(["design", "--name", "sta3", "--layer-norm", "2"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "72 = 72, 2-DESIGN on the layer (x,x)=2" in out
@@ -87,6 +92,38 @@ class TestDesign:
         out = capsys.readouterr().out
         assert rc == 0
         assert "empty" in out
+
+    def test_rational_forms_against_bruteforce(self, tmp_path, capsys):
+        # the layer's norm key comes from the LLL-reduced form, the verdict's
+        # P = d Q from the input form; A2 / 4 adds layers that are 2-designs
+        def enc(v):
+            return int(v) if v.denominator == 1 else str(v)
+
+        rng = np.random.default_rng(2026)
+        forms = [random_rational_spd(n, rng) for n in (2, 3, 4, 2, 3)]
+        forms.append(GramMatrix([["1/2", "1/4"], ["1/4", "1/2"]]))
+        nonempty = refuted = 0
+        for i, q in enumerate(forms):
+            path = tmp_path / f"form{i}.json"
+            path.write_text(q.to_json(), encoding="utf-8")
+            for k in range(1, 25):
+                m = Fraction(k, 4)
+                rc = main(["design", "--gram", str(path), "--layer-norm", str(m),
+                           "--format", "json"])
+                out = RunReport.from_json(capsys.readouterr().out).outcome
+                vecs = box_vectors(q, m)
+                if not vecs:
+                    assert (rc, out) == (0, {"layer_norm": str(m), "empty": True})
+                    continue
+                nonempty += 1
+                design = moment_identity_holds(q, vecs)
+                refuted += not design
+                assert out == {"norm": enc(m), "t": 2,
+                               "lhs": enc(pair_sum_bruteforce(vecs, q, 2)),
+                               "rhs": enc(Fraction(len(vecs) ** 2, q.n) * m * m),
+                               "is_design": design}
+                assert rc == (0 if design else 1)
+        assert nonempty > refuted > 0
 
 
 class TestLayers:

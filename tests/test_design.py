@@ -6,13 +6,9 @@ import pytest
 from latcrit import (
     DesignComputationError,
     GramMatrix,
-    design_constant,
     double,
-    enumerate_layers,
     gram_inverse,
-    is_t_design,
-    moment_matrix,
-    pair_power_sum,
+    layer_moments,
     two_design_verdict,
 )
 from latcrit.catalog import load_catalog
@@ -23,6 +19,7 @@ from helpers import (
     pair_sum_bruteforce,
     random_rational_spd,
     random_unimodular,
+    streamed_verdicts,
     transform_gram,
 )
 
@@ -31,135 +28,105 @@ A2 = GramMatrix([[2, 1], [1, 2]])
 D12 = GramMatrix([[1, 0], [0, 2]])
 
 
-def layer_of(Q, m):
-    lay = enumerate_layers(Q, m).layer_at(m)
-    assert lay is not None
-    return lay
+def verdict_at(Q, m):
+    m = Fraction(m)
+    verdicts = streamed_verdicts(Q, m)
+    assert m in verdicts
+    return verdicts[m]
+
+
+def moment_at(Q, m):
+    m = Fraction(m)
+    return layer_moments(Q, m)[m]
 
 
 class TestDesignConstant:
     def test_t2_is_size_over_n(self):
-        for n in (2, 3, 6):
-            assert design_constant(n, 2, 10) == Fraction(10, n)
-
-    def test_t4_example(self):
-        assert design_constant(2, 4, 6) == Fraction(9, 4)
-
-    def test_reduced(self):
-        assert design_constant(6, 2, 10) == Fraction(5, 3)
-
-    def test_odd_t_rejected(self):
-        with pytest.raises(ValueError):
-            design_constant(3, 3, 5)
+        # the design value is (|M| / n) m^2 |M|: c_2 = |M| / n
+        for q, m in [(I2, 1), (GramMatrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]]), 2),
+                     (load_catalog().by_name("ste10a").gram, 3)]:
+            card, _ = moment_at(q, m)
+            assert verdict_at(q, m).rhs == Fraction(card, q.n) * m * m * card
 
 
 class TestPairPowerSum:
+    # the t = 2 pair sum is the verdict's lhs, Tr(PSPS) / d^2
     def test_z2_norm1_t2(self):
-        lay = layer_of(I2, 1)
-        assert pair_power_sum(lay, 2) == 8
-        assert pair_sum_bruteforce(lay.vectors, I2, 2) == 8  # 16 pairs
+        assert verdict_at(I2, 1).lhs == 8
+        assert pair_sum_bruteforce(box_vectors(I2, 1), I2, 2) == 8  # 16 pairs
 
     def test_diag12_norm1(self):
-        assert pair_power_sum(layer_of(D12, 1), 2) == 4
+        assert verdict_at(D12, 1).lhs == 4
 
     def test_ste10a_norm3_full_convention(self):
         # the reference transcript states 150 per antipodal-pair class;
         # the full-set sum is four times that
-        lay = layer_of(load_catalog().by_name("ste10a").gram, 3)
-        assert pair_power_sum(lay, 2) == 600 == 4 * 150
+        assert verdict_at(load_catalog().by_name("ste10a").gram, 3).lhs == 600 == 4 * 150
 
-    @pytest.mark.parametrize("t", [2, 4, 6])
+    @pytest.mark.parametrize("t", [2])
     def test_against_bruteforce(self, t):
         for Q, m in [(I2, 1), (I2, 2), (A2, 2), (D12, 1), (D12, 2)]:
-            lay = layer_of(Q, m)
-            assert pair_power_sum(lay, t) == pair_sum_bruteforce(lay.vectors, Q, t)
+            assert verdict_at(Q, m).lhs == pair_sum_bruteforce(box_vectors(Q, m), Q, t)
 
     def test_rational_form(self):
         q = gram_inverse(A2)
         m = Fraction(2, 3)
-        lay = layer_of(q, m)
-        assert pair_power_sum(lay, 2) == pair_sum_bruteforce(lay.vectors, q, 2)
-
-    def test_object_fallback_path(self):
-        # force the big-value branch by a large t
-        lay = layer_of(load_catalog().by_name("stc12").gram, 2)
-        assert pair_power_sum(lay, 10) == pair_sum_bruteforce(lay.vectors,
-                                                              lay.gram, 10)
+        assert verdict_at(q, m).lhs == pair_sum_bruteforce(box_vectors(q, m), q, 2)
 
 
 class TestIsTDesign:
     def test_ste10a_norm4(self):
-        lay = layer_of(load_catalog().by_name("ste10a").gram, 4)
-        v = is_t_design(lay, 2, 6)
+        v = verdict_at(load_catalog().by_name("ste10a").gram, 4)
         assert v.is_design and v.lhs == v.rhs == 2400 == 4 * 600
 
     def test_diag12_failure_values(self):
-        v = is_t_design(layer_of(D12, 1), 2, 2)
+        v = verdict_at(D12, 1)
         assert (v.lhs, v.rhs, v.is_design) == (4, 2, False)
 
     def test_a2_norm2(self):
-        v = is_t_design(layer_of(A2, 2), 2, 2)
+        v = verdict_at(A2, 2)
         assert v.is_design and v.lhs == v.rhs == 72
 
-    def test_d4_minimal_layer_is_4_design(self):
-        lay = layer_of(load_catalog().by_name("stc12").gram, 2)
-        assert is_t_design(lay, 4, 4).is_design
-
-    def test_z4_minimal_layer_not_4_design(self):
-        lay = layer_of(load_catalog().by_name("stc4").gram, 1)
-        v = is_t_design(lay, 4, 4)
-        assert not v.is_design and v.lhs > v.rhs
-
     def test_pair_sum_dominates_design_value(self):
-        # the provable inequality: lhs >= rhs on every layer, any even t
+        # the provable inequality lhs >= rhs on every layer (a violation raises)
         for name in ("sta2", "sta3", "stb6", "stc5", "stc12"):
             q = load_catalog().by_name(name).gram
-            for lay in enumerate_layers(q, 6).layers:
-                for t in (2, 4, 6):
-                    v = is_t_design(lay, t, q.n)
-                    assert v.lhs >= v.rhs
+            verdicts = streamed_verdicts(q, 6)
+            assert verdicts
+            assert all(v.lhs >= v.rhs for v in verdicts.values())
 
     def test_json_shape(self):
-        d = is_t_design(layer_of(D12, 1), 2, 2).to_dict()
+        d = verdict_at(D12, 1).to_dict()
         assert d == {"norm": 1, "t": 2, "lhs": 4, "rhs": 2, "is_design": False}
 
 
 class TestMomentMatrix:
     def test_z2_norm1(self):
-        S = moment_matrix(layer_of(I2, 1))
-        assert (S == 2 * np.eye(2, dtype=object)).all()
+        card, S = moment_at(I2, 1)
+        assert card == 4 and (S == 2 * np.eye(2, dtype=object)).all()
 
     def test_z2_norm5_bruteforce(self):
-        S = moment_matrix(layer_of(I2, 5))
-        vecs = box_vectors(I2, 5)
+        _, S = moment_at(I2, 5)
         direct = np.zeros((2, 2), dtype=object)
-        for v in vecs:
+        for v in box_vectors(I2, 5):
             direct += np.outer(v, v).astype(object)
         assert (S == direct).all() and S[0, 0] == 20
 
     def test_a2_norm2_corollary(self):
-        lay = layer_of(A2, 2)
-        S = moment_matrix(lay)
+        card, S = moment_at(A2, 2)
         assert (S == 2 * np.array([[2, -1], [-1, 2]], dtype=object)).all()
         # n * S == m |M| Q^{-1} cross-multiplied
         qinv = gram_inverse(A2)
         for i in range(2):
             for j in range(2):
-                assert 2 * S[i, j] == 2 * 6 * qinv.entries[i][j]
-
-
-def routine_verdict(lay):
-    rows, d = lay.gram.integral_rescale()
-    return two_design_verdict(lay.norm, lay.cardinality, moment_matrix(lay),
-                              np.array(rows, dtype=np.int64), d)
+                assert 2 * S[i, j] == 2 * card * qinv.entries[i][j]
 
 
 class TestMomentRoute:
     def test_examples(self):
-        assert routine_verdict(layer_of(I2, 1)).is_design
-        assert not routine_verdict(layer_of(D12, 1)).is_design
-        q = load_catalog().by_name("ste10a").gram
-        assert routine_verdict(layer_of(q, 3)).is_design
+        assert verdict_at(I2, 1).is_design
+        assert not verdict_at(D12, 1).is_design
+        assert verdict_at(load_catalog().by_name("ste10a").gram, 3).is_design
 
     def test_broken_moment_raises(self):
         # a zero moment for a nonempty layer breaks Tr(PSPS) >= m^2 |M|^2 / n
@@ -174,34 +141,28 @@ class TestMomentRoute:
         forms = [e.gram for e in load_catalog().entries if e.gram.n <= 4]
         forms += [random_rational_spd(n, rng) for n in (2, 2, 3, 3, 4, 4)]
         for q in forms:
-            for lay in enumerate_layers(q, 8).layers:
-                v = routine_verdict(lay)
-                assert is_t_design(lay, 2, q.n) == v
-                vecs = box_vectors(q, lay.norm)
+            verdicts = streamed_verdicts(q, 8)
+            assert verdicts
+            for m, v in verdicts.items():
+                vecs = box_vectors(q, m)
                 assert v.is_design == moment_identity_holds(q, vecs)
                 assert v.lhs == pair_sum_bruteforce(vecs, q, 2)
+                assert v.rhs == Fraction(len(vecs) ** 2, q.n) * m * m
 
 
 class TestInvarianceProperties:
     def test_unimodular_invariance(self):
         rng = np.random.default_rng(29)
         q = load_catalog().by_name("sta3").gram
+        base = streamed_verdicts(q, 8)
         for _ in range(3):
-            U = random_unimodular(2, rng)
-            qq = transform_gram(q, U)
-            for lay, lay2 in zip(enumerate_layers(q, 8).layers,
-                                 enumerate_layers(qq, 8).layers):
-                assert lay.norm == lay2.norm
-                a = is_t_design(lay, 2, 2)
-                b = is_t_design(lay2, 2, 2)
-                assert (a.lhs, a.rhs, a.is_design) == (b.lhs, b.rhs, b.is_design)
+            qq = transform_gram(q, random_unimodular(2, rng))
+            assert streamed_verdicts(qq, 8) == base
 
     def test_scaling_invariance(self):
         for name in ("sta3", "stb6", "stc12"):
             q = load_catalog().by_name(name).gram
-            q2 = double(q)
-            for lay, lay2 in zip(enumerate_layers(q, 6).layers,
-                                 enumerate_layers(q2, 12).layers):
-                assert lay2.norm == 2 * lay.norm
-                assert (is_t_design(lay, 2, q.n).is_design
-                        == is_t_design(lay2, 2, q.n).is_design)
+            a = streamed_verdicts(q, 6)
+            b = streamed_verdicts(double(q), 12)
+            assert [2 * m for m in a] == list(b)
+            assert [v.is_design for v in a.values()] == [v.is_design for v in b.values()]

@@ -12,9 +12,7 @@ from latcrit import (
     TruncationError,
     ZetaPoleError,
     completed_zeta,
-    directional_derivative_fd,
     epstein_zeta,
-    F_value,
     fully_critical,
     grad_F,
     gram_inverse,
@@ -26,7 +24,14 @@ from latcrit import (
 )
 from latcrit.catalog import load_catalog
 
-from helpers import random_unimodular, tail_bound_loop, tangent_part, transform_gram
+from helpers import (
+    F_value,
+    directional_derivative_fd,
+    random_unimodular,
+    tail_bound_loop,
+    tangent_part,
+    transform_gram,
+)
 
 I2 = GramMatrix([[1, 0], [0, 1]])
 A2 = GramMatrix([[2, 1], [1, 2]])

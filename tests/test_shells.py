@@ -11,7 +11,6 @@ from latcrit import (
     dump_spectrum,
     enumerate_layers,
     gram_inverse,
-    half_layer,
     is_even,
     layer_cardinalities,
     layer_moments,
@@ -26,6 +25,7 @@ from helpers import (
     box_layers,
     fincke_pohst_rows,
     is_lll_reduced,
+    quadratic_value,
     random_rational_spd,
     random_unimodular,
     transform_gram,
@@ -57,7 +57,7 @@ class TestExamples:
         # transcript counts one vector per antipodal pair
         q = load_catalog().by_name("ste10a").gram
         spec = enumerate_layers(q, 10)
-        assert spec.layer_at(1) is None and spec.layer_at(2) is None
+        assert 1 not in spec.norms() and 2 not in spec.norms()
         pairs = [(int(m), c // 2) for m, c in layer_cardinalities(spec)]
         assert pairs == [(3, 10), (4, 15), (5, 12), (6, 30), (7, 30),
                          (8, 30), (9, 60), (10, 72)]
@@ -87,7 +87,7 @@ class TestOracleEquivalence:
         X, norms = short_vectors_float(np.array(skewed.entries, dtype=float), 16)
         got: dict[Fraction, int] = {}
         for x, m in zip(X, np.rint(norms).astype(int)):
-            assert skewed.value(tuple(int(v) for v in x)) == m
+            assert quadratic_value(skewed, x) == m
             got[Fraction(int(m))] = got.get(Fraction(int(m)), 0) + 2
         assert got == box_layers(skewed, 16)
 
@@ -164,7 +164,7 @@ class TestInvariants:
             assert (0,) * q.n not in vecs
             for v in list(vecs)[:50]:
                 assert tuple(-x for x in v) in vecs      # antipodal closure
-                assert q.value(v) == lay.norm            # exact rational recheck
+                assert quadratic_value(q, v) == lay.norm  # exact rational recheck
 
     def test_norms_strictly_increasing(self):
         spec = enumerate_layers(load_catalog().by_name("std6").gram, 20)
@@ -172,25 +172,25 @@ class TestInvariants:
         assert all(a < b for a, b in zip(norms, norms[1:]))
 
 
+def half_set(Q, bound):
+    """The rows the exact path walks: one representative per antipodal pair."""
+    chunks = [X for X, _, _ in shells._half_candidates(Q, Fraction(bound))]
+    return {tuple(map(int, r)) for X in chunks for r in X}
+
+
 class TestHalfLayer:
     def test_z2_norm_1(self):
-        lay = enumerate_layers(I2, 1).layers[0]
-        reps = {tuple(map(int, r)) for r in half_layer(lay)}
-        assert reps == {(1, 0), (0, 1)}
+        assert half_set(I2, 1) == {(1, 0), (0, 1)}
 
     def test_a2_norm_2_has_three(self):
-        lay = enumerate_layers(A2, 2).layers[0]
-        assert len(half_layer(lay)) == 3
+        assert len(half_set(A2, 2)) == 3
 
     def test_covers_all_pairs(self):
-        lay = enumerate_layers(load_catalog().by_name("stc12").gram, 4).layers[0]
-        reps = half_layer(lay)
-        full = {tuple(map(int, r)) for r in lay.vectors}
-        rebuilt = set()
-        for r in reps:
-            rebuilt.add(tuple(map(int, r)))
-            rebuilt.add(tuple(-int(x) for x in r))
-        assert rebuilt == full
+        q = load_catalog().by_name("stc12").gram
+        full = {tuple(map(int, r)) for lay in enumerate_layers(q, 4).layers for r in lay.vectors}
+        reps = half_set(q, 4)
+        assert len(full) == 2 * len(reps)
+        assert reps | {tuple(-x for x in r) for r in reps} == full
 
 
 class TestStreaming:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from latcrit import GammaDomainError, exp1, upper_gamma
+from latcrit import GammaDomainError, upper_gamma
 from latcrit.specfun import _lower_series, _upper_cf
 
 
@@ -26,9 +26,10 @@ class TestClosedForms:
         assert abs(upper_gamma(3.0, 1e-13) - 2.0) < 1e-11
 
     def test_exp1_at_one(self):
+        # E1(x) = Gamma(0, x)
         oracle = gamma_quadrature(0.0, 1.0)
-        assert abs(exp1(1.0) - oracle) < 1e-12
         assert abs(upper_gamma(0.0, 1.0) - oracle) < 1e-12
+        assert abs(upper_gamma(0.0, 1.0) - float(mp.e1(1))) < 1e-15
 
     def test_a_two_integration_by_parts(self):
         # Gamma(2, x) = (x + 1) e^{-x}
@@ -111,7 +112,7 @@ class TestArrayKernel:
         with mp.workdps(40):
             ref = np.array([float(mp.gammainc(mp.mpf(a), mp.mpf(float(x)))) for x in xs])
         rel = np.abs(upper_gamma(a, xs) - ref) / np.abs(ref)
-        assert rel.max() <= 1e-12, (a, xs[rel.argmax()], rel.max())
+        assert rel.max() <= 2e-14, (a, xs[rel.argmax()], rel.max())
 
     @pytest.mark.parametrize("a", [1e-8, -1e-8, 1e-6, -1e-6, 1e-4, -1e-4,
                                    1e-2, -1e-2, 0.3, -0.3])
@@ -152,6 +153,6 @@ class TestArrayKernel:
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
         assert type(upper_gamma(1.5, 2.0)) is float
         assert type(upper_gamma(1.5, np.float64(2.0))) is float
-        assert type(exp1(2.0)) is float
+        assert type(upper_gamma(0.0, 2.0)) is float
         grid = np.array([[0.5, 2.0], [7.0, 40.0]])
         assert np.array_equal(upper_gamma(1.5, grid), upper_gamma(1.5, grid.ravel()).reshape(2, 2))

@@ -3,7 +3,8 @@
 The theta series of an integral form Q is the sum of q^(Q[x]/2) over the
 lattice, so its coefficients are the layer cardinalities of
 ``enumerate_layers``; its degree-2 spherical series vanishes at q^(m/2)
-exactly when the layer of norm m is a 2-design.
+exactly when the layer of norm m is a 2-design, which is read off the
+streamed 2-design verdicts (``helpers.streamed_verdicts``).
 """
 
 from fractions import Fraction
@@ -13,12 +14,11 @@ from latcrit import (
     double,
     enumerate_layers,
     fully_critical,
-    is_t_design,
     orthosum_A1,
 )
 from latcrit.catalog import load_catalog
 
-from helpers import box_layers
+from helpers import box_layers, streamed_verdicts
 
 I2 = GramMatrix([[1, 0], [0, 1]])
 A2 = GramMatrix([[2, 1], [1, 2]])
@@ -56,10 +56,9 @@ class TestThetaSeries:
         assert c[Fraction(2)] == 4
 
     def test_weighted_series_of_scaled_z2_vanishes(self):
-        q = double(I2)
-        layers = enumerate_layers(q, 40).layers
-        assert layers
-        assert all(is_t_design(lay, 2, 2).is_design for lay in layers)
+        verdicts = streamed_verdicts(double(I2), 40)
+        assert verdicts
+        assert all(v.is_design for v in verdicts.values())
 
     def test_coefficient_cardinality_identity(self):
         for name in ("sta3", "stb6", "stc12"):
@@ -80,15 +79,15 @@ class TestThetaProduct:
 class TestVanishingReport:
     def test_ste10a_doubled_all_vanish(self):
         q = double(load_catalog().by_name("ste10a").gram)
-        layers = enumerate_layers(q, 120).layers
-        assert len(layers) == 58
-        assert all(is_t_design(lay, 2, q.n).is_design for lay in layers)
+        verdicts = streamed_verdicts(q, 120)
+        assert len(verdicts) == 58
+        assert all(v.is_design for v in verdicts.values())
 
     def test_diag24_fails_at_first_exponent(self):
         q = GramMatrix([[2, 0], [0, 4]])
-        first = enumerate_layers(q, 2).layers
-        assert [lay.norm for lay in first] == [2]  # layer (x,x)=2 is {+-e1}
-        assert not is_t_design(first[0], 2, 2).is_design
+        first = streamed_verdicts(q, 2)
+        assert list(first) == [2]  # layer (x,x)=2 is {+-e1}
+        assert not first[2].is_design
 
     def test_matches_per_layer_verdicts(self):
         cat = load_catalog()
@@ -96,6 +95,5 @@ class TestVanishingReport:
         for q in forms:
             rep = fully_critical(q)
             top = max(v.norm for v in rep.per_layer)
-            direct = {lay.norm: is_t_design(lay, 2, q.n).is_design
-                      for lay in enumerate_layers(q, top).layers}
+            direct = {m: v.is_design for m, v in streamed_verdicts(q, top).items()}
             assert {v.norm: v.is_design for v in rep.per_layer} == direct
