@@ -256,12 +256,16 @@ def _cmd_height(args) -> int:
     hrep = height(desc, cutoff=cutoff)
     run = RunReport("height", _input_dict(desc), hrep.to_dict(), time.time() - t0,
                     {"truncation_radius": hrep.truncation_radius,
-                     "tail_estimate": hrep.tail_estimate}, __version__)
+                     "tail_estimate": hrep.tail_estimate,
+                     "radius_rounds": hrep.radius_rounds,
+                     "half_vectors_form": hrep.half_vectors_form,
+                     "half_vectors_dual": hrep.half_vectors_dual}, __version__)
     text = (f"height({desc.name or 'input'} normalized to det 1) = {hrep.height!r}\n"
             f"F value {hrep.F_value!r}, constant {hrep.constant_C!r}\n"
             f"projected gradient residual {hrep.projected_residual:.3e}\n"
-            f"truncation radius {hrep.truncation_radius:.4f}, "
-            f"certified tail {hrep.tail_estimate:.3e}")
+            f"truncation radius {hrep.truncation_radius:.4f} after {hrep.radius_rounds} "
+            f"round(s), {hrep.half_vectors_form} + {hrep.half_vectors_dual} half-set vectors "
+            f"(form + inverse), certified tail {hrep.tail_estimate:.3e}")
     _emit(args, run, text)
     return EXIT_OK
 
@@ -430,8 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("height", help="torus height of the determinant-1 form")
     common(p)
-    p.add_argument("--radius", help="starting truncation radius R (include Q[m] <= R), "
-                   "grown x1.35 per round for up to 10 rounds until the tail is certified")
+    p.add_argument("--radius", help="smallest truncation radius R (include Q[m] <= R); "
+                   "the radius is predicted from the proven tail majorant, is never below R, "
+                   "and grows x1.35 (up to R*1.35^9) only if the prediction falls short")
     p.set_defaults(func=_cmd_height)
 
     p = sub.add_parser("stationarity", help="stationarity residual of the height")

@@ -91,12 +91,6 @@ class GramMatrix:
         d = self.denominator_lcm()
         return [[int(v * d) for v in row] for row in self.entries], d
 
-    def scale(self, c: RationalLike) -> "GramMatrix":
-        c = _as_fraction(c)
-        if c <= 0:
-            raise GramError("scale factor must be positive")
-        return GramMatrix([[v * c for v in row] for row in self.entries])
-
     def to_float(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.entries], dtype=float)
 

@@ -5,16 +5,20 @@ its incomplete-gamma representation (two exponentially convergent lattice
 sums, one over the form and one over its inverse), which also yields the
 height as the s-derivative at 0 and the analytic gradient of the underlying
 invariant F on the determinant-1 manifold.  All sums go through one radius
-loop, ``_certified_sum``: each round enumerates the form and its inverse
-once each, evaluates the sums the caller needs on that collection, and grows
-the radius until their certified tails are within tolerance.  ``height``
+loop, ``_certified_sum``.  Before it enumerates anything it evaluates the
+tail majorants of every sum at each radius of a geometric grid and picks the
+first radius where they meet an a-priori tolerance: 1e-13 times a lower
+bound on the sum (its terms are positive, so the basis vectors' terms are
+one), or the gradient's absolute floor.  It then enumerates the form and its
+inverse once each at that radius and checks the same majorants against the
+real tolerance; only if that check fails does the radius grow.  ``height``
 takes F and its gradient from the same collection, the gradient's weight
-derived from F's summand by the incomplete-gamma recurrence.  Each sum
-costs one array call of ``upper_gamma`` per round over all its vectors, and
-each tail majorant one more over a fixed grid of unit shells.  Tails are
-majorants: shells are counted by coordinate boxes and the summands are
-monotone, so the reported tail estimate is a true upper bound.  Fixed
-enumeration order keeps reports bit-reproducible.
+derived from F's summand by the incomplete-gamma recurrence.  Each sum costs
+one array call of ``upper_gamma`` over its vectors, and each side one more
+over the grid.  Tails are majorants: points in an annulus are counted by
+volume, through a fundamental domain of bounded diameter, and summed by
+parts against the monotone summands, so the reported tail estimate is a
+true upper bound.  Fixed enumeration order keeps reports bit-reproducible.
 """
 
 from __future__ import annotations
@@ -28,9 +32,14 @@ from .gram import GramMatrix, LatticeDescriptor, normalized_to_det1
 from .shells import short_vectors_float
 from .specfun import upper_gamma
 
-DEFAULT_CUTOFF = 40.0  # initial radius: include vectors with pi * Q[m] <= cutoff
+DEFAULT_CUTOFF = 40.0  # smallest radius tried: include vectors with pi * Q[m] <= cutoff
 TAIL_REL = 1e-13
+GRAD_TAIL_FLOOR = 1e-14
 EULER_GAMMA = float(np.euler_gamma)
+_GRID_RATIO = 1.01   # candidate radii cutoff/pi * 1.01^k
+_GRID_X_END = 800.0  # the grid runs on to pi * t >= 800, where every summand underflows
+_GROWTH = 1.35       # fallback radius growth, up to cutoff/pi * 1.35^(_ROUNDS - 1)
+_ROUNDS = 10
 
 
 class TruncationError(RuntimeError):
@@ -55,23 +64,75 @@ def _as_form(Q) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def _tail_bound(box_diag: np.ndarray, radius: float, g) -> float:
-    """Upper bound for sum over Q[m] > radius of g(Q[m]), g nonincreasing.
+def _annulus_counts(Q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(outer, inner) at each t: #{m : r < Q[m] <= t} <= outer(t) - inner(r).
 
-    The count of lattice points with Q[m] <= x is bounded by the coordinate
-    box prod(2 sqrt(x Qinv_ii) + 1); summand monotonicity turns the shell
-    sum into a majorant series over the unit shells j = floor(radius), ...,
-    floor(radius) + 1199.  ``g`` takes an array and is evaluated on the
-    whole grid in one call; the terms are summed in order up to and
-    including the first that underflows to zero.
+    With Q = R^t R, the Gram-Schmidt box {sum x_i b_i*, |x_i| <= 1/2} is a
+    fundamental domain of the lattice R Z^n of volume sqrt(det Q), inside
+    the ball of radius mu = sqrt(sum r_ii^2)/2 (Babai 1986).  The boxes of
+    the points with r < Q[m] <= t are disjoint and lie in the annulus
+    sqrt(r) - mu < |x| <= sqrt(t) + mu, so with V_n the unit-ball volume
+    outer(t) = V_n (sqrt t + mu)^n / sqrt(det Q) and
+    inner(r) = V_n max(sqrt r - mu, 0)^n / sqrt(det Q).
     """
-    js = math.floor(radius) + np.arange(1200.0)
-    cnt = np.prod(2.0 * np.sqrt(np.maximum(box_diag, 0.0) * (js[:, None] + 1.0)) + 1.0, axis=1)
-    terms = cnt * g(np.maximum(js, radius))
-    zero = np.flatnonzero(terms == 0.0)
-    if not zero.size:
-        raise TruncationError("tail majorant did not underflow; radius far too small")
-    return float(np.cumsum(terms[:zero[0] + 1])[-1])
+    n = Q.shape[0]
+    r = np.diag(np.linalg.cholesky(Q))
+    mu = 0.5 * math.sqrt(float(r @ r))
+    unit = math.pi ** (n / 2) / math.gamma(n / 2 + 1) / float(np.prod(r))
+    s = np.sqrt(t)
+    return unit * (s + mu) ** n, unit * np.maximum(s - mu, 0.0) ** n
+
+
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """Candidate radii t, from the smallest radius tried to pi t >= _GRID_X_END.
+
+    A summand is evaluated on both sides in one array call each, at
+    ``x_form`` = pi (t, diag A) and ``x_dual`` = pi (t, diag A^-1): the grid
+    part gives its majorant, the basis part a lower bound on its sum.
+    """
+
+    A: np.ndarray
+    Ainv: np.ndarray
+    t: np.ndarray
+    x_form: np.ndarray
+    x_dual: np.ndarray
+    counts: tuple  # _annulus_counts on t, for the form and for its inverse
+
+    def majorant(self, g_form: np.ndarray, g_dual: np.ndarray) -> np.ndarray:
+        """Bound at each t_j on the sum of g over the vectors of norm > t_j, both sides.
+
+        g is nonincreasing and summed over all nonzero vectors (both of each
+        antipodal pair).  On (t_{k-1}, t_k] a term is at most g(t_{k-1}), so
+        summation by parts against the annulus counts gives
+            (outer(t_{j+1}) - inner(t_j)) g(t_j)
+            + sum_{k >= j+2} (outer(t_k) - outer(t_{k-1})) g(t_{k-1}),
+        every term nonnegative; one reverse cumsum gives it at every t_j.
+        The grid must reach the radius where g underflows to 0.
+        """
+        K = len(self.t)
+        total = np.zeros(K)
+        for g, (outer, inner) in zip((g_form[:K], g_dual[:K]), self.counts):
+            if g[-1] != 0.0:
+                raise TruncationError("tail majorant did not underflow on the radius grid")
+            steps = np.diff(outer) * g[:-1]
+            later = np.append(np.cumsum(steps[::-1])[::-1][1:], 0.0)
+            total[:-1] += (outer[1:] - inner[:-1]) * g[:-1] + later
+        return total
+
+    def basis_sum(self, g_form: np.ndarray, g_dual: np.ndarray) -> float:
+        """Sum of g over the basis vectors of both sides and their negatives."""
+        K = len(self.t)
+        return 2.0 * float(np.sum(g_form[K:]) + np.sum(g_dual[K:]))
+
+
+def _grid(A: np.ndarray, Ainv: np.ndarray, r0: float) -> _Grid:
+    k = math.ceil(math.log(max(_GRID_X_END / (math.pi * r0), _GRID_RATIO)) / math.log(_GRID_RATIO))
+    t = r0 * _GRID_RATIO ** np.arange(k + 1.0)
+    return _Grid(A=A, Ainv=Ainv, t=t,
+                 x_form=math.pi * np.concatenate([t, np.diag(A)]),
+                 x_dual=math.pi * np.concatenate([t, np.diag(Ainv)]),
+                 counts=(_annulus_counts(A, t), _annulus_counts(Ainv, t)))
 
 
 @dataclass(frozen=True)
@@ -85,27 +146,42 @@ class _FormVectors:
     radius: float          # both sides hold the vectors of norm <= radius
 
 
-def _certified_sum(A: np.ndarray, cutoff: float, sums, what: str):
-    """The one radius loop: (value, tail, radius) of ``sums`` at a certified radius.
+def _certified_sum(A: np.ndarray, cutoff: float, bounds, sums, what: str):
+    """The one radius loop: (value, tail, vectors, rounds) at a certified radius.
 
-    Each round collects the vectors of norm <= radius of the form and of its
-    inverse, once each, and hands them to ``sums``, which returns
-    (value, certified tail, tail within tolerance).  The radius starts at
-    cutoff/pi and grows by 1.35 for at most 10 rounds.
+    ``bounds(grid)`` gives, for each certified quantity, its tail majorant
+    at every grid radius and an a-priori tolerance.  The radius starts at
+    the first grid radius >= cutoff/pi where every majorant meets its
+    a-priori tolerance.  Each round collects the vectors of norm <= radius
+    of the form and of its inverse, once each, and hands them to ``sums``,
+    which returns (value, tolerance per quantity); the majorants are read at
+    the largest grid radius <= radius.  If one exceeds its tolerance the
+    radius grows by 1.35, never beyond cutoff/pi * 1.35^9, the last radius
+    tried (and the first, when no grid radius meets the a-priori tolerances).
     """
     if not (cutoff > 0 and math.isfinite(cutoff)):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
     Ainv = np.linalg.inv(A)
     Ainv = 0.5 * (Ainv + Ainv.T)
-    radius = cutoff / math.pi
-    for _ in range(10):
+    r0 = cutoff / math.pi
+    top = r0 * _GROWTH ** (_ROUNDS - 1)
+    grid = _grid(A, Ainv, r0)
+    majorants, a_priori = zip(*bounds(grid))
+    M = np.array(majorants)
+    fits = np.flatnonzero(np.all(M <= np.array(a_priori)[:, None], axis=0) & (grid.t <= top))
+    radius = float(grid.t[fits[0]]) if fits.size else top
+    rounds = 0
+    while radius <= top * (1 + 1e-12):
+        rounds += 1
         X, c = short_vectors_float(A, radius)
         Y, b = short_vectors_float(Ainv, radius)
-        value, tail, ok = sums(_FormVectors(A=A, Ainv=Ainv, half=X, norms=c,
-                                            dual_half=Y, dual_norms=b, radius=radius))
-        if ok:
-            return value, tail, radius
-        radius *= 1.35
+        fv = _FormVectors(A=A, Ainv=Ainv, half=X, norms=c, dual_half=Y, dual_norms=b,
+                          radius=radius)
+        value, tolerances = sums(fv)
+        tails = M[:, np.searchsorted(grid.t, radius, side="right") - 1]
+        if np.all(tails <= np.array(tolerances)):
+            return value, float(np.sum(tails)), fv, rounds
+        radius *= _GROWTH
     raise TruncationError(f"{what}: tail tolerance unattained")
 
 
@@ -118,7 +194,9 @@ def completed_zeta(Q, s: float, *, cutoff: float = DEFAULT_CUTOFF) -> float:
     with S_A(s) the incomplete-gamma sum over the nonzero vectors of A; the
     determinant factor on the dual sum is the general-determinant form of
     the identity (it is 1 on the determinant-1 manifold).  Invariant under
-    (Q, s) -> (Q^{-1}, n/2 - s) when det Q = 1.
+    (Q, s) -> (Q^{-1}, n/2 - s) when det Q = 1.  Both summands
+    x^{-a} Gamma(a, x) = int_1^oo u^{a-1} e^{-xu} du are positive and
+    decreasing for every real a.
     """
     A = _as_form(Q)
     n = A.shape[0]
@@ -127,20 +205,18 @@ def completed_zeta(Q, s: float, *, cutoff: float = DEFAULT_CUTOFF) -> float:
     if abs(s) < 1e-12:
         raise ZetaPoleError("s = 0 is handled by the height path")
     detA = float(np.linalg.det(A))
+    g1 = lambda x: x ** (-s) * upper_gamma(s, x)
+    g2 = lambda x: detA ** (-0.5) * x ** (-(n / 2 - s)) * upper_gamma(n / 2 - s, x)
+
+    def bounds(grid: _Grid):
+        gf, gd = g1(grid.x_form), g2(grid.x_dual)
+        return [(grid.majorant(gf, gd), TAIL_REL * grid.basis_sum(gf, gd))]
 
     def sums(fv: _FormVectors):
-        xs = math.pi * fv.norms
-        ys = math.pi * fv.dual_norms
-        sum1 = 2.0 * float(np.sum(xs ** (-s) * upper_gamma(s, xs)))
-        sum2 = 2.0 * float(np.sum(ys ** (-(n / 2 - s)) * upper_gamma(n / 2 - s, ys)))
-        g1 = lambda c: (math.pi * c) ** (-s) * upper_gamma(s, math.pi * c)
-        g2 = lambda c: (math.pi * c) ** (-(n / 2 - s)) * upper_gamma(n / 2 - s, math.pi * c)
-        tail = (_tail_bound(np.diag(fv.Ainv), fv.radius, g1)
-                + detA ** (-0.5) * _tail_bound(np.diag(fv.A), fv.radius, g2))
-        body = sum1 + detA ** (-0.5) * sum2
-        return body, tail, tail <= TAIL_REL * max(abs(body), 1e-30)
+        body = 2.0 * float(np.sum(g1(math.pi * fv.norms)) + np.sum(g2(math.pi * fv.dual_norms)))
+        return body, (TAIL_REL * max(abs(body), 1e-30),)
 
-    body, _, _ = _certified_sum(A, cutoff, sums, "completed zeta")
+    body = _certified_sum(A, cutoff, bounds, sums, "completed zeta")[0]
     return detA ** (-0.5) / (s - n / 2) - 1.0 / s + body
 
 
@@ -156,25 +232,9 @@ def epstein_zeta(Q, s: float, *, cutoff: float = DEFAULT_CUTOFF) -> float:
     return math.pi ** s / math.gamma(s) * rhs
 
 
-def _main_summands(fv: _FormVectors) -> np.ndarray:
-    """f = x^{-n/2} Gamma(n/2, x) at x = pi A[m], over the form's half-set."""
-    n = fv.A.shape[0]
-    xs = math.pi * fv.norms
-    return xs ** (-n / 2) * upper_gamma(n / 2, xs)
-
-
-def _F_sum(fv: _FormVectors, f: np.ndarray) -> tuple[float, float, bool]:
-    """(F value, certified tail, tail within TAIL_REL |F|) from the main summands f."""
-    n = fv.A.shape[0]
-    ys = math.pi * fv.dual_norms
-    part_dual = 2.0 * float(np.sum(upper_gamma(0.0, ys)))
-    part_main = 2.0 * float(np.sum(f))
-    g_dual = lambda b: upper_gamma(0.0, math.pi * b)
-    g_main = lambda c: (math.pi * c) ** (-n / 2) * upper_gamma(n / 2, math.pi * c)
-    tail = (_tail_bound(np.diag(fv.A), fv.radius, g_dual)
-            + _tail_bound(np.diag(fv.Ainv), fv.radius, g_main))
-    val = part_main + part_dual
-    return val, tail, tail <= TAIL_REL * max(abs(val), 1e-30)
+def _main_summand(n: int, x: np.ndarray) -> np.ndarray:
+    """F's summand on the form side: f = x^{-n/2} Gamma(n/2, x) at x = pi A[m]."""
+    return x ** (-n / 2) * upper_gamma(n / 2, x)
 
 
 def _gradient_weight(n: int, xs: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -182,8 +242,36 @@ def _gradient_weight(n: int, xs: np.ndarray, f: np.ndarray) -> np.ndarray:
     return math.pi * (n / 2 * f + np.exp(-xs)) / xs
 
 
-def _grad_sum(fv: _FormVectors, f: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """(gradient of F, certified tail, tail within 1e-14 + TAIL_REL |G|)."""
+def _norm_factor(Ainv: np.ndarray) -> float:
+    """lam = lam_max(A^-1): |m|^2 <= lam A[m] and |A^-1 y|^2 <= lam A^-1[y]."""
+    return float(np.linalg.eigvalsh(Ainv)[-1])
+
+
+def _height_bounds(grid: _Grid):
+    """F's and the gradient's (majorant on the grid, a-priori tolerance).
+
+    F sums f over the form and Gamma(0, pi b) over the dual.  The gradient's
+    tail is bounded in Frobenius norm term by term: psi1(c) |m|^2 <=
+    psi1(c) c lam and psi2(b) |A^-1 y|^2 <= exp(-pi b) lam, both decreasing.
+    """
+    n = grid.A.shape[0]
+    f = _main_summand(n, grid.x_form)
+    e = upper_gamma(0.0, grid.x_dual)
+    lam = _norm_factor(grid.Ainv)
+    grad_form = _gradient_weight(n, grid.x_form, f) * grid.x_form / math.pi * lam
+    grad_dual = np.exp(-grid.x_dual) * lam
+    return [(grid.majorant(f, e), TAIL_REL * grid.basis_sum(f, e)),
+            (grid.majorant(grad_form, grad_dual), GRAD_TAIL_FLOOR)]
+
+
+def _F_sum(fv: _FormVectors, f: np.ndarray) -> tuple[float, float]:
+    """(F value, its tolerance TAIL_REL |F|) from the main summands f."""
+    F = 2.0 * float(np.sum(f)) + 2.0 * float(np.sum(upper_gamma(0.0, math.pi * fv.dual_norms)))
+    return F, TAIL_REL * max(abs(F), 1e-30)
+
+
+def _grad_sum(fv: _FormVectors, f: np.ndarray) -> tuple[np.ndarray, float]:
+    """(gradient of F, its tolerance GRAD_TAIL_FLOOR + TAIL_REL |G|)."""
     n = fv.A.shape[0]
     w1 = _gradient_weight(n, math.pi * fv.norms, f)
     V = fv.half.astype(float)
@@ -193,15 +281,7 @@ def _grad_sum(fv: _FormVectors, f: np.ndarray) -> tuple[np.ndarray, float, bool]
     W = fv.dual_half.astype(float) @ fv.Ainv
     T2 = 2.0 * np.einsum("k,ki,kj->ij", w2, W, W)
     G = -T1 + T2
-    lam_max_inv = float(np.linalg.eigvalsh(fv.Ainv)[-1])
-    lam_max = float(np.linalg.eigvalsh(fv.A)[-1])
-    g1 = lambda c: (math.pi * (math.pi * c) ** (-(n / 2 + 1))
-                    * upper_gamma(n / 2 + 1, math.pi * c) * c * lam_max_inv)
-    g2 = lambda bb: np.exp(-math.pi * bb) * lam_max
-    tail = (_tail_bound(np.diag(fv.Ainv), fv.radius, g1)
-            + _tail_bound(np.diag(fv.A), fv.radius, g2))
-    ok = tail <= 1e-14 + TAIL_REL * float(np.linalg.norm(G))
-    return 0.5 * (G + G.T), tail, ok
+    return 0.5 * (G + G.T), GRAD_TAIL_FLOOR + TAIL_REL * float(np.linalg.norm(G))
 
 
 def grad_F(Q, *, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
@@ -212,9 +292,13 @@ def grad_F(Q, *, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
     psi1(c) = pi (pi c)^{-(n/2+1)} Gamma(n/2+1, pi c) and
     psi2(b) = exp(-pi b)/b.  Equivariant under unimodular changes of basis.
     """
-    G, _, _ = _certified_sum(_as_form(Q), cutoff,
-                             lambda fv: _grad_sum(fv, _main_summands(fv)), "gradient")
-    return G
+    A = _as_form(Q)
+
+    def sums(fv: _FormVectors):
+        G, tol = _grad_sum(fv, _main_summand(A.shape[0], math.pi * fv.norms))
+        return G, (tol,)
+
+    return _certified_sum(A, cutoff, lambda grid: _height_bounds(grid)[1:], sums, "gradient")[0]
 
 
 def height_constant(n: int) -> float:
@@ -233,6 +317,9 @@ class HeightReport:
     projected_residual: float
     truncation_radius: float
     tail_estimate: float
+    radius_rounds: int       # enumeration rounds; 1 when the predicted radius certifies
+    half_vectors_form: int   # vectors enumerated, one per antipodal pair, on the form
+    half_vectors_dual: int   # and on its inverse, at the truncation radius
 
     def to_dict(self) -> dict:
         return {**vars(self), "gradient": self.gradient.tolist()}
@@ -262,18 +349,18 @@ def height(L, *, cutoff: float = DEFAULT_CUTOFF) -> HeightReport:
     The input form is rescaled to determinant 1; the height is
     C + F(Q, 0) + 2 log(2 pi) with C the closed-form constant, and the
     report carries the gradient of F with its tangent-projected residual.
-    F and the gradient come from the same vectors, at the first radius
-    where both tails are within tolerance.
+    F and the gradient come from the same vectors, at a radius where both
+    tails are within tolerance.
     """
     A = _det1_form(L)
 
     def sums(fv: _FormVectors):
-        f = _main_summands(fv)
-        F, ftail, fok = _F_sum(fv, f)
-        G, gtail, gok = _grad_sum(fv, f)
-        return (F, G), ftail + gtail, fok and gok
+        f = _main_summand(A.shape[0], math.pi * fv.norms)
+        F, ftol = _F_sum(fv, f)
+        G, gtol = _grad_sum(fv, f)
+        return (F, G), (ftol, gtol)
 
-    (F, G), tail, radius = _certified_sum(A, cutoff, sums, "height")
+    (F, G), tail, fv, rounds = _certified_sum(A, cutoff, _height_bounds, sums, "height")
     C = height_constant(A.shape[0])
     return HeightReport(
         height=C + F + 2.0 * math.log(2.0 * math.pi),
@@ -281,8 +368,11 @@ def height(L, *, cutoff: float = DEFAULT_CUTOFF) -> HeightReport:
         constant_C=C,
         gradient=G,
         projected_residual=_projected_residual(A, G),
-        truncation_radius=radius,
+        truncation_radius=fv.radius,
         tail_estimate=tail,
+        radius_rounds=rounds,
+        half_vectors_form=len(fv.half),
+        half_vectors_dual=len(fv.dual_half),
     )
 
 

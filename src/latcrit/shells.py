@@ -250,8 +250,6 @@ class Layer:
 class LayerSpectrum:
     """Nonempty layers of Q with norm <= bound, strictly increasing in norm."""
 
-    gram: GramMatrix
-    bound: Fraction
     layers: tuple[Layer, ...]
 
     def norms(self) -> list[Fraction]:
@@ -285,7 +283,7 @@ def enumerate_layers(
         norm_chunks.append(norms)
         denom = d
     if not halves:
-        return LayerSpectrum(gram=Q, bound=bound, layers=())
+        return LayerSpectrum(layers=())
     Xh = np.concatenate(halves)
     nh = np.concatenate(norm_chunks)
     X = np.concatenate([Xh, -Xh])
@@ -294,7 +292,7 @@ def enumerate_layers(
     X, norms = X[order], norms[order]
     layers = tuple(Layer(norm=Fraction(int(m), denom), vectors=X[a:b])
                    for m, a, b in _runs(norms))
-    return LayerSpectrum(gram=Q, bound=bound, layers=layers)
+    return LayerSpectrum(layers=layers)
 
 
 def layer_cardinalities(S: LayerSpectrum) -> list[tuple[Fraction, int]]:

@@ -2,9 +2,12 @@
 
 Everything here is deliberately naive (boxes, nested loops, cofactor
 formulas) so it cannot share a failure mode with the library's optimized
-paths.  Two helpers run library code on purpose: ``streamed_verdicts`` is the
-2-design route under test, and the gradient's finite-difference oracle
-evaluates F with the library's lattice sums (it checks the gradient, not F).
+paths.  Three helpers run library code on purpose: ``streamed_verdicts`` is the
+2-design route under test, the gradient's finite-difference oracle
+evaluates F with the library's lattice sums (it checks the gradient, not F),
+and the tail-majorant oracle takes its vectors from ``short_vectors_float``
+and its summands from ``upper_gamma`` (it checks the counting and the
+summation by parts, not the enumeration or the special function).
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from latcrit import GramMatrix, TruncationError, layer_moments, two_design_verdict
+from latcrit import (GramMatrix, TruncationError, layer_moments, short_vectors_float,
+                     two_design_verdict, upper_gamma)
 
 _height = importlib.import_module("latcrit.height")  # the module; latcrit.height is the function
 
@@ -228,23 +232,65 @@ def random_rational_spd(n: int, rng, denom: int = 4) -> GramMatrix:
     return GramMatrix(rows)
 
 
-def tail_bound_loop(box_diag: np.ndarray, radius: float, g) -> float:
-    """Per-shell reference for ``height._tail_bound``: one call of g per unit shell.
+def box_tail(box_diag: np.ndarray, radius: float, g) -> float:
+    """Coordinate-box majorant of the sum of g(Q[m]) over Q[m] > radius, g nonincreasing.
 
-    Walks the shells j = floor(radius), floor(radius) + 1, ... and adds
-    prod(2 sqrt(box_ii (j + 1)) + 1) * g(max(j, radius)) until a term
-    underflows to zero; a walk of 1200 shells without one raises.
+    #{m : Q[m] <= x} <= prod(2 sqrt(x Qinv_ii) + 1) with box_diag = diag(Qinv),
+    and a term on the unit shell (j, j + 1] is at most g(max(j, radius)):
+    the shells from floor(radius) are walked until a term underflows to 0.
     """
-    total = 0.0
-    j = float(math.floor(radius))
-    for _ in range(1200):
-        cnt = float(np.prod(2.0 * np.sqrt(np.maximum(box_diag, 0.0) * (j + 1.0)) + 1.0))
-        term = cnt * float(g(max(j, radius)))
-        total += term
-        if term == 0.0:
-            return total
-        j += 1.0
-    raise TruncationError("tail majorant did not underflow; radius far too small")
+    js = math.floor(radius) + np.arange(1200.0)
+    cnt = np.prod(2.0 * np.sqrt(box_diag * (js[:, None] + 1.0)) + 1.0, axis=1)
+    terms = cnt * g(np.maximum(js, radius))
+    if terms[-1] != 0.0:
+        raise TruncationError("box majorant did not underflow")
+    return float(terms.sum())
+
+
+def height_remainders(A: np.ndarray, radius: float) -> tuple[float, float]:
+    """True remainders of F and of the gradient beyond ``radius``, from 2 radius up boxed.
+
+    F's remainder is the sum of its terms over r < Q[m] <= 2r on both sides
+    (form and inverse, every nonzero vector) plus the box majorant beyond
+    2r.  The gradient's is the sum of the Frobenius norms of its terms,
+    psi1(c) |m|^2 and psi2(b) |A^-1 y|^2, which bounds the norm of its tail
+    matrix; beyond 2r it is boxed with |x|^2 <= lam_max(A^-1) Q[x].
+    """
+    n = A.shape[0]
+    Ainv = np.linalg.inv(A)
+    lam = float(np.linalg.eigvalsh(Ainv)[-1])
+    X, c = short_vectors_float(A, 2 * radius)
+    X, c = X[c > radius].astype(float), c[c > radius]
+    Y, b = short_vectors_float(Ainv, 2 * radius)
+    W, b = Y[b > radius].astype(float) @ Ainv, b[b > radius]
+    f = lambda c: (math.pi * c) ** (-n / 2) * upper_gamma(n / 2, math.pi * c)
+    e1 = lambda b: upper_gamma(0.0, math.pi * b)
+    psi1c = lambda c: (math.pi * c) ** (-n / 2) * upper_gamma(n / 2 + 1, math.pi * c)
+    F_rem = (2 * np.sum(f(c)) + 2 * np.sum(e1(b))
+             + box_tail(np.diag(Ainv), 2 * radius, f) + box_tail(np.diag(A), 2 * radius, e1))
+    G_rem = (2 * np.sum(psi1c(c) / c * np.sum(X * X, 1))
+             + 2 * np.sum(np.exp(-math.pi * b) / b * np.sum(W * W, 1))
+             + box_tail(np.diag(Ainv), 2 * radius, lambda c: psi1c(c) * lam)
+             + box_tail(np.diag(A), 2 * radius, lambda b: np.exp(-math.pi * b) * lam))
+    return float(F_rem), float(G_rem)
+
+
+def majorant_soundness(Q, *, cutoff: float = _height.DEFAULT_CUTOFF) -> list[tuple[float, float]]:
+    """[(majorant, true remainder)] of F and the gradient at height's certified radius.
+
+    The majorants are those ``height`` certified with: its grid's arrays read
+    at the truncation radius, and their sum must be the report's tail
+    estimate.  The remainders come from ``height_remainders``.
+    """
+    H = _height
+    A = H._det1_form(Q)
+    rep = H.height(Q, cutoff=cutoff)
+    Ainv = np.linalg.inv(A)
+    grid = H._grid(A, 0.5 * (Ainv + Ainv.T), cutoff / math.pi)
+    j = int(np.searchsorted(grid.t, rep.truncation_radius, side="right")) - 1
+    majorants = [float(m[j]) for m, _ in H._height_bounds(grid)]
+    assert sum(majorants) == rep.tail_estimate
+    return list(zip(majorants, height_remainders(A, rep.truncation_radius)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +461,13 @@ def F_value(Q, *, cutoff: float = _height.DEFAULT_CUTOFF) -> float:
     loop, without the gradient.  Invariant under unimodular change of basis.
     """
     H = _height
-    val, _, _ = H._certified_sum(H._as_form(Q), cutoff,
-                                 lambda fv: H._F_sum(fv, H._main_summands(fv)), "F value")
-    return val
+    A = H._as_form(Q)
+
+    def sums(fv):
+        F, tol = H._F_sum(fv, H._main_summand(A.shape[0], math.pi * fv.norms))
+        return F, (tol,)
+
+    return H._certified_sum(A, cutoff, lambda grid: H._height_bounds(grid)[:1], sums, "F value")[0]
 
 
 def directional_derivative_fd(Q0, H, step: float = 1e-4, *,

@@ -184,6 +184,16 @@ class TestNumericCommands:
         assert rc == 0
         assert rep.outcome["height"] < 1.06
         assert rep.outcome["tail_estimate"] < 1e-12 * abs(rep.outcome["F_value"])
+        tr = rep.truncation
+        assert tr["radius_rounds"] == rep.outcome["radius_rounds"] == 1
+        assert tr["half_vectors_form"] == rep.outcome["half_vectors_form"] > 0
+        assert tr["half_vectors_dual"] == rep.outcome["half_vectors_dual"] > 0
+        assert tr["truncation_radius"] == rep.outcome["truncation_radius"]
+
+    def test_height_text_reports_rounds_and_vectors(self, capsys):
+        assert main(["height", "--name", "sta3"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("truncation radius 12.7324 after 1 round(s), 18 + 18 half-set vectors")
 
     def test_height_truncation_failure_exits_2(self, capsys):
         rc = main(["height", "--name", "stc12", "--radius", "0.01"])
