@@ -1,11 +1,15 @@
-"""Exact rational Gram-matrix algebra.
+"""Exact Gram-matrix algebra on one cached integral form.
 
 A positive definite symmetric matrix of rationals plays a double role: it is
 the Gram matrix of a full-rank Euclidean lattice and the matrix of a positive
-quadratic form on integer vectors.  Everything structural (inverse, parity,
-level, block sums) is computed in exact arbitrary-precision rationals;
-floating point enters only through the float copies the height machinery
-reads (``to_float``, ``normalized_to_det1``).
+quadratic form on integer vectors.  Each ``GramMatrix`` keeps its entries as
+Fractions for the API and, computed once at construction, its integral form
+P = d Q with d the lcm of the entry denominators.  Everything structural
+(positive definiteness, determinant, inverse, parity, level, block sums)
+runs on P in Python-int, fraction-free kernels: Bareiss elimination for the
+leading minors and a fraction-free Gauss-Jordan adjugate for the inverse and
+the level.  Floating point enters only through the float copies the height
+machinery reads (``to_float``, ``normalized_to_det1``).
 """
 
 from __future__ import annotations
@@ -49,9 +53,12 @@ def _frac_str(x: Fraction) -> str | int:
 class GramMatrix:
     """Symmetric positive definite matrix of exact rationals.
 
-    Validated at construction: symmetry and positive definiteness (the latter
-    by exact signs of the leading principal minors).  Instances are immutable;
-    all operations on them are pure functions.
+    ``entries`` holds the Fractions; the integral form P = d Q (integer
+    rows, d the lcm of the entry denominators) and det P are computed once
+    at construction and every exact kernel reads them.  Validated at
+    construction: symmetry, and positive definiteness by the signs of the
+    leading principal minors.  Instances are immutable; all operations on
+    them are pure functions.
     """
 
     entries: tuple[tuple[Fraction, ...], ...]
@@ -62,14 +69,17 @@ class GramMatrix:
         n = len(rows)
         if n < 1 or any(len(r) != n for r in rows):
             raise GramError("entries must form a nonempty square matrix")
+        d = math.lcm(*(v.denominator for row in rows for v in row))
+        P = tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in rows)
         for i in range(n):
             for j in range(i):
-                if rows[i][j] != rows[j][i]:
+                if P[i][j] != P[j][i]:
                     raise GramError(f"not symmetric at ({i},{j})")
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "name", name)
-        if any(m <= 0 for m in _leading_minors(rows)):
-            raise GramError("not positive definite (nonpositive leading minor)")
+        object.__setattr__(self, "_P", P)
+        object.__setattr__(self, "_d", d)
+        object.__setattr__(self, "_det", _leading_minors(P)[-1])
 
     @property
     def n(self) -> int:
@@ -77,22 +87,15 @@ class GramMatrix:
 
     @property
     def is_integral(self) -> bool:
-        return all(v.denominator == 1 for row in self.entries for v in row)
-
-    def denominator_lcm(self) -> int:
-        d = 1
-        for row in self.entries:
-            for v in row:
-                d = d * v.denominator // math.gcd(d, v.denominator)
-        return d
+        return self._d == 1
 
     def integral_rescale(self) -> tuple[list[list[int]], int]:
         """Return (d*Q as integer rows, d) with d the entry denominator lcm."""
-        d = self.denominator_lcm()
-        return [[int(v * d) for v in row] for row in self.entries], d
+        return [list(row) for row in self._P], self._d
 
     def to_float(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.entries], dtype=float)
+        # int / int is correctly rounded, as float(Fraction) is
+        return np.array([[p / self._d for p in row] for row in self._P], dtype=float)
 
     def to_json(self) -> str:
         obj = {"n": self.n, "gram": [[_frac_str(v) for v in row] for row in self.entries]}
@@ -103,6 +106,11 @@ class GramMatrix:
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"<GramMatrix{tag} n={self.n}>"
+
+
+def _from_integral(P: Sequence[Sequence[int]], d: int) -> GramMatrix:
+    """The form P / d, for integer rows P."""
+    return GramMatrix(P if d == 1 else [[Fraction(p, d) for p in row] for row in P])
 
 
 @dataclass(frozen=True)
@@ -127,92 +135,96 @@ class LatticeDescriptor:
                 raise GramError("reference metadata must be positive")
 
 
-def _leading_minors(rows: tuple[tuple[Fraction, ...], ...]) -> list[Fraction]:
-    """Leading principal minors by fraction-free Gaussian elimination."""
-    n = len(rows)
-    a = [[Fraction(v) for v in row] for row in rows]
-    minors: list[Fraction] = []
-    det = Fraction(1)
+def _leading_minors(P: Sequence[Sequence[int]]) -> list[int]:
+    """Leading principal minors of the integer matrix P, by Bareiss elimination.
+
+    Step k replaces each trailing entry by (p a_ij - a_ik a_kj) / p', p the
+    pivot and p' the previous one; the division is exact (Sylvester's
+    identity) and the pivot of step k is the (k+1)-st leading minor.  A
+    nonpositive one means P is not positive definite and raises at once.
+    """
+    a = [list(row) for row in P]
+    n = len(a)
+    prev = 1
+    minors: list[int] = []
     for k in range(n):
         piv = a[k][k]
-        if piv == 0:
-            # Zero pivot: the k+1-st leading minor vanishes, so not PD.
-            minors.extend([Fraction(0)] * (n - k))
-            return minors
-        det *= piv
-        minors.append(det)
+        if piv <= 0:
+            raise GramError("not positive definite (nonpositive leading minor)")
+        minors.append(piv)
+        rk = a[k]
         for i in range(k + 1, n):
-            f = a[i][k] / piv
-            if f == 0:
-                continue
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
+            ri, f = a[i], a[i][k]
+            for j in range(k + 1, n):
+                ri[j] = (piv * ri[j] - f * rk[j]) // prev
+        prev = piv
     return minors
+
+
+def _adjugate(P: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(adj P, det P) by fraction-free Gauss-Jordan elimination of [P | I].
+
+    Bareiss's update runs on every row but the pivot row, so the left block
+    ends as det(P) I and the right one as adj(P) = det(P) P^{-1}, every
+    division exact.  The pivots are the leading minors: nonzero for a
+    positive definite P.
+    """
+    n = len(P)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(P)]
+    prev = 1
+    for k in range(n):
+        piv, rk = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], rk)]
+        prev = piv
+    return [row[n:] for row in a], prev
 
 
 def determinant(Q: GramMatrix) -> Fraction:
     """Exact determinant; positive for any valid Gram matrix."""
-    return _leading_minors(Q.entries)[-1]
+    return Fraction(Q._det, Q._d ** Q.n)
 
 
 def gram_inverse(Q: GramMatrix) -> GramMatrix:
-    """Exact inverse: the Gram matrix of the dual lattice."""
-    n = Q.n
-    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(Q.entries)]
-    for k in range(n):
-        piv = a[k][k]
-        if piv == 0:  # cannot happen for PD input
-            raise GramError("singular matrix")
-        inv = 1 / piv
-        a[k] = [v * inv for v in a[k]]
-        for i in range(n):
-            if i == k or a[i][k] == 0:
-                continue
-            f = a[i][k]
-            a[i] = [vi - f * vk for vi, vk in zip(a[i], a[k])]
-    return GramMatrix([row[n:] for row in a])
+    """Exact inverse d adj(P) / det(P) of Q = P / d: the Gram matrix of the dual lattice."""
+    adj, det = _adjugate(Q._P)
+    return GramMatrix([[Fraction(Q._d * v, det) for v in row] for row in adj])
 
 
 def is_even(Q: GramMatrix) -> bool:
     """True iff all entries are integers and the diagonal is even."""
-    if not Q.is_integral:
-        return False
-    return all(Q.entries[i][i] % 2 == 0 for i in range(Q.n))
+    return Q.is_integral and all(Q._P[i][i] % 2 == 0 for i in range(Q.n))
 
 
 def level(Q: GramMatrix) -> int:
     """Smallest l >= 1 such that l * Q^{-1} is integral with even diagonal.
 
     Only defined for even integral input; rescaling the dual by sqrt(l) then
-    yields another even lattice.
+    yields another even lattice.  With Q^{-1} = adj(Q) / det and g the gcd of
+    det and every adjugate entry, l Q^{-1} is integral exactly for the
+    multiples l of det / g, and (det / g) Q^{-1} has diagonal adj_ii / g: the
+    level is det / g, or twice that when some adj_ii / g is odd.
     """
     if not is_even(Q):
         raise ParityError("level requires an even integral Gram matrix")
-    qinv = gram_inverse(Q)
-    # l must clear all denominators of Q^{-1}; step through multiples of that lcm.
-    base = qinv.denominator_lcm()
-    l = base
-    while True:
-        scaled = [[v * l for v in row] for row in qinv.entries]
-        if all(v.denominator == 1 for row in scaled for v in row) and all(
-            int(scaled[i][i]) % 2 == 0 for i in range(Q.n)
-        ):
-            return l
-        l += base
+    adj, det = _adjugate(Q._P)
+    g = math.gcd(det, *(v for row in adj for v in row))
+    base = det // g
+    return base if all(adj[i][i] // g % 2 == 0 for i in range(Q.n)) else 2 * base
 
 
 def double(Q: GramMatrix) -> GramMatrix:
     """Entrywise 2Q: Gram matrix of the sqrt(2)-rescaled lattice."""
-    return GramMatrix([[2 * v for v in row] for row in Q.entries])
+    return _from_integral([[2 * p for p in row] for row in Q._P], Q._d)
 
 
 def orthosum_A1(Q: GramMatrix) -> GramMatrix:
     """Block sum with a rank-1 even lattice of minimum 2: diag(Q, 2)."""
-    n = Q.n
-    rows = [list(row) + [Fraction(0)] for row in Q.entries]
-    rows.append([Fraction(0)] * n + [Fraction(2)])
-    return GramMatrix(rows)
+    rows = [list(row) + [0] for row in Q._P]
+    rows.append([0] * Q.n + [2 * Q._d])
+    return _from_integral(rows, Q._d)
 
 
 def normalized_to_det1(Q: GramMatrix) -> np.ndarray:

@@ -275,11 +275,11 @@ def _grad_sum(fv: _FormVectors, f: np.ndarray) -> tuple[np.ndarray, float]:
     n = fv.A.shape[0]
     w1 = _gradient_weight(n, math.pi * fv.norms, f)
     V = fv.half.astype(float)
-    T1 = 2.0 * np.einsum("k,ki,kj->ij", w1, V, V)
+    T1 = 2.0 * ((V * w1[:, None]).T @ V)
     b = fv.dual_norms
     w2 = np.exp(-math.pi * b) / b
     W = fv.dual_half.astype(float) @ fv.Ainv
-    T2 = 2.0 * np.einsum("k,ki,kj->ij", w2, W, W)
+    T2 = 2.0 * ((W * w2[:, None]).T @ W)
     G = -T1 + T2
     return 0.5 * (G + G.T), GRAD_TAIL_FLOOR + TAIL_REL * float(np.linalg.norm(G))
 

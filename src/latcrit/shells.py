@@ -2,8 +2,8 @@
 
 All nonzero integer vectors x with Q[x] <= B are found by a branch-and-bound
 walk over a floating-point Cholesky factorization (Fincke-Pohst), after an
-exact LLL reduction of the Gram matrix that updates the reduced Gram matrix
-in place with each column operation.  The walk (``_fp_rows``) goes one
+exact integral LLL reduction of the Gram matrix that updates the reduced Gram
+matrix in place with each column operation.  The walk (``_fp_rows``) goes one
 tree level at a time over numpy frontiers, depth first, and yields int64 row
 arrays of at most ``_CHUNK_ROWS`` rows; both the exact path
 (``_half_candidates``) and the float path (``short_vectors_float``) read
@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gram import GramMatrix, RationalLike, _as_fraction
+from .gram import GramMatrix, RationalLike, _as_fraction, _from_integral
 
 _CHUNK_ROWS = 1 << 14
 DEFAULT_MAX_VECTORS = 60_000_000
@@ -52,64 +52,68 @@ class EnumerationBudgetError(RuntimeError):
 # exact LLL reduction on the Gram matrix
 
 
-_LLL_DELTA = Fraction(99, 100)
-
-
 def lll_reduce(Q: GramMatrix) -> tuple[GramMatrix, np.ndarray]:
     """Exact LLL reduction (delta = 99/100); returns (Q_red, U) with Q_red = U^t Q U.
 
-    Works on the Gram matrix alone (no basis embedding), as in Cohen, "A
-    Course in Computational Algebraic Number Theory", 2.6.  G starts as Q and
-    every column operation that builds the unimodular U -- the size reduction
-    b_k -= q*b_j and the swap b_k <-> b_{k-1} -- is applied to G in place, on
-    its columns and rows, so G = U^t Q U throughout.  The Gram-Schmidt data
-    of b_0..b_k is read off G in rational arithmetic at each step, and a size
-    reduction updates row k of mu in place.
+    Integral LLL on the Gram matrix alone (Cohen, "A Course in Computational
+    Algebraic Number Theory", Alg. 2.6.7), run on the integral form
+    G = d Q: scaling the form scales every |b_i*|^2 alike and leaves each mu
+    unchanged, so the decisions are those on Q.  Every column operation that
+    builds the unimodular U -- the size reduction b_k -= q*b_j and the swap
+    b_k <-> b_{k-1} -- is applied to G in place, on its columns and rows, so
+    G = d U^t Q U throughout.  The Gram-Schmidt data are the ints
+    D[i+1] = |b_0*|^2 ... |b_i*|^2 (the leading minors of G, D[0] = 1) and
+    lam[k][j] = D[j+1] mu_kj.  Rows from the first one a swap or an advance
+    made stale up to k are rebuilt from G at each step, and a size
+    reduction updates row k in place.  With B_k = |b_k*|^2 = D[k+1] / D[k]:
+
+    - rounding: q = floor((2 lam_kj + D[j+1]) / (2 D[j+1])) = floor(mu_kj + 1/2);
+    - Lovasz: 100 D[k+1] D[k-1] >= 99 D[k]^2 - 100 lam_k,k-1^2 is
+      B_k >= (99/100 - mu_k,k-1^2) B_{k-1} multiplied by 100 D[k] D[k-1] > 0.
     """
-    n = Q.n
-    G = [[Fraction(v) for v in row] for row in Q.entries]
+    G, d = Q.integral_rescale()
+    n = len(G)
     U = [[int(i == j) for j in range(n)] for i in range(n)]
+    D = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
 
-    def gso(k):
-        # mu[i][j] and B[i] = |b_i*|^2 for i <= k
-        mu = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
-        B = [Fraction(0)] * (k + 1)
-        r = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
-        for i in range(k + 1):
-            for j in range(i + 1):
-                s = G[i][j]
-                for l in range(j):
-                    s -= r[i][l] * mu[j][l]
-                r[i][j] = s
-                if j < i:
-                    mu[i][j] = s / B[j]
-                else:
-                    B[i] = s
-        return mu, B
+    def gso_row(i):
+        # Cohen 2.6.7, step 2: lam[i][j] and D[i+1] from G and the rows above
+        for j in range(i + 1):
+            u = G[i][j]
+            for l in range(j):
+                u = (D[l + 1] * u - lam[i][l] * lam[j][l]) // D[l]
+            if j < i:
+                lam[i][j] = u
+            else:
+                D[i + 1] = u
 
-    k = 1
+    k, stale = 1, 0
     while k < n:
-        mu, B = gso(k)
+        for i in range(stale, k + 1):
+            gso_row(i)
         for j in range(k - 1, -1, -1):
-            q = math.floor(mu[k][j] + Fraction(1, 2))
+            q = (2 * lam[k][j] + D[j + 1]) // (2 * D[j + 1])
             if q != 0:
                 for row in U:
                     row[k] -= q * row[j]
                 for row in G:
                     row[k] -= q * row[j]
                 G[k] = [a - q * b for a, b in zip(G[k], G[j])]
-                mu[k][j] -= q
+                lam[k][j] -= q * D[j + 1]
                 for i in range(j):
-                    mu[k][i] -= q * mu[j][i]
-        if B[k] >= (_LLL_DELTA - mu[k][k - 1] ** 2) * B[k - 1]:
+                    lam[k][i] -= q * lam[j][i]
+        if 100 * D[k + 1] * D[k - 1] >= 99 * D[k] ** 2 - 100 * lam[k][k - 1] ** 2:
             k += 1
+            stale = k
         else:
             for row in U + G:
                 row[k], row[k - 1] = row[k - 1], row[k]
             G[k], G[k - 1] = G[k - 1], G[k]
+            stale = k - 1
             k = max(k - 1, 1)
 
-    return GramMatrix(G), np.array(U, dtype=np.int64)
+    return _from_integral(G, d), np.array(U, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

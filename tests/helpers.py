@@ -139,15 +139,17 @@ def moment_identity_holds(Q: GramMatrix, vectors) -> bool:
     vecs = [list(map(int, v)) for v in vectors]
     m = quadratic_value(Q, vecs[0])
     det = bareiss_determinant(Q.entries)
-    for i in range(n):
-        for j in range(n):
-            s_ij = sum(v[i] * v[j] for v in vecs)
-            minor = [[Q.entries[r][c] for c in range(n) if c != i]
-                     for r in range(n) if r != j]
-            adj_ij = (-1) ** (i + j) * bareiss_determinant(minor)
-            if n * s_ij * det != m * len(vecs) * adj_ij:
-                return False
-    return True
+    adj = cofactor_adjugate(Q.entries)
+    return all(n * sum(v[i] * v[j] for v in vecs) * det == m * len(vecs) * adj[i][j]
+               for i in range(n) for j in range(n))
+
+
+def cofactor_adjugate(rows) -> list[list[Fraction]]:
+    """adj(Q)[i][j] = (-1)^(i+j) det(Q with row j and column i deleted)."""
+    n = len(rows)
+    return [[(-1) ** (i + j) * bareiss_determinant(
+                [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j])
+             for j in range(n)] for i in range(n)]
 
 
 def bareiss_determinant(rows) -> Fraction:
@@ -170,6 +172,111 @@ def bareiss_determinant(rows) -> Fraction:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def leading_minors_rational(rows) -> list[Fraction]:
+    """Leading principal minors by Gaussian elimination over Fractions.
+
+    The products of the pivots; after a zero pivot every later minor is
+    reported as 0.  Independent of the library's integer Bareiss kernel.
+    """
+    n = len(rows)
+    a = [[Fraction(v) for v in row] for row in rows]
+    minors: list[Fraction] = []
+    det = Fraction(1)
+    for k in range(n):
+        piv = a[k][k]
+        if piv == 0:
+            minors.extend([Fraction(0)] * (n - k))
+            return minors
+        det *= piv
+        minors.append(det)
+        for i in range(k + 1, n):
+            f = a[i][k] / piv
+            if f == 0:
+                continue
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return minors
+
+
+def lll_reduce_rational(Q: GramMatrix) -> tuple[GramMatrix, np.ndarray]:
+    """LLL (delta = 99/100) on the Gram matrix in Fractions: (Q_red, U).
+
+    The same operation order as ``lll_reduce`` (size-reduce row k against
+    j = k-1 .. 0 with q = floor(mu + 1/2), then the Lovasz test, then swap
+    or advance), but the Gram-Schmidt data mu and B are rebuilt from G in
+    rational arithmetic at every step, so the integer kernel's d_j, lambda
+    and its two integer tests are checked against their definitions.
+    """
+    n = Q.n
+    G = [[Fraction(v) for v in row] for row in Q.entries]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def gso(k):
+        mu = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
+        B = [Fraction(0)] * (k + 1)
+        r = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
+        for i in range(k + 1):
+            for j in range(i + 1):
+                s = G[i][j]
+                for l in range(j):
+                    s -= r[i][l] * mu[j][l]
+                r[i][j] = s
+                if j < i:
+                    mu[i][j] = s / B[j]
+                else:
+                    B[i] = s
+        return mu, B
+
+    k = 1
+    while k < n:
+        mu, B = gso(k)
+        for j in range(k - 1, -1, -1):
+            q = math.floor(mu[k][j] + Fraction(1, 2))
+            if q != 0:
+                for row in U:
+                    row[k] -= q * row[j]
+                for row in G:
+                    row[k] -= q * row[j]
+                G[k] = [a - q * b for a, b in zip(G[k], G[j])]
+                mu[k][j] -= q
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+        if B[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * B[k - 1]:
+            k += 1
+        else:
+            for row in U + G:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            G[k], G[k - 1] = G[k - 1], G[k]
+            k = max(k - 1, 1)
+    return GramMatrix(G), np.array(U, dtype=np.int64)
+
+
+def exact_kernel_forms(seeded: int = 300, seed: int = 2026):
+    """(name, form) pairs the exact kernels are checked on.
+
+    Every catalogue form, its even working form and, in odd dimension, the
+    A1-augmented working form; then ``seeded`` forms from
+    ``cli._random_integral_spd`` in dimensions 2-7, each as given and
+    divided by 3 and by 7.
+    """
+    from latcrit import double, is_even, orthosum_A1
+    from latcrit.catalog import load_catalog
+    from latcrit.cli import _random_integral_spd
+
+    for e in load_catalog().entries:
+        work = e.gram if is_even(e.gram) else double(e.gram)
+        yield e.name, e.gram
+        yield f"{e.name}/work", work
+        if work.n % 2:
+            yield f"{e.name}/aug", orthosum_A1(work)
+    rng = np.random.default_rng(seed)
+    for k in range(seeded):
+        Q = _random_integral_spd(2 + k % 6, rng)
+        yield f"seeded-{k}", Q
+        for q in (3, 7):
+            yield f"seeded-{k}/{q}", GramMatrix([[v / q for v in row] for row in Q.entries])
 
 
 def is_lll_reduced(Q: GramMatrix) -> bool:

@@ -14,12 +14,24 @@ from latcrit import (
     gram_inverse,
     is_even,
     level,
+    lll_reduce,
     orthosum_A1,
 )
 from latcrit.catalog import load_catalog
+from latcrit.cli import _random_integral_spd
+from latcrit.gram import _leading_minors
 from latcrit.height import _projected_residual
 
-from helpers import bareiss_determinant, exp_map_float, random_rational_spd, tangent_part
+from helpers import (
+    bareiss_determinant,
+    cofactor_adjugate,
+    exact_kernel_forms,
+    exp_map_float,
+    leading_minors_rational,
+    lll_reduce_rational,
+    random_rational_spd,
+    tangent_part,
+)
 
 I2 = GramMatrix([[1, 0], [0, 1]])
 A2 = GramMatrix([[2, 1], [1, 2]])
@@ -49,6 +61,53 @@ class TestConstruction:
         q = GramMatrix([["1/2", 0], [0, "3/2"]])
         assert q.entries[0][0] == Fraction(1, 2)
 
+    @pytest.mark.parametrize("rows", [
+        [[1, 1], [1, 1]],                       # singular: second minor 0
+        [[0, 1], [1, 0]],                       # zero first pivot
+        [[2, 0], [0, -3]],                      # negative diagonal
+        [[-1]],
+        [[1, 0, 1], [0, 1, 1], [1, 1, 2]],      # late zero pivot: minors 1, 1, 0
+        [["1/2", "1/3"], ["1/3", "2/9"]],       # rational, second minor 0
+    ])
+    def test_rejects_non_positive_definite(self, rows):
+        # a GramError, never a ZeroDivisionError from the elimination
+        with pytest.raises(GramError, match="not positive definite"):
+            GramMatrix(rows)
+
+
+class TestIntegralForm:
+    def test_cached_form(self):
+        q = GramMatrix([["1/2", "-1/4"], ["-1/4", "2/3"]])
+        assert q.integral_rescale() == ([[6, -3], [-3, 8]], 12)
+        assert not q.is_integral and A2.is_integral
+        rows, _ = q.integral_rescale()
+        rows[0][0] = 0  # a copy: the cached form is untouched
+        assert q.integral_rescale()[0][0][0] == 6
+
+    def test_minors_match_rational_oracle(self):
+        # Bareiss minors of P = d Q are d^k times the minors of Q
+        for name, Q in exact_kernel_forms():
+            P, d = Q.integral_rescale()
+            got = [Fraction(m, d ** (k + 1)) for k, m in enumerate(_leading_minors(P))]
+            assert got == leading_minors_rational(Q.entries), name
+
+    def test_huge_entries_are_exact(self):
+        # B^t B with B of order 10^15: entries of order 10^30, far past float
+        rng = np.random.default_rng(30)
+        B = [[int(v) * 10**15 + int(w) for v, w in zip(rng.integers(-9, 10, 6),
+                                                       rng.integers(0, 10**6, 6))]
+             for _ in range(6)]
+        rows = [[sum(B[k][i] * B[k][j] for k in range(6)) for j in range(6)] for i in range(6)]
+        for Q in (GramMatrix(rows), GramMatrix([[Fraction(v, 7) for v in r] for r in rows])):
+            assert max(abs(v) for r in Q.entries for v in r) > 10**29
+            det = determinant(Q)
+            assert det == bareiss_determinant(Q.entries)
+            adj = cofactor_adjugate(Q.entries)
+            assert gram_inverse(Q).entries == tuple(tuple(v / det for v in r) for r in adj)
+            red, U = lll_reduce_rational(Q)
+            got_red, got_U = lll_reduce(Q)
+            assert got_red == red and (got_U == U).all()
+
 
 class TestInverse:
     def test_identity(self):
@@ -68,6 +127,12 @@ class TestInverse:
             for _ in range(4):
                 Q = random_rational_spd(n, rng)
                 assert gram_inverse(gram_inverse(Q)) == Q
+
+    def test_catalog_against_cofactor_adjugate(self):
+        for e in load_catalog().entries:
+            det = bareiss_determinant(e.gram.entries)
+            adj = cofactor_adjugate(e.gram.entries)
+            assert gram_inverse(e.gram).entries == tuple(tuple(v / det for v in r) for r in adj)
 
     def test_det_of_inverse_is_reciprocal(self):
         for e in load_catalog().entries[:10]:
@@ -118,6 +183,15 @@ class TestParityAndLevel:
         twoA2 = GramMatrix([[4, 2], [2, 4]])
         assert level(twoA2) == 6 == self.level_oracle(twoA2)
         assert level(double(load_catalog().by_name("ste10a").gram)) == 20
+
+    def test_closed_form_matches_search(self):
+        forms = [Q for _, Q in exact_kernel_forms(seeded=0) if is_even(Q)]
+        rng = np.random.default_rng(10)
+        for k in range(100):
+            Q = _random_integral_spd(2 + k % 6, rng)
+            forms.append(Q if is_even(Q) else double(Q))
+        for Q in forms:
+            assert level(Q) == self.level_oracle(Q)
 
     def test_level_rejects_odd(self):
         with pytest.raises(ParityError):

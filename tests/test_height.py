@@ -341,6 +341,28 @@ class TestOneLatticeSumLoop:
         assert np.linalg.norm(rep.gradient - grad_F(A)) <= rep.tail_estimate
         assert stationarity_residual(Q) == rep.projected_residual
 
+    def test_gradient_assembly_against_fsum(self, monkeypatch):
+        # the BLAS products (V w)^t V against exactly rounded sums of the same
+        # rounded products w_k V_ki V_kj, on each entry's final collection
+        H = sys.modules["latcrit.height"]
+        real = H._grad_sum
+        calls = []
+        monkeypatch.setattr(H, "_grad_sum", lambda fv, f: calls.append((fv, f)) or real(fv, f))
+        for e in load_catalog().entries:
+            height(e)
+            fv, f = calls[-1]
+            n = fv.A.shape[0]
+            V = fv.half.astype(float)
+            w1 = H._gradient_weight(n, math.pi * fv.norms, f)
+            W = fv.dual_half.astype(float) @ fv.Ainv
+            w2 = np.exp(-math.pi * fv.dual_norms) / fv.dual_norms
+            terms = np.concatenate([-2.0 * (V * w1[:, None])[:, :, None] * V[:, None, :],
+                                    2.0 * (W * w2[:, None])[:, :, None] * W[:, None, :]])
+            ref = np.array([math.fsum(t) for t in terms.reshape(len(terms), -1).T.tolist()])
+            ref = ref.reshape(n, n)
+            G, _ = real(fv, f)
+            assert np.abs(G - 0.5 * (ref + ref.T)).max() <= 5e-14, e.name
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_recurrence_gradient_weight(self, n):
         # psi1 from F's summand f by Gamma(a+1, x) = a Gamma(a, x) + x^a e^{-x},

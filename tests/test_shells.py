@@ -23,8 +23,10 @@ from latcrit.catalog import load_catalog
 
 from helpers import (
     box_layers,
+    exact_kernel_forms,
     fincke_pohst_rows,
     is_lll_reduced,
+    lll_reduce_rational,
     quadratic_value,
     random_rational_spd,
     random_unimodular,
@@ -235,6 +237,14 @@ class TestLLL:
             assert is_lll_reduced(red)
             assert abs(round(np.linalg.det(U.astype(float)))) == 1
             assert transform_gram(q, U) == red
+
+    def test_integral_lll_matches_rational_oracle(self):
+        # same (Q_red, U): the integer rounding and Lovasz tests decide as
+        # the rational ones, also on forms with denominators 3 and 7
+        for name, Q in exact_kernel_forms():
+            red, U = lll_reduce(Q)
+            want_red, want_U = lll_reduce_rational(Q)
+            assert red == want_red and (U == want_U).all(), name
 
     def test_reduces_skewed_basis(self):
         U = np.array([[1, 7], [0, 1]], dtype=np.int64)
