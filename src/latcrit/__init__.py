@@ -57,10 +57,8 @@ from .height import (
     ZetaPoleError,
     completed_zeta,
     epstein_zeta,
-    grad_F,
     height,
     height_constant,
-    stationarity_residual,
 )
 from .catalog import Catalog, load_catalog, reproduce_tables
 

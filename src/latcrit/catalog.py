@@ -215,10 +215,8 @@ class TableSummary:
         return [r for r in self.rows if not r.matches]
 
 
-def _table_row(name: str, max_vectors: int) -> TableRow:
-    cat = load_catalog()
-    entry = cat.by_name(name)
-    n = entry.gram.n
+def _table_row(entry: LatticeDescriptor, max_vectors: int) -> TableRow:
+    name, n = entry.name, entry.gram.n
     try:
         rep = fully_critical(entry, max_vectors=max_vectors)
         return TableRow(
@@ -240,31 +238,18 @@ def _table_row(name: str, max_vectors: int) -> TableRow:
 def reproduce_tables(
     dims: Iterable[int],
     *,
-    threads: int = 1,
     max_vectors: int = DEFAULT_MAX_VECTORS,
 ) -> TableSummary:
     """Run the certification on every catalogue entry of the given dimensions.
 
     Each entry is certified at the self-contained Gamma_0 horizon of
     ``fully_critical``; its row reports that bound next to the catalogue's
-    reference N.  threads > 1 distributes entries over processes; 0 means
-    one per CPU.  Row order is fixed by the catalogue regardless of
-    scheduling.
+    reference N.  Rows follow the catalogue order.
     """
     dims = sorted(set(int(d) for d in dims))
     bad = [d for d in dims if d not in _EXPECTED_PER_DIM]
     if bad:
         raise ValueError(f"no catalogue data for dimensions {bad}")
     cat = load_catalog()
-    names = [e.name for d in dims for e in cat.by_dim(d)]
-    if threads == 0:
-        import os
-        threads = os.cpu_count() or 1
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_table_row, names, [max_vectors] * len(names)))
-    else:
-        rows = [_table_row(nm, max_vectors) for nm in names]
+    rows = [_table_row(e, max_vectors) for d in dims for e in cat.by_dim(d)]
     return TableSummary(rows=tuple(rows))

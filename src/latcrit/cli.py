@@ -41,7 +41,7 @@ from .certify import (
 )
 from .design import DesignComputationError, two_design_verdict
 from .gram import GramMatrix, LatticeDescriptor, determinant, is_even, level, double, load_gram
-from .height import DEFAULT_CUTOFF, TruncationError, height, stationarity_residual
+from .height import DEFAULT_CUTOFF, TruncationError, height
 from .shells import (
     DEFAULT_MAX_VECTORS,
     EnumerationBudgetError,
@@ -257,14 +257,13 @@ def _cmd_height(args) -> int:
     run = RunReport("height", _input_dict(desc), hrep.to_dict(), time.time() - t0,
                     {"truncation_radius": hrep.truncation_radius,
                      "tail_estimate": hrep.tail_estimate,
-                     "radius_rounds": hrep.radius_rounds,
                      "half_vectors_form": hrep.half_vectors_form,
                      "half_vectors_dual": hrep.half_vectors_dual}, __version__)
     text = (f"height({desc.name or 'input'} normalized to det 1) = {hrep.height!r}\n"
             f"F value {hrep.F_value!r}, constant {hrep.constant_C!r}\n"
             f"projected gradient residual {hrep.projected_residual:.3e}\n"
-            f"truncation radius {hrep.truncation_radius:.4f} after {hrep.radius_rounds} "
-            f"round(s), {hrep.half_vectors_form} + {hrep.half_vectors_dual} half-set vectors "
+            f"truncation radius {hrep.truncation_radius:.4f}, "
+            f"{hrep.half_vectors_form} + {hrep.half_vectors_dual} half-set vectors "
             f"(form + inverse), certified tail {hrep.tail_estimate:.3e}")
     _emit(args, run, text)
     return EXIT_OK
@@ -273,7 +272,7 @@ def _cmd_height(args) -> int:
 def _cmd_stationarity(args) -> int:
     desc = _resolve_input(args)
     t0 = time.time()
-    res = stationarity_residual(desc.gram)
+    res = height(desc).projected_residual
     run = RunReport("stationarity", _input_dict(desc),
                     {"projected_residual": res}, time.time() - t0, {}, __version__)
     _emit(args, run, f"stationarity residual of {desc.name or 'input'} "
@@ -284,7 +283,7 @@ def _cmd_stationarity(args) -> int:
 def _cmd_tables(args) -> int:
     dims = [int(d) for d in args.dims.split(",")] if args.dims else [2, 3, 4, 5, 6]
     t0 = time.time()
-    summary = reproduce_tables(dims, threads=args.threads, max_vectors=args.max_vectors)
+    summary = reproduce_tables(dims, max_vectors=args.max_vectors)
     rows_out = []
     lines = [f"{'name':9s} {'dim':3s} {'verdict':16s} {'expected':14s} "
              f"{'B':6s} {'N':4s} {'ok':2s}"]
@@ -353,10 +352,8 @@ def _cmd_probe(args) -> int:
     rows = []
     lines = []
     for desc in jobs:
-        override = args.bound if args.bound is not None else (
-            desc.reference_N if desc.reference_N is not None else 12)
         try:
-            rep = fully_critical(desc, override, max_vectors=args.max_vectors)
+            rep = fully_critical(desc, args.bound, max_vectors=args.max_vectors)
         except EnumerationBudgetError as exc:
             rows.append({"name": desc.name, "error": str(exc)})
             lines.append(f"{desc.name}: inconclusive ({exc})")
@@ -365,7 +362,7 @@ def _cmd_probe(args) -> int:
         # the same pair conjecture_probe returns, plus the verdict behind it
         first_two = all(v.is_design for v in rep.per_layer[:2])
         rows.append({"name": desc.name, "first_two_designs": first_two,
-                     "verdict": rep.verdict_text})
+                     "verdict": rep.verdict_text, "bound_B": rep.bound_B})
         lines.append(f"{desc.name}: first_two={first_two} verdict={rep.verdict_text}")
         if first_two and rep.verdict == VERDICT_FAILURE:
             hits.append(desc.name)
@@ -435,19 +432,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("height", help="torus height of the determinant-1 form")
     common(p)
     p.add_argument("--radius", help="smallest truncation radius R (include Q[m] <= R); "
-                   "the radius is predicted from the proven tail majorant, is never below R, "
-                   "and grows x1.35 (up to R*1.35^9) only if the prediction falls short")
+                   "the radius is chosen once from the proven tail majorants, between R and "
+                   "R*1.35^9, and exit 2 reports a tail that misses its tolerance there")
     p.set_defaults(func=_cmd_height)
 
-    p = sub.add_parser("stationarity", help="stationarity residual of the height")
+    p = sub.add_parser("stationarity",
+                       help="stationarity residual of the height: the projected gradient "
+                            "residual of the height command's evaluation")
     common(p)
     p.set_defaults(func=_cmd_stationarity)
 
     p = sub.add_parser("tables", help="reproduce the catalogue classification")
     common(p, with_input=False)
     budget(p)
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker processes (0 = auto)")
     p.add_argument("--dims", help="comma-separated dimensions (default 2,3,4,5,6)")
     p.set_defaults(func=_cmd_tables)
 
@@ -460,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also probe K random integral SPD forms")
     p.add_argument("--dims", help="dimensions for random forms (default 2,3,4)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, help="certification bound for the probe")
+    p.add_argument("--bound", type=int,
+                   help="override the Gamma0 Sturm bound B of each probed form")
     p.set_defaults(func=_cmd_probe)
 
     return ap

@@ -97,12 +97,6 @@ class GramMatrix:
         # int / int is correctly rounded, as float(Fraction) is
         return np.array([[p / self._d for p in row] for row in self._P], dtype=float)
 
-    def to_json(self) -> str:
-        obj = {"n": self.n, "gram": [[_frac_str(v) for v in row] for row in self.entries]}
-        if self.name is not None:
-            obj = {"name": self.name, **obj}
-        return json.dumps(obj)
-
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"<GramMatrix{tag} n={self.n}>"

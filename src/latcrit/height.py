@@ -4,21 +4,24 @@ Everything here is floating point.  The zeta function is evaluated through
 its incomplete-gamma representation (two exponentially convergent lattice
 sums, one over the form and one over its inverse), which also yields the
 height as the s-derivative at 0 and the analytic gradient of the underlying
-invariant F on the determinant-1 manifold.  All sums go through one radius
-loop, ``_certified_sum``.  Before it enumerates anything it evaluates the
-tail majorants of every sum at each radius of a geometric grid and picks the
-first radius where they meet an a-priori tolerance: 1e-13 times a lower
+invariant F on the determinant-1 manifold.  All sums go through one
+evaluation, ``_certified_sum``.  Before it enumerates anything it evaluates
+the tail majorants of every sum at each radius of a geometric grid and picks
+the first radius where they meet an a-priori tolerance: 1e-13 times a lower
 bound on the sum (its terms are positive, so the basis vectors' terms are
-one), or the gradient's absolute floor.  It then enumerates the form and its
-inverse once each at that radius and checks the same majorants against the
-real tolerance; only if that check fails does the radius grow.  ``height``
-takes F and its gradient from the same collection, the gradient's weight
-derived from F's summand by the incomplete-gamma recurrence.  Each sum costs
-one array call of ``upper_gamma`` over its vectors, and each side one more
-over the grid.  Tails are majorants: points in an annulus are counted by
-volume, through a fundamental domain of bounded diameter, and summed by
-parts against the monotone summands, so the reported tail estimate is a
-true upper bound.  Fixed enumeration order keeps reports bit-reproducible.
+one), or the gradient's absolute floor.  Neither exceeds the real tolerance
+(1e-13 times the sum, plus that floor for the gradient), so the form and its
+inverse are enumerated once each at that radius.  The check of the same
+majorants against the real tolerance stays as the guard of record: it raises
+``TruncationError``, as when the radius is capped below the one the
+tolerances need.  ``height`` takes F, its gradient and the stationarity
+residual from the same collection, the gradient's weight derived from F's
+summand by the incomplete-gamma recurrence.  Each sum costs one array call
+of ``upper_gamma`` over its vectors, and each side one more over the grid.
+Tails are majorants: points in an annulus are counted by volume, through a
+fundamental domain of bounded diameter, and summed by parts against the
+monotone summands, so the reported tail estimate is a true upper bound.
+Fixed enumeration order keeps reports bit-reproducible.
 """
 
 from __future__ import annotations
@@ -38,8 +41,7 @@ GRAD_TAIL_FLOOR = 1e-14
 EULER_GAMMA = float(np.euler_gamma)
 _GRID_RATIO = 1.01   # candidate radii cutoff/pi * 1.01^k
 _GRID_X_END = 800.0  # the grid runs on to pi * t >= 800, where every summand underflows
-_GROWTH = 1.35       # fallback radius growth, up to cutoff/pi * 1.35^(_ROUNDS - 1)
-_ROUNDS = 10
+_RADIUS_CAP = 1.35 ** 9  # largest radius chosen: cutoff/pi * _RADIUS_CAP
 
 
 class TruncationError(RuntimeError):
@@ -147,42 +149,36 @@ class _FormVectors:
 
 
 def _certified_sum(A: np.ndarray, cutoff: float, bounds, sums, what: str):
-    """The one radius loop: (value, tail, vectors, rounds) at a certified radius.
+    """The one certified lattice sum: (value, tail, vectors) at one radius.
 
     ``bounds(grid)`` gives, for each certified quantity, its tail majorant
-    at every grid radius and an a-priori tolerance.  The radius starts at
-    the first grid radius >= cutoff/pi where every majorant meets its
-    a-priori tolerance.  Each round collects the vectors of norm <= radius
-    of the form and of its inverse, once each, and hands them to ``sums``,
-    which returns (value, tolerance per quantity); the majorants are read at
-    the largest grid radius <= radius.  If one exceeds its tolerance the
-    radius grows by 1.35, never beyond cutoff/pi * 1.35^9, the last radius
-    tried (and the first, when no grid radius meets the a-priori tolerances).
+    at every grid radius and an a-priori tolerance.  The radius is the first
+    grid radius in [cutoff/pi, cutoff/pi * _RADIUS_CAP] where every
+    majorant meets its a-priori tolerance, or that cap when none does.  The
+    vectors of norm <= radius of the form and of its inverse are collected
+    once each and handed to ``sums``, which returns (value, tolerance per
+    quantity).  The majorants at the radius must meet those tolerances, or
+    TruncationError is raised.
     """
     if not (cutoff > 0 and math.isfinite(cutoff)):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
     Ainv = np.linalg.inv(A)
     Ainv = 0.5 * (Ainv + Ainv.T)
     r0 = cutoff / math.pi
-    top = r0 * _GROWTH ** (_ROUNDS - 1)
+    top = r0 * _RADIUS_CAP
     grid = _grid(A, Ainv, r0)
     majorants, a_priori = zip(*bounds(grid))
     M = np.array(majorants)
     fits = np.flatnonzero(np.all(M <= np.array(a_priori)[:, None], axis=0) & (grid.t <= top))
     radius = float(grid.t[fits[0]]) if fits.size else top
-    rounds = 0
-    while radius <= top * (1 + 1e-12):
-        rounds += 1
-        X, c = short_vectors_float(A, radius)
-        Y, b = short_vectors_float(Ainv, radius)
-        fv = _FormVectors(A=A, Ainv=Ainv, half=X, norms=c, dual_half=Y, dual_norms=b,
-                          radius=radius)
-        value, tolerances = sums(fv)
-        tails = M[:, np.searchsorted(grid.t, radius, side="right") - 1]
-        if np.all(tails <= np.array(tolerances)):
-            return value, float(np.sum(tails)), fv, rounds
-        radius *= _GROWTH
-    raise TruncationError(f"{what}: tail tolerance unattained")
+    X, c = short_vectors_float(A, radius)
+    Y, b = short_vectors_float(Ainv, radius)
+    fv = _FormVectors(A=A, Ainv=Ainv, half=X, norms=c, dual_half=Y, dual_norms=b, radius=radius)
+    value, tolerances = sums(fv)
+    tails = M[:, np.searchsorted(grid.t, radius, side="right") - 1]
+    if not np.all(tails <= np.array(tolerances)):
+        raise TruncationError(f"{what}: tail tolerance unattained at radius {radius:.6g}")
+    return value, float(np.sum(tails)), fv
 
 
 def completed_zeta(Q, s: float, *, cutoff: float = DEFAULT_CUTOFF) -> float:
@@ -271,7 +267,14 @@ def _F_sum(fv: _FormVectors, f: np.ndarray) -> tuple[float, float]:
 
 
 def _grad_sum(fv: _FormVectors, f: np.ndarray) -> tuple[np.ndarray, float]:
-    """(gradient of F, its tolerance GRAD_TAIL_FLOOR + TAIL_REL |G|)."""
+    """(gradient of F, its tolerance GRAD_TAIL_FLOOR + TAIL_REL |G|).
+
+    The gradient is a symmetric matrix assembled from both lattice sums:
+    -psi1 weights on m m^t over the form's vectors and psi2 weights on
+    (Q^-1 m)(Q^-1 m)^t over the dual's, with
+    psi1(c) = pi (pi c)^{-(n/2+1)} Gamma(n/2+1, pi c) and
+    psi2(b) = exp(-pi b)/b.  Equivariant under unimodular changes of basis.
+    """
     n = fv.A.shape[0]
     w1 = _gradient_weight(n, math.pi * fv.norms, f)
     V = fv.half.astype(float)
@@ -282,23 +285,6 @@ def _grad_sum(fv: _FormVectors, f: np.ndarray) -> tuple[np.ndarray, float]:
     T2 = 2.0 * ((W * w2[:, None]).T @ W)
     G = -T1 + T2
     return 0.5 * (G + G.T), GRAD_TAIL_FLOOR + TAIL_REL * float(np.linalg.norm(G))
-
-
-def grad_F(Q, *, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
-    """Gradient of F(., 0) at the given form, as a symmetric matrix.
-
-    Assembled from both lattice sums: -psi1 weights on m m^t over the form's
-    vectors and psi2 weights on (Q^{-1}m)(Q^{-1}m)^t over the dual's, with
-    psi1(c) = pi (pi c)^{-(n/2+1)} Gamma(n/2+1, pi c) and
-    psi2(b) = exp(-pi b)/b.  Equivariant under unimodular changes of basis.
-    """
-    A = _as_form(Q)
-
-    def sums(fv: _FormVectors):
-        G, tol = _grad_sum(fv, _main_summand(A.shape[0], math.pi * fv.norms))
-        return G, (tol,)
-
-    return _certified_sum(A, cutoff, lambda grid: _height_bounds(grid)[1:], sums, "gradient")[0]
 
 
 def height_constant(n: int) -> float:
@@ -317,7 +303,6 @@ class HeightReport:
     projected_residual: float
     truncation_radius: float
     tail_estimate: float
-    radius_rounds: int       # enumeration rounds; 1 when the predicted radius certifies
     half_vectors_form: int   # vectors enumerated, one per antipodal pair, on the form
     half_vectors_dual: int   # and on its inverse, at the truncation radius
 
@@ -348,9 +333,11 @@ def height(L, *, cutoff: float = DEFAULT_CUTOFF) -> HeightReport:
 
     The input form is rescaled to determinant 1; the height is
     C + F(Q, 0) + 2 log(2 pi) with C the closed-form constant, and the
-    report carries the gradient of F with its tangent-projected residual.
-    F and the gradient come from the same vectors, at a radius where both
-    tails are within tolerance.
+    report carries the gradient of F with its tangent-projected residual,
+    the relative Frobenius norm of the gradient's part in the determinant-1
+    tangent space; a value near zero certifies numerical stationarity of
+    the height at the lattice.  F and the gradient come from the same
+    vectors, at a radius where both tails are within tolerance.
     """
     A = _det1_form(L)
 
@@ -360,7 +347,7 @@ def height(L, *, cutoff: float = DEFAULT_CUTOFF) -> HeightReport:
         G, gtol = _grad_sum(fv, f)
         return (F, G), (ftol, gtol)
 
-    (F, G), tail, fv, rounds = _certified_sum(A, cutoff, _height_bounds, sums, "height")
+    (F, G), tail, fv = _certified_sum(A, cutoff, _height_bounds, sums, "height")
     C = height_constant(A.shape[0])
     return HeightReport(
         height=C + F + 2.0 * math.log(2.0 * math.pi),
@@ -370,17 +357,7 @@ def height(L, *, cutoff: float = DEFAULT_CUTOFF) -> HeightReport:
         projected_residual=_projected_residual(A, G),
         truncation_radius=fv.radius,
         tail_estimate=tail,
-        radius_rounds=rounds,
         half_vectors_form=len(fv.half),
         half_vectors_dual=len(fv.dual_half),
     )
 
-
-def stationarity_residual(Q0, *, cutoff: float = DEFAULT_CUTOFF) -> float:
-    """Relative Frobenius norm of the tangent projection of grad F.
-
-    The form is normalized to determinant 1 first; a value near zero
-    certifies numerical stationarity of the height at the lattice.
-    """
-    A = _det1_form(Q0)
-    return _projected_residual(A, grad_F(A, cutoff=cutoff))

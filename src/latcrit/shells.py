@@ -256,9 +256,6 @@ class LayerSpectrum:
 
     layers: tuple[Layer, ...]
 
-    def norms(self) -> list[Fraction]:
-        return [lay.norm for lay in self.layers]
-
 
 def _sorted_rows(X: np.ndarray, norms: np.ndarray) -> np.ndarray:
     keys = tuple(X[:, j] for j in range(X.shape[1] - 1, -1, -1)) + (norms,)

@@ -13,6 +13,7 @@ summation by parts, not the enumeration or the special function).
 from __future__ import annotations
 
 import importlib
+import json
 import math
 from fractions import Fraction
 
@@ -561,11 +562,17 @@ def exp_map_float(A: np.ndarray, H: np.ndarray, t: float = 1.0) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def gram_json(q: GramMatrix) -> str:
+    """The JSON file format that ``gram_from_json`` and ``--gram`` read."""
+    return json.dumps({"name": q.name, "n": q.n,
+                       "gram": [[str(v) for v in row] for row in q.entries]})
+
+
 def F_value(Q, *, cutoff: float = _height.DEFAULT_CUTOFF) -> float:
     """F(Q, 0) of the form as given (no rescaling to determinant 1).
 
-    The F half of ``height``: its summands through the one certified radius
-    loop, without the gradient.  Invariant under unimodular change of basis.
+    The F half of ``height``: its summands through the one certified lattice
+    sum, without the gradient.  Invariant under unimodular change of basis.
     """
     H = _height
     A = H._as_form(Q)
@@ -581,8 +588,9 @@ def directional_derivative_fd(Q0, H, step: float = 1e-4, *,
                               cutoff: float = _height.DEFAULT_CUTOFF) -> float:
     """Central difference of F along the geodesic through Q0 in direction H.
 
-    This is the independent oracle for grad_F: the value converges to
-    <grad_F(Q0), H> as the step shrinks.
+    This is the independent oracle for the gradient that ``height`` reports:
+    at a determinant-1 form Q0 the value converges to <height(Q0).gradient, H>
+    as the step shrinks.
     """
     A = _height._as_form(Q0)
     H = np.asarray(H, dtype=float)

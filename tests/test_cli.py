@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latcrit import GramMatrix
+from latcrit import GramMatrix, height, load_catalog
 from latcrit.cli import RunReport, main
 
-from helpers import box_vectors, moment_identity_holds, pair_sum_bruteforce, random_rational_spd
+from helpers import (box_vectors, gram_json, moment_identity_holds, pair_sum_bruteforce,
+                     random_rational_spd)
 
 DIAG12 = '{"name": "diag12", "n": 2, "gram": [[1, 0], [0, 2]]}'
 
@@ -105,7 +106,7 @@ class TestDesign:
         nonempty = refuted = 0
         for i, q in enumerate(forms):
             path = tmp_path / f"form{i}.json"
-            path.write_text(q.to_json(), encoding="utf-8")
+            path.write_text(gram_json(q), encoding="utf-8")
             for k in range(1, 25):
                 m = Fraction(k, 4)
                 rc = main(["design", "--gram", str(path), "--layer-norm", str(m),
@@ -155,7 +156,7 @@ class TestLayers:
 
 class TestTables:
     def test_dim_4(self, capsys):
-        rc = main(["tables", "--dims", "4", "--threads", "1"])
+        rc = main(["tables", "--dims", "4"])
         out = capsys.readouterr().out
         assert rc == 0
         rows = [l for l in out.splitlines() if l.startswith("stc")]
@@ -163,13 +164,13 @@ class TestTables:
         assert all("fully-critical" in r for r in rows)
 
     def test_dims_2_3(self, capsys):
-        rc = main(["tables", "--dims", "2,3", "--threads", "1"])
+        rc = main(["tables", "--dims", "2,3"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "5 entries, 0 mismatches" in out
 
     def test_inconclusive_rows_exit_2(self, capsys):
-        rc = main(["tables", "--dims", "4", "--max-vectors", "30", "--threads", "1"])
+        rc = main(["tables", "--dims", "4", "--max-vectors", "30"])
         out = capsys.readouterr().out
         assert rc == 2
         assert [l.split()[0] for l in out.splitlines() if "inconclusive" in l] == [
@@ -185,15 +186,14 @@ class TestNumericCommands:
         assert rep.outcome["height"] < 1.06
         assert rep.outcome["tail_estimate"] < 1e-12 * abs(rep.outcome["F_value"])
         tr = rep.truncation
-        assert tr["radius_rounds"] == rep.outcome["radius_rounds"] == 1
         assert tr["half_vectors_form"] == rep.outcome["half_vectors_form"] > 0
         assert tr["half_vectors_dual"] == rep.outcome["half_vectors_dual"] > 0
         assert tr["truncation_radius"] == rep.outcome["truncation_radius"]
 
-    def test_height_text_reports_rounds_and_vectors(self, capsys):
+    def test_height_text_reports_radius_and_vectors(self, capsys):
         assert main(["height", "--name", "sta3"]) == 0
         line = capsys.readouterr().out.splitlines()[-1]
-        assert line.startswith("truncation radius 12.7324 after 1 round(s), 18 + 18 half-set vectors")
+        assert line.startswith("truncation radius 12.7324, 18 + 18 half-set vectors")
 
     def test_height_truncation_failure_exits_2(self, capsys):
         rc = main(["height", "--name", "stc12", "--radius", "0.01"])
@@ -207,16 +207,17 @@ class TestNumericCommands:
         assert rc == 2
         assert err.startswith("error: cutoff must be positive") and err.count("\n") == 1
 
-    def test_threads_only_on_tables(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["height", "--name", "sta3", "--threads", "2"])
-        assert exc.value.code == 2
-
     def test_stationarity(self, capsys):
         rc = main(["stationarity", "--name", "stc12"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "stationarity residual" in out
+
+    def test_stationarity_reads_the_height_report(self, capsys):
+        e = load_catalog().by_name("std5b")
+        assert main(["stationarity", "--name", "std5b", "--format", "json"]) == 0
+        rep = RunReport.from_json(capsys.readouterr().out)
+        assert rep.outcome == {"projected_residual": height(e).projected_residual}
 
     def test_analyze(self, capsys):
         rc = main(["analyze", "--name", "ste10a", "--format", "json"])
@@ -254,6 +255,18 @@ class TestProbe:
         assert rc == 2
         assert "sta2: inconclusive (enumeration budget exceeded" in out
         assert "no counterexample candidates" in out
+
+    def test_gram_input_is_probed_at_its_horizon(self, tmp_path, capsys):
+        # a --gram copy has no reference N: the Gamma0(20) Sturm bound of
+        # ste15a is 15, and --bound still overrides it
+        path = tmp_path / "ste15a.json"
+        path.write_text(gram_json(load_catalog().by_name("ste15a").gram), encoding="utf-8")
+        for extra, B in (([], 15), (["--bound", "4"], 4)):
+            rc = main(["probe-conjecture", "--gram", str(path), "--format", "json"] + extra)
+            [row] = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
+            assert rc == 0
+            assert row["bound_B"] == B
+            assert row["verdict"] == "fully-critical"
 
     def test_random_forms(self, capsys):
         rc = main(["probe-conjecture", "--random", "5", "--dims", "2,3",

@@ -14,12 +14,10 @@ from latcrit import (
     completed_zeta,
     epstein_zeta,
     fully_critical,
-    grad_F,
     gram_inverse,
     height,
     height_constant,
     normalized_to_det1,
-    stationarity_residual,
     upper_gamma,
 )
 from latcrit.catalog import load_catalog
@@ -201,7 +199,7 @@ class TestGradient:
     def test_fd_agreement_nontangent(self, Q):
         # pure gradient identity: d/dt F(geodesic) = <G, H> for any symmetric H
         A = normalized_to_det1(Q)
-        G = grad_F(A)
+        G = height(A).gradient
         rng = np.random.default_rng(Q.n)
         for _ in range(5):
             S = rng.standard_normal(A.shape)
@@ -216,7 +214,7 @@ class TestGradient:
         # tangent directional derivatives vanish at these stationary bases,
         # so agreement is asserted relative to the gradient scale
         A = normalized_to_det1(Q)
-        G = grad_F(A)
+        G = height(A).gradient
         scale = float(np.linalg.norm(G))
         rng = np.random.default_rng(100 + Q.n)
         for _ in range(20):
@@ -227,7 +225,7 @@ class TestGradient:
 
     def test_fd_nonstationary_direction_is_detected(self):
         A = normalized_to_det1(D12)
-        G = grad_F(A)
+        G = height(A).gradient
         rng = np.random.default_rng(13)
         H = random_tangent(A, rng)
         an = float(np.tensordot(G, H))
@@ -251,15 +249,15 @@ class TestGradient:
         rng = np.random.default_rng(19)
         U = random_unimodular(2, rng, ops=5)
         Uf = U.astype(float)
-        G1 = grad_F(A2.to_float())
-        G2 = grad_F(transform_gram(A2, U).to_float())
+        G1 = height(A2).gradient
+        G2 = height(transform_gram(A2, U)).gradient
         Uin = np.linalg.inv(Uf)
         assert np.allclose(G2, Uin @ G1 @ Uin.T, atol=1e-12)
 
 
 class TestStationarity:
     def test_d4_is_stationary(self):
-        assert stationarity_residual(D4) < 1e-7
+        assert height(D4).projected_residual < 1e-7
 
     def test_dims_2_to_5_certified_catalog_is_stationary(self):
         # the paper's theorem end to end: every layer a 2-design, hence a
@@ -267,22 +265,22 @@ class TestStationarity:
         for e in load_catalog().entries:
             if e.gram.n <= 5:
                 assert fully_critical(e, e.reference_N).verdict == VERDICT_CRITICAL, e.name
-                assert stationarity_residual(e.gram) <= 1e-12, e.name
-                assert stationarity_residual(gram_inverse(e.gram)) <= 1e-12, e.name
+                assert height(e).projected_residual <= 1e-12, e.name
+                assert height(gram_inverse(e.gram)).projected_residual <= 1e-12, e.name
 
     def test_dims_2_to_4_catalog_is_stationary(self):
         for e in load_catalog().entries:
             if e.gram.n <= 4:
-                assert stationarity_residual(e.gram) < 1e-6, e.name
+                assert height(e).projected_residual < 1e-6, e.name
 
     def test_non_eutactic_forms_are_not(self):
-        assert stationarity_residual(D12) > 1e-2
-        assert stationarity_residual(GramMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])) > 1e-3
+        assert height(D12).projected_residual > 1e-2
+        assert height(GramMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])).projected_residual > 1e-3
 
     def test_duals_of_dims_2_to_4_are_stationary(self):
         for e in load_catalog().entries:
             if e.gram.n <= 4:
-                assert stationarity_residual(gram_inverse(e.gram)) < 1e-6, e.name
+                assert height(gram_inverse(e.gram)).projected_residual < 1e-6, e.name
 
 
 class TestOneLatticeSumLoop:
@@ -297,17 +295,15 @@ class TestOneLatticeSumLoop:
 
         monkeypatch.setattr(H, "short_vectors_float", counting)
         rep = height(load_catalog().by_name("std5b"))
-        # the predicted radius certifies: one round, the form and its dual once
+        # the predicted radius certifies: the form and its dual once each
         assert radii == [rep.truncation_radius] * 2
-        assert rep.radius_rounds == 1
         assert rep.truncation_radius > H.DEFAULT_CUTOFF / math.pi
 
-    def test_fallback_growth_certifies_when_the_prediction_falls_short(self, monkeypatch):
+    def test_radius_is_final_when_the_prediction_falls_short(self, monkeypatch):
         # infinite a-priori tolerances make the prediction the smallest
-        # radius; the real check rejects it and the x1.35 rounds certify
+        # radius; the real check rejects it, and no larger radius is tried
         H = sys.modules["latcrit.height"]
         e = load_catalog().by_name("std5b")
-        ref = height(e)
         real = H._height_bounds
         monkeypatch.setattr(H, "_height_bounds",
                             lambda grid: [(m, math.inf) for m, _ in real(grid)])
@@ -319,27 +315,52 @@ class TestOneLatticeSumLoop:
             return real_sv(A, radius)
 
         monkeypatch.setattr(H, "short_vectors_float", counting)
-        rep = height(e, cutoff=20.0)
-        assert rep.radius_rounds >= 2
-        assert len(radii) == 2 * rep.radius_rounds
-        assert radii[0] == 20.0 / math.pi
-        assert radii[-1] == rep.truncation_radius
-        assert rep.radius_rounds == round(math.log(rep.truncation_radius / radii[0], 1.35)) + 1
-        assert abs(rep.height - ref.height) <= 1e-13
-        assert rep.tail_estimate < 1e-12 * abs(rep.F_value)
+        with pytest.raises(TruncationError):
+            height(e, cutoff=20.0)
+        assert radii == [20.0 / math.pi] * 2
 
     def test_grad_F_takes_no_pinned_radius(self):
+        # height is the gradient's only route, and it chooses its own radius
         with pytest.raises(TypeError):
-            grad_F(I2.to_float(), radius=20.0)
+            height(I2, radius=20.0)
+
+    def test_enumerated_sum_reaches_its_basis_lower_bound(self, monkeypatch):
+        # every summand is positive, so the enumerated sum is at least the
+        # basis vectors' share (the grid's basis_sum), and the a-priori
+        # tolerance TAIL_REL * basis_sum is at most the real one: the radius
+        # the majorants choose always passes the final check
+        H = sys.modules["latcrit.height"]
+        runs = _record_certified_sums(monkeypatch)
+        for e in load_catalog().entries:
+            height(e)
+            height(gram_inverse(e.gram))
+        for A in list(_random_forms()) + [SKEWED]:
+            height(A)
+        for A, s in ZETA_CASES:
+            completed_zeta(A, s)
+        assert len(runs) == 84 + 13 + len(ZETA_CASES)
+        for A, cutoff, bounds, (value, _, _) in runs:
+            Ainv = np.linalg.inv(A)
+            grid = H._grid(A, 0.5 * (Ainv + Ainv.T), cutoff / math.pi)
+            a_priori = bounds(grid)[0][1]
+            total = value[0] if isinstance(value, tuple) else value
+            assert a_priori <= H.TAIL_REL * total, (A, a_priori, total)
 
     @pytest.mark.parametrize("name", ["sta3", "stc12", "std5b", "ste10a"])
     def test_height_agrees_with_F_value_and_grad_F(self, name):
+        # F against the F-only sum, the gradient against the central
+        # difference of F, and the residual against the tangent projection
         Q = load_catalog().by_name(name).gram
         rep = height(Q)
         A = normalized_to_det1(Q)
+        G = rep.gradient
         assert abs(rep.F_value - F_value(A)) <= rep.tail_estimate
-        assert np.linalg.norm(rep.gradient - grad_F(A)) <= rep.tail_estimate
-        assert stationarity_residual(Q) == rep.projected_residual
+        S = np.random.default_rng(Q.n).standard_normal(A.shape)
+        S = 0.5 * (S + S.T) / np.linalg.norm(S)
+        an = float(np.tensordot(G, S))
+        assert abs(directional_derivative_fd(A, S, 1e-4) - an) <= 1e-4 * abs(an)
+        residual = np.linalg.norm(tangent_part(A, G)) / np.linalg.norm(G)
+        assert abs(rep.projected_residual - residual) <= 1e-14
 
     def test_gradient_assembly_against_fsum(self, monkeypatch):
         # the BLAS products (V w)^t V against exactly rounded sums of the same
@@ -388,6 +409,23 @@ def _random_forms():
 
 
 SKEWED = np.diag([10.0, 10.0, 0.01])  # det 1; lam_max(A^-1) = 100 > lam_max(A) = 10
+ZETA_CASES = [(A2.to_float(), 1.7), (SKEWED, 0.8), (SKEWED, -0.6),
+              (normalized_to_det1(D4), 1.2), (3.0 * A3.to_float(), 2.5)]
+
+
+def _record_certified_sums(monkeypatch) -> list:
+    """Record (A, cutoff, bounds, result) of every ``_certified_sum`` call."""
+    H = sys.modules["latcrit.height"]
+    real = H._certified_sum
+    runs = []
+
+    def recording(A, cutoff, bounds, sums, what):
+        out = real(A, cutoff, bounds, sums, what)
+        runs.append((A, cutoff, bounds, out))
+        return out
+
+    monkeypatch.setattr(H, "_certified_sum", recording)
+    return runs
 
 
 class TestAnnulusMajorant:
@@ -402,24 +440,14 @@ class TestAnnulusMajorant:
                 assert remainder <= majorant, A
 
     def test_zeta_majorant_sound(self, monkeypatch):
-        # completed_zeta certifies with its own summands: record the loop's
+        # completed_zeta certifies with its own summands: record the sum's
         # inputs and result, then compare the majorant at the certified
         # radius with the terms over (r, 2r] plus the box majorant beyond 2r
         H = sys.modules["latcrit.height"]
-        real = H._certified_sum
-        runs = []
-
-        def recording(A, cutoff, bounds, sums, what):
-            out = real(A, cutoff, bounds, sums, what)
-            runs.append((A, cutoff, bounds, out))
-            return out
-
-        monkeypatch.setattr(H, "_certified_sum", recording)
-        cases = [(A2.to_float(), 1.7), (SKEWED, 0.8), (SKEWED, -0.6),
-                 (normalized_to_det1(D4), 1.2), (3.0 * A3.to_float(), 2.5)]
-        for A, s in cases:
+        runs = _record_certified_sums(monkeypatch)
+        for A, s in ZETA_CASES:
             completed_zeta(A, s)
-        for (A, s), (_, cutoff, bounds, (_, tail, fv, _)) in zip(cases, runs):
+        for (A, s), (_, cutoff, bounds, (_, tail, fv)) in zip(ZETA_CASES, runs):
             n = A.shape[0]
             Ainv = np.linalg.inv(A)
             grid = H._grid(A, 0.5 * (Ainv + Ainv.T), cutoff / math.pi)

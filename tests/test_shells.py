@@ -59,7 +59,8 @@ class TestExamples:
         # transcript counts one vector per antipodal pair
         q = load_catalog().by_name("ste10a").gram
         spec = enumerate_layers(q, 10)
-        assert 1 not in spec.norms() and 2 not in spec.norms()
+        norms = [lay.norm for lay in spec.layers]
+        assert 1 not in norms and 2 not in norms
         pairs = [(int(m), c // 2) for m, c in layer_cardinalities(spec)]
         assert pairs == [(3, 10), (4, 15), (5, 12), (6, 30), (7, 30),
                          (8, 30), (9, 60), (10, 72)]
@@ -170,7 +171,7 @@ class TestInvariants:
 
     def test_norms_strictly_increasing(self):
         spec = enumerate_layers(load_catalog().by_name("std6").gram, 20)
-        norms = spec.norms()
+        norms = [lay.norm for lay in spec.layers]
         assert all(a < b for a, b in zip(norms, norms[1:]))
 
 
@@ -200,7 +201,7 @@ class TestStreaming:
         q = load_catalog().by_name("stc10").gram
         spec = enumerate_layers(q, 12)
         moments = layer_moments(q, 12)
-        assert set(moments) == set(spec.norms())
+        assert set(moments) == {lay.norm for lay in spec.layers}
         for lay in spec.layers:
             cnt, S = moments[lay.norm]
             assert cnt == lay.cardinality
