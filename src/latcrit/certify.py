@@ -9,16 +9,17 @@ holds for forms with a character (Sturm 1987), makes it vanish once its
 order at infinity exceeds k [SL_2(Z) : Gamma_0(N)] / 12; a layer is a
 2-design exactly when the coefficients of every such P vanish on it.  So
 every layer with (x.x) <= 2B is tested, B = ``sturm_bound(k, N)``, and a
-pass proves every layer.  Each layer is decided by
-``design.two_design_verdict`` on streamed second moments.
+pass proves every layer.  A pass at a smaller bound, which the caller may
+ask for, proves only the layers it tested: it is inconclusive.  Each layer
+is decided by ``design.two_design_verdict`` on streamed second moments.
 
 Odd lattices are doubled (a homothety, harmless to the design structure).
 Odd dimensions take their horizon from the form plus an orthogonal A1
 summand: its generating function is the form's times A1's, a series with
 constant term 1, so vanishing transfers back.  The report names its
 premises: the group, the character's discriminant D of the (augmented)
-working form, the weight and the bound, and how many nonempty layers the
-certificate actually tested (``vacuous`` when none).
+working form, the weight, the bound tested and the horizon, and how many
+nonempty layers the certificate actually tested (``vacuous`` when none).
 """
 
 from __future__ import annotations
@@ -89,7 +90,9 @@ class FullyCriticalReport:
     ``failure_norm`` is in the same normalization; the working even form's
     norm is twice it when ``doubled`` is set.  The horizon's premises are
     the group Gamma_0(level), the character's discriminant ``character_D``
-    and ``weight``; ``layers_tested`` counts the nonempty layers behind the
+    and ``weight``, whose Sturm bound is ``horizon_B``; ``bound_B`` is the
+    bound tested, and only a pass with ``bound_B >= horizon_B`` is fully
+    critical.  ``layers_tested`` counts the nonempty layers behind the
     verdict, and a fully-critical verdict that tested none is ``vacuous``.
     """
 
@@ -99,6 +102,7 @@ class FullyCriticalReport:
     level: int
     weight: int
     bound_B: int
+    horizon_B: int
     character_D: int
     per_layer: tuple[DesignVerdict, ...]  # nonempty layers, pair convention
     cardinalities: tuple[tuple[Fraction, int], ...]  # antipodal pair counts
@@ -135,6 +139,7 @@ class FullyCriticalReport:
             "character_D": self.character_D,
             "weight": self.weight,
             "bound_B": self.bound_B,
+            "horizon_B": self.horizon_B,
             "layers_tested": self.layers_tested,
             "vacuous": self.vacuous,
             "verdict": self.verdict_text,
@@ -162,8 +167,9 @@ def fully_critical(
     form up to (x.x) = 2B with B the Gamma_0 Sturm bound, or
     ``override_bound`` when supplied (e.g. the catalogue's reference N, to
     reproduce its transcripts).  A failed layer is a definitive refutation;
-    an exhausted enumeration budget is reported as inconclusive with the
-    largest certified bound, never as a failure.
+    an exhausted enumeration budget, or an override below the Sturm bound,
+    is reported as inconclusive with the largest certified bound, never as
+    a failure.
     """
     desc = L if isinstance(L, LatticeDescriptor) else LatticeDescriptor(gram=L, name=L.name)
     Q = desc.gram
@@ -180,7 +186,8 @@ def fully_critical(
     weight = form.n // 2 + 2
     D = (-1) ** (form.n // 2) * int(determinant(form))
 
-    B = int(override_bound) if override_bound is not None else sturm_bound(weight, lvl)
+    horizon = sturm_bound(weight, lvl)
+    B = int(override_bound) if override_bound is not None else horizon
     if B < 1:
         raise ValueError("certification bound must be positive")
 
@@ -216,10 +223,14 @@ def fully_critical(
     certified = Fraction(bound, s)
     if failure_norm is not None:
         verdict = VERDICT_FAILURE
-    elif bound == 2 * B:
+    elif bound == 2 * B and B >= horizon:
         verdict = VERDICT_CRITICAL
     else:
         verdict = VERDICT_INCONCLUSIVE
+        if B < horizon:
+            below = (f"only layers (x,x) <= {certified} checked; "
+                     f"the Gamma0({lvl}) Sturm horizon needs B = {horizon}")
+            note = f"{note}; {below}" if note else below
 
     return FullyCriticalReport(
         input=desc,
@@ -228,6 +239,7 @@ def fully_critical(
         level=lvl,
         weight=weight,
         bound_B=B,
+        horizon_B=horizon,
         character_D=D,
         per_layer=tuple(per_layer),
         cardinalities=tuple(cards),
@@ -248,8 +260,9 @@ def conjecture_probe(
 
     A (True, False) outcome would contradict the expectation that 2-designs
     on the first two layers propagate to all layers; callers should surface
-    such a hit loudly.  A run whose range was cut by the enumeration budget
-    tested fewer layers but refuted nothing, so it counts as (.., True).
+    such a hit loudly.  A run whose range was cut by the enumeration budget,
+    or set below the horizon, tested fewer layers but refuted nothing, so it
+    counts as (.., True).
     """
     rep = fully_critical(L, override_bound, max_vectors=max_vectors)
     first_two = all(v.is_design for v in rep.per_layer[:2])

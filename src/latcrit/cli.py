@@ -202,6 +202,7 @@ def _transcript(report: FullyCriticalReport) -> str:
     lines = [
         f"{report.input.name or 'input'}: {report.group} with character D = "
         f"{report.character_D}, weight {report.weight}, bound B = {report.bound_B}, "
+        f"horizon B = {report.horizon_B}, "
         f"{report.layers_tested} nonempty layers tested"
         + (" (vacuous)" if report.vacuous else "")
         + (" (doubled)" if report.doubled else "")
@@ -239,7 +240,8 @@ def _cmd_fully_critical(args) -> int:
     rep = fully_critical(desc, override, max_vectors=args.max_vectors)
     run = RunReport("fully-critical", _input_dict(desc), rep.to_dict(),
                     time.time() - t0,
-                    {"bound_B": rep.bound_B, "certified_upto": str(rep.certified_upto)},
+                    {"bound_B": rep.bound_B, "horizon_B": rep.horizon_B,
+                     "certified_upto": str(rep.certified_upto)},
                     __version__)
     _emit(args, run, _transcript(rep))
     if rep.verdict == VERDICT_CRITICAL:
@@ -362,7 +364,8 @@ def _cmd_probe(args) -> int:
         # the same pair conjecture_probe returns, plus the verdict behind it
         first_two = all(v.is_design for v in rep.per_layer[:2])
         rows.append({"name": desc.name, "first_two_designs": first_two,
-                     "verdict": rep.verdict_text, "bound_B": rep.bound_B})
+                     "verdict": rep.verdict_text, "bound_B": rep.bound_B,
+                     "horizon_B": rep.horizon_B})
         lines.append(f"{desc.name}: first_two={first_two} verdict={rep.verdict_text}")
         if first_two and rep.verdict == VERDICT_FAILURE:
             hits.append(desc.name)

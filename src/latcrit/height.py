@@ -16,8 +16,13 @@ majorants against the real tolerance stays as the guard of record: it raises
 ``TruncationError``, as when the radius is capped below the one the
 tolerances need.  ``height`` takes F, its gradient and the stationarity
 residual from the same collection, the gradient's weight derived from F's
-summand by the incomplete-gamma recurrence.  Each sum costs one array call
-of ``upper_gamma`` over its vectors, and each side one more over the grid.
+summand by the incomplete-gamma recurrence.  Special functions run once per
+distinct argument: a summand depends only on its vector's norm, so it is
+evaluated once per run of equal norms (``_per_run``), and the grid radii do
+not depend on the form, so Gamma(a, pi t) on them is cached per (a, first
+radius) and only the basis lanes are evaluated per call.  ``upper_gamma``
+acts lane by lane, so every per-vector array, and every sum, is bit for bit
+what one call over all vectors gives.
 Tails are majorants: points in an annulus are counted by volume, through a
 fundamental domain of bounded diameter, and summed by parts against the
 monotone summands, so the reported tail estimate is a true upper bound.
@@ -26,6 +31,7 @@ Fixed enumeration order keeps reports bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,9 +95,10 @@ def _annulus_counts(Q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarra
 class _Grid:
     """Candidate radii t, from the smallest radius tried to pi t >= _GRID_X_END.
 
-    A summand is evaluated on both sides in one array call each, at
-    ``x_form`` = pi (t, diag A) and ``x_dual`` = pi (t, diag A^-1): the grid
-    part gives its majorant, the basis part a lower bound on its sum.
+    A summand is evaluated on both sides at ``x_form`` = pi (t, diag A) and
+    ``x_dual`` = pi (t, diag A^-1): the grid part gives its majorant, the
+    basis part a lower bound on its sum.  Its incomplete gamma comes from
+    ``gamma``, which reads the grid part from a cache shared by every form.
     """
 
     A: np.ndarray
@@ -122,19 +129,48 @@ class _Grid:
             total[:-1] += (outer[1:] - inner[:-1]) * g[:-1] + later
         return total
 
+    def gamma(self, a: float, x: np.ndarray) -> np.ndarray:
+        """Gamma(a, x) at ``x_form`` or ``x_dual``: cached on the radii, evaluated on the basis."""
+        K = len(self.t)
+        return np.concatenate([_radius_gamma(a, float(self.t[0])), upper_gamma(a, x[K:])])
+
     def basis_sum(self, g_form: np.ndarray, g_dual: np.ndarray) -> float:
         """Sum of g over the basis vectors of both sides and their negatives."""
         K = len(self.t)
         return 2.0 * float(np.sum(g_form[K:]) + np.sum(g_dual[K:]))
 
 
-def _grid(A: np.ndarray, Ainv: np.ndarray, r0: float) -> _Grid:
+def _radii(r0: float) -> np.ndarray:
     k = math.ceil(math.log(max(_GRID_X_END / (math.pi * r0), _GRID_RATIO)) / math.log(_GRID_RATIO))
-    t = r0 * _GRID_RATIO ** np.arange(k + 1.0)
+    return r0 * _GRID_RATIO ** np.arange(k + 1.0)
+
+
+@functools.lru_cache(maxsize=32)
+def _radius_gamma(a: float, r0: float) -> np.ndarray:
+    """Gamma(a, pi t) on the radii from r0, which are the same for every form (read-only)."""
+    g = upper_gamma(a, math.pi * _radii(r0))
+    g.flags.writeable = False
+    return g
+
+
+def _grid(A: np.ndarray, Ainv: np.ndarray, r0: float) -> _Grid:
+    t = _radii(r0)
     return _Grid(A=A, Ainv=Ainv, t=t,
                  x_form=math.pi * np.concatenate([t, np.diag(A)]),
                  x_dual=math.pi * np.concatenate([t, np.diag(Ainv)]),
                  counts=(_annulus_counts(A, t), _annulus_counts(Ainv, t)))
+
+
+def _per_run(g, norms: np.ndarray, *same: np.ndarray) -> np.ndarray:
+    """g(norms, *same), with g evaluated once per run of bit-equal norms.
+
+    ``same`` are arrays that are constant on those runs.  g must act lane by
+    lane, as numpy's arithmetic and ``upper_gamma`` do, so the result is bit
+    for bit g over every lane; on sorted norms each distinct value is one run.
+    """
+    heads = np.flatnonzero(np.diff(norms, prepend=np.nan))
+    vals = g(norms[heads], *(a[heads] for a in same))
+    return np.repeat(vals, np.diff(heads, append=norms.size))
 
 
 @dataclass(frozen=True)
@@ -156,9 +192,10 @@ def _certified_sum(A: np.ndarray, cutoff: float, bounds, sums, what: str):
     grid radius in [cutoff/pi, cutoff/pi * _RADIUS_CAP] where every
     majorant meets its a-priori tolerance, or that cap when none does.  The
     vectors of norm <= radius of the form and of its inverse are collected
-    once each and handed to ``sums``, which returns (value, tolerance per
-    quantity).  The majorants at the radius must meet those tolerances, or
-    TruncationError is raised.
+    once each, sorted by norm, and handed to ``sums``, which returns (value,
+    tolerance per quantity) and evaluates its summands once per distinct
+    norm through ``_per_run``.  The majorants at the radius must meet those
+    tolerances, or TruncationError is raised.
     """
     if not (cutoff > 0 and math.isfinite(cutoff)):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
@@ -201,15 +238,17 @@ def completed_zeta(Q, s: float, *, cutoff: float = DEFAULT_CUTOFF) -> float:
     if abs(s) < 1e-12:
         raise ZetaPoleError("s = 0 is handled by the height path")
     detA = float(np.linalg.det(A))
-    g1 = lambda x: x ** (-s) * upper_gamma(s, x)
-    g2 = lambda x: detA ** (-0.5) * x ** (-(n / 2 - s)) * upper_gamma(n / 2 - s, x)
+    g1 = lambda x, gamma: x ** (-s) * gamma(s, x)
+    g2 = lambda x, gamma: detA ** (-0.5) * x ** (-(n / 2 - s)) * gamma(n / 2 - s, x)
 
     def bounds(grid: _Grid):
-        gf, gd = g1(grid.x_form), g2(grid.x_dual)
+        gf, gd = g1(grid.x_form, grid.gamma), g2(grid.x_dual, grid.gamma)
         return [(grid.majorant(gf, gd), TAIL_REL * grid.basis_sum(gf, gd))]
 
     def sums(fv: _FormVectors):
-        body = 2.0 * float(np.sum(g1(math.pi * fv.norms)) + np.sum(g2(math.pi * fv.dual_norms)))
+        form = _per_run(lambda c: g1(math.pi * c, upper_gamma), fv.norms)
+        dual = _per_run(lambda b: g2(math.pi * b, upper_gamma), fv.dual_norms)
+        body = 2.0 * float(np.sum(form) + np.sum(dual))
         return body, (TAIL_REL * max(abs(body), 1e-30),)
 
     body = _certified_sum(A, cutoff, bounds, sums, "completed zeta")[0]
@@ -228,9 +267,12 @@ def epstein_zeta(Q, s: float, *, cutoff: float = DEFAULT_CUTOFF) -> float:
     return math.pi ** s / math.gamma(s) * rhs
 
 
-def _main_summand(n: int, x: np.ndarray) -> np.ndarray:
-    """F's summand on the form side: f = x^{-n/2} Gamma(n/2, x) at x = pi A[m]."""
-    return x ** (-n / 2) * upper_gamma(n / 2, x)
+def _main_summand(n: int, x: np.ndarray, gamma=None) -> np.ndarray:
+    """F's summand on the form side: f = x^{-n/2} Gamma(n/2, x) at x = pi A[m].
+
+    ``gamma`` evaluates Gamma(a, x): ``upper_gamma`` unless a grid's is given.
+    """
+    return x ** (-n / 2) * (gamma or upper_gamma)(n / 2, x)
 
 
 def _gradient_weight(n: int, xs: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -251,8 +293,8 @@ def _height_bounds(grid: _Grid):
     psi1(c) c lam and psi2(b) |A^-1 y|^2 <= exp(-pi b) lam, both decreasing.
     """
     n = grid.A.shape[0]
-    f = _main_summand(n, grid.x_form)
-    e = upper_gamma(0.0, grid.x_dual)
+    f = _main_summand(n, grid.x_form, grid.gamma)
+    e = grid.gamma(0.0, grid.x_dual)
     lam = _norm_factor(grid.Ainv)
     grad_form = _gradient_weight(n, grid.x_form, f) * grid.x_form / math.pi * lam
     grad_dual = np.exp(-grid.x_dual) * lam
@@ -262,7 +304,8 @@ def _height_bounds(grid: _Grid):
 
 def _F_sum(fv: _FormVectors, f: np.ndarray) -> tuple[float, float]:
     """(F value, its tolerance TAIL_REL |F|) from the main summands f."""
-    F = 2.0 * float(np.sum(f)) + 2.0 * float(np.sum(upper_gamma(0.0, math.pi * fv.dual_norms)))
+    e = _per_run(lambda b: upper_gamma(0.0, math.pi * b), fv.dual_norms)
+    F = 2.0 * float(np.sum(f)) + 2.0 * float(np.sum(e))
     return F, TAIL_REL * max(abs(F), 1e-30)
 
 
@@ -274,13 +317,14 @@ def _grad_sum(fv: _FormVectors, f: np.ndarray) -> tuple[np.ndarray, float]:
     (Q^-1 m)(Q^-1 m)^t over the dual's, with
     psi1(c) = pi (pi c)^{-(n/2+1)} Gamma(n/2+1, pi c) and
     psi2(b) = exp(-pi b)/b.  Equivariant under unimodular changes of basis.
+    Both weights are evaluated once per run of equal norms (f is constant
+    on them).
     """
     n = fv.A.shape[0]
-    w1 = _gradient_weight(n, math.pi * fv.norms, f)
+    w1 = _per_run(lambda c, fc: _gradient_weight(n, math.pi * c, fc), fv.norms, f)
     V = fv.half.astype(float)
     T1 = 2.0 * ((V * w1[:, None]).T @ V)
-    b = fv.dual_norms
-    w2 = np.exp(-math.pi * b) / b
+    w2 = _per_run(lambda b: np.exp(-math.pi * b) / b, fv.dual_norms)
     W = fv.dual_half.astype(float) @ fv.Ainv
     T2 = 2.0 * ((W * w2[:, None]).T @ W)
     G = -T1 + T2
@@ -342,7 +386,7 @@ def height(L, *, cutoff: float = DEFAULT_CUTOFF) -> HeightReport:
     A = _det1_form(L)
 
     def sums(fv: _FormVectors):
-        f = _main_summand(A.shape[0], math.pi * fv.norms)
+        f = _per_run(lambda c: _main_summand(A.shape[0], math.pi * c), fv.norms)
         F, ftol = _F_sum(fv, f)
         G, gtol = _grad_sum(fv, f)
         return (F, G), (ftol, gtol)

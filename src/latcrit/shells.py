@@ -363,7 +363,9 @@ def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[np.ndarray, np.nd
     Used by the analytic (floating-point) code paths, where a relative 1e-9
     slack at the boundary is harmless.  Returns (X, norms), one
     representative per antipodal pair, sorted by norm; vectors of equal norm
-    keep the walk's order, which does not depend on the bound.
+    keep the walk's order, which does not depend on the bound.  Equal float
+    norms are therefore adjacent, and the height evaluates its summands once
+    per such run.
     """
     Qf = np.asarray(Qf, dtype=float)
     L = np.linalg.cholesky(Qf)
@@ -375,7 +377,8 @@ def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[np.ndarray, np.nd
     Xf = X.astype(float)
     norms = ((Xf @ Qf) * Xf).sum(1)
     mask = norms <= bound * (1 + 1e-9) + 1e-9
-    X, norms = X[mask], norms[mask]
+    if not mask.all():
+        X, norms = X[mask], norms[mask]
     order = np.argsort(norms, kind="stable")
     return X[order], norms[order]
 

@@ -10,7 +10,9 @@ classical evaluation regimes; each is exercised against quadrature and
 mpmath in the tests.  Every lane runs the scalar recurrence of its regime
 and stops at its own convergence test; converged lanes are compressed out
 of the working arrays, so a lane's value does not depend on the other lanes
-in the call.
+in the call.  ``height`` relies on this: it evaluates each distinct norm
+once and caches the grid radii's values across calls, and its sums are
+still bit for bit those of one call over every vector.
 """
 
 from __future__ import annotations

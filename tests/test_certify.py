@@ -211,6 +211,22 @@ class TestFullyCritical:
                 qq = transform_gram(q, random_unimodular(q.n, rng))
                 assert fully_critical(qq).verdict == base
 
+    def test_below_the_horizon_is_inconclusive(self):
+        # ste15a's Gamma0(20) horizon is B = 15: a pass at B = 5 proves only
+        # its layers; one at the horizon or above certifies the lattice
+        e = load_catalog().by_name("ste15a")
+        low = fully_critical(e, 5)
+        assert (low.bound_B, low.horizon_B) == (5, 15)
+        assert low.verdict == VERDICT_INCONCLUSIVE
+        assert all(v.is_design for v in low.per_layer) and low.layers_tested == 4
+        assert low.certified_upto == 10
+        assert "(x,x) <= 10" in low.note and "B = 15" in low.note
+        assert low.to_dict()["horizon_B"] == 15
+        for B in (15, 16):
+            assert fully_critical(e, B).verdict == VERDICT_CRITICAL
+        # a refuted layer below the horizon is still a refutation
+        assert fully_critical(GramMatrix([[2, 0], [0, 4]]), 1).verdict == VERDICT_FAILURE
+
     def test_rejects_non_integral(self):
         with pytest.raises(ValueError):
             fully_critical(GramMatrix([["1/2", 0], [0, 1]]))
@@ -261,6 +277,13 @@ def integral_dual(Q: GramMatrix) -> GramMatrix:
     return GramMatrix([[v / content for v in row] for row in adj])
 
 
+def level_dual(Q: GramMatrix) -> GramMatrix:
+    """N W^{-1} for the working even form W (Q, or 2Q when Q is odd) of level N."""
+    work = Q if is_even(Q) else double(Q)
+    N = level(work)
+    return GramMatrix([[N * v for v in row] for row in gram_inverse(work).entries])
+
+
 class TestDuality:
     def test_dual_descriptor_integral_and_reduced(self):
         # det(Q) Q^{-1} is the adjugate, integral for every integral Q
@@ -276,6 +299,30 @@ class TestDuality:
     def test_self_dual_z2(self):
         q = load_catalog().by_name("sta2").gram
         assert integral_dual(q).entries == q.entries
+
+    # Poisson summation maps theta_{L,P} to theta_{L*,P} under tau -> -1/tau
+    # for every harmonic P of degree 2, so a lattice is fully critical
+    # exactly when its dual is.  The level-N dual N Q^-1 of the working even
+    # form is even and integral, with its own level, weight and horizon.
+
+    def test_catalogue_verdicts_match_their_level_duals(self):
+        for e in load_catalog().entries:
+            rep = fully_critical(e)
+            assert rep.verdict == VERDICT_CRITICAL, e.name
+            dual = level_dual(e.gram)
+            assert is_even(dual), e.name
+            assert fully_critical(dual).verdict == rep.verdict, e.name
+
+    def test_random_verdicts_match_their_level_duals(self):
+        # the seeded forms of test_gamma0_certificates_hold_at_gamma1
+        rng = np.random.default_rng(2026)
+        verdicts = {VERDICT_CRITICAL: 0, VERDICT_FAILURE: 0}
+        for k in range(120):
+            q = _random_integral_spd(2 + k % 4, rng)
+            rep = fully_critical(q)
+            verdicts[rep.verdict] += 1
+            assert fully_critical(level_dual(q)).verdict == rep.verdict, q.entries
+        assert verdicts == {VERDICT_CRITICAL: 9, VERDICT_FAILURE: 111}
 
 
 class TestConjectureProbe:

@@ -54,7 +54,7 @@ class TestFullyCritical:
         assert rc == 0
         assert out.splitlines()[0] == (
             "ste27: Gamma0(3) with character D = -243, weight 5, bound B = 1, "
-            "0 nonempty layers tested (vacuous)")
+            "horizon B = 1, 0 nonempty layers tested (vacuous)")
 
     def test_budget_inconclusive_exit_code(self, capsys):
         rc = main(["fully-critical", "--name", "ste10a", "--bound", "60",
@@ -62,6 +62,18 @@ class TestFullyCritical:
         out = capsys.readouterr().out
         assert rc == 2
         assert "inconclusive" in out
+
+    def test_below_the_horizon_exits_inconclusive(self, capsys):
+        rc = main(["fully-critical", "--name", "ste15a", "--bound", "5", "--format", "json"])
+        rep = RunReport.from_json(capsys.readouterr().out)
+        assert rc == 2
+        assert rep.outcome["verdict"] == "inconclusive"
+        assert (rep.outcome["bound_B"], rep.outcome["horizon_B"]) == (5, 15)
+        assert rep.truncation["horizon_B"] == 15
+        rc = main(["fully-critical", "--name", "ste15a"])
+        assert rc == 0
+        assert "bound B = 15, horizon B = 15, 14 nonempty layers tested" in (
+            capsys.readouterr().out)
 
     def test_json_format(self, capsys):
         rc = main(["fully-critical", "--name", "sta3", "--format", "json"])
@@ -258,15 +270,16 @@ class TestProbe:
 
     def test_gram_input_is_probed_at_its_horizon(self, tmp_path, capsys):
         # a --gram copy has no reference N: the Gamma0(20) Sturm bound of
-        # ste15a is 15, and --bound still overrides it
+        # ste15a is 15; a --bound below it proves nothing beyond its layers
         path = tmp_path / "ste15a.json"
         path.write_text(gram_json(load_catalog().by_name("ste15a").gram), encoding="utf-8")
-        for extra, B in (([], 15), (["--bound", "4"], 4)):
+        for extra, B, code, verdict in (([], 15, 0, "fully-critical"),
+                                        (["--bound", "4"], 4, 2, "inconclusive")):
             rc = main(["probe-conjecture", "--gram", str(path), "--format", "json"] + extra)
             [row] = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
-            assert rc == 0
-            assert row["bound_B"] == B
-            assert row["verdict"] == "fully-critical"
+            assert rc == code
+            assert (row["bound_B"], row["horizon_B"]) == (B, 15)
+            assert row["verdict"] == verdict
 
     def test_random_forms(self, capsys):
         rc = main(["probe-conjecture", "--random", "5", "--dims", "2,3",

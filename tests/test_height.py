@@ -398,6 +398,60 @@ class TestOneLatticeSumLoop:
             assert abs(wx - ref) <= 1e-14 * ref, (n, x)
 
 
+class TestOncePerValue:
+    @pytest.mark.parametrize("norms", [
+        np.array([]), np.array([2.5]), np.array([1.0, 1.0, 2.0, 2.0, 2.0, 3.5]),
+        np.array([3.0, 1.0, 3.0, 3.0, 0.25, 1.0, 1.0]),
+        np.repeat(np.random.default_rng(7).uniform(0.1, 30.0, 40), 3)],
+        ids=["empty", "one", "sorted", "unsorted", "duplicated"])
+    def test_per_run_is_elementwise_bit_for_bit(self, norms):
+        H = sys.modules["latcrit.height"]
+        g = lambda c: H._main_summand(3, math.pi * c)
+        assert np.array_equal(H._per_run(g, norms), g(norms))
+        e = lambda c, f: H._gradient_weight(3, math.pi * c, f)
+        f = g(norms)
+        assert np.array_equal(H._per_run(e, norms, f), e(norms, f))
+
+    def test_reports_match_with_a_cleared_and_a_warm_cache(self):
+        H = sys.modules["latcrit.height"]
+        forms = [load_catalog().by_name(name).gram for name in ("sta3", "stc12", "std5b")]
+        forms += [gram_inverse(forms[1]), SKEWED]
+        H._radius_gamma.cache_clear()
+        cold = [repr(height(q).to_dict()) for q in forms]
+        zeta_cold = [completed_zeta(A, s) for A, s in ZETA_CASES]
+        assert H._radius_gamma.cache_info().currsize > 0
+        assert [repr(height(q).to_dict()) for q in forms] == cold
+        assert [completed_zeta(A, s) for A, s in ZETA_CASES] == zeta_cold
+
+    def test_cached_grid_values_are_read_only(self):
+        H = sys.modules["latcrit.height"]
+        height(A3)
+        g = H._radius_gamma(1.5, H.DEFAULT_CUTOFF / math.pi)
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0] = 0.0
+        assert np.array_equal(g, upper_gamma(1.5, math.pi * H._radii(H.DEFAULT_CUTOFF / math.pi)))
+
+    def test_warm_sweep_evaluates_each_distinct_norm_once(self, monkeypatch):
+        # 765,092 vectors on 5,608 distinct float norms, plus the basis lanes
+        # of the grids; the radius lanes come from the cache, which fills
+        # through the module attribute once per order (n/2 for n = 2..7, and 0)
+        H = sys.modules["latcrit.height"]
+        entries = load_catalog().entries
+        lanes = []
+        real = H.upper_gamma
+        monkeypatch.setattr(H, "upper_gamma", lambda a, x: lanes.append(np.size(x)) or real(a, x))
+        H._radius_gamma.cache_clear()
+        for e in entries:
+            height(e)
+        assert len(lanes) == 4 * len(entries) + 7
+        lanes.clear()
+        for e in entries:
+            height(e)
+        assert len(lanes) == 4 * len(entries)
+        assert sum(lanes) <= 6100
+
+
 def _random_forms():
     """Seeded SPD forms in dims 2-7, one plain and one skewed by diag(e^(+-2)) per dimension."""
     rng = np.random.default_rng(2026)
