@@ -118,6 +118,11 @@ class FullyCriticalReport:
         return self.verdict
 
     @property
+    def first_two_designs(self) -> bool:
+        """The first two tested layers (or as many as were tested) are 2-designs."""
+        return all(v.is_design for v in self.per_layer[:2])
+
+    @property
     def group(self) -> str:
         return f"Gamma0({self.level})"
 
@@ -265,5 +270,4 @@ def conjecture_probe(
     counts as (.., True).
     """
     rep = fully_critical(L, override_bound, max_vectors=max_vectors)
-    first_two = all(v.is_design for v in rep.per_layer[:2])
-    return first_two, rep.verdict != VERDICT_FAILURE
+    return rep.first_two_designs, rep.verdict != VERDICT_FAILURE

@@ -361,8 +361,7 @@ def _cmd_probe(args) -> int:
             lines.append(f"{desc.name}: inconclusive ({exc})")
             inconclusive += 1
             continue
-        # the same pair conjecture_probe returns, plus the verdict behind it
-        first_two = all(v.is_design for v in rep.per_layer[:2])
+        first_two = rep.first_two_designs
         rows.append({"name": desc.name, "first_two_designs": first_two,
                      "verdict": rep.verdict_text, "bound_B": rep.bound_B,
                      "horizon_B": rep.horizon_B})

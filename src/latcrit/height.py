@@ -8,21 +8,22 @@ invariant F on the determinant-1 manifold.  All sums go through one
 evaluation, ``_certified_sum``.  Before it enumerates anything it evaluates
 the tail majorants of every sum at each radius of a geometric grid and picks
 the first radius where they meet an a-priori tolerance: 1e-13 times a lower
-bound on the sum (its terms are positive, so the basis vectors' terms are
-one), or the gradient's absolute floor.  Neither exceeds the real tolerance
-(1e-13 times the sum, plus that floor for the gradient), so the form and its
-inverse are enumerated once each at that radius.  The check of the same
-majorants against the real tolerance stays as the guard of record: it raises
-``TruncationError``, as when the radius is capped below the one the
-tolerances need.  ``height`` takes F, its gradient and the stationarity
+bound on the sum (its terms are positive, so the basis vectors' terms bound
+it, and a closed-form floor from the incomplete-gamma recurrence bounds
+those), or the gradient's absolute floor.  Neither exceeds the real
+tolerance (1e-13 times the sum, plus that floor for the gradient), so the
+form and its inverse are enumerated once each at that radius.  The check of
+the same majorants against the real tolerance stays as the guard of record:
+it raises ``TruncationError``, as when the radius is capped below the one
+the tolerances need.  ``height`` takes F, its gradient and the stationarity
 residual from the same collection, the gradient's weight derived from F's
 summand by the incomplete-gamma recurrence.  Special functions run once per
-distinct argument: a summand depends only on its vector's norm, so it is
-evaluated once per run of equal norms (``_per_run``), and the grid radii do
-not depend on the form, so Gamma(a, pi t) on them is cached per (a, first
-radius) and only the basis lanes are evaluated per call.  ``upper_gamma``
-acts lane by lane, so every per-vector array, and every sum, is bit for bit
-what one call over all vectors gives.
+distinct argument: a summand depends only on its vector's norm, so each
+side's vectors are grouped into layers of bit-equal norm, a summand is
+evaluated once per layer and summed against the layer counts, and the
+gradient's weights are gathered back to the vectors through the layer
+index.  The grid radii do not depend on the form, so Gamma(a, pi t) on them
+is cached per (a, first radius).
 Tails are majorants: points in an annulus are counted by volume, through a
 fundamental domain of bounded diameter, and summed by parts against the
 monotone summands, so the reported tail estimate is a true upper bound.
@@ -48,6 +49,7 @@ EULER_GAMMA = float(np.euler_gamma)
 _GRID_RATIO = 1.01   # candidate radii cutoff/pi * 1.01^k
 _GRID_X_END = 800.0  # the grid runs on to pi * t >= 800, where every summand underflows
 _RADIUS_CAP = 1.35 ** 9  # largest radius chosen: cutoff/pi * _RADIUS_CAP
+_FLOOR_DEPTH = 8  # continued-fraction levels of the basis terms' floor (_gamma_floor)
 
 
 class TruncationError(RuntimeError):
@@ -91,14 +93,46 @@ def _annulus_counts(Q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return unit * (s + mu) ** n, unit * np.maximum(s - mu, 0.0) ** n
 
 
+def _gamma_floor(a: float, x: np.ndarray) -> np.ndarray:
+    """A lower bound on x^{-a} Gamma(a, x) for real a and x > 0, exact at integer a >= 1.
+
+    Integration by parts, Gamma(c, x) = x^{c-1} e^{-x} + (c - 1) Gamma(c - 1, x),
+    run from c = a while c > 1 down to the order b = a - k <= 1, gives
+        x^{-a} Gamma(a, x) = e^{-x}/x sum_{j<k} c_j x^{-j} + c_k x^{-a} Gamma(b, x)
+    with c_j = (a - 1)(a - 2)...(a - j) > 0.  At b = 1, Gamma(1, x) = e^{-x}.
+    For b < 1, x^{-b} e^x Gamma(b, x) = int_0^oo (1 + v)^{b-1} e^{-xv} dv is
+    the integral of 1/(x + t) against the Laguerre weight t^{-b} e^{-t} /
+    Gamma(1 - b), and the m-point Gauss-Laguerre rule undershoots it (the
+    2m-th t-derivative of 1/(x + t) is positive).  That rule is the m-th
+    convergent 1/D_0 of Legendre's continued fraction,
+        D_{m-1} = x + 2m - 1 - b,  D_{k-1} = x + 2k - 1 - b - k (k - b) / D_k,
+    a lower bound that rises with m; m = 1 gives 1/(x + 1 - b).  Below b = 1
+    the bound can be tighter than the float evaluation's rounding (under
+    1e-15 relative against mpmath for a in [-3.5, 7.5], x in [0.05, 700]),
+    so there the result is lowered by 2e-15 relative.
+    """
+    total = np.zeros_like(x)
+    term = np.ones_like(x)  # c_j x^{-j}
+    b = a
+    while b > 1:
+        total += term
+        term = term * ((b - 1) / x)
+        b -= 1
+    D = x + (2 * _FLOOR_DEPTH - 1 - b)
+    for k in range(_FLOOR_DEPTH - 1, 0, -1):
+        D = x + (2 * k - 1 - b) - k * (k - b) / D
+    total += term * (x / D)  # x^{1-b} e^x Gamma(b, x) from below, exactly 1 at b = 1
+    return np.exp(-x) / x * total * (1.0 if b == 1 else 1.0 - 2e-15)
+
+
 @dataclass(frozen=True, eq=False)
 class _Grid:
     """Candidate radii t, from the smallest radius tried to pi t >= _GRID_X_END.
 
-    A summand is evaluated on both sides at ``x_form`` = pi (t, diag A) and
-    ``x_dual`` = pi (t, diag A^-1): the grid part gives its majorant, the
-    basis part a lower bound on its sum.  Its incomplete gamma comes from
-    ``gamma``, which reads the grid part from a cache shared by every form.
+    Each side's summand is evaluated at ``x_form`` = ``x_dual`` = pi t for
+    its majorant, with Gamma(a, pi t) from ``gamma``, which reads a cache
+    shared by every form.  ``basis_floor`` bounds a sum from below by its
+    basis vectors' terms without evaluating Gamma.
     """
 
     A: np.ndarray
@@ -129,15 +163,21 @@ class _Grid:
             total[:-1] += (outer[1:] - inner[:-1]) * g[:-1] + later
         return total
 
-    def gamma(self, a: float, x: np.ndarray) -> np.ndarray:
-        """Gamma(a, x) at ``x_form`` or ``x_dual``: cached on the radii, evaluated on the basis."""
-        K = len(self.t)
-        return np.concatenate([_radius_gamma(a, float(self.t[0])), upper_gamma(a, x[K:])])
+    def gamma(self, a: float) -> np.ndarray:
+        """Gamma(a, pi t) on the radii, from the cache."""
+        return _radius_gamma(a, float(self.t[0]))
 
-    def basis_sum(self, g_form: np.ndarray, g_dual: np.ndarray) -> float:
-        """Sum of g over the basis vectors of both sides and their negatives."""
-        K = len(self.t)
-        return 2.0 * float(np.sum(g_form[K:]) + np.sum(g_dual[K:]))
+    def basis_floor(self, a_form: float, a_dual: float, dual_scale: float = 1.0) -> float:
+        """Lower bound on the sums of x^{-a} Gamma(a, x), x = pi Q[m], over both sides.
+
+        The form's sum has order a_form and the dual's order a_dual, scaled
+        by dual_scale > 0.  Every term is positive, so the basis vectors and
+        their negatives, at x = pi diag A and pi diag A^-1, bound the sums
+        below, and ``_gamma_floor`` bounds each of their terms below.
+        """
+        xf, xd = math.pi * np.diag(self.A), math.pi * np.diag(self.Ainv)
+        return 2.0 * float(np.sum(_gamma_floor(a_form, xf))
+                           + dual_scale * np.sum(_gamma_floor(a_dual, xd)))
 
 
 def _radii(r0: float) -> np.ndarray:
@@ -155,33 +195,33 @@ def _radius_gamma(a: float, r0: float) -> np.ndarray:
 
 def _grid(A: np.ndarray, Ainv: np.ndarray, r0: float) -> _Grid:
     t = _radii(r0)
-    return _Grid(A=A, Ainv=Ainv, t=t,
-                 x_form=math.pi * np.concatenate([t, np.diag(A)]),
-                 x_dual=math.pi * np.concatenate([t, np.diag(Ainv)]),
+    x = math.pi * t
+    return _Grid(A=A, Ainv=Ainv, t=t, x_form=x, x_dual=x,
                  counts=(_annulus_counts(A, t), _annulus_counts(Ainv, t)))
 
 
-def _per_run(g, norms: np.ndarray, *same: np.ndarray) -> np.ndarray:
-    """g(norms, *same), with g evaluated once per run of bit-equal norms.
+@dataclass(frozen=True, eq=False)
+class _Layers:
+    """One side's half-set in walk order, grouped by bit-equal float norm."""
 
-    ``same`` are arrays that are constant on those runs.  g must act lane by
-    lane, as numpy's arithmetic and ``upper_gamma`` do, so the result is bit
-    for bit g over every lane; on sorted norms each distinct value is one run.
-    """
-    heads = np.flatnonzero(np.diff(norms, prepend=np.nan))
-    vals = g(norms[heads], *(a[heads] for a in same))
-    return np.repeat(vals, np.diff(heads, append=norms.size))
+    half: np.ndarray      # integer half-set, one vector per antipodal pair
+    distinct: np.ndarray  # its distinct norms, increasing
+    inverse: np.ndarray   # half[k] has norm distinct[inverse[k]]
+    counts: np.ndarray    # number of half-set vectors of each distinct norm
 
 
-@dataclass(frozen=True)
+def _layers(X: np.ndarray, norms: np.ndarray) -> _Layers:
+    distinct, inverse, counts = np.unique(norms, return_inverse=True, return_counts=True)
+    return _Layers(half=X, distinct=distinct, inverse=inverse, counts=counts)
+
+
+@dataclass(frozen=True, eq=False)
 class _FormVectors:
     A: np.ndarray
     Ainv: np.ndarray
-    half: np.ndarray       # integer half-set on the A side
-    norms: np.ndarray      # A[m] for the half-set
-    dual_half: np.ndarray  # integer half-set on the Ainv side
-    dual_norms: np.ndarray
-    radius: float          # both sides hold the vectors of norm <= radius
+    form: _Layers   # the half-set on the A side
+    dual: _Layers   # and on the Ainv side
+    radius: float   # both sides hold the vectors of norm <= radius
 
 
 def _certified_sum(A: np.ndarray, cutoff: float, bounds, sums, what: str):
@@ -192,10 +232,11 @@ def _certified_sum(A: np.ndarray, cutoff: float, bounds, sums, what: str):
     grid radius in [cutoff/pi, cutoff/pi * _RADIUS_CAP] where every
     majorant meets its a-priori tolerance, or that cap when none does.  The
     vectors of norm <= radius of the form and of its inverse are collected
-    once each, sorted by norm, and handed to ``sums``, which returns (value,
-    tolerance per quantity) and evaluates its summands once per distinct
-    norm through ``_per_run``.  The majorants at the radius must meet those
-    tolerances, or TruncationError is raised.
+    once each and grouped by norm into layers, which are handed to ``sums``;
+    it returns (value, tolerance per quantity), evaluating each summand once
+    per distinct norm and summing it against the layer counts.  The
+    majorants at the radius must meet those tolerances, or TruncationError
+    is raised.
     """
     if not (cutoff > 0 and math.isfinite(cutoff)):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
@@ -208,9 +249,8 @@ def _certified_sum(A: np.ndarray, cutoff: float, bounds, sums, what: str):
     M = np.array(majorants)
     fits = np.flatnonzero(np.all(M <= np.array(a_priori)[:, None], axis=0) & (grid.t <= top))
     radius = float(grid.t[fits[0]]) if fits.size else top
-    X, c = short_vectors_float(A, radius)
-    Y, b = short_vectors_float(Ainv, radius)
-    fv = _FormVectors(A=A, Ainv=Ainv, half=X, norms=c, dual_half=Y, dual_norms=b, radius=radius)
+    fv = _FormVectors(A=A, Ainv=Ainv, form=_layers(*short_vectors_float(A, radius)),
+                      dual=_layers(*short_vectors_float(Ainv, radius)), radius=radius)
     value, tolerances = sums(fv)
     tails = M[:, np.searchsorted(grid.t, radius, side="right") - 1]
     if not np.all(tails <= np.array(tolerances)):
@@ -238,17 +278,19 @@ def completed_zeta(Q, s: float, *, cutoff: float = DEFAULT_CUTOFF) -> float:
     if abs(s) < 1e-12:
         raise ZetaPoleError("s = 0 is handled by the height path")
     detA = float(np.linalg.det(A))
-    g1 = lambda x, gamma: x ** (-s) * gamma(s, x)
-    g2 = lambda x, gamma: detA ** (-0.5) * x ** (-(n / 2 - s)) * gamma(n / 2 - s, x)
+    a2 = n / 2 - s
+    # the summands, given x and Gamma of their order at x
+    g1 = lambda x, G: x ** (-s) * G
+    g2 = lambda x, G: detA ** (-0.5) * x ** (-a2) * G
 
     def bounds(grid: _Grid):
-        gf, gd = g1(grid.x_form, grid.gamma), g2(grid.x_dual, grid.gamma)
-        return [(grid.majorant(gf, gd), TAIL_REL * grid.basis_sum(gf, gd))]
+        gf, gd = g1(grid.x_form, grid.gamma(s)), g2(grid.x_dual, grid.gamma(a2))
+        return [(grid.majorant(gf, gd), TAIL_REL * grid.basis_floor(s, a2, detA ** (-0.5)))]
 
     def sums(fv: _FormVectors):
-        form = _per_run(lambda c: g1(math.pi * c, upper_gamma), fv.norms)
-        dual = _per_run(lambda b: g2(math.pi * b, upper_gamma), fv.dual_norms)
-        body = 2.0 * float(np.sum(form) + np.sum(dual))
+        c, b = math.pi * fv.form.distinct, math.pi * fv.dual.distinct
+        body = 2.0 * float(fv.form.counts @ g1(c, upper_gamma(s, c))
+                           + fv.dual.counts @ g2(b, upper_gamma(a2, b)))
         return body, (TAIL_REL * max(abs(body), 1e-30),)
 
     body = _certified_sum(A, cutoff, bounds, sums, "completed zeta")[0]
@@ -267,12 +309,9 @@ def epstein_zeta(Q, s: float, *, cutoff: float = DEFAULT_CUTOFF) -> float:
     return math.pi ** s / math.gamma(s) * rhs
 
 
-def _main_summand(n: int, x: np.ndarray, gamma=None) -> np.ndarray:
-    """F's summand on the form side: f = x^{-n/2} Gamma(n/2, x) at x = pi A[m].
-
-    ``gamma`` evaluates Gamma(a, x): ``upper_gamma`` unless a grid's is given.
-    """
-    return x ** (-n / 2) * (gamma or upper_gamma)(n / 2, x)
+def _main_summand(n: int, x: np.ndarray) -> np.ndarray:
+    """F's summand on the form side: f = x^{-n/2} Gamma(n/2, x) at x = pi A[m]."""
+    return x ** (-n / 2) * upper_gamma(n / 2, x)
 
 
 def _gradient_weight(n: int, xs: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -293,19 +332,19 @@ def _height_bounds(grid: _Grid):
     psi1(c) c lam and psi2(b) |A^-1 y|^2 <= exp(-pi b) lam, both decreasing.
     """
     n = grid.A.shape[0]
-    f = _main_summand(n, grid.x_form, grid.gamma)
-    e = grid.gamma(0.0, grid.x_dual)
+    f = grid.x_form ** (-n / 2) * grid.gamma(n / 2)
+    e = grid.gamma(0.0)
     lam = _norm_factor(grid.Ainv)
     grad_form = _gradient_weight(n, grid.x_form, f) * grid.x_form / math.pi * lam
     grad_dual = np.exp(-grid.x_dual) * lam
-    return [(grid.majorant(f, e), TAIL_REL * grid.basis_sum(f, e)),
+    return [(grid.majorant(f, e), TAIL_REL * grid.basis_floor(n / 2, 0.0)),
             (grid.majorant(grad_form, grad_dual), GRAD_TAIL_FLOOR)]
 
 
 def _F_sum(fv: _FormVectors, f: np.ndarray) -> tuple[float, float]:
-    """(F value, its tolerance TAIL_REL |F|) from the main summands f."""
-    e = _per_run(lambda b: upper_gamma(0.0, math.pi * b), fv.dual_norms)
-    F = 2.0 * float(np.sum(f)) + 2.0 * float(np.sum(e))
+    """(F value, its tolerance TAIL_REL |F|) from the main summands f on the form's layers."""
+    e = upper_gamma(0.0, math.pi * fv.dual.distinct)
+    F = 2.0 * float(fv.form.counts @ f) + 2.0 * float(fv.dual.counts @ e)
     return F, TAIL_REL * max(abs(F), 1e-30)
 
 
@@ -317,15 +356,16 @@ def _grad_sum(fv: _FormVectors, f: np.ndarray) -> tuple[np.ndarray, float]:
     (Q^-1 m)(Q^-1 m)^t over the dual's, with
     psi1(c) = pi (pi c)^{-(n/2+1)} Gamma(n/2+1, pi c) and
     psi2(b) = exp(-pi b)/b.  Equivariant under unimodular changes of basis.
-    Both weights are evaluated once per run of equal norms (f is constant
-    on them).
+    Both weights are evaluated on the distinct norms (f is given there) and
+    gathered to the vectors through the layers' inverse index.
     """
     n = fv.A.shape[0]
-    w1 = _per_run(lambda c, fc: _gradient_weight(n, math.pi * c, fc), fv.norms, f)
-    V = fv.half.astype(float)
+    c, b = fv.form.distinct, fv.dual.distinct
+    w1 = _gradient_weight(n, math.pi * c, f)[fv.form.inverse]
+    V = fv.form.half.astype(float)
     T1 = 2.0 * ((V * w1[:, None]).T @ V)
-    w2 = _per_run(lambda b: np.exp(-math.pi * b) / b, fv.dual_norms)
-    W = fv.dual_half.astype(float) @ fv.Ainv
+    w2 = (np.exp(-math.pi * b) / b)[fv.dual.inverse]
+    W = fv.dual.half.astype(float) @ fv.Ainv
     T2 = 2.0 * ((W * w2[:, None]).T @ W)
     G = -T1 + T2
     return 0.5 * (G + G.T), GRAD_TAIL_FLOOR + TAIL_REL * float(np.linalg.norm(G))
@@ -386,7 +426,7 @@ def height(L, *, cutoff: float = DEFAULT_CUTOFF) -> HeightReport:
     A = _det1_form(L)
 
     def sums(fv: _FormVectors):
-        f = _per_run(lambda c: _main_summand(A.shape[0], math.pi * c), fv.norms)
+        f = _main_summand(A.shape[0], math.pi * fv.form.distinct)
         F, ftol = _F_sum(fv, f)
         G, gtol = _grad_sum(fv, f)
         return (F, G), (ftol, gtol)
@@ -401,7 +441,7 @@ def height(L, *, cutoff: float = DEFAULT_CUTOFF) -> HeightReport:
         projected_residual=_projected_residual(A, G),
         truncation_radius=fv.radius,
         tail_estimate=tail,
-        half_vectors_form=len(fv.half),
-        half_vectors_dual=len(fv.dual_half),
+        half_vectors_form=len(fv.form.half),
+        half_vectors_dual=len(fv.dual.half),
     )
 

@@ -126,12 +126,15 @@ def _fp_rows(R: np.ndarray, bound: float) -> Iterator[np.ndarray]:
     The Cholesky factor R is walked from coordinate n-1 down to 0 over numpy
     frontiers.  A node at level i holds its fixed coordinates, its centres
     S[:i+1] and its budget; its children x_i fill the interval
-    |r_ii*x_i + S_i| <= sqrt(budget), laid out by cumulative counts and
-    offsets, and keep budget - u^2 (u = r_ii*x_i + S_i, pruned if negative)
-    and centres S[:i] + R[:i, i]*x_i.  Children are cut into slices of at
-    most ``_CHUNK_ROWS`` and each slice is walked to the leaves before the
-    next, so rows come out in per-node recursion order and no frontier or
-    yielded array exceeds ``_CHUNK_ROWS`` rows.  One slice per level is
+    |r_ii*x_i + S_i| <= sqrt(budget), laid out by cumulative counts, and
+    keep budget - u^2 (u = r_ii*x_i + S_i, pruned if negative) and centres
+    S[:i] + R[:i, i]*x_i.  Children are cut into slices of at most
+    ``_CHUNK_ROWS``; each child is mapped to its parent with one
+    ``np.repeat`` of the parents' child counts, which a slice that does not
+    hold every child clips to its first and last parent, found by
+    bisection.  Each slice is walked to the leaves before the next, so rows
+    come out in per-node recursion order and no frontier or yielded array
+    exceeds ``_CHUNK_ROWS`` rows.  One slice per level is
     alive, about 16n + 120 bytes a row, so memory is at most
     n * (16n + 120) * _CHUNK_ROWS bytes (27 MB at n = 7, 2^14 rows); the
     traced peak of ``fully_critical(stf28a, max_vectors=4_000_000)`` is
@@ -150,13 +153,25 @@ def _fp_rows(R: np.ndarray, bound: float) -> Iterator[np.ndarray]:
         lo = np.ceil((-rad - t) / rii - 1e-12).astype(np.int64)
         hi = np.floor((rad - t) / rii + 1e-12).astype(np.int64)
         lo = np.where(zero, np.maximum(lo, 1 if i == 0 else 0), lo)
-        ends = np.cumsum(np.maximum(hi - lo + 1, 0))
+        size = np.maximum(hi - lo + 1, 0)
+        ends = np.cumsum(size)
+        # parent p's children are the indices ends[p] - size[p] .. ends[p] - 1,
+        # the last one x = hi[p], so child j of parent p has x = j + 1 - off[p]
+        off = ends - hi
+        del rad, lo, hi  # size, ends and off are all the recursion below keeps alive
         total = int(ends[-1]) if len(ends) else 0
         for a in range(0, total, _CHUNK_ROWS):
-            # parent p's children are the indices up to ends[p] - 1, which is x = hi[p]
-            j = np.arange(a, min(a + _CHUNK_ROWS, total))
-            p = np.searchsorted(ends, j, side="right")
-            x = hi[p] + (j - ends[p] + 1)
+            b = min(a + _CHUNK_ROWS, total)
+            if b - a == total:  # one slice holds every child
+                p = np.repeat(np.arange(len(size)), size)
+            else:  # parents p0 .. p1 - 1 cover the slice [a, b); clip the edge counts to it
+                p0 = int(ends.searchsorted(a, "right"))
+                p1 = int(ends.searchsorted(b - 1, "right")) + 1
+                cnt = size[p0:p1].copy()
+                cnt[0] -= a - (ends[p0] - size[p0])
+                cnt[-1] -= ends[p1 - 1] - b
+                p = np.repeat(np.arange(p0, p1), cnt)
+            x = np.arange(a + 1, b + 1) - off[p]
             if i == 0:
                 rows = X[p]
                 rows[:, 0] = x
@@ -362,15 +377,17 @@ def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[np.ndarray, np.nd
 
     Used by the analytic (floating-point) code paths, where a relative 1e-9
     slack at the boundary is harmless.  Returns (X, norms), one
-    representative per antipodal pair, sorted by norm; vectors of equal norm
-    keep the walk's order, which does not depend on the bound.  Equal float
-    norms are therefore adjacent, and the height evaluates its summands once
-    per such run.
+    representative per antipodal pair, in the walk's order, which does not
+    depend on the bound; the rows are not sorted by norm.  The bound must be
+    finite and nonnegative.
     """
+    bound = float(bound)
+    if not (math.isfinite(bound) and bound >= 0):
+        raise ValueError(f"enumeration bound must be finite and nonnegative, got {bound}")
     Qf = np.asarray(Qf, dtype=float)
     L = np.linalg.cholesky(Qf)
     R = L.T.copy()
-    chunks = list(_fp_rows(R, float(bound)))
+    chunks = list(_fp_rows(R, bound))
     if not chunks:
         return np.empty((0, Qf.shape[0]), dtype=np.int64), np.empty(0)
     X = np.concatenate(chunks)
@@ -379,8 +396,7 @@ def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[np.ndarray, np.nd
     mask = norms <= bound * (1 + 1e-9) + 1e-9
     if not mask.all():
         X, norms = X[mask], norms[mask]
-    order = np.argsort(norms, kind="stable")
-    return X[order], norms[order]
+    return X, norms
 
 
 def dump_spectrum(S: LayerSpectrum) -> str:

@@ -11,8 +11,8 @@ mpmath in the tests.  Every lane runs the scalar recurrence of its regime
 and stops at its own convergence test; converged lanes are compressed out
 of the working arrays, so a lane's value does not depend on the other lanes
 in the call.  ``height`` relies on this: it evaluates each distinct norm
-once and caches the grid radii's values across calls, and its sums are
-still bit for bit those of one call over every vector.
+once and caches the grid radii's values across calls, and every value it
+reads is bit for bit what one call over every vector gives for that lane.
 """
 
 from __future__ import annotations

@@ -401,6 +401,30 @@ def majorant_soundness(Q, *, cutoff: float = _height.DEFAULT_CUTOFF) -> list[tup
     return list(zip(majorants, height_remainders(A, rep.truncation_radius)))
 
 
+def basis_rule_radius(Q, *, cutoff: float = _height.DEFAULT_CUTOFF) -> float:
+    """The radius ``height`` would choose with F's basis terms evaluated, not floored.
+
+    The a-priori tolerance of F is TAIL_REL times the sum of F's terms over
+    the basis vectors of both sides and their negatives, each term
+    evaluated with ``upper_gamma``; the gradient keeps its absolute floor.
+    The radius is the first grid radius where both majorants meet these
+    tolerances, or the cap when none does.
+    """
+    H = _height
+    A = H._det1_form(Q)
+    n = A.shape[0]
+    Ainv = np.linalg.inv(A)
+    Ainv = 0.5 * (Ainv + Ainv.T)
+    r0 = cutoff / math.pi
+    grid = H._grid(A, Ainv, r0)
+    (F_major, _), (G_major, G_tol) = H._height_bounds(grid)
+    xf, xd = math.pi * np.diag(A), math.pi * np.diag(Ainv)
+    basis = 2.0 * (np.sum(xf ** (-n / 2) * upper_gamma(n / 2, xf)) + np.sum(upper_gamma(0.0, xd)))
+    top = r0 * H._RADIUS_CAP
+    fits = np.flatnonzero((F_major <= H.TAIL_REL * basis) & (G_major <= G_tol) & (grid.t <= top))
+    return float(grid.t[fits[0]]) if fits.size else top
+
+
 # ---------------------------------------------------------------------------
 # modular-form premises of the certification horizon
 
@@ -578,7 +602,7 @@ def F_value(Q, *, cutoff: float = _height.DEFAULT_CUTOFF) -> float:
     A = H._as_form(Q)
 
     def sums(fv):
-        F, tol = H._F_sum(fv, H._main_summand(A.shape[0], math.pi * fv.norms))
+        F, tol = H._F_sum(fv, H._main_summand(A.shape[0], math.pi * fv.form.distinct))
         return F, (tol,)
 
     return H._certified_sum(A, cutoff, lambda grid: H._height_bounds(grid)[:1], sums, "F value")[0]

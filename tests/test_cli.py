@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latcrit import GramMatrix, height, load_catalog
-from latcrit.cli import RunReport, main
+from latcrit import GramMatrix, conjecture_probe, height, load_catalog
+from latcrit.cli import RunReport, _random_integral_spd, main
 
 from helpers import (box_vectors, gram_json, moment_identity_holds, pair_sum_bruteforce,
                      random_rational_spd)
@@ -280,6 +280,24 @@ class TestProbe:
             assert rc == code
             assert (row["bound_B"], row["horizon_B"]) == (B, 15)
             assert row["verdict"] == verdict
+
+    def test_rows_carry_conjecture_probes_pair(self, capsys):
+        # the CLI reads first_two_designs from the same report as conjecture_probe
+        cat = load_catalog()
+        main(["probe-conjecture", "--all-catalog", "--format", "json"])
+        rows = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
+        assert [r["name"] for r in rows] == [e.name for e in cat.entries]
+        for e, row in zip(cat.entries, rows):
+            assert row["first_two_designs"] == conjecture_probe(e)[0], e.name
+        main(["probe-conjecture", "--random", "6", "--dims", "2,3,4", "--seed", "11",
+              "--format", "json"])
+        rows = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
+        rng = np.random.default_rng(11)
+        forms = [_random_integral_spd(n, rng) for n in (2, 3, 4, 2, 3, 4)]
+        assert len(rows) == len(forms)
+        assert {r["first_two_designs"] for r in rows} == {True, False}
+        for q, row in zip(forms, rows):
+            assert row["first_two_designs"] == conjecture_probe(q)[0], row["name"]
 
     def test_random_forms(self, capsys):
         rc = main(["probe-conjecture", "--random", "5", "--dims", "2,3",

@@ -24,6 +24,7 @@ from latcrit.catalog import load_catalog
 
 from helpers import (
     F_value,
+    basis_rule_radius,
     box_tail,
     directional_derivative_fd,
     majorant_soundness,
@@ -364,7 +365,9 @@ class TestOneLatticeSumLoop:
 
     def test_gradient_assembly_against_fsum(self, monkeypatch):
         # the BLAS products (V w)^t V against exactly rounded sums of the same
-        # rounded products w_k V_ki V_kj, on each entry's final collection
+        # rounded products w_k V_ki V_kj, on each entry's final collection;
+        # the weights are taken on the distinct norms and gathered to the
+        # vectors through the layers' inverse index
         H = sys.modules["latcrit.height"]
         real = H._grad_sum
         calls = []
@@ -373,10 +376,11 @@ class TestOneLatticeSumLoop:
             height(e)
             fv, f = calls[-1]
             n = fv.A.shape[0]
-            V = fv.half.astype(float)
-            w1 = H._gradient_weight(n, math.pi * fv.norms, f)
-            W = fv.dual_half.astype(float) @ fv.Ainv
-            w2 = np.exp(-math.pi * fv.dual_norms) / fv.dual_norms
+            V = fv.form.half.astype(float)
+            w1 = H._gradient_weight(n, math.pi * fv.form.distinct, f)[fv.form.inverse]
+            W = fv.dual.half.astype(float) @ fv.Ainv
+            b = fv.dual.distinct
+            w2 = (np.exp(-math.pi * b) / b)[fv.dual.inverse]
             terms = np.concatenate([-2.0 * (V * w1[:, None])[:, :, None] * V[:, None, :],
                                     2.0 * (W * w2[:, None])[:, :, None] * W[:, None, :]])
             ref = np.array([math.fsum(t) for t in terms.reshape(len(terms), -1).T.tolist()])
@@ -398,19 +402,51 @@ class TestOneLatticeSumLoop:
             assert abs(wx - ref) <= 1e-14 * ref, (n, x)
 
 
-class TestOncePerValue:
-    @pytest.mark.parametrize("norms", [
-        np.array([]), np.array([2.5]), np.array([1.0, 1.0, 2.0, 2.0, 2.0, 3.5]),
-        np.array([3.0, 1.0, 3.0, 3.0, 0.25, 1.0, 1.0]),
-        np.repeat(np.random.default_rng(7).uniform(0.1, 30.0, 40), 3)],
-        ids=["empty", "one", "sorted", "unsorted", "duplicated"])
-    def test_per_run_is_elementwise_bit_for_bit(self, norms):
+class TestGammaFloor:
+    ORDERS = [-2.5, -0.6, 0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5]
+
+    @pytest.mark.parametrize("a", ORDERS)
+    def test_floor_is_a_lower_bound_exact_at_integer_orders(self, a):
         H = sys.modules["latcrit.height"]
-        g = lambda c: H._main_summand(3, math.pi * c)
-        assert np.array_equal(H._per_run(g, norms), g(norms))
-        e = lambda c, f: H._gradient_weight(3, math.pi * c, f)
-        f = g(norms)
-        assert np.array_equal(H._per_run(e, norms, f), e(norms, f))
+        xs = np.geomspace(0.05, 700.0, 60)
+        floor = H._gamma_floor(a, xs)
+        for x, lo in zip(xs, floor):
+            with mp.workdps(40):
+                ref = mp.mpf(x) ** (-a) * mp.gammainc(a, x)
+            if a >= 1 and a == int(a):
+                assert abs(lo - ref) <= 1e-15 * ref, (a, x)
+            else:
+                assert 0.0 < lo <= ref, (a, x)
+
+    def test_floor_radius_matches_the_evaluated_basis_rule(self):
+        # the floor lowers F's a-priori tolerance below the one the basis
+        # terms' exact values give, but on the catalogue and its duals both
+        # rules choose the same grid radius
+        for e in load_catalog().entries:
+            for q in (e.gram, gram_inverse(e.gram)):
+                assert basis_rule_radius(q) == height(q).truncation_radius, e.name
+
+
+class TestOncePerValue:
+    @pytest.mark.parametrize("name", ["sta2", "stc12", "std5b", "ste10a", "stf28a"])
+    def test_layers_regroup_the_walk(self, name, monkeypatch):
+        # the layers' distinct norms and inverse index give back each side's
+        # norms bit for bit, in walk order, and a summand summed against the
+        # layer counts agrees with the exactly rounded sum over the vectors
+        H = sys.modules["latcrit.height"]
+        runs = _record_certified_sums(monkeypatch)
+        height(load_catalog().by_name(name))
+        [(A, _, _, (_, _, fv))] = runs
+        n = A.shape[0]
+        for Q, side, g in ((A, fv.form, lambda c: H._main_summand(n, math.pi * c)),
+                           (fv.Ainv, fv.dual, lambda b: upper_gamma(0.0, math.pi * b))):
+            X, norms = H.short_vectors_float(Q, fv.radius)
+            assert np.array_equal(X, side.half)
+            assert np.array_equal(side.distinct[side.inverse], norms)
+            assert np.all(np.diff(side.distinct) > 0) and side.counts.sum() == len(norms)
+            total = float(side.counts @ g(side.distinct))
+            ref = math.fsum(g(norms).tolist())
+            assert abs(total - ref) <= 1e-15 * ref, name
 
     def test_reports_match_with_a_cleared_and_a_warm_cache(self):
         H = sys.modules["latcrit.height"]
@@ -433,9 +469,10 @@ class TestOncePerValue:
         assert np.array_equal(g, upper_gamma(1.5, math.pi * H._radii(H.DEFAULT_CUTOFF / math.pi)))
 
     def test_warm_sweep_evaluates_each_distinct_norm_once(self, monkeypatch):
-        # 765,092 vectors on 5,608 distinct float norms, plus the basis lanes
-        # of the grids; the radius lanes come from the cache, which fills
-        # through the module attribute once per order (n/2 for n = 2..7, and 0)
+        # 765,092 vectors on 5,608 distinct float norms: one call per side
+        # per height, on its distinct norms; the radius lanes come from the
+        # cache, which fills through the module attribute once per order
+        # (n/2 for n = 2..7, and 0), and the basis lanes take the floor
         H = sys.modules["latcrit.height"]
         entries = load_catalog().entries
         lanes = []
@@ -444,12 +481,12 @@ class TestOncePerValue:
         H._radius_gamma.cache_clear()
         for e in entries:
             height(e)
-        assert len(lanes) == 4 * len(entries) + 7
+        assert len(lanes) == 2 * len(entries) + 7
         lanes.clear()
         for e in entries:
             height(e)
-        assert len(lanes) == 4 * len(entries)
-        assert sum(lanes) <= 6100
+        assert len(lanes) == 2 * len(entries)
+        assert sum(lanes) == 5608
 
 
 def _random_forms():

@@ -107,18 +107,42 @@ class TestOracleEquivalence:
 
 
 class TestArrayWalk:
+    @staticmethod
+    def check_rows(R, bound, monkeypatch):
+        ref = fincke_pohst_rows(R, float(bound))
+        # 1: single-row slices; 3 and 8: slices with childless parents inside
+        for chunk in (shells._CHUNK_ROWS, 8, 3, 1):
+            monkeypatch.setattr(shells, "_CHUNK_ROWS", chunk)
+            got = list(shells._fp_rows(R, float(bound)))
+            assert max(len(X) for X in got) <= chunk
+            assert np.array_equal(np.concatenate(got), ref)
+
     @pytest.mark.parametrize("name,bound", [
         ("sta2", 40), ("stb3", 40), ("stc12", 40), ("std5a", 24), ("ste10a", 20), ("stf8", 20),
     ])
     def test_rows_match_per_node_recursion(self, name, bound, monkeypatch):
         Qred, _ = lll_reduce(load_catalog().by_name(name).gram)
         R = np.linalg.cholesky(np.array(Qred.entries, dtype=float)).T.copy()
-        ref = fincke_pohst_rows(R, float(bound))
-        for chunk in (shells._CHUNK_ROWS, 8):
-            monkeypatch.setattr(shells, "_CHUNK_ROWS", chunk)
-            got = list(shells._fp_rows(R, float(bound)))
-            assert max(len(X) for X in got) <= chunk
-            assert np.array_equal(np.concatenate(got), ref)
+        self.check_rows(R, bound, monkeypatch)
+
+    def test_rows_match_on_an_unreduced_basis(self, monkeypatch):
+        # a skewed basis leaves nodes with no integer in their interval; at
+        # 3 rows a slice two of them fall strictly inside a slice
+        q = load_catalog().by_name("stc9").gram
+        skewed = transform_gram(q, random_unimodular(q.n, np.random.default_rng(29), ops=12))
+        R = np.linalg.cholesky(np.array(skewed.entries, dtype=float)).T.copy()
+        self.check_rows(R, 16, monkeypatch)
+
+
+class TestFloatBound:
+    @pytest.mark.parametrize("bound", [np.inf, np.nan, -1.0])
+    def test_rejects_a_bound_that_is_not_finite_and_nonnegative(self, bound):
+        with pytest.raises(ValueError):
+            short_vectors_float(A2.to_float(), bound)
+
+    def test_zero_bound_is_empty(self):
+        X, norms = short_vectors_float(A2.to_float(), 0.0)
+        assert X.shape == (0, 2) and norms.shape == (0,)
 
 
 class TestSplitFrontiers:
