@@ -6,7 +6,8 @@ tables, probe-conjecture.  Exit codes: 0 success, 1 definitive failure
 2 inconclusive outcomes and errors.  ``main`` maps every library exception
 it can meet to exit 2 with a one-line message on stderr: an exhausted
 enumeration budget (EnumerationBudgetError, prefixed "inconclusive:"), a
-height truncation that cannot be certified (TruncationError), a broken
+height whose tail majorant misses its tolerance at the radius chosen from
+the fixed radius grid (TruncationError), a broken
 design inequality (DesignComputationError), arithmetic failures
 (ArithmeticError) and bad input or usage (ValueError, KeyError, OSError).
 Exit 1 therefore always means a definitive refutation; ``tables`` exits 1
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -41,7 +41,7 @@ from .certify import (
 )
 from .design import DesignComputationError, two_design_verdict
 from .gram import GramMatrix, LatticeDescriptor, determinant, is_even, level, double, load_gram
-from .height import DEFAULT_CUTOFF, TruncationError, height
+from .height import TruncationError, height
 from .shells import (
     DEFAULT_MAX_VECTORS,
     EnumerationBudgetError,
@@ -253,9 +253,8 @@ def _cmd_fully_critical(args) -> int:
 
 def _cmd_height(args) -> int:
     desc = _resolve_input(args)
-    cutoff = DEFAULT_CUTOFF if args.radius is None else float(args.radius) * math.pi
     t0 = time.time()
-    hrep = height(desc, cutoff=cutoff)
+    hrep = height(desc)
     run = RunReport("height", _input_dict(desc), hrep.to_dict(), time.time() - t0,
                     {"truncation_radius": hrep.truncation_radius,
                      "tail_estimate": hrep.tail_estimate,
@@ -431,11 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", help="override the Gamma0 Sturm bound B")
     p.set_defaults(func=_cmd_fully_critical)
 
-    p = sub.add_parser("height", help="torus height of the determinant-1 form")
+    p = sub.add_parser("height", help="torus height of the determinant-1 form; the truncation "
+                       "radius is chosen from proven tail majorants, and exit 2 reports a tail "
+                       "that misses its tolerance")
     common(p)
-    p.add_argument("--radius", help="smallest truncation radius R (include Q[m] <= R); "
-                   "the radius is chosen once from the proven tail majorants, between R and "
-                   "R*1.35^9, and exit 2 reports a tail that misses its tolerance there")
     p.set_defaults(func=_cmd_height)
 
     p = sub.add_parser("stationarity",

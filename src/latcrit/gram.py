@@ -2,18 +2,19 @@
 
 A positive definite symmetric matrix of rationals plays a double role: it is
 the Gram matrix of a full-rank Euclidean lattice and the matrix of a positive
-quadratic form on integer vectors.  Each ``GramMatrix`` keeps its entries as
-Fractions for the API and, computed once at construction, its integral form
-P = d Q with d the lcm of the entry denominators.  Everything structural
-(positive definiteness, determinant, inverse, parity, level, block sums)
-runs on P in Python-int, fraction-free kernels: Bareiss elimination for the
-leading minors and a fraction-free Gauss-Jordan adjugate for the inverse and
-the level.  Floating point enters only through the float copies the height
-machinery reads (``to_float``, ``normalized_to_det1``).
+quadratic form on integer vectors.  Each ``GramMatrix`` holds only its
+integral form P = d Q, with d the lcm of the entry denominators, and det P;
+the Fraction entries of the API are derived when first read.  Everything
+structural (positive definiteness, determinant, inverse, parity, level,
+block sums) runs on P in Python-int, fraction-free kernels: Bareiss
+elimination for the leading minors and a fraction-free Gauss-Jordan adjugate
+for the inverse and the level.  Floating point enters only through the float
+copies the height machinery reads (``to_float``, ``normalized_to_det1``).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -53,37 +54,31 @@ def _frac_str(x: Fraction) -> str | int:
 class GramMatrix:
     """Symmetric positive definite matrix of exact rationals.
 
-    ``entries`` holds the Fractions; the integral form P = d Q (integer
-    rows, d the lcm of the entry denominators) and det P are computed once
-    at construction and every exact kernel reads them.  Validated at
-    construction: symmetry, and positive definiteness by the signs of the
-    leading principal minors.  Instances are immutable; all operations on
-    them are pure functions.
+    Held as its integral form P = d Q (integer rows, d the lcm of the entry
+    denominators, so P / d is in lowest terms) and det P; every exact kernel
+    reads them, and ``entries``, the Fractions, is derived when first read.
+    Validated at every construction: square, symmetric, and positive
+    definite by the signs of the leading principal minors.  Equality and
+    hash follow (P, d), that is the matrix value.  Instances are immutable;
+    all operations on them are pure functions.
     """
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    _P: tuple[tuple[int, ...], ...]
+    _d: int
     name: Optional[str] = field(default=None, compare=False)
 
     def __init__(self, entries: Sequence[Sequence[RationalLike]], name: Optional[str] = None):
-        rows = tuple(tuple(_as_fraction(x) for x in row) for row in entries)
-        n = len(rows)
-        if n < 1 or any(len(r) != n for r in rows):
-            raise GramError("entries must form a nonempty square matrix")
+        rows = [[_as_fraction(x) for x in row] for row in entries]
         d = math.lcm(*(v.denominator for row in rows for v in row))
-        P = tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in rows)
-        for i in range(n):
-            for j in range(i):
-                if P[i][j] != P[j][i]:
-                    raise GramError(f"not symmetric at ({i},{j})")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_P", P)
-        object.__setattr__(self, "_d", d)
-        object.__setattr__(self, "_det", _leading_minors(P)[-1])
+        _init(self, [[v.numerator * (d // v.denominator) for v in row] for row in rows], d, name)
+
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(p, self._d) for p in row) for row in self._P)
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self._P)
 
     @property
     def is_integral(self) -> bool:
@@ -102,9 +97,27 @@ class GramMatrix:
         return f"<GramMatrix{tag} n={self.n}>"
 
 
+def _init(Q: GramMatrix, P: Sequence[Sequence[int]], d: int, name: Optional[str]) -> None:
+    """Validate the integral form P / d, in lowest terms, and store it in Q."""
+    n = len(P)
+    if n < 1 or any(len(r) != n for r in P):
+        raise GramError("entries must form a nonempty square matrix")
+    for i in range(n):
+        for j in range(i):
+            if P[i][j] != P[j][i]:
+                raise GramError(f"not symmetric at ({i},{j})")
+    object.__setattr__(Q, "_P", tuple(tuple(row) for row in P))
+    object.__setattr__(Q, "_d", d)
+    object.__setattr__(Q, "name", name)
+    object.__setattr__(Q, "_det", _leading_minors(P)[-1])
+
+
 def _from_integral(P: Sequence[Sequence[int]], d: int) -> GramMatrix:
-    """The form P / d, for integer rows P."""
-    return GramMatrix(P if d == 1 else [[Fraction(p, d) for p in row] for row in P])
+    """The form P / d, for integer rows P and d >= 1, with no Fraction arithmetic."""
+    g = math.gcd(d, *(p for row in P for p in row))
+    Q = object.__new__(GramMatrix)
+    _init(Q, [[p // g for p in row] for row in P], d // g, None)
+    return Q
 
 
 @dataclass(frozen=True)
@@ -184,7 +197,7 @@ def determinant(Q: GramMatrix) -> Fraction:
 def gram_inverse(Q: GramMatrix) -> GramMatrix:
     """Exact inverse d adj(P) / det(P) of Q = P / d: the Gram matrix of the dual lattice."""
     adj, det = _adjugate(Q._P)
-    return GramMatrix([[Fraction(Q._d * v, det) for v in row] for row in adj])
+    return _from_integral([[Q._d * v for v in row] for row in adj], det)
 
 
 def is_even(Q: GramMatrix) -> bool:

@@ -1,33 +1,30 @@
 """Epstein zeta continuation, flat-torus height, and stationarity numerics.
 
-Everything here is floating point.  The zeta function is evaluated through
-its incomplete-gamma representation (two exponentially convergent lattice
-sums, one over the form and one over its inverse), which also yields the
-height as the s-derivative at 0 and the analytic gradient of the underlying
-invariant F on the determinant-1 manifold.  All sums go through one
-evaluation, ``_certified_sum``.  Before it enumerates anything it evaluates
-the tail majorants of every sum at each radius of a geometric grid and picks
-the first radius where they meet an a-priori tolerance: 1e-13 times a lower
-bound on the sum (its terms are positive, so the basis vectors' terms bound
-it, and a closed-form floor from the incomplete-gamma recurrence bounds
-those), or the gradient's absolute floor.  Neither exceeds the real
-tolerance (1e-13 times the sum, plus that floor for the gradient), so the
-form and its inverse are enumerated once each at that radius.  The check of
-the same majorants against the real tolerance stays as the guard of record:
-it raises ``TruncationError``, as when the radius is capped below the one
-the tolerances need.  ``height`` takes F, its gradient and the stationarity
-residual from the same collection, the gradient's weight derived from F's
-summand by the incomplete-gamma recurrence.  Special functions run once per
-distinct argument: a summand depends only on its vector's norm, so each
-side's vectors are grouped into layers of bit-equal norm, a summand is
-evaluated once per layer and summed against the layer counts, and the
-gradient's weights are gathered back to the vectors through the layer
-index.  The grid radii do not depend on the form, so Gamma(a, pi t) on them
-is cached per (a, first radius).
-Tails are majorants: points in an annulus are counted by volume, through a
-fundamental domain of bounded diameter, and summed by parts against the
-monotone summands, so the reported tail estimate is a true upper bound.
-Fixed enumeration order keeps reports bit-reproducible.
+Everything here is floating point.  The zeta continuation and the height
+are one two-sided incomplete-gamma lattice sum
+    S = sum_m x^{-a} Gamma(a, x) + c sum_y x^{-b} Gamma(b, x)
+over the nonzero vectors m of the form and y of its inverse, at x = pi Q[m]
+and x = pi Q^-1[y]: the zeta body has (a, b, c) = (s, n/2 - s, det^{-1/2})
+and the height's invariant F has (n/2, 0, 1).  Every such sum is evaluated
+by ``_certified_sum`` with one summand; the height's gradient on the
+determinant-1 manifold is its one extra quantity, weighted by F's summand
+through the incomplete-gamma recurrence.  The tail majorants are evaluated
+on one fixed geometric grid of radii before anything is enumerated, and the
+radius is the first grid radius where they meet an a-priori tolerance:
+1e-13 times a lower bound on the sum (its terms are positive, so the basis
+vectors' terms bound it, and a closed-form floor from the incomplete-gamma
+recurrence bounds those), or the gradient's absolute floor.  Neither
+exceeds the real tolerance (1e-13 times the sum, plus that floor for the
+gradient), so the form and its inverse are enumerated once each at that
+radius.  The check of the same majorants against the real tolerance stays
+as the guard of record: it raises ``TruncationError``.  A summand depends
+only on its vector's norm, so each side's vectors are grouped into layers
+of bit-equal norm and special functions run once per layer; Gamma(a, pi t)
+on the grid is cached per order a.  Tails are majorants: points in an
+annulus are counted by volume, through a fundamental domain of bounded
+diameter, and summed by parts against the monotone summands, so the
+reported tail estimate is a true upper bound.  Fixed enumeration order keeps
+reports bit-reproducible.
 """
 
 from __future__ import annotations
@@ -42,14 +39,17 @@ from .gram import GramMatrix, LatticeDescriptor, normalized_to_det1
 from .shells import short_vectors_float
 from .specfun import upper_gamma
 
-DEFAULT_CUTOFF = 40.0  # smallest radius tried: include vectors with pi * Q[m] <= cutoff
 TAIL_REL = 1e-13
 GRAD_TAIL_FLOOR = 1e-14
 EULER_GAMMA = float(np.euler_gamma)
-_GRID_RATIO = 1.01   # candidate radii cutoff/pi * 1.01^k
-_GRID_X_END = 800.0  # the grid runs on to pi * t >= 800, where every summand underflows
-_RADIUS_CAP = 1.35 ** 9  # largest radius chosen: cutoff/pi * _RADIUS_CAP
 _FLOOR_DEPTH = 8  # continued-fraction levels of the basis terms' floor (_gamma_floor)
+# The candidate radii t_k = (40/pi) 1.01^k, on to pi t >= 800 where every
+# summand underflows, the arguments x = pi t, and the largest radius chosen.
+_T0 = 40.0 / math.pi
+_RADII = _T0 * 1.01 ** np.arange(math.ceil(math.log(800.0 / (math.pi * _T0)) / math.log(1.01))
+                                 + 1.0)
+_X = math.pi * _RADII
+_RADIUS_CAP = _T0 * 1.35 ** 9
 
 
 class TruncationError(RuntimeError):
@@ -68,6 +68,8 @@ def _as_form(Q) -> np.ndarray:
     A = np.asarray(Q, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("form must be a square matrix")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("form must have finite entries")
     if not np.allclose(A, A.T, atol=1e-10):
         raise ValueError("form must be symmetric")
     np.linalg.cholesky(A)  # raises if not positive definite
@@ -125,22 +127,31 @@ def _gamma_floor(a: float, x: np.ndarray) -> np.ndarray:
     return np.exp(-x) / x * total * (1.0 if b == 1 else 1.0 - 2e-15)
 
 
+def _summand(a: float, c: float, x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """c x^{-a} Gamma(a, x), given gamma = Gamma(a, x): the summand of every sum here."""
+    return c * x ** (-a) * gamma
+
+
+@functools.lru_cache(maxsize=32)
+def _radius_gamma(a: float) -> np.ndarray:
+    """Gamma(a, pi t) on the grid radii, which are the same for every form (read-only)."""
+    g = upper_gamma(a, _X)
+    g.flags.writeable = False
+    return g
+
+
 @dataclass(frozen=True, eq=False)
 class _Grid:
-    """Candidate radii t, from the smallest radius tried to pi t >= _GRID_X_END.
+    """A form and its inverse with their annulus counts on the grid radii.
 
-    Each side's summand is evaluated at ``x_form`` = ``x_dual`` = pi t for
-    its majorant, with Gamma(a, pi t) from ``gamma``, which reads a cache
-    shared by every form.  ``basis_floor`` bounds a sum from below by its
-    basis vectors' terms without evaluating Gamma.
+    ``majorant`` bounds a sum's tail at each radius, and ``basis_floor``
+    bounds a sum from below by its basis vectors' terms without evaluating
+    Gamma.
     """
 
     A: np.ndarray
     Ainv: np.ndarray
-    t: np.ndarray
-    x_form: np.ndarray
-    x_dual: np.ndarray
-    counts: tuple  # _annulus_counts on t, for the form and for its inverse
+    counts: tuple  # _annulus_counts on the radii, for the form and for its inverse
 
     def majorant(self, g_form: np.ndarray, g_dual: np.ndarray) -> np.ndarray:
         """Bound at each t_j on the sum of g over the vectors of norm > t_j, both sides.
@@ -153,9 +164,8 @@ class _Grid:
         every term nonnegative; one reverse cumsum gives it at every t_j.
         The grid must reach the radius where g underflows to 0.
         """
-        K = len(self.t)
-        total = np.zeros(K)
-        for g, (outer, inner) in zip((g_form[:K], g_dual[:K]), self.counts):
+        total = np.zeros(len(g_form))
+        for g, (outer, inner) in zip((g_form, g_dual), self.counts):
             if g[-1] != 0.0:
                 raise TruncationError("tail majorant did not underflow on the radius grid")
             steps = np.diff(outer) * g[:-1]
@@ -163,41 +173,22 @@ class _Grid:
             total[:-1] += (outer[1:] - inner[:-1]) * g[:-1] + later
         return total
 
-    def gamma(self, a: float) -> np.ndarray:
-        """Gamma(a, pi t) on the radii, from the cache."""
-        return _radius_gamma(a, float(self.t[0]))
+    def basis_floor(self, orders) -> float:
+        """Lower bound on the sum with ``orders`` ((a, c) for the form, then for its inverse).
 
-    def basis_floor(self, a_form: float, a_dual: float, dual_scale: float = 1.0) -> float:
-        """Lower bound on the sums of x^{-a} Gamma(a, x), x = pi Q[m], over both sides.
-
-        The form's sum has order a_form and the dual's order a_dual, scaled
-        by dual_scale > 0.  Every term is positive, so the basis vectors and
-        their negatives, at x = pi diag A and pi diag A^-1, bound the sums
-        below, and ``_gamma_floor`` bounds each of their terms below.
+        Every term is positive, so the basis vectors and their negatives, at
+        x = pi diag A and pi diag A^-1, bound the sum below, and
+        ``_gamma_floor`` bounds each of their terms below.
         """
-        xf, xd = math.pi * np.diag(self.A), math.pi * np.diag(self.Ainv)
-        return 2.0 * float(np.sum(_gamma_floor(a_form, xf))
-                           + dual_scale * np.sum(_gamma_floor(a_dual, xd)))
+        sides = (np.diag(self.A), np.diag(self.Ainv))
+        return 2.0 * float(sum(c * np.sum(_gamma_floor(a, math.pi * d))
+                               for (a, c), d in zip(orders, sides)))
 
 
-def _radii(r0: float) -> np.ndarray:
-    k = math.ceil(math.log(max(_GRID_X_END / (math.pi * r0), _GRID_RATIO)) / math.log(_GRID_RATIO))
-    return r0 * _GRID_RATIO ** np.arange(k + 1.0)
-
-
-@functools.lru_cache(maxsize=32)
-def _radius_gamma(a: float, r0: float) -> np.ndarray:
-    """Gamma(a, pi t) on the radii from r0, which are the same for every form (read-only)."""
-    g = upper_gamma(a, math.pi * _radii(r0))
-    g.flags.writeable = False
-    return g
-
-
-def _grid(A: np.ndarray, Ainv: np.ndarray, r0: float) -> _Grid:
-    t = _radii(r0)
-    x = math.pi * t
-    return _Grid(A=A, Ainv=Ainv, t=t, x_form=x, x_dual=x,
-                 counts=(_annulus_counts(A, t), _annulus_counts(Ainv, t)))
+def _grid(A: np.ndarray) -> _Grid:
+    Ainv = np.linalg.inv(A)
+    Ainv = 0.5 * (Ainv + Ainv.T)
+    return _Grid(A=A, Ainv=Ainv, counts=(_annulus_counts(A, _RADII), _annulus_counts(Ainv, _RADII)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,41 +215,100 @@ class _FormVectors:
     radius: float   # both sides hold the vectors of norm <= radius
 
 
-def _certified_sum(A: np.ndarray, cutoff: float, bounds, sums, what: str):
-    """The one certified lattice sum: (value, tail, vectors) at one radius.
+def _F_orders(n: int) -> tuple:
+    """F's orders: x^{-n/2} Gamma(n/2, x) over the form, Gamma(0, x) over its inverse."""
+    return ((n / 2, 1.0), (0.0, 1.0))
 
-    ``bounds(grid)`` gives, for each certified quantity, its tail majorant
-    at every grid radius and an a-priori tolerance.  The radius is the first
-    grid radius in [cutoff/pi, cutoff/pi * _RADIUS_CAP] where every
-    majorant meets its a-priori tolerance, or that cap when none does.  The
-    vectors of norm <= radius of the form and of its inverse are collected
-    once each and grouped by norm into layers, which are handed to ``sums``;
-    it returns (value, tolerance per quantity), evaluating each summand once
-    per distinct norm and summing it against the layer counts.  The
-    majorants at the radius must meet those tolerances, or TruncationError
-    is raised.
+
+def _norm_factor(Ainv: np.ndarray) -> float:
+    """lam = lam_max(A^-1): |m|^2 <= lam A[m] and |A^-1 y|^2 <= lam A^-1[y]."""
+    return float(np.linalg.eigvalsh(Ainv)[-1])
+
+
+def _gradient_weight(n: int, xs: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """psi1 = pi x^{-(n/2+1)} Gamma(n/2+1, x) = pi (n/2 f + e^{-x}) / x, by recurrence."""
+    return math.pi * (n / 2 * f + np.exp(-xs)) / xs
+
+
+def _bounds(grid: _Grid, orders, gradient: bool) -> list:
+    """(majorant on the grid, a-priori tolerance) of the sum, then of the gradient if asked.
+
+    The gradient's tail is bounded in Frobenius norm term by term: psi1(c)
+    |m|^2 <= psi1(c) c lam and psi2(b) |A^-1 y|^2 <= exp(-pi b) lam, both
+    decreasing.
     """
-    if not (cutoff > 0 and math.isfinite(cutoff)):
-        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
-    Ainv = np.linalg.inv(A)
-    Ainv = 0.5 * (Ainv + Ainv.T)
-    r0 = cutoff / math.pi
-    top = r0 * _RADIUS_CAP
-    grid = _grid(A, Ainv, r0)
-    majorants, a_priori = zip(*bounds(grid))
+    g = [_summand(a, c, _X, _radius_gamma(a)) for a, c in orders]
+    out = [(grid.majorant(*g), TAIL_REL * grid.basis_floor(orders))]
+    if gradient:
+        lam = _norm_factor(grid.Ainv)
+        grad_form = _gradient_weight(grid.A.shape[0], _X, g[0]) * _X / math.pi * lam
+        out.append((grid.majorant(grad_form, np.exp(-_X) * lam), GRAD_TAIL_FLOOR))
+    return out
+
+
+def _grad_sum(fv: _FormVectors, f: np.ndarray) -> tuple[np.ndarray, float]:
+    """(gradient of F, its tolerance GRAD_TAIL_FLOOR + TAIL_REL |G|).
+
+    The gradient is a symmetric matrix assembled from both lattice sums:
+    -psi1 weights on m m^t over the form's vectors and psi2 weights on
+    (Q^-1 m)(Q^-1 m)^t over the dual's, with
+    psi1(c) = pi (pi c)^{-(n/2+1)} Gamma(n/2+1, pi c) and
+    psi2(b) = exp(-pi b)/b.  Equivariant under unimodular changes of basis.
+    Both weights are evaluated on the distinct norms (f, F's summand, is
+    given there) and gathered to the vectors through the layers' inverse
+    index.
+    """
+    n = fv.A.shape[0]
+    c, b = fv.form.distinct, fv.dual.distinct
+    w1 = _gradient_weight(n, math.pi * c, f)[fv.form.inverse]
+    V = fv.form.half.astype(float)
+    T1 = 2.0 * ((V * w1[:, None]).T @ V)
+    w2 = (np.exp(-math.pi * b) / b)[fv.dual.inverse]
+    W = fv.dual.half.astype(float) @ fv.Ainv
+    T2 = 2.0 * ((W * w2[:, None]).T @ W)
+    G = -T1 + T2
+    return 0.5 * (G + G.T), GRAD_TAIL_FLOOR + TAIL_REL * float(np.linalg.norm(G))
+
+
+def _certified_sum(A: np.ndarray, orders, what: str, gradient: bool = False):
+    """The one certified lattice sum: (S, G, tail, vectors) at one radius.
+
+    S sums c x^{-a} Gamma(a, x) over the nonzero vectors of A at
+    x = pi A[m], and over those of A^-1 at x = pi A^-1[y], with ``orders``
+    ((a, c) for A, then for A^-1).  With ``gradient`` (only for F's orders)
+    G is F's gradient, else None.  ``_bounds`` gives each quantity's tail
+    majorant at every grid radius and its a-priori tolerance; the radius is
+    the first grid radius up to _RADIUS_CAP where every majorant meets its
+    a-priori tolerance, or that cap when none does.  The vectors of norm <=
+    radius of A and of A^-1 are collected once each and grouped by norm into
+    layers; each summand is evaluated once per distinct norm and summed
+    against the layer counts.  The majorants at the radius must meet the
+    real tolerances (TAIL_REL |S|, and GRAD_TAIL_FLOOR + TAIL_REL |G|), or
+    TruncationError is raised.
+    """
+    grid = _grid(A)
+    majorants, a_priori = zip(*_bounds(grid, orders, gradient))
     M = np.array(majorants)
-    fits = np.flatnonzero(np.all(M <= np.array(a_priori)[:, None], axis=0) & (grid.t <= top))
-    radius = float(grid.t[fits[0]]) if fits.size else top
-    fv = _FormVectors(A=A, Ainv=Ainv, form=_layers(*short_vectors_float(A, radius)),
-                      dual=_layers(*short_vectors_float(Ainv, radius)), radius=radius)
-    value, tolerances = sums(fv)
-    tails = M[:, np.searchsorted(grid.t, radius, side="right") - 1]
+    fits = np.flatnonzero(np.all(M <= np.array(a_priori)[:, None], axis=0)
+                          & (_RADII <= _RADIUS_CAP))
+    radius = float(_RADII[fits[0]]) if fits.size else _RADIUS_CAP
+    fv = _FormVectors(A=A, Ainv=grid.Ainv, form=_layers(*short_vectors_float(A, radius)),
+                      dual=_layers(*short_vectors_float(grid.Ainv, radius)), radius=radius)
+    terms = [_summand(a, c, x, upper_gamma(a, x)) for (a, c), x
+             in zip(orders, (math.pi * fv.form.distinct, math.pi * fv.dual.distinct))]
+    S = 2.0 * float(fv.form.counts @ terms[0] + fv.dual.counts @ terms[1])
+    tolerances = [TAIL_REL * max(abs(S), 1e-30)]
+    G = None
+    if gradient:
+        G, gtol = _grad_sum(fv, terms[0])
+        tolerances.append(gtol)
+    tails = M[:, np.searchsorted(_RADII, radius, side="right") - 1]
     if not np.all(tails <= np.array(tolerances)):
         raise TruncationError(f"{what}: tail tolerance unattained at radius {radius:.6g}")
-    return value, float(np.sum(tails)), fv
+    return S, G, float(np.sum(tails)), fv
 
 
-def completed_zeta(Q, s: float, *, cutoff: float = DEFAULT_CUTOFF) -> float:
+def completed_zeta(Q, s: float) -> float:
     """pi^{-s} Gamma(s) Z(Q, s): the symmetric continuation.
 
     Splitting the Mellin integral of the lattice sum at 1 and applying
@@ -271,6 +321,8 @@ def completed_zeta(Q, s: float, *, cutoff: float = DEFAULT_CUTOFF) -> float:
     x^{-a} Gamma(a, x) = int_1^oo u^{a-1} e^{-xu} du are positive and
     decreasing for every real a.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     A = _as_form(Q)
     n = A.shape[0]
     if abs(s - n / 2) < 1e-12:
@@ -278,97 +330,20 @@ def completed_zeta(Q, s: float, *, cutoff: float = DEFAULT_CUTOFF) -> float:
     if abs(s) < 1e-12:
         raise ZetaPoleError("s = 0 is handled by the height path")
     detA = float(np.linalg.det(A))
-    a2 = n / 2 - s
-    # the summands, given x and Gamma of their order at x
-    g1 = lambda x, G: x ** (-s) * G
-    g2 = lambda x, G: detA ** (-0.5) * x ** (-a2) * G
-
-    def bounds(grid: _Grid):
-        gf, gd = g1(grid.x_form, grid.gamma(s)), g2(grid.x_dual, grid.gamma(a2))
-        return [(grid.majorant(gf, gd), TAIL_REL * grid.basis_floor(s, a2, detA ** (-0.5)))]
-
-    def sums(fv: _FormVectors):
-        c, b = math.pi * fv.form.distinct, math.pi * fv.dual.distinct
-        body = 2.0 * float(fv.form.counts @ g1(c, upper_gamma(s, c))
-                           + fv.dual.counts @ g2(b, upper_gamma(a2, b)))
-        return body, (TAIL_REL * max(abs(body), 1e-30),)
-
-    body = _certified_sum(A, cutoff, bounds, sums, "completed zeta")[0]
+    body = _certified_sum(A, ((s, 1.0), (n / 2 - s, detA ** (-0.5))), "completed zeta")[0]
     return detA ** (-0.5) / (s - n / 2) - 1.0 / s + body
 
 
-def epstein_zeta(Q, s: float, *, cutoff: float = DEFAULT_CUTOFF) -> float:
+def epstein_zeta(Q, s: float) -> float:
     """Analytically continued Z(Q, s) for real s, away from 0 and n/2.
 
     At a negative integer s, 1/Gamma(s) = 0 and Z has its trivial zero.
     """
-    if s < 0 and s == math.floor(s):
+    if s < 0 and float(s).is_integer():
         _as_form(Q)
         return 0.0
-    rhs = completed_zeta(Q, s, cutoff=cutoff)
+    rhs = completed_zeta(Q, s)
     return math.pi ** s / math.gamma(s) * rhs
-
-
-def _main_summand(n: int, x: np.ndarray) -> np.ndarray:
-    """F's summand on the form side: f = x^{-n/2} Gamma(n/2, x) at x = pi A[m]."""
-    return x ** (-n / 2) * upper_gamma(n / 2, x)
-
-
-def _gradient_weight(n: int, xs: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """psi1 = pi x^{-(n/2+1)} Gamma(n/2+1, x) = pi (n/2 f + e^{-x}) / x, by recurrence."""
-    return math.pi * (n / 2 * f + np.exp(-xs)) / xs
-
-
-def _norm_factor(Ainv: np.ndarray) -> float:
-    """lam = lam_max(A^-1): |m|^2 <= lam A[m] and |A^-1 y|^2 <= lam A^-1[y]."""
-    return float(np.linalg.eigvalsh(Ainv)[-1])
-
-
-def _height_bounds(grid: _Grid):
-    """F's and the gradient's (majorant on the grid, a-priori tolerance).
-
-    F sums f over the form and Gamma(0, pi b) over the dual.  The gradient's
-    tail is bounded in Frobenius norm term by term: psi1(c) |m|^2 <=
-    psi1(c) c lam and psi2(b) |A^-1 y|^2 <= exp(-pi b) lam, both decreasing.
-    """
-    n = grid.A.shape[0]
-    f = grid.x_form ** (-n / 2) * grid.gamma(n / 2)
-    e = grid.gamma(0.0)
-    lam = _norm_factor(grid.Ainv)
-    grad_form = _gradient_weight(n, grid.x_form, f) * grid.x_form / math.pi * lam
-    grad_dual = np.exp(-grid.x_dual) * lam
-    return [(grid.majorant(f, e), TAIL_REL * grid.basis_floor(n / 2, 0.0)),
-            (grid.majorant(grad_form, grad_dual), GRAD_TAIL_FLOOR)]
-
-
-def _F_sum(fv: _FormVectors, f: np.ndarray) -> tuple[float, float]:
-    """(F value, its tolerance TAIL_REL |F|) from the main summands f on the form's layers."""
-    e = upper_gamma(0.0, math.pi * fv.dual.distinct)
-    F = 2.0 * float(fv.form.counts @ f) + 2.0 * float(fv.dual.counts @ e)
-    return F, TAIL_REL * max(abs(F), 1e-30)
-
-
-def _grad_sum(fv: _FormVectors, f: np.ndarray) -> tuple[np.ndarray, float]:
-    """(gradient of F, its tolerance GRAD_TAIL_FLOOR + TAIL_REL |G|).
-
-    The gradient is a symmetric matrix assembled from both lattice sums:
-    -psi1 weights on m m^t over the form's vectors and psi2 weights on
-    (Q^-1 m)(Q^-1 m)^t over the dual's, with
-    psi1(c) = pi (pi c)^{-(n/2+1)} Gamma(n/2+1, pi c) and
-    psi2(b) = exp(-pi b)/b.  Equivariant under unimodular changes of basis.
-    Both weights are evaluated on the distinct norms (f is given there) and
-    gathered to the vectors through the layers' inverse index.
-    """
-    n = fv.A.shape[0]
-    c, b = fv.form.distinct, fv.dual.distinct
-    w1 = _gradient_weight(n, math.pi * c, f)[fv.form.inverse]
-    V = fv.form.half.astype(float)
-    T1 = 2.0 * ((V * w1[:, None]).T @ V)
-    w2 = (np.exp(-math.pi * b) / b)[fv.dual.inverse]
-    W = fv.dual.half.astype(float) @ fv.Ainv
-    T2 = 2.0 * ((W * w2[:, None]).T @ W)
-    G = -T1 + T2
-    return 0.5 * (G + G.T), GRAD_TAIL_FLOOR + TAIL_REL * float(np.linalg.norm(G))
 
 
 def height_constant(n: int) -> float:
@@ -412,7 +387,7 @@ def _projected_residual(A: np.ndarray, G: np.ndarray) -> float:
     return float(np.linalg.norm(P)) / max(float(np.linalg.norm(G)), 1e-300)
 
 
-def height(L, *, cutoff: float = DEFAULT_CUTOFF) -> HeightReport:
+def height(L) -> HeightReport:
     """Torus height of the determinant-1 representative of a lattice.
 
     The input form is rescaled to determinant 1; the height is
@@ -424,15 +399,9 @@ def height(L, *, cutoff: float = DEFAULT_CUTOFF) -> HeightReport:
     vectors, at a radius where both tails are within tolerance.
     """
     A = _det1_form(L)
-
-    def sums(fv: _FormVectors):
-        f = _main_summand(A.shape[0], math.pi * fv.form.distinct)
-        F, ftol = _F_sum(fv, f)
-        G, gtol = _grad_sum(fv, f)
-        return (F, G), (ftol, gtol)
-
-    (F, G), tail, fv = _certified_sum(A, cutoff, _height_bounds, sums, "height")
-    C = height_constant(A.shape[0])
+    n = A.shape[0]
+    F, G, tail, fv = _certified_sum(A, _F_orders(n), "height", gradient=True)
+    C = height_constant(n)
     return HeightReport(
         height=C + F + 2.0 * math.log(2.0 * math.pi),
         F_value=F,
@@ -444,4 +413,3 @@ def height(L, *, cutoff: float = DEFAULT_CUTOFF) -> HeightReport:
         half_vectors_form=len(fv.form.half),
         half_vectors_dual=len(fv.dual.half),
     )
-

@@ -383,7 +383,7 @@ def height_remainders(A: np.ndarray, radius: float) -> tuple[float, float]:
     return float(F_rem), float(G_rem)
 
 
-def majorant_soundness(Q, *, cutoff: float = _height.DEFAULT_CUTOFF) -> list[tuple[float, float]]:
+def majorant_soundness(Q) -> list[tuple[float, float]]:
     """[(majorant, true remainder)] of F and the gradient at height's certified radius.
 
     The majorants are those ``height`` certified with: its grid's arrays read
@@ -392,16 +392,14 @@ def majorant_soundness(Q, *, cutoff: float = _height.DEFAULT_CUTOFF) -> list[tup
     """
     H = _height
     A = H._det1_form(Q)
-    rep = H.height(Q, cutoff=cutoff)
-    Ainv = np.linalg.inv(A)
-    grid = H._grid(A, 0.5 * (Ainv + Ainv.T), cutoff / math.pi)
-    j = int(np.searchsorted(grid.t, rep.truncation_radius, side="right")) - 1
-    majorants = [float(m[j]) for m, _ in H._height_bounds(grid)]
+    rep = H.height(Q)
+    j = int(np.searchsorted(H._RADII, rep.truncation_radius, side="right")) - 1
+    majorants = [float(m[j]) for m, _ in H._bounds(H._grid(A), H._F_orders(A.shape[0]), True)]
     assert sum(majorants) == rep.tail_estimate
     return list(zip(majorants, height_remainders(A, rep.truncation_radius)))
 
 
-def basis_rule_radius(Q, *, cutoff: float = _height.DEFAULT_CUTOFF) -> float:
+def basis_rule_radius(Q) -> float:
     """The radius ``height`` would choose with F's basis terms evaluated, not floored.
 
     The a-priori tolerance of F is TAIL_REL times the sum of F's terms over
@@ -413,16 +411,13 @@ def basis_rule_radius(Q, *, cutoff: float = _height.DEFAULT_CUTOFF) -> float:
     H = _height
     A = H._det1_form(Q)
     n = A.shape[0]
-    Ainv = np.linalg.inv(A)
-    Ainv = 0.5 * (Ainv + Ainv.T)
-    r0 = cutoff / math.pi
-    grid = H._grid(A, Ainv, r0)
-    (F_major, _), (G_major, G_tol) = H._height_bounds(grid)
-    xf, xd = math.pi * np.diag(A), math.pi * np.diag(Ainv)
+    grid = H._grid(A)
+    (F_major, _), (G_major, G_tol) = H._bounds(grid, H._F_orders(n), True)
+    xf, xd = math.pi * np.diag(A), math.pi * np.diag(grid.Ainv)
     basis = 2.0 * (np.sum(xf ** (-n / 2) * upper_gamma(n / 2, xf)) + np.sum(upper_gamma(0.0, xd)))
-    top = r0 * H._RADIUS_CAP
-    fits = np.flatnonzero((F_major <= H.TAIL_REL * basis) & (G_major <= G_tol) & (grid.t <= top))
-    return float(grid.t[fits[0]]) if fits.size else top
+    fits = np.flatnonzero((F_major <= H.TAIL_REL * basis) & (G_major <= G_tol)
+                          & (H._RADII <= H._RADIUS_CAP))
+    return float(H._RADII[fits[0]]) if fits.size else H._RADIUS_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -592,24 +587,17 @@ def gram_json(q: GramMatrix) -> str:
                        "gram": [[str(v) for v in row] for row in q.entries]})
 
 
-def F_value(Q, *, cutoff: float = _height.DEFAULT_CUTOFF) -> float:
+def F_value(Q) -> float:
     """F(Q, 0) of the form as given (no rescaling to determinant 1).
 
-    The F half of ``height``: its summands through the one certified lattice
-    sum, without the gradient.  Invariant under unimodular change of basis.
+    The Gamma-sum of ``height`` with F's orders, certified without the
+    gradient.  Invariant under unimodular change of basis.
     """
-    H = _height
-    A = H._as_form(Q)
-
-    def sums(fv):
-        F, tol = H._F_sum(fv, H._main_summand(A.shape[0], math.pi * fv.form.distinct))
-        return F, (tol,)
-
-    return H._certified_sum(A, cutoff, lambda grid: H._height_bounds(grid)[:1], sums, "F value")[0]
+    A = _height._as_form(Q)
+    return _height._certified_sum(A, _height._F_orders(A.shape[0]), "F value")[0]
 
 
-def directional_derivative_fd(Q0, H, step: float = 1e-4, *,
-                              cutoff: float = _height.DEFAULT_CUTOFF) -> float:
+def directional_derivative_fd(Q0, H, step: float = 1e-4) -> float:
     """Central difference of F along the geodesic through Q0 in direction H.
 
     This is the independent oracle for the gradient that ``height`` reports:
@@ -618,6 +606,6 @@ def directional_derivative_fd(Q0, H, step: float = 1e-4, *,
     """
     A = _height._as_form(Q0)
     H = np.asarray(H, dtype=float)
-    fp = F_value(exp_map_float(A, H, step), cutoff=cutoff)
-    fm = F_value(exp_map_float(A, H, -step), cutoff=cutoff)
+    fp = F_value(exp_map_float(A, H, step))
+    fm = F_value(exp_map_float(A, H, -step))
     return (fp - fm) / (2.0 * step)

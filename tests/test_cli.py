@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -207,17 +209,19 @@ class TestNumericCommands:
         line = capsys.readouterr().out.splitlines()[-1]
         assert line.startswith("truncation radius 12.7324, 18 + 18 half-set vectors")
 
-    def test_height_truncation_failure_exits_2(self, capsys):
-        rc = main(["height", "--name", "stc12", "--radius", "0.01"])
+    def test_height_truncation_failure_exits_2(self, capsys, monkeypatch):
+        # infinite a-priori tolerances make the first grid radius the chosen
+        # one, where std5b's certified tail misses its real tolerance
+        H = sys.modules["latcrit.height"]
+        real = H._bounds
+        monkeypatch.setattr(H, "_bounds", lambda *args: [(m, math.inf) for m, _ in real(*args)])
+        rc = main(["height", "--name", "std5b"])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
-
-    def test_height_zero_radius_rejected_before_enumeration(self, capsys):
-        rc = main(["height", "--name", "sta2", "--radius", "0"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("error: cutoff must be positive") and err.count("\n") == 1
+        assert err.startswith("error: height: tail tolerance unattained") and err.count("\n") == 1
+        with pytest.raises(SystemExit) as exc:  # the radius is not a height option
+            main(["height", "--name", "sta2", "--radius", "4"])
+        assert exc.value.code == 2
 
     def test_stationarity(self, capsys):
         rc = main(["stationarity", "--name", "stc12"])

@@ -110,6 +110,16 @@ class TestEpsteinZeta:
         b = epstein_zeta(A2.to_float(), 2.0)
         assert abs(a - b) < 1e-12
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_s_is_rejected_before_any_sum(self, s, monkeypatch):
+        # NaN used to run the continued fraction to its step limit and inf
+        # the lower series; -inf reached math.floor's OverflowError
+        H = sys.modules["latcrit.height"]
+        monkeypatch.setattr(H, "_certified_sum", None)
+        for zeta in (completed_zeta, epstein_zeta):
+            with pytest.raises(ValueError, match="s must be finite"):
+                zeta(A2, s)
+
 
 class TestFValue:
     def test_unimodular_invariance(self):
@@ -120,9 +130,16 @@ class TestFValue:
             assert abs(F_value(transform_gram(A2, U)) - base) < 1e-11
 
     def test_radius_doubling_self_consistency(self):
-        a = F_value(I2, cutoff=40.0)
-        b = F_value(I2, cutoff=80.0)
-        assert abs(a - b) < 1e-11
+        # F at its certified radius against F's terms summed up to twice it
+        H = sys.modules["latcrit.height"]
+        A = I2.to_float()
+        F, _, _, fv = H._certified_sum(A, H._F_orders(2), "F value")
+        _, c = H.short_vectors_float(A, 2 * fv.radius)
+        _, b = H.short_vectors_float(A, 2 * fv.radius)  # I2 is its own inverse
+        wide = 2.0 * (math.fsum(H._summand(1.0, 1.0, math.pi * c, upper_gamma(1.0, math.pi * c)))
+                      + math.fsum(upper_gamma(0.0, math.pi * b)))
+        assert F == F_value(I2)
+        assert abs(F - wide) < 1e-11
 
     def test_self_inverse_identity_case(self):
         assert F_value(I2) == F_value(I2.to_float())
@@ -185,6 +202,15 @@ class TestHeight:
         assert rep.tail_estimate < 1e-12 * abs(rep.F_value)
         assert np.allclose(rep.gradient, rep.gradient.T, atol=1e-14)
         assert rep.height == rep.constant_C + rep.F_value + 2 * math.log(2 * math.pi)
+
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+    def test_non_finite_form_is_rejected(self, entry):
+        # inf used to warn in the normalization and then raise LinAlgError,
+        # NaN to report an asymmetric form
+        with pytest.raises(ValueError, match="form must have finite entries"):
+            height(np.array([[entry, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="form must have finite entries"):
+            completed_zeta(np.array([[1.0, entry], [entry, 1.0]]), 0.5)
 
     def test_bit_reproducibility(self):
         a = height(A2)
@@ -298,16 +324,15 @@ class TestOneLatticeSumLoop:
         rep = height(load_catalog().by_name("std5b"))
         # the predicted radius certifies: the form and its dual once each
         assert radii == [rep.truncation_radius] * 2
-        assert rep.truncation_radius > H.DEFAULT_CUTOFF / math.pi
+        assert rep.truncation_radius > H._RADII[0]
 
     def test_radius_is_final_when_the_prediction_falls_short(self, monkeypatch):
         # infinite a-priori tolerances make the prediction the smallest
         # radius; the real check rejects it, and no larger radius is tried
         H = sys.modules["latcrit.height"]
         e = load_catalog().by_name("std5b")
-        real = H._height_bounds
-        monkeypatch.setattr(H, "_height_bounds",
-                            lambda grid: [(m, math.inf) for m, _ in real(grid)])
+        real = H._bounds
+        monkeypatch.setattr(H, "_bounds", lambda *args: [(m, math.inf) for m, _ in real(*args)])
         radii = []
         real_sv = H.short_vectors_float
 
@@ -317,13 +342,18 @@ class TestOneLatticeSumLoop:
 
         monkeypatch.setattr(H, "short_vectors_float", counting)
         with pytest.raises(TruncationError):
-            height(e, cutoff=20.0)
-        assert radii == [20.0 / math.pi] * 2
+            height(e)
+        assert radii == [H._RADII[0]] * 2
 
     def test_grad_F_takes_no_pinned_radius(self):
-        # height is the gradient's only route, and it chooses its own radius
+        # height is the gradient's only route, and no sum takes a radius or
+        # the grid's start: the grid is fixed
         with pytest.raises(TypeError):
             height(I2, radius=20.0)
+        for call in (height, lambda Q, **kw: completed_zeta(Q, 1.7, **kw),
+                     lambda Q, **kw: epstein_zeta(Q, 1.7, **kw)):
+            with pytest.raises(TypeError):
+                call(A2, cutoff=40.0)
 
     def test_enumerated_sum_reaches_its_basis_lower_bound(self, monkeypatch):
         # every summand is positive, so the enumerated sum is at least the
@@ -340,11 +370,8 @@ class TestOneLatticeSumLoop:
         for A, s in ZETA_CASES:
             completed_zeta(A, s)
         assert len(runs) == 84 + 13 + len(ZETA_CASES)
-        for A, cutoff, bounds, (value, _, _) in runs:
-            Ainv = np.linalg.inv(A)
-            grid = H._grid(A, 0.5 * (Ainv + Ainv.T), cutoff / math.pi)
-            a_priori = bounds(grid)[0][1]
-            total = value[0] if isinstance(value, tuple) else value
+        for A, orders, gradient, (total, _, _, _) in runs:
+            a_priori = H._bounds(H._grid(A), orders, gradient)[0][1]
             assert a_priori <= H.TAIL_REL * total, (A, a_priori, total)
 
     @pytest.mark.parametrize("name", ["sta3", "stc12", "std5b", "ste10a"])
@@ -436,9 +463,10 @@ class TestOncePerValue:
         H = sys.modules["latcrit.height"]
         runs = _record_certified_sums(monkeypatch)
         height(load_catalog().by_name(name))
-        [(A, _, _, (_, _, fv))] = runs
-        n = A.shape[0]
-        for Q, side, g in ((A, fv.form, lambda c: H._main_summand(n, math.pi * c)),
+        [(A, _, _, (_, _, _, fv))] = runs
+        a = A.shape[0] / 2
+        for Q, side, g in ((A, fv.form, lambda c: H._summand(a, 1.0, math.pi * c,
+                                                             upper_gamma(a, math.pi * c))),
                            (fv.Ainv, fv.dual, lambda b: upper_gamma(0.0, math.pi * b))):
             X, norms = H.short_vectors_float(Q, fv.radius)
             assert np.array_equal(X, side.half)
@@ -462,11 +490,11 @@ class TestOncePerValue:
     def test_cached_grid_values_are_read_only(self):
         H = sys.modules["latcrit.height"]
         height(A3)
-        g = H._radius_gamma(1.5, H.DEFAULT_CUTOFF / math.pi)
+        g = H._radius_gamma(1.5)
         assert not g.flags.writeable
         with pytest.raises(ValueError):
             g[0] = 0.0
-        assert np.array_equal(g, upper_gamma(1.5, math.pi * H._radii(H.DEFAULT_CUTOFF / math.pi)))
+        assert np.array_equal(g, upper_gamma(1.5, math.pi * H._RADII))
 
     def test_warm_sweep_evaluates_each_distinct_norm_once(self, monkeypatch):
         # 765,092 vectors on 5,608 distinct float norms: one call per side
@@ -505,14 +533,14 @@ ZETA_CASES = [(A2.to_float(), 1.7), (SKEWED, 0.8), (SKEWED, -0.6),
 
 
 def _record_certified_sums(monkeypatch) -> list:
-    """Record (A, cutoff, bounds, result) of every ``_certified_sum`` call."""
+    """Record (A, orders, gradient, result) of every ``_certified_sum`` call."""
     H = sys.modules["latcrit.height"]
     real = H._certified_sum
     runs = []
 
-    def recording(A, cutoff, bounds, sums, what):
-        out = real(A, cutoff, bounds, sums, what)
-        runs.append((A, cutoff, bounds, out))
+    def recording(A, orders, what, gradient=False):
+        out = real(A, orders, what, gradient)
+        runs.append((A, orders, gradient, out))
         return out
 
     monkeypatch.setattr(H, "_certified_sum", recording)
@@ -538,12 +566,11 @@ class TestAnnulusMajorant:
         runs = _record_certified_sums(monkeypatch)
         for A, s in ZETA_CASES:
             completed_zeta(A, s)
-        for (A, s), (_, cutoff, bounds, (_, tail, fv)) in zip(ZETA_CASES, runs):
+        for (A, s), (_, orders, gradient, (_, _, tail, fv)) in zip(ZETA_CASES, runs):
             n = A.shape[0]
             Ainv = np.linalg.inv(A)
-            grid = H._grid(A, 0.5 * (Ainv + Ainv.T), cutoff / math.pi)
-            [(majorant, _)] = bounds(grid)
-            j = int(np.searchsorted(grid.t, fv.radius, side="right")) - 1
+            [(majorant, _)] = H._bounds(H._grid(A), orders, gradient)
+            j = int(np.searchsorted(H._RADII, fv.radius, side="right")) - 1
             assert majorant[j] == tail
             g1 = lambda c: (math.pi * c) ** (-s) * upper_gamma(s, math.pi * c)
             g2 = lambda b: (np.linalg.det(A) ** -0.5 * (math.pi * b) ** (s - n / 2)
@@ -582,9 +609,9 @@ class TestAnnulusMajorant:
     def test_g_that_does_not_underflow_raises(self):
         H = sys.modules["latcrit.height"]
         A = np.array([[1.3, 0.2], [0.2, 0.8]])
-        grid = H._grid(A, np.linalg.inv(A), 12.0)
-        slow = np.exp(-0.01 * grid.x_form)
-        fast = np.exp(-grid.x_form)
+        grid = H._grid(A)
+        slow = np.exp(-0.01 * H._X)
+        fast = np.exp(-H._X)
         assert grid.majorant(fast, fast)[0] > 0.0
         with pytest.raises(TruncationError):
             grid.majorant(slow, fast)
@@ -599,22 +626,20 @@ class TestAnnulusMajorant:
         # points beyond t_j; points just above grid radii make it nearly tight
         H = sys.modules["latcrit.height"]
         A = np.array([[1.3, 0.2], [0.2, 0.8]])
-        grid = H._grid(A, np.linalg.inv(A), 12.0)
-        points = grid.t[[0, 1, 1, 5, 40, 41, 300]] * (1 + 1e-9)
-        exact = np.searchsorted(points, grid.t, side="right").astype(float)
-        none = np.zeros_like(grid.t)
-        grid = dataclasses.replace(grid, counts=((exact, exact), (none, none)))
-        g = np.exp(-grid.x_form)
+        t = H._RADII
+        points = t[[0, 1, 1, 5, 40, 41, 300]] * (1 + 1e-9)
+        exact = np.searchsorted(points, t, side="right").astype(float)
+        none = np.zeros_like(t)
+        grid = dataclasses.replace(H._grid(A), counts=((exact, exact), (none, none)))
+        g = np.exp(-H._X)
         majorant = grid.majorant(g, g)
-        for j, r in enumerate(grid.t):
+        for j, r in enumerate(t):
             true = float(np.sum(np.exp(-math.pi * points[points > r])))
             assert true <= majorant[j] <= true * math.exp(0.02 * math.pi * r) + 1e-300, j
 
     def test_majorant_is_nonincreasing_in_the_radius(self):
         H = sys.modules["latcrit.height"]
         A = normalized_to_det1(D4)
-        Ainv = np.linalg.inv(A)
-        grid = H._grid(A, 0.5 * (Ainv + Ainv.T), 40.0 / math.pi)
-        for majorant, _ in H._height_bounds(grid):
+        for majorant, _ in H._bounds(H._grid(A), H._F_orders(4), True):
             assert np.all(np.diff(majorant) <= 0.0)
             assert majorant[-1] == 0.0
