@@ -8,7 +8,8 @@ the larger Gamma_1 one (dim M equals dim M_k(Gamma_1(level)) on every entry
 of level >= 5), so N is dominated by the Gamma_1 Sturm bound but not by the
 Gamma_0 horizon ``fully_critical`` uses, which is at or below N on every
 entry.  Both stay as regression data: ``fully_critical(e, e.reference_N)``
-reproduces the reference transcripts.
+reproduces the reference transcripts.  ``reproduce_tables`` returns one
+``FullyCriticalReport`` per entry; the CLI's table rows are read from them.
 
 Dimension 7 is a partial list: the source catalogue of strongly eutactic
 lattices is not complete there.
@@ -27,9 +28,9 @@ Transcription notes (divergences from the printed source table):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .certify import VERDICT_CRITICAL, fully_critical
+from .certify import FullyCriticalReport, fully_critical
 from .gram import GramMatrix, LatticeDescriptor
 from .shells import DEFAULT_MAX_VECTORS
 
@@ -192,64 +193,22 @@ def load_catalog() -> Catalog:
 # table reproduction
 
 
-@dataclass(frozen=True)
-class TableRow:
-    name: str
-    dim: int
-    traditional_name: str
-    verdict: str
-    expected: str
-    reference_N: Optional[int]
-    bound_used: int
-    matches: bool
-    incomplete_dim: bool
-    error: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class TableSummary:
-    rows: tuple[TableRow, ...]
-
-    @property
-    def mismatches(self) -> list[TableRow]:
-        return [r for r in self.rows if not r.matches]
-
-
-def _table_row(entry: LatticeDescriptor, max_vectors: int) -> TableRow:
-    name, n = entry.name, entry.gram.n
-    try:
-        rep = fully_critical(entry, max_vectors=max_vectors)
-        return TableRow(
-            name=name, dim=n, traditional_name=entry.traditional_name,
-            verdict=rep.verdict_text, expected=VERDICT_CRITICAL,
-            reference_N=entry.reference_N, bound_used=rep.bound_B,
-            matches=rep.verdict == VERDICT_CRITICAL,
-            incomplete_dim=n in INCOMPLETE_DIMS,
-        )
-    except Exception as exc:  # per-entry budget failures keep the run going
-        return TableRow(
-            name=name, dim=n, traditional_name=entry.traditional_name,
-            verdict="error", expected=VERDICT_CRITICAL,
-            reference_N=entry.reference_N, bound_used=0, matches=False,
-            incomplete_dim=n in INCOMPLETE_DIMS, error=str(exc),
-        )
-
-
 def reproduce_tables(
     dims: Iterable[int],
     *,
     max_vectors: int = DEFAULT_MAX_VECTORS,
-) -> TableSummary:
-    """Run the certification on every catalogue entry of the given dimensions.
+) -> tuple[FullyCriticalReport, ...]:
+    """Certify every catalogue entry of the given dimensions, in catalogue order.
 
     Each entry is certified at the self-contained Gamma_0 horizon of
-    ``fully_critical``; its row reports that bound next to the catalogue's
-    reference N.  Rows follow the catalogue order.
+    ``fully_critical``; its report carries the entry (with its reference N)
+    as ``input`` next to the bound tested.  An exhausted budget is an
+    inconclusive report, so every entry gets one.
     """
     dims = sorted(set(int(d) for d in dims))
     bad = [d for d in dims if d not in _EXPECTED_PER_DIM]
     if bad:
         raise ValueError(f"no catalogue data for dimensions {bad}")
     cat = load_catalog()
-    rows = [_table_row(e, max_vectors) for d in dims for e in cat.by_dim(d)]
-    return TableSummary(rows=tuple(rows))
+    return tuple(fully_critical(e, max_vectors=max_vectors)
+                 for d in dims for e in cat.by_dim(d))

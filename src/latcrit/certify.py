@@ -171,10 +171,12 @@ def fully_critical(
     weight n/2 + 2 and the form's own; test every layer of the working even
     form up to (x.x) = 2B with B the Gamma_0 Sturm bound, or
     ``override_bound`` when supplied (e.g. the catalogue's reference N, to
-    reproduce its transcripts).  A failed layer is a definitive refutation;
-    an exhausted enumeration budget, or an override below the Sturm bound,
-    is reported as inconclusive with the largest certified bound, never as
-    a failure.
+    reproduce its transcripts).  A failed layer is a definitive refutation.
+    An exhausted enumeration budget halves the range until it fits, and an
+    override below the Sturm bound tests fewer layers: both are reported as
+    inconclusive with the largest certified bound, never as a failure and
+    never as an exception.  When no bound >= 2 fits the budget the report
+    is inconclusive with ``certified_upto`` 0 and no layers.
     """
     desc = L if isinstance(L, LatticeDescriptor) else LatticeDescriptor(gram=L, name=L.name)
     Q = desc.gram
@@ -198,20 +200,17 @@ def fully_critical(
 
     P, d = _int_matrix_and_denominator(work)
 
-    bound = 2 * B
-    note = ""
-    tried = bound
-    while True:
+    bound, moments, note = 2 * B, {}, ""
+    while bound >= 2:
         try:
             moments = layer_moments(work, bound, max_vectors=max_vectors)
             break
         except EnumerationBudgetError:
-            tried //= 2
-            if tried < 2:
-                raise
-            bound = tried
+            bound //= 2
             note = (f"enumeration budget {max_vectors} exceeded at (x,x)<={2 * B}; "
-                    f"certified range reduced")
+                    + ("certified range reduced" if bound >= 2 else "no bound >= 2 fits"))
+    else:  # no bound >= 2 fits: nothing is certified
+        bound = 0
 
     per_layer = []
     cards = []
@@ -265,9 +264,11 @@ def conjecture_probe(
 
     A (True, False) outcome would contradict the expectation that 2-designs
     on the first two layers propagate to all layers; callers should surface
-    such a hit loudly.  A run whose range was cut by the enumeration budget,
-    or set below the horizon, tested fewer layers but refuted nothing, so it
-    counts as (.., True).
+    such a hit loudly.  Both answers are read from one ``fully_critical``
+    report, as the CLI's probe rows read them.  A run whose range was cut by
+    the enumeration budget (down to no layers at all), or set below the
+    horizon, tested fewer layers but refuted nothing, so it counts as
+    (.., True).
     """
     rep = fully_critical(L, override_bound, max_vectors=max_vectors)
     return rep.first_two_designs, rep.verdict != VERDICT_FAILURE

@@ -3,16 +3,22 @@
 Subcommands: analyze, layers, design, fully-critical, height, stationarity,
 tables, probe-conjecture.  Exit codes: 0 success, 1 definitive failure
 (a refuted design property or a conjecture counterexample candidate),
-2 inconclusive outcomes and errors.  ``main`` maps every library exception
-it can meet to exit 2 with a one-line message on stderr: an exhausted
-enumeration budget (EnumerationBudgetError, prefixed "inconclusive:"), a
-height whose tail majorant misses its tolerance at the radius chosen from
-the fixed radius grid (TruncationError), a broken
+2 inconclusive outcomes and errors.  Each subcommand returns its input,
+its outcome, its text and its exit code; ``main`` times the call and
+prints the text, or the RunReport envelope under --format json.
+
+Certification (fully-critical, tables, probe-conjecture) speaks only
+through its reports: an exhausted enumeration budget is an inconclusive
+verdict (exit 2) on stdout, never a message on stderr.  ``main`` maps every
+library exception it can meet to exit 2 with a one-line message on
+stderr: an exhausted budget of ``layers`` or ``design``, which enumerate
+exactly the range asked for (EnumerationBudgetError, prefixed
+"inconclusive:"), a height whose tail majorant misses its tolerance at
+the radius chosen from the fixed radius grid (TruncationError), a broken
 design inequality (DesignComputationError), arithmetic failures
 (ArithmeticError) and bad input or usage (ValueError, KeyError, OSError).
 Exit 1 therefore always means a definitive refutation; ``tables`` exits 1
-only when some row is a failure, and 2 when a row is inconclusive or an
-error.
+only when some row is a failure, and 2 when a row is inconclusive.
 
 Text output for certification runs mirrors the reference transcript style
 ("150 = 150, 2-DESIGN on the layer (x,x)=3") so diffs against it are
@@ -25,13 +31,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
-from .catalog import load_catalog, reproduce_tables
+from .catalog import INCOMPLETE_DIMS, load_catalog, reproduce_tables
 from .certify import (
     VERDICT_CRITICAL,
     VERDICT_FAILURE,
@@ -66,27 +72,14 @@ class RunReport:
     input: dict
     outcome: dict
     wall_time_s: float
-    truncation: dict
     version: str
 
     def to_json(self) -> str:
-        return json.dumps({
-            "command": self.command,
-            "input": self.input,
-            "outcome": self.outcome,
-            "wall_time_s": self.wall_time_s,
-            "truncation": self.truncation,
-            "version": self.version,
-        }, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @staticmethod
     def from_json(text: str) -> "RunReport":
-        obj = json.loads(text)
-        return RunReport(
-            command=obj["command"], input=obj["input"], outcome=obj["outcome"],
-            wall_time_s=obj["wall_time_s"], truncation=obj["truncation"],
-            version=obj["version"],
-        )
+        return RunReport(**json.loads(text))
 
 
 def _resolve_input(args) -> LatticeDescriptor:
@@ -106,21 +99,13 @@ def _input_dict(desc: LatticeDescriptor) -> dict:
     }
 
 
-def _emit(args, report: RunReport, text: str):
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(text)
-
-
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each returns (input, outcome, text, exit code)
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     desc = _resolve_input(args)
     Q = desc.gram
-    t0 = time.time()
     det = determinant(Q)
     even = is_even(Q)
     info = {
@@ -136,7 +121,6 @@ def _cmd_analyze(args) -> int:
     if spec.layers:
         info["min_norm"] = str(spec.layers[0].norm)
         info["kissing_number"] = spec.layers[0].cardinality
-    rep = RunReport("analyze", _input_dict(desc), info, time.time() - t0, {}, __version__)
     lines = [f"{desc.name or 'input'}: dimension {Q.n}, determinant {info['determinant']}"]
     lines.append(f"integral: {info['integral']}, even: {info['even']}")
     if "level_of_even_form" in info:
@@ -144,15 +128,13 @@ def _cmd_analyze(args) -> int:
         lines.append(f"level of the even form {which}: {info['level_of_even_form']}")
     if "min_norm" in info:
         lines.append(f"minimum {info['min_norm']}, kissing number {info['kissing_number']}")
-    _emit(args, rep, "\n".join(lines))
-    return EXIT_OK
+    return _input_dict(desc), info, "\n".join(lines), EXIT_OK
 
 
-def _cmd_layers(args) -> int:
+def _cmd_layers(args):
     desc = _resolve_input(args)
     if args.bound is None:
         raise ValueError("layers requires --bound B")
-    t0 = time.time()
     spec = enumerate_layers(desc.gram, Fraction(args.bound), max_vectors=args.max_vectors)
     cards = layer_cardinalities(spec)
     outcome = {"bound": args.bound,
@@ -164,38 +146,31 @@ def _cmd_layers(args) -> int:
     if args.dump_layers:
         with open(args.dump_layers, "w", encoding="utf-8") as fh:
             fh.write(dump_spectrum(spec))
-    rep = RunReport("layers", _input_dict(desc), outcome, time.time() - t0, {}, __version__)
     lines = [f"layers of {desc.name or 'input'} up to Q[x] <= {args.bound}:"]
     for m, c in cards:
         lines.append(f"  (x,x)={m}: {c} vectors ({c // 2} antipodal pairs)")
-    _emit(args, rep, "\n".join(lines))
-    return EXIT_OK
+    return _input_dict(desc), outcome, "\n".join(lines), EXIT_OK
 
 
-def _cmd_design(args) -> int:
+def _cmd_design(args):
     desc = _resolve_input(args)
     if args.layer_norm is None:
         raise ValueError("design requires --layer-norm M")
     m = Fraction(args.layer_norm)
-    t0 = time.time()
     layer = layer_moments(desc.gram, m, max_vectors=args.max_vectors).get(m)
     if layer is None:
-        rep = RunReport("design", _input_dict(desc),
-                        {"layer_norm": str(m), "empty": True},
-                        time.time() - t0, {}, __version__)
-        _emit(args, rep, f"the layer (x,x)={m} is empty")
-        return EXIT_OK
+        return (_input_dict(desc), {"layer_norm": str(m), "empty": True},
+                f"the layer (x,x)={m} is empty", EXIT_OK)
     card, S = layer
     P, d = _int_matrix_and_denominator(desc.gram)
     verdict = two_design_verdict(m, card, S, P, d)
-    rep = RunReport("design", _input_dict(desc), verdict.to_dict(),
-                    time.time() - t0, {}, __version__)
     if verdict.is_design:
-        _emit(args, rep, f"{verdict.lhs} = {verdict.rhs}, 2-DESIGN on the layer (x,x)={m}")
-        return EXIT_OK
-    _emit(args, rep, f"{verdict.lhs} != {verdict.rhs}, "
-                     f"NOT a 2-design on the layer (x,x)={m} -- FAILURE")
-    return EXIT_FAILURE
+        text = f"{verdict.lhs} = {verdict.rhs}, 2-DESIGN on the layer (x,x)={m}"
+    else:
+        text = (f"{verdict.lhs} != {verdict.rhs}, "
+                f"NOT a 2-design on the layer (x,x)={m} -- FAILURE")
+    return (_input_dict(desc), verdict.to_dict(), text,
+            EXIT_OK if verdict.is_design else EXIT_FAILURE)
 
 
 def _transcript(report: FullyCriticalReport) -> str:
@@ -233,85 +208,56 @@ def _transcript(report: FullyCriticalReport) -> str:
     return "\n".join(lines)
 
 
-def _cmd_fully_critical(args) -> int:
+def _cmd_fully_critical(args):
     desc = _resolve_input(args)
     override = None if args.bound is None else int(args.bound)
-    t0 = time.time()
     rep = fully_critical(desc, override, max_vectors=args.max_vectors)
-    run = RunReport("fully-critical", _input_dict(desc), rep.to_dict(),
-                    time.time() - t0,
-                    {"bound_B": rep.bound_B, "horizon_B": rep.horizon_B,
-                     "certified_upto": str(rep.certified_upto)},
-                    __version__)
-    _emit(args, run, _transcript(rep))
-    if rep.verdict == VERDICT_CRITICAL:
-        return EXIT_OK
-    if rep.verdict == VERDICT_FAILURE:
-        return EXIT_FAILURE
-    return EXIT_INCONCLUSIVE
+    code = {VERDICT_CRITICAL: EXIT_OK, VERDICT_FAILURE: EXIT_FAILURE}.get(
+        rep.verdict, EXIT_INCONCLUSIVE)
+    return _input_dict(desc), rep.to_dict(), _transcript(rep), code
 
 
-def _cmd_height(args) -> int:
+def _cmd_height(args):
     desc = _resolve_input(args)
-    t0 = time.time()
     hrep = height(desc)
-    run = RunReport("height", _input_dict(desc), hrep.to_dict(), time.time() - t0,
-                    {"truncation_radius": hrep.truncation_radius,
-                     "tail_estimate": hrep.tail_estimate,
-                     "half_vectors_form": hrep.half_vectors_form,
-                     "half_vectors_dual": hrep.half_vectors_dual}, __version__)
     text = (f"height({desc.name or 'input'} normalized to det 1) = {hrep.height!r}\n"
             f"F value {hrep.F_value!r}, constant {hrep.constant_C!r}\n"
             f"projected gradient residual {hrep.projected_residual:.3e}\n"
             f"truncation radius {hrep.truncation_radius:.4f}, "
             f"{hrep.half_vectors_form} + {hrep.half_vectors_dual} half-set vectors "
             f"(form + inverse), certified tail {hrep.tail_estimate:.3e}")
-    _emit(args, run, text)
-    return EXIT_OK
+    return _input_dict(desc), hrep.to_dict(), text, EXIT_OK
 
 
-def _cmd_stationarity(args) -> int:
+def _cmd_stationarity(args):
     desc = _resolve_input(args)
-    t0 = time.time()
     res = height(desc).projected_residual
-    run = RunReport("stationarity", _input_dict(desc),
-                    {"projected_residual": res}, time.time() - t0, {}, __version__)
-    _emit(args, run, f"stationarity residual of {desc.name or 'input'} "
-                     f"(normalized): {res:.6e}")
-    return EXIT_OK
+    return (_input_dict(desc), {"projected_residual": res},
+            f"stationarity residual of {desc.name or 'input'} (normalized): {res:.6e}",
+            EXIT_OK)
 
 
-def _cmd_tables(args) -> int:
+def _cmd_tables(args):
     dims = [int(d) for d in args.dims.split(",")] if args.dims else [2, 3, 4, 5, 6]
-    t0 = time.time()
-    summary = reproduce_tables(dims, max_vectors=args.max_vectors)
-    rows_out = []
+    rows = []
     lines = [f"{'name':9s} {'dim':3s} {'verdict':16s} {'expected':14s} "
              f"{'B':6s} {'N':4s} {'ok':2s}"]
-    for r in summary.rows:
-        rows_out.append({
-            "name": r.name, "dim": r.dim, "traditional_name": r.traditional_name,
-            "verdict": r.verdict, "expected": r.expected,
-            "reference_N": r.reference_N, "bound_used": r.bound_used,
-            "matches": r.matches, "incomplete_dim": r.incomplete_dim,
-            "error": r.error,
+    for rep in reproduce_tables(dims, max_vectors=args.max_vectors):
+        e, n, ok = rep.input, rep.input.gram.n, rep.verdict == VERDICT_CRITICAL
+        rows.append({
+            "name": e.name, "dim": n, "traditional_name": e.traditional_name,
+            "verdict": rep.verdict_text, "expected": VERDICT_CRITICAL,
+            "reference_N": e.reference_N, "bound_used": rep.bound_B,
+            "matches": ok, "incomplete_dim": n in INCOMPLETE_DIMS,
         })
-        flag = "ok" if r.matches else "XX"
-        note = " [catalogue incomplete]" if r.incomplete_dim else ""
-        lines.append(f"{r.name:9s} {r.dim:<3d} {r.verdict:16s} {r.expected:14s} "
-                     f"{r.bound_used:<6d} {r.reference_N!s:4s} {flag}{note}")
-        if r.error:
-            lines.append(f"    error: {r.error}")
-    mism = summary.mismatches
-    lines.append(f"{len(summary.rows)} entries, {len(mism)} mismatches")
-    run = RunReport("tables", {"dims": dims}, {"rows": rows_out,
-                    "mismatches": len(mism)}, time.time() - t0, {}, __version__)
-    _emit(args, run, "\n".join(lines))
-    if any(r.verdict.startswith("failure") for r in summary.rows):
-        return EXIT_FAILURE
-    if mism:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+        note = " [catalogue incomplete]" if n in INCOMPLETE_DIMS else ""
+        lines.append(f"{e.name:9s} {n:<3d} {rep.verdict_text:16s} {VERDICT_CRITICAL:14s} "
+                     f"{rep.bound_B:<6d} {e.reference_N!s:4s} {'ok' if ok else 'XX'}{note}")
+    mism = sum(not r["matches"] for r in rows)
+    lines.append(f"{len(rows)} entries, {mism} mismatches")
+    code = (EXIT_FAILURE if any(r["verdict"].startswith("failure") for r in rows)
+            else EXIT_INCONCLUSIVE if mism else EXIT_OK)
+    return {"dims": dims}, {"rows": rows, "mismatches": mism}, "\n".join(lines), code
 
 
 def _random_integral_spd(dim: int, rng) -> GramMatrix:
@@ -329,8 +275,7 @@ def _random_integral_spd(dim: int, rng) -> GramMatrix:
     return GramMatrix(Q.tolist())
 
 
-def _cmd_probe(args) -> int:
-    t0 = time.time()
+def _cmd_probe(args):
     jobs: list[LatticeDescriptor] = []
     if args.name:
         jobs.append(load_catalog().by_name(args.name))
@@ -348,18 +293,9 @@ def _cmd_probe(args) -> int:
                 name=f"random-{k}"))
     if not jobs:
         raise ValueError("nothing to probe (use --name/--gram/--all-catalog/--random)")
-    hits = []
-    inconclusive = 0
-    rows = []
-    lines = []
+    hits, rows, lines = [], [], []
     for desc in jobs:
-        try:
-            rep = fully_critical(desc, args.bound, max_vectors=args.max_vectors)
-        except EnumerationBudgetError as exc:
-            rows.append({"name": desc.name, "error": str(exc)})
-            lines.append(f"{desc.name}: inconclusive ({exc})")
-            inconclusive += 1
-            continue
+        rep = fully_critical(desc, args.bound, max_vectors=args.max_vectors)
         first_two = rep.first_two_designs
         rows.append({"name": desc.name, "first_two_designs": first_two,
                      "verdict": rep.verdict_text, "bound_B": rep.bound_B,
@@ -367,19 +303,14 @@ def _cmd_probe(args) -> int:
         lines.append(f"{desc.name}: first_two={first_two} verdict={rep.verdict_text}")
         if first_two and rep.verdict == VERDICT_FAILURE:
             hits.append(desc.name)
-        if rep.verdict == VERDICT_INCONCLUSIVE:
-            inconclusive += 1
     if hits:
         lines.append("!!! COUNTEREXAMPLE CANDIDATE(S): first two layers are 2-designs "
                      f"but a later tested layer fails: {', '.join(hits)}")
     else:
         lines.append("no counterexample candidates")
-    run = RunReport("probe-conjecture", {"jobs": [d.name for d in jobs]},
-                    {"rows": rows, "hits": hits}, time.time() - t0, {}, __version__)
-    _emit(args, run, "\n".join(lines))
-    if hits:
-        return EXIT_FAILURE
-    return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
+    inconclusive = any(r["verdict"] == VERDICT_INCONCLUSIVE for r in rows)
+    code = EXIT_FAILURE if hits else EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
+    return {"jobs": [d.name for d in jobs]}, {"rows": rows, "hits": hits}, "\n".join(lines), code
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
-        return args.func(args)
+        inp, outcome, text, code = args.func(args)
     except EnumerationBudgetError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
@@ -475,6 +407,10 @@ def main(argv=None) -> int:
             ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    if args.format == "json":
+        text = RunReport(args.command, inp, outcome, time.time() - t0, __version__).to_json()
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ def _as_fraction(x) -> Fraction:
         return Fraction(int(x))
     if isinstance(x, str):
         return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, float) and math.isfinite(x):
         return Fraction(x).limit_denominator(10**12) if not x.is_integer() else Fraction(int(x))
     raise GramError(f"cannot interpret {x!r} as an exact rational")
 

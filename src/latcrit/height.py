@@ -73,7 +73,7 @@ def _as_form(Q) -> np.ndarray:
     if not np.allclose(A, A.T, atol=1e-10):
         raise ValueError("form must be symmetric")
     np.linalg.cholesky(A)  # raises if not positive definite
-    return 0.5 * (A + A.T)
+    return 0.5 * A + 0.5 * A.T  # the bits of 0.5 * (A + A.T), with no overflow
 
 
 def _annulus_counts(Q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,12 +370,22 @@ class HeightReport:
 
 
 def _det1_form(L) -> np.ndarray:
-    """The determinant-1 representative Q / det(Q)^{1/n} of a lattice or form."""
+    """The determinant-1 representative Q / det(Q)^{1/n} of a lattice or form.
+
+    A float form whose determinant or normalized entries leave the float
+    range is rejected here, before any enumeration.
+    """
     Q = L.gram if isinstance(L, LatticeDescriptor) else L
     if isinstance(Q, GramMatrix):
         return normalized_to_det1(Q)
     A = _as_form(Q)
-    return A / float(np.linalg.det(A)) ** (1.0 / A.shape[0])
+    with np.errstate(over="ignore"):
+        det = float(np.linalg.det(A))
+        if 0 < det < math.inf:
+            A = A / det ** (1.0 / A.shape[0])
+            if np.all(np.isfinite(A)):
+                return A
+    raise ValueError("form has no finite determinant-1 normalization")
 
 
 def _projected_residual(A: np.ndarray, G: np.ndarray) -> float:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from latcrit import GramMatrix, determinant, gram_from_json, is_even
+from latcrit import (VERDICT_CRITICAL, VERDICT_INCONCLUSIVE, FullyCriticalReport, GramMatrix,
+                     determinant, fully_critical, gram_from_json, is_even)
 from latcrit.catalog import INCOMPLETE_DIMS, load_catalog, reproduce_tables
 
 from helpers import gram_json
@@ -58,25 +59,35 @@ class TestLoad:
 
 class TestReproduceTables:
     def test_dims_2_3_sturm_mode(self):
-        summary = reproduce_tables([2, 3])
-        assert len(summary.rows) == 5
-        assert not summary.mismatches
-        for r in summary.rows:
-            assert r.verdict == "fully-critical"
-            assert r.bound_used <= r.reference_N
+        reports = reproduce_tables([2, 3])
+        assert [r.input.name for r in reports] == ["sta2", "sta3", "stb3", "stb4", "stb6"]
+        for r in reports:
+            assert isinstance(r, FullyCriticalReport)
+            assert r.verdict == VERDICT_CRITICAL
+            assert r.bound_B <= r.input.reference_N
 
     def test_dim_4_fast_mode(self):
         # the default Gamma_0 horizon is never beyond the reference N
-        summary = reproduce_tables([4])
-        assert len(summary.rows) == 6
-        assert all(r.verdict == "fully-critical" for r in summary.rows)
-        assert [r.bound_used for r in summary.rows] == [2, 2, 1, 4, 2, 1]
-        assert all(r.bound_used <= r.reference_N for r in summary.rows)
+        reports = reproduce_tables([4])
+        assert len(reports) == 6
+        assert all(r.verdict == VERDICT_CRITICAL for r in reports)
+        assert [r.bound_B for r in reports] == [2, 2, 1, 4, 2, 1]
+        assert all(r.bound_B <= r.input.reference_N for r in reports)
 
     def test_dim_7_flagged_incomplete(self):
-        summary = reproduce_tables([7], max_vectors=2_000_000)
-        assert all(r.incomplete_dim for r in summary.rows)
-        assert len(summary.rows) == 7
+        reports = reproduce_tables([7], max_vectors=2_000_000)
+        assert INCOMPLETE_DIMS == {7}
+        assert [r.input.name for r in reports] == [e.name for e in load_catalog().by_dim(7)]
+        assert all(r.input.gram.n in INCOMPLETE_DIMS for r in reports)
+
+    def test_rows_are_the_reports(self):
+        # the rows are fully_critical's own reports, in catalogue order
+        reports = reproduce_tables([5, 2], max_vectors=50)
+        entries = load_catalog().by_dim(2) + load_catalog().by_dim(5)
+        assert [r.input for r in reports] == entries
+        for e, r in zip(entries, reports):
+            assert r.to_dict() == fully_critical(e, max_vectors=50).to_dict()
+        assert {r.verdict for r in reports} == {VERDICT_CRITICAL, VERDICT_INCONCLUSIVE}
 
     def test_rejects_unknown_dim(self):
         with pytest.raises(ValueError):

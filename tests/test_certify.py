@@ -239,6 +239,18 @@ class TestFullyCritical:
         assert all(v.is_design for v in rep.per_layer)
         assert rep.note
 
+    @pytest.mark.parametrize("name, upto", [("sta2", 0), ("stb4", 2), ("stf28a", 0)])
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_no_bound_fits_the_budget(self, name, upto, budget):
+        # an exhausted budget is a verdict, never an exception; stb4 (A3*,
+        # minimum 3) has no vector with (x,x) <= 2, so that range fits any budget
+        rep = fully_critical(load_catalog().by_name(name), max_vectors=budget)
+        assert rep.verdict == VERDICT_INCONCLUSIVE
+        assert rep.certified_upto == upto
+        assert (rep.layers_tested, rep.vacuous, rep.per_layer) == (0, False, ())
+        assert rep.note.endswith("no bound >= 2 fits" if upto == 0 else "certified range reduced")
+        assert rep.to_dict()["certified_upto"] == upto
+
     def test_report_serializes(self):
         rep = fully_critical(load_catalog().by_name("sta3"))
         d = rep.to_dict()

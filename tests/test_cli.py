@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latcrit import GramMatrix, conjecture_probe, height, load_catalog
+from latcrit import GramMatrix, __version__, conjecture_probe, fully_critical, height, load_catalog
 from latcrit.cli import RunReport, _random_integral_spd, main
 
 from helpers import (box_vectors, gram_json, moment_identity_holds, pair_sum_bruteforce,
@@ -71,11 +71,28 @@ class TestFullyCritical:
         assert rc == 2
         assert rep.outcome["verdict"] == "inconclusive"
         assert (rep.outcome["bound_B"], rep.outcome["horizon_B"]) == (5, 15)
-        assert rep.truncation["horizon_B"] == 15
+        assert rep.outcome["certified_upto"] == 10
         rc = main(["fully-critical", "--name", "ste15a"])
         assert rc == 0
         assert "bound B = 15, horizon B = 15, 14 nonempty layers tested" in (
             capsys.readouterr().out)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_exhausted_budget_is_a_report(self, fmt, capsys):
+        # no bound >= 2 fits: the verdict is on stdout, nothing on stderr
+        rc = main(["fully-critical", "--name", "sta2", "--max-vectors", "1", "--format", fmt])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == ""
+        if fmt == "text":
+            assert captured.out.splitlines()[-1] == (
+                "RESULT: inconclusive (enumeration budget 1 exceeded at (x,x)<=2; "
+                "no bound >= 2 fits)")
+            return
+        out = RunReport.from_json(captured.out).outcome
+        assert out["verdict"] == "inconclusive"
+        assert (out["certified_upto"], out["layers_tested"], out["vacuous"]) == (0, 0, False)
+        assert out["per_layer"] == [] and "no bound >= 2 fits" in out["note"]
 
     def test_json_format(self, capsys):
         rc = main(["fully-critical", "--name", "sta3", "--format", "json"])
@@ -191,6 +208,30 @@ class TestTables:
             "stc4", "stc10"]
         assert "failure" not in out
 
+    def test_exhausted_budget_rows_are_inconclusive(self, capsys):
+        rc = main(["tables", "--dims", "2", "--max-vectors", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 2
+        assert [l.split()[:3] + l.split()[4:5] for l in lines[1:3]] == [
+            ["sta2", "2", "inconclusive", "1"], ["sta3", "2", "inconclusive", "1"]]
+        assert lines[-1] == "2 entries, 2 mismatches"
+        rc = main(["tables", "--dims", "2", "--max-vectors", "1", "--format", "json"])
+        rep = RunReport.from_json(capsys.readouterr().out)
+        assert rc == 2
+        assert [(r["verdict"], r["bound_used"]) for r in rep.outcome["rows"]] == [
+            ("inconclusive", 1)] * 2
+        assert all("error" not in r for r in rep.outcome["rows"])
+
+    def test_rows_read_the_reports(self, capsys):
+        assert main(["tables", "--dims", "3", "--format", "json"]) == 0
+        rows = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
+        assert rows == [{
+            "name": e.name, "dim": 3, "traditional_name": e.traditional_name,
+            "verdict": "fully-critical", "expected": "fully-critical",
+            "reference_N": e.reference_N, "bound_used": fully_critical(e).bound_B,
+            "matches": True, "incomplete_dim": False,
+        } for e in load_catalog().by_dim(3)]
+
 
 class TestNumericCommands:
     def test_height_json(self, capsys):
@@ -199,10 +240,9 @@ class TestNumericCommands:
         assert rc == 0
         assert rep.outcome["height"] < 1.06
         assert rep.outcome["tail_estimate"] < 1e-12 * abs(rep.outcome["F_value"])
-        tr = rep.truncation
-        assert tr["half_vectors_form"] == rep.outcome["half_vectors_form"] > 0
-        assert tr["half_vectors_dual"] == rep.outcome["half_vectors_dual"] > 0
-        assert tr["truncation_radius"] == rep.outcome["truncation_radius"]
+        assert rep.outcome == height(load_catalog().by_name("sta3")).to_dict()
+        assert rep.outcome["half_vectors_form"] > 0 and rep.outcome["half_vectors_dual"] > 0
+        assert rep.outcome["truncation_radius"] > 0
 
     def test_height_text_reports_radius_and_vectors(self, capsys):
         assert main(["height", "--name", "sta3"]) == 0
@@ -265,12 +305,17 @@ class TestProbe:
         assert "inconclusive" in capsys.readouterr().out
 
     def test_budget_error_row_is_inconclusive(self, capsys):
-        # fully_critical itself gives up (no bound >= 2 fits the budget): exit 2, no hit
+        # no bound >= 2 fits the budget: an inconclusive report, exit 2, no hit
         rc = main(["probe-conjecture", "--name", "sta2", "--max-vectors", "1"])
         out = capsys.readouterr().out
         assert rc == 2
-        assert "sta2: inconclusive (enumeration budget exceeded" in out
+        assert "sta2: first_two=True verdict=inconclusive" in out
         assert "no counterexample candidates" in out
+        rc = main(["probe-conjecture", "--name", "sta2", "--max-vectors", "1", "--format", "json"])
+        [row] = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
+        assert rc == 2
+        assert row == {"name": "sta2", "first_two_designs": True, "verdict": "inconclusive",
+                       "bound_B": 1, "horizon_B": 1}
 
     def test_gram_input_is_probed_at_its_horizon(self, tmp_path, capsys):
         # a --gram copy has no reference N: the Gamma0(20) Sturm bound of
@@ -313,9 +358,30 @@ class TestProbe:
 
 class TestRunReport:
     def test_round_trip(self):
-        rep = RunReport("height", {"name": "x"}, {"v": 1.5}, 0.01, {"r": 2.0}, "0.1.0")
+        rep = RunReport("height", {"name": "x"}, {"v": 1.5}, 0.01, "0.1.0")
         back = RunReport.from_json(rep.to_json())
         assert back == rep
+        assert list(json.loads(rep.to_json())) == [
+            "command", "input", "outcome", "wall_time_s", "version"]
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--name", "sta3"],
+        ["layers", "--name", "sta2", "--bound", "2"],
+        ["design", "--name", "sta3", "--layer-norm", "2"],
+        ["fully-critical", "--name", "sta3"],
+        ["height", "--name", "sta2"],
+        ["stationarity", "--name", "sta2"],
+        ["tables", "--dims", "2"],
+        ["probe-conjecture", "--name", "sta3"],
+    ])
+    def test_every_command_has_one_envelope(self, argv, capsys):
+        # text and JSON runs share one exit code; the envelope names the command
+        rc = main(argv)
+        text = capsys.readouterr().out
+        assert main(argv + ["--format", "json"]) == rc == 0
+        rep = RunReport.from_json(capsys.readouterr().out)
+        assert rep.command == argv[0] and rep.version == __version__
+        assert rep.wall_time_s >= 0 and text.strip()
 
     def test_errors_give_exit_2(self, capsys):
         rc = main(["analyze", "--name", "nope"])
@@ -339,3 +405,14 @@ class TestUsageErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and "error: error" not in lines[0]
+
+    @pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_json_entry(self, bad, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 2, "gram": [[%s, 0], [0, 1]]}' % bad, encoding="utf-8")
+        for cmd in (["analyze"], ["height"], ["fully-critical"]):
+            rc = main(cmd + ["--gram", str(path)])
+            captured = capsys.readouterr()
+            assert rc == 2 and captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line == f"error: cannot interpret {float(bad)!r} as an exact rational"

@@ -75,6 +75,14 @@ class TestConstruction:
         with pytest.raises(GramError, match="not positive definite"):
             GramMatrix(rows)
 
+    @pytest.mark.parametrize("entry", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_float(self, entry):
+        # a GramError naming the entry, not Fraction's OverflowError or ValueError
+        with pytest.raises(GramError, match=f"cannot interpret {entry!r} as an exact rational"):
+            GramMatrix([[entry, 0], [0, 1]])
+        with pytest.raises(GramError):
+            GramMatrix([[2.0, 1.0], [1.0, entry]])
+
 
 class TestIntegralForm:
     def test_cached_form(self):

@@ -212,6 +212,22 @@ class TestHeight:
         with pytest.raises(ValueError, match="form must have finite entries"):
             completed_zeta(np.array([[1.0, entry], [entry, 1.0]]), 0.5)
 
+    @pytest.mark.parametrize("scale", [1e308, 1e-300])
+    def test_extreme_finite_form_is_rejected(self, scale):
+        # det overflows to inf or underflows to 0: rejected before any
+        # enumeration, with no RuntimeWarning and no TruncationError
+        with pytest.raises(ValueError, match="no finite determinant-1 normalization"):
+            height(scale * np.eye(2))
+
+    def test_symmetrization_keeps_the_bits_in_the_normal_range(self):
+        H = sys.modules["latcrit.height"]
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 5):
+            M = rng.normal(size=(n, n))
+            A = M @ M.T + n * np.eye(n)
+            A[0, 1] += 1e-12  # asymmetric within the tolerance
+            assert np.array_equal(H._as_form(A), 0.5 * (A + A.T))
+
     def test_bit_reproducibility(self):
         a = height(A2)
         b = height(A2)
