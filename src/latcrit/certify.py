@@ -118,9 +118,9 @@ class FullyCriticalReport:
         return self.verdict
 
     @property
-    def first_two_designs(self) -> bool:
-        """The first two tested layers (or as many as were tested) are 2-designs."""
-        return all(v.is_design for v in self.per_layer[:2])
+    def first_two_designs(self) -> Optional[bool]:
+        """The first two tested layers (or fewer) are 2-designs; None if nothing was certified."""
+        return None if self.certified_upto == 0 else all(v.is_design for v in self.per_layer[:2])
 
     @property
     def group(self) -> str:
@@ -259,16 +259,16 @@ def conjecture_probe(
     override_bound: Optional[int] = None,
     *,
     max_vectors: int = DEFAULT_MAX_VECTORS,
-) -> tuple[bool, bool]:
+) -> tuple[Optional[bool], bool]:
     """(first two layers are 2-designs, all tested layers are 2-designs).
 
     A (True, False) outcome would contradict the expectation that 2-designs
     on the first two layers propagate to all layers; callers should surface
     such a hit loudly.  Both answers are read from one ``fully_critical``
     report, as the CLI's probe rows read them.  A run whose range was cut by
-    the enumeration budget (down to no layers at all), or set below the
-    horizon, tested fewer layers but refuted nothing, so it counts as
-    (.., True).
+    the enumeration budget, or set below the horizon, tested fewer layers
+    but refuted nothing, so it counts as (.., True); when the budget let no
+    range be certified the first answer is None (unknown).
     """
     rep = fully_critical(L, override_bound, max_vectors=max_vectors)
     return rep.first_two_designs, rep.verdict != VERDICT_FAILURE

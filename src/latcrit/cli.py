@@ -9,9 +9,9 @@ prints the text, or the RunReport envelope under --format json.
 
 Certification (fully-critical, tables, probe-conjecture) speaks only
 through its reports: an exhausted enumeration budget is an inconclusive
-verdict (exit 2) on stdout, never a message on stderr.  ``main`` maps every
-library exception it can meet to exit 2 with a one-line message on
-stderr: an exhausted budget of ``layers`` or ``design``, which enumerate
+verdict (exit 2) with its note on stdout, never a message on stderr.  ``main``
+maps every library exception it can meet to exit 2 with a one-line message
+on stderr: an exhausted budget of ``layers`` or ``design``, which enumerate
 exactly the range asked for (EnumerationBudgetError, prefixed
 "inconclusive:"), a height whose tail majorant misses its tolerance at
 the radius chosen from the fixed radius grid (TruncationError), a broken
@@ -239,24 +239,28 @@ def _cmd_stationarity(args):
 
 def _cmd_tables(args):
     dims = [int(d) for d in args.dims.split(",")] if args.dims else [2, 3, 4, 5, 6]
-    rows = []
+    rows, mism, failed = [], 0, 0
     lines = [f"{'name':9s} {'dim':3s} {'verdict':16s} {'expected':14s} "
              f"{'B':6s} {'N':4s} {'ok':2s}"]
     for rep in reproduce_tables(dims, max_vectors=args.max_vectors):
         e, n, ok = rep.input, rep.input.gram.n, rep.verdict == VERDICT_CRITICAL
+        incomplete = n in INCOMPLETE_DIMS
+        mism += not ok
+        failed += rep.verdict == VERDICT_FAILURE
         rows.append({
             "name": e.name, "dim": n, "traditional_name": e.traditional_name,
             "verdict": rep.verdict_text, "expected": VERDICT_CRITICAL,
             "reference_N": e.reference_N, "bound_used": rep.bound_B,
-            "matches": ok, "incomplete_dim": n in INCOMPLETE_DIMS,
+            "certified_upto": str(rep.certified_upto), "note": rep.note,
+            "matches": ok, "incomplete_dim": incomplete,
         })
-        note = " [catalogue incomplete]" if n in INCOMPLETE_DIMS else ""
+        note = " [catalogue incomplete]" if incomplete else ""
         lines.append(f"{e.name:9s} {n:<3d} {rep.verdict_text:16s} {VERDICT_CRITICAL:14s} "
                      f"{rep.bound_B:<6d} {e.reference_N!s:4s} {'ok' if ok else 'XX'}{note}")
-    mism = sum(not r["matches"] for r in rows)
+        if rep.note:
+            lines.append(f"  {rep.note}; certified up to (x,x) <= {rep.certified_upto}")
     lines.append(f"{len(rows)} entries, {mism} mismatches")
-    code = (EXIT_FAILURE if any(r["verdict"].startswith("failure") for r in rows)
-            else EXIT_INCONCLUSIVE if mism else EXIT_OK)
+    code = EXIT_FAILURE if failed else EXIT_INCONCLUSIVE if mism else EXIT_OK
     return {"dims": dims}, {"rows": rows, "mismatches": mism}, "\n".join(lines), code
 
 
@@ -293,7 +297,7 @@ def _cmd_probe(args):
                 name=f"random-{k}"))
     if not jobs:
         raise ValueError("nothing to probe (use --name/--gram/--all-catalog/--random)")
-    hits, rows, lines = [], [], []
+    hits, rows, lines, inconclusive = [], [], [], False
     for desc in jobs:
         rep = fully_critical(desc, args.bound, max_vectors=args.max_vectors)
         first_two = rep.first_two_designs
@@ -303,12 +307,12 @@ def _cmd_probe(args):
         lines.append(f"{desc.name}: first_two={first_two} verdict={rep.verdict_text}")
         if first_two and rep.verdict == VERDICT_FAILURE:
             hits.append(desc.name)
+        inconclusive |= rep.verdict == VERDICT_INCONCLUSIVE
     if hits:
         lines.append("!!! COUNTEREXAMPLE CANDIDATE(S): first two layers are 2-designs "
                      f"but a later tested layer fails: {', '.join(hits)}")
     else:
         lines.append("no counterexample candidates")
-    inconclusive = any(r["verdict"] == VERDICT_INCONCLUSIVE for r in rows)
     code = EXIT_FAILURE if hits else EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
     return {"jobs": [d.name for d in jobs]}, {"rows": rows, "hits": hits}, "\n".join(lines), code
 

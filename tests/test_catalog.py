@@ -4,6 +4,7 @@ import pytest
 from latcrit import (VERDICT_CRITICAL, VERDICT_INCONCLUSIVE, FullyCriticalReport, GramMatrix,
                      determinant, fully_critical, gram_from_json, is_even)
 from latcrit.catalog import INCOMPLETE_DIMS, load_catalog, reproduce_tables
+from latcrit.cli import RunReport, main
 
 from helpers import gram_json
 
@@ -74,11 +75,17 @@ class TestReproduceTables:
         assert [r.bound_B for r in reports] == [2, 2, 1, 4, 2, 1]
         assert all(r.bound_B <= r.input.reference_N for r in reports)
 
-    def test_dim_7_flagged_incomplete(self):
-        reports = reproduce_tables([7], max_vectors=2_000_000)
-        assert INCOMPLETE_DIMS == {7}
-        assert [r.input.name for r in reports] == [e.name for e in load_catalog().by_dim(7)]
-        assert all(r.input.gram.n in INCOMPLETE_DIMS for r in reports)
+    def test_dim_7_flagged_incomplete(self, capsys):
+        # the flag is the CLI's; a budget of one vector makes the run cheap
+        names = [e.name for e in load_catalog().by_dim(7)]
+        assert main(["tables", "--dims", "7", "--max-vectors", "1", "--format", "json"]) == 2
+        rows = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
+        assert [r["name"] for r in rows] == names
+        assert all(r["incomplete_dim"] for r in rows)
+        assert main(["tables", "--dims", "7", "--max-vectors", "1"]) == 2
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.split()[0] in names]
+        assert len(lines) == 7
+        assert all(l.endswith(" [catalogue incomplete]") for l in lines)
 
     def test_rows_are_the_reports(self):
         # the rows are fully_critical's own reports, in catalogue order

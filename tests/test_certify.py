@@ -250,6 +250,11 @@ class TestFullyCritical:
         assert (rep.layers_tested, rep.vacuous, rep.per_layer) == (0, False, ())
         assert rep.note.endswith("no bound >= 2 fits" if upto == 0 else "certified range reduced")
         assert rep.to_dict()["certified_upto"] == upto
+        # nothing certified: whether the first two layers are designs is unknown
+        first_two = None if upto == 0 else True
+        assert rep.first_two_designs is first_two
+        assert conjecture_probe(load_catalog().by_name(name), max_vectors=budget) == (
+            first_two, True)
 
     def test_report_serializes(self):
         rep = fully_critical(load_catalog().by_name("sta3"))

@@ -212,14 +212,18 @@ class TestTables:
         rc = main(["tables", "--dims", "2", "--max-vectors", "1"])
         lines = capsys.readouterr().out.splitlines()
         assert rc == 2
-        assert [l.split()[:3] + l.split()[4:5] for l in lines[1:3]] == [
+        # each row is followed by its report's note
+        assert [l.split()[:3] + l.split()[4:5] for l in lines[1:5:2]] == [
             ["sta2", "2", "inconclusive", "1"], ["sta3", "2", "inconclusive", "1"]]
+        assert lines[2:6:2] == ["  enumeration budget 1 exceeded at (x,x)<=2; "
+                                "no bound >= 2 fits; certified up to (x,x) <= 0"] * 2
         assert lines[-1] == "2 entries, 2 mismatches"
         rc = main(["tables", "--dims", "2", "--max-vectors", "1", "--format", "json"])
         rep = RunReport.from_json(capsys.readouterr().out)
         assert rc == 2
-        assert [(r["verdict"], r["bound_used"]) for r in rep.outcome["rows"]] == [
-            ("inconclusive", 1)] * 2
+        assert [(r["verdict"], r["bound_used"], r["certified_upto"]) for r in rep.outcome["rows"]
+                ] == [("inconclusive", 1, "0")] * 2
+        assert all(r["note"].endswith("no bound >= 2 fits") for r in rep.outcome["rows"])
         assert all("error" not in r for r in rep.outcome["rows"])
 
     def test_rows_read_the_reports(self, capsys):
@@ -228,9 +232,10 @@ class TestTables:
         assert rows == [{
             "name": e.name, "dim": 3, "traditional_name": e.traditional_name,
             "verdict": "fully-critical", "expected": "fully-critical",
-            "reference_N": e.reference_N, "bound_used": fully_critical(e).bound_B,
+            "reference_N": e.reference_N, "bound_used": rep.bound_B,
+            "certified_upto": str(rep.certified_upto), "note": "",
             "matches": True, "incomplete_dim": False,
-        } for e in load_catalog().by_dim(3)]
+        } for e in load_catalog().by_dim(3) for rep in [fully_critical(e)]]
 
 
 class TestNumericCommands:
@@ -309,12 +314,13 @@ class TestProbe:
         rc = main(["probe-conjecture", "--name", "sta2", "--max-vectors", "1"])
         out = capsys.readouterr().out
         assert rc == 2
-        assert "sta2: first_two=True verdict=inconclusive" in out
+        assert "sta2: first_two=None verdict=inconclusive" in out
         assert "no counterexample candidates" in out
         rc = main(["probe-conjecture", "--name", "sta2", "--max-vectors", "1", "--format", "json"])
         [row] = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
         assert rc == 2
-        assert row == {"name": "sta2", "first_two_designs": True, "verdict": "inconclusive",
+        # no layer was tested, so whether the first two are designs is unknown
+        assert row == {"name": "sta2", "first_two_designs": None, "verdict": "inconclusive",
                        "bound_B": 1, "horizon_B": 1}
 
     def test_gram_input_is_probed_at_its_horizon(self, tmp_path, capsys):
