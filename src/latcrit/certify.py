@@ -207,8 +207,8 @@ def fully_critical(
             break
         except EnumerationBudgetError:
             bound //= 2
-            note = (f"enumeration budget {max_vectors} exceeded at (x,x)<={2 * B}; "
-                    + ("certified range reduced" if bound >= 2 else "no bound >= 2 fits"))
+            note = (f"enumeration budget {max_vectors} exceeded at (x,x)<={2 * B // s}; "
+                    + ("certified range reduced" if bound >= 2 else f"no bound >= {2 // s} fits"))
     else:  # no bound >= 2 fits: nothing is certified
         bound = 0
 

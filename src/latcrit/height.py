@@ -1,7 +1,7 @@
 """Epstein zeta continuation, flat-torus height, and stationarity numerics.
 
-Everything here is floating point.  The zeta continuation and the height
-are one two-sided incomplete-gamma lattice sum
+The zeta continuation and the height are one two-sided incomplete-gamma
+lattice sum
     S = sum_m x^{-a} Gamma(a, x) + c sum_y x^{-b} Gamma(b, x)
 over the nonzero vectors m of the form and y of its inverse, at x = pi Q[m]
 and x = pi Q^-1[y]: the zeta body has (a, b, c) = (s, n/2 - s, det^{-1/2})
@@ -17,16 +17,25 @@ recurrence bounds those), or the gradient's absolute floor.  Neither
 exceeds the real tolerance (1e-13 times the sum, plus that floor for the
 gradient), so the form and its inverse are enumerated once each at that
 radius.  The check of the same majorants against the real tolerance stays
-as the guard of record: it raises ``TruncationError``.  A summand depends
-only on its vector's norm, so each side's vectors are grouped into layers
-of bit-equal norm and special functions run once per layer; Gamma(a, pi t)
-on the grid is cached per order a.  Tails are majorants: points in an
-annulus are counted by volume, through a fundamental domain of bounded
-diameter, and summed by parts against the monotone summands, so the
-reported tail estimate is a true upper bound.  Fixed enumeration order keeps
-reports bit-reproducible.
-"""
+as the guard of record: it raises ``TruncationError``.
 
+A summand depends only on its vector's norm, so each side's vectors are
+grouped into layers and special functions run once per layer.  For a
+``GramMatrix`` the layers are exact: each side is walked on its integral
+form P (d Q, and the integral form of Q^-1), whose norms m are integers;
+computed in float64 they are exact while every product and partial sum
+stays below 2^53, which ``shells._norm_magnitude`` guards, so the order
+BLAS sums them in cannot change a bit.  A layer is one value of m, found by
+``np.bincount`` with no sort; its float norm m / (d det(Q)^{1/n}) (or the
+inverse's analogue) is the only rounding.  Float-array input, and a
+``GramMatrix`` that fails the guard or would need a bincount table of
+2^20 entries or more, walk the float form and group its rounded norms
+with ``np.unique``.  Gamma(a, pi t) on the grid is cached per order a.
+Tails are majorants: points in an annulus are counted by volume, through a
+fundamental domain of bounded diameter, and summed by parts against the
+monotone summands, so the reported tail estimate is a true upper bound.
+Fixed enumeration order keeps reports bit-reproducible.
+"""
 from __future__ import annotations
 
 import functools
@@ -35,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import GramMatrix, LatticeDescriptor, normalized_to_det1
-from .shells import short_vectors_float
+from .gram import GramMatrix, LatticeDescriptor, determinant, gram_inverse, normalized_to_det1
+from .shells import FLOAT_EXACT, _norm_magnitude, short_vectors_float, short_vectors_integral
 from .specfun import upper_gamma
 
 TAIL_REL = 1e-13
@@ -50,6 +59,7 @@ _RADII = _T0 * 1.01 ** np.arange(math.ceil(math.log(800.0 / (math.pi * _T0)) / m
                                  + 1.0)
 _X = math.pi * _RADII
 _RADIUS_CAP = _T0 * 1.35 ** 9
+_TABLE_ENTRIES = 1 << 20  # the exact route's bincount table stays below this many entries
 
 
 class TruncationError(RuntimeError):
@@ -193,17 +203,50 @@ def _grid(A: np.ndarray) -> _Grid:
 
 @dataclass(frozen=True, eq=False)
 class _Layers:
-    """One side's half-set in walk order, grouped by bit-equal float norm."""
+    """One side's half-set in walk order, grouped into layers of equal norm."""
 
-    half: np.ndarray      # integer half-set, one vector per antipodal pair
+    half: np.ndarray      # float half-set, one vector per antipodal pair
     distinct: np.ndarray  # its distinct norms, increasing
     inverse: np.ndarray   # half[k] has norm distinct[inverse[k]]
     counts: np.ndarray    # number of half-set vectors of each distinct norm
 
 
-def _layers(X: np.ndarray, norms: np.ndarray) -> _Layers:
+def _layers(M: np.ndarray, integral, radius: float) -> _Layers:
+    """The half-set of M[x] <= radius, grouped into layers.
+
+    ``integral`` is None, or (P, unit) with P an integral form (float array)
+    and M = P / unit in exact arithmetic.  Then P is walked to the integer
+    bound floor((radius (1 + 1e-9) + 1e-9) unit), the float route's slack,
+    which rounds toward inclusion so that no vector within the radius is
+    dropped.  When that walk's norms are float-exact (``_norm_magnitude``
+    below FLOAT_EXACT) and the bound is below _TABLE_ENTRIES, the integer
+    norms m are grouped by one ``np.bincount`` with no sort, and a layer's
+    norm is m / unit.  Otherwise M is walked in floats and its rounded
+    norms are grouped by ``np.unique``.
+    """
+    if integral is not None:
+        P, unit = integral
+        bound = math.floor((radius * (1 + 1e-9) + 1e-9) * unit)
+        if bound < _TABLE_ENTRIES and _norm_magnitude(P, bound) < FLOAT_EXACT:
+            X, m = short_vectors_integral(P, bound)
+            table = np.bincount(m)
+            norms = np.flatnonzero(table)
+            rank = np.zeros(len(table), dtype=np.intp)
+            rank[norms] = np.arange(len(norms))
+            return _Layers(half=X, distinct=norms / unit, inverse=rank[m], counts=table[norms])
+    X, norms = short_vectors_float(M, radius)
     distinct, inverse, counts = np.unique(norms, return_inverse=True, return_counts=True)
-    return _Layers(half=X, distinct=distinct, inverse=inverse, counts=counts)
+    return _Layers(half=X.astype(float), distinct=distinct, inverse=inverse, counts=counts)
+
+
+def _integral_sides(Q: GramMatrix, delta: float) -> tuple:
+    """(P, unit) for A = Q / delta and for A^-1 = delta Q^-1, with each side = P / unit.
+
+    P = d Q is Q's integral form, so unit = d delta; the inverse's integral
+    form P' = d' Q^-1 gives unit' = d' / delta.
+    """
+    (P, d), (Pi, di) = Q.integral_rescale(), gram_inverse(Q).integral_rescale()
+    return (np.array(P, dtype=float), d * delta), (np.array(Pi, dtype=float), di / delta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,16 +304,16 @@ def _grad_sum(fv: _FormVectors, f: np.ndarray) -> tuple[np.ndarray, float]:
     n = fv.A.shape[0]
     c, b = fv.form.distinct, fv.dual.distinct
     w1 = _gradient_weight(n, math.pi * c, f)[fv.form.inverse]
-    V = fv.form.half.astype(float)
+    V = fv.form.half
     T1 = 2.0 * ((V * w1[:, None]).T @ V)
     w2 = (np.exp(-math.pi * b) / b)[fv.dual.inverse]
-    W = fv.dual.half.astype(float) @ fv.Ainv
+    W = fv.dual.half @ fv.Ainv
     T2 = 2.0 * ((W * w2[:, None]).T @ W)
     G = -T1 + T2
     return 0.5 * (G + G.T), GRAD_TAIL_FLOOR + TAIL_REL * float(np.linalg.norm(G))
 
 
-def _certified_sum(A: np.ndarray, orders, what: str, gradient: bool = False):
+def _certified_sum(A: np.ndarray, orders, what: str, gradient: bool = False, exact=None):
     """The one certified lattice sum: (S, G, tail, vectors) at one radius.
 
     S sums c x^{-a} Gamma(a, x) over the nonzero vectors of A at
@@ -281,10 +324,12 @@ def _certified_sum(A: np.ndarray, orders, what: str, gradient: bool = False):
     the first grid radius up to _RADIUS_CAP where every majorant meets its
     a-priori tolerance, or that cap when none does.  The vectors of norm <=
     radius of A and of A^-1 are collected once each and grouped by norm into
-    layers; each summand is evaluated once per distinct norm and summed
-    against the layer counts.  The majorants at the radius must meet the
-    real tolerances (TAIL_REL |S|, and GRAD_TAIL_FLOOR + TAIL_REL |G|), or
-    TruncationError is raised.
+    layers (``_layers``): on exact layers when ``exact`` is (Q, delta), a
+    ``GramMatrix`` Q with A = Q / delta, else on A's float norms.  Each
+    summand is evaluated once per layer and summed against the layer
+    counts.  The majorants at the radius must meet the real tolerances
+    (TAIL_REL |S|, and GRAD_TAIL_FLOOR + TAIL_REL |G|), or TruncationError
+    is raised.
     """
     grid = _grid(A)
     majorants, a_priori = zip(*_bounds(grid, orders, gradient))
@@ -292,8 +337,9 @@ def _certified_sum(A: np.ndarray, orders, what: str, gradient: bool = False):
     fits = np.flatnonzero(np.all(M <= np.array(a_priori)[:, None], axis=0)
                           & (_RADII <= _RADIUS_CAP))
     radius = float(_RADII[fits[0]]) if fits.size else _RADIUS_CAP
-    fv = _FormVectors(A=A, Ainv=grid.Ainv, form=_layers(*short_vectors_float(A, radius)),
-                      dual=_layers(*short_vectors_float(grid.Ainv, radius)), radius=radius)
+    sides = (None, None) if exact is None else _integral_sides(*exact)
+    fv = _FormVectors(A=A, Ainv=grid.Ainv, form=_layers(A, sides[0], radius),
+                      dual=_layers(grid.Ainv, sides[1], radius), radius=radius)
     terms = [_summand(a, c, x, upper_gamma(a, x)) for (a, c), x
              in zip(orders, (math.pi * fv.form.distinct, math.pi * fv.dual.distinct))]
     S = 2.0 * float(fv.form.counts @ terms[0] + fv.dual.counts @ terms[1])
@@ -319,7 +365,8 @@ def completed_zeta(Q, s: float) -> float:
     the identity (it is 1 on the determinant-1 manifold).  Invariant under
     (Q, s) -> (Q^{-1}, n/2 - s) when det Q = 1.  Both summands
     x^{-a} Gamma(a, x) = int_1^oo u^{a-1} e^{-xu} du are positive and
-    decreasing for every real a.
+    decreasing for every real a.  A ``GramMatrix`` is summed over exact
+    layers.
     """
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
@@ -329,8 +376,10 @@ def completed_zeta(Q, s: float) -> float:
         raise ZetaPoleError(f"simple pole at s = n/2 = {n / 2}")
     if abs(s) < 1e-12:
         raise ZetaPoleError("s = 0 is handled by the height path")
-    detA = float(np.linalg.det(A))
-    body = _certified_sum(A, ((s, 1.0), (n / 2 - s, detA ** (-0.5))), "completed zeta")[0]
+    detA = _finite_det(A)
+    gram = _gram(Q)
+    body = _certified_sum(A, ((s, 1.0), (n / 2 - s, detA ** (-0.5))), "completed zeta",
+                          exact=None if gram is None else (gram, 1.0))[0]
     return detA ** (-0.5) / (s - n / 2) - 1.0 / s + body
 
 
@@ -340,7 +389,7 @@ def epstein_zeta(Q, s: float) -> float:
     At a negative integer s, 1/Gamma(s) = 0 and Z has its trivial zero.
     """
     if s < 0 and float(s).is_integer():
-        _as_form(Q)
+        _finite_det(_as_form(Q))
         return 0.0
     rhs = completed_zeta(Q, s)
     return math.pi ** s / math.gamma(s) * rhs
@@ -369,23 +418,32 @@ class HeightReport:
         return {**vars(self), "gradient": self.gradient.tolist()}
 
 
-def _det1_form(L) -> np.ndarray:
-    """The determinant-1 representative Q / det(Q)^{1/n} of a lattice or form.
-
-    A float form whose determinant or normalized entries leave the float
-    range is rejected here, before any enumeration.
-    """
+def _gram(L):
+    """The ``GramMatrix`` of a lattice or of an exact form; None for a float form."""
     Q = L.gram if isinstance(L, LatticeDescriptor) else L
-    if isinstance(Q, GramMatrix):
-        return normalized_to_det1(Q)
-    A = _as_form(Q)
+    return Q if isinstance(Q, GramMatrix) else None
+
+
+def _finite_det(A: np.ndarray) -> float:
+    """det A of a float form whose determinant-1 normalization is finite.
+
+    A form whose determinant or normalized entries leave the float range
+    (1e308 I or 1e-300 I) is rejected here, before any enumeration.
+    """
     with np.errstate(over="ignore"):
         det = float(np.linalg.det(A))
-        if 0 < det < math.inf:
-            A = A / det ** (1.0 / A.shape[0])
-            if np.all(np.isfinite(A)):
-                return A
+        if 0 < det < math.inf and np.all(np.isfinite(A / det ** (1.0 / A.shape[0]))):
+            return det
     raise ValueError("form has no finite determinant-1 normalization")
+
+
+def _det1_form(L) -> np.ndarray:
+    """The determinant-1 representative Q / det(Q)^{1/n} of a lattice or form."""
+    Q = _gram(L)
+    if Q is not None:
+        return normalized_to_det1(Q)
+    A = _as_form(L)
+    return A / _finite_det(A) ** (1.0 / A.shape[0])
 
 
 def _projected_residual(A: np.ndarray, G: np.ndarray) -> float:
@@ -410,7 +468,9 @@ def height(L) -> HeightReport:
     """
     A = _det1_form(L)
     n = A.shape[0]
-    F, G, tail, fv = _certified_sum(A, _F_orders(n), "height", gradient=True)
+    Q = _gram(L)
+    exact = None if Q is None else (Q, float(determinant(Q)) ** (1.0 / n))
+    F, G, tail, fv = _certified_sum(A, _F_orders(n), "height", gradient=True, exact=exact)
     C = height_constant(n)
     return HeightReport(
         height=C + F + 2.0 * math.log(2.0 * math.pi),

@@ -5,11 +5,14 @@ walk over a floating-point Cholesky factorization (Fincke-Pohst), after an
 exact integral LLL reduction of the Gram matrix that updates the reduced Gram
 matrix in place with each column operation.  The walk (``_fp_rows``) goes one
 tree level at a time over numpy frontiers, depth first, and yields int64 row
-arrays of at most ``_CHUNK_ROWS`` rows; both the exact path
-(``_half_candidates``) and the float path (``short_vectors_float``) read
-them.  The float search tree is pruned with an inflated bound and every
-candidate is re-verified in exact integer arithmetic, so the resulting layers
-are complete and exact.
+arrays of at most ``_CHUNK_ROWS`` rows; the certificate (``_half_candidates``)
+and the height's two collectors (``short_vectors_integral`` on an integral
+form, ``short_vectors_float`` on a float one) read them.  The float search
+tree is pruned with an inflated bound and every candidate is re-verified
+with its exact norm, so the resulting layers are complete and exact.  The
+certificate and the height share one norm kernel (``_float_norms``): it is
+exact in float64 below 2^53 (``_norm_magnitude``), and beyond that the
+certificate's norms run in int64, then in Python ints.
 
 Only one representative per antipodal pair {x, -x} is walked (the highest
 nonzero coordinate is kept positive); full layers are reconstituted from the
@@ -195,20 +198,49 @@ def _int_matrix_and_denominator(Q: GramMatrix) -> tuple[np.ndarray, int]:
     return np.array(rows, dtype=np.int64), d
 
 
-def _check_int64_safe(P: np.ndarray, bound_int: int) -> bool:
-    # conservative overflow guard for the int64 norms ((X @ P) * X).sum(1):
-    # worst bounds sum_jk |x_j||P_jk||x_k| with every |x_k| <= xmax_k and
-    # xmax_k >= 2, so it also bounds each entry of X @ P, each product and
-    # each partial sum
-    Pf = np.abs(P).astype(float)
-    dinv = np.linalg.inv(P.astype(float))
-    xmax = np.sqrt(np.maximum(np.diag(dinv), 0.0) * float(bound_int)) + 2.0
-    worst = float(xmax @ Pf @ xmax)
-    return worst < 2**62
+# Integers of magnitude below 2^53 are exact in binary64 (Higham, "Accuracy
+# and Stability of Numerical Algorithms"); int64 arithmetic keeps a bit of
+# headroom below 2^63 while every partial sum stays below 2^62.
+FLOAT_EXACT = 2.0 ** 53
+_INT64_EXACT = 2.0 ** 62
 
 
-def _exact_norms(X: np.ndarray, P: np.ndarray, int64_safe: bool) -> np.ndarray:
-    if int64_safe:
+def _norm_magnitude(P: np.ndarray, bound: int) -> float:
+    """A bound on every product and partial sum of the norms of the walk to P[x] <= bound.
+
+    P is an integral form (int64, or float holding integers).  A walked row
+    has |x_k| <= sqrt(bound (P^-1)_kk) plus the walk's slack, so with
+    xmax_k = that root + 2 the sum sum_jk xmax_j |P_jk| xmax_k bounds
+    sum_jk |x_j||P_jk||x_k|, and, as every xmax_k >= 2, also each entry of
+    X @ P, each product and each partial sum, in any order.
+    """
+    Pf = np.asarray(P, dtype=float)
+    xmax = np.sqrt(np.maximum(np.diag(np.linalg.inv(Pf)), 0.0) * float(bound)) + 2.0
+    return float(xmax @ np.abs(Pf) @ xmax)
+
+
+def _float_norms(Xf: np.ndarray, Pf: np.ndarray) -> np.ndarray:
+    """The norms ((Xf @ Pf) * Xf) @ 1 in float64: the one norm kernel of both routes.
+
+    Exact integers when ``_norm_magnitude`` is below FLOAT_EXACT: every
+    product and partial sum is then an integer below 2^53, so no rounding
+    happens in any summation order, fused or not, and the BLAS
+    matrix-vector product with ones may replace the slower ``.sum(1)``.
+    """
+    return ((Xf @ Pf) * Xf) @ np.ones(Pf.shape[0])
+
+
+def _exact_norms(X: np.ndarray, P: np.ndarray, magnitude: float) -> np.ndarray:
+    """Exact norms P[x] of the int64 rows X, on the cheapest route ``magnitude`` allows.
+
+    ``magnitude`` is ``_norm_magnitude(P, bound)`` of the walk that made X.
+    Below FLOAT_EXACT the norms come from ``_float_norms`` (exact, see
+    there) as int64; below 2^62 from int64 arithmetic, which cannot
+    overflow; beyond, from Python ints in an object array.
+    """
+    if magnitude < FLOAT_EXACT:
+        return _float_norms(X.astype(float), P.astype(float)).astype(np.int64)
+    if magnitude < _INT64_EXACT:
         return ((X @ P) * X).sum(1)
     Xo = X.astype(object)
     return np.asarray((Xo @ P.astype(object) * Xo).sum(axis=1))
@@ -234,10 +266,10 @@ def _half_candidates(
         return
     L = np.linalg.cholesky(P.astype(float))
     R = L.T.copy()
-    safe = _check_int64_safe(P, bound_int)
+    magnitude = _norm_magnitude(P, bound_int)
     seen = 0
     for X in _fp_rows(R, float(bound_int)):
-        norms = _exact_norms(X, P, safe)
+        norms = _exact_norms(X, P, magnitude)
         mask = norms <= bound_int
         X, norms = X[mask], norms[mask]
         if len(X) == 0:
@@ -246,7 +278,7 @@ def _half_candidates(
         if seen > max_vectors:
             raise EnumerationBudgetError(seen, max_vectors, bound)
         Xo = X @ U.T  # back to input coordinates
-        yield Xo, norms.astype(np.int64) if safe else norms, d
+        yield Xo, norms, d
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +401,43 @@ def layer_moments(
 
 
 # ---------------------------------------------------------------------------
-# float-path collector (height machinery; no exact verification)
+# height collectors (no LLL step: the vectors stay in the coordinates given)
+
+
+def short_vectors_integral(Pf: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-set {x != 0 : P[x] <= bound} of an integral form, with exact int64 norms.
+
+    The height's exact-layer route.  Pf is the integral form as a float
+    array, and the caller has checked ``_norm_magnitude(Pf, bound) <
+    FLOAT_EXACT``, so each chunk's norms from ``_float_norms`` are the exact
+    integers.  Returns (X, norms): X as float rows, one representative per
+    antipodal pair, in the walk's order.
+    """
+    chunks, norm_chunks = [], []
+    for X in _fp_rows(np.linalg.cholesky(Pf).T.copy(), float(bound)):
+        Xf = X.astype(float)
+        norms = _float_norms(Xf, Pf)
+        keep = norms <= bound
+        if not keep.all():
+            Xf, norms = Xf[keep], norms[keep]
+        chunks.append(Xf)
+        norm_chunks.append(norms)
+    if not chunks:
+        return np.empty((0, Pf.shape[0])), np.empty(0, dtype=np.int64)
+    if len(chunks) > 1:
+        chunks, norm_chunks = [np.concatenate(chunks)], [np.concatenate(norm_chunks)]
+    return chunks[0], norm_chunks[0].astype(np.int64)
 
 
 def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
     """Half-set of short vectors of a float SPD matrix, with float norms.
 
-    Used by the analytic (floating-point) code paths, where a relative 1e-9
-    slack at the boundary is harmless.  Returns (X, norms), one
-    representative per antipodal pair, in the walk's order, which does not
-    depend on the bound; the rows are not sorted by norm.  The bound must be
-    finite and nonnegative.
+    The height's route for float-array input, and for a ``GramMatrix``
+    whose integral form fails the exact route's guard; the norms are
+    rounded, and a relative 1e-9 slack at the boundary is harmless there.
+    Returns (X, norms), one representative per antipodal pair, in the walk's
+    order, which does not depend on the bound; the rows are not sorted by
+    norm.  The bound must be finite and nonnegative.
     """
     bound = float(bound)
     if not (math.isfinite(bound) and bound >= 0):

@@ -26,16 +26,21 @@ _height = importlib.import_module("latcrit.height")  # the module; latcrit.heigh
 
 
 def box_layers(Q: GramMatrix, bound) -> dict[Fraction, int]:
-    """Brute-force layer cardinalities: exhaust the covering coordinate box."""
+    """Brute-force layer cardinalities: exhaust the covering coordinate box.
+
+    The norms are Python ints (object arrays) when |x^t P x| <= max|P_ij|
+    (sum_i k_i)^2 could leave int64 on the box.
+    """
     bound = Fraction(bound)
     n = Q.n
     rows, d = Q.integral_rescale()
-    P = np.array(rows, dtype=np.int64)
     bint = int(bound * d) if (bound * d).denominator == 1 else math.floor(bound * d)
-    Pinv = np.linalg.inv(P.astype(float))
-    ks = [int(math.isqrt(int(math.floor(float(bint) * Pinv[i, i]))) + 1) for i in range(n)]
+    Pinv = np.linalg.inv(np.array(rows, dtype=float))
+    ks = [int(math.isqrt(int(math.floor(float(bint) * Pinv[i, i])))) + 1 for i in range(n)]
+    dtype = np.int64 if max(abs(p) for row in rows for p in row) * sum(ks) ** 2 < 2**62 else object
+    P = np.array(rows, dtype=dtype)
     grids = np.meshgrid(*[np.arange(-k, k + 1) for k in ks], indexing="ij")
-    X = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
+    X = np.stack([g.ravel() for g in grids], axis=1).astype(dtype)
     X = X[np.any(X != 0, axis=1)]
     norms = np.einsum("ij,jk,ik->i", X, P, X)
     out: dict[Fraction, int] = {}
@@ -43,6 +48,17 @@ def box_layers(Q: GramMatrix, bound) -> dict[Fraction, int]:
         m = Fraction(int(v), d)
         out[m] = out.get(m, 0) + 1
     return out
+
+
+def large_denominator_form(d: int) -> GramMatrix:
+    """(d A3 + E) / d: A3 perturbed by E / d, so its layers split by E[x].
+
+    A denominator near 1e15 puts the certificate's norms on the int64
+    route and one near 1e17 on the object route.
+    """
+    A3 = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+    E = [[1, 3, 0], [3, 5, -2], [0, -2, 7]]
+    return GramMatrix([[Fraction(d * a + e, d) for a, e in zip(ra, re)] for ra, re in zip(A3, E)])
 
 
 def fincke_pohst_rows(R: np.ndarray, bound: float) -> np.ndarray:

@@ -248,13 +248,23 @@ class TestFullyCritical:
         assert rep.verdict == VERDICT_INCONCLUSIVE
         assert rep.certified_upto == upto
         assert (rep.layers_tested, rep.vacuous, rep.per_layer) == (0, False, ())
-        assert rep.note.endswith("no bound >= 2 fits" if upto == 0 else "certified range reduced")
+        # the note is in the input's norms: the doubled sta2's smallest range is (x,x) <= 1
+        least = 1 if rep.doubled else 2
+        assert rep.note.endswith(f"no bound >= {least} fits" if upto == 0
+                                 else "certified range reduced")
         assert rep.to_dict()["certified_upto"] == upto
         # nothing certified: whether the first two layers are designs is unknown
         first_two = None if upto == 0 else True
         assert rep.first_two_designs is first_two
         assert conjecture_probe(load_catalog().by_name(name), max_vectors=budget) == (
             first_two, True)
+
+    def test_budget_note_is_in_the_input_norms(self):
+        # stc4 is doubled: the range cut from is (x,x) <= 2 of the input,
+        # (x,x) <= 4 of the working form, and certified_upto is in the same norms
+        rep = fully_critical(load_catalog().by_name("stc4"), max_vectors=30)
+        assert rep.doubled and (rep.bound_B, rep.certified_upto) == (2, 1)
+        assert rep.note == "enumeration budget 30 exceeded at (x,x)<=2; certified range reduced"
 
     def test_report_serializes(self):
         rep = fully_critical(load_catalog().by_name("sta3"))

@@ -86,13 +86,13 @@ class TestFullyCritical:
         assert captured.err == ""
         if fmt == "text":
             assert captured.out.splitlines()[-1] == (
-                "RESULT: inconclusive (enumeration budget 1 exceeded at (x,x)<=2; "
-                "no bound >= 2 fits)")
+                "RESULT: inconclusive (enumeration budget 1 exceeded at (x,x)<=1; "
+                "no bound >= 1 fits)")
             return
         out = RunReport.from_json(captured.out).outcome
         assert out["verdict"] == "inconclusive"
         assert (out["certified_upto"], out["layers_tested"], out["vacuous"]) == (0, 0, False)
-        assert out["per_layer"] == [] and "no bound >= 2 fits" in out["note"]
+        assert out["per_layer"] == [] and "no bound >= 1 fits" in out["note"]
 
     def test_json_format(self, capsys):
         rc = main(["fully-critical", "--name", "sta3", "--format", "json"])
@@ -207,6 +207,9 @@ class TestTables:
         assert [l.split()[0] for l in out.splitlines() if "inconclusive" in l] == [
             "stc4", "stc10"]
         assert "failure" not in out
+        # the note and certified_upto are both in the input's norms (stc4 is doubled)
+        assert out.splitlines()[2] == ("  enumeration budget 30 exceeded at (x,x)<=2; "
+                                       "certified range reduced; certified up to (x,x) <= 1")
 
     def test_exhausted_budget_rows_are_inconclusive(self, capsys):
         rc = main(["tables", "--dims", "2", "--max-vectors", "1"])
@@ -215,15 +218,18 @@ class TestTables:
         # each row is followed by its report's note
         assert [l.split()[:3] + l.split()[4:5] for l in lines[1:5:2]] == [
             ["sta2", "2", "inconclusive", "1"], ["sta3", "2", "inconclusive", "1"]]
-        assert lines[2:6:2] == ["  enumeration budget 1 exceeded at (x,x)<=2; "
-                                "no bound >= 2 fits; certified up to (x,x) <= 0"] * 2
+        # in the input's norms: sta2 is doubled, sta3 is even
+        assert lines[2:6:2] == [f"  enumeration budget 1 exceeded at (x,x)<={b}; "
+                                f"no bound >= {b} fits; certified up to (x,x) <= 0"
+                                for b in (1, 2)]
         assert lines[-1] == "2 entries, 2 mismatches"
         rc = main(["tables", "--dims", "2", "--max-vectors", "1", "--format", "json"])
         rep = RunReport.from_json(capsys.readouterr().out)
         assert rc == 2
         assert [(r["verdict"], r["bound_used"], r["certified_upto"]) for r in rep.outcome["rows"]
                 ] == [("inconclusive", 1, "0")] * 2
-        assert all(r["note"].endswith("no bound >= 2 fits") for r in rep.outcome["rows"])
+        assert [r["note"].rsplit("; ", 1)[1] for r in rep.outcome["rows"]] == [
+            "no bound >= 1 fits", "no bound >= 2 fits"]
         assert all("error" not in r for r in rep.outcome["rows"])
 
     def test_rows_read_the_reports(self, capsys):

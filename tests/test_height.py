@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -12,11 +13,13 @@ from latcrit import (
     TruncationError,
     ZetaPoleError,
     completed_zeta,
+    enumerate_layers,
     epstein_zeta,
     fully_critical,
     gram_inverse,
     height,
     height_constant,
+    layer_cardinalities,
     normalized_to_det1,
     upper_gamma,
 )
@@ -25,8 +28,10 @@ from latcrit.catalog import load_catalog
 from helpers import (
     F_value,
     basis_rule_radius,
+    box_layers,
     box_tail,
     directional_derivative_fd,
+    large_denominator_form,
     majorant_soundness,
     random_unimodular,
     tangent_part,
@@ -119,6 +124,26 @@ class TestEpsteinZeta:
         for zeta in (completed_zeta, epstein_zeta):
             with pytest.raises(ValueError, match="s must be finite"):
                 zeta(A2, s)
+
+    @pytest.mark.parametrize("scale", [1e308, 1e-300])
+    @pytest.mark.parametrize("s", [0.5, -2.0])
+    def test_extreme_finite_form_is_rejected_before_any_sum(self, scale, s, monkeypatch):
+        # det overflowed to inf with a RuntimeWarning, or underflowed to 0
+        # and det^(-1/2) raised ZeroDivisionError; s = -2 is a trivial zero
+        H = sys.modules["latcrit.height"]
+        monkeypatch.setattr(H, "_certified_sum", None)
+        for zeta in (completed_zeta, epstein_zeta):
+            with pytest.raises(ValueError, match="no finite determinant-1 normalization"):
+                zeta(scale * np.eye(2), s)
+
+    def test_exact_input_sums_exact_layers(self, monkeypatch):
+        # a GramMatrix is summed over the exact layers of itself and its
+        # inverse, and agrees with its float copy
+        walks = _record_walks(monkeypatch)
+        for Q, s in ((A2, 1.7), (D4, 1.2), (A3, -0.6)):
+            z = completed_zeta(Q, s)
+            assert abs(z - completed_zeta(Q.to_float(), s)) <= 1e-13 * abs(z)
+        assert (walks["integral"], walks["float"]) == (6, 6)
 
 
 class TestFValue:
@@ -218,6 +243,22 @@ class TestHeight:
         # enumeration, with no RuntimeWarning and no TruncationError
         with pytest.raises(ValueError, match="no finite determinant-1 normalization"):
             height(scale * np.eye(2))
+
+    @pytest.mark.parametrize("Q", [GramMatrix([[1_000_000_007, 1], [1, 1_000_000_009]]),
+                                   large_denominator_form(10**15 + 37)],
+                             ids=["large-entries", "large-denominator"])
+    def test_guard_falls_back_to_the_float_walk(self, Q, monkeypatch):
+        # entries near 1e9 make the bincount table too large (the bound is
+        # about 1.7e10); a denominator near 1e15 also makes the norms exceed
+        # 2^53: both sides take the float walk, and the height is the float
+        # input's
+        walks = _record_walks(monkeypatch)
+        rep = height(Q)
+        assert (walks["integral"], walks["float"]) == (0, 2)
+        ref = height(Q.to_float())
+        assert abs(rep.height - ref.height) <= 1e-13 * abs(ref.height)
+        assert (rep.half_vectors_form, rep.half_vectors_dual) == (
+            ref.half_vectors_form, ref.half_vectors_dual)
 
     def test_symmetrization_keeps_the_bits_in_the_normal_range(self):
         H = sys.modules["latcrit.height"]
@@ -328,18 +369,13 @@ class TestStationarity:
 
 class TestOneLatticeSumLoop:
     def test_one_enumeration_per_side_per_round(self, monkeypatch):
+        # a GramMatrix takes the exact route: the integral forms of the form
+        # and of its inverse are walked once each, at the predicted radius,
+        # and the float walk never runs
         H = sys.modules["latcrit.height"]
-        real = H.short_vectors_float
-        radii = []
-
-        def counting(A, radius):
-            radii.append(radius)
-            return real(A, radius)
-
-        monkeypatch.setattr(H, "short_vectors_float", counting)
+        walks = _record_walks(monkeypatch)
         rep = height(load_catalog().by_name("std5b"))
-        # the predicted radius certifies: the form and its dual once each
-        assert radii == [rep.truncation_radius] * 2
+        assert walks == {"radius": [rep.truncation_radius] * 2, "integral": 2, "float": 0}
         assert rep.truncation_radius > H._RADII[0]
 
     def test_radius_is_final_when_the_prediction_falls_short(self, monkeypatch):
@@ -349,17 +385,10 @@ class TestOneLatticeSumLoop:
         e = load_catalog().by_name("std5b")
         real = H._bounds
         monkeypatch.setattr(H, "_bounds", lambda *args: [(m, math.inf) for m, _ in real(*args)])
-        radii = []
-        real_sv = H.short_vectors_float
-
-        def counting(A, radius):
-            radii.append(radius)
-            return real_sv(A, radius)
-
-        monkeypatch.setattr(H, "short_vectors_float", counting)
+        walks = _record_walks(monkeypatch)
         with pytest.raises(TruncationError):
             height(e)
-        assert radii == [H._RADII[0]] * 2
+        assert walks == {"radius": [H._RADII[0]] * 2, "integral": 2, "float": 0}
 
     def test_grad_F_takes_no_pinned_radius(self):
         # height is the gradient's only route, and no sum takes a radius or
@@ -386,7 +415,10 @@ class TestOneLatticeSumLoop:
         for A, s in ZETA_CASES:
             completed_zeta(A, s)
         assert len(runs) == 84 + 13 + len(ZETA_CASES)
-        for A, orders, gradient, (total, _, _, _) in runs:
+        # the 84 catalogue sums run on exact layers, the rest on float input
+        assert [exact is not None for _, _, _, exact, _ in runs] == [True] * 84 + [False] * (
+            13 + len(ZETA_CASES))
+        for A, orders, gradient, _, (total, _, _, _) in runs:
             a_priori = H._bounds(H._grid(A), orders, gradient)[0][1]
             assert a_priori <= H.TAIL_REL * total, (A, a_priori, total)
 
@@ -473,23 +505,38 @@ class TestGammaFloor:
 class TestOncePerValue:
     @pytest.mark.parametrize("name", ["sta2", "stc12", "std5b", "ste10a", "stf28a"])
     def test_layers_regroup_the_walk(self, name, monkeypatch):
-        # the layers' distinct norms and inverse index give back each side's
-        # norms bit for bit, in walk order, and a summand summed against the
-        # layer counts agrees with the exactly rounded sum over the vectors
+        # each side's half-set is the float walk's, in walk order; its exact
+        # integer norms regroup into the layers through the inverse index;
+        # the layer counts are the exact ones (the certificate's enumeration,
+        # and the brute-force box where it is small); and a summand summed
+        # against the layer counts agrees with the exactly rounded sum over
+        # the vectors
         H = sys.modules["latcrit.height"]
         runs = _record_certified_sums(monkeypatch)
-        height(load_catalog().by_name(name))
-        [(A, _, _, (_, _, _, fv))] = runs
+        Q = load_catalog().by_name(name).gram
+        height(Q)
+        [(A, _, _, exact, (_, _, _, fv))] = runs
         a = A.shape[0] / 2
-        for Q, side, g in ((A, fv.form, lambda c: H._summand(a, 1.0, math.pi * c,
-                                                             upper_gamma(a, math.pi * c))),
-                           (fv.Ainv, fv.dual, lambda b: upper_gamma(0.0, math.pi * b))):
-            X, norms = H.short_vectors_float(Q, fv.radius)
+        for q, M, (P, unit), side, g in (
+                (Q, A, H._integral_sides(*exact)[0], fv.form,
+                 lambda c: H._summand(a, 1.0, math.pi * c, upper_gamma(a, math.pi * c))),
+                (gram_inverse(Q), fv.Ainv, H._integral_sides(*exact)[1], fv.dual,
+                 lambda b: upper_gamma(0.0, math.pi * b))):
+            X, _ = H.short_vectors_float(M, fv.radius)
             assert np.array_equal(X, side.half)
-            assert np.array_equal(side.distinct[side.inverse], norms)
-            assert np.all(np.diff(side.distinct) > 0) and side.counts.sum() == len(norms)
+            m = np.rint(side.distinct * unit)
+            assert np.array_equal(m / unit, side.distinct)
+            assert np.array_equal(m[side.inverse], ((side.half @ P) * side.half).sum(1))
+            assert np.all(np.diff(side.distinct) > 0)
+            assert np.array_equal(np.bincount(side.inverse), side.counts)
+            d = q.integral_rescale()[1]
+            bound = Fraction(math.floor((fv.radius * (1 + 1e-9) + 1e-9) * unit), d)
+            layers = {Fraction(int(k), d): 2 * int(c) for k, c in zip(m, side.counts)}
+            assert layers == dict(layer_cardinalities(enumerate_layers(q, bound))), name
+            if q.n <= 5:
+                assert layers == box_layers(q, bound), name
             total = float(side.counts @ g(side.distinct))
-            ref = math.fsum(g(norms).tolist())
+            ref = math.fsum(g(side.distinct[side.inverse]).tolist())
             assert abs(total - ref) <= 1e-15 * ref, name
 
     def test_reports_match_with_a_cleared_and_a_warm_cache(self):
@@ -513,10 +560,11 @@ class TestOncePerValue:
         assert np.array_equal(g, upper_gamma(1.5, math.pi * H._RADII))
 
     def test_warm_sweep_evaluates_each_distinct_norm_once(self, monkeypatch):
-        # 765,092 vectors on 5,608 distinct float norms: one call per side
-        # per height, on its distinct norms; the radius lanes come from the
-        # cache, which fills through the module attribute once per order
-        # (n/2 for n = 2..7, and 0), and the basis lanes take the floor
+        # 765,092 vectors on 1,175 exact layers (5,608 distinct float norms
+        # before the layers were exact): one call per side per height, on
+        # its layers' norms; the radius lanes come from the cache, which
+        # fills through the module attribute once per order (n/2 for
+        # n = 2..7, and 0), and the basis lanes take the floor
         H = sys.modules["latcrit.height"]
         entries = load_catalog().entries
         lanes = []
@@ -527,10 +575,14 @@ class TestOncePerValue:
             height(e)
         assert len(lanes) == 2 * len(entries) + 7
         lanes.clear()
+        runs = _record_certified_sums(monkeypatch)
         for e in entries:
             height(e)
         assert len(lanes) == 2 * len(entries)
-        assert sum(lanes) == 5608
+        fvs = [fv for _, _, _, _, (_, _, _, fv) in runs]
+        assert lanes == [len(side.distinct) for fv in fvs for side in (fv.form, fv.dual)]
+        assert sum(lanes) == 1175
+        assert sum(len(fv.form.half) + len(fv.dual.half) for fv in fvs) == 765_092
 
 
 def _random_forms():
@@ -549,18 +601,41 @@ ZETA_CASES = [(A2.to_float(), 1.7), (SKEWED, 0.8), (SKEWED, -0.6),
 
 
 def _record_certified_sums(monkeypatch) -> list:
-    """Record (A, orders, gradient, result) of every ``_certified_sum`` call."""
+    """Record (A, orders, gradient, exact, result) of every ``_certified_sum`` call."""
     H = sys.modules["latcrit.height"]
     real = H._certified_sum
     runs = []
 
-    def recording(A, orders, what, gradient=False):
-        out = real(A, orders, what, gradient)
-        runs.append((A, orders, gradient, out))
+    def recording(A, orders, what, gradient=False, exact=None):
+        out = real(A, orders, what, gradient, exact)
+        runs.append((A, orders, gradient, exact, out))
         return out
 
     monkeypatch.setattr(H, "_certified_sum", recording)
     return runs
+
+
+def _record_walks(monkeypatch) -> dict:
+    """Record the radius of each side's layers and count the integral and float walks."""
+    H = sys.modules["latcrit.height"]
+    walks = {"radius": [], "integral": 0, "float": 0}
+    real = {name: getattr(H, name) for name in ("_layers", "short_vectors_integral",
+                                                "short_vectors_float")}
+
+    def layers(M, integral, radius):
+        walks["radius"].append(radius)
+        return real["_layers"](M, integral, radius)
+
+    def counted(name, key):
+        def walk(*args):
+            walks[key] += 1
+            return real[name](*args)
+        return walk
+
+    monkeypatch.setattr(H, "_layers", layers)
+    monkeypatch.setattr(H, "short_vectors_integral", counted("short_vectors_integral", "integral"))
+    monkeypatch.setattr(H, "short_vectors_float", counted("short_vectors_float", "float"))
+    return walks
 
 
 class TestAnnulusMajorant:
@@ -582,7 +657,7 @@ class TestAnnulusMajorant:
         runs = _record_certified_sums(monkeypatch)
         for A, s in ZETA_CASES:
             completed_zeta(A, s)
-        for (A, s), (_, orders, gradient, (_, _, tail, fv)) in zip(ZETA_CASES, runs):
+        for (A, s), (_, orders, gradient, _, (_, _, tail, fv)) in zip(ZETA_CASES, runs):
             n = A.shape[0]
             Ainv = np.linalg.inv(A)
             [(majorant, _)] = H._bounds(H._grid(A), orders, gradient)

@@ -26,6 +26,7 @@ from helpers import (
     exact_kernel_forms,
     fincke_pohst_rows,
     is_lll_reduced,
+    large_denominator_form,
     lll_reduce_rational,
     quadratic_value,
     random_rational_spd,
@@ -218,6 +219,34 @@ class TestHalfLayer:
         reps = half_set(q, 4)
         assert len(full) == 2 * len(reps)
         assert reps | {tuple(-x for x in r) for r in reps} == full
+
+
+class TestNormRoutes:
+    ROUTES = {"float": (0.0, 2.0**53), "int64": (2.0**53, 2.0**62), "object": (2.0**62, np.inf)}
+
+    @pytest.mark.parametrize("d, route", [(1, "float"), (4 * 10**13, "float"),
+                                          (10**15 + 37, "int64"), (10**17 + 3, "object")])
+    def test_large_denominators_reach_each_route(self, d, route, monkeypatch):
+        # the certificate's norms are float-exact while the walk's magnitude
+        # is below 2^53 (d = 4e13 is at 0.8 of it), int64 below 2^62 and
+        # Python ints beyond; every route gives the box's layers, and the
+        # float route's norms are the Python-int ones
+        magnitudes = []
+        real = shells._exact_norms
+
+        def recording(X, P, magnitude):
+            magnitudes.append(magnitude)
+            norms = real(X, P, magnitude)
+            assert norms.tolist() == real(X, P, np.inf).tolist()
+            return norms
+
+        monkeypatch.setattr(shells, "_exact_norms", recording)
+        q = large_denominator_form(d)
+        got = dict(layer_cardinalities(enumerate_layers(q, 6)))
+        assert got == box_layers(q, 6) and len(got) >= 3
+        assert {m: c for m, (c, _) in layer_moments(q, 6).items()} == got
+        lo, hi = self.ROUTES[route]
+        assert magnitudes and all(lo <= m < hi for m in magnitudes)
 
 
 class TestStreaming:
