@@ -30,7 +30,8 @@ BLAS sums them in cannot change a bit.  A layer is one value of m, found by
 inverse's analogue) is the only rounding.  Float-array input, and a
 ``GramMatrix`` that fails the guard or would need a bincount table of
 2^20 entries or more, walk the float form and group its rounded norms
-with ``np.unique``.  Gamma(a, pi t) on the grid is cached per order a.
+with ``np.unique``.  Both routes collect with ``shells.short_vectors_float``.
+Gamma(a, pi t) on the grid is cached per order a.
 Tails are majorants: points in an annulus are counted by volume, through a
 fundamental domain of bounded diameter, and summed by parts against the
 monotone summands, so the reported tail estimate is a true upper bound.
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gram import GramMatrix, LatticeDescriptor, determinant, gram_inverse, normalized_to_det1
-from .shells import FLOAT_EXACT, _norm_magnitude, short_vectors_float, short_vectors_integral
+from .shells import FLOAT_EXACT, _norm_magnitude, _slack_bound, short_vectors_float
 from .specfun import upper_gamma
 
 TAIL_REL = 1e-13
@@ -216,19 +217,22 @@ def _layers(M: np.ndarray, integral, radius: float) -> _Layers:
 
     ``integral`` is None, or (P, unit) with P an integral form (float array)
     and M = P / unit in exact arithmetic.  Then P is walked to the integer
-    bound floor((radius (1 + 1e-9) + 1e-9) unit), the float route's slack,
-    which rounds toward inclusion so that no vector within the radius is
-    dropped.  When that walk's norms are float-exact (``_norm_magnitude``
-    below FLOAT_EXACT) and the bound is below _TABLE_ENTRIES, the integer
-    norms m are grouped by one ``np.bincount`` with no sort, and a layer's
-    norm is m / unit.  Otherwise M is walked in floats and its rounded
-    norms are grouped by ``np.unique``.
+    bound floor(_slack_bound(radius) unit), the float route's slack, which
+    rounds toward inclusion so that no vector within the radius is dropped.
+    When that walk's norms are float-exact (``_norm_magnitude`` below
+    FLOAT_EXACT) and the bound is below _TABLE_ENTRIES, the collector's
+    norms are the integers m, and its own slack admits none above the
+    bound: below 2^20 it adds less than 2^20 1e-9 + 1e-9 < 1.  They are grouped
+    by one ``np.bincount`` with no sort, and a layer's norm is m / unit.
+    Otherwise M is walked and its rounded norms are grouped by
+    ``np.unique``.
     """
     if integral is not None:
         P, unit = integral
-        bound = math.floor((radius * (1 + 1e-9) + 1e-9) * unit)
+        bound = math.floor(_slack_bound(radius) * unit)
         if bound < _TABLE_ENTRIES and _norm_magnitude(P, bound) < FLOAT_EXACT:
-            X, m = short_vectors_integral(P, bound)
+            X, m = short_vectors_float(P, bound)
+            m = m.astype(np.int64)
             table = np.bincount(m)
             norms = np.flatnonzero(table)
             rank = np.zeros(len(table), dtype=np.intp)
@@ -236,7 +240,7 @@ def _layers(M: np.ndarray, integral, radius: float) -> _Layers:
             return _Layers(half=X, distinct=norms / unit, inverse=rank[m], counts=table[norms])
     X, norms = short_vectors_float(M, radius)
     distinct, inverse, counts = np.unique(norms, return_inverse=True, return_counts=True)
-    return _Layers(half=X.astype(float), distinct=distinct, inverse=inverse, counts=counts)
+    return _Layers(half=X, distinct=distinct, inverse=inverse, counts=counts)
 
 
 def _integral_sides(Q: GramMatrix, delta: float) -> tuple:
@@ -446,10 +450,11 @@ def _det1_form(L) -> np.ndarray:
     return A / _finite_det(A) ** (1.0 / A.shape[0])
 
 
-def _projected_residual(A: np.ndarray, G: np.ndarray) -> float:
-    """|G - lam A^-1| / |G|: G's part in the determinant-1 tangent space, relative."""
-    Ainv = np.linalg.inv(A)
-    Ainv = 0.5 * (Ainv + Ainv.T)
+def _projected_residual(Ainv: np.ndarray, G: np.ndarray) -> float:
+    """|G - lam A^-1| / |G|: G's part in the determinant-1 tangent space, relative.
+
+    Ainv is the symmetrized inverse of the form that ``_grid`` formed.
+    """
     lam = float(np.tensordot(Ainv, G)) / float(np.tensordot(Ainv, Ainv))
     P = G - lam * Ainv
     return float(np.linalg.norm(P)) / max(float(np.linalg.norm(G)), 1e-300)
@@ -477,7 +482,7 @@ def height(L) -> HeightReport:
         F_value=F,
         constant_C=C,
         gradient=G,
-        projected_residual=_projected_residual(A, G),
+        projected_residual=_projected_residual(fv.Ainv, G),
         truncation_radius=fv.radius,
         tail_estimate=tail,
         half_vectors_form=len(fv.form.half),

@@ -6,13 +6,12 @@ exact integral LLL reduction of the Gram matrix that updates the reduced Gram
 matrix in place with each column operation.  The walk (``_fp_rows``) goes one
 tree level at a time over numpy frontiers, depth first, and yields int64 row
 arrays of at most ``_CHUNK_ROWS`` rows; the certificate (``_half_candidates``)
-and the height's two collectors (``short_vectors_integral`` on an integral
-form, ``short_vectors_float`` on a float one) read them.  The float search
-tree is pruned with an inflated bound and every candidate is re-verified
-with its exact norm, so the resulting layers are complete and exact.  The
-certificate and the height share one norm kernel (``_float_norms``): it is
-exact in float64 below 2^53 (``_norm_magnitude``), and beyond that the
-certificate's norms run in int64, then in Python ints.
+and the height's one collector (``short_vectors_float``) read them.  The
+float search tree is pruned with an inflated bound and every candidate is
+re-verified with its exact norm, so the resulting layers are complete and
+exact.  The certificate and the height share one norm kernel
+(``_float_norms``): it is exact in float64 below 2^53 (``_norm_magnitude``),
+and beyond that the certificate's norms run in Python ints.
 
 Only one representative per antipodal pair {x, -x} is walked (the highest
 nonzero coordinate is kept positive); full layers are reconstituted from the
@@ -199,10 +198,13 @@ def _int_matrix_and_denominator(Q: GramMatrix) -> tuple[np.ndarray, int]:
 
 
 # Integers of magnitude below 2^53 are exact in binary64 (Higham, "Accuracy
-# and Stability of Numerical Algorithms"); int64 arithmetic keeps a bit of
-# headroom below 2^63 while every partial sum stays below 2^62.
+# and Stability of Numerical Algorithms").
 FLOAT_EXACT = 2.0 ** 53
-_INT64_EXACT = 2.0 ** 62
+
+
+def _slack_bound(bound: float) -> float:
+    """bound (1 + 1e-9) + 1e-9: the height collector's mask, a relative 1e-9 slack."""
+    return bound * (1 + 1e-9) + 1e-9
 
 
 def _norm_magnitude(P: np.ndarray, bound: int) -> float:
@@ -231,17 +233,14 @@ def _float_norms(Xf: np.ndarray, Pf: np.ndarray) -> np.ndarray:
 
 
 def _exact_norms(X: np.ndarray, P: np.ndarray, magnitude: float) -> np.ndarray:
-    """Exact norms P[x] of the int64 rows X, on the cheapest route ``magnitude`` allows.
+    """Exact norms P[x] of the int64 rows X, on the cheaper route ``magnitude`` allows.
 
     ``magnitude`` is ``_norm_magnitude(P, bound)`` of the walk that made X.
     Below FLOAT_EXACT the norms come from ``_float_norms`` (exact, see
-    there) as int64; below 2^62 from int64 arithmetic, which cannot
-    overflow; beyond, from Python ints in an object array.
+    there) as int64; beyond, from Python ints in an object array.
     """
     if magnitude < FLOAT_EXACT:
         return _float_norms(X.astype(float), P.astype(float)).astype(np.int64)
-    if magnitude < _INT64_EXACT:
-        return ((X @ P) * X).sum(1)
     Xo = X.astype(object)
     return np.asarray((Xo @ P.astype(object) * Xo).sum(axis=1))
 
@@ -255,10 +254,13 @@ def _half_candidates(
     """Yield (X_orig, norms_scaled, denominator) chunks of exact short vectors.
 
     X_orig rows are in the coordinates of Q; norms_scaled are integers equal
-    to d * Q[x] where d clears the denominators of Q.
+    to d * Q[x] where d clears the denominators of Q.  A negative
+    ``max_vectors`` is refused before the walk.
     """
     if bound <= 0:
         raise ValueError("enumeration bound must be positive")
+    if max_vectors < 0:
+        raise ValueError(f"enumeration budget must be nonnegative, got {max_vectors}")
     Qred, U = lll_reduce(Q)
     P, d = _int_matrix_and_denominator(Qred)
     bound_int = math.floor(bound * d)
@@ -401,60 +403,40 @@ def layer_moments(
 
 
 # ---------------------------------------------------------------------------
-# height collectors (no LLL step: the vectors stay in the coordinates given)
-
-
-def short_vectors_integral(Pf: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Half-set {x != 0 : P[x] <= bound} of an integral form, with exact int64 norms.
-
-    The height's exact-layer route.  Pf is the integral form as a float
-    array, and the caller has checked ``_norm_magnitude(Pf, bound) <
-    FLOAT_EXACT``, so each chunk's norms from ``_float_norms`` are the exact
-    integers.  Returns (X, norms): X as float rows, one representative per
-    antipodal pair, in the walk's order.
-    """
-    chunks, norm_chunks = [], []
-    for X in _fp_rows(np.linalg.cholesky(Pf).T.copy(), float(bound)):
-        Xf = X.astype(float)
-        norms = _float_norms(Xf, Pf)
-        keep = norms <= bound
-        if not keep.all():
-            Xf, norms = Xf[keep], norms[keep]
-        chunks.append(Xf)
-        norm_chunks.append(norms)
-    if not chunks:
-        return np.empty((0, Pf.shape[0])), np.empty(0, dtype=np.int64)
-    if len(chunks) > 1:
-        chunks, norm_chunks = [np.concatenate(chunks)], [np.concatenate(norm_chunks)]
-    return chunks[0], norm_chunks[0].astype(np.int64)
+# the height's collector (no LLL step: the vectors stay in the coordinates given)
 
 
 def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """Half-set of short vectors of a float SPD matrix, with float norms.
+    """Half-set {x != 0 : Qf[x] <= bound} of an SPD matrix, with float norms.
 
-    The height's route for float-array input, and for a ``GramMatrix``
-    whose integral form fails the exact route's guard; the norms are
-    rounded, and a relative 1e-9 slack at the boundary is harmless there.
-    Returns (X, norms), one representative per antipodal pair, in the walk's
-    order, which does not depend on the bound; the rows are not sorted by
-    norm.  The bound must be finite and nonnegative.
+    The height's one collector.  Each chunk of the walk gets its norms from
+    ``_float_norms`` and is masked at ``_slack_bound(bound)``: the relative
+    1e-9 slack keeps the vectors whose rounded norm lands just above the
+    bound.  On an integral form whose ``_norm_magnitude`` is below
+    FLOAT_EXACT the norms are the exact integers.  Returns (X, norms), X as
+    float rows, one representative per antipodal pair, in the walk's order,
+    which does not depend on the bound; the rows are not sorted by norm.
+    The bound must be finite and nonnegative.
     """
     bound = float(bound)
     if not (math.isfinite(bound) and bound >= 0):
         raise ValueError(f"enumeration bound must be finite and nonnegative, got {bound}")
     Qf = np.asarray(Qf, dtype=float)
-    L = np.linalg.cholesky(Qf)
-    R = L.T.copy()
-    chunks = list(_fp_rows(R, bound))
+    cut = _slack_bound(bound)
+    chunks, norm_chunks = [], []
+    for X in _fp_rows(np.linalg.cholesky(Qf).T.copy(), bound):
+        Xf = X.astype(float)
+        norms = _float_norms(Xf, Qf)
+        keep = norms <= cut
+        if not keep.all():
+            Xf, norms = Xf[keep], norms[keep]
+        chunks.append(Xf)
+        norm_chunks.append(norms)
     if not chunks:
-        return np.empty((0, Qf.shape[0]), dtype=np.int64), np.empty(0)
-    X = np.concatenate(chunks)
-    Xf = X.astype(float)
-    norms = ((Xf @ Qf) * Xf).sum(1)
-    mask = norms <= bound * (1 + 1e-9) + 1e-9
-    if not mask.all():
-        X, norms = X[mask], norms[mask]
-    return X, norms
+        return np.empty((0, Qf.shape[0])), np.empty(0)
+    if len(chunks) == 1:
+        return chunks[0], norm_chunks[0]
+    return np.concatenate(chunks), np.concatenate(norm_chunks)
 
 
 def dump_spectrum(S: LayerSpectrum) -> str:

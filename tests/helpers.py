@@ -384,9 +384,9 @@ def height_remainders(A: np.ndarray, radius: float) -> tuple[float, float]:
     Ainv = np.linalg.inv(A)
     lam = float(np.linalg.eigvalsh(Ainv)[-1])
     X, c = short_vectors_float(A, 2 * radius)
-    X, c = X[c > radius].astype(float), c[c > radius]
+    X, c = X[c > radius], c[c > radius]
     Y, b = short_vectors_float(Ainv, 2 * radius)
-    W, b = Y[b > radius].astype(float) @ Ainv, b[b > radius]
+    W, b = Y[b > radius] @ Ainv, b[b > radius]
     f = lambda c: (math.pi * c) ** (-n / 2) * upper_gamma(n / 2, math.pi * c)
     e1 = lambda b: upper_gamma(0.0, math.pi * b)
     psi1c = lambda c: (math.pi * c) ** (-n / 2) * upper_gamma(n / 2 + 1, math.pi * c)

@@ -79,7 +79,12 @@ class TestFullyCritical:
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_exhausted_budget_is_a_report(self, fmt, capsys):
-        # no bound >= 2 fits: the verdict is on stdout, nothing on stderr
+        # no bound >= 2 fits: the verdict is on stdout, nothing on stderr;
+        # a negative budget is bad input, refused before any enumeration
+        rc = main(["fully-critical", "--name", "sta2", "--max-vectors", "-5", "--format", fmt])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == "error: enumeration budget must be nonnegative, got -5\n"
         rc = main(["fully-critical", "--name", "sta2", "--max-vectors", "1", "--format", fmt])
         captured = capsys.readouterr()
         assert rc == 2
@@ -176,6 +181,10 @@ class TestLayers:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("inconclusive: enumeration budget exceeded")
+        rc = main(argv + ["--max-vectors", "-5"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == "error: enumeration budget must be nonnegative, got -5\n"
 
     def test_json_vectors(self, capsys):
         rc = main(["layers", "--name", "sta2", "--bound", "5", "--format", "json"])

@@ -20,7 +20,7 @@ from latcrit import (
 from latcrit.catalog import load_catalog
 from latcrit.cli import _random_integral_spd
 from latcrit.gram import _leading_minors
-from latcrit.height import _projected_residual
+from latcrit.height import _grid, _projected_residual
 
 from helpers import (
     bareiss_determinant,
@@ -275,10 +275,11 @@ class TestExpMap:
 
 class TestTangentProject:
     # the projection of a gradient onto the determinant-1 tangent space,
-    # through the relative residual the height reports
+    # through the relative residual the height reports, which takes the
+    # symmetrized inverse that the height's grid formed
     def test_parallel_component_removed(self):
         A = A2.to_float()
-        assert _projected_residual(A, 3.7 * np.linalg.inv(A)) < 1e-14
+        assert _projected_residual(_grid(A).Ainv, 3.7 * np.linalg.inv(A)) < 1e-14
 
     def test_idempotent_and_linear(self):
         A = A2.to_float()
@@ -289,7 +290,7 @@ class TestTangentProject:
         S2 = 0.5 * (S2 + S2.T)
 
         def projected_norm(G):
-            return _projected_residual(A, G) * np.linalg.norm(G)
+            return _projected_residual(_grid(A).Ainv, G) * np.linalg.norm(G)
 
         # adding a parallel component leaves the projection unchanged, and
         # the projection of a combination is the combination of projections
@@ -301,7 +302,7 @@ class TestTangentProject:
 
     def test_worked_example(self):
         # diag(2, 0) at I2 projects to diag(1, -1): residual sqrt(2) / 2
-        out = _projected_residual(I2.to_float(), np.array([[2.0, 0.0], [0.0, 0.0]]))
+        out = _projected_residual(_grid(I2.to_float()).Ainv, np.array([[2.0, 0.0], [0.0, 0.0]]))
         assert abs(out - 1.0 / np.sqrt(2.0)) < 1e-15
 
 

@@ -616,25 +616,27 @@ def _record_certified_sums(monkeypatch) -> list:
 
 
 def _record_walks(monkeypatch) -> dict:
-    """Record the radius of each side's layers and count the integral and float walks."""
+    """Record the radius of each side's layers and count the integral and float walks.
+
+    A walk is integral when ``short_vectors_float`` receives the integral
+    form P that ``_layers`` was given, and float when it receives M itself.
+    """
     H = sys.modules["latcrit.height"]
     walks = {"radius": [], "integral": 0, "float": 0}
-    real = {name: getattr(H, name) for name in ("_layers", "short_vectors_integral",
-                                                "short_vectors_float")}
+    real_layers, real_walk = H._layers, H.short_vectors_float
+    side = {}
 
     def layers(M, integral, radius):
         walks["radius"].append(radius)
-        return real["_layers"](M, integral, radius)
+        side["M"] = M
+        return real_layers(M, integral, radius)
 
-    def counted(name, key):
-        def walk(*args):
-            walks[key] += 1
-            return real[name](*args)
-        return walk
+    def walk(Qf, bound):
+        walks["float" if Qf is side["M"] else "integral"] += 1
+        return real_walk(Qf, bound)
 
     monkeypatch.setattr(H, "_layers", layers)
-    monkeypatch.setattr(H, "short_vectors_integral", counted("short_vectors_integral", "integral"))
-    monkeypatch.setattr(H, "short_vectors_float", counted("short_vectors_float", "float"))
+    monkeypatch.setattr(H, "short_vectors_float", walk)
     return walks
 
 

@@ -84,11 +84,14 @@ class TestOracleEquivalence:
         assert got == box_layers(q, 3)
 
     def test_float_walk_on_unreduced_basis(self):
-        # short_vectors_float walks the basis it is given, with no LLL step
+        # short_vectors_float walks the basis it is given, with no LLL step;
+        # on an integral form its norms are the exact integers, so its slack
+        # admits none above the integer bound
         q = load_catalog().by_name("stc9").gram
         skewed = transform_gram(q, random_unimodular(q.n, np.random.default_rng(29), ops=12))
         assert max(skewed.entries[i][i] for i in range(q.n)) > 4 * max(q.entries[i][i] for i in range(q.n))
         X, norms = short_vectors_float(np.array(skewed.entries, dtype=float), 16)
+        assert np.array_equal(norms, np.rint(norms)) and norms.max() <= 16
         got: dict[Fraction, int] = {}
         for x, m in zip(X, np.rint(norms).astype(int)):
             assert quadratic_value(skewed, x) == m
@@ -222,15 +225,15 @@ class TestHalfLayer:
 
 
 class TestNormRoutes:
-    ROUTES = {"float": (0.0, 2.0**53), "int64": (2.0**53, 2.0**62), "object": (2.0**62, np.inf)}
+    ROUTES = {"float": (0.0, 2.0**53), "object": (2.0**53, np.inf)}
 
     @pytest.mark.parametrize("d, route", [(1, "float"), (4 * 10**13, "float"),
-                                          (10**15 + 37, "int64"), (10**17 + 3, "object")])
+                                          (10**15 + 37, "object"), (10**17 + 3, "object")])
     def test_large_denominators_reach_each_route(self, d, route, monkeypatch):
         # the certificate's norms are float-exact while the walk's magnitude
-        # is below 2^53 (d = 4e13 is at 0.8 of it), int64 below 2^62 and
-        # Python ints beyond; every route gives the box's layers, and the
-        # float route's norms are the Python-int ones
+        # is below 2^53 (d = 4e13 is at 0.8 of it) and Python ints beyond;
+        # both routes give the box's layers, and the float route's norms are
+        # the Python-int ones
         magnitudes = []
         real = shells._exact_norms
 
@@ -266,6 +269,10 @@ class TestStreaming:
         with pytest.raises(EnumerationBudgetError) as exc:
             enumerate_layers(q, 40, max_vectors=100)
         assert exc.value.processed > 100
+        # a negative budget is refused before the walk, not reported as exhausted
+        for collect in (enumerate_layers, layer_moments):
+            with pytest.raises(ValueError, match="budget must be nonnegative"):
+                collect(q, 40, max_vectors=-1)
 
 
 class TestLLL:
