@@ -23,11 +23,11 @@ A summand depends only on its vector's norm, so each side's vectors are
 grouped into layers and special functions run once per layer.  For a
 ``GramMatrix`` the layers are exact: each side is walked on its integral
 form P (d Q, and the integral form of Q^-1), whose norms m are integers;
-computed in float64 they are exact while every product and partial sum
-stays below 2^53, which ``shells._norm_magnitude`` guards, so the order
-BLAS sums them in cannot change a bit.  A layer is one value of m, found by
-``np.bincount`` with no sort; its float norm m / (d det(Q)^{1/n}) (or the
-inverse's analogue) is the only rounding.  Float-array input, and a
+the walk's float64 leaf norms are exact while every product and partial
+sum stays below 2^53, which ``shells._norm_magnitude`` guards, so the
+order BLAS sums them in cannot change a bit.  A layer is one value of m,
+found by ``np.bincount`` with no sort; its float norm m / (d det(Q)^{1/n})
+(or the inverse's analogue) is the only rounding.  Float-array input, and a
 ``GramMatrix`` that fails the guard or would need a bincount table of
 2^20 entries or more, walk the float form and group its rounded norms
 with ``np.unique``.  Both routes collect with ``shells.short_vectors_float``.
@@ -47,7 +47,7 @@ import numpy as np
 
 from .gram import GramMatrix, LatticeDescriptor, determinant, gram_inverse, normalized_to_det1
 from .shells import FLOAT_EXACT, _norm_magnitude, _slack_bound, short_vectors_float
-from .specfun import upper_gamma
+from .specfun import _legendre_cf, upper_gamma
 
 TAIL_REL = 1e-13
 GRAD_TAIL_FLOOR = 1e-14
@@ -117,12 +117,12 @@ def _gamma_floor(a: float, x: np.ndarray) -> np.ndarray:
     the integral of 1/(x + t) against the Laguerre weight t^{-b} e^{-t} /
     Gamma(1 - b), and the m-point Gauss-Laguerre rule undershoots it (the
     2m-th t-derivative of 1/(x + t) is positive).  That rule is the m-th
-    convergent 1/D_0 of Legendre's continued fraction,
-        D_{m-1} = x + 2m - 1 - b,  D_{k-1} = x + 2k - 1 - b - k (k - b) / D_k,
-    a lower bound that rises with m; m = 1 gives 1/(x + 1 - b).  Below b = 1
-    the bound can be tighter than the float evaluation's rounding (under
-    1e-15 relative against mpmath for a in [-3.5, 7.5], x in [0.05, 700]),
-    so there the result is lowered by 2e-15 relative.
+    convergent 1/D_0 of Legendre's continued fraction (``_legendre_cf`` at
+    m = _FLOOR_DEPTH levels), a lower bound that rises with m; m = 1 gives
+    1/(x + 1 - b).  Below b = 1 the bound can be tighter than the float
+    evaluation's rounding (under 1e-15 relative against mpmath for a in
+    [-3.5, 7.5], x in [0.05, 700]), so there the result is lowered by 2e-15
+    relative.
     """
     total = np.zeros_like(x)
     term = np.ones_like(x)  # c_j x^{-j}
@@ -131,10 +131,8 @@ def _gamma_floor(a: float, x: np.ndarray) -> np.ndarray:
         total += term
         term = term * ((b - 1) / x)
         b -= 1
-    D = x + (2 * _FLOOR_DEPTH - 1 - b)
-    for k in range(_FLOOR_DEPTH - 1, 0, -1):
-        D = x + (2 * k - 1 - b) - k * (k - b) / D
-    total += term * (x / D)  # x^{1-b} e^x Gamma(b, x) from below, exactly 1 at b = 1
+    # x^{1-b} e^x Gamma(b, x) from below, exactly 1 at b = 1
+    total += term * (x / _legendre_cf(b, x, _FLOOR_DEPTH))
     return np.exp(-x) / x * total * (1.0 if b == 1 else 1.0 - 2e-15)
 
 

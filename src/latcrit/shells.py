@@ -4,14 +4,16 @@ All nonzero integer vectors x with Q[x] <= B are found by a branch-and-bound
 walk over a floating-point Cholesky factorization (Fincke-Pohst), after an
 exact integral LLL reduction of the Gram matrix that updates the reduced Gram
 matrix in place with each column operation.  The walk (``_fp_rows``) goes one
-tree level at a time over numpy frontiers, depth first, and yields int64 row
-arrays of at most ``_CHUNK_ROWS`` rows; the certificate (``_half_candidates``)
-and the height's one collector (``short_vectors_float``) read them.  The
-float search tree is pruned with an inflated bound and every candidate is
-re-verified with its exact norm, so the resulting layers are complete and
-exact.  The certificate and the height share one norm kernel
-(``_float_norms``): it is exact in float64 below 2^53 (``_norm_magnitude``),
-and beyond that the certificate's norms run in Python ints.
+tree level at a time over numpy frontiers, depth first, and yields float64
+row arrays of at most ``_CHUNK_ROWS`` rows with their norms; the certificate
+(``_half_candidates``) and the height's one collector
+(``short_vectors_float``) read them.  The float search tree is pruned with
+an inflated bound and every candidate is re-verified with its exact norm, so
+the resulting layers are complete and exact.  The walk gives each leaf its
+norm by the leaf quadratic (P_00 x_0 + 2b) x_0 + c, with b and c computed
+once per parent at the last level: on an integral form it is exact in
+float64 while ``_norm_magnitude`` is below 2^53, and beyond that the
+certificate's norms run in Python ints.
 
 Only one representative per antipodal pair {x, -x} is walked (the highest
 nonzero coordinate is kept positive); full layers are reconstituted from the
@@ -122,16 +124,16 @@ def lll_reduce(Q: GramMatrix) -> tuple[GramMatrix, np.ndarray]:
 # Fincke-Pohst core
 
 
-def _fp_rows(R: np.ndarray, bound: float) -> Iterator[np.ndarray]:
-    """Yield int64 row arrays covering every x != 0 with |R x|^2 <= bound.
+def _fp_rows(P: np.ndarray, bound: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (rows, norms) covering every x != 0 with P[x] <= bound, rows as float64.
 
-    The Cholesky factor R is walked from coordinate n-1 down to 0 over numpy
-    frontiers.  A node at level i holds its fixed coordinates, its centres
-    S[:i+1] and its budget; its children x_i fill the interval
-    |r_ii*x_i + S_i| <= sqrt(budget), laid out by cumulative counts, and
-    keep budget - u^2 (u = r_ii*x_i + S_i, pruned if negative) and centres
-    S[:i] + R[:i, i]*x_i.  Children are cut into slices of at most
-    ``_CHUNK_ROWS``; each child is mapped to its parent with one
+    The walk factors P = R^t R (Cholesky) and goes from coordinate n-1 down
+    to 0 over numpy frontiers.  A node at level i holds its fixed
+    coordinates, its centres S[:i+1] and its budget; its children x_i fill
+    the interval |r_ii*x_i + S_i| <= sqrt(budget), laid out by cumulative
+    counts, and keep budget - u^2 (u = r_ii*x_i + S_i, pruned if negative)
+    and centres S[:i] + R[:i, i]*x_i.  Children are cut into slices of at
+    most ``_CHUNK_ROWS``; each child is mapped to its parent with one
     ``np.repeat`` of the parents' child counts, which a slice that does not
     hold every child clips to its first and last parent, found by
     bisection.  Each slice is walked to the leaves before the next, so rows
@@ -142,12 +144,21 @@ def _fp_rows(R: np.ndarray, bound: float) -> Iterator[np.ndarray]:
     traced peak of ``fully_critical(stf28a, max_vectors=4_000_000)`` is
     12 MB, against 46 MB at 2^16 rows.
 
+    A leaf's norm is the leaf quadratic (P_00 x_0 + 2b) x_0 + c, where the
+    parents at level 0 (their x_0 = 0) give b = P[0, :] x and c = P[x] once
+    each, about one parent per three leaves.  On an integral P whose
+    ``_norm_magnitude`` is below FLOAT_EXACT every product and partial sum
+    of b, c and the quadratic is an integer below 2^53 (each is bounded by
+    part of the magnitude's sum), so the norms are the exact P[x] in any
+    summation order; otherwise they are float64 roundings of P[x].
+
     Nodes whose fixed coordinates are all zero take x_i >= 0 (x_0 >= 1), so
     the highest nonzero coordinate is positive: one vector per antipodal
     pair.  The bound carries a 1e-9 relative inflation and the interval ends
     a 1e-12 guard, so boundary vectors are never pruned; callers filter.
     """
-    n = R.shape[0]
+    n = P.shape[0]
+    R = np.linalg.cholesky(P).T.copy()
 
     def expand(i, X, S, budget, zero):
         rii, t = R[i, i], S[:, i]
@@ -161,6 +172,10 @@ def _fp_rows(R: np.ndarray, bound: float) -> Iterator[np.ndarray]:
         # the last one x = hi[p], so child j of parent p has x = j + 1 - off[p]
         off = ends - hi
         del rad, lo, hi  # size, ends and off are all the recursion below keeps alive
+        if i == 0:  # the leaf quadratic's parent terms; X[:, 0] = 0, so Y[:, 0] = b
+            Y = X @ P
+            b2, c = 2.0 * Y[:, 0], (Y * X) @ np.ones(n)
+            del Y
         total = int(ends[-1]) if len(ends) else 0
         for a in range(0, total, _CHUNK_ROWS):
             b = min(a + _CHUNK_ROWS, total)
@@ -173,11 +188,11 @@ def _fp_rows(R: np.ndarray, bound: float) -> Iterator[np.ndarray]:
                 cnt[0] -= a - (ends[p0] - size[p0])
                 cnt[-1] -= ends[p1 - 1] - b
                 p = np.repeat(np.arange(p0, p1), cnt)
-            x = np.arange(a + 1, b + 1) - off[p]
+            x = np.arange(a + 1.0, b + 1.0) - off[p]
             if i == 0:
                 rows = X[p]
                 rows[:, 0] = x
-                yield rows
+                yield rows, (P[0, 0] * x + b2[p]) * x + c[p]
                 continue
             u = rii * x + t[p]
             nb = budget[p] - u * u
@@ -188,7 +203,7 @@ def _fp_rows(R: np.ndarray, bound: float) -> Iterator[np.ndarray]:
             yield from expand(i - 1, Xc, S[p, :i] + R[:i, i] * x[:, None], nb, zero[p] & (x == 0))
 
     budget = bound + (1e-9 * bound + 1e-9)
-    yield from expand(n - 1, np.zeros((1, n), dtype=np.int64), np.zeros((1, n)),
+    yield from expand(n - 1, np.zeros((1, n)), np.zeros((1, n)),
                       np.array([budget]), np.array([True]))
 
 
@@ -214,33 +229,20 @@ def _norm_magnitude(P: np.ndarray, bound: int) -> float:
     has |x_k| <= sqrt(bound (P^-1)_kk) plus the walk's slack, so with
     xmax_k = that root + 2 the sum sum_jk xmax_j |P_jk| xmax_k bounds
     sum_jk |x_j||P_jk||x_k|, and, as every xmax_k >= 2, also each entry of
-    X @ P, each product and each partial sum, in any order.
+    X @ P, each product and each partial sum, in any order, and each partial
+    result of the walk's leaf quadratic (see ``_fp_rows``).
     """
     Pf = np.asarray(P, dtype=float)
     xmax = np.sqrt(np.maximum(np.diag(np.linalg.inv(Pf)), 0.0) * float(bound)) + 2.0
     return float(xmax @ np.abs(Pf) @ xmax)
 
 
-def _float_norms(Xf: np.ndarray, Pf: np.ndarray) -> np.ndarray:
-    """The norms ((Xf @ Pf) * Xf) @ 1 in float64: the one norm kernel of both routes.
+def _exact_norms(X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Exact norms P[x] of the int64 rows X in Python ints (an object array).
 
-    Exact integers when ``_norm_magnitude`` is below FLOAT_EXACT: every
-    product and partial sum is then an integer below 2^53, so no rounding
-    happens in any summation order, fused or not, and the BLAS
-    matrix-vector product with ones may replace the slower ``.sum(1)``.
+    The route of walks whose ``_norm_magnitude`` reaches FLOAT_EXACT, where
+    the walk's own norms may be rounded.
     """
-    return ((Xf @ Pf) * Xf) @ np.ones(Pf.shape[0])
-
-
-def _exact_norms(X: np.ndarray, P: np.ndarray, magnitude: float) -> np.ndarray:
-    """Exact norms P[x] of the int64 rows X, on the cheaper route ``magnitude`` allows.
-
-    ``magnitude`` is ``_norm_magnitude(P, bound)`` of the walk that made X.
-    Below FLOAT_EXACT the norms come from ``_float_norms`` (exact, see
-    there) as int64; beyond, from Python ints in an object array.
-    """
-    if magnitude < FLOAT_EXACT:
-        return _float_norms(X.astype(float), P.astype(float)).astype(np.int64)
     Xo = X.astype(object)
     return np.asarray((Xo @ P.astype(object) * Xo).sum(axis=1))
 
@@ -266,12 +268,11 @@ def _half_candidates(
     bound_int = math.floor(bound * d)
     if bound_int < 1:
         return
-    L = np.linalg.cholesky(P.astype(float))
-    R = L.T.copy()
-    magnitude = _norm_magnitude(P, bound_int)
+    walk_exact = _norm_magnitude(P, bound_int) < FLOAT_EXACT
     seen = 0
-    for X in _fp_rows(R, float(bound_int)):
-        norms = _exact_norms(X, P, magnitude)
+    for X, norms in _fp_rows(P.astype(float), float(bound_int)):
+        X = X.astype(np.int64)
+        norms = norms.astype(np.int64) if walk_exact else _exact_norms(X, P)
         mask = norms <= bound_int
         X, norms = X[mask], norms[mask]
         if len(X) == 0:
@@ -409,10 +410,10 @@ def layer_moments(
 def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
     """Half-set {x != 0 : Qf[x] <= bound} of an SPD matrix, with float norms.
 
-    The height's one collector.  Each chunk of the walk gets its norms from
-    ``_float_norms`` and is masked at ``_slack_bound(bound)``: the relative
-    1e-9 slack keeps the vectors whose rounded norm lands just above the
-    bound.  On an integral form whose ``_norm_magnitude`` is below
+    The height's one collector.  Each chunk of the walk comes with its
+    leaves' norms (``_fp_rows``) and is masked at ``_slack_bound(bound)``:
+    the relative 1e-9 slack keeps the vectors whose rounded norm lands just
+    above the bound.  On an integral form whose ``_norm_magnitude`` is below
     FLOAT_EXACT the norms are the exact integers.  Returns (X, norms), X as
     float rows, one representative per antipodal pair, in the walk's order,
     which does not depend on the bound; the rows are not sorted by norm.
@@ -424,13 +425,11 @@ def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[np.ndarray, np.nd
     Qf = np.asarray(Qf, dtype=float)
     cut = _slack_bound(bound)
     chunks, norm_chunks = [], []
-    for X in _fp_rows(np.linalg.cholesky(Qf).T.copy(), bound):
-        Xf = X.astype(float)
-        norms = _float_norms(Xf, Qf)
+    for X, norms in _fp_rows(Qf, bound):
         keep = norms <= cut
         if not keep.all():
-            Xf, norms = Xf[keep], norms[keep]
-        chunks.append(Xf)
+            X, norms = X[keep], norms[keep]
+        chunks.append(X)
         norm_chunks.append(norms)
     if not chunks:
         return np.empty((0, Qf.shape[0])), np.empty(0)

@@ -61,15 +61,19 @@ def large_denominator_form(d: int) -> GramMatrix:
     return GramMatrix([[Fraction(d * a + e, d) for a, e in zip(ra, re)] for ra, re in zip(A3, E)])
 
 
-def fincke_pohst_rows(R: np.ndarray, bound: float) -> np.ndarray:
-    """Per-node recursion over the Cholesky factor R, one scalar node at a time.
+def fincke_pohst_rows(P: np.ndarray, bound: float) -> tuple[np.ndarray, list[int]]:
+    """Per-node recursion over the Cholesky factor of P, one scalar node at a time.
 
     The reference for ``shells._fp_rows``: the same float operations per node
     (1e-9 bound inflation, 1e-12 interval guards, u = r_ii*x_i + S_i, centres
     S[:i] + R[:i, i]*x_i, highest nonzero coordinate > 0), so the rows must
-    agree exactly and in order.
+    agree exactly and in order.  P is an integral form (a float array of
+    integers); each row's norm is P[x] summed in Python ints, which the
+    walk's float norms must equal while they are float-exact.
     """
-    n = R.shape[0]
+    n = P.shape[0]
+    R = np.linalg.cholesky(P).T
+    Pi = [[int(v) for v in row] for row in P]
     rows: list[list[int]] = []
     x = [0] * n
 
@@ -90,7 +94,8 @@ def fincke_pohst_rows(R: np.ndarray, bound: float) -> np.ndarray:
         x[i] = 0
 
     rec(n - 1, np.zeros(n), bound + (1e-9 * bound + 1e-9), True)
-    return np.array(rows, dtype=np.int64).reshape(-1, n)
+    norms = [sum(Pi[j][k] * r[j] * r[k] for j in range(n) for k in range(n)) for r in rows]
+    return np.array(rows, dtype=np.int64).reshape(-1, n), norms
 
 
 def box_vectors(Q: GramMatrix, norm) -> list[tuple[int, ...]]:

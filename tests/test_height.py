@@ -585,6 +585,32 @@ class TestOncePerValue:
         assert sum(len(fv.form.half) + len(fv.dual.half) for fv in fvs) == 765_092
 
 
+class TestClosedFormGamma:
+    def test_catalogue_heights_match_the_iterative_regimes(self, monkeypatch):
+        # upper_gamma takes closed forms at the height's orders (n/2 and 0);
+        # the 42 catalogue heights and their inverses' are computed again
+        # with every call routed through the iterative regimes alone, grid
+        # cache included: the same radii and vectors, heights within 1e-15
+        H = sys.modules["latcrit.height"]
+        specfun = sys.modules["latcrit.specfun"]
+        forms = [q for e in load_catalog().entries for q in (e.gram, gram_inverse(e.gram))]
+        shipped = [height(q) for q in forms]
+        H._radius_gamma.cache_clear()
+        monkeypatch.setattr(H, "upper_gamma",
+                            lambda a, x: specfun._upper_gamma(float(a), np.asarray(x, dtype=float)))
+        try:
+            iterative = [height(q) for q in forms]
+        finally:
+            H._radius_gamma.cache_clear()
+        for got, ref in zip(shipped, iterative):
+            assert got.truncation_radius == ref.truncation_radius
+            assert got.half_vectors_form == ref.half_vectors_form
+            assert got.half_vectors_dual == ref.half_vectors_dual
+            assert abs(got.height - ref.height) <= 1e-15 * abs(ref.height)
+            assert got.projected_residual <= 1e-13
+        assert any(got.height != ref.height for got, ref in zip(shipped, iterative))
+
+
 def _random_forms():
     """Seeded SPD forms in dims 2-7, one plain and one skewed by diag(e^(+-2)) per dimension."""
     rng = np.random.default_rng(2026)

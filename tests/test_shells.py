@@ -112,30 +112,35 @@ class TestOracleEquivalence:
 
 class TestArrayWalk:
     @staticmethod
-    def check_rows(R, bound, monkeypatch):
-        ref = fincke_pohst_rows(R, float(bound))
+    def check_rows(Q, bound, monkeypatch):
+        # the walk on Q's integral form P: rows in order, and each leaf's
+        # norm from the leaf quadratic equal to P[x] in Python ints
+        rows, d = Q.integral_rescale()
+        P = np.array(rows, dtype=float)
+        assert shells._norm_magnitude(P, bound * d) < shells.FLOAT_EXACT
+        ref, ref_norms = fincke_pohst_rows(P, float(bound * d))
         # 1: single-row slices; 3 and 8: slices with childless parents inside
         for chunk in (shells._CHUNK_ROWS, 8, 3, 1):
             monkeypatch.setattr(shells, "_CHUNK_ROWS", chunk)
-            got = list(shells._fp_rows(R, float(bound)))
-            assert max(len(X) for X in got) <= chunk
-            assert np.array_equal(np.concatenate(got), ref)
+            got = list(shells._fp_rows(P, float(bound * d)))
+            assert max(len(X) for X, _ in got) <= chunk
+            assert all(len(X) == len(norms) for X, norms in got)
+            assert np.array_equal(np.concatenate([X for X, _ in got]), ref)
+            assert np.concatenate([norms for _, norms in got]).tolist() == ref_norms
 
     @pytest.mark.parametrize("name,bound", [
         ("sta2", 40), ("stb3", 40), ("stc12", 40), ("std5a", 24), ("ste10a", 20), ("stf8", 20),
     ])
     def test_rows_match_per_node_recursion(self, name, bound, monkeypatch):
         Qred, _ = lll_reduce(load_catalog().by_name(name).gram)
-        R = np.linalg.cholesky(np.array(Qred.entries, dtype=float)).T.copy()
-        self.check_rows(R, bound, monkeypatch)
+        self.check_rows(Qred, bound, monkeypatch)
 
     def test_rows_match_on_an_unreduced_basis(self, monkeypatch):
         # a skewed basis leaves nodes with no integer in their interval; at
         # 3 rows a slice two of them fall strictly inside a slice
         q = load_catalog().by_name("stc9").gram
         skewed = transform_gram(q, random_unimodular(q.n, np.random.default_rng(29), ops=12))
-        R = np.linalg.cholesky(np.array(skewed.entries, dtype=float)).T.copy()
-        self.check_rows(R, 16, monkeypatch)
+        self.check_rows(skewed, 16, monkeypatch)
 
 
 class TestFloatBound:
@@ -230,26 +235,42 @@ class TestNormRoutes:
     @pytest.mark.parametrize("d, route", [(1, "float"), (4 * 10**13, "float"),
                                           (10**15 + 37, "object"), (10**17 + 3, "object")])
     def test_large_denominators_reach_each_route(self, d, route, monkeypatch):
-        # the certificate's norms are float-exact while the walk's magnitude
-        # is below 2^53 (d = 4e13 is at 0.8 of it) and Python ints beyond;
-        # both routes give the box's layers, and the float route's norms are
-        # the Python-int ones
-        magnitudes = []
-        real = shells._exact_norms
+        # the certificate takes the walk's float64 leaf norms while the
+        # walk's magnitude is below 2^53 (d = 4e13 is at 0.8 of it) and
+        # Python ints beyond; the route is read from the magnitude _half_candidates
+        # decides by and from its _exact_norms calls; both routes give the
+        # box's layers, and the walk's norms are the Python-int ones
+        magnitudes, walked, object_calls = [], [], []
+        real_magnitude, real_walk, real_exact = (shells._norm_magnitude, shells._fp_rows,
+                                                 shells._exact_norms)
 
-        def recording(X, P, magnitude):
-            magnitudes.append(magnitude)
-            norms = real(X, P, magnitude)
-            assert norms.tolist() == real(X, P, np.inf).tolist()
-            return norms
+        def magnitude(P, bound):
+            magnitudes.append(real_magnitude(P, bound))
+            return magnitudes[-1]
 
-        monkeypatch.setattr(shells, "_exact_norms", recording)
+        def walk(P, bound):
+            for X, norms in real_walk(P, bound):
+                walked.append((P, X, norms))
+                yield X, norms
+
+        def exact(X, P):
+            object_calls.append(len(X))
+            return real_exact(X, P)
+
+        monkeypatch.setattr(shells, "_norm_magnitude", magnitude)
+        monkeypatch.setattr(shells, "_fp_rows", walk)
+        monkeypatch.setattr(shells, "_exact_norms", exact)
         q = large_denominator_form(d)
         got = dict(layer_cardinalities(enumerate_layers(q, 6)))
         assert got == box_layers(q, 6) and len(got) >= 3
         assert {m: c for m, (c, _) in layer_moments(q, 6).items()} == got
         lo, hi = self.ROUTES[route]
         assert magnitudes and all(lo <= m < hi for m in magnitudes)
+        assert walked and (len(object_calls) > 0) == (route == "object")
+        if route == "float":
+            for P, X, norms in walked:
+                ints = real_exact(X.astype(np.int64), P.astype(np.int64))
+                assert norms.tolist() == ints.tolist()
 
 
 class TestStreaming:

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, special
 
 from latcrit import GammaDomainError, upper_gamma
-from latcrit.specfun import _lower_series, _upper_cf
+from latcrit.specfun import _lower_series, _upper_cf, _upper_gamma
 
 
 def gamma_quadrature(a: float, x: float) -> float:
@@ -156,3 +156,48 @@ class TestArrayKernel:
         assert type(upper_gamma(0.0, 2.0)) is float
         grid = np.array([[0.5, 2.0], [7.0, 40.0]])
         assert np.array_equal(upper_gamma(1.5, grid), upper_gamma(1.5, grid.ravel()).reshape(2, 2))
+
+
+CLOSED_ORDERS = [0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5]
+
+
+class TestClosedFormRoutes:
+    """Integer and half-integer orders >= 1 and a = 0 at x >= 1 take closed forms."""
+
+    @pytest.mark.parametrize("a", CLOSED_ORDERS)
+    def test_against_mpmath_to_one_part_in_1e15(self, a):
+        # a = 0 below x = 1 keeps the small-order series; every other lane
+        # here is an upward recurrence or the E1 continued fraction
+        xs = np.geomspace(1e-4, 700.0, 400)
+        with mp.workdps(40):
+            ref = np.array([float(mp.gammainc(mp.mpf(a), mp.mpf(float(x)))) for x in xs])
+        normal = ref >= np.finfo(float).tiny
+        rel = np.abs(upper_gamma(a, xs) - ref)[normal] / ref[normal]
+        assert rel.max() <= 1e-15, (a, xs[normal][rel.argmax()], rel.max())
+
+    @pytest.mark.parametrize("a", CLOSED_ORDERS)
+    def test_lanes_at_the_depth_switches_are_independent(self, a):
+        # the E1 continued fraction is 120, 60 or 40 levels deep from x = 1,
+        # 2 and 3, and the recurrence stops at x = 708; a lane gives the same
+        # bits alone as inside a mixed array
+        edges = [v for e in (1.0, 2.0, 3.0, 708.0)
+                 for v in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))]
+        xs = np.array(edges + MIXED_X + [750.0])
+        vals = upper_gamma(a, xs)
+        assert np.array_equal(vals, np.array([upper_gamma(a, float(x)) for x in xs]))
+        for lane in range(0, len(xs), 3):
+            assert np.array_equal(upper_gamma(a, xs[lane:lane + 3]), vals[lane:lane + 3])
+
+    @pytest.mark.parametrize("a", [0.5, 0.7, 2.25, 3.3, -0.5, -1.5, -1e-4, 1e-4, 100.5, 101.0])
+    def test_other_orders_are_the_iterative_regimes(self, a):
+        # a = 1/2 included: erfc(sqrt x) would carry sqrt's rounding times 2x;
+        # orders above 100 would overflow x^c in the recurrence
+        xs = mixed_lanes(a)
+        assert np.array_equal(upper_gamma(a, xs), _upper_gamma(a, xs))
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 2.5, 4.0])
+    def test_lanes_outside_the_closed_forms_are_the_iterative_regimes(self, a):
+        # a = 0 below x = 1; the other orders beyond x = 708, where e^{-x}
+        # is no longer a normal float
+        xs = np.array([0.05, 0.3, 0.999]) if a == 0.0 else np.array([708.5, 720.0, 750.0])
+        assert np.array_equal(upper_gamma(a, xs), _upper_gamma(a, xs))
