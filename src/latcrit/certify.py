@@ -13,13 +13,15 @@ pass proves every layer.  A pass at a smaller bound, which the caller may
 ask for, proves only the layers it tested: it is inconclusive.  Each layer
 is decided by ``design.two_design_verdict`` on streamed second moments.
 
-Odd lattices are doubled (a homothety, harmless to the design structure).
-Odd dimensions take their horizon from the form plus an orthogonal A1
-summand: its generating function is the form's times A1's, a series with
-constant term 1, so vanishing transfers back.  The report names its
-premises: the group, the character's discriminant D of the (augmented)
-working form, the weight, the bound tested and the horizon, and how many
-nonempty layers the certificate actually tested (``vacuous`` when none).
+The layers tested are the input's own; doubling and the A1 summand only set
+the horizon (level, character and weight).  An odd lattice takes it from
+its double 2Q, a homothety harmless to the design structure.  Odd
+dimensions take it from the even form plus an orthogonal A1 summand: its
+generating function is the form's times A1's, a series with constant term
+1, so vanishing transfers back.  The report names its premises: the group,
+the character's discriminant D of the (augmented) working form, the weight,
+the bound tested and the horizon, and how many nonempty layers the
+certificate actually tested (``vacuous`` when none).
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def sturm_bound(k: int, N: int) -> int:
 class FullyCriticalReport:
     """Result of the full-criticality certification pipeline.
 
-    Per-layer rows are stated in the original lattice's norms and count one
+    Per-layer rows are the input lattice's own layers and count one
     representative per antipodal pair {x, -x}, the convention of the
     reference transcripts (pair sums quarter, cardinalities halve relative
     to full-set values; the design verdicts are identical either way).
@@ -166,12 +168,13 @@ def fully_critical(
 ) -> FullyCriticalReport:
     """Certify (or refute) that every layer of an integral lattice is a 2-design.
 
-    Pipeline: double odd forms; in odd dimension derive the horizon from the
-    A1-augmented form (weight (n+1)/2 + 2, its level and determinant), else
-    weight n/2 + 2 and the form's own; test every layer of the working even
-    form up to (x.x) = 2B with B the Gamma_0 Sturm bound, or
-    ``override_bound`` when supplied (e.g. the catalogue's reference N, to
-    reproduce its transcripts).  A failed layer is a definitive refutation.
+    Pipeline: double odd forms and, in odd dimension, add an A1 summand to
+    derive the horizon (weight (n+1)/2 + 2 and the augmented form's level
+    and determinant, else weight n/2 + 2 and the even form's own); test
+    every layer of the input with (x.x) <= 2B on the even form, B the
+    Gamma_0 Sturm bound, or ``override_bound`` when supplied (e.g. the
+    catalogue's reference N, to reproduce its transcripts).  A failed layer
+    is a definitive refutation.
     An exhausted enumeration budget halves the range until it fits, and an
     override below the Sturm bound tests fewer layers: both are reported as
     inconclusive with the largest certified bound, never as a failure and
@@ -198,12 +201,12 @@ def fully_critical(
     if B < 1:
         raise ValueError("certification bound must be positive")
 
-    P, d = _int_matrix_and_denominator(work)
+    P, d = _int_matrix_and_denominator(Q)
 
     bound, moments, note = 2 * B, {}, ""
     while bound >= 2:
         try:
-            moments = layer_moments(work, bound, max_vectors=max_vectors)
+            moments = layer_moments(Q, Fraction(bound, s), max_vectors=max_vectors)
             break
         except EnumerationBudgetError:
             bound //= 2
@@ -215,10 +218,9 @@ def fully_critical(
     per_layer = []
     cards = []
     failure_norm = None
-    for m_work, (card, S) in moments.items():
-        w = two_design_verdict(m_work, card, S, P, d)
-        # restated per antipodal pair (sums quarter) and in the input's norms
-        v = replace(w, norm=w.norm / s, lhs=w.lhs / (4 * s * s), rhs=w.rhs / (4 * s * s))
+    for m, (card, S) in moments.items():
+        w = two_design_verdict(m, card, S, P, d)
+        v = replace(w, lhs=w.lhs / 4, rhs=w.rhs / 4)  # restated per antipodal pair
         per_layer.append(v)
         cards.append((v.norm, card // 2))
         if failure_norm is None and not v.is_design:

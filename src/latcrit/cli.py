@@ -5,7 +5,7 @@ tables, probe-conjecture.  Exit codes: 0 success, 1 definitive failure
 (a refuted design property or a conjecture counterexample candidate),
 2 inconclusive outcomes and errors.  Each subcommand returns its input,
 its outcome, its text and its exit code; ``main`` times the call and
-prints the text, or the RunReport envelope under --format json.
+prints the text, or the RunReport envelope under --format json, and flushes.
 
 Certification (fully-critical, tables, probe-conjecture) speaks only
 through its reports: an exhausted enumeration budget is an inconclusive
@@ -16,7 +16,8 @@ exactly the range asked for (EnumerationBudgetError, prefixed
 "inconclusive:"), a height whose tail majorant misses its tolerance at
 the radius chosen from the fixed radius grid (TruncationError), a broken
 design inequality (DesignComputationError), arithmetic failures
-(ArithmeticError) and bad input or usage (ValueError, KeyError, OSError).
+(ArithmeticError) and bad input, usage or output (ValueError, KeyError,
+OSError; a stdout closed early, as by ``| head -1``, is a BrokenPipeError).
 Exit 1 therefore always means a definitive refutation; ``tables`` exits 1
 only when some row is a failure, and 2 when a row is inconclusive.
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -117,7 +119,8 @@ def _cmd_analyze(args):
     if Q.is_integral:
         info["level_of_even_form"] = level(Q if even else double(Q))
         info["doubled_for_level"] = not even
-    spec = enumerate_layers(Q, max(Q.entries[i][i] for i in range(Q.n)))
+    # the minimum is at most every Q_ii, so the least one bounds it
+    spec = enumerate_layers(Q, min(Q.entries[i][i] for i in range(Q.n)))
     if spec.layers:
         info["min_norm"] = str(spec.layers[0].norm)
         info["kissing_number"] = spec.layers[0].cardinality
@@ -404,16 +407,19 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         inp, outcome, text, code = args.func(args)
+        if args.format == "json":
+            text = RunReport(args.command, inp, outcome, time.time() - t0, __version__).to_json()
+        print(text, flush=True)
     except EnumerationBudgetError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (TruncationError, DesignComputationError, ArithmeticError,
             ValueError, KeyError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout closed: flush to devnull at exit
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    if args.format == "json":
-        text = RunReport(args.command, inp, outcome, time.time() - t0, __version__).to_json()
-    print(text)
     return code
 
 

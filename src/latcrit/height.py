@@ -6,14 +6,17 @@ lattice sum
 over the nonzero vectors m of the form and y of its inverse, at x = pi Q[m]
 and x = pi Q^-1[y]: the zeta body has (a, b, c) = (s, n/2 - s, det^{-1/2})
 and the height's invariant F has (n/2, 0, 1).  Every such sum is evaluated
-by ``_certified_sum`` with one summand; the height's gradient on the
-determinant-1 manifold is its one extra quantity, weighted by F's summand
-through the incomplete-gamma recurrence.  The tail majorants are evaluated
-on one fixed geometric grid of radii before anything is enumerated, and the
-radius is the first grid radius where they meet an a-priori tolerance:
-1e-13 times a lower bound on the sum (its terms are positive, so the basis
-vectors' terms bound it, and a closed-form floor from the incomplete-gamma
-recurrence bounds those), or the gradient's absolute floor.  Neither
+by ``_certified_sum`` with one summand on the ``_Sides`` built once per
+call: A (at determinant 1 for the height), A^-1 (for a ``GramMatrix``,
+from the exact inverse the dual's walk reads), their integral forms and
+annulus counts.  The height's gradient on the determinant-1 manifold is its
+one extra quantity, weighted by F's summand through the incomplete-gamma
+recurrence.  The tail majorants are evaluated on one fixed geometric grid
+of radii before anything is enumerated, and the radius is the first grid
+radius where they meet an a-priori tolerance: 1e-13 times a lower bound
+on the sum (its terms are positive, so the basis vectors' terms bound it,
+and a closed-form floor from the incomplete-gamma recurrence bounds
+those), or the gradient's absolute floor.  Neither
 exceeds the real tolerance (1e-13 times the sum, plus that floor for the
 gradient), so the form and its inverse are enumerated once each at that
 radius.  The check of the same majorants against the real tolerance stays
@@ -22,12 +25,12 @@ as the guard of record: it raises ``TruncationError``.
 A summand depends only on its vector's norm, so each side's vectors are
 grouped into layers and special functions run once per layer.  For a
 ``GramMatrix`` the layers are exact: each side is walked on its integral
-form P (d Q, and the integral form of Q^-1), whose norms m are integers;
-the walk's float64 leaf norms are exact while every product and partial
-sum stays below 2^53, which ``shells._norm_magnitude`` guards, so the
-order BLAS sums them in cannot change a bit.  A layer is one value of m,
-found by ``np.bincount`` with no sort; its float norm m / (d det(Q)^{1/n})
-(or the inverse's analogue) is the only rounding.  Float-array input, and a
+form P (d Q, and d' Q^-1), whose norms m are integers; the walk's float64
+leaf norms are exact while every product and partial sum stays below 2^53,
+which ``shells._norm_magnitude`` guards, so the order BLAS sums them in
+cannot change a bit.  A layer is one value of m, found by ``np.bincount``
+with no sort; its float norm m / (d det(Q)^{1/n}) (or the inverse's
+analogue) is the only rounding.  Float-array input, and a
 ``GramMatrix`` that fails the guard or would need a bincount table of
 2^20 entries or more, walk the float form and group its rounded norms
 with ``np.unique``.  Both routes collect with ``shells.short_vectors_float``.
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import GramMatrix, LatticeDescriptor, determinant, gram_inverse, normalized_to_det1
+from .gram import GramMatrix, LatticeDescriptor, determinant, gram_inverse
 from .shells import FLOAT_EXACT, _norm_magnitude, _slack_bound, short_vectors_float
 from .specfun import _legendre_cf, upper_gamma
 
@@ -72,10 +75,6 @@ class ZetaPoleError(ValueError):
 
 
 def _as_form(Q) -> np.ndarray:
-    if isinstance(Q, LatticeDescriptor):
-        Q = Q.gram
-    if isinstance(Q, GramMatrix):
-        return Q.to_float()
     A = np.asarray(Q, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("form must be a square matrix")
@@ -150,8 +149,8 @@ def _radius_gamma(a: float) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _Grid:
-    """A form and its inverse with their annulus counts on the grid radii.
+class _Sides:
+    """A form A and its inverse, built once per sum by ``_sides``.
 
     ``majorant`` bounds a sum's tail at each radius, and ``basis_floor``
     bounds a sum from below by its basis vectors' terms without evaluating
@@ -160,7 +159,9 @@ class _Grid:
 
     A: np.ndarray
     Ainv: np.ndarray
-    counts: tuple  # _annulus_counts on the radii, for the form and for its inverse
+    det: float       # the input form's determinant
+    integral: tuple  # (P, unit) for A and for A^-1, each P / unit; (None, None) for float input
+    counts: tuple    # _annulus_counts on the radii, for A and for A^-1
 
     def majorant(self, g_form: np.ndarray, g_dual: np.ndarray) -> np.ndarray:
         """Bound at each t_j on the sum of g over the vectors of norm > t_j, both sides.
@@ -194,10 +195,32 @@ class _Grid:
                                for (a, c), d in zip(orders, sides)))
 
 
-def _grid(A: np.ndarray) -> _Grid:
-    Ainv = np.linalg.inv(A)
-    Ainv = 0.5 * (Ainv + Ainv.T)
-    return _Grid(A=A, Ainv=Ainv, counts=(_annulus_counts(A, _RADII), _annulus_counts(Ainv, _RADII)))
+def _sides(L, det1: bool) -> _Sides:
+    """The sides of a lattice or a form, rescaled to determinant 1 if ``det1``.
+
+    A ``GramMatrix`` Q gives A = Q / delta, delta = det(Q)^{1/n} or 1 (the
+    bits of ``normalized_to_det1`` when rescaled), A^-1 = delta Q^-1 from the
+    exact inverse, and the integral forms d Q and d' Q^-1 at units d delta
+    and d' / delta.  A float form is validated and inverted once, symmetrized.
+    """
+    Q = L.gram if isinstance(L, LatticeDescriptor) else L
+    if isinstance(Q, GramMatrix):
+        det = float(determinant(Q))
+        delta = det ** (1.0 / Q.n) if det1 else 1.0
+        Qinv = gram_inverse(Q)
+        (P, d), (Pi, di) = Q.integral_rescale(), Qinv.integral_rescale()
+        A, Ainv = Q.to_float() / delta, Qinv.to_float() * delta
+        integral = ((np.array(P, dtype=float), d * delta), (np.array(Pi, dtype=float), di / delta))
+    else:
+        A = _as_form(Q)
+        det = _finite_det(A)
+        if det1:
+            A = A / det ** (1.0 / A.shape[0])
+        Ainv = np.linalg.inv(A)
+        Ainv = 0.5 * (Ainv + Ainv.T)
+        integral = (None, None)
+    return _Sides(A=A, Ainv=Ainv, det=det, integral=integral,
+                  counts=(_annulus_counts(A, _RADII), _annulus_counts(Ainv, _RADII)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,25 +264,6 @@ def _layers(M: np.ndarray, integral, radius: float) -> _Layers:
     return _Layers(half=X, distinct=distinct, inverse=inverse, counts=counts)
 
 
-def _integral_sides(Q: GramMatrix, delta: float) -> tuple:
-    """(P, unit) for A = Q / delta and for A^-1 = delta Q^-1, with each side = P / unit.
-
-    P = d Q is Q's integral form, so unit = d delta; the inverse's integral
-    form P' = d' Q^-1 gives unit' = d' / delta.
-    """
-    (P, d), (Pi, di) = Q.integral_rescale(), gram_inverse(Q).integral_rescale()
-    return (np.array(P, dtype=float), d * delta), (np.array(Pi, dtype=float), di / delta)
-
-
-@dataclass(frozen=True, eq=False)
-class _FormVectors:
-    A: np.ndarray
-    Ainv: np.ndarray
-    form: _Layers   # the half-set on the A side
-    dual: _Layers   # and on the Ainv side
-    radius: float   # both sides hold the vectors of norm <= radius
-
-
 def _F_orders(n: int) -> tuple:
     """F's orders: x^{-n/2} Gamma(n/2, x) over the form, Gamma(0, x) over its inverse."""
     return ((n / 2, 1.0), (0.0, 1.0))
@@ -275,7 +279,7 @@ def _gradient_weight(n: int, xs: np.ndarray, f: np.ndarray) -> np.ndarray:
     return math.pi * (n / 2 * f + np.exp(-xs)) / xs
 
 
-def _bounds(grid: _Grid, orders, gradient: bool) -> list:
+def _bounds(sides: _Sides, orders, gradient: bool) -> list:
     """(majorant on the grid, a-priori tolerance) of the sum, then of the gradient if asked.
 
     The gradient's tail is bounded in Frobenius norm term by term: psi1(c)
@@ -283,15 +287,15 @@ def _bounds(grid: _Grid, orders, gradient: bool) -> list:
     decreasing.
     """
     g = [_summand(a, c, _X, _radius_gamma(a)) for a, c in orders]
-    out = [(grid.majorant(*g), TAIL_REL * grid.basis_floor(orders))]
+    out = [(sides.majorant(*g), TAIL_REL * sides.basis_floor(orders))]
     if gradient:
-        lam = _norm_factor(grid.Ainv)
-        grad_form = _gradient_weight(grid.A.shape[0], _X, g[0]) * _X / math.pi * lam
-        out.append((grid.majorant(grad_form, np.exp(-_X) * lam), GRAD_TAIL_FLOOR))
+        lam = _norm_factor(sides.Ainv)
+        grad_form = _gradient_weight(sides.A.shape[0], _X, g[0]) * _X / math.pi * lam
+        out.append((sides.majorant(grad_form, np.exp(-_X) * lam), GRAD_TAIL_FLOOR))
     return out
 
 
-def _grad_sum(fv: _FormVectors, f: np.ndarray) -> tuple[np.ndarray, float]:
+def _grad_sum(sides: _Sides, layers: tuple, f: np.ndarray) -> tuple[np.ndarray, float]:
     """(gradient of F, its tolerance GRAD_TAIL_FLOOR + TAIL_REL |G|).
 
     The gradient is a symmetric matrix assembled from both lattice sums:
@@ -299,24 +303,25 @@ def _grad_sum(fv: _FormVectors, f: np.ndarray) -> tuple[np.ndarray, float]:
     (Q^-1 m)(Q^-1 m)^t over the dual's, with
     psi1(c) = pi (pi c)^{-(n/2+1)} Gamma(n/2+1, pi c) and
     psi2(b) = exp(-pi b)/b.  Equivariant under unimodular changes of basis.
-    Both weights are evaluated on the distinct norms (f, F's summand, is
-    given there) and gathered to the vectors through the layers' inverse
-    index.
+    Both weights are evaluated on the distinct norms of ``layers`` (the
+    form's, then the dual's; f, F's summand, is given there) and gathered
+    to the vectors through the layers' inverse index.
     """
-    n = fv.A.shape[0]
-    c, b = fv.form.distinct, fv.dual.distinct
-    w1 = _gradient_weight(n, math.pi * c, f)[fv.form.inverse]
-    V = fv.form.half
+    form, dual = layers
+    n = sides.A.shape[0]
+    c, b = form.distinct, dual.distinct
+    w1 = _gradient_weight(n, math.pi * c, f)[form.inverse]
+    V = form.half
     T1 = 2.0 * ((V * w1[:, None]).T @ V)
-    w2 = (np.exp(-math.pi * b) / b)[fv.dual.inverse]
-    W = fv.dual.half @ fv.Ainv
+    w2 = (np.exp(-math.pi * b) / b)[dual.inverse]
+    W = dual.half @ sides.Ainv
     T2 = 2.0 * ((W * w2[:, None]).T @ W)
     G = -T1 + T2
     return 0.5 * (G + G.T), GRAD_TAIL_FLOOR + TAIL_REL * float(np.linalg.norm(G))
 
 
-def _certified_sum(A: np.ndarray, orders, what: str, gradient: bool = False, exact=None):
-    """The one certified lattice sum: (S, G, tail, vectors) at one radius.
+def _certified_sum(sides: _Sides, orders, what: str, gradient: bool = False):
+    """The one certified lattice sum: (S, G, tail, radius, layers) at one radius.
 
     S sums c x^{-a} Gamma(a, x) over the nonzero vectors of A at
     x = pi A[m], and over those of A^-1 at x = pi A^-1[y], with ``orders``
@@ -326,34 +331,31 @@ def _certified_sum(A: np.ndarray, orders, what: str, gradient: bool = False, exa
     the first grid radius up to _RADIUS_CAP where every majorant meets its
     a-priori tolerance, or that cap when none does.  The vectors of norm <=
     radius of A and of A^-1 are collected once each and grouped by norm into
-    layers (``_layers``): on exact layers when ``exact`` is (Q, delta), a
-    ``GramMatrix`` Q with A = Q / delta, else on A's float norms.  Each
-    summand is evaluated once per layer and summed against the layer
-    counts.  The majorants at the radius must meet the real tolerances
-    (TAIL_REL |S|, and GRAD_TAIL_FLOOR + TAIL_REL |G|), or TruncationError
-    is raised.
+    ``layers`` (``_layers``, on the sides' integral forms when they have
+    them).  Each summand is evaluated once per layer and summed against the
+    layer counts.  The majorants at the radius must meet the real
+    tolerances (TAIL_REL |S|, and GRAD_TAIL_FLOOR + TAIL_REL |G|), or
+    TruncationError is raised.
     """
-    grid = _grid(A)
-    majorants, a_priori = zip(*_bounds(grid, orders, gradient))
+    majorants, a_priori = zip(*_bounds(sides, orders, gradient))
     M = np.array(majorants)
     fits = np.flatnonzero(np.all(M <= np.array(a_priori)[:, None], axis=0)
                           & (_RADII <= _RADIUS_CAP))
     radius = float(_RADII[fits[0]]) if fits.size else _RADIUS_CAP
-    sides = (None, None) if exact is None else _integral_sides(*exact)
-    fv = _FormVectors(A=A, Ainv=grid.Ainv, form=_layers(A, sides[0], radius),
-                      dual=_layers(grid.Ainv, sides[1], radius), radius=radius)
+    layers = (_layers(sides.A, sides.integral[0], radius),
+              _layers(sides.Ainv, sides.integral[1], radius))
     terms = [_summand(a, c, x, upper_gamma(a, x)) for (a, c), x
-             in zip(orders, (math.pi * fv.form.distinct, math.pi * fv.dual.distinct))]
-    S = 2.0 * float(fv.form.counts @ terms[0] + fv.dual.counts @ terms[1])
+             in zip(orders, (math.pi * layers[0].distinct, math.pi * layers[1].distinct))]
+    S = 2.0 * float(layers[0].counts @ terms[0] + layers[1].counts @ terms[1])
     tolerances = [TAIL_REL * max(abs(S), 1e-30)]
     G = None
     if gradient:
-        G, gtol = _grad_sum(fv, terms[0])
+        G, gtol = _grad_sum(sides, layers, terms[0])
         tolerances.append(gtol)
     tails = M[:, np.searchsorted(_RADII, radius, side="right") - 1]
     if not np.all(tails <= np.array(tolerances)):
         raise TruncationError(f"{what}: tail tolerance unattained at radius {radius:.6g}")
-    return S, G, float(np.sum(tails)), fv
+    return S, G, float(np.sum(tails)), radius, layers
 
 
 def completed_zeta(Q, s: float) -> float:
@@ -368,21 +370,19 @@ def completed_zeta(Q, s: float) -> float:
     (Q, s) -> (Q^{-1}, n/2 - s) when det Q = 1.  Both summands
     x^{-a} Gamma(a, x) = int_1^oo u^{a-1} e^{-xu} du are positive and
     decreasing for every real a.  A ``GramMatrix`` is summed over exact
-    layers.
+    layers, with its exact determinant.
     """
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
-    A = _as_form(Q)
-    n = A.shape[0]
+    sides = _sides(Q, det1=False)
+    n = sides.A.shape[0]
     if abs(s - n / 2) < 1e-12:
         raise ZetaPoleError(f"simple pole at s = n/2 = {n / 2}")
     if abs(s) < 1e-12:
         raise ZetaPoleError("s = 0 is handled by the height path")
-    detA = _finite_det(A)
-    gram = _gram(Q)
-    body = _certified_sum(A, ((s, 1.0), (n / 2 - s, detA ** (-0.5))), "completed zeta",
-                          exact=None if gram is None else (gram, 1.0))[0]
-    return detA ** (-0.5) / (s - n / 2) - 1.0 / s + body
+    c = sides.det ** (-0.5)
+    body = _certified_sum(sides, ((s, 1.0), (n / 2 - s, c)), "completed zeta")[0]
+    return c / (s - n / 2) - 1.0 / s + body
 
 
 def epstein_zeta(Q, s: float) -> float:
@@ -391,7 +391,7 @@ def epstein_zeta(Q, s: float) -> float:
     At a negative integer s, 1/Gamma(s) = 0 and Z has its trivial zero.
     """
     if s < 0 and float(s).is_integer():
-        _finite_det(_as_form(Q))
+        _sides(Q, det1=False)  # validates the form
         return 0.0
     rhs = completed_zeta(Q, s)
     return math.pi ** s / math.gamma(s) * rhs
@@ -420,12 +420,6 @@ class HeightReport:
         return {**vars(self), "gradient": self.gradient.tolist()}
 
 
-def _gram(L):
-    """The ``GramMatrix`` of a lattice or of an exact form; None for a float form."""
-    Q = L.gram if isinstance(L, LatticeDescriptor) else L
-    return Q if isinstance(Q, GramMatrix) else None
-
-
 def _finite_det(A: np.ndarray) -> float:
     """det A of a float form whose determinant-1 normalization is finite.
 
@@ -439,19 +433,10 @@ def _finite_det(A: np.ndarray) -> float:
     raise ValueError("form has no finite determinant-1 normalization")
 
 
-def _det1_form(L) -> np.ndarray:
-    """The determinant-1 representative Q / det(Q)^{1/n} of a lattice or form."""
-    Q = _gram(L)
-    if Q is not None:
-        return normalized_to_det1(Q)
-    A = _as_form(L)
-    return A / _finite_det(A) ** (1.0 / A.shape[0])
-
-
 def _projected_residual(Ainv: np.ndarray, G: np.ndarray) -> float:
     """|G - lam A^-1| / |G|: G's part in the determinant-1 tangent space, relative.
 
-    Ainv is the symmetrized inverse of the form that ``_grid`` formed.
+    Ainv is the sides' A^-1, which is symmetric (``_sides``).
     """
     lam = float(np.tensordot(Ainv, G)) / float(np.tensordot(Ainv, Ainv))
     P = G - lam * Ainv
@@ -469,20 +454,19 @@ def height(L) -> HeightReport:
     the height at the lattice.  F and the gradient come from the same
     vectors, at a radius where both tails are within tolerance.
     """
-    A = _det1_form(L)
-    n = A.shape[0]
-    Q = _gram(L)
-    exact = None if Q is None else (Q, float(determinant(Q)) ** (1.0 / n))
-    F, G, tail, fv = _certified_sum(A, _F_orders(n), "height", gradient=True, exact=exact)
+    sides = _sides(L, det1=True)
+    n = sides.A.shape[0]
+    F, G, tail, radius, (form, dual) = _certified_sum(sides, _F_orders(n), "height",
+                                                      gradient=True)
     C = height_constant(n)
     return HeightReport(
         height=C + F + 2.0 * math.log(2.0 * math.pi),
         F_value=F,
         constant_C=C,
         gradient=G,
-        projected_residual=_projected_residual(fv.Ainv, G),
-        truncation_radius=fv.radius,
+        projected_residual=_projected_residual(sides.Ainv, G),
+        truncation_radius=radius,
         tail_estimate=tail,
-        half_vectors_form=len(fv.form.half),
-        half_vectors_dual=len(fv.dual.half),
+        half_vectors_form=len(form.half),
+        half_vectors_dual=len(dual.half),
     )

@@ -407,17 +407,17 @@ def height_remainders(A: np.ndarray, radius: float) -> tuple[float, float]:
 def majorant_soundness(Q) -> list[tuple[float, float]]:
     """[(majorant, true remainder)] of F and the gradient at height's certified radius.
 
-    The majorants are those ``height`` certified with: its grid's arrays read
+    The majorants are those ``height`` certified with: its sides' arrays read
     at the truncation radius, and their sum must be the report's tail
     estimate.  The remainders come from ``height_remainders``.
     """
     H = _height
-    A = H._det1_form(Q)
+    sides = H._sides(Q, det1=True)
     rep = H.height(Q)
     j = int(np.searchsorted(H._RADII, rep.truncation_radius, side="right")) - 1
-    majorants = [float(m[j]) for m, _ in H._bounds(H._grid(A), H._F_orders(A.shape[0]), True)]
+    majorants = [float(m[j]) for m, _ in H._bounds(sides, H._F_orders(sides.A.shape[0]), True)]
     assert sum(majorants) == rep.tail_estimate
-    return list(zip(majorants, height_remainders(A, rep.truncation_radius)))
+    return list(zip(majorants, height_remainders(sides.A, rep.truncation_radius)))
 
 
 def basis_rule_radius(Q) -> float:
@@ -430,11 +430,10 @@ def basis_rule_radius(Q) -> float:
     tolerances, or the cap when none does.
     """
     H = _height
-    A = H._det1_form(Q)
-    n = A.shape[0]
-    grid = H._grid(A)
-    (F_major, _), (G_major, G_tol) = H._bounds(grid, H._F_orders(n), True)
-    xf, xd = math.pi * np.diag(A), math.pi * np.diag(grid.Ainv)
+    sides = H._sides(Q, det1=True)
+    n = sides.A.shape[0]
+    (F_major, _), (G_major, G_tol) = H._bounds(sides, H._F_orders(n), True)
+    xf, xd = math.pi * np.diag(sides.A), math.pi * np.diag(sides.Ainv)
     basis = 2.0 * (np.sum(xf ** (-n / 2) * upper_gamma(n / 2, xf)) + np.sum(upper_gamma(0.0, xd)))
     fits = np.flatnonzero((F_major <= H.TAIL_REL * basis) & (G_major <= G_tol)
                           & (H._RADII <= H._RADIUS_CAP))
@@ -614,8 +613,8 @@ def F_value(Q) -> float:
     The Gamma-sum of ``height`` with F's orders, certified without the
     gradient.  Invariant under unimodular change of basis.
     """
-    A = _height._as_form(Q)
-    return _height._certified_sum(A, _height._F_orders(A.shape[0]), "F value")[0]
+    sides = _height._sides(Q, det1=False)
+    return _height._certified_sum(sides, _height._F_orders(sides.A.shape[0]), "F value")[0]
 
 
 def directional_derivative_fd(Q0, H, step: float = 1e-4) -> float:

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +22,10 @@ from latcrit import (
     double,
     enumerate_layers,
     sturm_bound,
+    two_design_verdict,
 )
 from latcrit.catalog import load_catalog
+from latcrit.shells import _int_matrix_and_denominator
 from latcrit.cli import _random_integral_spd
 
 from helpers import (
@@ -265,6 +268,33 @@ class TestFullyCritical:
         rep = fully_critical(load_catalog().by_name("stc4"), max_vectors=30)
         assert rep.doubled and (rep.bound_B, rep.certified_upto) == (2, 1)
         assert rep.note == "enumeration budget 30 exceeded at (x,x)<=2; certified range reduced"
+
+    def test_walks_the_input_layers(self, monkeypatch):
+        # every entry is walked on its own form, at (x,x) <= 2B of the even
+        # form, that is Q[x] <= 2B / s; on the odd entries each row equals
+        # the doubled form's verdict restated per antipodal pair and in the
+        # input's norms (norm / s, sums / 4 s^2), the rows before the change
+        C = sys.modules["latcrit.certify"]
+        real, calls = C.layer_moments, []
+        monkeypatch.setattr(C, "layer_moments",
+                            lambda Q, bound, **kw: calls.append((Q, bound)) or real(Q, bound, **kw))
+        odd = 0
+        for e in load_catalog().entries:
+            calls.clear()
+            rep = fully_critical(e)
+            q, s = e.gram, 2 if rep.doubled else 1
+            assert calls[0][0] is q and calls[0][1] == Fraction(2 * rep.bound_B, s), e.name
+            assert all(Q is q for Q, _ in calls) and calls[-1][1] == rep.certified_upto, e.name
+            if not rep.doubled:
+                continue
+            odd += 1
+            work = double(q)
+            P, d = _int_matrix_and_denominator(work)
+            old = [(m / s, w.lhs / (4 * s * s), w.rhs / (4 * s * s))
+                   for m, (card, S) in real(work, 2 * rep.certified_upto).items()
+                   for w in [two_design_verdict(m, card, S, P, d)]]
+            assert [(v.norm, v.lhs, v.rhs) for v in rep.per_layer] == old, e.name
+        assert odd > 0
 
     def test_report_serializes(self):
         rep = fully_critical(load_catalog().by_name("sta3"))

@@ -1,11 +1,16 @@
+import errno
+import io
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import latcrit
 from latcrit import GramMatrix, __version__, conjecture_probe, fully_critical, height, load_catalog
 from latcrit.cli import RunReport, _random_integral_spd, main
 
@@ -305,6 +310,25 @@ class TestNumericCommands:
         assert rep.outcome["min_norm"] == "3"
 
 
+    def test_analyze_enumerates_to_the_least_diagonal_entry(self, tmp_path, capsys, monkeypatch):
+        # the minimum is at most every Q_ii: diag(1, 1, 1, 40000) walks to
+        # norm 1, not to 40000, and std5b to 4, not to 5
+        path = tmp_path / "skewed4.txt"
+        path.write_text("4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 40000\n", encoding="utf-8")
+        C = sys.modules["latcrit.cli"]
+        real, bounds = C.enumerate_layers, []
+        monkeypatch.setattr(C, "enumerate_layers",
+                            lambda Q, bound, **kw: bounds.append(bound) or real(Q, bound, **kw))
+        assert main(["analyze", "--gram", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "minimum 1, kissing number 6"
+        assert main(["analyze", "--name", "std5b", "--format", "json"]) == 0
+        rep = RunReport.from_json(capsys.readouterr().out)
+        assert bounds == [1, 4]
+        first = real(load_catalog().by_name("std5b").gram, 5).layers[0]  # the largest Q_ii
+        assert rep.outcome["min_norm"] == str(first.norm) == "4"
+        assert rep.outcome["kissing_number"] == first.cardinality
+
+
 class TestProbe:
     def test_catalog_entry(self, capsys):
         rc = main(["probe-conjecture", "--name", "sta3"])
@@ -408,6 +432,58 @@ class TestRunReport:
         rc = main(["analyze", "--name", "nope"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+class _ClosedStdout(io.TextIOBase):
+    """A stdout whose reader has gone: every write and flush raises BrokenPipeError."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def fileno(self) -> int:
+        return self.fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+class TestClosedStdout:
+    # exit 1 means a refutation, so a reader that stops early (| head -1)
+    # is an error: exit 2 with one line on stderr and no traceback
+    def test_in_process(self, monkeypatch, capsys):
+        r, w = os.pipe()
+        try:
+            monkeypatch.setattr(sys, "stdout", _ClosedStdout(w))
+            rc = main(["height", "--name", "sta2"])
+            # the descriptor now writes to devnull, so the flush at exit is silent
+            assert os.path.samestat(os.fstat(w), os.stat(os.devnull))
+        finally:
+            os.close(r)
+            os.close(w)
+        assert rc == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("argv", [["height", "--name", "sta2"], ["tables", "--dims", "2"]])
+    def test_subprocess_with_closed_pipe(self, argv):
+        # the pipe's read end is closed before the child starts, so its
+        # first write meets EPIPE
+        r, w = os.pipe()
+        os.close(r)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(latcrit.__file__)))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "latcrit.cli", *argv], stdout=w,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(w)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, err
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err == "error: [Errno 32] Broken pipe\n"
 
 
 class TestUsageErrors:

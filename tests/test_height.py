@@ -13,6 +13,7 @@ from latcrit import (
     TruncationError,
     ZetaPoleError,
     completed_zeta,
+    determinant,
     enumerate_layers,
     epstein_zeta,
     fully_critical,
@@ -158,9 +159,9 @@ class TestFValue:
         # F at its certified radius against F's terms summed up to twice it
         H = sys.modules["latcrit.height"]
         A = I2.to_float()
-        F, _, _, fv = H._certified_sum(A, H._F_orders(2), "F value")
-        _, c = H.short_vectors_float(A, 2 * fv.radius)
-        _, b = H.short_vectors_float(A, 2 * fv.radius)  # I2 is its own inverse
+        F, _, _, radius, _ = H._certified_sum(H._sides(A, det1=False), H._F_orders(2), "F value")
+        _, c = H.short_vectors_float(A, 2 * radius)
+        _, b = H.short_vectors_float(A, 2 * radius)  # I2 is its own inverse
         wide = 2.0 * (math.fsum(H._summand(1.0, 1.0, math.pi * c, upper_gamma(1.0, math.pi * c)))
                       + math.fsum(upper_gamma(0.0, math.pi * b)))
         assert F == F_value(I2)
@@ -416,11 +417,11 @@ class TestOneLatticeSumLoop:
             completed_zeta(A, s)
         assert len(runs) == 84 + 13 + len(ZETA_CASES)
         # the 84 catalogue sums run on exact layers, the rest on float input
-        assert [exact is not None for _, _, _, exact, _ in runs] == [True] * 84 + [False] * (
-            13 + len(ZETA_CASES))
-        for A, orders, gradient, _, (total, _, _, _) in runs:
-            a_priori = H._bounds(H._grid(A), orders, gradient)[0][1]
-            assert a_priori <= H.TAIL_REL * total, (A, a_priori, total)
+        assert [sides.integral[0] is not None for sides, _, _, _ in runs] == [True] * 84 + [
+            False] * (13 + len(ZETA_CASES))
+        for sides, orders, gradient, (total, _, _, _, _) in runs:
+            a_priori = H._bounds(sides, orders, gradient)[0][1]
+            assert a_priori <= H.TAIL_REL * total, (sides.A, a_priori, total)
 
     @pytest.mark.parametrize("name", ["sta3", "stc12", "std5b", "ste10a"])
     def test_height_agrees_with_F_value_and_grad_F(self, name):
@@ -446,21 +447,22 @@ class TestOneLatticeSumLoop:
         H = sys.modules["latcrit.height"]
         real = H._grad_sum
         calls = []
-        monkeypatch.setattr(H, "_grad_sum", lambda fv, f: calls.append((fv, f)) or real(fv, f))
+        monkeypatch.setattr(H, "_grad_sum", lambda sides, layers, f: calls.append(
+            (sides, layers, f)) or real(sides, layers, f))
         for e in load_catalog().entries:
             height(e)
-            fv, f = calls[-1]
-            n = fv.A.shape[0]
-            V = fv.form.half.astype(float)
-            w1 = H._gradient_weight(n, math.pi * fv.form.distinct, f)[fv.form.inverse]
-            W = fv.dual.half.astype(float) @ fv.Ainv
-            b = fv.dual.distinct
-            w2 = (np.exp(-math.pi * b) / b)[fv.dual.inverse]
+            sides, (form, dual), f = calls[-1]
+            n = sides.A.shape[0]
+            V = form.half.astype(float)
+            w1 = H._gradient_weight(n, math.pi * form.distinct, f)[form.inverse]
+            W = dual.half.astype(float) @ sides.Ainv
+            b = dual.distinct
+            w2 = (np.exp(-math.pi * b) / b)[dual.inverse]
             terms = np.concatenate([-2.0 * (V * w1[:, None])[:, :, None] * V[:, None, :],
                                     2.0 * (W * w2[:, None])[:, :, None] * W[:, None, :]])
             ref = np.array([math.fsum(t) for t in terms.reshape(len(terms), -1).T.tolist()])
             ref = ref.reshape(n, n)
-            G, _ = real(fv, f)
+            G, _ = real(sides, (form, dual), f)
             assert np.abs(G - 0.5 * (ref + ref.T)).max() <= 5e-14, e.name
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -502,6 +504,51 @@ class TestGammaFloor:
                 assert basis_rule_radius(q) == height(q).truncation_radius, e.name
 
 
+class TestSides:
+    def test_exact_sides_take_the_exact_inverse(self, monkeypatch):
+        # a GramMatrix's A has the bits of normalized_to_det1 (of the form
+        # itself without det1) and its A^-1 is the exact inverse times delta,
+        # bit for bit, on the catalogue and its duals; the integral forms are
+        # d Q and d' Q^-1 at units d delta and d' / delta; no float matrix is
+        # inverted
+        H = sys.modules["latcrit.height"]
+        inverted, real_inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda M: inverted.append(M) or real_inv(M))
+        for e in load_catalog().entries:
+            for q in (e.gram, gram_inverse(e.gram)):
+                qinv = gram_inverse(q)
+                (P, d), (Pi, di) = q.integral_rescale(), qinv.integral_rescale()
+                delta = float(determinant(q)) ** (1.0 / q.n)
+                sides = H._sides(q, det1=True)
+                assert np.array_equal(sides.A, normalized_to_det1(q)), e.name
+                assert np.array_equal(sides.Ainv, qinv.to_float() * delta), e.name
+                assert sides.det == float(determinant(q))
+                [(Pf, unit), (Pif, unit_inv)] = sides.integral
+                assert np.array_equal(Pf, P) and unit == d * delta
+                assert np.array_equal(Pif, Pi) and unit_inv == di / delta
+                plain = H._sides(q, det1=False)
+                assert np.array_equal(plain.A, q.to_float())
+                assert np.array_equal(plain.Ainv, qinv.to_float())
+                assert [u for _, u in plain.integral] == [d, di]
+            assert np.array_equal(H._sides(e, det1=True).Ainv, H._sides(e.gram, det1=True).Ainv)
+        assert inverted == []
+
+    def test_float_sides_invert_once_symmetrized(self, monkeypatch):
+        H = sys.modules["latcrit.height"]
+        inverted, real_inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda M: inverted.append(M) or real_inv(M))
+        for A0 in [D4.to_float(), 3.0 * A3.to_float(), SKEWED]:
+            det = float(np.linalg.det(A0))
+            for det1, A in ((False, A0), (True, A0 / det ** (1.0 / A0.shape[0]))):
+                inverted.clear()
+                sides = H._sides(A0, det1=det1)
+                [M] = inverted
+                assert np.array_equal(M, A) and np.array_equal(sides.A, A)
+                Ainv = real_inv(A)
+                assert np.array_equal(sides.Ainv, 0.5 * (Ainv + Ainv.T))
+                assert sides.det == det and sides.integral == (None, None)
+
+
 class TestOncePerValue:
     @pytest.mark.parametrize("name", ["sta2", "stc12", "std5b", "ste10a", "stf28a"])
     def test_layers_regroup_the_walk(self, name, monkeypatch):
@@ -515,14 +562,14 @@ class TestOncePerValue:
         runs = _record_certified_sums(monkeypatch)
         Q = load_catalog().by_name(name).gram
         height(Q)
-        [(A, _, _, exact, (_, _, _, fv))] = runs
-        a = A.shape[0] / 2
+        [(sides, _, _, (_, _, _, radius, (form, dual)))] = runs
+        a = sides.A.shape[0] / 2
         for q, M, (P, unit), side, g in (
-                (Q, A, H._integral_sides(*exact)[0], fv.form,
+                (Q, sides.A, sides.integral[0], form,
                  lambda c: H._summand(a, 1.0, math.pi * c, upper_gamma(a, math.pi * c))),
-                (gram_inverse(Q), fv.Ainv, H._integral_sides(*exact)[1], fv.dual,
+                (gram_inverse(Q), sides.Ainv, sides.integral[1], dual,
                  lambda b: upper_gamma(0.0, math.pi * b))):
-            X, _ = H.short_vectors_float(M, fv.radius)
+            X, _ = H.short_vectors_float(M, radius)
             assert np.array_equal(X, side.half)
             m = np.rint(side.distinct * unit)
             assert np.array_equal(m / unit, side.distinct)
@@ -530,7 +577,7 @@ class TestOncePerValue:
             assert np.all(np.diff(side.distinct) > 0)
             assert np.array_equal(np.bincount(side.inverse), side.counts)
             d = q.integral_rescale()[1]
-            bound = Fraction(math.floor((fv.radius * (1 + 1e-9) + 1e-9) * unit), d)
+            bound = Fraction(math.floor((radius * (1 + 1e-9) + 1e-9) * unit), d)
             layers = {Fraction(int(k), d): 2 * int(c) for k, c in zip(m, side.counts)}
             assert layers == dict(layer_cardinalities(enumerate_layers(q, bound))), name
             if q.n <= 5:
@@ -579,10 +626,10 @@ class TestOncePerValue:
         for e in entries:
             height(e)
         assert len(lanes) == 2 * len(entries)
-        fvs = [fv for _, _, _, _, (_, _, _, fv) in runs]
-        assert lanes == [len(side.distinct) for fv in fvs for side in (fv.form, fv.dual)]
+        sides = [side for _, _, _, (_, _, _, _, layers) in runs for side in layers]
+        assert lanes == [len(side.distinct) for side in sides]
         assert sum(lanes) == 1175
-        assert sum(len(fv.form.half) + len(fv.dual.half) for fv in fvs) == 765_092
+        assert sum(len(side.half) for side in sides) == 765_092
 
 
 class TestClosedFormGamma:
@@ -627,14 +674,14 @@ ZETA_CASES = [(A2.to_float(), 1.7), (SKEWED, 0.8), (SKEWED, -0.6),
 
 
 def _record_certified_sums(monkeypatch) -> list:
-    """Record (A, orders, gradient, exact, result) of every ``_certified_sum`` call."""
+    """Record (sides, orders, gradient, result) of every ``_certified_sum`` call."""
     H = sys.modules["latcrit.height"]
     real = H._certified_sum
     runs = []
 
-    def recording(A, orders, what, gradient=False, exact=None):
-        out = real(A, orders, what, gradient, exact)
-        runs.append((A, orders, gradient, exact, out))
+    def recording(sides, orders, what, gradient=False):
+        out = real(sides, orders, what, gradient)
+        runs.append((sides, orders, gradient, out))
         return out
 
     monkeypatch.setattr(H, "_certified_sum", recording)
@@ -685,16 +732,15 @@ class TestAnnulusMajorant:
         runs = _record_certified_sums(monkeypatch)
         for A, s in ZETA_CASES:
             completed_zeta(A, s)
-        for (A, s), (_, orders, gradient, _, (_, _, tail, fv)) in zip(ZETA_CASES, runs):
+        for (A, s), (sides, orders, gradient, (_, _, tail, r, _)) in zip(ZETA_CASES, runs):
             n = A.shape[0]
             Ainv = np.linalg.inv(A)
-            [(majorant, _)] = H._bounds(H._grid(A), orders, gradient)
-            j = int(np.searchsorted(H._RADII, fv.radius, side="right")) - 1
+            [(majorant, _)] = H._bounds(sides, orders, gradient)
+            j = int(np.searchsorted(H._RADII, r, side="right")) - 1
             assert majorant[j] == tail
             g1 = lambda c: (math.pi * c) ** (-s) * upper_gamma(s, math.pi * c)
             g2 = lambda b: (np.linalg.det(A) ** -0.5 * (math.pi * b) ** (s - n / 2)
                             * upper_gamma(n / 2 - s, math.pi * b))
-            r = fv.radius
             _, c = H.short_vectors_float(A, 2 * r)
             _, b = H.short_vectors_float(Ainv, 2 * r)
             remainder = (2 * np.sum(g1(c[c > r])) + 2 * np.sum(g2(b[b > r]))
@@ -728,14 +774,14 @@ class TestAnnulusMajorant:
     def test_g_that_does_not_underflow_raises(self):
         H = sys.modules["latcrit.height"]
         A = np.array([[1.3, 0.2], [0.2, 0.8]])
-        grid = H._grid(A)
+        sides = H._sides(A, det1=False)
         slow = np.exp(-0.01 * H._X)
         fast = np.exp(-H._X)
-        assert grid.majorant(fast, fast)[0] > 0.0
+        assert sides.majorant(fast, fast)[0] > 0.0
         with pytest.raises(TruncationError):
-            grid.majorant(slow, fast)
+            sides.majorant(slow, fast)
         with pytest.raises(TruncationError):
-            grid.majorant(fast, slow)
+            sides.majorant(fast, slow)
         with pytest.raises(TruncationError):
             box_tail(np.diag(A), 12.0, lambda c: np.exp(-0.001 * c))
 
@@ -749,16 +795,15 @@ class TestAnnulusMajorant:
         points = t[[0, 1, 1, 5, 40, 41, 300]] * (1 + 1e-9)
         exact = np.searchsorted(points, t, side="right").astype(float)
         none = np.zeros_like(t)
-        grid = dataclasses.replace(H._grid(A), counts=((exact, exact), (none, none)))
+        sides = dataclasses.replace(H._sides(A, det1=False), counts=((exact, exact), (none, none)))
         g = np.exp(-H._X)
-        majorant = grid.majorant(g, g)
+        majorant = sides.majorant(g, g)
         for j, r in enumerate(t):
             true = float(np.sum(np.exp(-math.pi * points[points > r])))
             assert true <= majorant[j] <= true * math.exp(0.02 * math.pi * r) + 1e-300, j
 
     def test_majorant_is_nonincreasing_in_the_radius(self):
         H = sys.modules["latcrit.height"]
-        A = normalized_to_det1(D4)
-        for majorant, _ in H._bounds(H._grid(A), H._F_orders(4), True):
+        for majorant, _ in H._bounds(H._sides(D4, det1=True), H._F_orders(4), True):
             assert np.all(np.diff(majorant) <= 0.0)
             assert majorant[-1] == 0.0
