@@ -21,7 +21,6 @@ from .gram import (
     level,
     load_gram,
     normalized_to_det1,
-    orthosum_A1,
 )
 from .shells import (
     EnumerationBudgetError,

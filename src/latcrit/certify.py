@@ -16,16 +16,20 @@ is decided by ``design.two_design_verdict`` on streamed second moments.
 The layers tested are the input's own; doubling and the A1 summand only set
 the horizon (level, character and weight).  An odd lattice takes it from
 its double 2Q, a homothety harmless to the design structure.  Odd
-dimensions take it from the even form plus an orthogonal A1 summand: its
+dimensions take it from the even form W plus an orthogonal A1 summand: its
 generating function is the form's times A1's, a series with constant term
-1, so vanishing transfers back.  The report names its premises: the group,
-the character's discriminant D of the (augmented) working form, the weight,
-the bound tested and the horizon, and how many nonempty layers the
-certificate actually tested (``vacuous`` when none).
+1, so vanishing transfers back.  The summand's premises are read from W
+alone: l diag(W, 2)^{-1} is even integral exactly when level(W) divides l
+and 4 divides l, so diag(W, 2) has level lcm(level(W), 4), twice W's
+discriminant and weight (n+1)/2 + 2, and is never built.  The report names
+its premises: the group, the character's discriminant D of the (augmented)
+working form, the weight, the bound tested and the horizon, and how many
+nonempty layers the certificate actually tested (``vacuous`` when none).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -39,14 +43,8 @@ from .gram import (
     double,
     is_even,
     level,
-    orthosum_A1,
 )
-from .shells import (
-    DEFAULT_MAX_VECTORS,
-    EnumerationBudgetError,
-    _int_matrix_and_denominator,
-    layer_moments,
-)
+from .shells import DEFAULT_MAX_VECTORS, EnumerationBudgetError, layer_moments
 
 VERDICT_CRITICAL = "fully-critical"
 VERDICT_FAILURE = "failure"
@@ -168,9 +166,10 @@ def fully_critical(
 ) -> FullyCriticalReport:
     """Certify (or refute) that every layer of an integral lattice is a 2-design.
 
-    Pipeline: double odd forms and, in odd dimension, add an A1 summand to
-    derive the horizon (weight (n+1)/2 + 2 and the augmented form's level
-    and determinant, else weight n/2 + 2 and the even form's own); test
+    Pipeline: double odd forms to the even working form W and, in odd
+    dimension, add an A1 summand to derive the horizon (level
+    lcm(level(W), 4), discriminant twice W's and weight (n+1)/2 + 2, read
+    from W; else W's level and discriminant and weight n/2 + 2); test
     every layer of the input with (x.x) <= 2B on the even form, B the
     Gamma_0 Sturm bound, or ``override_bound`` when supplied (e.g. the
     catalogue's reference N, to reproduce its transcripts).  A failed layer
@@ -191,17 +190,16 @@ def fully_critical(
     s = 2 if doubled else 1
 
     augmented = n % 2 == 1
-    form = orthosum_A1(work) if augmented else work
-    lvl = level(form)
-    weight = form.n // 2 + 2
-    D = (-1) ** (form.n // 2) * int(determinant(form))
+    lvl, det, dim = level(work), int(determinant(work)), n
+    if augmented:  # diag(W, 2)
+        lvl, det, dim = math.lcm(lvl, 4), 2 * det, n + 1
+    weight = dim // 2 + 2
+    D = (-1) ** (dim // 2) * det
 
     horizon = sturm_bound(weight, lvl)
     B = int(override_bound) if override_bound is not None else horizon
     if B < 1:
         raise ValueError("certification bound must be positive")
-
-    P, d = _int_matrix_and_denominator(Q)
 
     bound, moments, note = 2 * B, {}, ""
     while bound >= 2:
@@ -219,7 +217,7 @@ def fully_critical(
     cards = []
     failure_norm = None
     for m, (card, S) in moments.items():
-        w = two_design_verdict(m, card, S, P, d)
+        w = two_design_verdict(m, card, S, Q)
         v = replace(w, lhs=w.lhs / 4, rhs=w.rhs / 4)  # restated per antipodal pair
         per_layer.append(v)
         cards.append((v.norm, card // 2))

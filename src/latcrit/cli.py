@@ -53,7 +53,6 @@ from .height import TruncationError, height
 from .shells import (
     DEFAULT_MAX_VECTORS,
     EnumerationBudgetError,
-    _int_matrix_and_denominator,
     cardinality_vector,
     dump_spectrum,
     enumerate_layers,
@@ -165,8 +164,7 @@ def _cmd_design(args):
         return (_input_dict(desc), {"layer_norm": str(m), "empty": True},
                 f"the layer (x,x)={m} is empty", EXIT_OK)
     card, S = layer
-    P, d = _int_matrix_and_denominator(desc.gram)
-    verdict = two_design_verdict(m, card, S, P, d)
+    verdict = two_design_verdict(m, card, S, desc.gram)
     if verdict.is_design:
         text = f"{verdict.lhs} = {verdict.rhs}, 2-DESIGN on the layer (x,x)={m}"
     else:
@@ -213,8 +211,7 @@ def _transcript(report: FullyCriticalReport) -> str:
 
 def _cmd_fully_critical(args):
     desc = _resolve_input(args)
-    override = None if args.bound is None else int(args.bound)
-    rep = fully_critical(desc, override, max_vectors=args.max_vectors)
+    rep = fully_critical(desc, args.bound, max_vectors=args.max_vectors)
     code = {VERDICT_CRITICAL: EXIT_OK, VERDICT_FAILURE: EXIT_FAILURE}.get(
         rep.verdict, EXIT_INCONCLUSIVE)
     return _input_dict(desc), rep.to_dict(), _transcript(rep), code
@@ -365,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fully-critical", help="certify 2-designs on every layer")
     common(p)
     budget(p)
-    p.add_argument("--bound", help="override the Gamma0 Sturm bound B")
+    p.add_argument("--bound", type=int, help="override the Gamma0 Sturm bound B")
     p.set_defaults(func=_cmd_fully_critical)
 
     p = sub.add_parser("height", help="torus height of the determinant-1 form; the truncation "

@@ -10,10 +10,12 @@ Q^(1/2)), so Cauchy-Schwarz on them gives
 
 with equality exactly when QS is a multiple of the identity, that is when
 n S = m |M| Q^{-1}: the moment identity that makes an antipodal layer a
-2-design.  ``two_design_verdict`` evaluates both sides with the integral
-form P = d Q, so the verdict is an identity between integers (rationals when
-Q is not integral): a proof, not a numerical judgement.  A left side below
-the right one contradicts the inequality and raises.
+2-design.  ``two_design_verdict`` takes the ``GramMatrix`` Q it judges and
+evaluates both sides on its integral form P = d Q in Python ints: one object
+product A = PS, and Tr(PSPS) = Tr(AA) as the sum of the entries of A A^t
+taken entrywise.  So the verdict is an identity between integers (rationals
+when Q is not integral): a proof, not a numerical judgement.  A left side
+below the right one contradicts the inequality and raises.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gram import _frac_str
+from .gram import GramMatrix, _frac_str
 
 
 class DesignComputationError(RuntimeError):
@@ -49,18 +51,18 @@ class DesignVerdict:
         }
 
 
-def two_design_verdict(norm: Fraction, card: int, S: np.ndarray, P: np.ndarray,
-                       d: int) -> DesignVerdict:
-    """Exact 2-design verdict of a layer from its second moment.
+def two_design_verdict(norm: Fraction, card: int, S: np.ndarray, Q: GramMatrix) -> DesignVerdict:
+    """Exact 2-design verdict of a layer of Q from its second moment.
 
     ``S`` is the exact sum of x x^t over the full layer of the given norm and
-    cardinality, and ``P = d * Q`` the integral form.  Returns
-    lhs = Tr(PSPS) / d^2, the sum of (x^t Q y)^2 over ordered pairs, and
+    cardinality.  With P = d Q the integral form and A = PS, returns
+    lhs = Tr(AA) / d^2, the sum of (x^t Q y)^2 over ordered pairs, and
     rhs = norm^2 * card^2 / n; they are equal exactly on 2-designs.
     """
-    A = np.dot(P.astype(object), S)
-    lhs = Fraction(int(np.trace(np.dot(A, A))), d * d)
-    rhs = Fraction(card * card, P.shape[0]) * norm * norm
+    P, d = Q.integral_rescale()
+    A = np.array(P, dtype=object) @ S
+    lhs = Fraction(int((A * A.T).sum()), d * d)
+    rhs = Fraction(card * card, Q.n) * norm * norm
     if lhs < rhs:
         raise DesignComputationError(
             f"pair sum {lhs} fell below the design value {rhs} at norm {norm}"

@@ -5,11 +5,11 @@ the Gram matrix of a full-rank Euclidean lattice and the matrix of a positive
 quadratic form on integer vectors.  Each ``GramMatrix`` holds only its
 integral form P = d Q, with d the lcm of the entry denominators, and det P;
 the Fraction entries of the API are derived when first read.  Everything
-structural (positive definiteness, determinant, inverse, parity, level,
-block sums) runs on P in Python-int, fraction-free kernels: Bareiss
-elimination for the leading minors and a fraction-free Gauss-Jordan adjugate
-for the inverse and the level.  Floating point enters only through the float
-copies the height machinery reads (``to_float``, ``normalized_to_det1``).
+structural (positive definiteness, determinant, inverse, parity, level) runs
+on P in Python-int, fraction-free kernels: Bareiss elimination for the
+leading minors and a fraction-free Gauss-Jordan adjugate for the inverse and
+the level.  Floating point enters only through the float copies the height
+machinery reads (``to_float``, ``normalized_to_det1``).
 """
 
 from __future__ import annotations
@@ -225,13 +225,6 @@ def level(Q: GramMatrix) -> int:
 def double(Q: GramMatrix) -> GramMatrix:
     """Entrywise 2Q: Gram matrix of the sqrt(2)-rescaled lattice."""
     return _from_integral([[2 * p for p in row] for row in Q._P], Q._d)
-
-
-def orthosum_A1(Q: GramMatrix) -> GramMatrix:
-    """Block sum with a rank-1 even lattice of minimum 2: diag(Q, 2)."""
-    rows = [list(row) + [0] for row in Q._P]
-    rows.append([0] * Q.n + [2 * Q._d])
-    return _from_integral(rows, Q._d)
 
 
 def normalized_to_det1(Q: GramMatrix) -> np.ndarray:

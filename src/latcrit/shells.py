@@ -13,7 +13,9 @@ the resulting layers are complete and exact.  The walk gives each leaf its
 norm by the leaf quadratic (P_00 x_0 + 2b) x_0 + c, with b and c computed
 once per parent at the last level: on an integral form it is exact in
 float64 while ``_norm_magnitude`` is below 2^53, and beyond that the
-certificate's norms run in Python ints.
+certificate's norms run in Python ints.  The same magnitude bounds the walk's
+coordinates and decides, once per walk, whether the vectors in input
+coordinates and their moments fit int64; where not, they run in Python ints.
 
 Only one representative per antipodal pair {x, -x} is walked (the highest
 nonzero coordinate is kept positive); full layers are reconstituted from the
@@ -207,14 +209,10 @@ def _fp_rows(P: np.ndarray, bound: float) -> Iterator[tuple[np.ndarray, np.ndarr
                       np.array([budget]), np.array([True]))
 
 
-def _int_matrix_and_denominator(Q: GramMatrix) -> tuple[np.ndarray, int]:
-    rows, d = Q.integral_rescale()
-    return np.array(rows, dtype=np.int64), d
-
-
 # Integers of magnitude below 2^53 are exact in binary64 (Higham, "Accuracy
-# and Stability of Numerical Algorithms").
+# and Stability of Numerical Algorithms"); INT64_SAFE is half of int64's 2^63.
 FLOAT_EXACT = 2.0 ** 53
+INT64_SAFE = 2.0 ** 62
 
 
 def _slack_bound(bound: float) -> float:
@@ -230,7 +228,8 @@ def _norm_magnitude(P: np.ndarray, bound: int) -> float:
     xmax_k = that root + 2 the sum sum_jk xmax_j |P_jk| xmax_k bounds
     sum_jk |x_j||P_jk||x_k|, and, as every xmax_k >= 2, also each entry of
     X @ P, each product and each partial sum, in any order, and each partial
-    result of the walk's leaf quadratic (see ``_fp_rows``).
+    result of the walk's leaf quadratic (see ``_fp_rows``).  Its terms are
+    nonnegative, so it is at least P_kk xmax_k^2.
     """
     Pf = np.asarray(P, dtype=float)
     xmax = np.sqrt(np.maximum(np.diag(np.linalg.inv(Pf)), 0.0) * float(bound)) + 2.0
@@ -256,19 +255,27 @@ def _half_candidates(
     """Yield (X_orig, norms_scaled, denominator) chunks of exact short vectors.
 
     X_orig rows are in the coordinates of Q; norms_scaled are integers equal
-    to d * Q[x] where d clears the denominators of Q.  A negative
-    ``max_vectors`` is refused before the walk.
+    to d * Q[x] where d clears the denominators of Q.  X_orig holds Python
+    ints unless its entries and any chunk's sums of their products stay below
+    INT64_SAFE: walked coordinates are at most xmax_k <= sqrt(magnitude / P_kk)
+    (``_norm_magnitude``), input ones at most |U| xmax.  A negative
+    ``max_vectors`` is refused.
     """
     if bound <= 0:
         raise ValueError("enumeration bound must be positive")
     if max_vectors < 0:
         raise ValueError(f"enumeration budget must be nonnegative, got {max_vectors}")
     Qred, U = lll_reduce(Q)
-    P, d = _int_matrix_and_denominator(Qred)
+    rows, d = Qred.integral_rescale()
+    P = np.array(rows, dtype=np.int64)
     bound_int = math.floor(bound * d)
     if bound_int < 1:
         return
-    walk_exact = _norm_magnitude(P, bound_int) < FLOAT_EXACT
+    magnitude = _norm_magnitude(P, bound_int)
+    walk_exact = magnitude < FLOAT_EXACT
+    coord = float((np.abs(U) @ np.sqrt(magnitude / np.diag(P))).max())
+    if _CHUNK_ROWS * coord * coord >= INT64_SAFE:
+        U = U.astype(object)
     seen = 0
     for X, norms in _fp_rows(P.astype(float), float(bound_int)):
         X = X.astype(np.int64)
@@ -280,7 +287,7 @@ def _half_candidates(
         seen += 2 * len(X)
         if seen > max_vectors:
             raise EnumerationBudgetError(seen, max_vectors, bound)
-        Xo = X @ U.T  # back to input coordinates
+        Xo = X.astype(U.dtype, copy=False) @ U.T  # back to input coordinates
         yield Xo, norms, d
 
 
@@ -324,13 +331,15 @@ def enumerate_layers(
     *,
     max_vectors: int = DEFAULT_MAX_VECTORS,
 ) -> LayerSpectrum:
-    """Every nonzero x with 0 < Q[x] <= bound, grouped by exact norm."""
+    """Every nonzero x with 0 < Q[x] <= bound, grouped by exact norm, as int64 vectors."""
     bound = _as_fraction(bound)
     halves: list[np.ndarray] = []
     norm_chunks: list[np.ndarray] = []
     denom = 1
     for X, norms, d in _half_candidates(Q, bound, max_vectors=max_vectors):
-        halves.append(X)
+        if X.dtype == object and np.abs(X).max() >= 2 ** 63:
+            raise ValueError(f"layer vectors up to Q[x] <= {bound} leave int64")
+        halves.append(X.astype(np.int64, copy=False))
         norm_chunks.append(norms)
         denom = d
     if not halves:
@@ -383,7 +392,7 @@ def layer_moments(
     Returns {norm: (cardinality, S)} with S = sum over the full layer of
     x x^t as an object-dtype array of Python ints.  Each chunk of half-layer
     vectors is grouped by one stable sort of its norms; every run of equal
-    norms adds its X^t X (doubled for the antipodes) to that layer's sum.
+    norms adds its X^t X (doubled for the antipodes; in X's dtype) to that layer's sum.
     """
     bound = _as_fraction(bound)
     acc: dict[int, list] = {}

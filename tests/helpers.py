@@ -142,12 +142,28 @@ def streamed_verdicts(Q: GramMatrix, bound) -> dict:
     """{norm: 2-design verdict} of every nonempty layer up to the bound.
 
     The route of ``latcrit design`` and ``fully_critical``: streamed
-    ``layer_moments`` into ``two_design_verdict`` with the input's d * Q.
+    ``layer_moments`` into ``two_design_verdict`` on the input form.
     """
-    rows, d = Q.integral_rescale()
-    P = np.array(rows, dtype=np.int64)
-    return {m: two_design_verdict(m, card, S, P, d)
+    return {m: two_design_verdict(m, card, S, Q)
             for m, (card, S) in layer_moments(Q, bound).items()}
+
+
+def two_product_trace(S, Q: GramMatrix) -> Fraction:
+    """Tr(PSPS) / d^2 with P = d Q, as two matrix products A = PS and A A."""
+    rows, d = Q.integral_rescale()
+    A = np.dot(np.array(rows, dtype=object), S)
+    return Fraction(int(np.trace(np.dot(A, A))), d * d)
+
+
+def sheared_z2(K: int) -> GramMatrix:
+    """Z^2 in the basis (1, 0), (K, 1): [[1, K], [K, K^2 + 1]]."""
+    return GramMatrix([[1, K], [K, K * K + 1]])
+
+
+def with_A1(Q: GramMatrix) -> GramMatrix:
+    """The block sum diag(Q, 2) of Q and A1, built entry by entry."""
+    n = Q.n
+    return GramMatrix([list(row) + [0] for row in Q.entries] + [[0] * n + [2]])
 
 
 def moment_identity_holds(Q: GramMatrix, vectors) -> bool:
@@ -283,7 +299,7 @@ def exact_kernel_forms(seeded: int = 300, seed: int = 2026):
     ``cli._random_integral_spd`` in dimensions 2-7, each as given and
     divided by 3 and by 7.
     """
-    from latcrit import double, is_even, orthosum_A1
+    from latcrit import double, is_even
     from latcrit.catalog import load_catalog
     from latcrit.cli import _random_integral_spd
 
@@ -292,7 +308,7 @@ def exact_kernel_forms(seeded: int = 300, seed: int = 2026):
         yield e.name, e.gram
         yield f"{e.name}/work", work
         if work.n % 2:
-            yield f"{e.name}/aug", orthosum_A1(work)
+            yield f"{e.name}/aug", with_A1(work)
     rng = np.random.default_rng(seed)
     for k in range(seeded):
         Q = _random_integral_spd(2 + k % 6, rng)

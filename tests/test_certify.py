@@ -18,14 +18,12 @@ from latcrit import (
     gram_inverse,
     is_even,
     level,
-    orthosum_A1,
     double,
     enumerate_layers,
     sturm_bound,
     two_design_verdict,
 )
 from latcrit.catalog import load_catalog
-from latcrit.shells import _int_matrix_and_denominator
 from latcrit.cli import _random_integral_spd
 
 from helpers import (
@@ -35,11 +33,30 @@ from helpers import (
     gamma1_index,
     projective_line_size,
     random_unimodular,
+    sheared_z2,
     sturm_bound_gamma1,
     transform_gram,
+    two_product_trace,
+    with_A1,
 )
 
+I2 = GramMatrix([[1, 0], [0, 1]])
 D12 = GramMatrix([[1, 0], [0, 2]])
+
+
+@pytest.fixture
+def walk_dtypes(monkeypatch):
+    """The dtypes of the input-coordinate vectors every exact walk yields."""
+    S = sys.modules["latcrit.shells"]
+    real, seen = S._half_candidates, set()
+
+    def walk(*args, **kwargs):
+        for X, norms, d in real(*args, **kwargs):
+            seen.add(X.dtype)
+            yield X, norms, d
+
+    monkeypatch.setattr(S, "_half_candidates", walk)
+    return seen
 
 
 def sl2_order_bruteforce(N: int) -> int:
@@ -195,7 +212,7 @@ class TestFullyCritical:
         rep = fully_critical(e)
         assert rep.augmented_with_A1
         assert rep.weight == (3 + 1) // 2 + 2 == 4
-        assert rep.level == level(orthosum_A1(e.gram))
+        assert rep.level == level(with_A1(e.gram))
 
     def test_bound_stability(self):
         # a sound certificate does not flip when the horizon grows
@@ -289,12 +306,29 @@ class TestFullyCritical:
                 continue
             odd += 1
             work = double(q)
-            P, d = _int_matrix_and_denominator(work)
             old = [(m / s, w.lhs / (4 * s * s), w.rhs / (4 * s * s))
                    for m, (card, S) in real(work, 2 * rep.certified_upto).items()
-                   for w in [two_design_verdict(m, card, S, P, d)]]
+                   for w in [two_design_verdict(m, card, S, work)]]
             assert [(v.norm, v.lhs, v.rhs) for v in rep.per_layer] == old, e.name
         assert odd > 0
+
+    def test_certify_default_verdicts(self, monkeypatch, walk_dtypes):
+        # every layer the horizon with a 4M budget tests: the one-product
+        # lhs equals the two-product trace Tr(AA) / d^2, and every walk stays
+        # on the int64 route
+        C = sys.modules["latcrit.certify"]
+        real, pairs = C.two_design_verdict, []
+
+        def verdict(m, card, S, Q):
+            w = real(m, card, S, Q)
+            pairs.append((w.lhs, two_product_trace(S, Q)))
+            return w
+
+        monkeypatch.setattr(C, "two_design_verdict", verdict)
+        for e in load_catalog().entries:
+            fully_critical(e, max_vectors=4_000_000)
+        assert len(pairs) == 153 and all(a == b for a, b in pairs)
+        assert walk_dtypes == {np.dtype(np.int64)}
 
     def test_report_serializes(self):
         rep = fully_critical(load_catalog().by_name("sta3"))
@@ -323,8 +357,52 @@ class TestA1Augmentation:
                 norm = m + 2 * k * k
                 if 0 < norm <= B:
                     expected[norm] = expected.get(norm, 0) + c * (1 if k == 0 else 2)
-        got = enumerate_layers(orthosum_A1(q), B).layers
+        got = enumerate_layers(with_A1(q), B).layers
         assert {lay.norm: lay.cardinality for lay in got} == expected
+
+    def test_premises_read_from_the_working_form(self):
+        # diag(W, 2), built entry by entry, has level lcm(level(W), 4) and
+        # twice W's determinant: on the odd-dimensional catalogue entries and
+        # seeded forms of test_gamma0_certificates_hold_at_gamma1, whose
+        # reports state the built form's level, weight and discriminant
+        rng = np.random.default_rng(2026)
+        seeded = [_random_integral_spd(2 + k % 4, rng) for k in range(120)]
+        odd = [q for q in [e.gram for e in load_catalog().entries] + seeded if q.n % 2]
+        assert len(odd) == 17 + 60
+        for q in odd:
+            work = q if is_even(q) else double(q)
+            aug = with_A1(work)
+            assert math.lcm(level(work), 4) == level(aug), q.entries
+            assert determinant(aug) == 2 * determinant(work), q.entries
+            rep = fully_critical(q, 1)
+            assert (rep.level, rep.weight, rep.character_D) == (
+                level(aug), aug.n // 2 + 2, (-1) ** (aug.n // 2) * int(determinant(aug)))
+
+
+class TestShearedForms:
+    # a basis far from reduced gives small vectors input coordinates of
+    # size K: their moments leave int64 and are summed in Python ints, so
+    # each report is the reduced basis's
+
+    @pytest.mark.parametrize("K", [10**9, 25 * 10**8, 5 * 10**18])
+    def test_sheared_z2_reports_z2(self, K, walk_dtypes):
+        q = sheared_z2(K)
+        for B in (None, 12):
+            assert fully_critical(q, B).to_dict() == fully_critical(I2, B).to_dict()
+        assert conjecture_probe(q, 12) == (True, True)
+        assert np.dtype(object) in walk_dtypes
+
+    @pytest.mark.parametrize("name", ["sta3", "stc12", "ste36"])  # A2, D4, E6
+    def test_seeded_shears_report_their_form(self, name):
+        rng = np.random.default_rng(20)
+        e = load_catalog().by_name(name)
+        want = [{**fully_critical(e.gram, B).to_dict(), "name": None} for B in (None, 4)]
+        for _ in range(3):
+            U = np.eye(e.gram.n, dtype=np.int64)
+            i, j = rng.choice(e.gram.n, size=2, replace=False)
+            U[i, j] = rng.integers(1, 10**9, endpoint=True)
+            q = transform_gram(e.gram, U)
+            assert [fully_critical(q, B).to_dict() for B in (None, 4)] == want, U.tolist()
 
 
 def integral_dual(Q: GramMatrix) -> GramMatrix:

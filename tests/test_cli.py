@@ -199,6 +199,54 @@ class TestLayers:
         assert rep.outcome["pair_vector"] == [2, 2, 0, 2, 4]
 
 
+class TestShearedZ2:
+    # Z^2 in the basis (1, 0), (K, 1): small vectors have coordinates of
+    # size K, and their moments and the huge ones themselves leave int64
+
+    @pytest.fixture
+    def shear(self, tmp_path):
+        def write(K):
+            path = tmp_path / f"shear{K}.txt"
+            path.write_text(f"2\n1 {K}\n{K} {K * K + 1}\n", encoding="utf-8")
+            return str(path)
+        return write
+
+    def test_certificate_and_probe(self, shear, capsys):
+        path = shear(10**9)
+        assert main(["fully-critical", "--gram", path, "--bound", "12"]) == 0
+        assert "RESULT: fully critical" in capsys.readouterr().out
+        assert main(["probe-conjecture", "--gram", path, "--bound", "12"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "no counterexample candidates"
+
+    def test_design(self, shear, capsys):
+        assert main(["design", "--gram", shear(25 * 10**8), "--layer-norm", "2"]) == 0
+        assert "32 = 32, 2-DESIGN on the layer (x,x)=2" in capsys.readouterr().out
+
+    def test_dumped_vectors_have_their_layer_norm(self, shear, tmp_path, capsys):
+        K, dump = 25 * 10**8, tmp_path / "layers.txt"
+        assert main(["layers", "--gram", shear(K), "--bound", "12",
+                     "--dump-layers", str(dump)]) == 0
+        lines, cards, big = iter(dump.read_text().splitlines()), {}, 0
+        for header in lines:
+            m, c = map(int, header.split())
+            for _ in range(c):
+                x, y = map(int, next(lines).split())
+                assert x * x + 2 * K * x * y + (K * K + 1) * y * y == m
+                big += abs(x) > 2**31
+            cards[m] = c
+        assert cards == {1: 4, 2: 4, 4: 4, 5: 8, 8: 4, 9: 4, 10: 8} and big
+
+    def test_vectors_beyond_int64_exit_2(self, shear, tmp_path, capsys):
+        dump = tmp_path / "layers.txt"
+        rc = main(["layers", "--gram", shear(5 * 10**18), "--bound", "4",
+                   "--dump-layers", str(dump)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, dump.exists()) == (2, "", False)
+        [line] = captured.err.splitlines()
+        assert line == "error: layer vectors up to Q[x] <= 4 leave int64"
+        assert main(["fully-critical", "--gram", shear(5 * 10**18), "--bound", "6"]) == 0
+
+
 class TestTables:
     def test_dim_4(self, capsys):
         rc = main(["tables", "--dims", "4"])
@@ -502,6 +550,12 @@ class TestUsageErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and "error: error" not in lines[0]
+
+    def test_fully_critical_bound_is_an_integer(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fully-critical", "--name", "sta2", "--bound", "1.5"])
+        assert exc.value.code == 2
+        assert "argument --bound: invalid int value: '1.5'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
     def test_non_finite_json_entry(self, bad, tmp_path, capsys):

@@ -131,8 +131,7 @@ class TestMomentRoute:
     def test_broken_moment_raises(self):
         # a zero moment for a nonempty layer breaks Tr(PSPS) >= m^2 |M|^2 / n
         with pytest.raises(DesignComputationError):
-            two_design_verdict(Fraction(1), 4, np.zeros((2, 2), dtype=object),
-                               np.eye(2, dtype=np.int64), 1)
+            two_design_verdict(Fraction(1), 4, np.zeros((2, 2), dtype=object), I2)
 
     def test_route_agreement_everywhere(self):
         # the trace identity against the entrywise moment identity and the

@@ -15,7 +15,6 @@ from latcrit import (
     is_even,
     level,
     lll_reduce,
-    orthosum_A1,
 )
 from latcrit.catalog import load_catalog
 from latcrit.cli import _random_integral_spd
@@ -221,18 +220,6 @@ class TestBlockOps:
         for e in load_catalog().entries:
             assert is_even(double(e.gram))
             level(double(e.gram))  # never raises
-
-    def test_orthosum(self):
-        assert orthosum_A1(A2) == GramMatrix([[2, 1, 0], [1, 2, 0], [0, 0, 2]])
-
-    def test_orthosum_determinant_doubles(self):
-        q = load_catalog().by_name("stb6").gram  # A3
-        assert determinant(orthosum_A1(q)) == 2 * determinant(q)
-
-    def test_orthosum_preserves_parity(self):
-        for name in ("stb6", "ste10a"):
-            q = load_catalog().by_name(name).gram
-            assert is_even(orthosum_A1(q)) == is_even(q)
 
 
 class TestExpMap:

@@ -14,11 +14,10 @@ from latcrit import (
     double,
     enumerate_layers,
     fully_critical,
-    orthosum_A1,
 )
 from latcrit.catalog import load_catalog
 
-from helpers import box_layers, streamed_verdicts
+from helpers import box_layers, streamed_verdicts, with_A1
 
 I2 = GramMatrix([[1, 0], [0, 1]])
 A2 = GramMatrix([[2, 1], [1, 2]])
@@ -68,7 +67,7 @@ class TestThetaSeries:
 
 class TestThetaProduct:
     def test_multiplicativity_a2_a1(self):
-        assert counts(orthosum_A1(A2), 40) == convolve(counts(A2, 40), counts(A1, 40), 40)
+        assert counts(with_A1(A2), 40) == convolve(counts(A2, 40), counts(A1, 40), 40)
 
     def test_multiplicativity_a1_a1(self):
         q = GramMatrix([[2, 0], [0, 2]])
