@@ -7,8 +7,11 @@ space (dim M) and the exponent of the last echelon pivot (N).  That space is
 the larger Gamma_1 one (dim M equals dim M_k(Gamma_1(level)) on every entry
 of level >= 5), so N is dominated by the Gamma_1 Sturm bound but not by the
 Gamma_0 horizon ``fully_critical`` uses, which is at or below N on every
-entry.  Both stay as regression data: ``fully_critical(e, e.reference_N)``
-reproduces the reference transcripts.  ``reproduce_tables`` returns one
+entry.  With no bound given, 14 entries are certified on their sparser level
+dual N W^{-1}, whose horizon equals the entry's own: no entry's dual has a
+smaller level.  Both stay as regression data: ``fully_critical(e,
+e.reference_N)`` walks the entry's own layers and reproduces the reference
+transcripts.  ``reproduce_tables`` returns one
 ``FullyCriticalReport`` per entry; the CLI's table rows are read from them.
 
 Dimension 7 is a partial list: the source catalogue of strongly eutactic
@@ -201,8 +204,9 @@ def reproduce_tables(
     """Certify every catalogue entry of the given dimensions, in catalogue order.
 
     Each entry is certified at the self-contained Gamma_0 horizon of
-    ``fully_critical``; its report carries the entry (with its reference N)
-    as ``input`` next to the bound tested.  An exhausted budget is an
+    ``fully_critical``, on the sparser side of its level duality; its report
+    carries the entry (with its reference N) as ``input`` next to the bound
+    tested.  An exhausted budget is an
     inconclusive report, so every entry gets one.
     """
     dims = sorted(set(int(d) for d in dims))

@@ -13,10 +13,32 @@ pass proves every layer.  A pass at a smaller bound, which the caller may
 ask for, proves only the layers it tested: it is inconclusive.  Each layer
 is decided by ``design.two_design_verdict`` on streamed second moments.
 
-The layers tested are the input's own; doubling and the A1 summand only set
-the horizon (level, character and weight).  An odd lattice takes it from
-its double 2Q, a homothety harmless to the design structure.  Odd
-dimensions take it from the even form W plus an orthogonal A1 summand: its
+Either side of the level duality decides the other.  For a harmonic P of
+degree 2, Poisson summation (the theta transformation formula, tau ->
+-1/tau) carries sum_{x in L} P(x) q^{(x.x)/2} to a nonzero multiple of the
+same series of the dual lattice L*: a harmonic polynomial times the Gaussian
+is an eigenfunction of the Fourier transform.  So one series vanishes
+exactly when the other does, and every layer of L is a 2-design exactly when
+every layer of L* is (Venkov, *Reseaux et designs spheriques*, 2001;
+Ebeling, *Lattices and Codes*, ch. 3).  Rescaling moves no design, so the
+level dual N W^{-1} of the even working form W of level N and dimension n
+stands for L: a pass on its layers proves L fully critical, and a failed
+layer refutes L.  It is even, with determinant N^n / det W, so it is the
+sparser lattice (the larger covolume) exactly when N^n > (det W)^2; its
+level divides N, so its horizon is at most W's.  When ``fully_critical``
+picks its own horizon it then walks the dual, at the dual's own level,
+weight and horizon.  An override bound always walks the input, whose
+layers the reference transcripts and the conjecture probe read.  The dual
+is built in closed form (``gram._level_dual``): its integral form is
+(N / det W) adj(W), from the adjugate ``level`` computes, its determinant
+N^n / det W, and its level N / gcd(N, c) with c = gcd(W_ij for i < j,
+W_ii / 2).
+
+The layers tested are the input's own or its level dual's (``tested``);
+doubling and the A1 summand only set the horizon (level, character and
+weight).  An odd lattice takes it from its double 2Q, a homothety harmless
+to the design structure; a level dual is even.  Odd dimensions take it
+from the even form W plus an orthogonal A1 summand: its
 generating function is the form's times A1's, a series with constant term
 1, so vanishing transfers back.  The summand's premises are read from W
 alone: l diag(W, 2)^{-1} is even integral exactly when level(W) divides l
@@ -39,6 +61,7 @@ from .gram import (
     GramMatrix,
     LatticeDescriptor,
     _frac_str,
+    _level_dual,
     determinant,
     double,
     is_even,
@@ -49,6 +72,8 @@ from .shells import DEFAULT_MAX_VECTORS, EnumerationBudgetError, layer_moments
 VERDICT_CRITICAL = "fully-critical"
 VERDICT_FAILURE = "failure"
 VERDICT_INCONCLUSIVE = "inconclusive"
+SIDE_INPUT = "input"
+SIDE_LEVEL_DUAL = "level-dual"
 
 
 def gamma0_index(N: int) -> int:
@@ -83,17 +108,23 @@ def sturm_bound(k: int, N: int) -> int:
 class FullyCriticalReport:
     """Result of the full-criticality certification pipeline.
 
-    Per-layer rows are the input lattice's own layers and count one
-    representative per antipodal pair {x, -x}, the convention of the
-    reference transcripts (pair sums quarter, cardinalities halve relative
-    to full-set values; the design verdicts are identical either way).
-    ``failure_norm`` is in the same normalization; the working even form's
-    norm is twice it when ``doubled`` is set.  The horizon's premises are
-    the group Gamma_0(level), the character's discriminant ``character_D``
-    and ``weight``, whose Sturm bound is ``horizon_B``; ``bound_B`` is the
-    bound tested, and only a pass with ``bound_B >= horizon_B`` is fully
-    critical.  ``layers_tested`` counts the nonempty layers behind the
-    verdict, and a fully-critical verdict that tested none is ``vacuous``.
+    ``tested`` names the lattice whose layers were tested: the input
+    (``SIDE_INPUT``) or the level dual N W^{-1} of its working even form
+    (``SIDE_LEVEL_DUAL``), which decides the input by theta duality.  Every
+    other field but ``input`` is then that lattice's: its per-layer rows,
+    cardinalities, ``failure_norm``, ``certified_upto``, parity (a level
+    dual is even, never ``doubled``) and horizon premises.  Per-layer rows
+    count one representative per antipodal pair {x, -x}, the convention of
+    the reference transcripts (pair sums quarter, cardinalities halve
+    relative to full-set values; the design verdicts are identical either
+    way).  ``failure_norm`` is in the same normalization; the working even
+    form's norm is twice it when ``doubled`` is set.  The horizon's premises
+    are the group Gamma_0(level), the character's discriminant
+    ``character_D`` and ``weight``, whose Sturm bound is ``horizon_B``;
+    ``bound_B`` is the bound tested, and only a pass with ``bound_B >=
+    horizon_B`` is fully critical.  ``layers_tested`` counts the nonempty
+    layers behind the verdict, and a fully-critical verdict that tested
+    none is ``vacuous``.
     """
 
     input: LatticeDescriptor
@@ -110,6 +141,7 @@ class FullyCriticalReport:
     failure_norm: Optional[Fraction] = None
     certified_upto: Optional[Fraction] = None
     note: str = ""
+    tested: str = SIDE_INPUT
 
     @property
     def verdict_text(self) -> str:
@@ -137,6 +169,7 @@ class FullyCriticalReport:
     def to_dict(self) -> dict:
         return {
             "name": self.input.name,
+            "tested": self.tested,
             "doubled": self.doubled,
             "augmented_with_A1": self.augmented_with_A1,
             "group": self.group,
@@ -166,31 +199,62 @@ def fully_critical(
 ) -> FullyCriticalReport:
     """Certify (or refute) that every layer of an integral lattice is a 2-design.
 
-    Pipeline: double odd forms to the even working form W and, in odd
-    dimension, add an A1 summand to derive the horizon (level
-    lcm(level(W), 4), discriminant twice W's and weight (n+1)/2 + 2, read
-    from W; else W's level and discriminant and weight n/2 + 2); test
-    every layer of the input with (x.x) <= 2B on the even form, B the
-    Gamma_0 Sturm bound, or ``override_bound`` when supplied (e.g. the
-    catalogue's reference N, to reproduce its transcripts).  A failed layer
-    is a definitive refutation.
+    Pipeline: double odd forms to the even working form W of level N and,
+    in odd dimension, add an A1 summand to derive the horizon (level
+    lcm(N, 4), discriminant twice W's and weight (n+1)/2 + 2, read from W;
+    else N, W's discriminant and weight n/2 + 2); test every layer of the
+    input with (x.x) <= 2B on the even form, B the Gamma_0 Sturm bound, or
+    ``override_bound`` when supplied (e.g. the catalogue's reference N, to
+    reproduce its transcripts).  With no override, a level dual N W^{-1}
+    sparser than W (N^n > (det W)^2) is tested in the input's place, by the
+    same pipeline at its own horizon (see the module docstring); the
+    report's ``tested`` says which.  A failed layer is a definitive
+    refutation.
     An exhausted enumeration budget halves the range until it fits, and an
     override below the Sturm bound tests fewer layers: both are reported as
     inconclusive with the largest certified bound, never as a failure and
     never as an exception.  When no bound >= 2 fits the budget the report
     is inconclusive with ``certified_upto`` 0 and no layers.
     """
+    return _certify(L, override_bound, max_vectors, dualize=override_bound is None)
+
+
+def _certify(
+    L: LatticeDescriptor | GramMatrix,
+    override_bound: Optional[int],
+    max_vectors: int,
+    *,
+    dualize: bool,
+) -> FullyCriticalReport:
+    """``fully_critical`` on the input's own layers, or, when ``dualize`` is
+    set and its level dual is sparser, on the dual's."""
     desc = L if isinstance(L, LatticeDescriptor) else LatticeDescriptor(gram=L, name=L.name)
     Q = desc.gram
     if not Q.is_integral:
         raise ValueError("full-criticality certification requires an integral form")
-    n = Q.n
-    doubled = not is_even(Q)
-    work = double(Q) if doubled else Q
-    s = 2 if doubled else 1
+    work = Q if is_even(Q) else double(Q)
+    N, det = level(work), int(determinant(work))
+    if dualize and N ** Q.n > det * det:
+        dual, dual_level = _level_dual(work, N)
+        return _certify_side(desc, dual, dual_level, N ** Q.n // det, None, max_vectors,
+                             SIDE_LEVEL_DUAL)
+    return _certify_side(desc, Q, N, det, override_bound, max_vectors, SIDE_INPUT)
 
+
+def _certify_side(
+    desc: LatticeDescriptor,
+    Q: GramMatrix,
+    lvl: int,
+    det: int,
+    override_bound: Optional[int],
+    max_vectors: int,
+    tested: str,
+) -> FullyCriticalReport:
+    """Test the layers of the integral form Q, whose even form W (Q, or 2Q
+    when Q is odd) has level lvl and determinant det."""
+    s = 1 if is_even(Q) else 2
+    n = dim = Q.n
     augmented = n % 2 == 1
-    lvl, det, dim = level(work), int(determinant(work)), n
     if augmented:  # diag(W, 2)
         lvl, det, dim = math.lcm(lvl, 4), 2 * det, n + 1
     weight = dim // 2 + 2
@@ -238,7 +302,7 @@ def fully_critical(
 
     return FullyCriticalReport(
         input=desc,
-        doubled=doubled,
+        doubled=s == 2,
         augmented_with_A1=augmented,
         level=lvl,
         weight=weight,
@@ -251,6 +315,7 @@ def fully_critical(
         failure_norm=failure_norm,
         certified_upto=certified,
         note=note,
+        tested=tested,
     )
 
 
@@ -264,11 +329,13 @@ def conjecture_probe(
 
     A (True, False) outcome would contradict the expectation that 2-designs
     on the first two layers propagate to all layers; callers should surface
-    such a hit loudly.  Both answers are read from one ``fully_critical``
-    report, as the CLI's probe rows read them.  A run whose range was cut by
+    such a hit loudly.  Both answers are read from one certificate report,
+    as the CLI's probe rows read them.  A run whose range was cut by
     the enumeration budget, or set below the horizon, tested fewer layers
     but refuted nothing, so it counts as (.., True); when the budget let no
-    range be certified the first answer is None (unknown).
+    range be certified the first answer is None (unknown).  The report
+    always tests the input's own layers, never its level dual's, so that
+    the first two layers are the input's.
     """
-    rep = fully_critical(L, override_bound, max_vectors=max_vectors)
+    rep = _certify(L, override_bound, max_vectors, dualize=False)
     return rep.first_two_designs, rep.verdict != VERDICT_FAILURE

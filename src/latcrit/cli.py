@@ -44,7 +44,9 @@ from .certify import (
     VERDICT_CRITICAL,
     VERDICT_FAILURE,
     VERDICT_INCONCLUSIVE,
+    SIDE_LEVEL_DUAL,
     FullyCriticalReport,
+    _certify,
     fully_critical,
 )
 from .design import DesignComputationError, two_design_verdict
@@ -184,6 +186,10 @@ def _transcript(report: FullyCriticalReport) -> str:
         + (" (doubled)" if report.doubled else "")
         + (" (A1-augmented horizon)" if report.augmented_with_A1 else "")
     ]
+    if report.tested == SIDE_LEVEL_DUAL:
+        lines.append("the layers tested are those of the level dual N W^-1 of the even form "
+                     "W, the sparser side; by theta duality they are all 2-designs exactly "
+                     "when the input's are")
     by_norm = {v.norm: v for v in report.per_layer}
     upto = report.certified_upto
     if upto is not None and upto.denominator == 1 and report.input.gram.is_integral:
@@ -299,7 +305,8 @@ def _cmd_probe(args):
         raise ValueError("nothing to probe (use --name/--gram/--all-catalog/--random)")
     hits, rows, lines, inconclusive = [], [], [], False
     for desc in jobs:
-        rep = fully_critical(desc, args.bound, max_vectors=args.max_vectors)
+        # the input's own layers, as conjecture_probe reads them
+        rep = _certify(desc, args.bound, args.max_vectors, dualize=False)
         first_two = rep.first_two_designs
         rows.append({"name": desc.name, "first_two_designs": first_two,
                      "verdict": rep.verdict_text, "bound_B": rep.bound_B,

@@ -7,9 +7,9 @@ integral form P = d Q, with d the lcm of the entry denominators, and det P;
 the Fraction entries of the API are derived when first read.  Everything
 structural (positive definiteness, determinant, inverse, parity, level) runs
 on P in Python-int, fraction-free kernels: Bareiss elimination for the
-leading minors and a fraction-free Gauss-Jordan adjugate for the inverse and
-the level.  Floating point enters only through the float copies the height
-machinery reads (``to_float``, ``normalized_to_det1``).
+leading minors and a fraction-free Gauss-Jordan adjugate for the inverse,
+the level and the level dual.  Floating point enters only through the float
+copies the height machinery reads (``to_float``, ``normalized_to_det1``).
 """
 
 from __future__ import annotations
@@ -106,10 +106,15 @@ def _init(Q: GramMatrix, P: Sequence[Sequence[int]], d: int, name: Optional[str]
         for j in range(i):
             if P[i][j] != P[j][i]:
                 raise GramError(f"not symmetric at ({i},{j})")
+    _store(Q, P, d, name, _leading_minors(P)[-1])
+
+
+def _store(Q: GramMatrix, P: Sequence[Sequence[int]], d: int, name: Optional[str],
+           det: int) -> None:
     object.__setattr__(Q, "_P", tuple(tuple(row) for row in P))
     object.__setattr__(Q, "_d", d)
     object.__setattr__(Q, "name", name)
-    object.__setattr__(Q, "_det", _leading_minors(P)[-1])
+    object.__setattr__(Q, "_det", det)
 
 
 def _from_integral(P: Sequence[Sequence[int]], d: int) -> GramMatrix:
@@ -168,13 +173,15 @@ def _leading_minors(P: Sequence[Sequence[int]]) -> list[int]:
     return minors
 
 
-def _adjugate(P: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+@functools.lru_cache(maxsize=1)
+def _adjugate(P: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(adj P, det P) by fraction-free Gauss-Jordan elimination of [P | I].
 
     Bareiss's update runs on every row but the pivot row, so the left block
     ends as det(P) I and the right one as adj(P) = det(P) P^{-1}, every
     division exact.  The pivots are the leading minors: nonzero for a
-    positive definite P.
+    positive definite P.  The last result is kept, so that the level of a
+    form and its level dual share one elimination.
     """
     n = len(P)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(P)]
@@ -186,7 +193,7 @@ def _adjugate(P: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
                 f = a[i][k]
                 a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], rk)]
         prev = piv
-    return [row[n:] for row in a], prev
+    return tuple(tuple(row[n:]) for row in a), prev
 
 
 def determinant(Q: GramMatrix) -> Fraction:
@@ -220,6 +227,25 @@ def level(Q: GramMatrix) -> int:
     g = math.gcd(det, *(v for row in adj for v in row))
     base = det // g
     return base if all(adj[i][i] // g % 2 == 0 for i in range(Q.n)) else 2 * base
+
+
+def _level_dual(W: GramMatrix, N: int) -> tuple[GramMatrix, int]:
+    """(N W^{-1}, its level) for an even form W of level N, in closed form.
+
+    N W^{-1} = (N / det W) adj(W) is even and integral by the definition of
+    N, and symmetric positive definite with determinant N^n / det W, so it is
+    stored unchecked.  Its level is the least l with l (N W^{-1})^{-1} =
+    (l / N) W even and integral.  Write W = c W0 with c = gcd(W_ij for
+    i < j, W_ii / 2): then W0 is even and the gcd of its off-diagonal and
+    half-diagonal entries is 1, so (l / N) W is even integral exactly when N
+    divides l c.  The level is N / gcd(N, c).
+    """
+    adj, det = _adjugate(W._P)
+    n, P = W.n, W._P
+    c = math.gcd(*(P[i][j] for i in range(n) for j in range(i)), *(P[i][i] // 2 for i in range(n)))
+    dual = object.__new__(GramMatrix)
+    _store(dual, [[N * v // det for v in row] for row in adj], 1, None, N ** n // det)
+    return dual, N // math.gcd(N, c)
 
 
 def double(Q: GramMatrix) -> GramMatrix:

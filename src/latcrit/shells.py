@@ -61,6 +61,8 @@ class EnumerationBudgetError(RuntimeError):
 def lll_reduce(Q: GramMatrix) -> tuple[GramMatrix, np.ndarray]:
     """Exact LLL reduction (delta = 99/100); returns (Q_red, U) with Q_red = U^t Q U.
 
+    U is int64, or holds Python ints (object dtype) when an entry leaves int64.
+
     Integral LLL on the Gram matrix alone (Cohen, "A Course in Computational
     Algebraic Number Theory", Alg. 2.6.7), run on the integral form
     G = d Q: scaling the form scales every |b_i*|^2 alike and leaves each mu
@@ -119,7 +121,8 @@ def lll_reduce(Q: GramMatrix) -> tuple[GramMatrix, np.ndarray]:
             stale = k - 1
             k = max(k - 1, 1)
 
-    return _from_integral(G, d), np.array(U, dtype=np.int64)
+    fits = all(-2 ** 63 <= u < 2 ** 63 for row in U for u in row)
+    return _from_integral(G, d), np.array(U, dtype=np.int64 if fits else object)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from latcrit import (GramMatrix, TruncationError, layer_moments, short_vectors_float,
-                     two_design_verdict, upper_gamma)
+from latcrit import (GramMatrix, TruncationError, double, is_even, layer_moments, level,
+                     short_vectors_float, two_design_verdict, upper_gamma)
 
 _height = importlib.import_module("latcrit.height")  # the module; latcrit.height is the function
 
@@ -188,6 +188,13 @@ def cofactor_adjugate(rows) -> list[list[Fraction]]:
     return [[(-1) ** (i + j) * bareiss_determinant(
                 [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j])
              for j in range(n)] for i in range(n)]
+
+
+def level_dual(Q: GramMatrix) -> GramMatrix:
+    """N W^{-1} by cofactors, for the working even form W (Q, or 2Q when Q is odd) of level N."""
+    work = Q if is_even(Q) else double(Q)
+    N, det = level(work), bareiss_determinant(work.entries)
+    return GramMatrix([[N * v / det for v in row] for row in cofactor_adjugate(work.entries)])
 
 
 def bareiss_determinant(rows) -> Fraction:

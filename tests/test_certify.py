@@ -24,13 +24,17 @@ from latcrit import (
     two_design_verdict,
 )
 from latcrit.catalog import load_catalog
+from latcrit.certify import SIDE_INPUT, SIDE_LEVEL_DUAL, _certify
 from latcrit.cli import _random_integral_spd
+from latcrit.gram import _level_dual
+from latcrit.shells import DEFAULT_MAX_VECTORS
 
 from helpers import (
     box_layers,
     dim_M_gamma1,
     dim_S_gamma0_chi,
     gamma1_index,
+    level_dual,
     projective_line_size,
     random_unimodular,
     sheared_z2,
@@ -42,6 +46,20 @@ from helpers import (
 
 I2 = GramMatrix([[1, 0], [0, 1]])
 D12 = GramMatrix([[1, 0], [0, 2]])
+# the entries whose level dual N W^-1 is sparser than W: N^n > (det W)^2
+DUAL_SIDE = {"stb6", "stc10", "std15a", "std15b", "std20", "ste12a", "ste15a", "ste18a",
+             "ste21a", "ste30", "ste36", "stf28a", "stf42", "stf63"}
+
+
+def seeded_forms() -> list[GramMatrix]:
+    """The 120 seeded forms of test_gamma0_certificates_hold_at_gamma1."""
+    rng = np.random.default_rng(2026)
+    return [_random_integral_spd(2 + k % 4, rng) for k in range(120)]
+
+
+def own_side(q):
+    """The certificate of q at its horizon on its own layers, never its level dual's."""
+    return _certify(q, None, DEFAULT_MAX_VECTORS, dualize=False)
 
 
 @pytest.fixture
@@ -137,10 +155,8 @@ class TestSturmBound:
     def test_gamma0_certificates_hold_at_gamma1(self):
         # seeded random forms: the Gamma_0 horizon never exceeds the Gamma_1
         # one, and nothing it certifies fails within the larger Gamma_1 range
-        rng = np.random.default_rng(2026)
         verdicts = {VERDICT_CRITICAL: 0, VERDICT_FAILURE: 0}
-        for k in range(120):
-            q = _random_integral_spd(2 + k % 4, rng)
+        for q in seeded_forms():
             rep = fully_critical(q)
             verdicts[rep.verdict] += 1
             wide = sturm_bound_gamma1(rep.weight, rep.level)
@@ -207,6 +223,18 @@ class TestFullyCritical:
         wider = fully_critical(load_catalog().by_name("ste27"), 2)
         assert wider.cardinalities == ((4, 27),) and not wider.vacuous
 
+    def test_ste36_dual_certificate_is_vacuous(self):
+        # E6's level dual (E6* scaled by 3) has minimum 4, beyond its horizon
+        # (x.x) <= 2B = 2: a sound Sturm proof with no layer, flagged
+        e = load_catalog().by_name("ste36")
+        rep = fully_critical(e)
+        assert rep.tested == SIDE_LEVEL_DUAL and rep.verdict == VERDICT_CRITICAL
+        assert rep.layers_tested == 0 and rep.vacuous and rep.to_dict()["vacuous"] is True
+        assert dim_S_gamma0_chi(rep.weight, rep.level, rep.character_D) == 0
+        assert box_layers(level_dual(e.gram), 2) == {}
+        # its own side tests E6's first layer
+        assert not own_side(e).vacuous
+
     def test_odd_dimension_uses_augmented_level(self):
         e = load_catalog().by_name("stb6")  # A3, even, dim 3
         rep = fully_critical(e)
@@ -259,11 +287,12 @@ class TestFullyCritical:
         assert all(v.is_design for v in rep.per_layer)
         assert rep.note
 
-    @pytest.mark.parametrize("name, upto", [("sta2", 0), ("stb4", 2), ("stf28a", 0)])
+    @pytest.mark.parametrize("name, upto", [("sta2", 0), ("stb4", 2), ("stf28a", 12)])
     @pytest.mark.parametrize("budget", [0, 1])
     def test_no_bound_fits_the_budget(self, name, upto, budget):
         # an exhausted budget is a verdict, never an exception; stb4 (A3*,
-        # minimum 3) has no vector with (x,x) <= 2, so that range fits any budget
+        # minimum 3) has no vector with (x,x) <= 2, so that range fits any
+        # budget, and neither has stf28a's level dual (minimum 14) with (x,x) <= 12
         rep = fully_critical(load_catalog().by_name(name), max_vectors=budget)
         assert rep.verdict == VERDICT_INCONCLUSIVE
         assert rep.certified_upto == upto
@@ -274,10 +303,11 @@ class TestFullyCritical:
                                  else "certified range reduced")
         assert rep.to_dict()["certified_upto"] == upto
         # nothing certified: whether the first two layers are designs is unknown
-        first_two = None if upto == 0 else True
-        assert rep.first_two_designs is first_two
+        assert rep.first_two_designs is (None if upto == 0 else True)
+        # the probe reads the input's own layers: stf28a's own (x,x) <= 2 does not fit
+        own = 0 if name == "stf28a" else upto
         assert conjecture_probe(load_catalog().by_name(name), max_vectors=budget) == (
-            first_two, True)
+            None if own == 0 else True, True)
 
     def test_budget_note_is_in_the_input_norms(self):
         # stc4 is doubled: the range cut from is (x,x) <= 2 of the input,
@@ -287,10 +317,11 @@ class TestFullyCritical:
         assert rep.note == "enumeration budget 30 exceeded at (x,x)<=2; certified range reduced"
 
     def test_walks_the_input_layers(self, monkeypatch):
-        # every entry is walked on its own form, at (x,x) <= 2B of the even
-        # form, that is Q[x] <= 2B / s; on the odd entries each row equals
-        # the doubled form's verdict restated per antipodal pair and in the
-        # input's norms (norm / s, sums / 4 s^2), the rows before the change
+        # every entry is walked on its own form, or on its level dual where
+        # that is sparser, at (x,x) <= 2B of the even form, that is Q[x] <=
+        # 2B / s; on the odd entries each row equals the doubled form's
+        # verdict restated per antipodal pair and in the input's norms
+        # (norm / s, sums / 4 s^2), the rows before the change
         C = sys.modules["latcrit.certify"]
         real, calls = C.layer_moments, []
         monkeypatch.setattr(C, "layer_moments",
@@ -299,6 +330,10 @@ class TestFullyCritical:
         for e in load_catalog().entries:
             calls.clear()
             rep = fully_critical(e)
+            assert (rep.tested == SIDE_LEVEL_DUAL) == (e.name in DUAL_SIDE), e.name
+            if rep.tested == SIDE_LEVEL_DUAL:  # the dual's rows, at its own horizon
+                assert not rep.doubled and calls == [(level_dual(e.gram), 2 * rep.bound_B)]
+                continue
             q, s = e.gram, 2 if rep.doubled else 1
             assert calls[0][0] is q and calls[0][1] == Fraction(2 * rep.bound_B, s), e.name
             assert all(Q is q for Q, _ in calls) and calls[-1][1] == rep.certified_upto, e.name
@@ -313,9 +348,9 @@ class TestFullyCritical:
         assert odd > 0
 
     def test_certify_default_verdicts(self, monkeypatch, walk_dtypes):
-        # every layer the horizon with a 4M budget tests: the one-product
-        # lhs equals the two-product trace Tr(AA) / d^2, and every walk stays
-        # on the int64 route
+        # every layer the horizon with a 4M budget tests, 105 on the sparser
+        # sides (153 on the inputs' own): the one-product lhs equals the
+        # two-product trace Tr(AA) / d^2, and every walk stays on the int64 route
         C = sys.modules["latcrit.certify"]
         real, pairs = C.two_design_verdict, []
 
@@ -327,7 +362,7 @@ class TestFullyCritical:
         monkeypatch.setattr(C, "two_design_verdict", verdict)
         for e in load_catalog().entries:
             fully_critical(e, max_vectors=4_000_000)
-        assert len(pairs) == 153 and all(a == b for a, b in pairs)
+        assert len(pairs) == 105 and all(a == b for a, b in pairs)
         assert walk_dtypes == {np.dtype(np.int64)}
 
     def test_report_serializes(self):
@@ -365,9 +400,7 @@ class TestA1Augmentation:
         # twice W's determinant: on the odd-dimensional catalogue entries and
         # seeded forms of test_gamma0_certificates_hold_at_gamma1, whose
         # reports state the built form's level, weight and discriminant
-        rng = np.random.default_rng(2026)
-        seeded = [_random_integral_spd(2 + k % 4, rng) for k in range(120)]
-        odd = [q for q in [e.gram for e in load_catalog().entries] + seeded if q.n % 2]
+        odd = [q for q in [e.gram for e in load_catalog().entries] + seeded_forms() if q.n % 2]
         assert len(odd) == 17 + 60
         for q in odd:
             work = q if is_even(q) else double(q)
@@ -412,13 +445,6 @@ def integral_dual(Q: GramMatrix) -> GramMatrix:
     return GramMatrix([[v / content for v in row] for row in adj])
 
 
-def level_dual(Q: GramMatrix) -> GramMatrix:
-    """N W^{-1} for the working even form W (Q, or 2Q when Q is odd) of level N."""
-    work = Q if is_even(Q) else double(Q)
-    N = level(work)
-    return GramMatrix([[N * v for v in row] for row in gram_inverse(work).entries])
-
-
 class TestDuality:
     def test_dual_descriptor_integral_and_reduced(self):
         # det(Q) Q^{-1} is the adjugate, integral for every integral Q
@@ -439,25 +465,68 @@ class TestDuality:
     # for every harmonic P of degree 2, so a lattice is fully critical
     # exactly when its dual is.  The level-N dual N Q^-1 of the working even
     # form is even and integral, with its own level, weight and horizon.
+    # These oracles certify each side on its own layers (``own_side``), so
+    # that both sides are really walked.
 
     def test_catalogue_verdicts_match_their_level_duals(self):
         for e in load_catalog().entries:
-            rep = fully_critical(e)
-            assert rep.verdict == VERDICT_CRITICAL, e.name
+            rep = own_side(e)
+            assert rep.verdict == VERDICT_CRITICAL and rep.tested == SIDE_INPUT, e.name
             dual = level_dual(e.gram)
             assert is_even(dual), e.name
-            assert fully_critical(dual).verdict == rep.verdict, e.name
+            assert own_side(dual).verdict == rep.verdict, e.name
 
     def test_random_verdicts_match_their_level_duals(self):
-        # the seeded forms of test_gamma0_certificates_hold_at_gamma1
-        rng = np.random.default_rng(2026)
         verdicts = {VERDICT_CRITICAL: 0, VERDICT_FAILURE: 0}
-        for k in range(120):
-            q = _random_integral_spd(2 + k % 4, rng)
-            rep = fully_critical(q)
+        for q in seeded_forms():
+            rep = own_side(q)
             verdicts[rep.verdict] += 1
-            assert fully_critical(level_dual(q)).verdict == rep.verdict, q.entries
+            assert own_side(level_dual(q)).verdict == rep.verdict, q.entries
         assert verdicts == {VERDICT_CRITICAL: 9, VERDICT_FAILURE: 111}
+
+    def test_closed_form_dual_premises(self):
+        # the route's dual, (N / det W) adj(W) with level N / gcd(N, c(W))
+        # and determinant N^n / det W, is the cofactor oracle's N W^-1, with
+        # its level() and determinant(); three seeded duals have a level below N
+        below = 0
+        for q in [e.gram for e in load_catalog().entries] + seeded_forms():
+            work = q if is_even(q) else double(q)
+            N = level(work)
+            dual, dual_level = _level_dual(work, N)
+            assert dual == level_dual(q), q.entries
+            assert dual_level == level(dual), q.entries
+            assert determinant(dual) == Fraction(N ** q.n) / determinant(work), q.entries
+            below += dual_level < N
+        assert below == 3
+
+    def test_sparser_side_is_walked(self):
+        # the level dual is walked exactly when N^n > (det W)^2, at its own
+        # horizon; the report names it, in the transcript field as well
+        for e in load_catalog().entries:
+            rep = fully_critical(e)
+            q = e.gram
+            work = q if is_even(q) else double(q)
+            dual = level_dual(q)
+            assert (e.name in DUAL_SIDE) == (determinant(dual) > determinant(work)), e.name
+            want = own_side(dual if e.name in DUAL_SIDE else q)
+            assert rep.to_dict() == {**want.to_dict(), "name": e.name,
+                                     "tested": SIDE_LEVEL_DUAL if e.name in DUAL_SIDE
+                                     else SIDE_INPUT}, e.name
+            # an override bound always walks the input
+            assert fully_critical(e, rep.bound_B).tested == SIDE_INPUT
+
+    def test_dual_verdicts_decide_the_input(self):
+        # on the seeded forms the route's verdict is the input side's; a
+        # failure on the dual is a refutation of the input, at a dual norm
+        sides = {SIDE_INPUT: 0, SIDE_LEVEL_DUAL: 0}
+        for q in seeded_forms():
+            rep = fully_critical(q)
+            sides[rep.tested] += 1
+            assert rep.verdict == own_side(q).verdict, q.entries
+            if rep.tested == SIDE_LEVEL_DUAL:
+                assert rep.verdict == VERDICT_FAILURE
+                assert rep.failure_norm in {v.norm for v in own_side(level_dual(q)).per_layer}
+        assert sides == {SIDE_INPUT: 53, SIDE_LEVEL_DUAL: 67}
 
 
 class TestConjectureProbe:
@@ -469,6 +538,19 @@ class TestConjectureProbe:
     def test_counterexamples_to_first_layer(self):
         assert conjecture_probe(D12) == (False, False)
         assert conjecture_probe(GramMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])) == (False, False)
+
+    def test_reads_the_inputs_own_layers(self, monkeypatch):
+        # with no bound the certificate may walk a sparser level dual, but the
+        # probe's first two layers are the input's
+        C = sys.modules["latcrit.certify"]
+        real, walked = C.layer_moments, []
+        monkeypatch.setattr(C, "layer_moments",
+                            lambda Q, bound, **kw: walked.append(Q) or real(Q, bound, **kw))
+        for name in sorted(DUAL_SIDE):
+            walked.clear()
+            e = load_catalog().by_name(name)
+            assert conjecture_probe(e) == (True, True)
+            assert walked == [e.gram] and walked[0] is e.gram, name
 
     def test_budget_cut_run_refutes_nothing(self):
         e = load_catalog().by_name("ste10a")

@@ -63,6 +63,23 @@ class TestFullyCritical:
             "ste27: Gamma0(3) with character D = -243, weight 5, bound B = 1, "
             "horizon B = 1, 0 nonempty layers tested (vacuous)")
 
+    def test_vacuous_dual_certificate_is_flagged(self, capsys):
+        rc = main(["fully-critical", "--name", "ste36"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert lines[0] == ("ste36: Gamma0(3) with character D = -243, weight 5, bound B = 1, "
+                            "horizon B = 1, 0 nonempty layers tested (vacuous)")
+        assert "level dual" in lines[1]
+
+    @pytest.mark.parametrize("name, tested", [("stf28a", "level-dual"), ("stf8", "input")])
+    def test_report_names_the_tested_side(self, name, tested, capsys):
+        # stf28a and stf8 are each other's level duals: each walks stf8's side
+        rc = main(["fully-critical", "--name", name, "--format", "json"])
+        outcome = RunReport.from_json(capsys.readouterr().out).outcome
+        assert rc == 0
+        assert (outcome["tested"], outcome["verdict"]) == (tested, "fully-critical")
+        assert (outcome["level"], outcome["bound_B"], outcome["layers_tested"]) == (16, 12, 2)
+
     def test_budget_inconclusive_exit_code(self, capsys):
         rc = main(["fully-critical", "--name", "ste10a", "--bound", "60",
                    "--max-vectors", "3000"])
@@ -77,10 +94,12 @@ class TestFullyCritical:
         assert rep.outcome["verdict"] == "inconclusive"
         assert (rep.outcome["bound_B"], rep.outcome["horizon_B"]) == (5, 15)
         assert rep.outcome["certified_upto"] == 10
+        # at its horizon ste15a is certified on its sparser level dual
         rc = main(["fully-critical", "--name", "ste15a"])
         assert rc == 0
-        assert "bound B = 15, horizon B = 15, 14 nonempty layers tested" in (
-            capsys.readouterr().out)
+        lines = capsys.readouterr().out.splitlines()
+        assert "bound B = 15, horizon B = 15, 8 nonempty layers tested" in lines[0]
+        assert lines[1].startswith("the layers tested are those of the level dual N W^-1")
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_exhausted_budget_is_a_report(self, fmt, capsys):
@@ -246,6 +265,14 @@ class TestShearedZ2:
         assert line == "error: layer vectors up to Q[x] <= 4 leave int64"
         assert main(["fully-critical", "--gram", shear(5 * 10**18), "--bound", "6"]) == 0
 
+    def test_reducing_transform_beyond_int64(self, shear, capsys):
+        # K = 10^19 leaves int64 in LLL's transform itself, not only in the moments
+        path = shear(10**19)
+        assert main(["fully-critical", "--gram", path, "--bound", "6"]) == 0
+        assert "RESULT: fully critical" in capsys.readouterr().out
+        assert main(["probe-conjecture", "--gram", path, "--bound", "6"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "no counterexample candidates"
+
 
 class TestTables:
     def test_dim_4(self, capsys):
@@ -266,8 +293,8 @@ class TestTables:
         rc = main(["tables", "--dims", "4", "--max-vectors", "30"])
         out = capsys.readouterr().out
         assert rc == 2
-        assert [l.split()[0] for l in out.splitlines() if "inconclusive" in l] == [
-            "stc4", "stc10"]
+        # stc10 (A4) is certified on its sparser level dual, which fits the budget
+        assert [l.split()[0] for l in out.splitlines() if "inconclusive" in l] == ["stc4"]
         assert "failure" not in out
         # the note and certified_upto are both in the input's norms (stc4 is doubled)
         assert out.splitlines()[2] == ("  enumeration budget 30 exceeded at (x,x)<=2; "
@@ -440,6 +467,27 @@ class TestProbe:
         assert {r["first_two_designs"] for r in rows} == {True, False}
         for q, row in zip(forms, rows):
             assert row["first_two_designs"] == conjecture_probe(q)[0], row["name"]
+
+    def test_all_catalog_rows_read_the_inputs_own_layers(self, capsys, monkeypatch):
+        # with no --bound, every row is the input's own certificate at its own
+        # horizon, never its level dual's: the rows before the duality route
+        C = sys.modules["latcrit.certify"]
+        real, walked = C.layer_moments, []
+        monkeypatch.setattr(C, "layer_moments",
+                            lambda Q, bound, **kw: walked.append(Q) or real(Q, bound, **kw))
+        B = dict(sta2=1, sta3=1, stb3=2, stb4=4, stb6=4, stc4=2, stc5=2, stc6=1, stc9=4,
+                 stc10=2, stc12=1, std5a=2, std5b=5, std6=10, std10=10, std15a=10,
+                 std15b=10, std20=5, ste6a=2, ste6c=2, ste7=3, ste8=5, ste9=1, ste10a=15,
+                 ste12a=5, ste12b=15, ste12c=10, ste15a=15, ste16=10, ste18a=10, ste21a=3,
+                 ste21b=3, ste27=1, ste30=2, ste36=1, stf7a=3, stf7d=6, stf8=12, stf28a=12,
+                 stf28b=3, stf42=6, stf63=3)
+        rc = main(["probe-conjecture", "--all-catalog", "--format", "json"])
+        rows = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
+        assert rc == 0
+        assert rows == [{"name": name, "first_two_designs": True, "verdict": "fully-critical",
+                         "bound_B": b, "horizon_B": b} for name, b in B.items()]
+        entries = load_catalog().entries
+        assert walked == [e.gram for e in entries]
 
     def test_random_forms(self, capsys):
         rc = main(["probe-conjecture", "--random", "5", "--dims", "2,3",

@@ -31,6 +31,7 @@ from helpers import (
     quadratic_value,
     random_rational_spd,
     random_unimodular,
+    sheared_z2,
     transform_gram,
 )
 
@@ -333,6 +334,15 @@ class TestLLL:
         skewed = transform_gram(I2, U)
         red, _ = lll_reduce(skewed)
         assert red == I2
+
+    @pytest.mark.parametrize("K", [2**63, 2**63 + 1, 10**19])
+    def test_transform_beyond_int64_is_in_python_ints(self, K):
+        # Z^2 in the basis (1, 0), (K, 1) reduces by U = [[1, -K], [0, 1]]:
+        # int64 while -K fits (down to -2^63), Python ints once it does not
+        red, U = lll_reduce(sheared_z2(K))
+        assert red == I2 and U.tolist() == [[1, -K], [0, 1]]
+        assert U.dtype == (np.int64 if K <= 2**63 else object)
+        assert transform_gram(sheared_z2(K), U) == red
 
 
 class TestFormats:

@@ -16,8 +16,9 @@ from latcrit import (
     fully_critical,
 )
 from latcrit.catalog import load_catalog
+from latcrit.certify import SIDE_LEVEL_DUAL
 
-from helpers import box_layers, streamed_verdicts, with_A1
+from helpers import box_layers, level_dual, streamed_verdicts, with_A1
 
 I2 = GramMatrix([[1, 0], [0, 1]])
 A2 = GramMatrix([[2, 1], [1, 2]])
@@ -89,10 +90,14 @@ class TestVanishingReport:
         assert not first[2].is_design
 
     def test_matches_per_layer_verdicts(self):
+        # the rows are the layers of the lattice the report names: stb6 (A3)
+        # is certified on its sparser level dual
         cat = load_catalog()
         forms = [GramMatrix([[2, 0], [0, 4]])] + [cat.by_name(n).gram for n in ("stc4", "stb6")]
         for q in forms:
             rep = fully_critical(q)
+            tested = level_dual(q) if rep.tested == SIDE_LEVEL_DUAL else q
             top = max(v.norm for v in rep.per_layer)
-            direct = {m: v.is_design for m, v in streamed_verdicts(q, top).items()}
+            direct = {m: v.is_design for m, v in streamed_verdicts(tested, top).items()}
             assert {v.norm: v.is_design for v in rep.per_layer} == direct
+        assert rep.tested == SIDE_LEVEL_DUAL
