@@ -20,7 +20,6 @@ from .gram import (
     is_even,
     level,
     load_gram,
-    normalized_to_det1,
 )
 from .shells import (
     EnumerationBudgetError,

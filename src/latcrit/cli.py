@@ -256,7 +256,7 @@ def _cmd_tables(args):
         rows.append({
             "name": e.name, "dim": n, "traditional_name": e.traditional_name,
             "verdict": rep.verdict_text, "expected": VERDICT_CRITICAL,
-            "reference_N": e.reference_N, "bound_used": rep.bound_B,
+            "reference_N": e.reference_N, "tested": rep.tested, "bound_used": rep.bound_B,
             "certified_upto": str(rep.certified_upto), "note": rep.note,
             "matches": ok, "incomplete_dim": incomplete,
         })

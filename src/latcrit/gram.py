@@ -9,7 +9,7 @@ structural (positive definiteness, determinant, inverse, parity, level) runs
 on P in Python-int, fraction-free kernels: Bareiss elimination for the
 leading minors and a fraction-free Gauss-Jordan adjugate for the inverse,
 the level and the level dual.  Floating point enters only through the float
-copies the height machinery reads (``to_float``, ``normalized_to_det1``).
+copies the height machinery reads (``to_float``).
 """
 
 from __future__ import annotations
@@ -251,12 +251,6 @@ def _level_dual(W: GramMatrix, N: int) -> tuple[GramMatrix, int]:
 def double(Q: GramMatrix) -> GramMatrix:
     """Entrywise 2Q: Gram matrix of the sqrt(2)-rescaled lattice."""
     return _from_integral([[2 * p for p in row] for row in Q._P], Q._d)
-
-
-def normalized_to_det1(Q: GramMatrix) -> np.ndarray:
-    """Q / det(Q)^{1/n} as a float matrix (determinant-1 representative)."""
-    d = float(determinant(Q))
-    return Q.to_float() / d ** (1.0 / Q.n)
 
 
 # ---------------------------------------------------------------------------

@@ -25,16 +25,22 @@ as the guard of record: it raises ``TruncationError``.
 A summand depends only on its vector's norm, so each side's vectors are
 grouped into layers and special functions run once per layer.  For a
 ``GramMatrix`` the layers are exact: each side is walked on its integral
-form P (d Q, and d' Q^-1), whose norms m are integers; the walk's float64
-leaf norms are exact while every product and partial sum stays below 2^53,
-which ``shells._norm_magnitude`` guards, so the order BLAS sums them in
-cannot change a bit.  A layer is one value of m, found by ``np.bincount``
+form P (d Q, and d' Q^-1 on its LLL-reduced basis), whose norms m are
+integers; the walk's float64 leaf norms are exact while every product and
+partial sum stays below 2^53, which ``shells._norm_magnitude`` guards, so
+the order BLAS sums them in cannot change a bit.  A layer is one value of m, found by ``np.bincount``
 with no sort; its float norm m / (d det(Q)^{1/n}) (or the inverse's
 analogue) is the only rounding.  Float-array input, and a
 ``GramMatrix`` that fails the guard or would need a bincount table of
 2^20 entries or more, walk the float form and group its rounded norms
 with ``np.unique``.  Both routes collect with ``shells.short_vectors_float``.
 Gamma(a, pi t) on the grid is cached per order a.
+The collector keeps the walk's compact form, each leaf a level-0 parent and
+its last coordinate x_0, and the gradient builds no vector: it re-centres
+each parent on an integer near the middle of its leaves' x_0 interval, sums
+the leaves' weights times 1, d and d^2 (d = x_0 - c) per parent with
+``np.bincount``, and adds the parents' closed forms in blocked sums
+(``_leaf_fold``).
 Tails are majorants: points in an annulus are counted by volume, through a
 fundamental domain of bounded diameter, and summed by parts against the
 monotone summands, so the reported tail estimate is a true upper bound.
@@ -48,8 +54,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import shells
 from .gram import GramMatrix, LatticeDescriptor, determinant, gram_inverse
-from .shells import FLOAT_EXACT, _norm_magnitude, _slack_bound, short_vectors_float
+from .shells import FLOAT_EXACT, HalfSet, _norm_magnitude, _slack_bound, short_vectors_float
 from .specfun import _legendre_cf, upper_gamma
 
 TAIL_REL = 1e-13
@@ -64,6 +71,7 @@ _RADII = _T0 * 1.01 ** np.arange(math.ceil(math.log(800.0 / (math.pi * _T0)) / m
 _X = math.pi * _RADII
 _RADIUS_CAP = _T0 * 1.35 ** 9
 _TABLE_ENTRIES = 1 << 20  # the exact route's bincount table stays below this many entries
+_BLOCK = 256  # parents per block of the gradient's sums (_blocked_sum)
 
 
 class TruncationError(RuntimeError):
@@ -160,7 +168,9 @@ class _Sides:
     A: np.ndarray
     Ainv: np.ndarray
     det: float       # the input form's determinant
-    integral: tuple  # (P, unit) for A and for A^-1, each P / unit; (None, None) for float input
+    dual: np.ndarray      # A^-1 in the basis its vectors are walked in: U^t A^-1 U
+    dual_map: np.ndarray  # U^t A^-1: a walked dual vector z is the row z U^t A^-1 in the gradient
+    integral: tuple  # (P, unit) for A and for ``dual``, each P / unit; (None, None) for float input
     counts: tuple    # _annulus_counts on the radii, for A and for A^-1
 
     def majorant(self, g_form: np.ndarray, g_dual: np.ndarray) -> np.ndarray:
@@ -198,18 +208,25 @@ class _Sides:
 def _sides(L, det1: bool) -> _Sides:
     """The sides of a lattice or a form, rescaled to determinant 1 if ``det1``.
 
-    A ``GramMatrix`` Q gives A = Q / delta, delta = det(Q)^{1/n} or 1 (the
-    bits of ``normalized_to_det1`` when rescaled), A^-1 = delta Q^-1 from the
-    exact inverse, and the integral forms d Q and d' Q^-1 at units d delta
-    and d' / delta.  A float form is validated and inverted once, symmetrized.
+    A ``GramMatrix`` Q gives A = Q / delta, delta = det(Q)^{1/n} or 1,
+    A^-1 = delta Q^-1 from the exact inverse, and the integral forms d Q and
+    d' U^t Q^-1 U at units d delta and d' / delta, with U from the exact
+    ``lll_reduce`` of Q^-1: the dual is walked on its reduced basis, which
+    prunes better than a skewed input basis, and its vectors z enter the
+    gradient as the rows z U^t A^-1 (``dual_map``).  The majorants stay on
+    A^-1: the walk covers the same lattice vectors, with the same norms, at
+    the same radius.  A float form is validated and inverted once,
+    symmetrized, and walked in its given basis (U = I).
     """
     Q = L.gram if isinstance(L, LatticeDescriptor) else L
     if isinstance(Q, GramMatrix):
         det = float(determinant(Q))
         delta = det ** (1.0 / Q.n) if det1 else 1.0
         Qinv = gram_inverse(Q)
-        (P, d), (Pi, di) = Q.integral_rescale(), Qinv.integral_rescale()
-        A, Ainv = Q.to_float() / delta, Qinv.to_float() * delta
+        Qred, U = shells.lll_reduce(Qinv)
+        (P, d), (Pi, di) = Q.integral_rescale(), Qred.integral_rescale()
+        A, Ainv, dual = Q.to_float() / delta, Qinv.to_float() * delta, Qred.to_float() * delta
+        dual_map = U.T.astype(float) @ Ainv
         integral = ((np.array(P, dtype=float), d * delta), (np.array(Pi, dtype=float), di / delta))
     else:
         A = _as_form(Q)
@@ -217,9 +234,9 @@ def _sides(L, det1: bool) -> _Sides:
         if det1:
             A = A / det ** (1.0 / A.shape[0])
         Ainv = np.linalg.inv(A)
-        Ainv = 0.5 * (Ainv + Ainv.T)
+        Ainv = dual = dual_map = 0.5 * (Ainv + Ainv.T)
         integral = (None, None)
-    return _Sides(A=A, Ainv=Ainv, det=det, integral=integral,
+    return _Sides(A=A, Ainv=Ainv, det=det, dual=dual, dual_map=dual_map, integral=integral,
                   counts=(_annulus_counts(A, _RADII), _annulus_counts(Ainv, _RADII)))
 
 
@@ -227,7 +244,7 @@ def _sides(L, det1: bool) -> _Sides:
 class _Layers:
     """One side's half-set in walk order, grouped into layers of equal norm."""
 
-    half: np.ndarray      # float half-set, one vector per antipodal pair
+    half: HalfSet         # one vector per antipodal pair, in the walk's compact form
     distinct: np.ndarray  # its distinct norms, increasing
     inverse: np.ndarray   # half[k] has norm distinct[inverse[k]]
     counts: np.ndarray    # number of half-set vectors of each distinct norm
@@ -295,28 +312,70 @@ def _bounds(sides: _Sides, orders, gradient: bool) -> list:
     return out
 
 
+def _blocked_sum(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """L^t R over blocks of _BLOCK rows, the blocks' products added pairwise.
+
+    Within a block the product rounds as one gemm; numpy's pairwise
+    summation adds the blocks, so the rounding grows with the block size and
+    the logarithm of their count, not with the number of rows.
+    """
+    full, a, b = len(L) - len(L) % _BLOCK, L.shape[1], R.shape[1]
+    prods = np.matmul(L[:full].reshape(-1, _BLOCK, a).transpose(0, 2, 1),
+                      R[:full].reshape(-1, _BLOCK, b)).reshape(-1, a * b)
+    prods = np.vstack([prods, (L[full:].T @ R[full:]).reshape(1, a * b)])
+    return np.ascontiguousarray(prods.T).sum(axis=1).reshape(a, b)
+
+
+def _leaf_fold(half: HalfSet, w: np.ndarray, M: np.ndarray, B) -> np.ndarray:
+    """sum_k w_k v_k v_k^t over the vectors y_k of ``half``, walked on M; v_k = y_k B or y_k.
+
+    A parent's leaves are C + d e_0, with C the parent at x_0 = c, the integer
+    nearest the centre -(C M)_0 / M_00 of their x_0 interval, and d = x_0 - c.
+    With W_j = sum w d^j over its leaves and g = e_0 B, they add
+    W_0 v v^t + W_1 (g v^t + v g^t) + W_2 g g^t, v = C B.  W_0 and W_1 are
+    one ``np.bincount`` each, the W_2 terms one sum over the leaves, and the
+    sums over parents are blocked (``_blocked_sum``).
+    """
+    p, (k, n) = half.parent, half.parents.shape
+    c = np.rint(half.parents @ M[:, 0] / -M[0, 0])
+    d = half.x0 - c[p]
+    wd = w * d
+    C = half.parents.copy()
+    C[:, 0] = c
+    g = np.eye(n)[0]
+    if B is not None:
+        C, g = C @ B, B[0]
+    L = np.empty((k, n + 1))  # [W_0 v, W_1]
+    np.multiply(C, np.bincount(p, w, k)[:, None], out=L[:, :n])
+    L[:, n] = np.bincount(p, wd, k)
+    S = _blocked_sum(L, C)
+    ug = np.outer(g, S[n])
+    return S[:n] + ug + ug.T + float(wd @ d) * np.outer(g, g)
+
+
 def _grad_sum(sides: _Sides, layers: tuple, f: np.ndarray) -> tuple[np.ndarray, float]:
     """(gradient of F, its tolerance GRAD_TAIL_FLOOR + TAIL_REL |G|).
 
     The gradient is a symmetric matrix assembled from both lattice sums:
     -psi1 weights on m m^t over the form's vectors and psi2 weights on
-    (Q^-1 m)(Q^-1 m)^t over the dual's, with
+    (Q^-1 y)(Q^-1 y)^t over the dual's, with
     psi1(c) = pi (pi c)^{-(n/2+1)} Gamma(n/2+1, pi c) and
     psi2(b) = exp(-pi b)/b.  Equivariant under unimodular changes of basis.
     Both weights are evaluated on the distinct norms of ``layers`` (the
     form's, then the dual's; f, F's summand, is given there) and gathered
-    to the vectors through the layers' inverse index.
+    to the vectors through the layers' inverse index.  No vector is built:
+    ``_leaf_fold`` sums each level-0 parent's leaves in closed form, the
+    dual's mapped by ``sides.dual_map``.  Its sums over parents are blocked:
+    as one gemm over all parents, the catalogue's largest projected
+    residual reads 7.1e-14, and blocked 4.3e-15.
     """
     form, dual = layers
     n = sides.A.shape[0]
     c, b = form.distinct, dual.distinct
     w1 = _gradient_weight(n, math.pi * c, f)[form.inverse]
-    V = form.half
-    T1 = 2.0 * ((V * w1[:, None]).T @ V)
     w2 = (np.exp(-math.pi * b) / b)[dual.inverse]
-    W = dual.half @ sides.Ainv
-    T2 = 2.0 * ((W * w2[:, None]).T @ W)
-    G = -T1 + T2
+    G = 2.0 * (_leaf_fold(dual.half, w2, sides.dual, sides.dual_map)
+               - _leaf_fold(form.half, w1, sides.A, None))
     return 0.5 * (G + G.T), GRAD_TAIL_FLOOR + TAIL_REL * float(np.linalg.norm(G))
 
 
@@ -343,7 +402,7 @@ def _certified_sum(sides: _Sides, orders, what: str, gradient: bool = False):
                           & (_RADII <= _RADIUS_CAP))
     radius = float(_RADII[fits[0]]) if fits.size else _RADIUS_CAP
     layers = (_layers(sides.A, sides.integral[0], radius),
-              _layers(sides.Ainv, sides.integral[1], radius))
+              _layers(sides.dual, sides.integral[1], radius))
     terms = [_summand(a, c, x, upper_gamma(a, x)) for (a, c), x
              in zip(orders, (math.pi * layers[0].distinct, math.pi * layers[1].distinct))]
     S = 2.0 * float(layers[0].counts @ terms[0] + layers[1].counts @ terms[1])

@@ -4,16 +4,18 @@ All nonzero integer vectors x with Q[x] <= B are found by a branch-and-bound
 walk over a floating-point Cholesky factorization (Fincke-Pohst), after an
 exact integral LLL reduction of the Gram matrix that updates the reduced Gram
 matrix in place with each column operation.  The walk (``_fp_rows``) goes one
-tree level at a time over numpy frontiers, depth first, and yields float64
-row arrays of at most ``_CHUNK_ROWS`` rows with their norms; the certificate
-(``_half_candidates``) and the height's one collector
-(``short_vectors_float``) read them.  The float search tree is pruned with
-an inflated bound and every candidate is re-verified with its exact norm, so
-the resulting layers are complete and exact.  The walk gives each leaf its
-norm by the leaf quadratic (P_00 x_0 + 2b) x_0 + c, with b and c computed
-once per parent at the last level: on an integral form it is exact in
-float64 while ``_norm_magnitude`` is below 2^53, and beyond that the
-certificate's norms run in Python ints.  The same magnitude bounds the walk's
+tree level at a time over numpy frontiers, depth first, and yields its leaves
+compact, in slices of at most ``_CHUNK_ROWS``: the level-0 parents, and each
+leaf's parent index, last coordinate x_0 and norm.  The certificate
+(``_half_candidates``) gathers them into rows; the height's one collector
+(``short_vectors_float``) keeps them compact (``HalfSet``), so that the
+height sums over each parent's leaves in closed form.  The float search
+tree is pruned with an inflated bound and every candidate is re-verified
+with its exact norm, so the resulting layers are complete and exact.  The
+walk gives each leaf its norm by the leaf quadratic (P_00 x_0 + 2b) x_0 + c,
+with b and c computed once per parent at the last level: on an integral
+form it is exact in float64 while ``_norm_magnitude`` is below 2^53, and
+beyond that the certificate's norms run in Python ints.  The same magnitude bounds the walk's
 coordinates and decides, once per walk, whether the vectors in input
 coordinates and their moments fit int64; where not, they run in Python ints.
 
@@ -129,8 +131,12 @@ def lll_reduce(Q: GramMatrix) -> tuple[GramMatrix, np.ndarray]:
 # Fincke-Pohst core
 
 
-def _fp_rows(P: np.ndarray, bound: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (rows, norms) covering every x != 0 with P[x] <= bound, rows as float64.
+def _fp_rows(P: np.ndarray, bound: float) -> Iterator[tuple]:
+    """Yield (X, p, x0, norms) covering every x != 0 with P[x] <= bound, in float64.
+
+    The leaves come compact, one level-0 slice at a time: X holds the
+    level-0 parents (their x_0 = 0), and leaf k is the row X[p[k]] with
+    x_0 = x0[k], of norm norms[k]; slices of one parent frontier share X.
 
     The walk factors P = R^t R (Cholesky) and goes from coordinate n-1 down
     to 0 over numpy frontiers.  A node at level i holds its fixed
@@ -141,9 +147,9 @@ def _fp_rows(P: np.ndarray, bound: float) -> Iterator[tuple[np.ndarray, np.ndarr
     most ``_CHUNK_ROWS``; each child is mapped to its parent with one
     ``np.repeat`` of the parents' child counts, which a slice that does not
     hold every child clips to its first and last parent, found by
-    bisection.  Each slice is walked to the leaves before the next, so rows
-    come out in per-node recursion order and no frontier or yielded array
-    exceeds ``_CHUNK_ROWS`` rows.  One slice per level is
+    bisection.  Each slice is walked to the leaves before the next, so leaves
+    come out in per-node recursion order, p is nondecreasing, and no
+    frontier or slice exceeds ``_CHUNK_ROWS`` rows.  One slice per level is
     alive, about 16n + 120 bytes a row, so memory is at most
     n * (16n + 120) * _CHUNK_ROWS bytes (27 MB at n = 7, 2^14 rows); the
     traced peak of ``fully_critical(stf28a, max_vectors=4_000_000)`` is
@@ -195,9 +201,7 @@ def _fp_rows(P: np.ndarray, bound: float) -> Iterator[tuple[np.ndarray, np.ndarr
                 p = np.repeat(np.arange(p0, p1), cnt)
             x = np.arange(a + 1.0, b + 1.0) - off[p]
             if i == 0:
-                rows = X[p]
-                rows[:, 0] = x
-                yield rows, (P[0, 0] * x + b2[p]) * x + c[p]
+                yield X, p, x, (P[0, 0] * x + b2[p]) * x + c[p]
                 continue
             u = rii * x + t[p]
             nb = budget[p] - u * u
@@ -280,7 +284,9 @@ def _half_candidates(
     if _CHUNK_ROWS * coord * coord >= INT64_SAFE:
         U = U.astype(object)
     seen = 0
-    for X, norms in _fp_rows(P.astype(float), float(bound_int)):
+    for X, p, x, norms in _fp_rows(P.astype(float), float(bound_int)):
+        X = X[p]
+        X[:, 0] = x
         X = X.astype(np.int64)
         norms = norms.astype(np.int64) if walk_exact else _exact_norms(X, P)
         mask = norms <= bound_int
@@ -419,35 +425,63 @@ def layer_moments(
 # the height's collector (no LLL step: the vectors stay in the coordinates given)
 
 
-def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class HalfSet:
+    """Float vectors in the walk's compact form: vector k is parents[parent[k]] with x_0 = x0[k].
+
+    ``parents`` hold x_0 = 0 and ``parent`` is nondecreasing, so each
+    parent's vectors are consecutive; ``len`` counts the vectors.
+    """
+
+    parents: np.ndarray  # (parents, n) float
+    parent: np.ndarray   # (vectors,) intp
+    x0: np.ndarray       # (vectors,) float
+
+    def __len__(self) -> int:
+        return len(self.x0)
+
+    def rows(self) -> np.ndarray:
+        """The vectors as float rows."""
+        rows = self.parents[self.parent]
+        rows[:, 0] = self.x0
+        return rows
+
+
+def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[HalfSet, np.ndarray]:
     """Half-set {x != 0 : Qf[x] <= bound} of an SPD matrix, with float norms.
 
-    The height's one collector.  Each chunk of the walk comes with its
-    leaves' norms (``_fp_rows``) and is masked at ``_slack_bound(bound)``:
+    The height's one collector.  Each slice of the walk's leaves comes with
+    their norms (``_fp_rows``) and is masked at ``_slack_bound(bound)``:
     the relative 1e-9 slack keeps the vectors whose rounded norm lands just
     above the bound.  On an integral form whose ``_norm_magnitude`` is below
-    FLOAT_EXACT the norms are the exact integers.  Returns (X, norms), X as
-    float rows, one representative per antipodal pair, in the walk's order,
-    which does not depend on the bound; the rows are not sorted by norm.
-    The bound must be finite and nonnegative.
+    FLOAT_EXACT the norms are the exact integers.  Returns (half, norms),
+    one representative per antipodal pair, in the walk's order, which does
+    not depend on the bound; they are not sorted by norm.  ``half`` keeps
+    the walk's compact level-0 form: the slices' parents concatenated
+    once each, and every leaf's parent index into them and x_0.  The bound
+    must be finite and nonnegative.
     """
     bound = float(bound)
     if not (math.isfinite(bound) and bound >= 0):
         raise ValueError(f"enumeration bound must be finite and nonnegative, got {bound}")
     Qf = np.asarray(Qf, dtype=float)
     cut = _slack_bound(bound)
-    chunks, norm_chunks = [], []
-    for X, norms in _fp_rows(Qf, bound):
+    parents, leaves, start = [], [], 0
+    for X, p, x, norms in _fp_rows(Qf, bound):
+        if not parents or X is not parents[-1]:  # a new frontier, indexed from ``start``
+            start += len(parents[-1]) if parents else 0
+            parents.append(X)
         keep = norms <= cut
         if not keep.all():
-            X, norms = X[keep], norms[keep]
-        chunks.append(X)
-        norm_chunks.append(norms)
-    if not chunks:
-        return np.empty((0, Qf.shape[0])), np.empty(0)
-    if len(chunks) == 1:
-        return chunks[0], norm_chunks[0]
-    return np.concatenate(chunks), np.concatenate(norm_chunks)
+            p, x, norms = p[keep], x[keep], norms[keep]
+        leaves.append((p + start, x, norms))
+    if not leaves:
+        return HalfSet(np.empty((0, Qf.shape[0])), np.empty(0, np.intp), np.empty(0)), np.empty(0)
+    if len(leaves) == 1:
+        (p, x, norms), = leaves
+        return HalfSet(parents[0], p, x), norms
+    p, x, norms = (np.concatenate(a) for a in zip(*leaves))
+    return HalfSet(np.concatenate(parents), p, x), norms
 
 
 def dump_spectrum(S: LayerSpectrum) -> str:

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from latcrit import (GramMatrix, TruncationError, double, is_even, layer_moments, level,
-                     short_vectors_float, two_design_verdict, upper_gamma)
+from latcrit import (GramMatrix, TruncationError, determinant, double, is_even, layer_moments,
+                     level, short_vectors_float, two_design_verdict, upper_gamma)
 
 _height = importlib.import_module("latcrit.height")  # the module; latcrit.height is the function
 
@@ -368,6 +368,11 @@ def transform_gram(Q: GramMatrix, U: np.ndarray) -> GramMatrix:
     return GramMatrix((Uo.T @ G @ Uo).tolist())
 
 
+def normalized_to_det1(Q: GramMatrix) -> np.ndarray:
+    """Q / det(Q)^{1/n} as a float matrix, the determinant-1 representative."""
+    return Q.to_float() / float(determinant(Q)) ** (1.0 / Q.n)
+
+
 def tangent_part(A: np.ndarray, S: np.ndarray) -> np.ndarray:
     """S minus its component along A^{-1}: trace-orthogonal to A^{-1}."""
     Ainv = np.linalg.inv(A)
@@ -412,9 +417,9 @@ def height_remainders(A: np.ndarray, radius: float) -> tuple[float, float]:
     Ainv = np.linalg.inv(A)
     lam = float(np.linalg.eigvalsh(Ainv)[-1])
     X, c = short_vectors_float(A, 2 * radius)
-    X, c = X[c > radius], c[c > radius]
+    X, c = X.rows()[c > radius], c[c > radius]
     Y, b = short_vectors_float(Ainv, 2 * radius)
-    W, b = Y[b > radius] @ Ainv, b[b > radius]
+    W, b = Y.rows()[b > radius] @ Ainv, b[b > radius]
     f = lambda c: (math.pi * c) ** (-n / 2) * upper_gamma(n / 2, math.pi * c)
     e1 = lambda b: upper_gamma(0.0, math.pi * b)
     psi1c = lambda c: (math.pi * c) ** (-n / 2) * upper_gamma(n / 2 + 1, math.pi * c)

@@ -327,10 +327,21 @@ class TestTables:
         assert rows == [{
             "name": e.name, "dim": 3, "traditional_name": e.traditional_name,
             "verdict": "fully-critical", "expected": "fully-critical",
-            "reference_N": e.reference_N, "bound_used": rep.bound_B,
+            "reference_N": e.reference_N, "tested": rep.tested, "bound_used": rep.bound_B,
             "certified_upto": str(rep.certified_upto), "note": "",
             "matches": True, "incomplete_dim": False,
         } for e in load_catalog().by_dim(3) for rep in [fully_critical(e)]]
+
+    def test_rows_name_the_side_tested(self, capsys):
+        # a row names the lattice whose layers were tested: stf28a is
+        # certified on its level dual, stf8 on its own layers, and the 14
+        # dual-side rows are the entries whose level dual is sparser
+        assert main(["tables", "--dims", "2,3,4,5,6,7", "--format", "json"]) == 0
+        rows = {r["name"]: r for r in RunReport.from_json(capsys.readouterr().out).outcome["rows"]}
+        assert (rows["stf28a"]["tested"], rows["stf8"]["tested"]) == ("level-dual", "input")
+        assert sorted(name for name, r in rows.items() if r["tested"] == "level-dual") == [
+            "stb6", "stc10", "std15a", "std15b", "std20", "ste12a", "ste15a", "ste18a",
+            "ste21a", "ste30", "ste36", "stf28a", "stf42", "stf63"]
 
 
 class TestNumericCommands:

@@ -21,7 +21,8 @@ from latcrit import (
     height,
     height_constant,
     layer_cardinalities,
-    normalized_to_det1,
+    layer_moments,
+    lll_reduce,
     upper_gamma,
 )
 from latcrit.catalog import load_catalog
@@ -34,6 +35,7 @@ from helpers import (
     directional_derivative_fd,
     large_denominator_form,
     majorant_soundness,
+    normalized_to_det1,
     random_unimodular,
     tangent_part,
     transform_gram,
@@ -439,11 +441,13 @@ class TestOneLatticeSumLoop:
         residual = np.linalg.norm(tangent_part(A, G)) / np.linalg.norm(G)
         assert abs(rep.projected_residual - residual) <= 1e-14
 
-    def test_gradient_assembly_against_fsum(self, monkeypatch):
-        # the BLAS products (V w)^t V against exactly rounded sums of the same
-        # rounded products w_k V_ki V_kj, on each entry's final collection;
-        # the weights are taken on the distinct norms and gathered to the
-        # vectors through the layers' inverse index
+    def test_gradient_assembly_against_exact_moments(self, monkeypatch):
+        # the fold of each parent's leaves against an exact reference on each
+        # entry's final collection: the certificate's per-layer moments S of
+        # the full layers (Python ints, in input coordinates) at the walk's
+        # integer bound, times the float weights as Fractions, and the dual's
+        # sum sandwiched by the float A^-1 as Fractions; the weights are
+        # taken on the distinct norms of the layers, one per layer
         H = sys.modules["latcrit.height"]
         real = H._grad_sum
         calls = []
@@ -453,17 +457,23 @@ class TestOneLatticeSumLoop:
             height(e)
             sides, (form, dual), f = calls[-1]
             n = sides.A.shape[0]
-            V = form.half.astype(float)
-            w1 = H._gradient_weight(n, math.pi * form.distinct, f)[form.inverse]
-            W = dual.half.astype(float) @ sides.Ainv
-            b = dual.distinct
-            w2 = (np.exp(-math.pi * b) / b)[dual.inverse]
-            terms = np.concatenate([-2.0 * (V * w1[:, None])[:, :, None] * V[:, None, :],
-                                    2.0 * (W * w2[:, None])[:, :, None] * W[:, None, :]])
-            ref = np.array([math.fsum(t) for t in terms.reshape(len(terms), -1).T.tolist()])
-            ref = ref.reshape(n, n)
+            weights = (H._gradient_weight(n, math.pi * form.distinct, f),
+                       np.exp(-math.pi * dual.distinct) / dual.distinct)
+            sums = []
+            for q, side, (_, unit), w in zip((e.gram, gram_inverse(e.gram)), (form, dual),
+                                             sides.integral, weights):
+                m = np.rint(side.distinct * unit).astype(np.int64)
+                moments = layer_moments(q, Fraction(int(m[-1]), q.integral_rescale()[1]))
+                assert [norm * q.integral_rescale()[1] for norm in moments] == m.tolist()
+                assert [card for card, _ in moments.values()] == (2 * side.counts).tolist()
+                sums.append(sum((Fraction(wl) * S for wl, (_, S) in zip(w.tolist(),
+                                                                      moments.values())),
+                                np.zeros((n, n), dtype=object)))
+            Ainv = np.array([[Fraction(v) for v in row] for row in sides.Ainv.tolist()])
+            ref = Ainv @ sums[1] @ Ainv - sums[0]
+            ref = np.array((ref + ref.T) / 2, dtype=float)
             G, _ = real(sides, (form, dual), f)
-            assert np.abs(G - 0.5 * (ref + ref.T)).max() <= 5e-14, e.name
+            assert np.abs(G - ref).max() <= 5e-14, e.name
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_recurrence_gradient_weight(self, n):
@@ -508,20 +518,24 @@ class TestSides:
     def test_exact_sides_take_the_exact_inverse(self, monkeypatch):
         # a GramMatrix's A has the bits of normalized_to_det1 (of the form
         # itself without det1) and its A^-1 is the exact inverse times delta,
-        # bit for bit, on the catalogue and its duals; the integral forms are
-        # d Q and d' Q^-1 at units d delta and d' / delta; no float matrix is
-        # inverted
+        # bit for bit, on the catalogue and its duals; the dual is walked on
+        # the LLL-reduced Qr = U^t Q^-1 U, as delta Qr and the integral form
+        # d' Qr at unit d' / delta, and mapped by U^t A^-1; the form's
+        # integral form is d Q at unit d delta; no float matrix is inverted
         H = sys.modules["latcrit.height"]
         inverted, real_inv = [], np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda M: inverted.append(M) or real_inv(M))
         for e in load_catalog().entries:
             for q in (e.gram, gram_inverse(e.gram)):
                 qinv = gram_inverse(q)
-                (P, d), (Pi, di) = q.integral_rescale(), qinv.integral_rescale()
+                qred, U = lll_reduce(qinv)
+                (P, d), (Pi, di) = q.integral_rescale(), qred.integral_rescale()
                 delta = float(determinant(q)) ** (1.0 / q.n)
                 sides = H._sides(q, det1=True)
                 assert np.array_equal(sides.A, normalized_to_det1(q)), e.name
                 assert np.array_equal(sides.Ainv, qinv.to_float() * delta), e.name
+                assert np.array_equal(sides.dual, qred.to_float() * delta), e.name
+                assert np.array_equal(sides.dual_map, U.T.astype(float) @ sides.Ainv), e.name
                 assert sides.det == float(determinant(q))
                 [(Pf, unit), (Pif, unit_inv)] = sides.integral
                 assert np.array_equal(Pf, P) and unit == d * delta
@@ -547,13 +561,45 @@ class TestSides:
                 Ainv = real_inv(A)
                 assert np.array_equal(sides.Ainv, 0.5 * (Ainv + Ainv.T))
                 assert sides.det == det and sides.integral == (None, None)
+                assert sides.dual is sides.Ainv and sides.dual_map is sides.Ainv
+
+
+    def test_reduced_dual_walk_keeps_the_layers(self):
+        # on the catalogue and its duals, the dual walked on its LLL-reduced
+        # basis gives the layers the input basis gives at the height's
+        # radius: the same distinct norms and per-layer counts (the
+        # brute-force box's for n <= 5), and half_vectors_dual unchanged;
+        # 26 of the 42 entries' dual bases change under the reduction
+        H = sys.modules["latcrit.height"]
+        changed = []
+        for e in load_catalog().entries:
+            for q in (e.gram, gram_inverse(e.gram)):
+                rep = height(q)
+                sides = H._sides(q, det1=True)
+                qinv = gram_inverse(q)
+                Pi, di = qinv.integral_rescale()
+                unit = di / float(determinant(q)) ** (1.0 / q.n)
+                radius = rep.truncation_radius
+                given = H._layers(sides.Ainv, (np.array(Pi, dtype=float), unit), radius)
+                reduced = H._layers(sides.dual, sides.integral[1], radius)
+                assert np.array_equal(reduced.distinct, given.distinct), e.name
+                assert np.array_equal(reduced.counts, given.counts), e.name
+                assert rep.half_vectors_dual == len(reduced.half) == len(given.half), e.name
+                if q.n <= 5:
+                    m = np.rint(reduced.distinct * unit).astype(np.int64)
+                    bound = Fraction(math.floor((radius * (1 + 1e-9) + 1e-9) * unit), di)
+                    assert {Fraction(int(k), di): 2 * int(c) for k, c in zip(m, reduced.counts)
+                            } == box_layers(qinv, bound), e.name
+                changed.append(not np.array_equal(sides.dual, sides.Ainv))
+        assert sum(changed[::2]) == 26 and sum(changed) > 26
 
 
 class TestOncePerValue:
     @pytest.mark.parametrize("name", ["sta2", "stc12", "std5b", "ste10a", "stf28a"])
     def test_layers_regroup_the_walk(self, name, monkeypatch):
-        # each side's half-set is the float walk's, in walk order; its exact
-        # integer norms regroup into the layers through the inverse index;
+        # each side's half-set is the float walk's of the form it walks (the
+        # dual's on its reduced basis), in walk order; its exact integer
+        # norms regroup into the layers through the inverse index;
         # the layer counts are the exact ones (the certificate's enumeration,
         # and the brute-force box where it is small); and a summand summed
         # against the layer counts agrees with the exactly rounded sum over
@@ -567,13 +613,14 @@ class TestOncePerValue:
         for q, M, (P, unit), side, g in (
                 (Q, sides.A, sides.integral[0], form,
                  lambda c: H._summand(a, 1.0, math.pi * c, upper_gamma(a, math.pi * c))),
-                (gram_inverse(Q), sides.Ainv, sides.integral[1], dual,
+                (gram_inverse(Q), sides.dual, sides.integral[1], dual,
                  lambda b: upper_gamma(0.0, math.pi * b))):
             X, _ = H.short_vectors_float(M, radius)
-            assert np.array_equal(X, side.half)
+            rows = side.half.rows()
+            assert np.array_equal(X.rows(), rows)
             m = np.rint(side.distinct * unit)
             assert np.array_equal(m / unit, side.distinct)
-            assert np.array_equal(m[side.inverse], ((side.half @ P) * side.half).sum(1))
+            assert np.array_equal(m[side.inverse], ((rows @ P) * rows).sum(1))
             assert np.all(np.diff(side.distinct) > 0)
             assert np.array_equal(np.bincount(side.inverse), side.counts)
             d = q.integral_rescale()[1]
@@ -767,7 +814,7 @@ class TestAnnulusMajorant:
         Ainv = np.linalg.inv(SKEWED)
         lam = H._norm_factor(Ainv)
         Y, b = H.short_vectors_float(Ainv, 200.0)
-        W = Y.astype(float) @ Ainv
+        W = Y.rows() @ Ainv
         assert np.all(np.sum(W * W, 1) <= lam * b * (1 + 1e-12))
         assert np.any(np.sum(W * W, 1) > np.linalg.eigvalsh(SKEWED)[-1] * b)
 

@@ -15,7 +15,6 @@ from latcrit import (
     layer_cardinalities,
     layer_moments,
     lll_reduce,
-    normalized_to_det1,
     short_vectors_float,
 )
 from latcrit import shells
@@ -28,6 +27,7 @@ from helpers import (
     is_lll_reduced,
     large_denominator_form,
     lll_reduce_rational,
+    normalized_to_det1,
     quadratic_value,
     random_rational_spd,
     random_unimodular,
@@ -94,7 +94,7 @@ class TestOracleEquivalence:
         X, norms = short_vectors_float(np.array(skewed.entries, dtype=float), 16)
         assert np.array_equal(norms, np.rint(norms)) and norms.max() <= 16
         got: dict[Fraction, int] = {}
-        for x, m in zip(X, np.rint(norms).astype(int)):
+        for x, m in zip(X.rows(), np.rint(norms).astype(int)):
             assert quadratic_value(skewed, x) == m
             got[Fraction(int(m))] = got.get(Fraction(int(m)), 0) + 2
         assert got == box_layers(skewed, 16)
@@ -114,8 +114,10 @@ class TestOracleEquivalence:
 class TestArrayWalk:
     @staticmethod
     def check_rows(Q, bound, monkeypatch):
-        # the walk on Q's integral form P: rows in order, and each leaf's
-        # norm from the leaf quadratic equal to P[x] in Python ints
+        # the walk on Q's integral form P: leaves in order, compact (each
+        # slice's level-0 parents with x_0 = 0, nondecreasing parent indices
+        # and x_0), and each leaf's norm from the leaf quadratic equal to
+        # P[x] in Python ints
         rows, d = Q.integral_rescale()
         P = np.array(rows, dtype=float)
         assert shells._norm_magnitude(P, bound * d) < shells.FLOAT_EXACT
@@ -124,10 +126,12 @@ class TestArrayWalk:
         for chunk in (shells._CHUNK_ROWS, 8, 3, 1):
             monkeypatch.setattr(shells, "_CHUNK_ROWS", chunk)
             got = list(shells._fp_rows(P, float(bound * d)))
-            assert max(len(X) for X, _ in got) <= chunk
-            assert all(len(X) == len(norms) for X, norms in got)
-            assert np.array_equal(np.concatenate([X for X, _ in got]), ref)
-            assert np.concatenate([norms for _, norms in got]).tolist() == ref_norms
+            assert max(max(len(X), len(x)) for X, _, x, _ in got) <= chunk
+            assert all(len(p) == len(x) == len(norms) for _, p, x, norms in got)
+            assert all(not X[:, 0].any() and np.all(np.diff(p) >= 0) for X, p, _, _ in got)
+            rows = [shells.HalfSet(X, p, x).rows() for X, p, x, _ in got]
+            assert np.array_equal(np.concatenate(rows), ref)
+            assert np.concatenate([norms for *_, norms in got]).tolist() == ref_norms
 
     @pytest.mark.parametrize("name,bound", [
         ("sta2", 40), ("stb3", 40), ("stc12", 40), ("std5a", 24), ("ste10a", 20), ("stf8", 20),
@@ -152,7 +156,7 @@ class TestFloatBound:
 
     def test_zero_bound_is_empty(self):
         X, norms = short_vectors_float(A2.to_float(), 0.0)
-        assert X.shape == (0, 2) and norms.shape == (0,)
+        assert len(X) == 0 and X.rows().shape == (0, 2) and norms.shape == (0,)
 
 
 class TestSplitFrontiers:
@@ -177,7 +181,7 @@ class TestSplitFrontiers:
             for m, (cnt, S) in moments.items():
                 assert cnt == ref_moments[m][0] and (S == ref_moments[m][1]).all()
         X, norms = short_vectors_float(sta3, 6.0)
-        assert (X == float_default[0]).all() and (norms == float_default[1]).all()
+        assert (X.rows() == float_default[0].rows()).all() and (norms == float_default[1]).all()
 
 
 class TestInvariants:
@@ -250,9 +254,9 @@ class TestNormRoutes:
             return magnitudes[-1]
 
         def walk(P, bound):
-            for X, norms in real_walk(P, bound):
-                walked.append((P, X, norms))
-                yield X, norms
+            for X, p, x, norms in real_walk(P, bound):
+                walked.append((P, shells.HalfSet(X, p, x).rows(), norms))
+                yield X, p, x, norms
 
         def exact(X, P):
             object_calls.append(len(X))
