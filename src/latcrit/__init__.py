@@ -45,8 +45,9 @@ from .certify import (
     VERDICT_INCONCLUSIVE,
     conjecture_probe,
     fully_critical,
+    gamma0_cusps,
+    gamma0_horizon,
     gamma0_index,
-    sturm_bound,
 )
 from .specfun import GammaDomainError, upper_gamma
 from .height import (

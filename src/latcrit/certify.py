@@ -2,16 +2,29 @@
 
 The finite check horizon comes from modularity.  For an even lattice of
 level N in even dimension n and a harmonic polynomial P of degree 2, the
-generating function sum_x P(x) q^{(x.x)/2} is a cusp form of weight
+generating function f = sum_x P(x) q^{(x.x)/2} is a cusp form of weight
 k = n/2 + 2 on Gamma_0(N) with the character chi_D(d) = (D/d),
-D = (-1)^{n/2} det (Miyake, *Modular Forms* 4.9).  Sturm's theorem, which
-holds for forms with a character (Sturm 1987), makes it vanish once its
-order at infinity exceeds k [SL_2(Z) : Gamma_0(N)] / 12; a layer is a
-2-design exactly when the coefficients of every such P vanish on it.  So
-every layer with (x.x) <= 2B is tested, B = ``sturm_bound(k, N)``, and a
-pass proves every layer.  A pass at a smaller bound, which the caller may
-ask for, proves only the layers it tested: it is inconclusive.  Each layer
-is decided by ``design.two_design_verdict`` on streamed second moments.
+D = (-1)^{n/2} det (Miyake, *Modular Forms* 4.9); a layer is a 2-design
+exactly when the coefficients of every such P vanish on it.
+
+Theorem.  f = 0 once its coefficients vanish through q^B,
+B = max(1, floor((k I - 6 (c - 1)) / 12)), I = [SL_2(Z) : Gamma_0(N)] and
+c = c(N) = sum_{d | N} phi(gcd(d, N/d)) the number of cusps of Gamma_0(N)
+(``gamma0_horizon``; Diamond-Shurman, *A First Course in Modular Forms*,
+ch. 3, for the valence formula and the cusps).  Proof: chi_D is quadratic,
+so f^2 lies in S_{2k}(Gamma_0(N)) with trivial character.  -I is in
+Gamma_0(N), so every cusp is regular and f^2 has order at least 1 in the
+local parameter at each of the c cusps; its orders at the points of the
+upper half plane are nonnegative.  If f != 0, the valence formula, which
+sums these orders (over the elliptic orders) to 2k I / 12, gives
+2 ord_inf(f) + (c - 1) <= 2k I / 12, so ord_inf(f) <= (k I - 6 (c - 1)) / 12
+< B + 1.  Vanishing through q^B is ord_inf(f) >= B + 1, so f = 0.  Sturm's
+bound floor(k I / 12) (Sturm 1987) counts the cusp at infinity alone.
+
+So every layer with (x.x) <= 2B is tested, and a pass proves every layer.
+A pass at a smaller bound, which the caller may ask for, proves only the
+layers it tested: it is inconclusive.  Each layer is decided by
+``design.two_design_verdict`` on streamed second moments.
 
 Either side of the level duality decides the other.  For a harmonic P of
 degree 2, Poisson summation (the theta transformation formula, tau ->
@@ -25,34 +38,36 @@ level dual N W^{-1} of the even working form W of level N and dimension n
 stands for L: a pass on its layers proves L fully critical, and a failed
 layer refutes L.  It is even, with determinant N^n / det W, so it is the
 sparser lattice (the larger covolume) exactly when N^n > (det W)^2; its
-level divides N, so its horizon is at most W's.  When ``fully_critical``
-picks its own horizon it then walks the dual, at the dual's own level,
-weight and horizon.  An override bound always walks the input, whose
-layers the reference transcripts and the conjecture probe read.  The dual
-is built in closed form (``gram._level_dual``): its integral form is
-(N / det W) adj(W), from the adjugate ``level`` computes, its determinant
-N^n / det W, and its level N / gcd(N, c) with c = gcd(W_ij for i < j,
-W_ii / 2).
+level divides N.  When ``fully_critical`` picks its own horizon it then
+walks the dual, at the dual's own level, weight and horizon: the theorem
+holds for the dual at its own level.  An override bound always walks the
+input, whose layers the reference transcripts and the conjecture probe
+read.  The dual is built in closed form (``gram._level_dual``): its
+integral form is (N / det W) adj(W), from the adjugate ``level`` computes,
+its determinant N^n / det W, and its level N / gcd(N, c) with
+c = gcd(W_ij for i < j, W_ii / 2).
 
 The layers tested are the input's own or its level dual's (``tested``);
 doubling and the A1 summand only set the horizon (level, character and
 weight).  An odd lattice takes it from its double 2Q, a homothety harmless
 to the design structure; a level dual is even.  Odd dimensions take it
-from the even form W plus an orthogonal A1 summand: its
-generating function is the form's times A1's, a series with constant term
-1, so vanishing transfers back.  The summand's premises are read from W
-alone: l diag(W, 2)^{-1} is even integral exactly when level(W) divides l
-and 4 divides l, so diag(W, 2) has level lcm(level(W), 4), twice W's
-discriminant and weight (n+1)/2 + 2, and is never built.  The report names
-its premises: the group, the character's discriminant D of the (augmented)
-working form, the weight, the bound tested and the horizon, and how many
-nonempty layers the certificate actually tested (``vacuous`` when none).
+from the even form W plus an orthogonal A1 summand: an even lattice of rank
+n + 1 on which P, read in W's coordinates, is still harmonic, so the theorem
+covers its series.  That series is the form's times A1's, which has
+constant term 1, so vanishing transfers back.  The summand's premises are
+read from W alone: l diag(W, 2)^{-1} is even integral exactly when level(W)
+divides l and 4 divides l, so diag(W, 2) has level lcm(level(W), 4), twice
+W's discriminant and weight (n+1)/2 + 2, and is never built.  The report
+names its premises: the group and its cusp count, the character's
+discriminant D of the (augmented) working form, the weight, the bound
+tested and the horizon, and how many nonempty layers the certificate
+actually tested (``vacuous`` when none).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -92,16 +107,29 @@ def gamma0_index(N: int) -> int:
     return idx
 
 
-def sturm_bound(k: int, N: int) -> int:
-    """Sturm bound B of weight k on Gamma_0(N), for forms with any character.
+def gamma0_cusps(N: int) -> int:
+    """Number of cusps of Gamma_0(N): sum_{d | N} phi(gcd(d, N/d))."""
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    total = 0
+    for d in range(1, math.isqrt(N) + 1):
+        if N % d == 0:
+            g = math.gcd(d, N // d)
+            phi = sum(math.gcd(u, g) == 1 for u in range(1, g + 1))
+            total += phi if d * d == N else 2 * phi  # d and N/d share g
+    return total
 
-    Such a form is zero once its order at infinity exceeds k * index / 12,
-    so vanishing through q^B with B = floor(k * index / 12) suffices; B is
-    at least 1, so level-1 input still tests a layer.
+
+def gamma0_horizon(k: int, N: int) -> int:
+    """Horizon B of a weight-k cusp form on Gamma_0(N) with a quadratic character.
+
+    B = floor((k index - 6 (cusps - 1)) / 12): vanishing through q^B makes
+    the form zero (the module docstring's theorem).  B is at least 1, so
+    level-1 input still tests a layer.
     """
     if k < 1 or N < 1:
         raise ValueError("weight and level must be positive integers")
-    return max(1, k * gamma0_index(N) // 12)
+    return max(1, (k * gamma0_index(N) - 6 * (gamma0_cusps(N) - 1)) // 12)
 
 
 @dataclass(frozen=True)
@@ -119,12 +147,12 @@ class FullyCriticalReport:
     relative to full-set values; the design verdicts are identical either
     way).  ``failure_norm`` is in the same normalization; the working even
     form's norm is twice it when ``doubled`` is set.  The horizon's premises
-    are the group Gamma_0(level), the character's discriminant
-    ``character_D`` and ``weight``, whose Sturm bound is ``horizon_B``;
-    ``bound_B`` is the bound tested, and only a pass with ``bound_B >=
-    horizon_B`` is fully critical.  ``layers_tested`` counts the nonempty
-    layers behind the verdict, and a fully-critical verdict that tested
-    none is ``vacuous``.
+    are the group Gamma_0(level) with its ``cusps``, the character's
+    discriminant ``character_D`` and ``weight``, whose cusp-counted horizon
+    (``gamma0_horizon``) is ``horizon_B``; ``bound_B`` is the bound
+    tested, and only a pass with ``bound_B >= horizon_B`` is fully critical.
+    ``layers_tested`` counts the nonempty layers behind the verdict, and a
+    fully-critical verdict that tested none is ``vacuous``.
     """
 
     input: LatticeDescriptor
@@ -134,6 +162,7 @@ class FullyCriticalReport:
     weight: int
     bound_B: int
     horizon_B: int
+    cusps: int
     character_D: int
     per_layer: tuple[DesignVerdict, ...]  # nonempty layers, pair convention
     cardinalities: tuple[tuple[Fraction, int], ...]  # antipodal pair counts
@@ -178,6 +207,7 @@ class FullyCriticalReport:
             "weight": self.weight,
             "bound_B": self.bound_B,
             "horizon_B": self.horizon_B,
+            "cusps": self.cusps,
             "layers_tested": self.layers_tested,
             "vacuous": self.vacuous,
             "verdict": self.verdict_text,
@@ -203,7 +233,8 @@ def fully_critical(
     in odd dimension, add an A1 summand to derive the horizon (level
     lcm(N, 4), discriminant twice W's and weight (n+1)/2 + 2, read from W;
     else N, W's discriminant and weight n/2 + 2); test every layer of the
-    input with (x.x) <= 2B on the even form, B the Gamma_0 Sturm bound, or
+    input with (x.x) <= 2B on the even form, B the cusp-counted Gamma_0
+    horizon ``gamma0_horizon`` (see the module docstring), or
     ``override_bound`` when supplied (e.g. the catalogue's reference N, to
     reproduce its transcripts).  With no override, a level dual N W^{-1}
     sparser than W (N^n > (det W)^2) is tested in the input's place, by the
@@ -211,7 +242,7 @@ def fully_critical(
     report's ``tested`` says which.  A failed layer is a definitive
     refutation.
     An exhausted enumeration budget halves the range until it fits, and an
-    override below the Sturm bound tests fewer layers: both are reported as
+    override below the horizon tests fewer layers: both are reported as
     inconclusive with the largest certified bound, never as a failure and
     never as an exception.  When no bound >= 2 fits the budget the report
     is inconclusive with ``certified_upto`` 0 and no layers.
@@ -260,7 +291,7 @@ def _certify_side(
     weight = dim // 2 + 2
     D = (-1) ** (dim // 2) * det
 
-    horizon = sturm_bound(weight, lvl)
+    horizon = gamma0_horizon(weight, lvl)
     B = int(override_bound) if override_bound is not None else horizon
     if B < 1:
         raise ValueError("certification bound must be positive")
@@ -281,12 +312,11 @@ def _certify_side(
     cards = []
     failure_norm = None
     for m, (card, S) in moments.items():
-        w = two_design_verdict(m, card, S, Q)
-        v = replace(w, lhs=w.lhs / 4, rhs=w.rhs / 4)  # restated per antipodal pair
+        v = two_design_verdict(m, card, S, Q, scale=4)  # restated per antipodal pair
         per_layer.append(v)
-        cards.append((v.norm, card // 2))
+        cards.append((m, card // 2))
         if failure_norm is None and not v.is_design:
-            failure_norm = v.norm
+            failure_norm = m
 
     certified = Fraction(bound, s)
     if failure_norm is not None:
@@ -297,7 +327,7 @@ def _certify_side(
         verdict = VERDICT_INCONCLUSIVE
         if B < horizon:
             below = (f"only layers (x,x) <= {certified} checked; "
-                     f"the Gamma0({lvl}) Sturm horizon needs B = {horizon}")
+                     f"the Gamma0({lvl}) horizon needs B = {horizon}")
             note = f"{note}; {below}" if note else below
 
     return FullyCriticalReport(
@@ -308,6 +338,7 @@ def _certify_side(
         weight=weight,
         bound_B=B,
         horizon_B=horizon,
+        cusps=gamma0_cusps(lvl),
         character_D=D,
         per_layer=tuple(per_layer),
         cardinalities=tuple(cards),

@@ -178,8 +178,8 @@ def _cmd_design(args):
 
 def _transcript(report: FullyCriticalReport) -> str:
     lines = [
-        f"{report.input.name or 'input'}: {report.group} with character D = "
-        f"{report.character_D}, weight {report.weight}, bound B = {report.bound_B}, "
+        f"{report.input.name or 'input'}: {report.group} ({report.cusps} cusps) with "
+        f"character D = {report.character_D}, weight {report.weight}, bound B = {report.bound_B}, "
         f"horizon B = {report.horizon_B}, "
         f"{report.layers_tested} nonempty layers tested"
         + (" (vacuous)" if report.vacuous else "")
@@ -257,6 +257,7 @@ def _cmd_tables(args):
             "name": e.name, "dim": n, "traditional_name": e.traditional_name,
             "verdict": rep.verdict_text, "expected": VERDICT_CRITICAL,
             "reference_N": e.reference_N, "tested": rep.tested, "bound_used": rep.bound_B,
+            "horizon_B": rep.horizon_B, "cusps": rep.cusps,
             "certified_upto": str(rep.certified_upto), "note": rep.note,
             "matches": ok, "incomplete_dim": incomplete,
         })
@@ -310,7 +311,7 @@ def _cmd_probe(args):
         first_two = rep.first_two_designs
         rows.append({"name": desc.name, "first_two_designs": first_two,
                      "verdict": rep.verdict_text, "bound_B": rep.bound_B,
-                     "horizon_B": rep.horizon_B})
+                     "horizon_B": rep.horizon_B, "cusps": rep.cusps})
         lines.append(f"{desc.name}: first_two={first_two} verdict={rep.verdict_text}")
         if first_two and rep.verdict == VERDICT_FAILURE:
             hits.append(desc.name)
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fully-critical", help="certify 2-designs on every layer")
     common(p)
     budget(p)
-    p.add_argument("--bound", type=int, help="override the Gamma0 Sturm bound B")
+    p.add_argument("--bound", type=int, help="override the Gamma0 horizon B")
     p.set_defaults(func=_cmd_fully_critical)
 
     p = sub.add_parser("height", help="torus height of the determinant-1 form; the truncation "
@@ -400,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", help="dimensions for random forms (default 2,3,4)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound", type=int,
-                   help="override the Gamma0 Sturm bound B of each probed form")
+                   help="override the Gamma0 horizon B of each probed form")
     p.set_defaults(func=_cmd_probe)
 
     return ap

@@ -51,20 +51,26 @@ class DesignVerdict:
         }
 
 
-def two_design_verdict(norm: Fraction, card: int, S: np.ndarray, Q: GramMatrix) -> DesignVerdict:
+def two_design_verdict(norm: Fraction, card: int, S: np.ndarray, Q: GramMatrix,
+                       scale: int = 1) -> DesignVerdict:
     """Exact 2-design verdict of a layer of Q from its second moment.
 
     ``S`` is the exact sum of x x^t over the full layer of the given norm and
-    cardinality.  With P = d Q the integral form and A = PS, returns
-    lhs = Tr(AA) / d^2, the sum of (x^t Q y)^2 over ordered pairs, and
-    rhs = norm^2 * card^2 / n; they are equal exactly on 2-designs.
+    cardinality.  With P = d Q the integral form, A = PS and norm = a / b,
+    the sum of (x^t Q y)^2 over ordered pairs is Tr(AA) / d^2 and the design
+    value is norm^2 card^2 / n = a^2 card^2 / (n b^2); they are compared as
+    the integers Tr(AA) n b^2 and a^2 card^2 d^2, equal exactly on
+    2-designs.  Both are reported divided by ``scale`` (4 restates them per
+    antipodal pair).
     """
     P, d = Q.integral_rescale()
     A = np.array(P, dtype=object) @ S
-    lhs = Fraction(int((A * A.T).sum()), d * d)
-    rhs = Fraction(card * card, Q.n) * norm * norm
-    if lhs < rhs:
+    trace, a, b = int((A * A.T).sum()), norm.numerator, norm.denominator
+    pairs, design = trace * Q.n * b * b, a * a * card * card * d * d
+    lhs = Fraction(trace, d * d * scale)
+    rhs = Fraction(a * a * card * card, Q.n * b * b * scale)
+    if pairs < design:
         raise DesignComputationError(
             f"pair sum {lhs} fell below the design value {rhs} at norm {norm}"
         )
-    return DesignVerdict(norm=norm, lhs=lhs, rhs=rhs, is_design=lhs == rhs)
+    return DesignVerdict(norm=norm, lhs=lhs, rhs=rhs, is_design=pairs == design)

@@ -117,6 +117,14 @@ def _store(Q: GramMatrix, P: Sequence[Sequence[int]], d: int, name: Optional[str
     object.__setattr__(Q, "_det", det)
 
 
+def _stored(P: Sequence[Sequence[int]], d: int, det: int) -> GramMatrix:
+    """The form P / d with det P = det, stored unchecked: P / d must already be
+    symmetric, positive definite and in lowest terms."""
+    Q = object.__new__(GramMatrix)
+    _store(Q, P, d, None, det)
+    return Q
+
+
 def _from_integral(P: Sequence[Sequence[int]], d: int) -> GramMatrix:
     """The form P / d, for integer rows P and d >= 1, with no Fraction arithmetic."""
     g = math.gcd(d, *(p for row in P for p in row))
@@ -243,8 +251,7 @@ def _level_dual(W: GramMatrix, N: int) -> tuple[GramMatrix, int]:
     adj, det = _adjugate(W._P)
     n, P = W.n, W._P
     c = math.gcd(*(P[i][j] for i in range(n) for j in range(i)), *(P[i][i] // 2 for i in range(n)))
-    dual = object.__new__(GramMatrix)
-    _store(dual, [[N * v // det for v in row] for row in adj], 1, None, N ** n // det)
+    dual = _stored([[N * v // det for v in row] for row in adj], 1, N ** n // det)
     return dual, N // math.gcd(N, c)
 
 

@@ -37,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gram import GramMatrix, RationalLike, _as_fraction, _from_integral
+from .gram import GramMatrix, RationalLike, _as_fraction, _stored
 
 _CHUNK_ROWS = 1 << 14
 DEFAULT_MAX_VECTORS = 60_000_000
@@ -124,7 +124,9 @@ def lll_reduce(Q: GramMatrix) -> tuple[GramMatrix, np.ndarray]:
             k = max(k - 1, 1)
 
     fits = all(-2 ** 63 <= u < 2 ** 63 for row in U for u in row)
-    return _from_integral(G, d), np.array(U, dtype=np.int64 if fits else object)
+    # U^t G U with U unimodular keeps the determinant and the content of G,
+    # so G / d is still symmetric, positive definite and in lowest terms
+    return _stored(G, d, Q._det), np.array(U, dtype=np.int64 if fits else object)
 
 
 # ---------------------------------------------------------------------------

@@ -493,18 +493,53 @@ def sturm_bound_gamma1(k: int, N: int) -> int:
     return math.ceil(Fraction(k * gamma1_index(N), 12))
 
 
-def projective_line_size(N: int) -> int:
-    """|P^1(Z/N)| by brute force: primitive pairs (c, d) mod N up to unit scaling.
+def sturm_bound(k: int, N: int) -> int:
+    """Sturm's bound max(1, floor(k [SL_2(Z) : Gamma_0(N)] / 12)): it counts one cusp."""
+    index = Fraction(N)
+    for p in _prime_divisors(N):
+        index *= 1 + Fraction(1, p)
+    return max(1, k * int(index) // 12)
 
-    This count is the index of Gamma_0(N) in SL_2(Z).
+
+def projective_line(N: int) -> tuple[dict, list]:
+    """P^1(Z/N) by brute force: (point of each primitive pair (c, d) mod N, one pair per point).
+
+    A pair not seen yet opens a new point, and all its unit multiples are
+    mapped to it.
     """
     units = [u for u in range(N) if math.gcd(u, N) == 1]
-    points = set()
+    point, reps = {}, []
     for c in range(N):
         for d in range(N):
-            if math.gcd(math.gcd(c, d), N) == 1:
-                points.add(min(((u * c) % N, (u * d) % N) for u in units))
-    return len(points)
+            if (c, d) not in point and math.gcd(math.gcd(c, d), N) == 1:
+                for u in units:
+                    point[(u * c) % N, (u * d) % N] = len(reps)
+                reps.append((c, d))
+    return point, reps
+
+
+def projective_line_size(N: int) -> int:
+    """|P^1(Z/N)|: the index of Gamma_0(N) in SL_2(Z)."""
+    return len(projective_line(N)[1])
+
+
+def gamma0_cusp_orbits(N: int) -> int:
+    """The cusps of Gamma_0(N), counted as orbits of (c : d) -> (c : c + d) on P^1(Z/N).
+
+    gamma -> (c : d), its bottom row, identifies Gamma_0(N) \\ SL_2(Z) with
+    P^1(Z/N), and the cusps are the double cosets modulo the stabilizer of
+    infinity on the right, which -I and T = [[1, 1], [0, 1]] generate; T
+    moves the bottom row (c, d) to (c, c + d), and -I is a unit multiple.
+    """
+    point, reps = projective_line(N)
+    seen, orbits = [False] * len(reps), 0
+    for start, (c, d) in enumerate(reps):
+        if not seen[start]:
+            orbits += 1
+            while not seen[k := point[c % N, d % N]]:
+                seen[k] = True
+                d += c
+    return orbits
 
 
 def dim_M_gamma1(k: int, N: int) -> int:

@@ -72,7 +72,8 @@ class TestReproduceTables:
         reports = reproduce_tables([4])
         assert len(reports) == 6
         assert all(r.verdict == VERDICT_CRITICAL for r in reports)
-        assert [r.bound_B for r in reports] == [2, 2, 1, 4, 2, 1]
+        assert [r.bound_B for r in reports] == [1, 1, 1, 2, 1, 1]
+        assert all(r.bound_B <= r.input.reference_N for r in reports)
         assert all(r.bound_B <= r.input.reference_N for r in reports)
 
     def test_dim_7_flagged_incomplete(self, capsys):

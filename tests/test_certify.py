@@ -20,7 +20,8 @@ from latcrit import (
     level,
     double,
     enumerate_layers,
-    sturm_bound,
+    gamma0_cusps,
+    gamma0_horizon,
     two_design_verdict,
 )
 from latcrit.catalog import load_catalog
@@ -33,11 +34,13 @@ from helpers import (
     box_layers,
     dim_M_gamma1,
     dim_S_gamma0_chi,
+    gamma0_cusp_orbits,
     gamma1_index,
     level_dual,
     projective_line_size,
     random_unimodular,
     sheared_z2,
+    sturm_bound,
     sturm_bound_gamma1,
     transform_gram,
     two_product_trace,
@@ -119,10 +122,28 @@ class TestGamma0Index:
 
 class TestSturmBound:
     def test_examples(self):
-        assert sturm_bound(5, 20) == 15        # floor(5*36/12)
-        assert sturm_bound(4, 3) == 1          # floor(4*4/12)
-        assert sturm_bound(12, 1) == 1         # floor(12*1/12)
-        assert sturm_bound(6, 1) == 1          # floor(6/12) = 0, raised to 1
+        assert gamma0_horizon(5, 20) == 12     # floor((5*36 - 6*5)/12), Sturm's 15
+        assert gamma0_horizon(6, 16) == 9      # floor((6*24 - 6*5)/12), Sturm's 12
+        assert gamma0_horizon(4, 3) == 1       # floor((4*4 - 6*1)/12) = 0, raised to 1
+        assert gamma0_horizon(12, 1) == 1      # floor(12*1/12): one cusp, Sturm's bound
+        assert gamma0_horizon(6, 1) == 1       # floor(6/12) = 0, raised to 1
+        assert sturm_bound(5, 20) == 15 and sturm_bound(6, 1) == 1
+        with pytest.raises(ValueError):
+            gamma0_horizon(0, 4)
+
+    def test_cusps_against_orbit_count(self):
+        # c(N) = sum_{d | N} phi(gcd(d, N/d)) is the number of orbits of
+        # (c : d) -> (c : c + d) on P^1(Z/N)
+        assert [gamma0_cusps(N) for N in (1, 2, 4, 12, 16, 20)] == [1, 2, 3, 6, 6, 6]
+        assert [gamma0_cusps(N) for N in range(1, 201)] == [
+            gamma0_cusp_orbits(N) for N in range(1, 201)]
+        with pytest.raises(ValueError):
+            gamma0_cusps(0)
+
+    def test_horizon_never_exceeds_sturm(self):
+        for N in range(1, 201):
+            for k in range(1, 13):
+                assert gamma0_horizon(k, N) <= sturm_bound(k, N), (k, N)
 
     def test_dominates_reference_pivots(self):
         # the reference pivots come from the Gamma_1 space: its bound
@@ -130,7 +151,7 @@ class TestSturmBound:
         for e in load_catalog().entries:
             rep = fully_critical(e, override_bound=1)
             assert sturm_bound_gamma1(rep.weight, rep.level) >= e.reference_N
-            assert sturm_bound(rep.weight, rep.level) <= e.reference_N
+            assert gamma0_horizon(rep.weight, rep.level) <= e.reference_N
 
     def test_reference_dimension_is_gamma1(self):
         levels = 0
@@ -142,15 +163,50 @@ class TestSturmBound:
         assert levels == 26
 
     def test_cusp_space_fits_under_the_horizon(self):
-        # Sturm makes the coefficients through q^B injective on the cusp
-        # space, so its dimension is at most B; the formula also asserts that
-        # chi_D is a character mod N with the weight's parity
+        # the horizon makes the coefficients through q^B injective on the
+        # cusp space, so its dimension is at most B; the formula also asserts that
+        # chi_D is a character mod N with the weight's parity.  Both sides of
+        # the entries and the seeded forms: 324 premises, 50 of them with dim = B
         assert [dim_S_gamma0_chi(k, 1, 1) for k in (6, 12, 24)] == [0, 1, 2]
         assert dim_S_gamma0_chi(3, 7, -7) == dim_S_gamma0_chi(4, 5, 1) == 1
+        attained = 0
+        for q in [e.gram for e in load_catalog().entries] + seeded_forms():
+            for side in (q, level_dual(q)):
+                rep = _certify(side, 1, DEFAULT_MAX_VECTORS, dualize=False)
+                dim = dim_S_gamma0_chi(rep.weight, rep.level, rep.character_D)
+                assert dim <= gamma0_horizon(rep.weight, rep.level) == rep.horizon_B, q.entries
+                attained += dim == rep.horizon_B
+        assert attained == 50
+
+    def test_cusp_horizon_decides_as_sturm(self):
+        # each side of the seeded forms decides at the cusp-counted horizon
+        # as at Sturm's bound, and every first failure lies at (x,x) <= 2B
+        # of the even form: a weak oracle, for these failures come on the
+        # first layers; the proof is the module docstring's
+        failures = 0
+        for q in seeded_forms():
+            for side in (q, level_dual(q)):
+                rep = own_side(side)
+                wide = _certify(side, sturm_bound(rep.weight, rep.level), DEFAULT_MAX_VECTORS,
+                                dualize=False)
+                assert (rep.verdict, rep.failure_norm) == (wide.verdict, wide.failure_norm)
+                if rep.verdict == VERDICT_FAILURE:
+                    failures += 1
+                    assert rep.failure_norm * (2 if rep.doubled else 1) <= 2 * rep.horizon_B
+        assert failures == 2 * 111
+
+    def test_vacuous_wherever_the_horizon_leaves_no_layer(self):
+        # the tested side's brute-force layers up to (x,x) <= 2B are the
+        # layers tested, and the certificate is vacuous exactly when there
+        # are none: 14 entries at the cusp-counted horizon
+        vacuous = 0
         for e in load_catalog().entries:
-            rep = fully_critical(e, override_bound=1)
-            dim = dim_S_gamma0_chi(rep.weight, rep.level, rep.character_D)
-            assert dim <= sturm_bound(rep.weight, rep.level), e.name
+            rep = fully_critical(e)
+            side = level_dual(e.gram) if rep.tested == SIDE_LEVEL_DUAL else e.gram
+            layers = box_layers(side, Fraction(2 * rep.bound_B, 2 if rep.doubled else 1))
+            assert (rep.vacuous, rep.layers_tested) == (layers == {}, len(layers)), e.name
+            vacuous += rep.vacuous
+        assert vacuous == 14
 
     def test_gamma0_certificates_hold_at_gamma1(self):
         # seeded random forms: the Gamma_0 horizon never exceeds the Gamma_1
@@ -225,7 +281,7 @@ class TestFullyCritical:
 
     def test_ste36_dual_certificate_is_vacuous(self):
         # E6's level dual (E6* scaled by 3) has minimum 4, beyond its horizon
-        # (x.x) <= 2B = 2: a sound Sturm proof with no layer, flagged
+        # (x.x) <= 2B = 2: a sound horizon proof with no layer, flagged
         e = load_catalog().by_name("ste36")
         rep = fully_critical(e)
         assert rep.tested == SIDE_LEVEL_DUAL and rep.verdict == VERDICT_CRITICAL
@@ -260,17 +316,18 @@ class TestFullyCritical:
                 assert fully_critical(qq).verdict == base
 
     def test_below_the_horizon_is_inconclusive(self):
-        # ste15a's Gamma0(20) horizon is B = 15: a pass at B = 5 proves only
-        # its layers; one at the horizon or above certifies the lattice
+        # ste15a's Gamma0(20) horizon is B = 12: a pass at B = 5 or 11 proves
+        # only its layers; one at the horizon or above certifies the lattice
         e = load_catalog().by_name("ste15a")
         low = fully_critical(e, 5)
-        assert (low.bound_B, low.horizon_B) == (5, 15)
+        assert (low.bound_B, low.horizon_B, low.cusps) == (5, 12, 6)
         assert low.verdict == VERDICT_INCONCLUSIVE
         assert all(v.is_design for v in low.per_layer) and low.layers_tested == 4
         assert low.certified_upto == 10
-        assert "(x,x) <= 10" in low.note and "B = 15" in low.note
-        assert low.to_dict()["horizon_B"] == 15
-        for B in (15, 16):
+        assert "(x,x) <= 10" in low.note and "B = 12" in low.note
+        assert low.to_dict()["horizon_B"] == 12 and low.to_dict()["cusps"] == 6
+        assert fully_critical(e, 11).verdict == VERDICT_INCONCLUSIVE
+        for B in (12, 13):
             assert fully_critical(e, B).verdict == VERDICT_CRITICAL
         # a refuted layer below the horizon is still a refutation
         assert fully_critical(GramMatrix([[2, 0], [0, 4]]), 1).verdict == VERDICT_FAILURE
@@ -287,12 +344,12 @@ class TestFullyCritical:
         assert all(v.is_design for v in rep.per_layer)
         assert rep.note
 
-    @pytest.mark.parametrize("name, upto", [("sta2", 0), ("stb4", 2), ("stf28a", 12)])
+    @pytest.mark.parametrize("name, upto", [("sta2", 0), ("stf7d", 2), ("stf28a", 9)])
     @pytest.mark.parametrize("budget", [0, 1])
     def test_no_bound_fits_the_budget(self, name, upto, budget):
-        # an exhausted budget is a verdict, never an exception; stb4 (A3*,
-        # minimum 3) has no vector with (x,x) <= 2, so that range fits any
-        # budget, and neither has stf28a's level dual (minimum 14) with (x,x) <= 12
+        # an exhausted budget is a verdict, never an exception; stf7d
+        # (doubled) has no vector with (x,x) <= 2, so that range fits any
+        # budget, and neither has stf28a's level dual (minimum 14) with (x,x) <= 9
         rep = fully_critical(load_catalog().by_name(name), max_vectors=budget)
         assert rep.verdict == VERDICT_INCONCLUSIVE
         assert rep.certified_upto == upto
@@ -310,9 +367,9 @@ class TestFullyCritical:
             None if own == 0 else True, True)
 
     def test_budget_note_is_in_the_input_norms(self):
-        # stc4 is doubled: the range cut from is (x,x) <= 2 of the input,
+        # stf7a is doubled: the range cut from is (x,x) <= 2 of the input,
         # (x,x) <= 4 of the working form, and certified_upto is in the same norms
-        rep = fully_critical(load_catalog().by_name("stc4"), max_vectors=30)
+        rep = fully_critical(load_catalog().by_name("stf7a"), max_vectors=30)
         assert rep.doubled and (rep.bound_B, rep.certified_upto) == (2, 1)
         assert rep.note == "enumeration budget 30 exceeded at (x,x)<=2; certified range reduced"
 
@@ -348,21 +405,22 @@ class TestFullyCritical:
         assert odd > 0
 
     def test_certify_default_verdicts(self, monkeypatch, walk_dtypes):
-        # every layer the horizon with a 4M budget tests, 105 on the sparser
-        # sides (153 on the inputs' own): the one-product lhs equals the
-        # two-product trace Tr(AA) / d^2, and every walk stays on the int64 route
+        # every layer the horizon with a 4M budget tests, 60 on the sparser
+        # sides (105 at Sturm's bound): the one-product lhs equals the
+        # two-product trace Tr(AA) / d^2 (the rows are per antipodal pair, a
+        # quarter of it), and every walk stays on the int64 route
         C = sys.modules["latcrit.certify"]
         real, pairs = C.two_design_verdict, []
 
-        def verdict(m, card, S, Q):
-            w = real(m, card, S, Q)
-            pairs.append((w.lhs, two_product_trace(S, Q)))
+        def verdict(m, card, S, Q, scale=1):
+            w = real(m, card, S, Q, scale)
+            pairs.append((w.lhs * scale, two_product_trace(S, Q)))
             return w
 
         monkeypatch.setattr(C, "two_design_verdict", verdict)
         for e in load_catalog().entries:
             fully_critical(e, max_vectors=4_000_000)
-        assert len(pairs) == 105 and all(a == b for a, b in pairs)
+        assert len(pairs) == 60 and all(a == b for a, b in pairs)
         assert walk_dtypes == {np.dtype(np.int64)}
 
     def test_report_serializes(self):

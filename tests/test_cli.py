@@ -52,7 +52,7 @@ class TestFullyCritical:
         capsys.readouterr()
         rc = main(["fully-critical", "--name", "stc12"])
         assert rc == 0
-        assert "stc12: Gamma0(2) with character D = 4, weight 4, bound B = 1" in (
+        assert "stc12: Gamma0(2) (2 cusps) with character D = 4, weight 4, bound B = 1" in (
             capsys.readouterr().out)
 
     def test_vacuous_certificate_is_flagged(self, capsys):
@@ -60,15 +60,15 @@ class TestFullyCritical:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.splitlines()[0] == (
-            "ste27: Gamma0(3) with character D = -243, weight 5, bound B = 1, "
+            "ste27: Gamma0(3) (2 cusps) with character D = -243, weight 5, bound B = 1, "
             "horizon B = 1, 0 nonempty layers tested (vacuous)")
 
     def test_vacuous_dual_certificate_is_flagged(self, capsys):
         rc = main(["fully-critical", "--name", "ste36"])
         lines = capsys.readouterr().out.splitlines()
         assert rc == 0
-        assert lines[0] == ("ste36: Gamma0(3) with character D = -243, weight 5, bound B = 1, "
-                            "horizon B = 1, 0 nonempty layers tested (vacuous)")
+        assert lines[0] == ("ste36: Gamma0(3) (2 cusps) with character D = -243, weight 5, "
+                            "bound B = 1, horizon B = 1, 0 nonempty layers tested (vacuous)")
         assert "level dual" in lines[1]
 
     @pytest.mark.parametrize("name, tested", [("stf28a", "level-dual"), ("stf8", "input")])
@@ -78,7 +78,8 @@ class TestFullyCritical:
         outcome = RunReport.from_json(capsys.readouterr().out).outcome
         assert rc == 0
         assert (outcome["tested"], outcome["verdict"]) == (tested, "fully-critical")
-        assert (outcome["level"], outcome["bound_B"], outcome["layers_tested"]) == (16, 12, 2)
+        assert (outcome["level"], outcome["cusps"], outcome["bound_B"],
+                outcome["layers_tested"]) == (16, 6, 9, 1)
 
     def test_budget_inconclusive_exit_code(self, capsys):
         rc = main(["fully-critical", "--name", "ste10a", "--bound", "60",
@@ -92,13 +93,14 @@ class TestFullyCritical:
         rep = RunReport.from_json(capsys.readouterr().out)
         assert rc == 2
         assert rep.outcome["verdict"] == "inconclusive"
-        assert (rep.outcome["bound_B"], rep.outcome["horizon_B"]) == (5, 15)
+        assert (rep.outcome["bound_B"], rep.outcome["horizon_B"]) == (5, 12)
         assert rep.outcome["certified_upto"] == 10
         # at its horizon ste15a is certified on its sparser level dual
         rc = main(["fully-critical", "--name", "ste15a"])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
-        assert "bound B = 15, horizon B = 15, 8 nonempty layers tested" in lines[0]
+        assert "(6 cusps)" in lines[0]
+        assert "bound B = 12, horizon B = 12, 6 nonempty layers tested" in lines[0]
         assert lines[1].startswith("the layers tested are those of the level dual N W^-1")
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -290,13 +292,14 @@ class TestTables:
         assert "5 entries, 0 mismatches" in out
 
     def test_inconclusive_rows_exit_2(self, capsys):
-        rc = main(["tables", "--dims", "4", "--max-vectors", "30"])
+        rc = main(["tables", "--dims", "7", "--max-vectors", "30"])
         out = capsys.readouterr().out
         assert rc == 2
-        # stc10 (A4) is certified on its sparser level dual, which fits the budget
-        assert [l.split()[0] for l in out.splitlines() if "inconclusive" in l] == ["stc4"]
+        # stf28a, stf42 and stf63 are certified on their sparser level duals,
+        # which fit the budget
+        assert [l.split()[0] for l in out.splitlines() if "inconclusive" in l] == ["stf7a"]
         assert "failure" not in out
-        # the note and certified_upto are both in the input's norms (stc4 is doubled)
+        # the note and certified_upto are both in the input's norms (stf7a is doubled)
         assert out.splitlines()[2] == ("  enumeration budget 30 exceeded at (x,x)<=2; "
                                        "certified range reduced; certified up to (x,x) <= 1")
 
@@ -328,6 +331,7 @@ class TestTables:
             "name": e.name, "dim": 3, "traditional_name": e.traditional_name,
             "verdict": "fully-critical", "expected": "fully-critical",
             "reference_N": e.reference_N, "tested": rep.tested, "bound_used": rep.bound_B,
+            "horizon_B": rep.horizon_B, "cusps": rep.cusps,
             "certified_upto": str(rep.certified_upto), "note": "",
             "matches": True, "incomplete_dim": False,
         } for e in load_catalog().by_dim(3) for rep in [fully_critical(e)]]
@@ -342,6 +346,14 @@ class TestTables:
         assert sorted(name for name, r in rows.items() if r["tested"] == "level-dual") == [
             "stb6", "stc10", "std15a", "std15b", "std20", "ste12a", "ste15a", "ste18a",
             "ste21a", "ste30", "ste36", "stf28a", "stf42", "stf63"]
+
+    def test_rows_carry_the_cusps(self, capsys):
+        # each row names the cusps of its group next to the horizon they
+        # lower: ste10a is on Gamma0(20), stf28a's level dual on Gamma0(16)
+        assert main(["tables", "--dims", "6,7", "--format", "json"]) == 0
+        rows = {r["name"]: r for r in RunReport.from_json(capsys.readouterr().out).outcome["rows"]}
+        assert [(rows[name]["cusps"], rows[name]["horizon_B"], rows[name]["bound_used"])
+                for name in ("ste10a", "stf28a")] == [(6, 12, 12), (6, 9, 9)]
 
 
 class TestNumericCommands:
@@ -446,19 +458,26 @@ class TestProbe:
         assert rc == 2
         # no layer was tested, so whether the first two are designs is unknown
         assert row == {"name": "sta2", "first_two_designs": None, "verdict": "inconclusive",
-                       "bound_B": 1, "horizon_B": 1}
+                       "bound_B": 1, "horizon_B": 1, "cusps": 3}
+
+    def test_rows_carry_the_cusps(self, capsys):
+        # ste10a is on Gamma0(20), stf28a (A7) on Gamma0(16): six cusps each
+        for name, B in (("ste10a", 12), ("stf28a", 9)):
+            assert main(["probe-conjecture", "--name", name, "--format", "json"]) == 0
+            [row] = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
+            assert (row["cusps"], row["horizon_B"], row["bound_B"]) == (6, B, B)
 
     def test_gram_input_is_probed_at_its_horizon(self, tmp_path, capsys):
-        # a --gram copy has no reference N: the Gamma0(20) Sturm bound of
-        # ste15a is 15; a --bound below it proves nothing beyond its layers
+        # a --gram copy has no reference N: the Gamma0(20) horizon of ste15a
+        # is 12; a --bound below it proves nothing beyond its layers
         path = tmp_path / "ste15a.json"
         path.write_text(gram_json(load_catalog().by_name("ste15a").gram), encoding="utf-8")
-        for extra, B, code, verdict in (([], 15, 0, "fully-critical"),
-                                        (["--bound", "4"], 4, 2, "inconclusive")):
+        for extra, B, code, verdict in (([], 12, 0, "fully-critical"),
+                                        (["--bound", "11"], 11, 2, "inconclusive")):
             rc = main(["probe-conjecture", "--gram", str(path), "--format", "json"] + extra)
             [row] = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
             assert rc == code
-            assert (row["bound_B"], row["horizon_B"]) == (B, 15)
+            assert (row["bound_B"], row["horizon_B"], row["cusps"]) == (B, 12, 6)
             assert row["verdict"] == verdict
 
     def test_rows_carry_conjecture_probes_pair(self, capsys):
@@ -486,17 +505,22 @@ class TestProbe:
         real, walked = C.layer_moments, []
         monkeypatch.setattr(C, "layer_moments",
                             lambda Q, bound, **kw: walked.append(Q) or real(Q, bound, **kw))
-        B = dict(sta2=1, sta3=1, stb3=2, stb4=4, stb6=4, stc4=2, stc5=2, stc6=1, stc9=4,
-                 stc10=2, stc12=1, std5a=2, std5b=5, std6=10, std10=10, std15a=10,
-                 std15b=10, std20=5, ste6a=2, ste6c=2, ste7=3, ste8=5, ste9=1, ste10a=15,
-                 ste12a=5, ste12b=15, ste12c=10, ste15a=15, ste16=10, ste18a=10, ste21a=3,
-                 ste21b=3, ste27=1, ste30=2, ste36=1, stf7a=3, stf7d=6, stf8=12, stf28a=12,
-                 stf28b=3, stf42=6, stf63=3)
+        # (horizon, cusps) of each entry's own group
+        B = dict(sta2=(1, 3), sta3=(1, 2), stb3=(1, 3), stb4=(2, 4), stb6=(2, 4), stc4=(1, 3),
+                 stc5=(1, 2), stc6=(1, 2), stc9=(2, 4), stc10=(1, 2), stc12=(1, 2),
+                 std5a=(1, 3), std5b=(3, 4), std6=(7, 6), std10=(7, 6), std15a=(7, 6),
+                 std15b=(7, 6), std20=(3, 4), ste6a=(1, 3), ste6c=(1, 3), ste7=(2, 2),
+                 ste8=(3, 4), ste9=(1, 2), ste10a=(12, 6), ste12a=(3, 4), ste12b=(12, 6),
+                 ste12c=(7, 6), ste15a=(12, 6), ste16=(7, 6), ste18a=(7, 6), ste21a=(2, 2),
+                 ste21b=(2, 2), ste27=(1, 2), ste30=(1, 3), ste36=(1, 2), stf7a=(2, 3),
+                 stf7d=(4, 4), stf8=(9, 6), stf28a=(9, 6), stf28b=(2, 3), stf42=(4, 4),
+                 stf63=(2, 3))
         rc = main(["probe-conjecture", "--all-catalog", "--format", "json"])
         rows = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
         assert rc == 0
         assert rows == [{"name": name, "first_two_designs": True, "verdict": "fully-critical",
-                         "bound_B": b, "horizon_B": b} for name, b in B.items()]
+                         "bound_B": b, "horizon_B": b, "cusps": c}
+                        for name, (b, c) in B.items()]
         entries = load_catalog().entries
         assert walked == [e.gram for e in entries]
 

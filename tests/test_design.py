@@ -21,6 +21,7 @@ from helpers import (
     random_unimodular,
     streamed_verdicts,
     transform_gram,
+    two_product_trace,
 )
 
 I2 = GramMatrix([[1, 0], [0, 1]])
@@ -127,6 +128,28 @@ class TestMomentRoute:
         assert verdict_at(I2, 1).is_design
         assert not verdict_at(D12, 1).is_design
         assert verdict_at(load_catalog().by_name("ste10a").gram, 3).is_design
+
+    def test_integer_comparison_and_scale(self):
+        # the verdict compares integers; its sides are Tr(AA) / d^2 and
+        # m^2 |M|^2 / n as Fractions, and scale divides both, the decision
+        # unchanged: on the catalogue and on forms with denominators
+        rng = np.random.default_rng(7)
+        forms = [e.gram for e in load_catalog().entries]
+        forms += [random_rational_spd(n, rng) for n in range(2, 6) for _ in range(3)]
+        designs = layers = 0
+        for Q in forms:
+            bound = 2 * min(Q.entries[i][i] for i in range(Q.n))
+            for m, (card, S) in layer_moments(Q, bound).items():
+                w = two_design_verdict(m, card, S, Q)
+                assert (w.lhs, w.rhs) == (two_product_trace(S, Q),
+                                          Fraction(card * card, Q.n) * m * m)
+                assert w.is_design == (w.lhs == w.rhs)
+                w4 = two_design_verdict(m, card, S, Q, scale=4)
+                assert (w4.norm, w4.lhs, w4.rhs, w4.is_design) == (
+                    m, w.lhs / 4, w.rhs / 4, w.is_design)
+                designs += w.is_design
+                layers += 1
+        assert 0 < designs < layers
 
     def test_broken_moment_raises(self):
         # a zero moment for a nonempty layer breaks Tr(PSPS) >= m^2 |M|^2 / n

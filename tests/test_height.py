@@ -331,6 +331,26 @@ class TestGradient:
         b = directional_derivative_fd(A, H, -1e-4)
         assert a == b  # central difference is even in the step
 
+    def test_trace_against_the_form_half(self):
+        # Tr(A G) = -(n/2) S_A(n/2), S_A(n/2) = sum_m x^{-n/2} Gamma(n/2, x)
+        # at x = pi A[m] (F's form half): Tr(A G) sums e^{-pi A^-1[y]} over
+        # the dual and -(n/2 f + e^{-x}) over the form, and Poisson summation
+        # at tau = i cancels the two e^{-x} sums at det 1.  On the catalogue,
+        # its exact inverses and its float forms
+        H = sys.modules["latcrit.height"]
+        forms = [e.gram for e in load_catalog().entries]
+        worst = 0.0
+        for L in forms + [gram_inverse(q) for q in forms] + [q.to_float() for q in forms]:
+            sides = H._sides(L, det1=True)
+            n = sides.A.shape[0]
+            _, G, _, _, (form, _) = H._certified_sum(sides, H._F_orders(n), "height",
+                                                     gradient=True)
+            x = math.pi * form.distinct
+            half = 2.0 * float(form.counts @ (x ** (-n / 2) * upper_gamma(n / 2, x)))
+            trace = float(np.tensordot(sides.A, G))
+            worst = max(worst, abs(trace + n / 2 * half) / (n / 2 * half))
+        assert worst <= 1e-13
+
     def test_gradient_transformation_law(self):
         # F(U^t Q U) = F(Q) forces G(U^t Q U) = U^{-1} G(Q) U^{-t}
         rng = np.random.default_rng(19)

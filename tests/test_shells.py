@@ -19,6 +19,7 @@ from latcrit import (
 )
 from latcrit import shells
 from latcrit.catalog import load_catalog
+from latcrit.gram import _from_integral
 
 from helpers import (
     box_layers,
@@ -332,6 +333,20 @@ class TestLLL:
             red, U = lll_reduce(Q)
             want_red, want_U = lll_reduce_rational(Q)
             assert red == want_red and (U == want_U).all(), name
+
+    def test_stored_result_is_the_validated_form(self):
+        # the reduced form is stored unchecked: it equals the form that
+        # validation and the gcd give, with the same determinant and content
+        forms = 0
+        for name, Q in exact_kernel_forms():
+            red, _ = lll_reduce(Q)
+            P, d = red.integral_rescale()
+            want = _from_integral(P, d)
+            assert (red._P, red._d, red._det, red.name) == (
+                want._P, want._d, want._det, want.name), name
+            assert red._det == Q._det, name
+            forms += 1
+        assert forms == 1001
 
     def test_reduces_skewed_basis(self):
         U = np.array([[1, 7], [0, 1]], dtype=np.int64)

@@ -90,10 +90,10 @@ class TestVanishingReport:
         assert not first[2].is_design
 
     def test_matches_per_layer_verdicts(self):
-        # the rows are the layers of the lattice the report names: stb6 (A3)
-        # is certified on its sparser level dual
+        # the rows are the layers of the lattice the report names: ste15a is
+        # certified on its sparser level dual
         cat = load_catalog()
-        forms = [GramMatrix([[2, 0], [0, 4]])] + [cat.by_name(n).gram for n in ("stc4", "stb6")]
+        forms = [GramMatrix([[2, 0], [0, 4]])] + [cat.by_name(n).gram for n in ("stc4", "ste15a")]
         for q in forms:
             rep = fully_critical(q)
             tested = level_dual(q) if rep.tested == SIDE_LEVEL_DUAL else q
