@@ -129,7 +129,12 @@ def gamma0_horizon(k: int, N: int) -> int:
     """
     if k < 1 or N < 1:
         raise ValueError("weight and level must be positive integers")
-    return max(1, (k * gamma0_index(N) - 6 * (gamma0_cusps(N) - 1)) // 12)
+    return _horizon(k, N, gamma0_cusps(N))
+
+
+def _horizon(k: int, N: int, cusps: int) -> int:
+    """``gamma0_horizon`` with the cusp count of Gamma_0(N) given."""
+    return max(1, (k * gamma0_index(N) - 6 * (cusps - 1)) // 12)
 
 
 @dataclass(frozen=True)
@@ -291,7 +296,8 @@ def _certify_side(
     weight = dim // 2 + 2
     D = (-1) ** (dim // 2) * det
 
-    horizon = gamma0_horizon(weight, lvl)
+    cusps = gamma0_cusps(lvl)
+    horizon = _horizon(weight, lvl, cusps)
     B = int(override_bound) if override_bound is not None else horizon
     if B < 1:
         raise ValueError("certification bound must be positive")
@@ -338,7 +344,7 @@ def _certify_side(
         weight=weight,
         bound_B=B,
         horizon_B=horizon,
-        cusps=gamma0_cusps(lvl),
+        cusps=cusps,
         character_D=D,
         per_layer=tuple(per_layer),
         cardinalities=tuple(cards),

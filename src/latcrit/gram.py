@@ -210,9 +210,18 @@ def determinant(Q: GramMatrix) -> Fraction:
 
 
 def gram_inverse(Q: GramMatrix) -> GramMatrix:
-    """Exact inverse d adj(P) / det(P) of Q = P / d: the Gram matrix of the dual lattice."""
+    """Exact inverse d adj(P) / det(P) of Q = P / d: the Gram matrix of the dual lattice.
+
+    The inverse of a symmetric positive definite form is one, so it is
+    stored unchecked.  g = gcd(det P, d adj(P)) puts it in lowest terms, and
+    its integral rows d adj(P) / g have determinant
+    d^n det(adj P) / g^n = d^n (det P)^(n-1) / g^n.
+    """
     adj, det = _adjugate(Q._P)
-    return _from_integral([[Q._d * v for v in row] for row in adj], det)
+    n, d = Q.n, Q._d
+    g = math.gcd(det, *(d * v for row in adj for v in row))
+    return _stored([[d * v // g for v in row] for row in adj], det // g,
+                   d ** n * det ** (n - 1) // g ** n)
 
 
 def is_even(Q: GramMatrix) -> bool:

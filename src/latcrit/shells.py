@@ -3,11 +3,19 @@
 All nonzero integer vectors x with Q[x] <= B are found by a branch-and-bound
 walk over a floating-point Cholesky factorization (Fincke-Pohst), after an
 exact integral LLL reduction of the Gram matrix that updates the reduced Gram
-matrix in place with each column operation.  The walk (``_fp_rows``) goes one
-tree level at a time over numpy frontiers, depth first, and yields its leaves
-compact, in slices of at most ``_CHUNK_ROWS``: the level-0 parents, and each
-leaf's parent index, last coordinate x_0 and norm.  The certificate
-(``_half_candidates``) gathers them into rows; the height's one collector
+matrix in place with each column operation.  The walk (``_fp_rows``) has two
+phases.  It expands the sparse top of the tree node by node on Python floats
+while a whole level creates at most ``_SCALAR_CHILDREN`` (32) children: a
+vectorized level costs about 30 us of numpy calls however few nodes it
+holds, a Python child about 1-2 us.  From the first level that would create
+more, and always at the leaf level, it goes one tree level at a time over
+numpy frontiers, depth first.  Both phases run the same IEEE operations in
+the same order, so the yields, and with them the completeness argument
+below, do not depend on where the walk hands over; the scalar frontier holds
+at most 32 nodes, so the walk's memory bound still holds.  The walk yields
+its leaves compact, in slices of at most ``_CHUNK_ROWS``: the level-0
+parents, and each leaf's parent index, last coordinate x_0 and norm.  The
+certificate (``_half_candidates``) gathers them into rows; the height's one collector
 (``short_vectors_float``) keeps them compact (``HalfSet``), so that the
 height sums over each parent's leaves in closed form.  The float search
 tree is pruned with an inflated bound and every candidate is re-verified
@@ -40,6 +48,7 @@ import numpy as np
 from .gram import GramMatrix, RationalLike, _as_fraction, _stored
 
 _CHUNK_ROWS = 1 << 14
+_SCALAR_CHILDREN = 32
 DEFAULT_MAX_VECTORS = 60_000_000
 
 
@@ -141,12 +150,21 @@ def _fp_rows(P: np.ndarray, bound: float) -> Iterator[tuple]:
     x_0 = x0[k], of norm norms[k]; slices of one parent frontier share X.
 
     The walk factors P = R^t R (Cholesky) and goes from coordinate n-1 down
-    to 0 over numpy frontiers.  A node at level i holds its fixed
-    coordinates, its centres S[:i+1] and its budget; its children x_i fill
-    the interval |r_ii*x_i + S_i| <= sqrt(budget), laid out by cumulative
-    counts, and keep budget - u^2 (u = r_ii*x_i + S_i, pruned if negative)
-    and centres S[:i] + R[:i, i]*x_i.  Children are cut into slices of at
-    most ``_CHUNK_ROWS``; each child is mapped to its parent with one
+    to 0.  A node at level i holds its fixed coordinates, its centres
+    S[:i+1] and its budget; its children x_i fill the interval
+    |r_ii*x_i + S_i| <= sqrt(budget) and keep budget - u^2 (u = r_ii*x_i +
+    S_i, pruned if negative) and centres S[:i] + R[:i, i]*x_i.
+
+    The walk has two phases that run these IEEE operations in the same
+    order, so they give bit-identical nodes.  The sparse top of the tree is
+    expanded node by node on Python floats while a whole level creates at
+    most ``_SCALAR_CHILDREN`` children: a vectorized level costs about
+    30 us of numpy calls however few nodes it holds, a Python child about
+    1-2 us.  At the first level that would create more, and always at the
+    leaf level, the frontier is handed over as arrays, in slices of at most
+    ``_CHUNK_ROWS``, to the vectorized phase.  There a level's children are
+    laid out by cumulative counts and cut into slices of at most
+    ``_CHUNK_ROWS``; each child is mapped to its parent with one
     ``np.repeat`` of the parents' child counts, which a slice that does not
     hold every child clips to its first and last parent, found by
     bisection.  Each slice is walked to the leaves before the next, so leaves
@@ -154,8 +172,9 @@ def _fp_rows(P: np.ndarray, bound: float) -> Iterator[tuple]:
     frontier or slice exceeds ``_CHUNK_ROWS`` rows.  One slice per level is
     alive, about 16n + 120 bytes a row, so memory is at most
     n * (16n + 120) * _CHUNK_ROWS bytes (27 MB at n = 7, 2^14 rows); the
-    traced peak of ``fully_critical(stf28a, max_vectors=4_000_000)`` is
-    12 MB, against 46 MB at 2^16 rows.
+    scalar frontier holds at most ``_SCALAR_CHILDREN`` nodes, so the bound
+    stands.  The traced peak of ``fully_critical(stf28a,
+    max_vectors=4_000_000)`` is 12 MB, against 46 MB at 2^16 rows.
 
     A leaf's norm is the leaf quadratic (P_00 x_0 + 2b) x_0 + c, where the
     parents at level 0 (their x_0 = 0) give b = P[0, :] x and c = P[x] once
@@ -213,9 +232,41 @@ def _fp_rows(P: np.ndarray, bound: float) -> Iterator[tuple]:
             Xc[:, i] = x
             yield from expand(i - 1, Xc, S[p, :i] + R[:i, i] * x[:, None], nb, zero[p] & (x == 0))
 
-    budget = bound + (1e-9 * bound + 1e-9)
-    yield from expand(n - 1, np.zeros((1, n)), np.zeros((1, n)),
-                      np.array([budget]), np.array([True]))
+    # the scalar phase: the nodes (x_i+1 .. x_n-1, S[:i+1], budget, zero) of level i
+    Rl = R.tolist()
+    nodes = [((), [0.0] * n, bound + (1e-9 * bound + 1e-9), True)]
+    i = n - 1
+    while i > 0:
+        rii, col = Rl[i][i], [row[i] for row in Rl[:i]]
+        spans, total = [], 0
+        for _, S, budget, zero in nodes:
+            rad, t = math.sqrt(budget), S[i]
+            lo = math.ceil((-rad - t) / rii - 1e-12)
+            lo = max(lo, 0) if zero else lo
+            hi = math.floor((rad - t) / rii + 1e-12)
+            spans.append((lo, hi))
+            total += max(hi - lo + 1, 0)
+        if total > _SCALAR_CHILDREN:
+            break
+        children = []
+        for (xs, S, budget, zero), (lo, hi) in zip(nodes, spans):
+            for x in range(lo, hi + 1):
+                u = rii * x + S[i]
+                nb = budget - u * u
+                if nb >= 0:
+                    children.append(((x, *xs), [s + r * x for s, r in zip(S, col)], nb,
+                                     zero and x == 0))
+        nodes = children
+        i -= 1
+    if not nodes:
+        return
+    xs, S, budget, zero = zip(*nodes)
+    X = np.zeros((len(nodes), n))
+    X[:, i + 1:] = xs
+    S, budget, zero = np.array(S), np.array(budget), np.array(zero)
+    for a in range(0, len(nodes), _CHUNK_ROWS):
+        b = a + _CHUNK_ROWS
+        yield from expand(i, X[a:b], S[a:b], budget[a:b], zero[a:b])
 
 
 # Integers of magnitude below 2^53 are exact in binary64 (Higham, "Accuracy

@@ -61,7 +61,7 @@ def large_denominator_form(d: int) -> GramMatrix:
     return GramMatrix([[Fraction(d * a + e, d) for a, e in zip(ra, re)] for ra, re in zip(A3, E)])
 
 
-def fincke_pohst_rows(P: np.ndarray, bound: float) -> tuple[np.ndarray, list[int]]:
+def fincke_pohst_rows(P: np.ndarray, bound: float) -> tuple[np.ndarray, list[int], list[int]]:
     """Per-node recursion over the Cholesky factor of P, one scalar node at a time.
 
     The reference for ``shells._fp_rows``: the same float operations per node
@@ -69,12 +69,14 @@ def fincke_pohst_rows(P: np.ndarray, bound: float) -> tuple[np.ndarray, list[int
     S[:i] + R[:i, i]*x_i, highest nonzero coordinate > 0), so the rows must
     agree exactly and in order.  P is an integral form (a float array of
     integers); each row's norm is P[x] summed in Python ints, which the
-    walk's float norms must equal while they are float-exact.
+    walk's float norms must equal while they are float-exact.  children[i]
+    counts the children the nodes of level i create, before the prune.
     """
     n = P.shape[0]
     R = np.linalg.cholesky(P).T
     Pi = [[int(v) for v in row] for row in P]
     rows: list[list[int]] = []
+    children = [0] * n
     x = [0] * n
 
     def rec(i, S, budget, all_zero):
@@ -83,6 +85,7 @@ def fincke_pohst_rows(P: np.ndarray, bound: float) -> tuple[np.ndarray, list[int
         hi = math.floor((rad - S[i]) / R[i, i] + 1e-12)
         if all_zero:
             lo = max(lo, 1 if i == 0 else 0)
+        children[i] += max(hi - lo + 1, 0)
         for xi in range(lo, hi + 1):
             x[i] = xi
             if i == 0:
@@ -95,7 +98,7 @@ def fincke_pohst_rows(P: np.ndarray, bound: float) -> tuple[np.ndarray, list[int
 
     rec(n - 1, np.zeros(n), bound + (1e-9 * bound + 1e-9), True)
     norms = [sum(Pi[j][k] * r[j] * r[k] for j in range(n) for k in range(n)) for r in rows]
-    return np.array(rows, dtype=np.int64).reshape(-1, n), norms
+    return np.array(rows, dtype=np.int64).reshape(-1, n), norms, children
 
 
 def box_vectors(Q: GramMatrix, norm) -> list[tuple[int, ...]]:

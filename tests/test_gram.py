@@ -18,7 +18,7 @@ from latcrit import (
 )
 from latcrit.catalog import load_catalog
 from latcrit.cli import _random_integral_spd
-from latcrit.gram import _leading_minors
+from latcrit.gram import _adjugate, _from_integral, _leading_minors
 from latcrit.height import _projected_residual, _sides
 
 from helpers import (
@@ -145,6 +145,17 @@ class TestInverse:
     def test_det_of_inverse_is_reciprocal(self):
         for e in load_catalog().entries[:10]:
             assert determinant(gram_inverse(e.gram)) == 1 / determinant(e.gram)
+
+    def test_stored_inverse_is_the_validated_form(self):
+        # the inverse is stored unchecked: it equals the form that validation
+        # and the gcd give from d adj(P) / det P, determinant included
+        forms = [(e.name, e.gram) for e in load_catalog().entries] + list(exact_kernel_forms())
+        for name, Q in forms:
+            got = gram_inverse(Q)
+            adj, det = _adjugate(Q._P)
+            want = _from_integral([[Q._d * v for v in row] for row in adj], det)
+            assert (got._P, got._d, got._det) == (want._P, want._d, want._det), name
+        assert len(forms) == 1043
 
 
 class TestDeterminant:

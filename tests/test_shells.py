@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from latcrit import (
     double,
     dump_spectrum,
     enumerate_layers,
+    fully_critical,
     gram_inverse,
     is_even,
     layer_cardinalities,
@@ -20,6 +22,7 @@ from latcrit import (
 from latcrit import shells
 from latcrit.catalog import load_catalog
 from latcrit.gram import _from_integral
+from latcrit.height import _sides
 
 from helpers import (
     box_layers,
@@ -118,11 +121,13 @@ class TestArrayWalk:
         # the walk on Q's integral form P: leaves in order, compact (each
         # slice's level-0 parents with x_0 = 0, nondecreasing parent indices
         # and x_0), and each leaf's norm from the leaf quadratic equal to
-        # P[x] in Python ints
+        # P[x] in Python ints; returns the level where the walk leaves its
+        # scalar phase: the first from the root whose nodes create more than
+        # _SCALAR_CHILDREN children, or the leaf level
         rows, d = Q.integral_rescale()
         P = np.array(rows, dtype=float)
         assert shells._norm_magnitude(P, bound * d) < shells.FLOAT_EXACT
-        ref, ref_norms = fincke_pohst_rows(P, float(bound * d))
+        ref, ref_norms, children = fincke_pohst_rows(P, float(bound * d))
         # 1: single-row slices; 3 and 8: slices with childless parents inside
         for chunk in (shells._CHUNK_ROWS, 8, 3, 1):
             monkeypatch.setattr(shells, "_CHUNK_ROWS", chunk)
@@ -133,13 +138,25 @@ class TestArrayWalk:
             rows = [shells.HalfSet(X, p, x).rows() for X, p, x, _ in got]
             assert np.array_equal(np.concatenate(rows), ref)
             assert np.concatenate([norms for *_, norms in got]).tolist() == ref_norms
+        return next((i for i in range(Q.n - 1, 0, -1) if children[i] > shells._SCALAR_CHILDREN), 0)
 
-    @pytest.mark.parametrize("name,bound", [
-        ("sta2", 40), ("stb3", 40), ("stc12", 40), ("std5a", 24), ("ste10a", 20), ("stf8", 20),
-    ])
+    # where the walk leaves its scalar phase: at the leaves (the scalar phase
+    # covers every level above them), mid-tree, or at the root (more than 32
+    # children there: it never runs)
+    PHASES = {("sta2", 40): "leaves", ("std5a", 2): "leaves", ("stf8", 8): "leaves",
+              ("stb3", 40): "mid", ("stc12", 40): "mid", ("std5a", 24): "mid",
+              ("ste10a", 20): "mid", ("stf8", 20): "mid", ("sta2", 1100): "root"}
+
+    @pytest.mark.parametrize("name,bound", list(PHASES))
     def test_rows_match_per_node_recursion(self, name, bound, monkeypatch):
         Qred, _ = lll_reduce(load_catalog().by_name(name).gram)
-        self.check_rows(Qred, bound, monkeypatch)
+        level, n = self.check_rows(Qred, bound, monkeypatch), Qred.n
+        phase = self.PHASES[name, bound]
+        assert {"leaves": level == 0, "mid": 0 < level < n - 1, "root": level == n - 1}[phase]
+
+    def test_rows_match_on_a_one_dimensional_form(self, monkeypatch):
+        # the root is the leaf level: the walk is vectorized from the start
+        assert self.check_rows(GramMatrix([[3]]), 40, monkeypatch) == 0
 
     def test_rows_match_on_an_unreduced_basis(self, monkeypatch):
         # a skewed basis leaves nodes with no integer in their interval; at
@@ -147,6 +164,31 @@ class TestArrayWalk:
         q = load_catalog().by_name("stc9").gram
         skewed = transform_gram(q, random_unimodular(q.n, np.random.default_rng(29), ops=12))
         self.check_rows(skewed, 16, monkeypatch)
+
+    def test_rows_match_on_the_catalogue_walks(self, monkeypatch):
+        # the 42 walks of the default-horizon certificates, and both integral
+        # sides of each entry's height at radius 6 (about half the height's
+        # first radius, so that the per-node oracle stays fast)
+        walks, fp_rows = [], shells._fp_rows
+
+        def record(P, bound):
+            walks.append((P, bound))
+            return fp_rows(P, bound)
+
+        monkeypatch.setattr(shells, "_fp_rows", record)
+        entries = load_catalog().entries
+        for e in entries:
+            fully_critical(e)
+        assert len(walks) == 42
+        for e in entries:
+            for P, unit in _sides(e.gram, det1=True).integral:
+                walks.append((P, float(math.floor(shells._slack_bound(6.0) * unit))))
+        for P, bound in walks:
+            ref, ref_norms, _ = fincke_pohst_rows(P, bound)
+            got = list(fp_rows(P, bound))
+            rows = [shells.HalfSet(X, p, x).rows() for X, p, x, _ in got]
+            assert np.array_equal(np.concatenate(rows) if rows else np.empty((0, len(P))), ref)
+            assert [v for *_, norms in got for v in norms.tolist()] == ref_norms
 
 
 class TestFloatBound:
