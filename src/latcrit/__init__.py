@@ -23,12 +23,9 @@ from .gram import (
 )
 from .shells import (
     EnumerationBudgetError,
-    Layer,
-    LayerSpectrum,
     cardinality_vector,
     dump_spectrum,
     enumerate_layers,
-    layer_cardinalities,
     layer_moments,
     lll_reduce,
     short_vectors_float,

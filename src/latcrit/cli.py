@@ -18,6 +18,7 @@ the radius chosen from the fixed radius grid (TruncationError), a broken
 design inequality (DesignComputationError), arithmetic failures
 (ArithmeticError) and bad input, usage or output (ValueError, KeyError,
 OSError; a stdout closed early, as by ``| head -1``, is a BrokenPipeError).
+That line is written best effort, so a closed stderr exits 2 as well.
 Exit 1 therefore always means a definitive refutation; ``tables`` exits 1
 only when some row is a failure, and 2 when a row is inconclusive.
 
@@ -58,7 +59,6 @@ from .shells import (
     cardinality_vector,
     dump_spectrum,
     enumerate_layers,
-    layer_cardinalities,
     layer_moments,
 )
 
@@ -79,10 +79,6 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> "RunReport":
-        return RunReport(**json.loads(text))
 
 
 def _resolve_input(args) -> LatticeDescriptor:
@@ -121,10 +117,11 @@ def _cmd_analyze(args):
         info["level_of_even_form"] = level(Q if even else double(Q))
         info["doubled_for_level"] = not even
     # the minimum is at most every Q_ii, so the least one bounds it
-    spec = enumerate_layers(Q, min(Q.entries[i][i] for i in range(Q.n)))
-    if spec.layers:
-        info["min_norm"] = str(spec.layers[0].norm)
-        info["kissing_number"] = spec.layers[0].cardinality
+    layers = enumerate_layers(Q, min(Q.entries[i][i] for i in range(Q.n)))
+    if layers:
+        m, X = next(iter(layers.items()))
+        info["min_norm"] = str(m)
+        info["kissing_number"] = len(X)
     lines = [f"{desc.name or 'input'}: dimension {Q.n}, determinant {info['determinant']}"]
     lines.append(f"integral: {info['integral']}, even: {info['even']}")
     if "level_of_even_form" in info:
@@ -139,20 +136,19 @@ def _cmd_layers(args):
     desc = _resolve_input(args)
     if args.bound is None:
         raise ValueError("layers requires --bound B")
-    spec = enumerate_layers(desc.gram, Fraction(args.bound), max_vectors=args.max_vectors)
-    cards = layer_cardinalities(spec)
+    layers = enumerate_layers(desc.gram, Fraction(args.bound), max_vectors=args.max_vectors)
     outcome = {"bound": args.bound,
-               "layers": [[str(m), c] for m, c in cards]}
-    if desc.gram.is_integral and all(m.denominator == 1 for m, _ in cards):
-        upto = int(Fraction(args.bound))
-        outcome["cardinality_vector"] = cardinality_vector(spec, upto)
-        outcome["pair_vector"] = cardinality_vector(spec, upto, antipodal_pairs=True)
+               "layers": [[str(m), len(X)] for m, X in layers.items()]}
+    if desc.gram.is_integral:  # every norm of an integral form is an integer
+        cards = cardinality_vector(layers, int(Fraction(args.bound)))
+        outcome["cardinality_vector"] = cards
+        outcome["pair_vector"] = [c // 2 for c in cards]
     if args.dump_layers:
         with open(args.dump_layers, "w", encoding="utf-8") as fh:
-            fh.write(dump_spectrum(spec))
+            fh.write(dump_spectrum(layers))
     lines = [f"layers of {desc.name or 'input'} up to Q[x] <= {args.bound}:"]
-    for m, c in cards:
-        lines.append(f"  (x,x)={m}: {c} vectors ({c // 2} antipodal pairs)")
+    for m, X in layers.items():
+        lines.append(f"  (x,x)={m}: {len(X)} vectors ({len(X) // 2} antipodal pairs)")
     return _input_dict(desc), outcome, "\n".join(lines), EXIT_OK
 
 
@@ -416,16 +412,29 @@ def main(argv=None) -> int:
             text = RunReport(args.command, inp, outcome, time.time() - t0, __version__).to_json()
         print(text, flush=True)
     except EnumerationBudgetError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
+        _error_line(f"inconclusive: {exc}")
         return EXIT_INCONCLUSIVE
     except (TruncationError, DesignComputationError, ArithmeticError,
             ValueError, KeyError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):  # stdout closed: flush to devnull at exit
-            with open(os.devnull, "w") as null:
-                os.dup2(null.fileno(), sys.stdout.fileno())
-        print(f"error: {exc}", file=sys.stderr)
+            _to_devnull(sys.stdout)
+        _error_line(f"error: {exc}")
         return EXIT_INCONCLUSIVE
     return code
+
+
+def _to_devnull(stream) -> None:
+    """Point the descriptor of a closed stream at devnull, so that its flush at exit succeeds."""
+    with open(os.devnull, "w") as null:
+        os.dup2(null.fileno(), stream.fileno())
+
+
+def _error_line(text: str) -> None:
+    """Write the one error line to stderr, best effort: a closed stderr must not exit 1."""
+    try:
+        print(text, file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(sys.stderr)
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ class ParityError(GramError):
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):  # JSON true is no number
         return Fraction(int(x))
     if isinstance(x, str):
         return Fraction(x)
@@ -68,7 +68,13 @@ class GramMatrix:
     name: Optional[str] = field(default=None, compare=False)
 
     def __init__(self, entries: Sequence[Sequence[RationalLike]], name: Optional[str] = None):
-        rows = [[_as_fraction(x) for x in row] for row in entries]
+        try:
+            rows = [[_as_fraction(x) for x in row] for row in entries]
+        except TypeError:  # entries, or one of its rows, is not iterable
+            rows = None
+        # a string iterates as its characters, and is no row either
+        if rows is None or isinstance(entries, str) or any(isinstance(r, str) for r in entries):
+            raise GramError("entries must be a sequence of rows of rationals")
         d = math.lcm(*(v.denominator for row in rows for v in row))
         _init(self, [[v.numerator * (d // v.denominator) for v in row] for row in rows], d, name)
 
@@ -122,14 +128,6 @@ def _stored(P: Sequence[Sequence[int]], d: int, det: int) -> GramMatrix:
     symmetric, positive definite and in lowest terms."""
     Q = object.__new__(GramMatrix)
     _store(Q, P, d, None, det)
-    return Q
-
-
-def _from_integral(P: Sequence[Sequence[int]], d: int) -> GramMatrix:
-    """The form P / d, for integer rows P and d >= 1, with no Fraction arithmetic."""
-    g = math.gcd(d, *(p for row in P for p in row))
-    Q = object.__new__(GramMatrix)
-    _init(Q, [[p // g for p in row] for row in P], d // g, None)
     return Q
 
 
@@ -265,8 +263,16 @@ def _level_dual(W: GramMatrix, N: int) -> tuple[GramMatrix, int]:
 
 
 def double(Q: GramMatrix) -> GramMatrix:
-    """Entrywise 2Q: Gram matrix of the sqrt(2)-rescaled lattice."""
-    return _from_integral([[2 * p for p in row] for row in Q._P], Q._d)
+    """Entrywise 2Q: Gram matrix of the sqrt(2)-rescaled lattice.
+
+    2Q of a valid form is one, so it is stored unchecked.  With
+    g = gcd(2, d), 2P / g over d / g is in lowest terms, as P / d is: an odd
+    d shares no factor with 2P that it does not share with P, and an even
+    d / 2 divides d.  Its determinant is (2 / g)^n det P.
+    """
+    g = math.gcd(2, Q._d)
+    return _stored([[2 * p // g for p in row] for row in Q._P], Q._d // g,
+                   (2 // g) ** Q.n * Q._det)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +281,10 @@ def double(Q: GramMatrix) -> GramMatrix:
 
 def gram_from_json(text: str) -> GramMatrix:
     obj = json.loads(text)
-    rows = obj["gram"]
-    if "n" in obj and len(rows) != obj["n"]:
+    Q = GramMatrix(obj["gram"], name=obj.get("name"))
+    if "n" in obj and Q.n != obj["n"]:
         raise GramError("declared dimension does not match matrix size")
-    return GramMatrix(rows, name=obj.get("name"))
+    return Q
 
 
 def gram_from_text(text: str) -> GramMatrix:

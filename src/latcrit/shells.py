@@ -173,8 +173,8 @@ def _fp_rows(P: np.ndarray, bound: float) -> Iterator[tuple]:
     alive, about 16n + 120 bytes a row, so memory is at most
     n * (16n + 120) * _CHUNK_ROWS bytes (27 MB at n = 7, 2^14 rows); the
     scalar frontier holds at most ``_SCALAR_CHILDREN`` nodes, so the bound
-    stands.  The traced peak of ``fully_critical(stf28a,
-    max_vectors=4_000_000)`` is 12 MB, against 46 MB at 2^16 rows.
+    stands.  The tracemalloc peak of ``fully_critical(stf28a, 46)``, the
+    reference-N walk of 6.5 M pairs, is 12 MB, against 41 MB at 2^16 rows.
 
     A leaf's norm is the leaf quadratic (P_00 x_0 + 2b) x_0 + c, where the
     parents at level 0 (their x_0 = 0) give b = P[0, :] x and c = P[x] once
@@ -357,25 +357,6 @@ def _half_candidates(
 # layers
 
 
-@dataclass(frozen=True, eq=False)
-class Layer:
-    """All lattice vectors of one squared length, in input coordinates."""
-
-    norm: Fraction
-    vectors: np.ndarray  # (cardinality, n) int64, antipodally closed, sorted
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.vectors)
-
-
-@dataclass(frozen=True, eq=False)
-class LayerSpectrum:
-    """Nonempty layers of Q with norm <= bound, strictly increasing in norm."""
-
-    layers: tuple[Layer, ...]
-
-
 def _sorted_rows(X: np.ndarray, norms: np.ndarray) -> np.ndarray:
     keys = tuple(X[:, j] for j in range(X.shape[1] - 1, -1, -1)) + (norms,)
     return np.lexsort(keys)
@@ -392,8 +373,12 @@ def enumerate_layers(
     bound: RationalLike,
     *,
     max_vectors: int = DEFAULT_MAX_VECTORS,
-) -> LayerSpectrum:
-    """Every nonzero x with 0 < Q[x] <= bound, grouped by exact norm, as int64 vectors."""
+) -> dict[Fraction, np.ndarray]:
+    """Every nonzero x with 0 < Q[x] <= bound, grouped by exact norm.
+
+    Returns {norm: vectors} in increasing norm order; each layer's vectors
+    are int64 rows in input coordinates, antipodally closed and lex-sorted.
+    """
     bound = _as_fraction(bound)
     halves: list[np.ndarray] = []
     norm_chunks: list[np.ndarray] = []
@@ -405,37 +390,27 @@ def enumerate_layers(
         norm_chunks.append(norms)
         denom = d
     if not halves:
-        return LayerSpectrum(layers=())
+        return {}
     Xh = np.concatenate(halves)
     nh = np.concatenate(norm_chunks)
     X = np.concatenate([Xh, -Xh])
     norms = np.concatenate([nh, nh])
     order = _sorted_rows(X, norms)
     X, norms = X[order], norms[order]
-    layers = tuple(Layer(norm=Fraction(int(m), denom), vectors=X[a:b])
-                   for m, a, b in _runs(norms))
-    return LayerSpectrum(layers=layers)
+    return {Fraction(int(m), denom): X[a:b] for m, a, b in _runs(norms)}
 
 
-def layer_cardinalities(S: LayerSpectrum) -> list[tuple[Fraction, int]]:
-    """(norm, cardinality) pairs of the nonempty layers, in norm order."""
-    return [(lay.norm, lay.cardinality) for lay in S.layers]
-
-
-def cardinality_vector(S: LayerSpectrum, upto: int, *, antipodal_pairs: bool = False) -> list[int]:
+def cardinality_vector(layers: dict[Fraction, np.ndarray], upto: int) -> list[int]:
     """Dense cardinality vector at integer norms 1..upto (zeros for empty layers).
 
     Only meaningful for integral Gram matrices, where all norms are integers.
-    ``antipodal_pairs`` counts {x, -x} once, the convention of the reference
-    transcripts.
     """
     out = [0] * upto
-    for lay in S.layers:
-        if lay.norm.denominator != 1:
+    for m, X in layers.items():
+        if m.denominator != 1:
             raise ValueError("dense cardinality vector requires integral norms")
-        m = int(lay.norm)
         if 1 <= m <= upto:
-            out[m - 1] = lay.cardinality // 2 if antipodal_pairs else lay.cardinality
+            out[int(m) - 1] = len(X)
     return out
 
 
@@ -493,12 +468,6 @@ class HalfSet:
     def __len__(self) -> int:
         return len(self.x0)
 
-    def rows(self) -> np.ndarray:
-        """The vectors as float rows."""
-        rows = self.parents[self.parent]
-        rows[:, 0] = self.x0
-        return rows
-
 
 def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[HalfSet, np.ndarray]:
     """Half-set {x != 0 : Qf[x] <= bound} of an SPD matrix, with float norms.
@@ -537,11 +506,11 @@ def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[HalfSet, np.ndarr
     return HalfSet(np.concatenate(parents), p, x), norms
 
 
-def dump_spectrum(S: LayerSpectrum) -> str:
+def dump_spectrum(layers: dict[Fraction, np.ndarray]) -> str:
     """Layer dump format: 'm_k count' header lines, one vector per line."""
     lines = []
-    for lay in S.layers:
-        lines.append(f"{lay.norm} {lay.cardinality}")
-        for row in lay.vectors:
+    for m, X in layers.items():
+        lines.append(f"{m} {len(X)}")
+        for row in X:
             lines.append(" ".join(str(int(v)) for v in row))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -21,6 +21,7 @@ import numpy as np
 
 from latcrit import (GramMatrix, TruncationError, determinant, double, is_even, layer_moments,
                      level, short_vectors_float, two_design_verdict, upper_gamma)
+from latcrit.cli import RunReport
 
 _height = importlib.import_module("latcrit.height")  # the module; latcrit.height is the function
 
@@ -420,9 +421,9 @@ def height_remainders(A: np.ndarray, radius: float) -> tuple[float, float]:
     Ainv = np.linalg.inv(A)
     lam = float(np.linalg.eigvalsh(Ainv)[-1])
     X, c = short_vectors_float(A, 2 * radius)
-    X, c = X.rows()[c > radius], c[c > radius]
+    X, c = half_rows(X)[c > radius], c[c > radius]
     Y, b = short_vectors_float(Ainv, 2 * radius)
-    W, b = Y.rows()[b > radius] @ Ainv, b[b > radius]
+    W, b = half_rows(Y)[b > radius] @ Ainv, b[b > radius]
     f = lambda c: (math.pi * c) ** (-n / 2) * upper_gamma(n / 2, math.pi * c)
     e1 = lambda b: upper_gamma(0.0, math.pi * b)
     psi1c = lambda c: (math.pi * c) ** (-n / 2) * upper_gamma(n / 2 + 1, math.pi * c)
@@ -665,6 +666,28 @@ def exp_map_float(A: np.ndarray, H: np.ndarray, t: float = 1.0) -> np.ndarray:
     E = (V * np.exp(w)) @ V.T
     out = sq @ E @ sq
     return 0.5 * (out + out.T)
+
+
+def layer_counts(layers: dict) -> dict[Fraction, int]:
+    """{norm: cardinality} of an ``enumerate_layers`` result, in its norm order."""
+    return {m: len(X) for m, X in layers.items()}
+
+
+def half_rows(half) -> np.ndarray:
+    """The vectors of a ``shells.HalfSet`` as float rows: parent rows with x_0 set."""
+    rows = half.parents[half.parent]
+    rows[:, 0] = half.x0
+    return rows
+
+
+def validated_form(P, d: int) -> GramMatrix:
+    """The form P / d built through ``GramMatrix``'s checks: the reference for stored forms."""
+    return GramMatrix([[Fraction(p, d) for p in row] for row in P])
+
+
+def envelope(text: str) -> RunReport:
+    """The RunReport that a ``--format json`` run printed."""
+    return RunReport(**json.loads(text))
 
 
 def gram_json(q: GramMatrix) -> str:

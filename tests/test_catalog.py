@@ -4,9 +4,9 @@ import pytest
 from latcrit import (VERDICT_CRITICAL, VERDICT_INCONCLUSIVE, FullyCriticalReport, GramMatrix,
                      determinant, fully_critical, gram_from_json, is_even)
 from latcrit.catalog import INCOMPLETE_DIMS, load_catalog, reproduce_tables
-from latcrit.cli import RunReport, main
+from latcrit.cli import main
 
-from helpers import gram_json
+from helpers import envelope, gram_json
 
 # the worked-example matrix, as displayed in the source
 STE10A = [[3, 1, 1, 1, 1, 0],
@@ -80,7 +80,7 @@ class TestReproduceTables:
         # the flag is the CLI's; a budget of one vector makes the run cheap
         names = [e.name for e in load_catalog().by_dim(7)]
         assert main(["tables", "--dims", "7", "--max-vectors", "1", "--format", "json"]) == 2
-        rows = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
+        rows = envelope(capsys.readouterr().out).outcome["rows"]
         assert [r["name"] for r in rows] == names
         assert all(r["incomplete_dim"] for r in rows)
         assert main(["tables", "--dims", "7", "--max-vectors", "1"]) == 2

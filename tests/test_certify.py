@@ -36,6 +36,7 @@ from helpers import (
     dim_S_gamma0_chi,
     gamma0_cusp_orbits,
     gamma1_index,
+    layer_counts,
     level_dual,
     projective_line_size,
     random_unimodular,
@@ -450,8 +451,7 @@ class TestA1Augmentation:
                 norm = m + 2 * k * k
                 if 0 < norm <= B:
                     expected[norm] = expected.get(norm, 0) + c * (1 if k == 0 else 2)
-        got = enumerate_layers(with_A1(q), B).layers
-        assert {lay.norm: lay.cardinality for lay in got} == expected
+        assert layer_counts(enumerate_layers(with_A1(q), B)) == expected
 
     def test_premises_read_from_the_working_form(self):
         # diag(W, 2), built entry by entry, has level lcm(level(W), 4) and

@@ -14,7 +14,7 @@ import latcrit
 from latcrit import GramMatrix, __version__, conjecture_probe, fully_critical, height, load_catalog
 from latcrit.cli import RunReport, _random_integral_spd, main
 
-from helpers import (box_vectors, gram_json, moment_identity_holds, pair_sum_bruteforce,
+from helpers import (box_vectors, envelope, gram_json, moment_identity_holds, pair_sum_bruteforce,
                      random_rational_spd)
 
 DIAG12 = '{"name": "diag12", "n": 2, "gram": [[1, 0], [0, 2]]}'
@@ -75,7 +75,7 @@ class TestFullyCritical:
     def test_report_names_the_tested_side(self, name, tested, capsys):
         # stf28a and stf8 are each other's level duals: each walks stf8's side
         rc = main(["fully-critical", "--name", name, "--format", "json"])
-        outcome = RunReport.from_json(capsys.readouterr().out).outcome
+        outcome = envelope(capsys.readouterr().out).outcome
         assert rc == 0
         assert (outcome["tested"], outcome["verdict"]) == (tested, "fully-critical")
         assert (outcome["level"], outcome["cusps"], outcome["bound_B"],
@@ -90,7 +90,7 @@ class TestFullyCritical:
 
     def test_below_the_horizon_exits_inconclusive(self, capsys):
         rc = main(["fully-critical", "--name", "ste15a", "--bound", "5", "--format", "json"])
-        rep = RunReport.from_json(capsys.readouterr().out)
+        rep = envelope(capsys.readouterr().out)
         assert rc == 2
         assert rep.outcome["verdict"] == "inconclusive"
         assert (rep.outcome["bound_B"], rep.outcome["horizon_B"]) == (5, 12)
@@ -120,7 +120,7 @@ class TestFullyCritical:
                 "RESULT: inconclusive (enumeration budget 1 exceeded at (x,x)<=1; "
                 "no bound >= 1 fits)")
             return
-        out = RunReport.from_json(captured.out).outcome
+        out = envelope(captured.out).outcome
         assert out["verdict"] == "inconclusive"
         assert (out["certified_upto"], out["layers_tested"], out["vacuous"]) == (0, 0, False)
         assert out["per_layer"] == [] and "no bound >= 1 fits" in out["note"]
@@ -129,7 +129,7 @@ class TestFullyCritical:
         rc = main(["fully-critical", "--name", "sta3", "--format", "json"])
         out = capsys.readouterr().out
         assert rc == 0
-        rep = RunReport.from_json(out)
+        rep = envelope(out)
         assert rep.command == "fully-critical"
         assert rep.outcome["verdict"] == "fully-critical"
         assert rep.outcome["level"] == 3
@@ -173,7 +173,7 @@ class TestDesign:
                 m = Fraction(k, 4)
                 rc = main(["design", "--gram", str(path), "--layer-norm", str(m),
                            "--format", "json"])
-                out = RunReport.from_json(capsys.readouterr().out).outcome
+                out = envelope(capsys.readouterr().out).outcome
                 vecs = box_vectors(q, m)
                 if not vecs:
                     assert (rc, out) == (0, {"layer_norm": str(m), "empty": True})
@@ -214,10 +214,34 @@ class TestLayers:
 
     def test_json_vectors(self, capsys):
         rc = main(["layers", "--name", "sta2", "--bound", "5", "--format", "json"])
-        rep = RunReport.from_json(capsys.readouterr().out)
+        rep = envelope(capsys.readouterr().out)
         assert rc == 0
         assert rep.outcome["cardinality_vector"] == [4, 4, 0, 4, 8]
         assert rep.outcome["pair_vector"] == [2, 2, 0, 2, 4]
+
+    @pytest.mark.parametrize("inp", [["--name", "stc12"], ["--name", "ste10a"], "rational"])
+    def test_json_and_dump_read_the_same_layers(self, inp, tmp_path, capsys):
+        # the JSON layers are the dump's header lines, and pair_vector is
+        # cardinality_vector halved (integral forms only)
+        if inp == "rational":
+            path = tmp_path / "rational.json"
+            path.write_text('{"gram": [["2/3", "-1/3"], ["-1/3", "2/3"]]}', encoding="utf-8")
+            inp = ["--gram", str(path)]
+        dump = tmp_path / "layers.txt"
+        rc = main(["layers", *inp, "--bound", "6", "--format", "json", "--dump-layers", str(dump)])
+        out = envelope(capsys.readouterr().out).outcome
+        assert rc == 0 and len(out["layers"]) >= 3
+        lines, headers = dump.read_text().splitlines(), []
+        while lines:
+            m, c = lines[0].split()
+            headers.append([m, int(c)])
+            lines = lines[1 + int(c):]
+        assert headers == out["layers"]
+        if inp[0] == "--gram":
+            assert "cardinality_vector" not in out and "pair_vector" not in out
+        else:
+            assert out["pair_vector"] == [c // 2 for c in out["cardinality_vector"]]
+            assert sum(out["cardinality_vector"]) == sum(c for _, c in out["layers"])
 
 
 class TestShearedZ2:
@@ -316,7 +340,7 @@ class TestTables:
                                 for b in (1, 2)]
         assert lines[-1] == "2 entries, 2 mismatches"
         rc = main(["tables", "--dims", "2", "--max-vectors", "1", "--format", "json"])
-        rep = RunReport.from_json(capsys.readouterr().out)
+        rep = envelope(capsys.readouterr().out)
         assert rc == 2
         assert [(r["verdict"], r["bound_used"], r["certified_upto"]) for r in rep.outcome["rows"]
                 ] == [("inconclusive", 1, "0")] * 2
@@ -326,7 +350,7 @@ class TestTables:
 
     def test_rows_read_the_reports(self, capsys):
         assert main(["tables", "--dims", "3", "--format", "json"]) == 0
-        rows = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
+        rows = envelope(capsys.readouterr().out).outcome["rows"]
         assert rows == [{
             "name": e.name, "dim": 3, "traditional_name": e.traditional_name,
             "verdict": "fully-critical", "expected": "fully-critical",
@@ -341,7 +365,7 @@ class TestTables:
         # certified on its level dual, stf8 on its own layers, and the 14
         # dual-side rows are the entries whose level dual is sparser
         assert main(["tables", "--dims", "2,3,4,5,6,7", "--format", "json"]) == 0
-        rows = {r["name"]: r for r in RunReport.from_json(capsys.readouterr().out).outcome["rows"]}
+        rows = {r["name"]: r for r in envelope(capsys.readouterr().out).outcome["rows"]}
         assert (rows["stf28a"]["tested"], rows["stf8"]["tested"]) == ("level-dual", "input")
         assert sorted(name for name, r in rows.items() if r["tested"] == "level-dual") == [
             "stb6", "stc10", "std15a", "std15b", "std20", "ste12a", "ste15a", "ste18a",
@@ -351,7 +375,7 @@ class TestTables:
         # each row names the cusps of its group next to the horizon they
         # lower: ste10a is on Gamma0(20), stf28a's level dual on Gamma0(16)
         assert main(["tables", "--dims", "6,7", "--format", "json"]) == 0
-        rows = {r["name"]: r for r in RunReport.from_json(capsys.readouterr().out).outcome["rows"]}
+        rows = {r["name"]: r for r in envelope(capsys.readouterr().out).outcome["rows"]}
         assert [(rows[name]["cusps"], rows[name]["horizon_B"], rows[name]["bound_used"])
                 for name in ("ste10a", "stf28a")] == [(6, 12, 12), (6, 9, 9)]
 
@@ -359,7 +383,7 @@ class TestTables:
 class TestNumericCommands:
     def test_height_json(self, capsys):
         rc = main(["height", "--name", "sta3", "--format", "json"])
-        rep = RunReport.from_json(capsys.readouterr().out)
+        rep = envelope(capsys.readouterr().out)
         assert rc == 0
         assert rep.outcome["height"] < 1.06
         assert rep.outcome["tail_estimate"] < 1e-12 * abs(rep.outcome["F_value"])
@@ -395,12 +419,12 @@ class TestNumericCommands:
     def test_stationarity_reads_the_height_report(self, capsys):
         e = load_catalog().by_name("std5b")
         assert main(["stationarity", "--name", "std5b", "--format", "json"]) == 0
-        rep = RunReport.from_json(capsys.readouterr().out)
+        rep = envelope(capsys.readouterr().out)
         assert rep.outcome == {"projected_residual": height(e).projected_residual}
 
     def test_analyze(self, capsys):
         rc = main(["analyze", "--name", "ste10a", "--format", "json"])
-        rep = RunReport.from_json(capsys.readouterr().out)
+        rep = envelope(capsys.readouterr().out)
         assert rc == 0
         assert rep.outcome["determinant"] == "125"
         assert rep.outcome["even"] is False
@@ -420,11 +444,11 @@ class TestNumericCommands:
         assert main(["analyze", "--gram", str(path)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "minimum 1, kissing number 6"
         assert main(["analyze", "--name", "std5b", "--format", "json"]) == 0
-        rep = RunReport.from_json(capsys.readouterr().out)
+        rep = envelope(capsys.readouterr().out)
         assert bounds == [1, 4]
-        first = real(load_catalog().by_name("std5b").gram, 5).layers[0]  # the largest Q_ii
-        assert rep.outcome["min_norm"] == str(first.norm) == "4"
-        assert rep.outcome["kissing_number"] == first.cardinality
+        m, X = next(iter(real(load_catalog().by_name("std5b").gram, 5).items()))  # the largest Q_ii
+        assert rep.outcome["min_norm"] == str(m) == "4"
+        assert rep.outcome["kissing_number"] == len(X)
 
 
 class TestProbe:
@@ -454,7 +478,7 @@ class TestProbe:
         assert "sta2: first_two=None verdict=inconclusive" in out
         assert "no counterexample candidates" in out
         rc = main(["probe-conjecture", "--name", "sta2", "--max-vectors", "1", "--format", "json"])
-        [row] = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
+        [row] = envelope(capsys.readouterr().out).outcome["rows"]
         assert rc == 2
         # no layer was tested, so whether the first two are designs is unknown
         assert row == {"name": "sta2", "first_two_designs": None, "verdict": "inconclusive",
@@ -464,7 +488,7 @@ class TestProbe:
         # ste10a is on Gamma0(20), stf28a (A7) on Gamma0(16): six cusps each
         for name, B in (("ste10a", 12), ("stf28a", 9)):
             assert main(["probe-conjecture", "--name", name, "--format", "json"]) == 0
-            [row] = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
+            [row] = envelope(capsys.readouterr().out).outcome["rows"]
             assert (row["cusps"], row["horizon_B"], row["bound_B"]) == (6, B, B)
 
     def test_gram_input_is_probed_at_its_horizon(self, tmp_path, capsys):
@@ -475,7 +499,7 @@ class TestProbe:
         for extra, B, code, verdict in (([], 12, 0, "fully-critical"),
                                         (["--bound", "11"], 11, 2, "inconclusive")):
             rc = main(["probe-conjecture", "--gram", str(path), "--format", "json"] + extra)
-            [row] = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
+            [row] = envelope(capsys.readouterr().out).outcome["rows"]
             assert rc == code
             assert (row["bound_B"], row["horizon_B"], row["cusps"]) == (B, 12, 6)
             assert row["verdict"] == verdict
@@ -484,13 +508,13 @@ class TestProbe:
         # the CLI reads first_two_designs from the same report as conjecture_probe
         cat = load_catalog()
         main(["probe-conjecture", "--all-catalog", "--format", "json"])
-        rows = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
+        rows = envelope(capsys.readouterr().out).outcome["rows"]
         assert [r["name"] for r in rows] == [e.name for e in cat.entries]
         for e, row in zip(cat.entries, rows):
             assert row["first_two_designs"] == conjecture_probe(e)[0], e.name
         main(["probe-conjecture", "--random", "6", "--dims", "2,3,4", "--seed", "11",
               "--format", "json"])
-        rows = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
+        rows = envelope(capsys.readouterr().out).outcome["rows"]
         rng = np.random.default_rng(11)
         forms = [_random_integral_spd(n, rng) for n in (2, 3, 4, 2, 3, 4)]
         assert len(rows) == len(forms)
@@ -516,7 +540,7 @@ class TestProbe:
                  stf7d=(4, 4), stf8=(9, 6), stf28a=(9, 6), stf28b=(2, 3), stf42=(4, 4),
                  stf63=(2, 3))
         rc = main(["probe-conjecture", "--all-catalog", "--format", "json"])
-        rows = RunReport.from_json(capsys.readouterr().out).outcome["rows"]
+        rows = envelope(capsys.readouterr().out).outcome["rows"]
         assert rc == 0
         assert rows == [{"name": name, "first_two_designs": True, "verdict": "fully-critical",
                          "bound_B": b, "horizon_B": b, "cusps": c}
@@ -535,7 +559,7 @@ class TestProbe:
 class TestRunReport:
     def test_round_trip(self):
         rep = RunReport("height", {"name": "x"}, {"v": 1.5}, 0.01, "0.1.0")
-        back = RunReport.from_json(rep.to_json())
+        back = envelope(rep.to_json())
         assert back == rep
         assert list(json.loads(rep.to_json())) == [
             "command", "input", "outcome", "wall_time_s", "version"]
@@ -555,7 +579,7 @@ class TestRunReport:
         rc = main(argv)
         text = capsys.readouterr().out
         assert main(argv + ["--format", "json"]) == rc == 0
-        rep = RunReport.from_json(capsys.readouterr().out)
+        rep = envelope(capsys.readouterr().out)
         assert rep.command == argv[0] and rep.version == __version__
         assert rep.wall_time_s >= 0 and text.strip()
 
@@ -565,8 +589,8 @@ class TestRunReport:
         assert "error" in capsys.readouterr().err
 
 
-class _ClosedStdout(io.TextIOBase):
-    """A stdout whose reader has gone: every write and flush raises BrokenPipeError."""
+class _ClosedPipe(io.TextIOBase):
+    """A stream whose reader has gone: every write and flush raises BrokenPipeError."""
 
     def __init__(self, fd: int):
         self.fd = fd
@@ -581,13 +605,26 @@ class _ClosedStdout(io.TextIOBase):
         raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
 
+def _child(argv) -> dict:
+    """Popen arguments of ``python -m latcrit.cli`` in a child that imports this latcrit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(latcrit.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {"args": [sys.executable, "-m", "latcrit.cli", *argv], "env": env}
+
+
+def _run_cli(argv, **kw) -> subprocess.CompletedProcess:
+    return subprocess.run(**_child(argv), timeout=120, **kw)
+
+
 class TestClosedStdout:
     # exit 1 means a refutation, so a reader that stops early (| head -1)
-    # is an error: exit 2 with one line on stderr and no traceback
+    # is an error: exit 2 with one line on stderr and no traceback; the
+    # line is best effort, so a closed stderr exits 2 as well
     def test_in_process(self, monkeypatch, capsys):
         r, w = os.pipe()
         try:
-            monkeypatch.setattr(sys, "stdout", _ClosedStdout(w))
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(w))
             rc = main(["height", "--name", "sta2"])
             # the descriptor now writes to devnull, so the flush at exit is silent
             assert os.path.samestat(os.fstat(w), os.stat(os.devnull))
@@ -597,24 +634,68 @@ class TestClosedStdout:
         assert rc == 2
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
+    @pytest.mark.parametrize("argv", [["height", "--name", "sta2"],
+                                      ["layers", "--name", "sta3", "--bound", "0"]])
+    def test_in_process_with_stderr_closed(self, argv, monkeypatch):
+        r, w = os.pipe()
+        e_r, e_w = os.pipe()
+        try:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(w))
+            monkeypatch.setattr(sys, "stderr", _ClosedPipe(e_w))
+            rc = main(argv)
+            assert os.path.samestat(os.fstat(e_w), os.stat(os.devnull))
+        finally:
+            for fd in (r, w, e_r, e_w):
+                os.close(fd)
+        assert rc == 2
+
     @pytest.mark.parametrize("argv", [["height", "--name", "sta2"], ["tables", "--dims", "2"]])
     def test_subprocess_with_closed_pipe(self, argv):
         # the pipe's read end is closed before the child starts, so its
         # first write meets EPIPE
         r, w = os.pipe()
         os.close(r)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(latcrit.__file__)))
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         try:
-            proc = subprocess.run([sys.executable, "-m", "latcrit.cli", *argv], stdout=w,
-                                  stderr=subprocess.PIPE, env=env, timeout=120)
+            proc = _run_cli(argv, stdout=w, stderr=subprocess.PIPE)
         finally:
             os.close(w)
         err = proc.stderr.decode()
         assert proc.returncode == 2, err
         assert "Traceback" not in err and "Exception ignored" not in err
         assert err == "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("argv", [["height", "--name", "sta2"], ["tables", "--dims", "2"],
+                                      ["layers", "--name", "sta3", "--bound", "0"]])
+    def test_subprocess_with_stdout_and_stderr_on_one_closed_pipe(self, argv):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = _run_cli(argv, stdout=w, stderr=w)
+        finally:
+            os.close(w)
+        assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv", [["layers", "--name", "sta3", "--bound", "0"],
+                                      ["design", "--name", "stf28a", "--layer-norm", "40",
+                                       "--max-vectors", "10"]])
+    def test_subprocess_with_stderr_closed(self, argv):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = _run_cli(argv, stdout=subprocess.PIPE, stderr=w)
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+
+    def test_reader_that_stops_after_one_line(self):
+        # latcrit tables 2>&1 | head -1: the pipe closes while the child
+        # writes, so exit 0 (all written first) and exit 2 are both correct
+        r, w = os.pipe()
+        with subprocess.Popen(**_child(["tables", "--dims", "2,3"]), stdout=w, stderr=w) as proc:
+            os.close(w)
+            with os.fdopen(r, "rb") as reader:
+                assert reader.readline().startswith(b"name")
+            assert proc.wait(timeout=120) in (0, 2)
 
 
 class TestUsageErrors:
@@ -639,6 +720,17 @@ class TestUsageErrors:
             main(["fully-critical", "--name", "sta2", "--bound", "1.5"])
         assert exc.value.code == 2
         assert "argument --bound: invalid int value: '1.5'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gram", ["5", "[1, 2]", '["2"]'])
+    def test_json_rows_that_are_not_sequences(self, gram, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"gram": %s}' % gram, encoding="utf-8")
+        for cmd in (["analyze"], ["height"], ["fully-critical"], ["probe-conjecture"]):
+            rc = main(cmd + ["--gram", str(path)])
+            captured = capsys.readouterr()
+            assert rc == 2 and captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line == "error: entries must be a sequence of rows of rationals"
 
     @pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
     def test_non_finite_json_entry(self, bad, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -180,6 +181,38 @@ class TestInvarianceProperties:
         for _ in range(3):
             qq = transform_gram(q, random_unimodular(2, rng))
             assert streamed_verdicts(qq, 8) == base
+
+    def test_verdict_does_not_depend_on_the_basis(self, monkeypatch):
+        # a layer of Q with moment S is, in the basis U (x = U y), a layer of
+        # U^t Q U with moment U^-1 S U^-t: the verdict must read the same
+        # lhs, rhs and is_design.  Every layer the catalogue certificates
+        # judge up to the Gamma0 horizon, on both sides of the level
+        # duality, and the refuted layers of diag(1, 2)
+        C = sys.modules["latcrit.certify"]
+        judged = []
+
+        def record(Q, bound, **kw):
+            moments = layer_moments(Q, bound, **kw)
+            judged.extend((Q, m, card, S) for m, (card, S) in moments.items())
+            return moments
+
+        monkeypatch.setattr(C, "layer_moments", record)
+        for e in load_catalog().entries:
+            for dualize in (True, False):
+                C._certify(e, None, 4_000_000, dualize=dualize)
+        judged.extend((D12, m, card, S) for m, (card, S) in layer_moments(D12, 12).items())
+        rng = np.random.default_rng(41)
+        designs = 0
+        for Q, m, card, S in judged:
+            U = random_unimodular(Q.n, rng)
+            Uinv = np.rint(np.linalg.inv(U)).astype(np.int64)
+            assert (U @ Uinv == np.eye(Q.n, dtype=np.int64)).all()
+            Ui = Uinv.astype(object)
+            want = two_design_verdict(m, card, S, Q)
+            got = two_design_verdict(m, card, Ui @ S @ Ui.T, transform_gram(Q, U))
+            assert (got.lhs, got.rhs, got.is_design) == (want.lhs, want.rhs, want.is_design)
+            designs += want.is_design
+        assert designs >= 100 and designs < len(judged)
 
     def test_scaling_invariance(self):
         for name in ("sta3", "stb6", "stc12"):

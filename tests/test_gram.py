@@ -18,7 +18,7 @@ from latcrit import (
 )
 from latcrit.catalog import load_catalog
 from latcrit.cli import _random_integral_spd
-from latcrit.gram import _adjugate, _from_integral, _leading_minors
+from latcrit.gram import _adjugate, _leading_minors
 from latcrit.height import _projected_residual, _sides
 
 from helpers import (
@@ -31,6 +31,7 @@ from helpers import (
     lll_reduce_rational,
     random_rational_spd,
     tangent_part,
+    validated_form,
 )
 
 I2 = GramMatrix([[1, 0], [0, 1]])
@@ -153,7 +154,7 @@ class TestInverse:
         for name, Q in forms:
             got = gram_inverse(Q)
             adj, det = _adjugate(Q._P)
-            want = _from_integral([[Q._d * v for v in row] for row in adj], det)
+            want = validated_form([[Q._d * v for v in row] for row in adj], det)
             assert (got._P, got._d, got._det) == (want._P, want._d, want._det), name
         assert len(forms) == 1043
 
@@ -231,6 +232,22 @@ class TestBlockOps:
         for e in load_catalog().entries:
             assert is_even(double(e.gram))
             level(double(e.gram))  # never raises
+
+    def test_stored_double_is_the_validated_form(self):
+        # 2Q is stored unchecked: it equals the form that validation gives
+        # from the entries 2P / d, determinant included
+        # the seeded rational forms in quarters have even denominators
+        rng = np.random.default_rng(31)
+        forms = [(e.name, e.gram) for e in load_catalog().entries] + list(exact_kernel_forms())
+        forms += [(f"quarters-{n}-{k}", random_rational_spd(n, rng)) for n in range(1, 7)
+                  for k in range(5)]
+        assert sum(Q._d % 2 == 0 for _, Q in forms) >= 20
+        for name, Q in forms:
+            got = double(Q)
+            want = validated_form([[2 * p for p in row] for row in Q._P], Q._d)
+            assert (got._P, got._d, got._det, got.name) == (
+                want._P, want._d, want._det, want.name), name
+        assert len(forms) == 1073
 
 
 class TestExpMap:
@@ -321,3 +338,14 @@ class TestSerialization:
     def test_json_dimension_check(self):
         with pytest.raises(GramError):
             gram_from_json('{"n": 3, "gram": [[1, 0], [0, 1]]}')
+
+    @pytest.mark.parametrize("text", ['{"gram": 5}', '{"gram": [1, 2]}', '{"gram": [[1], 2]}',
+                                      '{"n": 2, "gram": 5}', '{"gram": null}', '{"gram": "2"}',
+                                      '{"gram": ["2"]}'])
+    def test_json_rows_that_are_not_sequences(self, text):
+        with pytest.raises(GramError, match="sequence of rows"):
+            gram_from_json(text)
+
+    def test_json_booleans_are_not_entries(self):
+        with pytest.raises(GramError, match="cannot interpret True"):
+            gram_from_json('{"gram": [[true, false], [false, true]]}')

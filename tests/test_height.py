@@ -20,7 +20,6 @@ from latcrit import (
     gram_inverse,
     height,
     height_constant,
-    layer_cardinalities,
     layer_moments,
     lll_reduce,
     upper_gamma,
@@ -33,7 +32,9 @@ from helpers import (
     box_layers,
     box_tail,
     directional_derivative_fd,
+    half_rows,
     large_denominator_form,
+    layer_counts,
     majorant_soundness,
     normalized_to_det1,
     random_unimodular,
@@ -636,8 +637,8 @@ class TestOncePerValue:
                 (gram_inverse(Q), sides.dual, sides.integral[1], dual,
                  lambda b: upper_gamma(0.0, math.pi * b))):
             X, _ = H.short_vectors_float(M, radius)
-            rows = side.half.rows()
-            assert np.array_equal(X.rows(), rows)
+            rows = half_rows(side.half)
+            assert np.array_equal(half_rows(X), rows)
             m = np.rint(side.distinct * unit)
             assert np.array_equal(m / unit, side.distinct)
             assert np.array_equal(m[side.inverse], ((rows @ P) * rows).sum(1))
@@ -646,7 +647,7 @@ class TestOncePerValue:
             d = q.integral_rescale()[1]
             bound = Fraction(math.floor((radius * (1 + 1e-9) + 1e-9) * unit), d)
             layers = {Fraction(int(k), d): 2 * int(c) for k, c in zip(m, side.counts)}
-            assert layers == dict(layer_cardinalities(enumerate_layers(q, bound))), name
+            assert layers == layer_counts(enumerate_layers(q, bound)), name
             if q.n <= 5:
                 assert layers == box_layers(q, bound), name
             total = float(side.counts @ g(side.distinct))
@@ -834,7 +835,7 @@ class TestAnnulusMajorant:
         Ainv = np.linalg.inv(SKEWED)
         lam = H._norm_factor(Ainv)
         Y, b = H.short_vectors_float(Ainv, 200.0)
-        W = Y.rows() @ Ainv
+        W = half_rows(Y) @ Ainv
         assert np.all(np.sum(W * W, 1) <= lam * b * (1 + 1e-12))
         assert np.any(np.sum(W * W, 1) > np.linalg.eigvalsh(SKEWED)[-1] * b)
 

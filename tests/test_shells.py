@@ -14,22 +14,22 @@ from latcrit import (
     fully_critical,
     gram_inverse,
     is_even,
-    layer_cardinalities,
     layer_moments,
     lll_reduce,
     short_vectors_float,
 )
 from latcrit import shells
 from latcrit.catalog import load_catalog
-from latcrit.gram import _from_integral
 from latcrit.height import _sides
 
 from helpers import (
     box_layers,
     exact_kernel_forms,
     fincke_pohst_rows,
+    half_rows,
     is_lll_reduced,
     large_denominator_form,
+    layer_counts,
     lll_reduce_rational,
     normalized_to_det1,
     quadratic_value,
@@ -37,6 +37,7 @@ from helpers import (
     random_unimodular,
     sheared_z2,
     transform_gram,
+    validated_form,
 )
 
 I2 = GramMatrix([[1, 0], [0, 1]])
@@ -46,28 +47,24 @@ A1 = GramMatrix([[2]])
 
 class TestExamples:
     def test_z2_up_to_5(self):
-        spec = enumerate_layers(I2, 5)
-        got = {int(m): c for m, c in layer_cardinalities(spec)}
+        got = layer_counts(enumerate_layers(I2, 5))
         # frozen from the box oracle over [-3,3]^2
         assert got == {1: 4, 2: 4, 4: 4, 5: 8}
-        assert got == {int(m): c for m, c in box_layers(I2, 5).items()}
+        assert got == box_layers(I2, 5)
 
     def test_a2_norm_2(self):
-        spec = enumerate_layers(A2, 2)
-        assert len(spec.layers) == 1
-        assert spec.layers[0].norm == 2 and spec.layers[0].cardinality == 6
+        assert layer_counts(enumerate_layers(A2, 2)) == {2: 6}
 
     def test_a1_up_to_9(self):
-        spec = enumerate_layers(A1, 9)
-        assert layer_cardinalities(spec) == [(Fraction(2), 2), (Fraction(8), 2)]
+        layers = enumerate_layers(A1, 9)
+        assert list(layer_counts(layers).items()) == [(Fraction(2), 2), (Fraction(8), 2)]
 
     def test_ste10a_low_layers_match_transcript(self):
         # transcript counts one vector per antipodal pair
         q = load_catalog().by_name("ste10a").gram
-        spec = enumerate_layers(q, 10)
-        norms = [lay.norm for lay in spec.layers]
-        assert 1 not in norms and 2 not in norms
-        pairs = [(int(m), c // 2) for m, c in layer_cardinalities(spec)]
+        counts = layer_counts(enumerate_layers(q, 10))
+        assert 1 not in counts and 2 not in counts
+        pairs = [(int(m), c // 2) for m, c in counts.items()]
         assert pairs == [(3, 10), (4, 15), (5, 12), (6, 30), (7, 30),
                          (8, 30), (9, 60), (10, 72)]
 
@@ -80,13 +77,11 @@ class TestOracleEquivalence:
     ])
     def test_matches_box_enumeration(self, name, bound):
         q = load_catalog().by_name(name).gram
-        got = {m: c for m, c in layer_cardinalities(enumerate_layers(q, bound))}
-        assert got == box_layers(q, bound)
+        assert layer_counts(enumerate_layers(q, bound)) == box_layers(q, bound)
 
     def test_rational_form(self):
         q = gram_inverse(A2)  # entries in thirds
-        got = {m: c for m, c in layer_cardinalities(enumerate_layers(q, 3))}
-        assert got == box_layers(q, 3)
+        assert layer_counts(enumerate_layers(q, 3)) == box_layers(q, 3)
 
     def test_float_walk_on_unreduced_basis(self):
         # short_vectors_float walks the basis it is given, with no LLL step;
@@ -98,7 +93,7 @@ class TestOracleEquivalence:
         X, norms = short_vectors_float(np.array(skewed.entries, dtype=float), 16)
         assert np.array_equal(norms, np.rint(norms)) and norms.max() <= 16
         got: dict[Fraction, int] = {}
-        for x, m in zip(X.rows(), np.rint(norms).astype(int)):
+        for x, m in zip(half_rows(X), np.rint(norms).astype(int)):
             assert quadratic_value(skewed, x) == m
             got[Fraction(int(m))] = got.get(Fraction(int(m)), 0) + 2
         assert got == box_layers(skewed, 16)
@@ -111,8 +106,7 @@ class TestOracleEquivalence:
         for e in entries:
             qq = transform_gram(e.gram, random_unimodular(e.gram.n, rng))
             bound = {2: 20, 3: 20, 4: 16, 5: 12}[e.gram.n]
-            got = {m: c for m, c in layer_cardinalities(enumerate_layers(qq, bound))}
-            assert got == box_layers(qq, bound), e.name
+            assert layer_counts(enumerate_layers(qq, bound)) == box_layers(qq, bound), e.name
 
 
 class TestArrayWalk:
@@ -135,7 +129,7 @@ class TestArrayWalk:
             assert max(max(len(X), len(x)) for X, _, x, _ in got) <= chunk
             assert all(len(p) == len(x) == len(norms) for _, p, x, norms in got)
             assert all(not X[:, 0].any() and np.all(np.diff(p) >= 0) for X, p, _, _ in got)
-            rows = [shells.HalfSet(X, p, x).rows() for X, p, x, _ in got]
+            rows = [half_rows(shells.HalfSet(X, p, x)) for X, p, x, _ in got]
             assert np.array_equal(np.concatenate(rows), ref)
             assert np.concatenate([norms for *_, norms in got]).tolist() == ref_norms
         return next((i for i in range(Q.n - 1, 0, -1) if children[i] > shells._SCALAR_CHILDREN), 0)
@@ -186,7 +180,7 @@ class TestArrayWalk:
         for P, bound in walks:
             ref, ref_norms, _ = fincke_pohst_rows(P, bound)
             got = list(fp_rows(P, bound))
-            rows = [shells.HalfSet(X, p, x).rows() for X, p, x, _ in got]
+            rows = [half_rows(shells.HalfSet(X, p, x)) for X, p, x, _ in got]
             assert np.array_equal(np.concatenate(rows) if rows else np.empty((0, len(P))), ref)
             assert [v for *_, norms in got for v in norms.tolist()] == ref_norms
 
@@ -199,7 +193,7 @@ class TestFloatBound:
 
     def test_zero_bound_is_empty(self):
         X, norms = short_vectors_float(A2.to_float(), 0.0)
-        assert len(X) == 0 and X.rows().shape == (0, 2) and norms.shape == (0,)
+        assert len(X) == 0 and half_rows(X).shape == (0, 2) and norms.shape == (0,)
 
 
 class TestSplitFrontiers:
@@ -214,17 +208,18 @@ class TestSplitFrontiers:
         float_default = short_vectors_float(sta3, 6.0)
         monkeypatch.setattr(shells, "_CHUNK_ROWS", 8)
         for (q, b), ref, ref_moments in zip(cases, default, default_moments):
-            spec = enumerate_layers(q, b)
-            assert layer_cardinalities(spec) == layer_cardinalities(ref)
-            for lay, lay_ref in zip(spec.layers, ref.layers):
-                assert (lay.vectors == lay_ref.vectors).all()
-            assert {m: c for m, c in layer_cardinalities(spec)} == box_layers(q, b)
+            layers = enumerate_layers(q, b)
+            assert list(layers) == list(ref)
+            for m, X in layers.items():
+                assert np.array_equal(X, ref[m])
+            assert layer_counts(layers) == box_layers(q, b)
             moments = layer_moments(q, b)
             assert list(moments) == list(ref_moments)
             for m, (cnt, S) in moments.items():
                 assert cnt == ref_moments[m][0] and (S == ref_moments[m][1]).all()
         X, norms = short_vectors_float(sta3, 6.0)
-        assert (X.rows() == float_default[0].rows()).all() and (norms == float_default[1]).all()
+        assert np.array_equal(half_rows(X), half_rows(float_default[0]))
+        assert np.array_equal(norms, float_default[1])
 
 
 class TestInvariants:
@@ -232,27 +227,26 @@ class TestInvariants:
         rng = np.random.default_rng(17)
         for name in ("sta3", "stb6", "stc12"):
             q = load_catalog().by_name(name).gram
-            base = layer_cardinalities(enumerate_layers(q, 10))
+            base = list(layer_counts(enumerate_layers(q, 10)).items())
             for _ in range(3):
                 U = random_unimodular(q.n, rng)
                 qq = transform_gram(q, U)
-                assert layer_cardinalities(enumerate_layers(qq, 10)) == base
+                assert list(layer_counts(enumerate_layers(qq, 10)).items()) == base
 
     def test_layers_exact_and_antipodal(self):
         q = load_catalog().by_name("stc9").gram
-        spec = enumerate_layers(q, 12)
-        for lay in spec.layers:
-            assert lay.cardinality % 2 == 0
-            vecs = {tuple(map(int, row)) for row in lay.vectors}
-            assert len(vecs) == lay.cardinality          # pairwise distinct
+        for m, X in enumerate_layers(q, 12).items():
+            assert X.dtype == np.int64 and len(X) % 2 == 0
+            assert np.array_equal(X, np.array(sorted(X.tolist())))  # lex-sorted
+            vecs = {tuple(map(int, row)) for row in X}
+            assert len(vecs) == len(X)                   # pairwise distinct
             assert (0,) * q.n not in vecs
             for v in list(vecs)[:50]:
                 assert tuple(-x for x in v) in vecs      # antipodal closure
-                assert quadratic_value(q, v) == lay.norm  # exact rational recheck
+                assert quadratic_value(q, v) == m        # exact rational recheck
 
     def test_norms_strictly_increasing(self):
-        spec = enumerate_layers(load_catalog().by_name("std6").gram, 20)
-        norms = [lay.norm for lay in spec.layers]
+        norms = list(enumerate_layers(load_catalog().by_name("std6").gram, 20))
         assert all(a < b for a, b in zip(norms, norms[1:]))
 
 
@@ -271,7 +265,7 @@ class TestHalfLayer:
 
     def test_covers_all_pairs(self):
         q = load_catalog().by_name("stc12").gram
-        full = {tuple(map(int, r)) for lay in enumerate_layers(q, 4).layers for r in lay.vectors}
+        full = {tuple(map(int, r)) for X in enumerate_layers(q, 4).values() for r in X}
         reps = half_set(q, 4)
         assert len(full) == 2 * len(reps)
         assert reps | {tuple(-x for x in r) for r in reps} == full
@@ -298,7 +292,7 @@ class TestNormRoutes:
 
         def walk(P, bound):
             for X, p, x, norms in real_walk(P, bound):
-                walked.append((P, shells.HalfSet(X, p, x).rows(), norms))
+                walked.append((P, half_rows(shells.HalfSet(X, p, x)), norms))
                 yield X, p, x, norms
 
         def exact(X, P):
@@ -309,7 +303,7 @@ class TestNormRoutes:
         monkeypatch.setattr(shells, "_fp_rows", walk)
         monkeypatch.setattr(shells, "_exact_norms", exact)
         q = large_denominator_form(d)
-        got = dict(layer_cardinalities(enumerate_layers(q, 6)))
+        got = layer_counts(enumerate_layers(q, 6))
         assert got == box_layers(q, 6) and len(got) >= 3
         assert {m: c for m, (c, _) in layer_moments(q, 6).items()} == got
         lo, hi = self.ROUTES[route]
@@ -324,13 +318,13 @@ class TestNormRoutes:
 class TestStreaming:
     def test_moments_match_stored_enumeration(self):
         q = load_catalog().by_name("stc10").gram
-        spec = enumerate_layers(q, 12)
+        layers = enumerate_layers(q, 12)
         moments = layer_moments(q, 12)
-        assert set(moments) == {lay.norm for lay in spec.layers}
-        for lay in spec.layers:
-            cnt, S = moments[lay.norm]
-            assert cnt == lay.cardinality
-            direct = lay.vectors.T.astype(object) @ lay.vectors.astype(object)
+        assert list(moments) == list(layers)
+        for m, X in layers.items():
+            cnt, S = moments[m]
+            assert cnt == len(X)
+            direct = X.T.astype(object) @ X.astype(object)
             assert (S == direct).all()
 
     def test_budget_error(self):
@@ -383,7 +377,7 @@ class TestLLL:
         for name, Q in exact_kernel_forms():
             red, _ = lll_reduce(Q)
             P, d = red.integral_rescale()
-            want = _from_integral(P, d)
+            want = validated_form(P, d)
             assert (red._P, red._d, red._det, red.name) == (
                 want._P, want._d, want._det, want.name), name
             assert red._det == Q._det, name
@@ -408,13 +402,14 @@ class TestLLL:
 
 class TestFormats:
     def test_cardinality_vector(self):
-        spec = enumerate_layers(I2, 5)
-        assert cardinality_vector(spec, 5) == [4, 4, 0, 4, 8]
-        assert cardinality_vector(spec, 5, antipodal_pairs=True) == [2, 2, 0, 2, 4]
+        layers = enumerate_layers(I2, 5)
+        assert cardinality_vector(layers, 5) == [4, 4, 0, 4, 8]
+        assert cardinality_vector(layers, 3) == [4, 4, 0]
+        with pytest.raises(ValueError, match="integral norms"):
+            cardinality_vector(enumerate_layers(gram_inverse(A2), 2), 2)
 
     def test_dump_format(self):
-        spec = enumerate_layers(A1, 8)
-        text = dump_spectrum(spec)
+        text = dump_spectrum(enumerate_layers(A1, 8))
         lines = text.strip().splitlines()
         assert lines[0] == "2 2"
         assert set(lines[1:3]) == {"1", "-1"}

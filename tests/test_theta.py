@@ -18,7 +18,7 @@ from latcrit import (
 from latcrit.catalog import load_catalog
 from latcrit.certify import SIDE_LEVEL_DUAL
 
-from helpers import box_layers, level_dual, streamed_verdicts, with_A1
+from helpers import box_layers, layer_counts, level_dual, streamed_verdicts, with_A1
 
 I2 = GramMatrix([[1, 0], [0, 1]])
 A2 = GramMatrix([[2, 1], [1, 2]])
@@ -26,7 +26,7 @@ A1 = GramMatrix([[2]])
 
 
 def counts(Q: GramMatrix, bound) -> dict[Fraction, int]:
-    return {lay.norm: lay.cardinality for lay in enumerate_layers(Q, bound).layers}
+    return layer_counts(enumerate_layers(Q, bound))
 
 
 def convolve(a: dict, b: dict, bound) -> dict:
