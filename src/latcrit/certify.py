@@ -62,6 +62,16 @@ names its premises: the group and its cusp count, the character's
 discriminant D of the (augmented) working form, the weight, the bound
 tested and the horizon, and how many nonempty layers the certificate
 actually tested (``vacuous`` when none).
+
+A certificate is a plan and a verdict loop.  The plan (``_plan``) walks
+nothing: it fixes the working form, the tested side, its level and weight,
+and the cusps and the horizon B, which a caller may count only after
+comparing their floor (``_horizon_floor``) with what it can test.  A walk
+of the tested form then gives the layers in range with their second
+moments, and the verdict loop (``_report``) judges them in increasing norm.  ``fully_critical`` walks with
+``layer_moments``; the height reads the same layers off the walks it makes
+for its own sums (``height._certificate``) and stops at the first layer
+that fails, so a pass there is the report ``fully_critical`` gives.
 """
 
 from __future__ import annotations
@@ -69,7 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .design import DesignVerdict, two_design_verdict
 from .gram import (
@@ -135,6 +145,19 @@ def gamma0_horizon(k: int, N: int) -> int:
 def _horizon(k: int, N: int, cusps: int) -> int:
     """``gamma0_horizon`` with the cusp count of Gamma_0(N) given."""
     return max(1, (k * gamma0_index(N) - 6 * (cusps - 1)) // 12)
+
+
+def _horizon_floor(k: int, N: int) -> int:
+    """A lower bound on ``gamma0_horizon(k, N)`` that factors nothing.
+
+    For N > 1 the index I is at least N + 1, and the genus formula
+    g = 1 + I/12 - e2/4 - e3/3 - c/2 >= 0 (Diamond-Shurman, Thm. 3.1.1)
+    gives c <= I/6 + 2, so k I - 6 (c - 1) >= (k - 1) I - 6
+    >= (k - 1)(N + 1) - 6.  Counting the cusps and the index takes a walk
+    to sqrt(N); this takes none, so a caller whose walk cannot reach a
+    large level's horizon gives up at once.
+    """
+    return max(1, ((k - 1) * (N + 1) - 6) // 12) if N > 1 else 1
 
 
 @dataclass(frozen=True)
@@ -255,6 +278,73 @@ def fully_critical(
     return _certify(L, override_bound, max_vectors, dualize=override_bound is None)
 
 
+class _Plan(NamedTuple):
+    """A certificate's premises, fixed before any walk (``_plan``).
+
+    ``form`` is the tested side's integral form: the input, or the level
+    dual N W^{-1} = dual_scale Q^{-1} of the working form W (Q, or 2Q when Q
+    is odd), so dual_scale = N / s_W.  Its layers with (x.x) <= 2B are
+    tested on the even form W, which are form[x] <= 2B / s.
+    """
+
+    form: GramMatrix
+    tested: str
+    s: int         # 2 when ``form`` is odd and its double sets the horizon
+    augmented: bool
+    level: int
+    weight: int
+    character_D: int
+    override: Optional[int]  # the caller's bound B, or None for the horizon
+    dual_scale: Optional[Fraction]  # N / s_W for the level dual, else None
+    cusps: int    # of Gamma_0(level), and the horizon: 0 until counted (``_counted``)
+    horizon: int
+    B: int        # the bound tested: the horizon, or the override
+
+
+def _counted(plan: _Plan) -> _Plan:
+    """``plan`` with the cusps of Gamma_0(level), the horizon and B counted."""
+    cusps = gamma0_cusps(plan.level)
+    horizon = _horizon(plan.weight, plan.level, cusps)
+    return plan._replace(cusps=cusps, horizon=horizon,
+                         B=horizon if plan.override is None else plan.override)
+
+
+def _plan(Q: GramMatrix, override_bound: Optional[int], dualize: bool, *,
+          count: bool = True) -> _Plan:
+    """The premises of the certificate of the integral form Q, with no walk.
+
+    The working form W is Q, or 2Q when Q is odd; with ``dualize`` and a
+    level dual sparser than W (N^n > (det W)^2) the level dual is tested.
+    Counting the cusps and the horizon walks to sqrt(level)
+    (``gamma0_cusps``, ``gamma0_index``); with ``count`` false they are
+    left 0, for a caller that first compares ``_horizon_floor`` with the
+    range it can test, then counts them (``_counted``).
+    """
+    if not Q.is_integral:
+        raise ValueError("full-criticality certification requires an integral form")
+    s_work = 1 if is_even(Q) else 2
+    work = Q if s_work == 1 else double(Q)
+    N, det = level(work), int(determinant(work))
+    form, lvl, tested, dual_scale = Q, N, SIDE_INPUT, None
+    if dualize and N ** Q.n > det * det:
+        form, lvl = _level_dual(work, N)
+        det, tested, dual_scale = N ** Q.n // det, SIDE_LEVEL_DUAL, Fraction(N, s_work)
+    s = 1 if is_even(form) else 2
+    n = dim = Q.n
+    augmented = n % 2 == 1
+    if augmented:  # diag(W, 2)
+        lvl, det, dim = math.lcm(lvl, 4), 2 * det, n + 1
+    override = None if override_bound is None else int(override_bound)
+    if override is not None and override < 1:
+        raise ValueError("certification bound must be positive")
+    weight = dim // 2 + 2
+    cusps = gamma0_cusps(lvl) if count else 0
+    horizon = _horizon(weight, lvl, cusps) if count else 0
+    return _Plan(form=form, tested=tested, s=s, augmented=augmented, level=lvl, weight=weight,
+                 character_D=(-1) ** (dim // 2) * det, override=override, dual_scale=dual_scale,
+                 cusps=cusps, horizon=horizon, B=horizon if override is None else override)
+
+
 def _certify(
     L: LatticeDescriptor | GramMatrix,
     override_bound: Optional[int],
@@ -263,96 +353,69 @@ def _certify(
     dualize: bool,
 ) -> FullyCriticalReport:
     """``fully_critical`` on the input's own layers, or, when ``dualize`` is
-    set and its level dual is sparser, on the dual's."""
+    set and its level dual is sparser, on the dual's: the plan, one walk of
+    the tested form (``layer_moments``, its range halved while it overruns
+    the budget), and the verdicts."""
     desc = L if isinstance(L, LatticeDescriptor) else LatticeDescriptor(gram=L, name=L.name)
-    Q = desc.gram
-    if not Q.is_integral:
-        raise ValueError("full-criticality certification requires an integral form")
-    work = Q if is_even(Q) else double(Q)
-    N, det = level(work), int(determinant(work))
-    if dualize and N ** Q.n > det * det:
-        dual, dual_level = _level_dual(work, N)
-        return _certify_side(desc, dual, dual_level, N ** Q.n // det, None, max_vectors,
-                             SIDE_LEVEL_DUAL)
-    return _certify_side(desc, Q, N, det, override_bound, max_vectors, SIDE_INPUT)
-
-
-def _certify_side(
-    desc: LatticeDescriptor,
-    Q: GramMatrix,
-    lvl: int,
-    det: int,
-    override_bound: Optional[int],
-    max_vectors: int,
-    tested: str,
-) -> FullyCriticalReport:
-    """Test the layers of the integral form Q, whose even form W (Q, or 2Q
-    when Q is odd) has level lvl and determinant det."""
-    s = 1 if is_even(Q) else 2
-    n = dim = Q.n
-    augmented = n % 2 == 1
-    if augmented:  # diag(W, 2)
-        lvl, det, dim = math.lcm(lvl, 4), 2 * det, n + 1
-    weight = dim // 2 + 2
-    D = (-1) ** (dim // 2) * det
-
-    cusps = gamma0_cusps(lvl)
-    horizon = _horizon(weight, lvl, cusps)
-    B = int(override_bound) if override_bound is not None else horizon
-    if B < 1:
-        raise ValueError("certification bound must be positive")
-
-    bound, moments, note = 2 * B, {}, ""
+    plan = _plan(desc.gram, override_bound, dualize)
+    bound, moments, note = 2 * plan.B, {}, ""
     while bound >= 2:
         try:
-            moments = layer_moments(Q, Fraction(bound, s), max_vectors=max_vectors)
+            moments = layer_moments(plan.form, Fraction(bound, plan.s), max_vectors=max_vectors)
             break
         except EnumerationBudgetError:
             bound //= 2
-            note = (f"enumeration budget {max_vectors} exceeded at (x,x)<={2 * B // s}; "
-                    + ("certified range reduced" if bound >= 2 else f"no bound >= {2 // s} fits"))
+            note = (f"enumeration budget {max_vectors} exceeded at (x,x)<={2 * plan.B // plan.s}; "
+                    + ("certified range reduced" if bound >= 2
+                       else f"no bound >= {2 // plan.s} fits"))
     else:  # no bound >= 2 fits: nothing is certified
         bound = 0
+    verdicts = [two_design_verdict(m, card, S, plan.form, scale=4)  # per antipodal pair
+                for m, (card, S) in moments.items()]
+    return _report(desc, plan, moments, verdicts, bound, note)
 
-    per_layer = []
-    cards = []
-    failure_norm = None
-    for m, (card, S) in moments.items():
-        v = two_design_verdict(m, card, S, Q, scale=4)  # restated per antipodal pair
-        per_layer.append(v)
-        cards.append((m, card // 2))
-        if failure_norm is None and not v.is_design:
-            failure_norm = m
 
-    certified = Fraction(bound, s)
+def _report(desc: LatticeDescriptor, plan: _Plan, moments: dict, verdicts, bound: int,
+            note: str) -> FullyCriticalReport:
+    """The report of ``plan`` on the layers of ``moments``, every layer with (x.x) <= bound.
+
+    ``verdicts`` are those layers' verdicts in order, restated per
+    antipodal pair (scale 4); ``bound``, on the even form, is 2B unless the
+    budget cut it.
+    """
+    per_layer, failure_norm = tuple(verdicts), None
+    for v in per_layer:
+        if not v.is_design:
+            failure_norm = v.norm
+            break
+    certified = Fraction(bound, plan.s)
     if failure_norm is not None:
         verdict = VERDICT_FAILURE
-    elif bound == 2 * B and B >= horizon:
+    elif bound == 2 * plan.B and plan.B >= plan.horizon:
         verdict = VERDICT_CRITICAL
     else:
         verdict = VERDICT_INCONCLUSIVE
-        if B < horizon:
+        if plan.B < plan.horizon:
             below = (f"only layers (x,x) <= {certified} checked; "
-                     f"the Gamma0({lvl}) horizon needs B = {horizon}")
+                     f"the Gamma0({plan.level}) horizon needs B = {plan.horizon}")
             note = f"{note}; {below}" if note else below
-
     return FullyCriticalReport(
         input=desc,
-        doubled=s == 2,
-        augmented_with_A1=augmented,
-        level=lvl,
-        weight=weight,
-        bound_B=B,
-        horizon_B=horizon,
-        cusps=cusps,
-        character_D=D,
-        per_layer=tuple(per_layer),
-        cardinalities=tuple(cards),
+        doubled=plan.s == 2,
+        augmented_with_A1=plan.augmented,
+        level=plan.level,
+        weight=plan.weight,
+        bound_B=plan.B,
+        horizon_B=plan.horizon,
+        cusps=plan.cusps,
+        character_D=plan.character_D,
+        per_layer=per_layer,
+        cardinalities=tuple([(m, card // 2) for m, (card, _) in moments.items()]),
         verdict=verdict,
         failure_norm=failure_norm,
         certified_upto=certified,
         note=note,
-        tested=tested,
+        tested=plan.tested,
     )
 
 

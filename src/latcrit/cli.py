@@ -219,12 +219,23 @@ def _cmd_fully_critical(args):
     return _input_dict(desc), rep.to_dict(), _transcript(rep), code
 
 
+def _route_text(hrep) -> str:
+    """One line naming the route of the height's gradient and, on the theorem route, its proof."""
+    cert = hrep.certificate
+    if cert is None:
+        return "gradient route: numeric (summed over both walks)"
+    return (f"gradient route: theorem (G = -(S_A/2) A^-1, certified on the {cert['tested']} "
+            f"side: Gamma0({cert['level']}), weight {cert['weight']}, horizon B = "
+            f"{cert['horizon_B']}, {cert['layers_tested']} nonempty layers tested)")
+
+
 def _cmd_height(args):
     desc = _resolve_input(args)
     hrep = height(desc)
     text = (f"height({desc.name or 'input'} normalized to det 1) = {hrep.height!r}\n"
             f"F value {hrep.F_value!r}, constant {hrep.constant_C!r}\n"
             f"projected gradient residual {hrep.projected_residual:.3e}\n"
+            f"{_route_text(hrep)}\n"
             f"truncation radius {hrep.truncation_radius:.4f}, "
             f"{hrep.half_vectors_form} + {hrep.half_vectors_dual} half-set vectors "
             f"(form + inverse), certified tail {hrep.tail_estimate:.3e}")
@@ -233,10 +244,11 @@ def _cmd_height(args):
 
 def _cmd_stationarity(args):
     desc = _resolve_input(args)
-    res = height(desc).projected_residual
-    return (_input_dict(desc), {"projected_residual": res},
-            f"stationarity residual of {desc.name or 'input'} (normalized): {res:.6e}",
-            EXIT_OK)
+    hrep = height(desc)
+    res = hrep.projected_residual
+    return (_input_dict(desc), {"projected_residual": res, "route": hrep.route},
+            f"stationarity residual of {desc.name or 'input'} (normalized): {res:.6e}, "
+            f"{hrep.route} route", EXIT_OK)
 
 
 def _cmd_tables(args):
@@ -371,13 +383,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("height", help="torus height of the determinant-1 form; the truncation "
                        "radius is chosen from proven tail majorants, and exit 2 reports a tail "
-                       "that misses its tolerance")
+                       "that misses its tolerance; the gradient takes the theorem route "
+                       "(-(S_A/2) A^-1) when the walks certify every layer a 2-design, and the "
+                       "numeric route (summed) otherwise")
     common(p)
     p.set_defaults(func=_cmd_height)
 
     p = sub.add_parser("stationarity",
                        help="stationarity residual of the height: the projected gradient "
-                            "residual of the height command's evaluation")
+                            "residual of the height command's evaluation, with its gradient's "
+                            "route (theorem: stationary by proof; numeric: summed)")
     common(p)
     p.set_defaults(func=_cmd_stationarity)
 

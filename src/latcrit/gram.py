@@ -7,14 +7,16 @@ integral form P = d Q, with d the lcm of the entry denominators, and det P;
 the Fraction entries of the API are derived when first read.  Everything
 structural (positive definiteness, determinant, inverse, parity, level) runs
 on P in Python-int, fraction-free kernels: Bareiss elimination for the
-leading minors and a fraction-free Gauss-Jordan adjugate for the inverse,
-the level and the level dual.  Floating point enters only through the float
-copies the height machinery reads (``to_float``).
+leading minors and a fraction-free Gauss-Jordan adjugate, cached by
+primitive part, for the inverse, the level and the level dual.  Floating
+point enters only through the float copies the height machinery reads
+(``to_float``).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -180,14 +182,28 @@ def _leading_minors(P: Sequence[Sequence[int]]) -> list[int]:
 
 
 @functools.lru_cache(maxsize=1)
+def _inverse(P: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """(A, det P0, c) with P^{-1} = A / (c det P0): P = c P0, c the content of P and A = adj P0.
+
+    The last result is kept, so that the level of a form and its level dual
+    share one call; the elimination is of the primitive part P0
+    (``_adjugate``), whose last result is kept too, so that a form and its
+    double share one: the height's exact inverse of a form, and the level of
+    its even working form.
+    """
+    c = math.gcd(*itertools.chain.from_iterable(P))
+    adj, det = _adjugate(P if c == 1 else tuple([tuple([v // c for v in row]) for row in P]))
+    return adj, det, c
+
+
+@functools.lru_cache(maxsize=1)
 def _adjugate(P: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(adj P, det P) by fraction-free Gauss-Jordan elimination of [P | I].
 
     Bareiss's update runs on every row but the pivot row, so the left block
     ends as det(P) I and the right one as adj(P) = det(P) P^{-1}, every
     division exact.  The pivots are the leading minors: nonzero for a
-    positive definite P.  The last result is kept, so that the level of a
-    form and its level dual share one elimination.
+    positive definite P.
     """
     n = len(P)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(P)]
@@ -208,17 +224,18 @@ def determinant(Q: GramMatrix) -> Fraction:
 
 
 def gram_inverse(Q: GramMatrix) -> GramMatrix:
-    """Exact inverse d adj(P) / det(P) of Q = P / d: the Gram matrix of the dual lattice.
+    """Exact inverse d A / D of Q = P / d, P^{-1} = A / D: the Gram matrix of the dual lattice.
 
-    The inverse of a symmetric positive definite form is one, so it is
-    stored unchecked.  g = gcd(det P, d adj(P)) puts it in lowest terms, and
-    its integral rows d adj(P) / g have determinant
-    d^n det(adj P) / g^n = d^n (det P)^(n-1) / g^n.
+    With P = c P0, A = adj P0 and D = c det P0 (``_inverse``).  The inverse
+    of a symmetric positive definite form is one, so it is stored
+    unchecked.  g = gcd(D, d A) puts it in lowest terms, and its integral
+    rows d A / g have determinant d^n det(adj P0) / g^n
+    = d^n (det P0)^(n-1) / g^n.
     """
-    adj, det = _adjugate(Q._P)
+    adj, det, c = _inverse(Q._P)
     n, d = Q.n, Q._d
-    g = math.gcd(det, *(d * v for row in adj for v in row))
-    return _stored([[d * v // g for v in row] for row in adj], det // g,
+    g = math.gcd(c * det, *(d * v for row in adj for v in row))
+    return _stored([[d * v // g for v in row] for row in adj], c * det // g,
                    d ** n * det ** (n - 1) // g ** n)
 
 
@@ -231,34 +248,34 @@ def level(Q: GramMatrix) -> int:
     """Smallest l >= 1 such that l * Q^{-1} is integral with even diagonal.
 
     Only defined for even integral input; rescaling the dual by sqrt(l) then
-    yields another even lattice.  With Q^{-1} = adj(Q) / det and g the gcd of
-    det and every adjugate entry, l Q^{-1} is integral exactly for the
-    multiples l of det / g, and (det / g) Q^{-1} has diagonal adj_ii / g: the
-    level is det / g, or twice that when some adj_ii / g is odd.
+    yields another even lattice.  With Q^{-1} = A / D (``_inverse``) and g
+    the gcd of D and every entry of A, l Q^{-1} is integral exactly for the
+    multiples l of D / g, and (D / g) Q^{-1} has diagonal A_ii / g: the
+    level is D / g, or twice that when some A_ii / g is odd.
     """
     if not is_even(Q):
         raise ParityError("level requires an even integral Gram matrix")
-    adj, det = _adjugate(Q._P)
-    g = math.gcd(det, *(v for row in adj for v in row))
-    base = det // g
+    adj, det, c = _inverse(Q._P)
+    g = math.gcd(c * det, *(v for row in adj for v in row))
+    base = c * det // g
     return base if all(adj[i][i] // g % 2 == 0 for i in range(Q.n)) else 2 * base
 
 
 def _level_dual(W: GramMatrix, N: int) -> tuple[GramMatrix, int]:
     """(N W^{-1}, its level) for an even form W of level N, in closed form.
 
-    N W^{-1} = (N / det W) adj(W) is even and integral by the definition of
-    N, and symmetric positive definite with determinant N^n / det W, so it is
+    N W^{-1} = N A / D (``_inverse``) is even and integral by the definition
+    of N, and symmetric positive definite with determinant N^n / det W, so it is
     stored unchecked.  Its level is the least l with l (N W^{-1})^{-1} =
     (l / N) W even and integral.  Write W = c W0 with c = gcd(W_ij for
     i < j, W_ii / 2): then W0 is even and the gcd of its off-diagonal and
     half-diagonal entries is 1, so (l / N) W is even integral exactly when N
     divides l c.  The level is N / gcd(N, c).
     """
-    adj, det = _adjugate(W._P)
+    adj, det, content = _inverse(W._P)
     n, P = W.n, W._P
     c = math.gcd(*(P[i][j] for i in range(n) for j in range(i)), *(P[i][i] // 2 for i in range(n)))
-    dual = _stored([[N * v // det for v in row] for row in adj], 1, N ** n // det)
+    dual = _stored([[N * v // (content * det) for v in row] for row in adj], 1, N ** n // W._det)
     return dual, N // math.gcd(N, c)
 
 

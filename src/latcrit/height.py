@@ -41,6 +41,31 @@ each parent on an integer near the middle of its leaves' x_0 interval, sums
 the leaves' weights times 1, d and d^2 (d = x_0 - c) per parent with
 ``np.bincount``, and adds the parents' closed forms in blocked sums
 (``_leaf_fold``).
+
+That numeric route is the gradient's second one (``HeightReport.route``).
+The first, the theorem route, reads the paper's theorem off the walks the
+height already made: a lattice whose layers are all spherical 2-designs is
+a stationary point of the height.  On a ``GramMatrix``, judged as its
+integral form d Q, ``_certificate`` decides it with no further walk, on
+four premises:
+- duality: every layer of L is a 2-design exactly when every layer of L*
+  is (theta duality, ``certify``'s module docstring), so the certificate of
+  either side of the level duality covers both sums;
+- the moment identity: a 2-design layer M of norm m has sum x x^t =
+  (m |M| / n) A^-1 (``design``), and its dual layers likewise in A^-1's
+  metric, so each layer's term of G is a multiple of A^-1, and so is G;
+- the trace identity: Tr(A G) = -(n/2) S_A, with S_A = 2 sum f over the
+  form's half-set, F's form half (the e^{-x} sums of both sides cancel by
+  Poisson summation at determinant 1), so G = -(S_A / 2) A^-1 at the
+  radius F is summed to;
+- completeness: an exact walk (the bincount route) to the integer bound b
+  holds every vector of norm at most b, so when the tested side's range
+  (the horizon of ``certify``) lies at or below its side's b, the layers
+  gathered from that walk are all the certificate's, judged in increasing
+  norm by ``design.two_design_verdict``, as ``fully_critical`` judges them.
+The walks, the radius (still chosen to meet the gradient's majorant), F
+and the tails are the same on both routes.  Any other outcome, and every
+float input, takes the numeric route, bit for bit.
 Tails are majorants: points in an annulus are counted by volume, through a
 fundamental domain of bounded diameter, and summed by parts against the
 monotone summands, so the reported tail estimate is a true upper bound.
@@ -51,12 +76,31 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
 from . import shells
-from .gram import GramMatrix, LatticeDescriptor, determinant, gram_inverse
-from .shells import FLOAT_EXACT, HalfSet, _norm_magnitude, _slack_bound, short_vectors_float
+from .certify import (
+    SIDE_INPUT,
+    FullyCriticalReport,
+    _counted,
+    _horizon_floor,
+    _plan,
+    _report,
+)
+from .design import two_design_verdict
+from .gram import GramMatrix, LatticeDescriptor, _stored, determinant, gram_inverse
+from .shells import (
+    FLOAT_EXACT,
+    INT64_SAFE,
+    HalfSet,
+    _moments,
+    _norm_magnitude,
+    _slack_bound,
+    short_vectors_float,
+)
 from .specfun import _legendre_cf, upper_gamma
 
 TAIL_REL = 1e-13
@@ -72,6 +116,8 @@ _X = math.pi * _RADII
 _RADIUS_CAP = _T0 * 1.35 ** 9
 _TABLE_ENTRIES = 1 << 20  # the exact route's bincount table stays below this many entries
 _BLOCK = 256  # parents per block of the gradient's sums (_blocked_sum)
+ROUTE_THEOREM = "theorem"  # the gradient of a certified lattice, lam A^-1 from F's form half
+ROUTE_NUMERIC = "numeric"  # the gradient summed over both walks (_grad_sum)
 
 
 class TruncationError(RuntimeError):
@@ -172,6 +218,7 @@ class _Sides:
     dual_map: np.ndarray  # U^t A^-1: a walked dual vector z is the row z U^t A^-1 in the gradient
     integral: tuple  # (P, unit) for A and for ``dual``, each P / unit; (None, None) for float input
     counts: tuple    # _annulus_counts on the radii, for A and for A^-1
+    exact: Optional[tuple] = None  # (d Q, a GramMatrix; the rows d' U^t Q^-1 U; d d'), or None
 
     def majorant(self, g_form: np.ndarray, g_dual: np.ndarray) -> np.ndarray:
         """Bound at each t_j on the sum of g over the vectors of norm > t_j, both sides.
@@ -228,6 +275,7 @@ def _sides(L, det1: bool) -> _Sides:
         A, Ainv, dual = Q.to_float() / delta, Qinv.to_float() * delta, Qred.to_float() * delta
         dual_map = U.T.astype(float) @ Ainv
         integral = ((np.array(P, dtype=float), d * delta), (np.array(Pi, dtype=float), di / delta))
+        exact = (Q if d == 1 else _stored(P, 1, Q._det), Pi, d * di)
     else:
         A = _as_form(Q)
         det = _finite_det(A)
@@ -235,9 +283,9 @@ def _sides(L, det1: bool) -> _Sides:
             A = A / det ** (1.0 / A.shape[0])
         Ainv = np.linalg.inv(A)
         Ainv = dual = dual_map = 0.5 * (Ainv + Ainv.T)
-        integral = (None, None)
+        integral, exact = (None, None), None
     return _Sides(A=A, Ainv=Ainv, det=det, dual=dual, dual_map=dual_map, integral=integral,
-                  counts=(_annulus_counts(A, _RADII), _annulus_counts(Ainv, _RADII)))
+                  counts=(_annulus_counts(A, _RADII), _annulus_counts(Ainv, _RADII)), exact=exact)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,6 +296,7 @@ class _Layers:
     distinct: np.ndarray  # its distinct norms, increasing
     inverse: np.ndarray   # half[k] has norm distinct[inverse[k]]
     counts: np.ndarray    # number of half-set vectors of each distinct norm
+    exact: Optional[tuple] = None  # exact route: (the distinct integer norms m, the bound walked)
 
 
 def _layers(M: np.ndarray, integral, radius: float) -> _Layers:
@@ -275,7 +324,8 @@ def _layers(M: np.ndarray, integral, radius: float) -> _Layers:
             norms = np.flatnonzero(table)
             rank = np.zeros(len(table), dtype=np.intp)
             rank[norms] = np.arange(len(norms))
-            return _Layers(half=X, distinct=norms / unit, inverse=rank[m], counts=table[norms])
+            return _Layers(half=X, distinct=norms / unit, inverse=rank[m], counts=table[norms],
+                           exact=(norms, bound))
     X, norms = short_vectors_float(M, radius)
     distinct, inverse, counts = np.unique(norms, return_inverse=True, return_counts=True)
     return _Layers(half=X, distinct=distinct, inverse=inverse, counts=counts)
@@ -379,20 +429,73 @@ def _grad_sum(sides: _Sides, layers: tuple, f: np.ndarray) -> tuple[np.ndarray, 
     return 0.5 * (G + G.T), GRAD_TAIL_FLOOR + TAIL_REL * float(np.linalg.norm(G))
 
 
+def _certificate(sides: _Sides, layers: tuple) -> Optional[FullyCriticalReport]:
+    """The certificate of an exact input read off its own walks, or None.
+
+    The plan (``certify._plan``) fixes the tested side of d Q, its horizon
+    B and its range T[x] <= 2B / s on the tested form T, which the height
+    walked as T / r: d Q itself (r = 1), or, for the level dual
+    T = dual_scale (d Q)^-1, d' U^t Q^-1 U (r = dual_scale / (d d'), T in
+    the walk's basis).  The range is covered when that walk took the exact
+    route to an integer bound of at least floor(2B / (s r));
+    ``_horizon_floor`` rules out a level too large before its cusps are
+    counted.  The layers in range are gathered into rows (int64 while their
+    count times the largest square stays below INT64_SAFE) and judged as
+    their moments come (``shells._moments``), stopping at the first that
+    fails.  A pass is the report ``fully_critical`` gives.
+    """
+    P, Pi, scale = sides.exact
+    plan = _plan(P, None, dualize=True, count=False)
+    if plan.tested == SIDE_INPUT:
+        side, (a, b), T = layers[0], (1, 1), P
+    else:  # r = a / b
+        side, r = layers[1], plan.dual_scale / scale
+        a, b = r.numerator, r.denominator
+        T = _stored([[v * a // b for v in row] for row in Pi], 1, plan.form._det)
+    if side.exact is None:
+        return None
+    norms, walked = side.exact
+    if 2 * _horizon_floor(plan.weight, plan.level) * b // (plan.s * a) > walked:
+        return None
+    plan = _counted(plan)
+    limit = 2 * plan.B * b // (plan.s * a)
+    if limit > walked:
+        return None
+    moments, verdicts = {}, []
+    k = int(np.searchsorted(norms, limit, side="right"))  # the layers in range
+    if k:
+        pick = np.flatnonzero(side.inverse < k)
+        X = side.half.parents[side.half.parent[pick]]
+        X[:, 0] = side.half.x0[pick]
+        X = X.astype(np.int64)
+        if len(X) * float(np.abs(X).max()) ** 2 >= INT64_SAFE:
+            X = X.astype(object)
+        for m, card, S in _moments(X, norms[side.inverse[pick]]):
+            norm = Fraction(m * a // b)
+            verdicts.append(two_design_verdict(norm, card, S, T, scale=4))
+            if not verdicts[-1].is_design:
+                return None
+            moments[norm] = (card, S)
+    return _report(LatticeDescriptor(gram=P), plan, moments, verdicts, 2 * plan.B, "")
+
+
 def _certified_sum(sides: _Sides, orders, what: str, gradient: bool = False):
-    """The one certified lattice sum: (S, G, tail, radius, layers) at one radius.
+    """The one certified lattice sum: (S, G, tail, radius, layers, certificate) at one radius.
 
     S sums c x^{-a} Gamma(a, x) over the nonzero vectors of A at
     x = pi A[m], and over those of A^-1 at x = pi A^-1[y], with ``orders``
     ((a, c) for A, then for A^-1).  With ``gradient`` (only for F's orders)
-    G is F's gradient, else None.  ``_bounds`` gives each quantity's tail
-    majorant at every grid radius and its a-priori tolerance; the radius is
-    the first grid radius up to _RADIUS_CAP where every majorant meets its
-    a-priori tolerance, or that cap when none does.  The vectors of norm <=
-    radius of A and of A^-1 are collected once each and grouped by norm into
-    ``layers`` (``_layers``, on the sides' integral forms when they have
-    them).  Each summand is evaluated once per layer and summed against the
-    layer counts.  The majorants at the radius must meet the real
+    G is F's gradient, else None: G = -(S_A / 2) A^-1, with S_A F's form
+    half, when ``_certificate`` proves the exact input fully critical (the
+    module docstring), and that certificate is returned; otherwise
+    ``_grad_sum`` sums G and the certificate is None.  ``_bounds`` gives
+    each quantity's tail majorant at every grid radius and its a-priori
+    tolerance; the radius is the first grid radius up to _RADIUS_CAP where
+    every majorant meets its a-priori tolerance, or that cap when none
+    does.  The vectors of norm <= radius of A and of A^-1 are collected
+    once each and grouped by norm into ``layers`` (``_layers``, on the
+    sides' integral forms when they have them).  Each summand is evaluated
+    once per layer and summed against the layer counts.  The majorants at the radius must meet the real
     tolerances (TAIL_REL |S|, and GRAD_TAIL_FLOOR + TAIL_REL |G|), or
     TruncationError is raised.
     """
@@ -405,16 +508,22 @@ def _certified_sum(sides: _Sides, orders, what: str, gradient: bool = False):
               _layers(sides.dual, sides.integral[1], radius))
     terms = [_summand(a, c, x, upper_gamma(a, x)) for (a, c), x
              in zip(orders, (math.pi * layers[0].distinct, math.pi * layers[1].distinct))]
-    S = 2.0 * float(layers[0].counts @ terms[0] + layers[1].counts @ terms[1])
+    form_half = layers[0].counts @ terms[0]
+    S = 2.0 * float(form_half + layers[1].counts @ terms[1])
     tolerances = [TAIL_REL * max(abs(S), 1e-30)]
-    G = None
+    G = certificate = None
     if gradient:
-        G, gtol = _grad_sum(sides, layers, terms[0])
+        certificate = _certificate(sides, layers) if sides.exact else None
+        if certificate is None:
+            G, gtol = _grad_sum(sides, layers, terms[0])
+        else:  # lam = -S_A / 2 = -form_half
+            G = -float(form_half) * sides.Ainv
+            gtol = GRAD_TAIL_FLOOR + TAIL_REL * float(np.linalg.norm(G))
         tolerances.append(gtol)
     tails = M[:, np.searchsorted(_RADII, radius, side="right") - 1]
     if not np.all(tails <= np.array(tolerances)):
         raise TruncationError(f"{what}: tail tolerance unattained at radius {radius:.6g}")
-    return S, G, float(np.sum(tails)), radius, layers
+    return S, G, float(np.sum(tails)), radius, layers, certificate
 
 
 def completed_zeta(Q, s: float) -> float:
@@ -474,6 +583,9 @@ class HeightReport:
     tail_estimate: float
     half_vectors_form: int   # vectors enumerated, one per antipodal pair, on the form
     half_vectors_dual: int   # and on its inverse, at the truncation radius
+    route: str               # ROUTE_THEOREM or ROUTE_NUMERIC: how the gradient was found
+    certificate: Optional[dict]  # the theorem route's proof: {tested, level, weight,
+    #                              horizon_B, layers_tested} of its certificate; else None
 
     def to_dict(self) -> dict:
         return {**vars(self), "gradient": self.gradient.tolist()}
@@ -511,12 +623,16 @@ def height(L) -> HeightReport:
     the relative Frobenius norm of the gradient's part in the determinant-1
     tangent space; a value near zero certifies numerical stationarity of
     the height at the lattice.  F and the gradient come from the same
-    vectors, at a radius where both tails are within tolerance.
+    vectors, at a radius where both tails are within tolerance.  On the
+    theorem route (module docstring) the walks certify every layer a
+    2-design, the gradient is -(S_A / 2) A^-1, and its residual is zero up
+    to rounding; ``certificate`` names the side tested, its Gamma_0 level,
+    weight and horizon, and the layers tested.
     """
     sides = _sides(L, det1=True)
     n = sides.A.shape[0]
-    F, G, tail, radius, (form, dual) = _certified_sum(sides, _F_orders(n), "height",
-                                                      gradient=True)
+    F, G, tail, radius, (form, dual), cert = _certified_sum(sides, _F_orders(n), "height",
+                                                            gradient=True)
     C = height_constant(n)
     return HeightReport(
         height=C + F + 2.0 * math.log(2.0 * math.pi),
@@ -528,4 +644,8 @@ def height(L) -> HeightReport:
         tail_estimate=tail,
         half_vectors_form=len(form.half),
         half_vectors_dual=len(dual.half),
+        route=ROUTE_NUMERIC if cert is None else ROUTE_THEOREM,
+        certificate=None if cert is None else {
+            "tested": cert.tested, "level": cert.level, "weight": cert.weight,
+            "horizon_B": cert.horizon_B, "layers_tested": cert.layers_tested},
     )

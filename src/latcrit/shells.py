@@ -427,9 +427,8 @@ def layer_moments(
     """Per-layer cardinalities and exact second moments, streamed.
 
     Returns {norm: (cardinality, S)} with S = sum over the full layer of
-    x x^t as an object-dtype array of Python ints.  Each chunk of half-layer
-    vectors is grouped by one stable sort of its norms; every run of equal
-    norms adds its X^t X (doubled for the antipodes; in X's dtype) to that layer's sum.
+    x x^t as an object-dtype array of Python ints, added up chunk by chunk
+    (``_moments``).
     """
     bound = _as_fraction(bound)
     acc: dict[int, list] = {}
@@ -437,16 +436,28 @@ def layer_moments(
     n = Q.n
     for X, norms, d in _half_candidates(Q, bound, max_vectors=max_vectors):
         denom = d
-        order = np.argsort(norms, kind="stable")
-        X, norms = X[order], norms[order]
-        for m, a, b in _runs(norms):
-            Xg = X[a:b]
-            slot = acc.setdefault(int(m), [0, np.zeros((n, n), dtype=object)])
-            slot[0] += 2 * len(Xg)
-            slot[1] = slot[1] + 2 * (Xg.T @ Xg).astype(object)
+        for m, card, S in _moments(X, norms):
+            slot = acc.setdefault(m, [0, np.zeros((n, n), dtype=object)])
+            slot[0] += card
+            slot[1] = slot[1] + S
     return {
         Fraction(m, denom): (cnt, S) for m, (cnt, S) in sorted(acc.items())
     }
+
+
+def _moments(X: np.ndarray, norms: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(norm, count, S) of each norm among the half-layer rows X, in increasing norm, one at a time.
+
+    The rows are grouped by one stable sort of their integer norms; each
+    run of equal norms gives its count and X^t X, both doubled for the
+    antipodes, S in Python ints.  The product runs in X's dtype: int64 only
+    while INT64_SAFE bounds its sums (``_half_candidates``).
+    """
+    order = np.argsort(norms, kind="stable")
+    X, norms = X[order], norms[order]
+    for m, a, b in _runs(norms):
+        Xg = X[a:b]
+        yield int(m), 2 * len(Xg), 2 * (Xg.T @ Xg).astype(object)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from latcrit import (
     two_design_verdict,
 )
 from latcrit.catalog import load_catalog
-from latcrit.certify import SIDE_INPUT, SIDE_LEVEL_DUAL, _certify
+from latcrit.certify import SIDE_INPUT, SIDE_LEVEL_DUAL, _certify, _horizon_floor
 from latcrit.cli import _random_integral_spd
 from latcrit.gram import _level_dual
 from latcrit.shells import DEFAULT_MAX_VECTORS
@@ -145,6 +145,30 @@ class TestSturmBound:
         for N in range(1, 201):
             for k in range(1, 13):
                 assert gamma0_horizon(k, N) <= sturm_bound(k, N), (k, N)
+
+    def test_horizon_floor_never_exceeds_the_horizon(self):
+        # the floor (k - 1)(N + 1) - 6 over 12 counts no cusp and no index;
+        # its genus bound on the cusp count, c <= I/6 + 2, is tight at N = 4
+        for N in range(1, 3001):
+            assert gamma0_cusps(N) <= Fraction(gamma0_index(N), 6) + 2, N
+            for k in range(1, 13):
+                assert _horizon_floor(k, N) <= gamma0_horizon(k, N), (k, N)
+        assert gamma0_cusps(4) == Fraction(gamma0_index(4), 6) + 2
+
+    def test_plan_counts_cusps_only_when_asked(self, monkeypatch):
+        # the plan walks nothing; the height's certificate asks for no count
+        # and compares the horizon's floor with its walk first
+        C = sys.modules["latcrit.certify"]
+        real, counted = C.gamma0_cusps, []
+        monkeypatch.setattr(C, "gamma0_cusps", lambda N: counted.append(N) or real(N))
+        monkeypatch.setattr(C, "layer_moments", None)
+        plan = C._plan(GramMatrix([[2, 1], [1, 10**9 + 7]]), None, True, count=False)
+        assert (plan.tested, plan.level, plan.s, plan.horizon, counted) == (
+            SIDE_INPUT, 8_000_000_052, 2, 0, [])
+        plan = C._plan(load_catalog().by_name("ste10a").gram, None, True, count=False)
+        assert counted == []
+        assert C._counted(plan) == C._plan(load_catalog().by_name("ste10a").gram, None, True)
+        assert (C._counted(plan).horizon, C._counted(plan).cusps, counted[0]) == (12, 6, 20)
 
     def test_dominates_reference_pivots(self):
         # the reference pivots come from the Gamma_1 space: its bound

@@ -410,6 +410,31 @@ class TestNumericCommands:
             main(["height", "--name", "sta2", "--radius", "4"])
         assert exc.value.code == 2
 
+    def test_height_and_stationarity_name_the_route(self, capsys, tmp_path):
+        # stc12 is certified from the height's own walks (input side, level 2,
+        # horizon 1, one layer), diag(1, 2) is not: one text line each, and
+        # the route in both commands' JSON
+        diag12 = tmp_path / "diag12.txt"
+        diag12.write_text("2\n1 0\n0 2\n")
+        for args, route in ((["--name", "stc12"], "theorem"), (["--gram", str(diag12)], "numeric")):
+            assert main(["height", *args]) == 0
+            lines = [l for l in capsys.readouterr().out.splitlines() if "gradient route" in l]
+            assert len(lines) == 1 and lines[0].startswith(f"gradient route: {route}")
+            assert main(["height", *args, "--format", "json"]) == 0
+            outcome = envelope(capsys.readouterr().out).outcome
+            assert outcome["route"] == route
+            assert main(["stationarity", *args, "--format", "json"]) == 0
+            assert envelope(capsys.readouterr().out).outcome["route"] == route
+            assert main(["stationarity", *args]) == 0
+            assert capsys.readouterr().out.rstrip().endswith(f"{route} route")
+        assert main(["height", "--name", "stc12", "--format", "json"]) == 0
+        assert envelope(capsys.readouterr().out).outcome["certificate"] == {
+            "tested": "input", "level": 2, "weight": 4, "horizon_B": 1, "layers_tested": 1}
+        assert main(["height", "--name", "stc12"]) == 0
+        assert ("gradient route: theorem (G = -(S_A/2) A^-1, certified on the input side: "
+                "Gamma0(2), weight 4, horizon B = 1, 1 nonempty layers tested)"
+                in capsys.readouterr().out)
+
     def test_stationarity(self, capsys):
         rc = main(["stationarity", "--name", "stc12"])
         out = capsys.readouterr().out
@@ -420,7 +445,9 @@ class TestNumericCommands:
         e = load_catalog().by_name("std5b")
         assert main(["stationarity", "--name", "std5b", "--format", "json"]) == 0
         rep = envelope(capsys.readouterr().out)
-        assert rep.outcome == {"projected_residual": height(e).projected_residual}
+        h = height(e)
+        assert rep.outcome == {"projected_residual": h.projected_residual, "route": h.route}
+        assert h.route == "theorem"
 
     def test_analyze(self, capsys):
         rc = main(["analyze", "--name", "ste10a", "--format", "json"])

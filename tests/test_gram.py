@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from latcrit import (
 )
 from latcrit.catalog import load_catalog
 from latcrit.cli import _random_integral_spd
-from latcrit.gram import _adjugate, _leading_minors
+from latcrit.gram import _adjugate, _inverse, _leading_minors
 from latcrit.height import _projected_residual, _sides
 
 from helpers import (
@@ -142,6 +143,26 @@ class TestInverse:
             det = bareiss_determinant(e.gram.entries)
             adj = cofactor_adjugate(e.gram.entries)
             assert gram_inverse(e.gram).entries == tuple(tuple(v / det for v in r) for r in adj)
+
+    def test_inverse_reads_the_primitive_adjugate(self):
+        # P^-1 = A / (c det P0) with A = adj P0, P = c P0 primitive, against
+        # the cofactor oracle: every catalogue form's rows, their double and
+        # six times them; a form and its double share one elimination
+        for e in load_catalog().entries:
+            rows = [list(row) for row in e.gram._P]
+            want = cofactor_adjugate(rows)
+            det = bareiss_determinant(rows)
+            for k in (1, 2, 6):
+                adj, det0, c = _inverse(tuple(tuple(k * v for v in row) for row in rows))
+                assert c == k * math.gcd(*(v for row in rows for v in row)), e.name
+                assert [[Fraction(v, c * det0) for v in row] for row in adj] == [
+                    [w / (k * det) for w in row] for row in want], e.name
+        _adjugate.cache_clear()
+        for name, Q in exact_kernel_forms(0):
+            before = _adjugate.cache_info().misses
+            gram_inverse(Q)
+            level(Q if is_even(Q) else double(Q))
+            assert _adjugate.cache_info().misses - before <= 1, name
 
     def test_det_of_inverse_is_reciprocal(self):
         for e in load_catalog().entries[:10]:

@@ -14,6 +14,7 @@ from latcrit import (
     ZetaPoleError,
     completed_zeta,
     determinant,
+    double,
     enumerate_layers,
     epstein_zeta,
     fully_critical,
@@ -162,7 +163,7 @@ class TestFValue:
         # F at its certified radius against F's terms summed up to twice it
         H = sys.modules["latcrit.height"]
         A = I2.to_float()
-        F, _, _, radius, _ = H._certified_sum(H._sides(A, det1=False), H._F_orders(2), "F value")
+        F, _, _, radius, _, _ = H._certified_sum(H._sides(A, det1=False), H._F_orders(2), "F value")
         _, c = H.short_vectors_float(A, 2 * radius)
         _, b = H.short_vectors_float(A, 2 * radius)  # I2 is its own inverse
         wide = 2.0 * (math.fsum(H._summand(1.0, 1.0, math.pi * c, upper_gamma(1.0, math.pi * c)))
@@ -285,9 +286,12 @@ class TestHeight:
 class TestGradient:
     @pytest.mark.parametrize("Q", [I2, A2, A3, D4], ids=["I2", "A2", "A3", "D4"])
     def test_fd_agreement_nontangent(self, Q):
-        # pure gradient identity: d/dt F(geodesic) = <G, H> for any symmetric H
+        # pure gradient identity: d/dt F(geodesic) = <G, H> for any symmetric H;
+        # float input takes the numeric route
         A = normalized_to_det1(Q)
-        G = height(A).gradient
+        rep = height(A)
+        assert rep.route == "numeric"
+        G = rep.gradient
         rng = np.random.default_rng(Q.n)
         for _ in range(5):
             S = rng.standard_normal(A.shape)
@@ -300,9 +304,12 @@ class TestGradient:
     @pytest.mark.parametrize("Q", [I2, A2, A3, D4], ids=["I2", "A2", "A3", "D4"])
     def test_fd_agreement_tangent(self, Q):
         # tangent directional derivatives vanish at these stationary bases,
-        # so agreement is asserted relative to the gradient scale
+        # so agreement is asserted relative to the gradient scale (numeric
+        # route)
         A = normalized_to_det1(Q)
-        G = height(A).gradient
+        rep = height(A)
+        assert rep.route == "numeric"
+        G = rep.gradient
         scale = float(np.linalg.norm(G))
         rng = np.random.default_rng(100 + Q.n)
         for _ in range(20):
@@ -344,8 +351,8 @@ class TestGradient:
         for L in forms + [gram_inverse(q) for q in forms] + [q.to_float() for q in forms]:
             sides = H._sides(L, det1=True)
             n = sides.A.shape[0]
-            _, G, _, _, (form, _) = H._certified_sum(sides, H._F_orders(n), "height",
-                                                     gradient=True)
+            _, G, _, _, (form, _), _ = H._certified_sum(sides, H._F_orders(n), "height",
+                                                        gradient=True)
             x = math.pi * form.distinct
             half = 2.0 * float(form.counts @ (x ** (-n / 2) * upper_gamma(n / 2, x)))
             trace = float(np.tensordot(sides.A, G))
@@ -389,6 +396,158 @@ class TestStationarity:
         for e in load_catalog().entries:
             if e.gram.n <= 4:
                 assert height(gram_inverse(e.gram)).projected_residual < 1e-6, e.name
+
+
+def _numeric(monkeypatch):
+    """Turn the theorem route off: ``height`` then sums every gradient (``_grad_sum``)."""
+    H = sys.modules["latcrit.height"]
+    monkeypatch.setattr(H, "_certificate", lambda sides, layers: None)
+
+
+def _record_verdicts(monkeypatch) -> list:
+    """Record the norm of every layer the height's certificate judges."""
+    H = sys.modules["latcrit.height"]
+    real, judged = H.two_design_verdict, []
+    monkeypatch.setattr(H, "two_design_verdict", lambda m, card, S, Q, scale=1: judged.append(
+        m) or real(m, card, S, Q, scale))
+    return judged
+
+
+REPORT_FIELDS = ("height", "F_value", "constant_C", "projected_residual", "truncation_radius",
+                 "tail_estimate", "half_vectors_form", "half_vectors_dual")
+
+
+class TestTheoremRoute:
+    def test_against_the_numeric_route_and_the_certificate(self, monkeypatch):
+        # the 42 entries, their exact inverses and their 2Q rescalings: every
+        # one is certified from its own walks, with the report fully_critical
+        # gives on its integral form d Q (the per-layer verdicts and
+        # cardinalities included); the theorem's G = -(S_A / 2) A^-1 is
+        # within 1e-14 relative of the summed one, with a residual of at
+        # most 1e-15, and F, the height, the radius, the tails and the
+        # counts are the numeric route's bit for bit
+        H = sys.modules["latcrit.height"]
+        forms = [e.gram for e in load_catalog().entries]
+        forms = forms + [gram_inverse(q) for q in forms] + [double(q) for q in forms]
+        real, certs = H._certificate, []
+        monkeypatch.setattr(H, "_certificate",
+                            lambda sides, layers: certs.append(real(sides, layers)) or certs[-1])
+        reports = [height(q) for q in forms]
+        _numeric(monkeypatch)
+        worst = 0.0
+        for q, rep, cert in zip(forms, reports, certs):
+            num = height(q)
+            assert (rep.route, num.route, num.certificate) == ("theorem", "numeric", None)
+            for field in set(REPORT_FIELDS) - {"projected_residual"}:
+                assert getattr(rep, field) == getattr(num, field), (q, field)
+            worst = max(worst, np.linalg.norm(rep.gradient - num.gradient)
+                        / np.linalg.norm(num.gradient))
+            assert rep.projected_residual <= 1e-15
+            P, _ = q.integral_rescale()
+            ref = fully_critical(GramMatrix(P))
+            assert {**cert.to_dict(), "name": None} == {**ref.to_dict(), "name": None}, q
+            assert rep.certificate == {"tested": ref.tested, "level": ref.level,
+                                       "weight": ref.weight, "horizon_B": ref.horizon_B,
+                                       "layers_tested": ref.layers_tested}
+        assert worst <= 1e-14
+        assert sum(rep.certificate["layers_tested"] for rep in reports[:42]) == 60
+
+    @pytest.mark.parametrize("name", ["sta3", "stb3", "stc12", "std5b", "ste10a", "stf7a"])
+    def test_fd_agreement_of_the_theorem_gradient(self, name):
+        # one entry per dimension 2-7: the theorem's G against the central
+        # difference of F along a random symmetric direction
+        Q = load_catalog().by_name(name).gram
+        rep = height(Q)
+        assert rep.route == "theorem"
+        A = normalized_to_det1(Q)
+        S = np.random.default_rng(Q.n).standard_normal(A.shape)
+        S = 0.5 * (S + S.T) / np.linalg.norm(S)
+        an = float(np.tensordot(rep.gradient, S))
+        assert abs(directional_derivative_fd(A, S, 1e-4) - an) <= 1e-4 * abs(an)
+
+    def test_uncertified_forms_judge_at_most_their_first_layer(self, monkeypatch):
+        # diag(1, 2) and the seeded forms whose certificate fails at its first
+        # layer: the numeric route, every other field as with the theorem
+        # route turned off, bit for bit, and no layer judged after the one
+        # that fails (none when the walk does not reach the horizon)
+        from helpers import exact_kernel_forms
+
+        forms = [D12] + [q for name, q in exact_kernel_forms(60)
+                         if name.startswith("seeded") and q.n <= 5]
+        failing = []
+        for q in forms:
+            P, _ = q.integral_rescale()
+            ref = fully_critical(GramMatrix(P))
+            if ref.per_layer and not ref.per_layer[0].is_design:
+                failing.append(q)
+        assert D12 in failing and len(failing) >= 40
+        judged = _record_verdicts(monkeypatch)
+        reports = []
+        for q in failing:
+            judged.clear()
+            reports.append(height(q))
+            assert len(judged) <= 1, q
+        monkeypatch.undo()
+        _numeric(monkeypatch)
+        for q, rep in zip(failing, reports):
+            num = height(q)
+            assert (rep.route, rep.certificate) == ("numeric", None)
+            for field in REPORT_FIELDS:
+                assert getattr(rep, field) == getattr(num, field), (q, field)
+            assert np.array_equal(rep.gradient, num.gradient)
+
+    @pytest.mark.parametrize("rows, horizon", [([[7, 3], [3, 1009]], 10_580),
+                                               ([[2, 0], [0, 33]], 136)])
+    def test_a_horizon_beyond_the_walk_judges_no_layer(self, rows, horizon, monkeypatch):
+        # [[7, 3], [3, 1009]] has horizon 10,580, whose floor is already
+        # beyond the height's walk; diag(2, 33) has horizon 136, a range of
+        # Q[x] <= 136 against a walk to 103, though its floor (Q[x] <= 43)
+        # is within it
+        C = sys.modules["latcrit.certify"]
+        Q = GramMatrix(rows)
+        assert C._plan(Q, None, True).horizon == horizon
+        judged = _record_verdicts(monkeypatch)
+        rep = height(Q)
+        assert (rep.route, rep.certificate, judged) == ("numeric", None, [])
+
+    def test_a_large_level_is_ruled_out_before_its_cusps_are_counted(self, monkeypatch):
+        # level 8,000,000,052: both sides walk exactly, but the horizon's
+        # floor already exceeds the walk, so no cusp or index is counted
+        C = sys.modules["latcrit.certify"]
+        Q = GramMatrix([[2, 1], [1, 10**9 + 7]])
+        def refuse(N):
+            raise AssertionError("counted")
+        monkeypatch.setattr(C, "gamma0_cusps", refuse)
+        monkeypatch.setattr(C, "gamma0_index", refuse)
+        walks = _record_walks(monkeypatch)
+        rep = height(Q)
+        assert (walks["integral"], walks["float"]) == (2, 0)
+        assert (rep.route, rep.certificate) == ("numeric", None)
+        assert C._plan(Q, None, True, count=False).level == 8_000_000_052
+
+    def test_float_input_is_never_judged(self, monkeypatch):
+        H = sys.modules["latcrit.height"]
+        monkeypatch.setattr(H, "_plan", None)
+        for e in load_catalog().entries[:12]:
+            rep = height(normalized_to_det1(e.gram))
+            assert (rep.route, rep.certificate) == ("numeric", None)
+
+    @pytest.mark.parametrize("Q", [load_catalog().by_name("stc12").gram, D12,
+                                   GramMatrix([[7, 3], [3, 1009]])],
+                             ids=["stc12", "diag12", "horizon-beyond"])
+    def test_two_walks_and_one_reduction_per_height(self, Q, monkeypatch):
+        # the certificate walks nothing and reduces nothing of its own
+        H = sys.modules["latcrit.height"]
+        shells = sys.modules["latcrit.shells"]
+        calls = {"walk": 0, "lll": 0}
+        real_walk, real_lll = H.short_vectors_float, shells.lll_reduce
+        monkeypatch.setattr(H, "short_vectors_float", lambda *a: calls.__setitem__(
+            "walk", calls["walk"] + 1) or real_walk(*a))
+        monkeypatch.setattr(shells, "lll_reduce", lambda *a: calls.__setitem__(
+            "lll", calls["lll"] + 1) or real_lll(*a))
+        rep = height(Q)
+        assert calls == {"walk": 2, "lll": 1}
+        assert rep.route == ("theorem" if Q.n == 4 else "numeric")
 
 
 class TestOneLatticeSumLoop:
@@ -442,25 +601,29 @@ class TestOneLatticeSumLoop:
         # the 84 catalogue sums run on exact layers, the rest on float input
         assert [sides.integral[0] is not None for sides, _, _, _ in runs] == [True] * 84 + [
             False] * (13 + len(ZETA_CASES))
-        for sides, orders, gradient, (total, _, _, _, _) in runs:
+        for sides, orders, gradient, (total, *_) in runs:
             a_priori = H._bounds(sides, orders, gradient)[0][1]
             assert a_priori <= H.TAIL_REL * total, (sides.A, a_priori, total)
 
     @pytest.mark.parametrize("name", ["sta3", "stc12", "std5b", "ste10a"])
     def test_height_agrees_with_F_value_and_grad_F(self, name):
         # F against the F-only sum, the gradient against the central
-        # difference of F, and the residual against the tangent projection
+        # difference of F, and the residual against the tangent projection,
+        # on both routes: the exact entry takes the theorem route, its float
+        # form the numeric one
         Q = load_catalog().by_name(name).gram
-        rep = height(Q)
         A = normalized_to_det1(Q)
-        G = rep.gradient
-        assert abs(rep.F_value - F_value(A)) <= rep.tail_estimate
-        S = np.random.default_rng(Q.n).standard_normal(A.shape)
-        S = 0.5 * (S + S.T) / np.linalg.norm(S)
-        an = float(np.tensordot(G, S))
-        assert abs(directional_derivative_fd(A, S, 1e-4) - an) <= 1e-4 * abs(an)
-        residual = np.linalg.norm(tangent_part(A, G)) / np.linalg.norm(G)
-        assert abs(rep.projected_residual - residual) <= 1e-14
+        for L, route in ((Q, "theorem"), (A, "numeric")):
+            rep = height(L)
+            assert rep.route == route
+            G = rep.gradient
+            assert abs(rep.F_value - F_value(A)) <= rep.tail_estimate
+            S = np.random.default_rng(Q.n).standard_normal(A.shape)
+            S = 0.5 * (S + S.T) / np.linalg.norm(S)
+            an = float(np.tensordot(G, S))
+            assert abs(directional_derivative_fd(A, S, 1e-4) - an) <= 1e-4 * abs(an)
+            residual = np.linalg.norm(tangent_part(A, G)) / np.linalg.norm(G)
+            assert abs(rep.projected_residual - residual) <= 1e-14
 
     def test_gradient_assembly_against_exact_moments(self, monkeypatch):
         # the fold of each parent's leaves against an exact reference on each
@@ -469,9 +632,12 @@ class TestOneLatticeSumLoop:
         # integer bound, times the float weights as Fractions, and the dual's
         # sum sandwiched by the float A^-1 as Fractions; the weights are
         # taken on the distinct norms of the layers, one per layer
+        # (the catalogue takes the theorem route, so its certificates are
+        # turned off here to sum the gradient on the numeric one)
         H = sys.modules["latcrit.height"]
         real = H._grad_sum
         calls = []
+        monkeypatch.setattr(H, "_certificate", lambda sides, layers: None)
         monkeypatch.setattr(H, "_grad_sum", lambda sides, layers, f: calls.append(
             (sides, layers, f)) or real(sides, layers, f))
         for e in load_catalog().entries:
@@ -561,6 +727,8 @@ class TestSides:
                 [(Pf, unit), (Pif, unit_inv)] = sides.integral
                 assert np.array_equal(Pf, P) and unit == d * delta
                 assert np.array_equal(Pif, Pi) and unit_inv == di / delta
+                assert sides.exact[0]._P == q._P and sides.exact[0].is_integral
+                assert sides.exact[1] == Pi and sides.exact[2] == d * di
                 plain = H._sides(q, det1=False)
                 assert np.array_equal(plain.A, q.to_float())
                 assert np.array_equal(plain.Ainv, qinv.to_float())
@@ -581,7 +749,7 @@ class TestSides:
                 assert np.array_equal(M, A) and np.array_equal(sides.A, A)
                 Ainv = real_inv(A)
                 assert np.array_equal(sides.Ainv, 0.5 * (Ainv + Ainv.T))
-                assert sides.det == det and sides.integral == (None, None)
+                assert sides.det == det and sides.integral == (None, None) and sides.exact is None
                 assert sides.dual is sides.Ainv and sides.dual_map is sides.Ainv
 
 
@@ -629,7 +797,7 @@ class TestOncePerValue:
         runs = _record_certified_sums(monkeypatch)
         Q = load_catalog().by_name(name).gram
         height(Q)
-        [(sides, _, _, (_, _, _, radius, (form, dual)))] = runs
+        [(sides, _, _, (_, _, _, radius, (form, dual), _))] = runs
         a = sides.A.shape[0] / 2
         for q, M, (P, unit), side, g in (
                 (Q, sides.A, sides.integral[0], form,
@@ -694,7 +862,7 @@ class TestOncePerValue:
         for e in entries:
             height(e)
         assert len(lanes) == 2 * len(entries)
-        sides = [side for _, _, _, (_, _, _, _, layers) in runs for side in layers]
+        sides = [side for _, _, _, (_, _, _, _, layers, _) in runs for side in layers]
         assert lanes == [len(side.distinct) for side in sides]
         assert sum(lanes) == 1175
         assert sum(len(side.half) for side in sides) == 765_092
@@ -800,7 +968,7 @@ class TestAnnulusMajorant:
         runs = _record_certified_sums(monkeypatch)
         for A, s in ZETA_CASES:
             completed_zeta(A, s)
-        for (A, s), (sides, orders, gradient, (_, _, tail, r, _)) in zip(ZETA_CASES, runs):
+        for (A, s), (sides, orders, gradient, (_, _, tail, r, _, _)) in zip(ZETA_CASES, runs):
             n = A.shape[0]
             Ainv = np.linalg.inv(A)
             [(majorant, _)] = H._bounds(sides, orders, gradient)
