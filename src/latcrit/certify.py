@@ -64,14 +64,13 @@ tested and the horizon, and how many nonempty layers the certificate
 actually tested (``vacuous`` when none).
 
 A certificate is a plan and a verdict loop.  The plan (``_plan``) walks
-nothing: it fixes the working form, the tested side, its level and weight,
-and the cusps and the horizon B, which a caller may count only after
-comparing their floor (``_horizon_floor``) with what it can test.  A walk
-of the tested form then gives the layers in range with their second
-moments, and the verdict loop (``_report``) judges them in increasing norm.  ``fully_critical`` walks with
-``layer_moments``; the height reads the same layers off the walks it makes
-for its own sums (``height._certificate``) and stops at the first layer
-that fails, so a pass there is the report ``fully_critical`` gives.
+and counts nothing: it fixes the working form, the tested side, its level
+and weight.  ``_counted`` adds the cusps and the horizon B from one
+factorization of the level (``_gamma0``), after a caller that may not reach
+B compares its floor (``_horizon_floor``) with what it can test.  A walk
+gives the layers in range with their second moments, and ``_report``
+judges them in increasing norm: ``fully_critical`` walks with
+``layer_moments``; the height reads them off its own walks.
 """
 
 from __future__ import annotations
@@ -101,33 +100,39 @@ SIDE_INPUT = "input"
 SIDE_LEVEL_DUAL = "level-dual"
 
 
-def gamma0_index(N: int) -> int:
-    """Index of Gamma_0(N) in SL_2(Z): N prod_{p | N} (1 + 1/p)."""
+def _gamma0(N: int) -> tuple[int, int]:
+    """(index, cusps) of Gamma_0(N) in SL_2(Z), from one trial division of N.
+
+    index = N prod_{p | N} (1 + 1/p).  The cusp count sum_{d | N}
+    phi(gcd(d, N/d)) is multiplicative, and at p^e || N its terms
+    phi(p^min(i, e - i)) sum to p^floor(e/2) + p^floor((e-1)/2), as
+    phi(1) + ... + phi(p^j) = p^j.
+    """
     if N < 1:
         raise ValueError("N must be a positive integer")
-    idx, m, p = N, N, 2
+    index, cusps, m, p = N, 1, N, 2
     while m > 1:
         if p * p > m:
             p = m
-        if m % p == 0:
-            idx = idx // p * (p + 1)
-            while m % p == 0:
-                m //= p
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            index = index // p * (p + 1)
+            cusps *= p ** (e // 2) + p ** ((e - 1) // 2)
         p += 1
-    return idx
+    return index, cusps
+
+
+def gamma0_index(N: int) -> int:
+    """Index of Gamma_0(N) in SL_2(Z): N prod_{p | N} (1 + 1/p)."""
+    return _gamma0(N)[0]
 
 
 def gamma0_cusps(N: int) -> int:
     """Number of cusps of Gamma_0(N): sum_{d | N} phi(gcd(d, N/d))."""
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    total = 0
-    for d in range(1, math.isqrt(N) + 1):
-        if N % d == 0:
-            g = math.gcd(d, N // d)
-            phi = sum(math.gcd(u, g) == 1 for u in range(1, g + 1))
-            total += phi if d * d == N else 2 * phi  # d and N/d share g
-    return total
+    return _gamma0(N)[1]
 
 
 def gamma0_horizon(k: int, N: int) -> int:
@@ -139,12 +144,8 @@ def gamma0_horizon(k: int, N: int) -> int:
     """
     if k < 1 or N < 1:
         raise ValueError("weight and level must be positive integers")
-    return _horizon(k, N, gamma0_cusps(N))
-
-
-def _horizon(k: int, N: int, cusps: int) -> int:
-    """``gamma0_horizon`` with the cusp count of Gamma_0(N) given."""
-    return max(1, (k * gamma0_index(N) - 6 * (cusps - 1)) // 12)
+    index, cusps = _gamma0(N)
+    return max(1, (k * index - 6 * (cusps - 1)) // 12)
 
 
 def _horizon_floor(k: int, N: int) -> int:
@@ -153,9 +154,9 @@ def _horizon_floor(k: int, N: int) -> int:
     For N > 1 the index I is at least N + 1, and the genus formula
     g = 1 + I/12 - e2/4 - e3/3 - c/2 >= 0 (Diamond-Shurman, Thm. 3.1.1)
     gives c <= I/6 + 2, so k I - 6 (c - 1) >= (k - 1) I - 6
-    >= (k - 1)(N + 1) - 6.  Counting the cusps and the index takes a walk
-    to sqrt(N); this takes none, so a caller whose walk cannot reach a
-    large level's horizon gives up at once.
+    >= (k - 1)(N + 1) - 6.  Counting factors N (``_gamma0``), to sqrt(N) for
+    a large prime factor; this factors nothing, so a caller whose walk
+    cannot reach a large level's horizon gives up at once.
     """
     return max(1, ((k - 1) * (N + 1) - 6) // 12) if N > 1 else 1
 
@@ -294,31 +295,25 @@ class _Plan(NamedTuple):
     level: int
     weight: int
     character_D: int
-    override: Optional[int]  # the caller's bound B, or None for the horizon
     dual_scale: Optional[Fraction]  # N / s_W for the level dual, else None
     cusps: int    # of Gamma_0(level), and the horizon: 0 until counted (``_counted``)
     horizon: int
-    B: int        # the bound tested: the horizon, or the override
+    B: Optional[int]  # the bound tested: the caller's, or None until the horizon is counted
 
 
 def _counted(plan: _Plan) -> _Plan:
-    """``plan`` with the cusps of Gamma_0(level), the horizon and B counted."""
-    cusps = gamma0_cusps(plan.level)
-    horizon = _horizon(plan.weight, plan.level, cusps)
-    return plan._replace(cusps=cusps, horizon=horizon,
-                         B=horizon if plan.override is None else plan.override)
+    """``plan`` with the cusps and the horizon of Gamma_0(level), and B the horizon if unset."""
+    horizon = gamma0_horizon(plan.weight, plan.level)
+    return plan._replace(cusps=gamma0_cusps(plan.level), horizon=horizon,
+                         B=horizon if plan.B is None else plan.B)
 
 
-def _plan(Q: GramMatrix, override_bound: Optional[int], dualize: bool, *,
-          count: bool = True) -> _Plan:
-    """The premises of the certificate of the integral form Q, with no walk.
+def _plan(Q: GramMatrix, override_bound: Optional[int], dualize: bool) -> _Plan:
+    """The premises of the certificate of the integral form Q, with no walk and no count.
 
     The working form W is Q, or 2Q when Q is odd; with ``dualize`` and a
     level dual sparser than W (N^n > (det W)^2) the level dual is tested.
-    Counting the cusps and the horizon walks to sqrt(level)
-    (``gamma0_cusps``, ``gamma0_index``); with ``count`` false they are
-    left 0, for a caller that first compares ``_horizon_floor`` with the
-    range it can test, then counts them (``_counted``).
+    The cusps and the horizon are left 0 for ``_counted``.
     """
     if not Q.is_integral:
         raise ValueError("full-criticality certification requires an integral form")
@@ -334,15 +329,12 @@ def _plan(Q: GramMatrix, override_bound: Optional[int], dualize: bool, *,
     augmented = n % 2 == 1
     if augmented:  # diag(W, 2)
         lvl, det, dim = math.lcm(lvl, 4), 2 * det, n + 1
-    override = None if override_bound is None else int(override_bound)
-    if override is not None and override < 1:
+    B = None if override_bound is None else int(override_bound)
+    if B is not None and B < 1:
         raise ValueError("certification bound must be positive")
-    weight = dim // 2 + 2
-    cusps = gamma0_cusps(lvl) if count else 0
-    horizon = _horizon(weight, lvl, cusps) if count else 0
-    return _Plan(form=form, tested=tested, s=s, augmented=augmented, level=lvl, weight=weight,
-                 character_D=(-1) ** (dim // 2) * det, override=override, dual_scale=dual_scale,
-                 cusps=cusps, horizon=horizon, B=horizon if override is None else override)
+    return _Plan(form=form, tested=tested, s=s, augmented=augmented, level=lvl,
+                 weight=dim // 2 + 2, character_D=(-1) ** (dim // 2) * det,
+                 dual_scale=dual_scale, cusps=0, horizon=0, B=B)
 
 
 def _certify(
@@ -357,7 +349,7 @@ def _certify(
     the tested form (``layer_moments``, its range halved while it overruns
     the budget), and the verdicts."""
     desc = L if isinstance(L, LatticeDescriptor) else LatticeDescriptor(gram=L, name=L.name)
-    plan = _plan(desc.gram, override_bound, dualize)
+    plan = _counted(_plan(desc.gram, override_bound, dualize))
     bound, moments, note = 2 * plan.B, {}, ""
     while bound >= 2:
         try:

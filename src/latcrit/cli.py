@@ -12,9 +12,9 @@ through its reports: an exhausted enumeration budget is an inconclusive
 verdict (exit 2) with its note on stdout, never a message on stderr.  ``main``
 maps every library exception it can meet to exit 2 with a one-line message
 on stderr: an exhausted budget of ``layers`` or ``design``, which enumerate
-exactly the range asked for (EnumerationBudgetError, prefixed
-"inconclusive:"), a height whose tail majorant misses its tolerance at
-the radius chosen from the fixed radius grid (TruncationError), a broken
+exactly the range asked for, or of a ``height`` walk (EnumerationBudgetError,
+prefixed "inconclusive:"), a height whose tail majorant misses its tolerance
+at the radius chosen from the fixed radius grid (TruncationError), a broken
 design inequality (DesignComputationError), arithmetic failures
 (ArithmeticError) and bad input, usage or output (ValueError, KeyError,
 OSError; a stdout closed early, as by ``| head -1``, is a BrokenPipeError).

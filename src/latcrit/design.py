@@ -11,11 +11,12 @@ Q^(1/2)), so Cauchy-Schwarz on them gives
 with equality exactly when QS is a multiple of the identity, that is when
 n S = m |M| Q^{-1}: the moment identity that makes an antipodal layer a
 2-design.  ``two_design_verdict`` takes the ``GramMatrix`` Q it judges and
-evaluates both sides on its integral form P = d Q in Python ints: one object
-product A = PS, and Tr(PSPS) = Tr(AA) as the sum of the entries of A A^t
-taken entrywise.  So the verdict is an identity between integers (rationals
-when Q is not integral): a proof, not a numerical judgement.  A left side
-below the right one contradicts the inequality and raises.
+evaluates both sides on its integral form P = d Q, the object array of
+Python ints the form keeps: one object product A = PS, and Tr(PSPS) =
+Tr(AA) as the sum of the entries of A A^t taken entrywise.  So the verdict
+is an identity between integers (rationals when Q is not integral): a
+proof, not a numerical judgement.  A left side below the right one
+contradicts the inequality and raises.
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ def two_design_verdict(norm: Fraction, card: int, S: np.ndarray, Q: GramMatrix,
     2-designs.  Both are reported divided by ``scale`` (4 restates them per
     antipodal pair).
     """
-    P, d = Q.integral_rescale()
-    A = np.array(P, dtype=object) @ S
+    A, d = Q._objects @ S, Q._d
     trace, a, b = int((A * A.T).sum()), norm.numerator, norm.denominator
     pairs, design = trace * Q.n * b * b, a * a * card * card * d * d
     lhs = Fraction(trace, d * d * scale)

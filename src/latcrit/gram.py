@@ -84,6 +84,13 @@ class GramMatrix:
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(p, self._d) for p in row) for row in self._P)
 
+    @functools.cached_property
+    def _objects(self) -> np.ndarray:
+        """P as a read-only object array of Python ints, built once: the exact verdicts' operand."""
+        a = np.array(self._P, dtype=object)
+        a.flags.writeable = False
+        return a
+
     @property
     def n(self) -> int:
         return len(self._P)
@@ -181,15 +188,11 @@ def _leading_minors(P: Sequence[Sequence[int]]) -> list[int]:
     return minors
 
 
-@functools.lru_cache(maxsize=1)
 def _inverse(P: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], int, int]:
     """(A, det P0, c) with P^{-1} = A / (c det P0): P = c P0, c the content of P and A = adj P0.
 
-    The last result is kept, so that the level of a form and its level dual
-    share one call; the elimination is of the primitive part P0
-    (``_adjugate``), whose last result is kept too, so that a form and its
-    double share one: the height's exact inverse of a form, and the level of
-    its even working form.
+    The elimination is of P0 (``_adjugate``), whose last result is kept:
+    a form, its double and their level and level dual share one.
     """
     c = math.gcd(*itertools.chain.from_iterable(P))
     adj, det = _adjugate(P if c == 1 else tuple([tuple([v // c for v in row]) for row in P]))

@@ -432,20 +432,20 @@ def _grad_sum(sides: _Sides, layers: tuple, f: np.ndarray) -> tuple[np.ndarray, 
 def _certificate(sides: _Sides, layers: tuple) -> Optional[FullyCriticalReport]:
     """The certificate of an exact input read off its own walks, or None.
 
-    The plan (``certify._plan``) fixes the tested side of d Q, its horizon
-    B and its range T[x] <= 2B / s on the tested form T, which the height
-    walked as T / r: d Q itself (r = 1), or, for the level dual
+    ``certify._plan`` fixes the tested side of d Q, and ``_counted`` its
+    horizon B and range T[x] <= 2B / s on the tested form T, which the
+    height walked as T / r: d Q itself (r = 1), or, for the level dual
     T = dual_scale (d Q)^-1, d' U^t Q^-1 U (r = dual_scale / (d d'), T in
     the walk's basis).  The range is covered when that walk took the exact
     route to an integer bound of at least floor(2B / (s r));
-    ``_horizon_floor`` rules out a level too large before its cusps are
-    counted.  The layers in range are gathered into rows (int64 while their
-    count times the largest square stays below INT64_SAFE) and judged as
-    their moments come (``shells._moments``), stopping at the first that
-    fails.  A pass is the report ``fully_critical`` gives.
+    ``_horizon_floor`` rules out a level too large before it is factored.
+    The layers in range are gathered into rows (int64 while their count
+    times the largest square stays below INT64_SAFE) and judged as their
+    moments come (``shells._moments``), stopping at the first that fails.
+    A pass is the report ``fully_critical`` gives.
     """
     P, Pi, scale = sides.exact
-    plan = _plan(P, None, dualize=True, count=False)
+    plan = _plan(P, None, dualize=True)
     if plan.tested == SIDE_INPUT:
         side, (a, b), T = layers[0], (1, 1), P
     else:  # r = a / b
@@ -627,7 +627,8 @@ def height(L) -> HeightReport:
     theorem route (module docstring) the walks certify every layer a
     2-design, the gradient is -(S_A / 2) A^-1, and its residual is zero up
     to rounding; ``certificate`` names the side tested, its Gamma_0 level,
-    weight and horizon, and the layers tested.
+    weight and horizon, and the layers tested.  A walk past
+    ``shells.DEFAULT_MAX_VECTORS`` vectors raises EnumerationBudgetError.
     """
     sides = _sides(L, det1=True)
     n = sides.A.shape[0]

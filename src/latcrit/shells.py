@@ -492,14 +492,15 @@ def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[HalfSet, np.ndarr
     not depend on the bound; they are not sorted by norm.  ``half`` keeps
     the walk's compact level-0 form: the slices' parents concatenated
     once each, and every leaf's parent index into them and x_0.  The bound
-    must be finite and nonnegative.
+    must be finite and nonnegative.  More kept vectors (two per leaf) than
+    ``DEFAULT_MAX_VECTORS``, read at each call, raise EnumerationBudgetError.
     """
     bound = float(bound)
     if not (math.isfinite(bound) and bound >= 0):
         raise ValueError(f"enumeration bound must be finite and nonnegative, got {bound}")
     Qf = np.asarray(Qf, dtype=float)
     cut = _slack_bound(bound)
-    parents, leaves, start = [], [], 0
+    parents, leaves, start, seen = [], [], 0, 0
     for X, p, x, norms in _fp_rows(Qf, bound):
         if not parents or X is not parents[-1]:  # a new frontier, indexed from ``start``
             start += len(parents[-1]) if parents else 0
@@ -507,6 +508,9 @@ def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[HalfSet, np.ndarr
         keep = norms <= cut
         if not keep.all():
             p, x, norms = p[keep], x[keep], norms[keep]
+        seen += 2 * len(x)
+        if seen > DEFAULT_MAX_VECTORS:
+            raise EnumerationBudgetError(seen, DEFAULT_MAX_VECTORS, bound)
         leaves.append((p + start, x, norms))
     if not leaves:
         return HalfSet(np.empty((0, Qf.shape[0])), np.empty(0, np.intp), np.empty(0)), np.empty(0)

@@ -505,6 +505,18 @@ def sturm_bound(k: int, N: int) -> int:
     return max(1, k * int(index) // 12)
 
 
+def gamma0_cusps_divisor_sum(N: int) -> int:
+    """The cusps of Gamma_0(N) by their divisor sum, sum_{d | N} phi(gcd(d, N/d)),
+    over the divisors d <= sqrt(N) and their cofactors, phi counted by gcd."""
+    total = 0
+    for d in range(1, math.isqrt(N) + 1):
+        if N % d == 0:
+            g = math.gcd(d, N // d)
+            phi = sum(math.gcd(u, g) == 1 for u in range(1, g + 1))
+            total += phi if d * d == N else 2 * phi  # d and N/d share g
+    return total
+
+
 def projective_line(N: int) -> tuple[dict, list]:
     """P^1(Z/N) by brute force: (point of each primitive pair (c, d) mod N, one pair per point).
 

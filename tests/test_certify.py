@@ -35,6 +35,7 @@ from helpers import (
     dim_M_gamma1,
     dim_S_gamma0_chi,
     gamma0_cusp_orbits,
+    gamma0_cusps_divisor_sum,
     gamma1_index,
     layer_counts,
     level_dual,
@@ -146,6 +147,27 @@ class TestSturmBound:
             for k in range(1, 13):
                 assert gamma0_horizon(k, N) <= sturm_bound(k, N), (k, N)
 
+    def test_gamma0_counts_against_the_oracles(self):
+        # one factorization gives the index (Sturm's bound at weight 12 is
+        # the index), the cusps (the divisor sum defining them) and the
+        # horizon of every weight up to 12
+        for N in range(1, 2001):
+            index, cusps = sturm_bound(12, N), gamma0_cusps_divisor_sum(N)
+            assert (gamma0_index(N), gamma0_cusps(N)) == (index, cusps), N
+            for k in range(1, 13):
+                assert gamma0_horizon(k, N) == max(1, (k * index - 6 * (cusps - 1)) // 12), (k, N)
+        # prime powers and products of them beyond the orbit test's range
+        for N in (243, 256, 360, 484, 500):
+            assert gamma0_cusps(N) == gamma0_cusp_orbits(N), N
+            assert gamma0_index(N) == projective_line_size(N), N
+
+    def test_gamma0_counts_factor_a_large_level_at_once(self):
+        # 10^12 has 169 divisors and 2^60 has 61; the divisor scan that
+        # defines the cusps would walk to 10^6 and 2^30
+        assert gamma0_cusps(10**12) == (2**6 + 2**5) * (5**6 + 5**5) == 1_800_000
+        assert (gamma0_cusps(2**60), gamma0_index(2**60)) == (2**30 + 2**29, 3 * 2**59)
+        assert gamma0_horizon(5, 2**60) == (5 * 3 * 2**59 - 6 * (2**30 + 2**29 - 1)) // 12
+
     def test_horizon_floor_never_exceeds_the_horizon(self):
         # the floor (k - 1)(N + 1) - 6 over 12 counts no cusp and no index;
         # its genus bound on the cusp count, c <= I/6 + 2, is tight at N = 4
@@ -156,19 +178,23 @@ class TestSturmBound:
         assert gamma0_cusps(4) == Fraction(gamma0_index(4), 6) + 2
 
     def test_plan_counts_cusps_only_when_asked(self, monkeypatch):
-        # the plan walks nothing; the height's certificate asks for no count
-        # and compares the horizon's floor with its walk first
+        # the plan walks and counts nothing; the height's certificate compares
+        # the horizon's floor with its walk first, and ``_counted`` then reads
+        # the cusps and the horizon, each from one factorization of the level
         C = sys.modules["latcrit.certify"]
-        real, counted = C.gamma0_cusps, []
-        monkeypatch.setattr(C, "gamma0_cusps", lambda N: counted.append(N) or real(N))
+        real, counted = C._gamma0, []
+        monkeypatch.setattr(C, "_gamma0", lambda N: counted.append(N) or real(N))
         monkeypatch.setattr(C, "layer_moments", None)
-        plan = C._plan(GramMatrix([[2, 1], [1, 10**9 + 7]]), None, True, count=False)
-        assert (plan.tested, plan.level, plan.s, plan.horizon, counted) == (
-            SIDE_INPUT, 8_000_000_052, 2, 0, [])
-        plan = C._plan(load_catalog().by_name("ste10a").gram, None, True, count=False)
+        plan = C._plan(GramMatrix([[2, 1], [1, 10**9 + 7]]), None, True)
+        assert (plan.tested, plan.level, plan.s, plan.cusps, plan.horizon, plan.B, counted) == (
+            SIDE_INPUT, 8_000_000_052, 2, 0, 0, None, [])
+        ste10a = load_catalog().by_name("ste10a").gram
+        plan = C._plan(ste10a, None, True)
         assert counted == []
-        assert C._counted(plan) == C._plan(load_catalog().by_name("ste10a").gram, None, True)
-        assert (C._counted(plan).horizon, C._counted(plan).cusps, counted[0]) == (12, 6, 20)
+        got = C._counted(plan)
+        assert (got.horizon, got.cusps, got.B, counted) == (12, 6, 12, [20, 20])
+        assert got == C._counted(got)
+        assert C._counted(C._plan(ste10a, 5, True))[-3:] == (6, 12, 5)
 
     def test_dominates_reference_pivots(self):
         # the reference pivots come from the Gamma_1 space: its bound

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import io
 import json
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import latcrit
-from latcrit import GramMatrix, __version__, conjecture_probe, fully_critical, height, load_catalog
+from latcrit import (VERDICT_FAILURE, DesignVerdict, GramMatrix, __version__, conjecture_probe,
+                     fully_critical, height, load_catalog, shells)
 from latcrit.cli import RunReport, _random_integral_spd, main
 
 from helpers import (box_vectors, envelope, gram_json, moment_identity_holds, pair_sum_bruteforce,
@@ -410,6 +412,16 @@ class TestNumericCommands:
             main(["height", "--name", "sta2", "--radius", "4"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("cmd", ["height", "stationarity"])
+    def test_walk_beyond_the_budget_exits_2(self, cmd, capsys, monkeypatch):
+        monkeypatch.setattr(shells, "DEFAULT_MAX_VECTORS", 1_000)
+        rc = main([cmd, "--name", "stf28a"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("inconclusive: enumeration budget exceeded: ")
+        assert "(budget 1000)" in line
+
     def test_height_and_stationarity_name_the_route(self, capsys, tmp_path):
         # stc12 is certified from the height's own walks (input side, level 2,
         # horizon 1, one layer), diag(1, 2) is not: one text line each, and
@@ -574,6 +586,33 @@ class TestProbe:
                         for name, (b, c) in B.items()]
         entries = load_catalog().entries
         assert walked == [e.gram for e in entries]
+
+    def test_counterexample_candidate_exits_1(self, capsys, monkeypatch):
+        # no form is known to reach this branch: sta3's report, given two
+        # 2-design layers and a third that fails, stands in for one
+        cli = sys.modules["latcrit.cli"]
+        real = cli._certify
+
+        def candidate(desc, bound, max_vectors, *, dualize):
+            rep = real(desc, bound, max_vectors, dualize=dualize)
+            layers = tuple(DesignVerdict(norm=Fraction(m), lhs=Fraction(m + (m == 3)),
+                                         rhs=Fraction(m), is_design=m < 3) for m in (1, 2, 3))
+            return dataclasses.replace(rep, per_layer=layers, verdict=VERDICT_FAILURE,
+                                       failure_norm=Fraction(3))
+
+        monkeypatch.setattr(cli, "_certify", candidate)
+        rc = main(["probe-conjecture", "--name", "sta3"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert lines == ["sta3: first_two=True verdict=failure-at(3)",
+                         "!!! COUNTEREXAMPLE CANDIDATE(S): first two layers are 2-designs "
+                         "but a later tested layer fails: sta3"]
+        rc = main(["probe-conjecture", "--name", "sta3", "--format", "json"])
+        outcome = envelope(capsys.readouterr().out).outcome
+        assert rc == 1
+        assert outcome["hits"] == ["sta3"]
+        assert [(r["first_two_designs"], r["verdict"]) for r in outcome["rows"]] == [
+            (True, "failure-at(3)")]
 
     def test_random_forms(self, capsys):
         rc = main(["probe-conjecture", "--random", "5", "--dims", "2,3",
@@ -741,6 +780,20 @@ class TestUsageErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and "error: error" not in lines[0]
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "error: empty input"),
+        (" \n\n", "error: empty input"),
+        ("2\n1 0\n0\n", "error: expected 4 entries, got 3"),
+        ("2\n1 0\n0 1 5\n", "error: expected 4 entries, got 5"),
+    ])
+    def test_plain_text_input_checks(self, text, message, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        rc = main(["analyze", "--gram", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.splitlines() == [message]
 
     def test_fully_critical_bound_is_an_integer(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import functools
 import sys
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ from latcrit import (
     DesignComputationError,
     GramMatrix,
     double,
+    fully_critical,
     gram_inverse,
+    height,
     layer_moments,
     two_design_verdict,
 )
@@ -171,6 +174,26 @@ class TestMomentRoute:
                 assert v.is_design == moment_identity_holds(q, vecs)
                 assert v.lhs == pair_sum_bruteforce(vecs, q, 2)
                 assert v.rhs == Fraction(len(vecs) ** 2, q.n) * m * m
+
+
+class TestOneObjectArray:
+    def test_each_judged_form_builds_its_object_array_once(self, monkeypatch):
+        # the verdicts read the judged form's integral form from one object
+        # array kept on the form: one build per certificate and per height
+        # on the theorem route, however many layers they judge
+        built = []
+        real = GramMatrix._objects.func
+        counted = functools.cached_property(lambda Q: built.append(Q) or real(Q))
+        counted.__set_name__(GramMatrix, "_objects")
+        monkeypatch.setattr(GramMatrix, "_objects", counted)
+        ste10a = GramMatrix(load_catalog().by_name("ste10a").gram.entries)
+        rep = fully_critical(ste10a, 60)
+        assert (rep.verdict, len(rep.per_layer), built) == ("fully-critical", 58, [ste10a])
+        for name in ("ste10a", "stf28a"):  # the input side, and the level dual
+            built.clear()
+            hrep = height(GramMatrix(load_catalog().by_name(name).gram.entries))
+            assert hrep.route == "theorem" and hrep.certificate["layers_tested"] >= 1, name
+            assert len(built) == 1, name
 
 
 class TestInvarianceProperties:

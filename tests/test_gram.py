@@ -7,6 +7,7 @@ import pytest
 from latcrit import (
     GramError,
     GramMatrix,
+    LatticeDescriptor,
     ParityError,
     determinant,
     double,
@@ -19,7 +20,7 @@ from latcrit import (
 )
 from latcrit.catalog import load_catalog
 from latcrit.cli import _random_integral_spd
-from latcrit.gram import _adjugate, _inverse, _leading_minors
+from latcrit.gram import _adjugate, _inverse, _leading_minors, _level_dual
 from latcrit.height import _projected_residual, _sides
 
 from helpers import (
@@ -94,6 +95,23 @@ class TestIntegralForm:
         rows[0][0] = 0  # a copy: the cached form is untouched
         assert q.integral_rescale()[0][0][0] == 6
 
+    def test_object_form_is_built_once_and_read_only(self):
+        # the exact verdicts' operand: P as Python ints, kept on the form
+        q = GramMatrix([["1/2", "-1/4"], ["-1/4", "2/3"]])
+        A = q._objects
+        assert A.dtype == object and A.tolist() == [[6, -3], [-3, 8]]
+        assert all(type(v) is int for v in A.flat)
+        assert q._objects is A and not A.flags.writeable
+        with pytest.raises(ValueError):
+            A[0, 0] = 0
+
+    @pytest.mark.parametrize("field", ["reference_dimM", "reference_N"])
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_descriptor_refuses_nonpositive_reference_metadata(self, field, value):
+        with pytest.raises(GramError, match="reference metadata must be positive"):
+            LatticeDescriptor(gram=A2, **{field: value})
+        assert getattr(LatticeDescriptor(gram=A2, **{field: 1}), field) == 1
+
     def test_minors_match_rational_oracle(self):
         # Bareiss minors of P = d Q are d^k times the minors of Q
         for name, Q in exact_kernel_forms():
@@ -161,7 +179,8 @@ class TestInverse:
         for name, Q in exact_kernel_forms(0):
             before = _adjugate.cache_info().misses
             gram_inverse(Q)
-            level(Q if is_even(Q) else double(Q))
+            W = Q if is_even(Q) else double(Q)
+            _level_dual(W, level(W))
             assert _adjugate.cache_info().misses - before <= 1, name
 
     def test_det_of_inverse_is_reciprocal(self):

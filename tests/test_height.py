@@ -9,6 +9,7 @@ import pytest
 
 from latcrit import (
     VERDICT_CRITICAL,
+    EnumerationBudgetError,
     GramMatrix,
     TruncationError,
     ZetaPoleError,
@@ -25,6 +26,7 @@ from latcrit import (
     lll_reduce,
     upper_gamma,
 )
+from latcrit import shells
 from latcrit.catalog import load_catalog
 
 from helpers import (
@@ -241,6 +243,23 @@ class TestHeight:
             height(np.array([[entry, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="form must have finite entries"):
             completed_zeta(np.array([[1.0, entry], [entry, 1.0]]), 0.5)
+
+    @pytest.mark.parametrize("form, message", [
+        (np.ones((2, 3)), "form must be a square matrix"),
+        (np.ones(4), "form must be a square matrix"),
+        (np.array([[2.0, 1.0], [0.0, 2.0]]), "form must be symmetric"),
+    ])
+    def test_float_form_must_be_square_and_symmetric(self, form, message):
+        with pytest.raises(ValueError, match=message):
+            height(form)
+
+    def test_a_walk_beyond_the_budget_is_refused(self, monkeypatch):
+        # the collector keeps at most DEFAULT_MAX_VECTORS vectors, two per
+        # half-set vector; stf28a's form side holds far more than 500 pairs
+        monkeypatch.setattr(shells, "DEFAULT_MAX_VECTORS", 1_000)
+        with pytest.raises(EnumerationBudgetError) as exc:
+            height(load_catalog().by_name("stf28a"))
+        assert exc.value.budget == 1_000 and exc.value.processed > 1_000
 
     @pytest.mark.parametrize("scale", [1e308, 1e-300])
     def test_extreme_finite_form_is_rejected(self, scale):
@@ -505,7 +524,7 @@ class TestTheoremRoute:
         # is within it
         C = sys.modules["latcrit.certify"]
         Q = GramMatrix(rows)
-        assert C._plan(Q, None, True).horizon == horizon
+        assert C._counted(C._plan(Q, None, True)).horizon == horizon
         judged = _record_verdicts(monkeypatch)
         rep = height(Q)
         assert (rep.route, rep.certificate, judged) == ("numeric", None, [])
@@ -517,13 +536,12 @@ class TestTheoremRoute:
         Q = GramMatrix([[2, 1], [1, 10**9 + 7]])
         def refuse(N):
             raise AssertionError("counted")
-        monkeypatch.setattr(C, "gamma0_cusps", refuse)
-        monkeypatch.setattr(C, "gamma0_index", refuse)
+        monkeypatch.setattr(C, "_gamma0", refuse)
         walks = _record_walks(monkeypatch)
         rep = height(Q)
         assert (walks["integral"], walks["float"]) == (2, 0)
         assert (rep.route, rep.certificate) == ("numeric", None)
-        assert C._plan(Q, None, True, count=False).level == 8_000_000_052
+        assert C._plan(Q, None, True).level == 8_000_000_052
 
     def test_float_input_is_never_judged(self, monkeypatch):
         H = sys.modules["latcrit.height"]

@@ -195,6 +195,18 @@ class TestFloatBound:
         X, norms = short_vectors_float(A2.to_float(), 0.0)
         assert len(X) == 0 and half_rows(X).shape == (0, 2) and norms.shape == (0,)
 
+    def test_budget_counts_both_vectors_of_each_kept_leaf(self, monkeypatch):
+        # read at each call: 2 |half| vectors fit a budget of exactly that,
+        # and one vector less refuses the walk
+        X, _ = short_vectors_float(A2.to_float(), 12.0)
+        monkeypatch.setattr(shells, "DEFAULT_MAX_VECTORS", 2 * len(X))
+        assert len(short_vectors_float(A2.to_float(), 12.0)[0]) == len(X)
+        monkeypatch.setattr(shells, "DEFAULT_MAX_VECTORS", 2 * len(X) - 1)
+        with pytest.raises(EnumerationBudgetError) as exc:
+            short_vectors_float(A2.to_float(), 12.0)
+        assert (exc.value.processed, exc.value.budget, exc.value.bound) == (
+            2 * len(X), 2 * len(X) - 1, 12.0)
+
 
 class TestSplitFrontiers:
     """With a tiny _CHUNK_ROWS every frontier is split; the results must not move."""
