@@ -6,11 +6,13 @@ quadratic form on integer vectors.  Each ``GramMatrix`` holds only its
 integral form P = d Q, with d the lcm of the entry denominators, and det P;
 the Fraction entries of the API are derived when first read.  Everything
 structural (positive definiteness, determinant, inverse, parity, level) runs
-on P in Python-int, fraction-free kernels: Bareiss elimination for the
-leading minors and a fraction-free Gauss-Jordan adjugate, cached by
-primitive part, for the inverse, the level and the level dual.  Floating
-point enters only through the float copies the height machinery reads
-(``to_float``).
+on P in Python-int, fraction-free kernels, on one Gauss-Jordan elimination
+of the primitive part P0 of P = c P0 (``_adjugate``): its pivots are the
+leading minors that validate P, and its adjugate gives the inverse, the
+level and the level dual.  Each form keeps its elimination
+(``GramMatrix._inverse``), from its validation, its source's primitive part
+(``_scaled``) or its first read.  Floating point enters only through the
+float copies the height machinery reads (``to_float``).
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ class GramMatrix:
     denominators, so P / d is in lowest terms) and det P; every exact kernel
     reads them, and ``entries``, the Fractions, is derived when first read.
     Validated at every construction: square, symmetric, and positive
-    definite by the signs of the leading principal minors.  Equality and
-    hash follow (P, d), that is the matrix value.  Instances are immutable;
-    all operations on them are pure functions.
+    definite by the signs of the leading principal minors, the pivots of
+    the elimination that inverts it.  Equality and hash follow (P, d).
+    Instances are immutable; all operations on them are pure functions.
     """
 
     _P: tuple[tuple[int, ...], ...]
@@ -77,8 +79,17 @@ class GramMatrix:
         # a string iterates as its characters, and is no row either
         if rows is None or isinstance(entries, str) or any(isinstance(r, str) for r in entries):
             raise GramError("entries must be a sequence of rows of rationals")
+        n = len(rows)
+        if n < 1 or any(len(r) != n for r in rows):
+            raise GramError("entries must form a nonempty square matrix")
+        for i in range(n):
+            for j in range(i):
+                if rows[i][j] != rows[j][i]:
+                    raise GramError(f"not symmetric at ({i},{j})")
         d = math.lcm(*(v.denominator for row in rows for v in row))
-        _init(self, [[v.numerator * (d // v.denominator) for v in row] for row in rows], d, name)
+        _store(self, [[v.numerator * (d // v.denominator) for v in row] for row in rows], d, name)
+        _, det, c = self._inverse  # the elimination that validates, kept by the form
+        object.__setattr__(self, "_det", c ** n * det)
 
     @functools.cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -90,6 +101,16 @@ class GramMatrix:
         a = np.array(self._P, dtype=object)
         a.flags.writeable = False
         return a
+
+    @functools.cached_property
+    def _inverse(self) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+        """(A, det P0, c) with P^{-1} = A / (c det P0): P = c P0, c the content of P and A = adj P0.
+
+        Run once per form, at validation or on first read.  P's leading minors
+        are c^k times P0's, so the pivots decide positive definiteness.
+        """
+        c = math.gcd(*itertools.chain.from_iterable(self._P)) or 1
+        return *_adjugate(self._P if c == 1 else [[v // c for v in row] for row in self._P]), c
 
     @property
     def n(self) -> int:
@@ -112,31 +133,18 @@ class GramMatrix:
         return f"<GramMatrix{tag} n={self.n}>"
 
 
-def _init(Q: GramMatrix, P: Sequence[Sequence[int]], d: int, name: Optional[str]) -> None:
-    """Validate the integral form P / d, in lowest terms, and store it in Q."""
-    n = len(P)
-    if n < 1 or any(len(r) != n for r in P):
-        raise GramError("entries must form a nonempty square matrix")
-    for i in range(n):
-        for j in range(i):
-            if P[i][j] != P[j][i]:
-                raise GramError(f"not symmetric at ({i},{j})")
-    _store(Q, P, d, name, _leading_minors(P)[-1])
-
-
-def _store(Q: GramMatrix, P: Sequence[Sequence[int]], d: int, name: Optional[str],
-           det: int) -> None:
+def _store(Q: GramMatrix, P: Sequence[Sequence[int]], d: int, name: Optional[str]) -> None:
     object.__setattr__(Q, "_P", tuple(tuple(row) for row in P))
     object.__setattr__(Q, "_d", d)
     object.__setattr__(Q, "name", name)
-    object.__setattr__(Q, "_det", det)
 
 
 def _stored(P: Sequence[Sequence[int]], d: int, det: int) -> GramMatrix:
     """The form P / d with det P = det, stored unchecked: P / d must already be
     symmetric, positive definite and in lowest terms."""
     Q = object.__new__(GramMatrix)
-    _store(Q, P, d, None, det)
+    _store(Q, P, d, None)
+    object.__setattr__(Q, "_det", det)
     return Q
 
 
@@ -162,57 +170,22 @@ class LatticeDescriptor:
                 raise GramError("reference metadata must be positive")
 
 
-def _leading_minors(P: Sequence[Sequence[int]]) -> list[int]:
-    """Leading principal minors of the integer matrix P, by Bareiss elimination.
-
-    Step k replaces each trailing entry by (p a_ij - a_ik a_kj) / p', p the
-    pivot and p' the previous one; the division is exact (Sylvester's
-    identity) and the pivot of step k is the (k+1)-st leading minor.  A
-    nonpositive one means P is not positive definite and raises at once.
-    """
-    a = [list(row) for row in P]
-    n = len(a)
-    prev = 1
-    minors: list[int] = []
-    for k in range(n):
-        piv = a[k][k]
-        if piv <= 0:
-            raise GramError("not positive definite (nonpositive leading minor)")
-        minors.append(piv)
-        rk = a[k]
-        for i in range(k + 1, n):
-            ri, f = a[i], a[i][k]
-            for j in range(k + 1, n):
-                ri[j] = (piv * ri[j] - f * rk[j]) // prev
-        prev = piv
-    return minors
-
-
-def _inverse(P: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], int, int]:
-    """(A, det P0, c) with P^{-1} = A / (c det P0): P = c P0, c the content of P and A = adj P0.
-
-    The elimination is of P0 (``_adjugate``), whose last result is kept:
-    a form, its double and their level and level dual share one.
-    """
-    c = math.gcd(*itertools.chain.from_iterable(P))
-    adj, det = _adjugate(P if c == 1 else tuple([tuple([v // c for v in row]) for row in P]))
-    return adj, det, c
-
-
-@functools.lru_cache(maxsize=1)
-def _adjugate(P: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(adj P, det P) by fraction-free Gauss-Jordan elimination of [P | I].
+def _adjugate(P: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(adj P, det P) by fraction-free Gauss-Jordan elimination of [P | I], for symmetric P.
 
     Bareiss's update runs on every row but the pivot row, so the left block
     ends as det(P) I and the right one as adj(P) = det(P) P^{-1}, every
-    division exact.  The pivots are the leading minors: nonzero for a
-    positive definite P.
+    division exact (Sylvester's identity).  The pivot of step k is the
+    (k+1)-st leading minor, so this is also the test of positive
+    definiteness: a nonpositive pivot raises before it divides anything.
     """
     n = len(P)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(P)]
     prev = 1
     for k in range(n):
         piv, rk = a[k][k], a[k]
+        if piv <= 0:
+            raise GramError("not positive definite (nonpositive leading minor)")
         for i in range(n):
             if i != k:
                 f = a[i][k]
@@ -229,13 +202,13 @@ def determinant(Q: GramMatrix) -> Fraction:
 def gram_inverse(Q: GramMatrix) -> GramMatrix:
     """Exact inverse d A / D of Q = P / d, P^{-1} = A / D: the Gram matrix of the dual lattice.
 
-    With P = c P0, A = adj P0 and D = c det P0 (``_inverse``).  The inverse
-    of a symmetric positive definite form is one, so it is stored
-    unchecked.  g = gcd(D, d A) puts it in lowest terms, and its integral
-    rows d A / g have determinant d^n det(adj P0) / g^n
-    = d^n (det P0)^(n-1) / g^n.
+    With P = c P0, A = adj P0 and D = c det P0 (the form's elimination,
+    ``GramMatrix._inverse``).  The inverse of a symmetric positive definite
+    form is one, so it is stored unchecked.  g = gcd(D, d A) puts it in
+    lowest terms, and its integral rows d A / g have determinant
+    d^n det(adj P0) / g^n = d^n (det P0)^(n-1) / g^n.
     """
-    adj, det, c = _inverse(Q._P)
+    adj, det, c = Q._inverse
     n, d = Q.n, Q._d
     g = math.gcd(c * det, *(d * v for row in adj for v in row))
     return _stored([[d * v // g for v in row] for row in adj], c * det // g,
@@ -251,14 +224,15 @@ def level(Q: GramMatrix) -> int:
     """Smallest l >= 1 such that l * Q^{-1} is integral with even diagonal.
 
     Only defined for even integral input; rescaling the dual by sqrt(l) then
-    yields another even lattice.  With Q^{-1} = A / D (``_inverse``) and g
-    the gcd of D and every entry of A, l Q^{-1} is integral exactly for the
-    multiples l of D / g, and (D / g) Q^{-1} has diagonal A_ii / g: the
-    level is D / g, or twice that when some A_ii / g is odd.
+    yields another even lattice.  With Q^{-1} = A / D (the form's
+    elimination, ``GramMatrix._inverse``) and g the gcd of D and every entry
+    of A, l Q^{-1} is integral exactly for the multiples l of D / g, and
+    (D / g) Q^{-1} has diagonal A_ii / g: the level is D / g, or twice that
+    when some A_ii / g is odd.
     """
     if not is_even(Q):
         raise ParityError("level requires an even integral Gram matrix")
-    adj, det, c = _inverse(Q._P)
+    adj, det, c = Q._inverse
     g = math.gcd(c * det, *(v for row in adj for v in row))
     base = c * det // g
     return base if all(adj[i][i] // g % 2 == 0 for i in range(Q.n)) else 2 * base
@@ -267,15 +241,16 @@ def level(Q: GramMatrix) -> int:
 def _level_dual(W: GramMatrix, N: int) -> tuple[GramMatrix, int]:
     """(N W^{-1}, its level) for an even form W of level N, in closed form.
 
-    N W^{-1} = N A / D (``_inverse``) is even and integral by the definition
-    of N, and symmetric positive definite with determinant N^n / det W, so it is
-    stored unchecked.  Its level is the least l with l (N W^{-1})^{-1} =
+    N W^{-1} = N A / D (W's elimination, ``GramMatrix._inverse``) is even
+    and integral by the definition of N, and symmetric positive definite
+    with determinant N^n / det W, so it is stored unchecked.  Its level is
+    the least l with l (N W^{-1})^{-1} =
     (l / N) W even and integral.  Write W = c W0 with c = gcd(W_ij for
     i < j, W_ii / 2): then W0 is even and the gcd of its off-diagonal and
     half-diagonal entries is 1, so (l / N) W is even integral exactly when N
     divides l c.  The level is N / gcd(N, c).
     """
-    adj, det, content = _inverse(W._P)
+    adj, det, content = W._inverse
     n, P = W.n, W._P
     c = math.gcd(*(P[i][j] for i in range(n) for j in range(i)), *(P[i][i] // 2 for i in range(n)))
     dual = _stored([[N * v // (content * det) for v in row] for row in adj], 1, N ** n // W._det)
@@ -288,11 +263,21 @@ def double(Q: GramMatrix) -> GramMatrix:
     2Q of a valid form is one, so it is stored unchecked.  With
     g = gcd(2, d), 2P / g over d / g is in lowest terms, as P / d is: an odd
     d shares no factor with 2P that it does not share with P, and an even
-    d / 2 divides d.  Its determinant is (2 / g)^n det P.
+    d / 2 divides d.
     """
     g = math.gcd(2, Q._d)
-    return _stored([[2 * p // g for p in row] for row in Q._P], Q._d // g,
-                   (2 // g) ** Q.n * Q._det)
+    return _scaled(Q, 2 // g, Q._d // g)
+
+
+def _scaled(Q: GramMatrix, k: int, d: int) -> GramMatrix:
+    """The form k P / d of Q = P / d', in lowest terms, stored unchecked.
+
+    Its determinant is k^n det P, and k P = (k c) P0 keeps Q's elimination.
+    """
+    adj, det0, c = Q._inverse
+    R = _stored([[k * p for p in row] for row in Q._P], d, k ** Q.n * Q._det)
+    R.__dict__["_inverse"] = adj, det0, k * c
+    return R
 
 
 # ---------------------------------------------------------------------------

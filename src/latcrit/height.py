@@ -91,7 +91,7 @@ from .certify import (
     _report,
 )
 from .design import two_design_verdict
-from .gram import GramMatrix, LatticeDescriptor, _stored, determinant, gram_inverse
+from .gram import GramMatrix, LatticeDescriptor, _scaled, _stored, determinant, gram_inverse
 from .shells import (
     FLOAT_EXACT,
     INT64_SAFE,
@@ -275,7 +275,7 @@ def _sides(L, det1: bool) -> _Sides:
         A, Ainv, dual = Q.to_float() / delta, Qinv.to_float() * delta, Qred.to_float() * delta
         dual_map = U.T.astype(float) @ Ainv
         integral = ((np.array(P, dtype=float), d * delta), (np.array(Pi, dtype=float), di / delta))
-        exact = (Q if d == 1 else _stored(P, 1, Q._det), Pi, d * di)
+        exact = (Q if d == 1 else _scaled(Q, 1, 1), Pi, d * di)
     else:
         A = _as_form(Q)
         det = _finite_det(A)

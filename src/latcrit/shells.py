@@ -258,8 +258,7 @@ def _fp_rows(P: np.ndarray, bound: float) -> Iterator[tuple]:
                                      zero and x == 0))
         nodes = children
         i -= 1
-    if not nodes:
-        return
+    # never empty: the all-zero node has lo <= 0 <= hi and keeps x_i = 0 at its full budget
     xs, S, budget, zero = zip(*nodes)
     X = np.zeros((len(nodes), n))
     X[:, i + 1:] = xs

@@ -3,6 +3,7 @@ import pytest
 
 from latcrit import (VERDICT_CRITICAL, VERDICT_INCONCLUSIVE, FullyCriticalReport, GramMatrix,
                      determinant, fully_critical, gram_from_json, is_even)
+from latcrit import catalog
 from latcrit.catalog import INCOMPLETE_DIMS, load_catalog, reproduce_tables
 from latcrit.cli import main
 
@@ -52,6 +53,11 @@ class TestLoad:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             load_catalog().by_name("nosuch")
+
+    def test_corrupt_counts_are_a_hard_failure(self, monkeypatch):
+        monkeypatch.setitem(catalog._EXPECTED_PER_DIM, 5, 8)
+        with pytest.raises(RuntimeError, match="dimension 5 has 7 entries, expected 8"):
+            load_catalog()
 
     def test_json_round_trip_bit_exact(self):
         for e in load_catalog().entries:

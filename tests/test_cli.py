@@ -221,6 +221,12 @@ class TestLayers:
         assert rep.outcome["cardinality_vector"] == [4, 4, 0, 4, 8]
         assert rep.outcome["pair_vector"] == [2, 2, 0, 2, 4]
 
+    def test_json_below_the_least_norm_is_empty(self, capsys):
+        # A2's least norm is 2: below it the walk finds nothing, and no layer is reported
+        rc = main(["layers", "--name", "sta3", "--bound", "1", "--format", "json"])
+        out = envelope(capsys.readouterr().out).outcome
+        assert (rc, out["layers"], out["cardinality_vector"]) == (0, [], [0])
+
     @pytest.mark.parametrize("inp", [["--name", "stc12"], ["--name", "ste10a"], "rational"])
     def test_json_and_dump_read_the_same_layers(self, inp, tmp_path, capsys):
         # the JSON layers are the dump's header lines, and pair_vector is

@@ -18,10 +18,11 @@ from latcrit import (
     level,
     lll_reduce,
 )
-from latcrit.catalog import load_catalog
+from latcrit import gram
+from latcrit.catalog import load_catalog, reproduce_tables
 from latcrit.cli import _random_integral_spd
-from latcrit.gram import _adjugate, _inverse, _leading_minors, _level_dual
-from latcrit.height import _projected_residual, _sides
+from latcrit.gram import _adjugate, _level_dual, _stored
+from latcrit.height import _projected_residual, _sides, height
 
 from helpers import (
     bareiss_determinant,
@@ -77,6 +78,10 @@ class TestConstruction:
         with pytest.raises(GramError, match="not positive definite"):
             GramMatrix(rows)
 
+    def test_repr_names_the_form(self):
+        assert repr(GramMatrix([[2, 1], [1, 2]], name="A2")) == "<GramMatrix 'A2' n=2>"
+        assert repr(A1) == "<GramMatrix n=1>"
+
     @pytest.mark.parametrize("entry", [float("inf"), float("-inf"), float("nan")])
     def test_rejects_non_finite_float(self, entry):
         # a GramError naming the entry, not Fraction's OverflowError or ValueError
@@ -113,11 +118,28 @@ class TestIntegralForm:
         assert getattr(LatticeDescriptor(gram=A2, **{field: 1}), field) == 1
 
     def test_minors_match_rational_oracle(self):
-        # Bareiss minors of P = d Q are d^k times the minors of Q
+        # validation is the elimination: the determinant it keeps is the last
+        # rational minor, and it refuses exactly the forms with a nonpositive
+        # minor.  P[k][k] - t moves the (k+1)-st minor m_(k+1) - t m_k, so t
+        # at the floor of m_(k+1) / m_k and one past it lands on either side
+        accepted = set()
         for name, Q in exact_kernel_forms():
-            P, d = Q.integral_rescale()
-            got = [Fraction(m, d ** (k + 1)) for k, m in enumerate(_leading_minors(P))]
-            assert got == leading_minors_rational(Q.entries), name
+            assert determinant(Q) == leading_minors_rational(Q.entries)[-1], name
+            P, _ = Q.integral_rescale()
+            minors = leading_minors_rational(P)
+            for k in range(1, Q.n):
+                cut = minors[k] // minors[k - 1]
+                for t in (cut, cut + 1):
+                    rows = [list(row) for row in P]
+                    rows[k][k] -= t
+                    want = leading_minors_rational(rows)
+                    accepted.add(min(want) > 0)
+                    if min(want) > 0:
+                        assert determinant(GramMatrix(rows)) == want[-1], name
+                    else:
+                        with pytest.raises(GramError, match="not positive definite"):
+                            GramMatrix(rows)
+        assert accepted == {True, False}
 
     def test_huge_entries_are_exact(self):
         # B^t B with B of order 10^15: entries of order 10^30, far past float
@@ -165,23 +187,20 @@ class TestInverse:
     def test_inverse_reads_the_primitive_adjugate(self):
         # P^-1 = A / (c det P0) with A = adj P0, P = c P0 primitive, against
         # the cofactor oracle: every catalogue form's rows, their double and
-        # six times them; a form and its double share one elimination
+        # six times them, kept by validation, by a form stored unchecked on
+        # first read, and by the double
         for e in load_catalog().entries:
             rows = [list(row) for row in e.gram._P]
             want = cofactor_adjugate(rows)
             det = bareiss_determinant(rows)
             for k in (1, 2, 6):
-                adj, det0, c = _inverse(tuple(tuple(k * v for v in row) for row in rows))
-                assert c == k * math.gcd(*(v for row in rows for v in row)), e.name
-                assert [[Fraction(v, c * det0) for v in row] for row in adj] == [
-                    [w / (k * det) for w in row] for row in want], e.name
-        _adjugate.cache_clear()
-        for name, Q in exact_kernel_forms(0):
-            before = _adjugate.cache_info().misses
-            gram_inverse(Q)
-            W = Q if is_even(Q) else double(Q)
-            _level_dual(W, level(W))
-            assert _adjugate.cache_info().misses - before <= 1, name
+                P = [[k * v for v in row] for row in rows]
+                for Q in (GramMatrix(P), _stored(P, 1, k ** e.gram.n * e.gram._det),
+                          double(GramMatrix([[Fraction(v, 2) for v in row] for row in P]))):
+                    adj, det0, c = Q._inverse
+                    assert c == k * math.gcd(*(v for row in rows for v in row)), e.name
+                    assert [[Fraction(v, c * det0) for v in row] for row in adj] == [
+                        [w / (k * det) for w in row] for row in want], e.name
 
     def test_det_of_inverse_is_reciprocal(self):
         for e in load_catalog().entries[:10]:
@@ -288,6 +307,63 @@ class TestBlockOps:
             assert (got._P, got._d, got._det, got.name) == (
                 want._P, want._d, want._det, want.name), name
         assert len(forms) == 1073
+
+
+class TestOneElimination:
+    """Each form runs one ``_adjugate`` elimination and keeps it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+
+        def counted(P):
+            count[0] += 1
+            return _adjugate(P)
+
+        monkeypatch.setattr(gram, "_adjugate", counted)
+        return count
+
+    def test_one_per_validated_construction(self, calls):
+        forms = [Q for _, Q in exact_kernel_forms(seeded=20)]
+        before = calls[0]
+        for k, Q in enumerate(forms, 1):
+            GramMatrix(Q.entries)
+            assert calls[0] - before == k
+
+    def test_none_for_the_premises_of_a_validated_form_or_its_double(self, calls):
+        for name, Q in exact_kernel_forms(seeded=20):
+            Q = GramMatrix(Q.entries)
+            before = calls[0]
+            for V in (Q, double(Q)):
+                gram_inverse(V)
+                if is_even(V):
+                    _level_dual(V, level(V))
+            assert calls[0] == before, name
+
+    def test_none_after_the_catalogue_loads(self, calls):
+        # reproduce_tables loads its own catalogue: one elimination an entry
+        cat = load_catalog()
+        before = calls[0]
+        assert all(r.verdict == "fully-critical" for r in reproduce_tables([2, 3, 4, 5, 6, 7]))
+        assert calls[0] - before == len(cat.entries) == 42
+        before = calls[0]
+        for e in cat.entries:
+            height(e)
+        assert calls[0] == before
+
+    def test_none_beyond_construction_for_a_rational_height(self, calls):
+        for q in (3, 7):
+            Q = GramMatrix([[Fraction(v, q) for v in row] for row in A2.entries])
+            before = calls[0]
+            height(Q)
+            assert calls[0] == before, q
+
+    def test_a_form_stored_unchecked_eliminates_on_first_read(self, calls):
+        Qinv = gram_inverse(A2)
+        before = calls[0]
+        gram_inverse(Qinv)
+        gram_inverse(Qinv)
+        assert calls[0] - before == 1
 
 
 class TestExpMap:

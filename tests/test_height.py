@@ -104,6 +104,13 @@ class TestEpsteinZeta:
         oracle = float(4 * mp.zeta(s) * mp.dirichlet(s, [0, 1, 0, -1]))
         assert abs(epstein_zeta(I2, s) - oracle) < 1e-12
 
+    @pytest.mark.parametrize("s", [-0.5, 0.3, 1.7, 2.5, 3.1])
+    def test_z_a2_against_dirichlet_factorization(self, s):
+        # A2[x] = 2 (a^2 + ab + b^2), which represents m 6 sum_{d | m} chi_-3(d)
+        # times: Z(A2, s) = 2^-s 6 zeta(s) L(s, chi_-3)
+        oracle = float(2 ** -s * 6 * mp.zeta(s) * mp.dirichlet(s, [0, 1, -1]))
+        assert abs(epstein_zeta(A2, s) - oracle) < 1e-14 * abs(oracle)
+
     def test_functional_equation_symmetry(self):
         rng = np.random.default_rng(2)
         B = rng.standard_normal((3, 3))

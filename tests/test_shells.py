@@ -195,6 +195,19 @@ class TestFloatBound:
         X, norms = short_vectors_float(A2.to_float(), 0.0)
         assert len(X) == 0 and half_rows(X).shape == (0, 2) and norms.shape == (0,)
 
+    def test_a_leaf_past_the_mask_is_dropped(self):
+        # the walk's floor tolerance of 1e-12 keeps x = 1 on [[q]], q just past
+        # the mask at _slack_bound(1): the mask drops it, and nothing is left
+        q = shells._slack_bound(1.0) * (1 + 1e-12)
+        X, norms = short_vectors_float(np.array([[q]]), 1.0)
+        assert len(X) == 0 and norms.shape == (0,)
+
+    def test_exact_filter_drops_a_leaf_inside_the_walks_slack(self):
+        # the walk's budget 10^9 (1 + 1e-9) + 1e-9 rounds to 10^9 + 1, so it
+        # keeps x = 1 of norm 10^9 + 1; the exact filter at 10^9 drops it
+        assert enumerate_layers(GramMatrix([[10**9 + 1]]), 10**9) == {}
+        assert list(enumerate_layers(GramMatrix([[10**9 + 1]]), 10**9 + 1)) == [10**9 + 1]
+
     def test_budget_counts_both_vectors_of_each_kept_leaf(self, monkeypatch):
         # read at each call: 2 |half| vectors fit a budget of exactly that,
         # and one vector less refuses the walk

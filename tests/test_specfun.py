@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from latcrit import GammaDomainError, upper_gamma
+from latcrit import GammaDomainError, specfun, upper_gamma
 from latcrit.specfun import _lower_series, _upper_cf, _upper_gamma
 
 
@@ -80,6 +80,17 @@ class TestDomain:
             upper_gamma(1.0, x)
         with pytest.raises(GammaDomainError, match="finite x > 0"):
             upper_gamma(2.5, np.array([1.0, x, 3.0]))
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_order(self, a):
+        # before any work: not the iteration cap, nor the downward recurrence's depth
+        with pytest.raises(GammaDomainError, match="finite order"):
+            upper_gamma(a, 2.0)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_ITER", 2)
+        with pytest.raises(ArithmeticError, match="failed to converge"):
+            upper_gamma(0.7, [0.5])
 
     def test_both_branches_agree_at_crossover(self):
         for a in (0.7, 2.0, 3.5):
