@@ -107,8 +107,12 @@ class GramMatrix:
         """(A, det P0, c) with P^{-1} = A / (c det P0): P = c P0, c the content of P and A = adj P0.
 
         Run once per form, at validation or on first read.  P's leading minors
-        are c^k times P0's, so the pivots decide positive definiteness.
+        are c^k times P0's, so the pivots decide positive definiteness.  The
+        form ``gram_inverse`` stores reads it from its source's in closed form
+        (``_reinverse``), with no elimination.
         """
+        if "_inverse_of" in self.__dict__:
+            return _reinverse(*self.__dict__["_inverse_of"])
         c = math.gcd(*itertools.chain.from_iterable(self._P)) or 1
         return *_adjugate(self._P if c == 1 else [[v // c for v in row] for row in self._P]), c
 
@@ -206,13 +210,34 @@ def gram_inverse(Q: GramMatrix) -> GramMatrix:
     ``GramMatrix._inverse``).  The inverse of a symmetric positive definite
     form is one, so it is stored unchecked.  g = gcd(D, d A) puts it in
     lowest terms, and its integral rows d A / g have determinant
-    d^n det(adj P0) / g^n = d^n (det P0)^(n-1) / g^n.
+    d^n det(adj P0) / g^n = d^n (det P0)^(n-1) / g^n.  Its elimination is
+    not run: it is read from Q's on first read (``_reinverse``).
     """
     adj, det, c = Q._inverse
     n, d = Q.n, Q._d
     g = math.gcd(c * det, *(d * v for row in adj for v in row))
-    return _stored([[d * v // g for v in row] for row in adj], c * det // g,
-                   d ** n * det ** (n - 1) // g ** n)
+    R = _stored([[d * v // g for v in row] for row in adj], c * det // g,
+                d ** n * det ** (n - 1) // g ** n)
+    R.__dict__["_inverse_of"] = Q, g
+    return R
+
+
+def _reinverse(Q: GramMatrix, g: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """The elimination (``GramMatrix._inverse``) of ``gram_inverse(Q)``, in closed form.
+
+    With Q = P / d, P = c P0, A = adj P0 and D = det P0, the inverse's rows
+    are d A / g = (d a / g) (A / a), a the content of A, so its content is
+    d a / g and its primitive part A / a.  adj A = D^(n-2) P0 and
+    det A = D^(n-1), and adj and det are homogeneous of degrees n - 1 and
+    n, so adj(A / a) = D^(n-2) P0 / a^(n-1) and det(A / a) = D^(n-1) / a^n
+    (at n = 1, P0 = (1) and D = 1).
+    """
+    adj, D, c = Q._inverse
+    n = Q.n
+    a = math.gcd(*itertools.chain.from_iterable(adj))
+    k, q = D ** max(n - 2, 0), a ** (n - 1)
+    return (tuple(tuple(k * v // c // q for v in row) for row in Q._P), D ** (n - 1) // a ** n,
+            Q._d * a // g)
 
 
 def is_even(Q: GramMatrix) -> bool:

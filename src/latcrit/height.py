@@ -16,11 +16,11 @@ of radii before anything is enumerated, and the radius is the first grid
 radius where they meet an a-priori tolerance: 1e-13 times a lower bound
 on the sum (its terms are positive, so the basis vectors' terms bound it,
 and a closed-form floor from the incomplete-gamma recurrence bounds
-those), or the gradient's absolute floor.  Neither
-exceeds the real tolerance (1e-13 times the sum, plus that floor for the
-gradient), so the form and its inverse are enumerated once each at that
-radius.  The check of the same majorants against the real tolerance stays
-as the guard of record: it raises ``TruncationError``.
+those), and for the gradient the a-priori tolerance of its route (below).
+None exceeds its real tolerance (1e-13 times the sum, plus an absolute
+floor for the gradient), so each side is enumerated once at that radius.
+The check of the same majorants against the real tolerance stays as the
+guard of record: it raises ``TruncationError``.
 
 A summand depends only on its vector's norm, so each side's vectors are
 grouped into layers and special functions run once per layer.  For a
@@ -43,11 +43,19 @@ the leaves' weights times 1, d and d^2 (d = x_0 - c) per parent with
 (``_leaf_fold``).
 
 That numeric route is the gradient's second one (``HeightReport.route``).
-The first, the theorem route, reads the paper's theorem off the walks the
-height already made: a lattice whose layers are all spherical 2-designs is
-a stationary point of the height.  On a ``GramMatrix``, judged as its
-integral form d Q, ``_certificate`` decides it with no further walk, on
-four premises:
+Its radius must also meet the majorant of the summed gradient, whose
+weights psi1 |m|^2 decay more slowly than F's.  The first, the theorem
+route, reads the paper's theorem off the height's own walks: a lattice
+whose layers are all spherical 2-designs is a stationary point of the
+height.  On a ``GramMatrix``, judged as its integral form d Q, the
+certificate is planned before anything is walked (``_judge``), which fixes
+its tested side and the range of norms it must judge.  Its gradient
+G = -(S_A / 2) A^-1 moves with F's form half S_A alone, so the radius r_F
+is the one where F's majorant and |A^-1|_F / 2 times the form part of it
+meet their tolerances: on the catalogue that is F's own radius.  When an
+exact walk of the tested side to r_F covers the range, that side is walked
+alone and ``_certificate`` judges it, with no further walk, on four
+premises:
 - duality: every layer of L is a 2-design exactly when every layer of L*
   is (theta duality, ``certify``'s module docstring), so the certificate of
   either side of the level duality covers both sums;
@@ -63,9 +71,14 @@ four premises:
   (the horizon of ``certify``) lies at or below its side's b, the layers
   gathered from that walk are all the certificate's, judged in increasing
   norm by ``design.two_design_verdict``, as ``fully_critical`` judges them.
-The walks, the radius (still chosen to meet the gradient's majorant), F
-and the tails are the same on both routes.  Any other outcome, and every
-float input, takes the numeric route, bit for bit.
+On a pass the other side is walked to r_F and F is summed there.  A failed
+layer refutes the certificate, and both sides are walked again at the
+numeric radius: an uncertified input whose range the walk to r_F covers
+pays that one extra walk of its tested side.  A range beyond the walk to
+r_F, a level too large to reach, and every float input walk both sides
+once at the numeric radius, where the certificate is judged if that walk
+covers its range.  Every numeric-route report is the one the summed
+gradient alone gives, bit for bit.
 Tails are majorants: points in an annulus are counted by volume, through a
 fundamental domain of bounded diameter, and summed by parts against the
 monotone summands, so the reported tail estimate is a true upper bound.
@@ -87,6 +100,7 @@ from .certify import (
     FullyCriticalReport,
     _counted,
     _horizon_floor,
+    _Plan,
     _plan,
     _report,
 )
@@ -206,9 +220,9 @@ def _radius_gamma(a: float) -> np.ndarray:
 class _Sides:
     """A form A and its inverse, built once per sum by ``_sides``.
 
-    ``majorant`` bounds a sum's tail at each radius, and ``basis_floor``
-    bounds a sum from below by its basis vectors' terms without evaluating
-    Gamma.
+    ``majorant`` bounds a sum's tail at each radius, and ``basis_floors``
+    bound each side's part of a sum from below by its basis vectors' terms
+    without evaluating Gamma.
     """
 
     A: np.ndarray
@@ -231,25 +245,28 @@ class _Sides:
         every term nonnegative; one reverse cumsum gives it at every t_j.
         The grid must reach the radius where g underflows to 0.
         """
-        total = np.zeros(len(g_form))
-        for g, (outer, inner) in zip((g_form, g_dual), self.counts):
-            if g[-1] != 0.0:
-                raise TruncationError("tail majorant did not underflow on the radius grid")
-            steps = np.diff(outer) * g[:-1]
-            later = np.append(np.cumsum(steps[::-1])[::-1][1:], 0.0)
-            total[:-1] += (outer[1:] - inner[:-1]) * g[:-1] + later
-        return total
+        return self.side_majorant(0, g_form) + self.side_majorant(1, g_dual)
 
-    def basis_floor(self, orders) -> float:
-        """Lower bound on the sum with ``orders`` ((a, c) for the form, then for its inverse).
+    def side_majorant(self, k: int, g: np.ndarray) -> np.ndarray:
+        """``majorant``'s part from side k (0 the form, 1 its inverse)."""
+        if g[-1] != 0.0:
+            raise TruncationError("tail majorant did not underflow on the radius grid")
+        outer, inner = self.counts[k]
+        steps = np.diff(outer) * g[:-1]
+        later = np.append(np.cumsum(steps[::-1])[::-1][1:], 0.0)
+        return np.append((outer[1:] - inner[:-1]) * g[:-1] + later, 0.0)
 
-        Every term is positive, so the basis vectors and their negatives, at
-        x = pi diag A and pi diag A^-1, bound the sum below, and
+    def basis_floors(self, orders) -> list:
+        """Lower bounds on the form's part and the inverse's part of a sum with ``orders``.
+
+        ``orders`` are (a, c) for the form, then for its inverse.  Every term
+        is positive, so the basis vectors and their negatives, at
+        x = pi diag A and pi diag A^-1, bound each part below, and
         ``_gamma_floor`` bounds each of their terms below.
         """
         sides = (np.diag(self.A), np.diag(self.Ainv))
-        return 2.0 * float(sum(c * np.sum(_gamma_floor(a, math.pi * d))
-                               for (a, c), d in zip(orders, sides)))
+        return [2.0 * c * float(np.sum(_gamma_floor(a, math.pi * d)))
+                for (a, c), d in zip(orders, sides)]
 
 
 def _sides(L, det1: bool) -> _Sides:
@@ -299,33 +316,45 @@ class _Layers:
     exact: Optional[tuple] = None  # exact route: (the distinct integer norms m, the bound walked)
 
 
+def _exact_bound(integral, radius: float) -> Optional[int]:
+    """The integer bound of an exact walk of ``integral`` to ``radius``, or None for the float route.
+
+    ``integral`` is None, or (P, unit) with P an integral form (float array).
+    The bound is floor(_slack_bound(radius) unit), the float route's slack,
+    which rounds toward inclusion so that no vector within the radius is
+    dropped.  The walk is exact when its norms are float-exact
+    (``_norm_magnitude`` below FLOAT_EXACT) and the bound is below
+    _TABLE_ENTRIES.
+    """
+    if integral is None:
+        return None
+    P, unit = integral
+    bound = math.floor(_slack_bound(radius) * unit)
+    return bound if bound < _TABLE_ENTRIES and _norm_magnitude(P, bound) < FLOAT_EXACT else None
+
+
 def _layers(M: np.ndarray, integral, radius: float) -> _Layers:
     """The half-set of M[x] <= radius, grouped into layers.
 
-    ``integral`` is None, or (P, unit) with P an integral form (float array)
-    and M = P / unit in exact arithmetic.  Then P is walked to the integer
-    bound floor(_slack_bound(radius) unit), the float route's slack, which
-    rounds toward inclusion so that no vector within the radius is dropped.
-    When that walk's norms are float-exact (``_norm_magnitude`` below
-    FLOAT_EXACT) and the bound is below _TABLE_ENTRIES, the collector's
-    norms are the integers m, and its own slack admits none above the
-    bound: below 2^20 it adds less than 2^20 1e-9 + 1e-9 < 1.  They are grouped
-    by one ``np.bincount`` with no sort, and a layer's norm is m / unit.
-    Otherwise M is walked and its rounded norms are grouped by
-    ``np.unique``.
+    ``integral`` is None, or (P, unit) with M = P / unit in exact
+    arithmetic.  When ``_exact_bound`` gives P's walk an integer bound, the
+    collector's norms are the integers m, and its own slack admits none
+    above the bound: below 2^20 it adds less than 2^20 1e-9 + 1e-9 < 1.
+    They are grouped by one ``np.bincount`` with no sort, and a layer's
+    norm is m / unit.  Otherwise M is walked and its rounded norms are
+    grouped by ``np.unique``.
     """
-    if integral is not None:
+    bound = _exact_bound(integral, radius)
+    if bound is not None:
         P, unit = integral
-        bound = math.floor(_slack_bound(radius) * unit)
-        if bound < _TABLE_ENTRIES and _norm_magnitude(P, bound) < FLOAT_EXACT:
-            X, m = short_vectors_float(P, bound)
-            m = m.astype(np.int64)
-            table = np.bincount(m)
-            norms = np.flatnonzero(table)
-            rank = np.zeros(len(table), dtype=np.intp)
-            rank[norms] = np.arange(len(norms))
-            return _Layers(half=X, distinct=norms / unit, inverse=rank[m], counts=table[norms],
-                           exact=(norms, bound))
+        X, m = short_vectors_float(P, bound)
+        m = m.astype(np.int64)
+        table = np.bincount(m)
+        norms = np.flatnonzero(table)
+        rank = np.zeros(len(table), dtype=np.intp)
+        rank[norms] = np.arange(len(norms))
+        return _Layers(half=X, distinct=norms / unit, inverse=rank[m], counts=table[norms],
+                       exact=(norms, bound))
     X, norms = short_vectors_float(M, radius)
     distinct, inverse, counts = np.unique(norms, return_inverse=True, return_counts=True)
     return _Layers(half=X, distinct=distinct, inverse=inverse, counts=counts)
@@ -347,18 +376,27 @@ def _gradient_weight(n: int, xs: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _bounds(sides: _Sides, orders, gradient: bool) -> list:
-    """(majorant on the grid, a-priori tolerance) of the sum, then of the gradient if asked.
+    """(majorant on the grid, a-priori tolerance) of the sum, then, if asked, of the gradient.
 
-    The gradient's tail is bounded in Frobenius norm term by term: psi1(c)
-    |m|^2 <= psi1(c) c lam and psi2(b) |A^-1 y|^2 <= exp(-pi b) lam, both
-    decreasing.
+    The gradient has two rows, its numeric route's and its theorem route's.
+    The numeric route's tail is bounded in Frobenius norm term by term:
+    psi1(c) |m|^2 <= psi1(c) c lam and psi2(b) |A^-1 y|^2 <= exp(-pi b) lam,
+    both decreasing.  The theorem route's G = -(S_A / 2) A^-1 moves with
+    S_A alone, so its tail is |A^-1|_F / 2 times S_A's, which the form part
+    M_form of the sum's majorant bounds; its real tolerance
+    GRAD_TAIL_FLOOR + TAIL_REL |G| is at least GRAD_TAIL_FLOOR + TAIL_REL
+    |A^-1|_F / 2 times the form part of the sum's basis floor.
     """
     g = [_summand(a, c, _X, _radius_gamma(a)) for a, c in orders]
-    out = [(sides.majorant(*g), TAIL_REL * sides.basis_floor(orders))]
+    form = sides.side_majorant(0, g[0])
+    floors = sides.basis_floors(orders)
+    out = [(form + sides.side_majorant(1, g[1]), TAIL_REL * float(sum(floors)))]
     if gradient:
         lam = _norm_factor(sides.Ainv)
         grad_form = _gradient_weight(sides.A.shape[0], _X, g[0]) * _X / math.pi * lam
-        out.append((sides.majorant(grad_form, np.exp(-_X) * lam), GRAD_TAIL_FLOOR))
+        half_norm = 0.5 * float(np.linalg.norm(sides.Ainv))
+        out += [(sides.majorant(grad_form, np.exp(-_X) * lam), GRAD_TAIL_FLOOR),
+                (half_norm * form, GRAD_TAIL_FLOOR + TAIL_REL * half_norm * floors[0])]
     return out
 
 
@@ -429,38 +467,68 @@ def _grad_sum(sides: _Sides, layers: tuple, f: np.ndarray) -> tuple[np.ndarray, 
     return 0.5 * (G + G.T), GRAD_TAIL_FLOOR + TAIL_REL * float(np.linalg.norm(G))
 
 
-def _certificate(sides: _Sides, layers: tuple) -> Optional[FullyCriticalReport]:
-    """The certificate of an exact input read off its own walks, or None.
+@dataclass(eq=False)
+class _Judge:
+    """The certificate of an exact input, planned before any walk (``_judge``).
 
-    ``certify._plan`` fixes the tested side of d Q, and ``_counted`` its
-    horizon B and range T[x] <= 2B / s on the tested form T, which the
-    height walked as T / r: d Q itself (r = 1), or, for the level dual
-    T = dual_scale (d Q)^-1, d' U^t Q^-1 U (r = dual_scale / (d d'), T in
-    the walk's basis).  The range is covered when that walk took the exact
-    route to an integer bound of at least floor(2B / (s r));
-    ``_horizon_floor`` rules out a level too large before it is factored.
-    The layers in range are gathered into rows (int64 while their count
-    times the largest square stays below INT64_SAFE) and judged as their
-    moments come (``shells._moments``), stopping at the first that fails.
-    A pass is the report ``fully_critical`` gives.
+    ``plan`` is ``certify._plan`` of d Q, counted (``_counted``) once the
+    floor of its horizon fits a walk.  Its tested form T is walked on side
+    ``side`` as T b / a: d Q itself (side 0, a = b = 1), or, for the level
+    dual T = dual_scale (d Q)^-1, d' U^t Q^-1 U (side 1, a / b =
+    dual_scale / (d d'), T in the walk's basis).
     """
-    P, Pi, scale = sides.exact
+
+    plan: _Plan
+    side: int
+    a: int
+    b: int
+
+    def limit(self, walked: Optional[int]) -> Optional[int]:
+        """The tested range's bound on the walked form, if an exact walk to ``walked`` covers it.
+
+        The range T[x] <= 2B / s is floor(2B b / (s a)) on the walked form,
+        which must be at most ``walked``, the integer bound of an exact walk
+        (None for a float walk, which covers nothing).  ``_horizon_floor``
+        rules out a level too large before it is factored; the first call
+        that passes it counts the plan (``_counted``), once.
+        """
+        plan, a, b = self.plan, self.a, self.b
+        if walked is None:
+            return None
+        if not plan.cusps:
+            if 2 * _horizon_floor(plan.weight, plan.level) * b // (plan.s * a) > walked:
+                return None
+            self.plan = plan = _counted(plan)
+        limit = 2 * plan.B * b // (plan.s * a)
+        return limit if limit <= walked else None
+
+
+def _judge(sides: _Sides) -> _Judge:
+    """The certificate's plan on the integral form d Q of an exact input, with no walk."""
+    P, _, scale = sides.exact
     plan = _plan(P, None, dualize=True)
     if plan.tested == SIDE_INPUT:
-        side, (a, b), T = layers[0], (1, 1), P
-    else:  # r = a / b
-        side, r = layers[1], plan.dual_scale / scale
-        a, b = r.numerator, r.denominator
-        T = _stored([[v * a // b for v in row] for row in Pi], 1, plan.form._det)
-    if side.exact is None:
-        return None
-    norms, walked = side.exact
-    if 2 * _horizon_floor(plan.weight, plan.level) * b // (plan.s * a) > walked:
-        return None
-    plan = _counted(plan)
-    limit = 2 * plan.B * b // (plan.s * a)
-    if limit > walked:
-        return None
+        return _Judge(plan, 0, 1, 1)
+    r = plan.dual_scale / scale
+    return _Judge(plan, 1, r.numerator, r.denominator)
+
+
+def _certificate(sides: _Sides, judge: _Judge, limit: int,
+                 side: _Layers) -> Optional[FullyCriticalReport]:
+    """The certificate of an exact input read off the walk of its tested side, or None.
+
+    ``side`` is the exact walk of side ``judge.side``, which covers the
+    tested range, its norms at most ``limit`` (``_Judge.limit``).  The
+    layers in range are gathered into rows (int64 while their count times
+    the largest square stays below INT64_SAFE) and judged as their moments
+    come (``shells._moments``), stopping at the first that fails.  A pass
+    is the report ``fully_critical`` gives.
+    """
+    P, Pi, _ = sides.exact
+    plan, a, b = judge.plan, judge.a, judge.b
+    T = P if judge.side == 0 else _stored([[v * a // b for v in row] for row in Pi], 1,
+                                          plan.form._det)
+    norms = side.exact[0]
     moments, verdicts = {}, []
     k = int(np.searchsorted(norms, limit, side="right"))  # the layers in range
     if k:
@@ -479,51 +547,102 @@ def _certificate(sides: _Sides, layers: tuple) -> Optional[FullyCriticalReport]:
     return _report(LatticeDescriptor(gram=P), plan, moments, verdicts, 2 * plan.B, "")
 
 
+def _radius(M: np.ndarray, a_priori: np.ndarray) -> float:
+    """The first grid radius up to _RADIUS_CAP where every majorant row meets its a-priori
+    tolerance, or that cap when none does."""
+    fits = np.flatnonzero(np.all(M <= a_priori[:, None], axis=0) & (_RADII <= _RADIUS_CAP))
+    return float(_RADII[fits[0]]) if fits.size else _RADIUS_CAP
+
+
+def _walk(sides: _Sides, k: int, radius: float) -> _Layers:
+    """Side k's layers to ``radius``: the form's (k = 0) or its inverse's (k = 1)."""
+    return _layers((sides.A, sides.dual)[k], sides.integral[k], radius)
+
+
+def _tail(M: np.ndarray, radius: float, tolerances: list, what: str) -> float:
+    """The majorant rows' sum at ``radius``, once each meets its real tolerance."""
+    tails = M[:, np.searchsorted(_RADII, radius, side="right") - 1]
+    if not np.all(tails <= np.array(tolerances)):
+        raise TruncationError(f"{what}: tail tolerance unattained at radius {radius:.6g}")
+    return float(np.sum(tails))
+
+
 def _certified_sum(sides: _Sides, orders, what: str, gradient: bool = False):
     """The one certified lattice sum: (S, G, tail, radius, layers, certificate) at one radius.
 
     S sums c x^{-a} Gamma(a, x) over the nonzero vectors of A at
     x = pi A[m], and over those of A^-1 at x = pi A^-1[y], with ``orders``
     ((a, c) for A, then for A^-1).  With ``gradient`` (only for F's orders)
-    G is F's gradient, else None: G = -(S_A / 2) A^-1, with S_A F's form
-    half, when ``_certificate`` proves the exact input fully critical (the
-    module docstring), and that certificate is returned; otherwise
-    ``_grad_sum`` sums G and the certificate is None.  ``_bounds`` gives
-    each quantity's tail majorant at every grid radius and its a-priori
-    tolerance; the radius is the first grid radius up to _RADIUS_CAP where
-    every majorant meets its a-priori tolerance, or that cap when none
-    does.  The vectors of norm <= radius of A and of A^-1 are collected
-    once each and grouped by norm into ``layers`` (``_layers``, on the
-    sides' integral forms when they have them).  Each summand is evaluated
-    once per layer and summed against the layer counts.  The majorants at the radius must meet the real
-    tolerances (TAIL_REL |S|, and GRAD_TAIL_FLOOR + TAIL_REL |G|), or
-    TruncationError is raised.
+    G is F's gradient, else None.  ``_bounds`` gives each quantity's tail
+    majorant at every grid radius and its a-priori tolerance, and a radius
+    is the first grid radius where the majorants it needs meet them
+    (``_radius``).  The vectors of norm <= radius of A and of A^-1 are
+    collected once each and grouped by norm into ``layers`` (``_layers``, on
+    the sides' integral forms when they have them).  Each summand is
+    evaluated once per layer and summed against the layer counts.
+
+    An exact input plans its certificate first (``_judge``) and takes the
+    radius r_F of F and the theorem route's gradient.  When an exact walk
+    to r_F covers the tested range, that side is walked alone and judged
+    (``_certificate``); on a pass the other side is walked to r_F,
+    G = -(S_A / 2) A^-1 with S_A F's form half (the module docstring), and
+    that certificate is returned.  A failed layer drops the certificate.
+    Otherwise both sides are walked to the radius of F and the numeric
+    route's gradient, whose certificate is judged on that walk when it
+    covers the range and not yet judged, and ``_grad_sum`` sums G when
+    none passes.  The majorants at the radius must meet the real tolerances
+    (TAIL_REL |S|, and GRAD_TAIL_FLOOR + TAIL_REL |G|), or TruncationError
+    is raised.
     """
-    majorants, a_priori = zip(*_bounds(sides, orders, gradient))
-    M = np.array(majorants)
-    fits = np.flatnonzero(np.all(M <= np.array(a_priori)[:, None], axis=0)
-                          & (_RADII <= _RADIUS_CAP))
-    radius = float(_RADII[fits[0]]) if fits.size else _RADIUS_CAP
-    layers = (_layers(sides.A, sides.integral[0], radius),
-              _layers(sides.dual, sides.integral[1], radius))
-    terms = [_summand(a, c, x, upper_gamma(a, x)) for (a, c), x
-             in zip(orders, (math.pi * layers[0].distinct, math.pi * layers[1].distinct))]
-    form_half = layers[0].counts @ terms[0]
-    S = 2.0 * float(form_half + layers[1].counts @ terms[1])
+    bounds = _bounds(sides, orders, gradient)
+    M, a_priori = np.array([m for m, _ in bounds]), np.array([t for _, t in bounds])
+    judge = _judge(sides) if gradient and sides.exact else None
+    if judge is not None:
+        radius = _radius(M[[0, 2]], a_priori[[0, 2]])  # F's, with the theorem route's G
+        limit = judge.limit(_exact_bound(sides.integral[judge.side], radius))
+        if limit is not None:
+            tested = _walk(sides, judge.side, radius)
+            certificate = _certificate(sides, judge, limit, tested)
+            if certificate is not None:
+                other = _walk(sides, 1 - judge.side, radius)
+                layers = (tested, other) if judge.side == 0 else (other, tested)
+                S, form_half, _ = _layer_sums(orders, layers)
+                G, gtol = _theorem_gradient(sides, form_half)
+                tail = _tail(M[[0, 2]], radius, [TAIL_REL * max(abs(S), 1e-30), gtol], what)
+                return S, G, tail, radius, layers, certificate
+            judge = None
+    M = M[:2]  # F's, with the numeric route's G
+    radius = _radius(M, a_priori[:2])
+    layers = (_walk(sides, 0, radius), _walk(sides, 1, radius))
+    S, form_half, f = _layer_sums(orders, layers)
     tolerances = [TAIL_REL * max(abs(S), 1e-30)]
     G = certificate = None
     if gradient:
-        certificate = _certificate(sides, layers) if sides.exact else None
-        if certificate is None:
-            G, gtol = _grad_sum(sides, layers, terms[0])
-        else:  # lam = -S_A / 2 = -form_half
-            G = -float(form_half) * sides.Ainv
-            gtol = GRAD_TAIL_FLOOR + TAIL_REL * float(np.linalg.norm(G))
+        if judge is not None:
+            side = layers[judge.side]
+            limit = judge.limit(None if side.exact is None else side.exact[1])
+            certificate = None if limit is None else _certificate(sides, judge, limit, side)
+        G, gtol = (_grad_sum(sides, layers, f) if certificate is None
+                   else _theorem_gradient(sides, form_half))
         tolerances.append(gtol)
-    tails = M[:, np.searchsorted(_RADII, radius, side="right") - 1]
-    if not np.all(tails <= np.array(tolerances)):
-        raise TruncationError(f"{what}: tail tolerance unattained at radius {radius:.6g}")
-    return S, G, float(np.sum(tails)), radius, layers, certificate
+    return S, G, _tail(M, radius, tolerances, what), radius, layers, certificate
+
+
+def _theorem_gradient(sides: _Sides, form_half) -> tuple[np.ndarray, float]:
+    """(G, its tolerance GRAD_TAIL_FLOOR + TAIL_REL |G|) of a certified lattice.
+
+    G = lam A^-1 with lam = -S_A / 2 = -form_half (the module docstring).
+    """
+    G = -float(form_half) * sides.Ainv
+    return G, GRAD_TAIL_FLOOR + TAIL_REL * float(np.linalg.norm(G))
+
+
+def _layer_sums(orders, layers: tuple) -> tuple:
+    """(S, F's form half when ``orders`` are F's, the form's summand on its distinct norms)."""
+    terms = [_summand(a, c, x, upper_gamma(a, x)) for (a, c), x
+             in zip(orders, (math.pi * layers[0].distinct, math.pi * layers[1].distinct))]
+    form_half = layers[0].counts @ terms[0]
+    return 2.0 * float(form_half + layers[1].counts @ terms[1]), form_half, terms[0]
 
 
 def completed_zeta(Q, s: float) -> float:
@@ -572,7 +691,13 @@ def height_constant(n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class HeightReport:
-    """Height value with its gradient and stationarity diagnostics."""
+    """Height value with its gradient and stationarity diagnostics.
+
+    ``truncation_radius`` and the vector counts are those of the final walks,
+    and ``tail_estimate`` is the majorant of F's tail plus that of the
+    route's gradient: on the theorem route |A^-1|_F / 2 times the form part
+    of F's.
+    """
 
     height: float
     F_value: float
@@ -583,7 +708,8 @@ class HeightReport:
     tail_estimate: float
     half_vectors_form: int   # vectors enumerated, one per antipodal pair, on the form
     half_vectors_dual: int   # and on its inverse, at the truncation radius
-    route: str               # ROUTE_THEOREM or ROUTE_NUMERIC: how the gradient was found
+    route: str               # ROUTE_THEOREM or ROUTE_NUMERIC: how the gradient was found,
+    #                          and whose radius: F's (theorem) or the summed gradient's
     certificate: Optional[dict]  # the theorem route's proof: {tested, level, weight,
     #                              horizon_B, layers_tested} of its certificate; else None
 
@@ -624,10 +750,10 @@ def height(L) -> HeightReport:
     tangent space; a value near zero certifies numerical stationarity of
     the height at the lattice.  F and the gradient come from the same
     vectors, at a radius where both tails are within tolerance.  On the
-    theorem route (module docstring) the walks certify every layer a
-    2-design, the gradient is -(S_A / 2) A^-1, and its residual is zero up
-    to rounding; ``certificate`` names the side tested, its Gamma_0 level,
-    weight and horizon, and the layers tested.  A walk past
+    theorem route (module docstring) the tested side's walk certifies every
+    layer a 2-design, the gradient is -(S_A / 2) A^-1 at F's radius, and its
+    residual is zero up to rounding; ``certificate`` names the side tested,
+    its Gamma_0 level, weight and horizon, and the layers tested.  A walk past
     ``shells.DEFAULT_MAX_VECTORS`` vectors raises EnumerationBudgetError.
     """
     sides = _sides(L, det1=True)

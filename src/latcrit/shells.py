@@ -318,7 +318,8 @@ def _half_candidates(
     ints unless its entries and any chunk's sums of their products stay below
     INT64_SAFE: walked coordinates are at most xmax_k <= sqrt(magnitude / P_kk)
     (``_norm_magnitude``), input ones at most |U| xmax.  A negative
-    ``max_vectors`` is refused.
+    ``max_vectors`` is refused, and so is a form whose LLL-reduced integral
+    rows leave int64, which the walk runs on.
     """
     if bound <= 0:
         raise ValueError("enumeration bound must be positive")
@@ -326,6 +327,9 @@ def _half_candidates(
         raise ValueError(f"enumeration budget must be nonnegative, got {max_vectors}")
     Qred, U = lll_reduce(Q)
     rows, d = Qred.integral_rescale()
+    if not all(-2 ** 63 <= v < 2 ** 63 for row in rows for v in row):
+        raise ValueError("cannot walk this form: its LLL-reduced integral form has an entry "
+                         "beyond int64 (|entry| >= 2^63), and the walk runs on int64 rows")
     P = np.array(rows, dtype=np.int64)
     bound_int = math.floor(bound * d)
     if bound_int < 1:

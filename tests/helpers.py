@@ -408,14 +408,16 @@ def box_tail(box_diag: np.ndarray, radius: float, g) -> float:
     return float(terms.sum())
 
 
-def height_remainders(A: np.ndarray, radius: float) -> tuple[float, float]:
+def height_remainders(A: np.ndarray, radius: float, route: str) -> tuple[float, float]:
     """True remainders of F and of the gradient beyond ``radius``, from 2 radius up boxed.
 
     F's remainder is the sum of its terms over r < Q[m] <= 2r on both sides
     (form and inverse, every nonzero vector) plus the box majorant beyond
-    2r.  The gradient's is the sum of the Frobenius norms of its terms,
-    psi1(c) |m|^2 and psi2(b) |A^-1 y|^2, which bounds the norm of its tail
-    matrix; beyond 2r it is boxed with |x|^2 <= lam_max(A^-1) Q[x].
+    2r.  On the numeric ``route`` the gradient's is the sum of the Frobenius
+    norms of its terms, psi1(c) |m|^2 and psi2(b) |A^-1 y|^2, which bounds
+    the norm of its tail matrix; beyond 2r it is boxed with
+    |x|^2 <= lam_max(A^-1) Q[x].  On the theorem route G = -(S_A / 2) A^-1,
+    so the gradient's is |A^-1|_F / 2 times the form part of F's.
     """
     n = A.shape[0]
     Ainv = np.linalg.inv(A)
@@ -427,8 +429,10 @@ def height_remainders(A: np.ndarray, radius: float) -> tuple[float, float]:
     f = lambda c: (math.pi * c) ** (-n / 2) * upper_gamma(n / 2, math.pi * c)
     e1 = lambda b: upper_gamma(0.0, math.pi * b)
     psi1c = lambda c: (math.pi * c) ** (-n / 2) * upper_gamma(n / 2 + 1, math.pi * c)
-    F_rem = (2 * np.sum(f(c)) + 2 * np.sum(e1(b))
-             + box_tail(np.diag(Ainv), 2 * radius, f) + box_tail(np.diag(A), 2 * radius, e1))
+    form_rem = 2 * np.sum(f(c)) + box_tail(np.diag(Ainv), 2 * radius, f)
+    F_rem = form_rem + 2 * np.sum(e1(b)) + box_tail(np.diag(A), 2 * radius, e1)
+    if route == "theorem":
+        return float(F_rem), 0.5 * float(form_rem) * float(np.linalg.norm(Ainv))
     G_rem = (2 * np.sum(psi1c(c) / c * np.sum(X * X, 1))
              + 2 * np.sum(np.exp(-math.pi * b) / b * np.sum(W * W, 1))
              + box_tail(np.diag(Ainv), 2 * radius, lambda c: psi1c(c) * lam)
@@ -439,17 +443,20 @@ def height_remainders(A: np.ndarray, radius: float) -> tuple[float, float]:
 def majorant_soundness(Q) -> list[tuple[float, float]]:
     """[(majorant, true remainder)] of F and the gradient at height's certified radius.
 
-    The majorants are those ``height`` certified with: its sides' arrays read
-    at the truncation radius, and their sum must be the report's tail
-    estimate.  The remainders come from ``height_remainders``.
+    The majorants are those ``height`` certified with on its route: its
+    sides' arrays of F and of that route's gradient (``_bounds``) read at the
+    truncation radius, and their sum must be the report's tail estimate.
+    The remainders come from ``height_remainders``.
     """
     H = _height
     sides = H._sides(Q, det1=True)
     rep = H.height(Q)
     j = int(np.searchsorted(H._RADII, rep.truncation_radius, side="right")) - 1
-    majorants = [float(m[j]) for m, _ in H._bounds(sides, H._F_orders(sides.A.shape[0]), True)]
+    F_row, *gradient_rows = H._bounds(sides, H._F_orders(sides.A.shape[0]), True)
+    G_row = gradient_rows[rep.route == H.ROUTE_THEOREM]
+    majorants = [float(F_row[0][j]), float(G_row[0][j])]
     assert sum(majorants) == rep.tail_estimate
-    return list(zip(majorants, height_remainders(sides.A, rep.truncation_radius)))
+    return list(zip(majorants, height_remainders(sides.A, rep.truncation_radius, rep.route)))
 
 
 def basis_rule_radius(Q) -> float:
@@ -457,16 +464,24 @@ def basis_rule_radius(Q) -> float:
 
     The a-priori tolerance of F is TAIL_REL times the sum of F's terms over
     the basis vectors of both sides and their negatives, each term
-    evaluated with ``upper_gamma``; the gradient keeps its absolute floor.
-    The radius is the first grid radius where both majorants meet these
-    tolerances, or the cap when none does.
+    evaluated with ``upper_gamma``.  On the numeric route the gradient keeps
+    its absolute floor; on the theorem route its tolerance takes the form's
+    part of those evaluated terms in place of their floor.  The radius is
+    the first grid radius where both majorants meet these tolerances, or the
+    cap when none does.
     """
     H = _height
     sides = H._sides(Q, det1=True)
     n = sides.A.shape[0]
-    (F_major, _), (G_major, G_tol) = H._bounds(sides, H._F_orders(n), True)
+    (F_major, _), numeric, (T_major, _) = H._bounds(sides, H._F_orders(n), True)
     xf, xd = math.pi * np.diag(sides.A), math.pi * np.diag(sides.Ainv)
-    basis = 2.0 * (np.sum(xf ** (-n / 2) * upper_gamma(n / 2, xf)) + np.sum(upper_gamma(0.0, xd)))
+    form = 2.0 * np.sum(xf ** (-n / 2) * upper_gamma(n / 2, xf))
+    basis = form + 2.0 * np.sum(upper_gamma(0.0, xd))
+    if H.height(Q).route == H.ROUTE_THEOREM:
+        G_major = T_major
+        G_tol = H.GRAD_TAIL_FLOOR + H.TAIL_REL * 0.5 * form * np.linalg.norm(sides.Ainv)
+    else:
+        G_major, G_tol = numeric
     fits = np.flatnonzero((F_major <= H.TAIL_REL * basis) & (G_major <= G_tol)
                           & (H._RADII <= H._RADIUS_CAP))
     return float(H._RADII[fits[0]]) if fits.size else H._RADIUS_CAP

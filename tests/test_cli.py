@@ -308,6 +308,23 @@ class TestShearedZ2:
         assert capsys.readouterr().out.splitlines()[-1] == "no counterexample candidates"
 
 
+class TestHugeReducedForm:
+    # [[2, 1], [1, 10^30 + 7]] is LLL-reduced already, and its entry leaves
+    # the int64 rows that the walk runs on: both commands name that cause
+
+    @pytest.mark.parametrize("args", [["fully-critical"], ["layers", "--bound", "4"]],
+                             ids=["fully-critical", "layers"])
+    def test_refused_with_its_cause(self, args, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"gram": [[2, 1], [1, %d]]}' % (10**30 + 7), encoding="utf-8")
+        rc = main([*args, "--gram", str(path)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        [line] = captured.err.splitlines()
+        assert line == ("error: cannot walk this form: its LLL-reduced integral form has an "
+                        "entry beyond int64 (|entry| >= 2^63), and the walk runs on int64 rows")
+
+
 class TestTables:
     def test_dim_4(self, capsys):
         rc = main(["tables", "--dims", "4"])
@@ -406,11 +423,11 @@ class TestNumericCommands:
 
     def test_height_truncation_failure_exits_2(self, capsys, monkeypatch):
         # infinite a-priori tolerances make the first grid radius the chosen
-        # one, where std5b's certified tail misses its real tolerance
+        # one, where stf7a's certified tail misses its real tolerance
         H = sys.modules["latcrit.height"]
         real = H._bounds
         monkeypatch.setattr(H, "_bounds", lambda *args: [(m, math.inf) for m, _ in real(*args)])
-        rc = main(["height", "--name", "std5b"])
+        rc = main(["height", "--name", "stf7a"])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: height: tail tolerance unattained") and err.count("\n") == 1

@@ -341,14 +341,15 @@ class TestOneElimination:
             assert calls[0] == before, name
 
     def test_none_after_the_catalogue_loads(self, calls):
-        # reproduce_tables loads its own catalogue: one elimination an entry
+        # reproduce_tables reads the process's one catalogue, and the heights
+        # of its 42 entries and of their inverses read the kept eliminations
         cat = load_catalog()
         before = calls[0]
         assert all(r.verdict == "fully-critical" for r in reproduce_tables([2, 3, 4, 5, 6, 7]))
-        assert calls[0] - before == len(cat.entries) == 42
-        before = calls[0]
+        assert load_catalog().entries is cat.entries and len(cat.entries) == 42
         for e in cat.entries:
             height(e)
+            height(gram_inverse(e.gram))
         assert calls[0] == before
 
     def test_none_beyond_construction_for_a_rational_height(self, calls):
@@ -359,11 +360,30 @@ class TestOneElimination:
             assert calls[0] == before, q
 
     def test_a_form_stored_unchecked_eliminates_on_first_read(self, calls):
-        Qinv = gram_inverse(A2)
+        dual, _ = _level_dual(A2, level(A2))
         before = calls[0]
-        gram_inverse(Qinv)
-        gram_inverse(Qinv)
+        gram_inverse(dual)
+        gram_inverse(dual)
         assert calls[0] - before == 1
+
+    def test_none_for_a_stored_inverse(self, calls):
+        # gram_inverse reads its result's elimination off its source's, equal
+        # to the one the elimination itself gives (called directly here, not
+        # counted): the inverse of every seeded form and of its double, the
+        # inverse of that inverse, which is the form again, and their premises
+        for name, Q in exact_kernel_forms(seeded=20):
+            Q = GramMatrix(Q.entries)
+            before = calls[0]
+            for V in (Q, double(Q)):
+                R = gram_inverse(V)
+                c = math.gcd(*(v for row in R._P for v in row))
+                assert R._inverse == (*_adjugate([[v // c for v in row] for row in R._P]), c)
+                back = gram_inverse(R)
+                assert (back._P, back._d, back._det) == (V._P, V._d, V._det), name
+                for W in (R, double(R)):
+                    if is_even(W):
+                        _level_dual(W, level(W))
+            assert calls[0] == before, name
 
 
 class TestExpMap:

@@ -427,7 +427,7 @@ class TestStationarity:
 def _numeric(monkeypatch):
     """Turn the theorem route off: ``height`` then sums every gradient (``_grad_sum``)."""
     H = sys.modules["latcrit.height"]
-    monkeypatch.setattr(H, "_certificate", lambda sides, layers: None)
+    monkeypatch.setattr(H, "_certificate", lambda *args: None)
 
 
 def _record_verdicts(monkeypatch) -> list:
@@ -446,26 +446,36 @@ REPORT_FIELDS = ("height", "F_value", "constant_C", "projected_residual", "trunc
 class TestTheoremRoute:
     def test_against_the_numeric_route_and_the_certificate(self, monkeypatch):
         # the 42 entries, their exact inverses and their 2Q rescalings: every
-        # one is certified from its own walks, with the report fully_critical
-        # gives on its integral form d Q (the per-layer verdicts and
-        # cardinalities included); the theorem's G = -(S_A / 2) A^-1 is
-        # within 1e-14 relative of the summed one, with a residual of at
-        # most 1e-15, and F, the height, the radius, the tails and the
-        # counts are the numeric route's bit for bit
+        # one is certified from the walk of its tested side at F's radius,
+        # with the report fully_critical gives on its integral form d Q (the
+        # per-layer verdicts and cardinalities included).  Against the
+        # numeric route, which the theorem route turned off gives: F and the
+        # height within 2e-15 relative, the radius and both counts no
+        # larger, the theorem's G = -(S_A / 2) A^-1 within 1e-14 relative of
+        # the summed one, a residual of at most 1e-15 and a tail below
+        # 1e-12 |F|
         H = sys.modules["latcrit.height"]
         forms = [e.gram for e in load_catalog().entries]
         forms = forms + [gram_inverse(q) for q in forms] + [double(q) for q in forms]
         real, certs = H._certificate, []
         monkeypatch.setattr(H, "_certificate",
-                            lambda sides, layers: certs.append(real(sides, layers)) or certs[-1])
+                            lambda *args: certs.append(real(*args)) or certs[-1])
         reports = [height(q) for q in forms]
+        assert len(certs) == len(forms)
         _numeric(monkeypatch)
-        worst = 0.0
+        worst, walked = 0.0, [0, 0]
         for q, rep, cert in zip(forms, reports, certs):
             num = height(q)
             assert (rep.route, num.route, num.certificate) == ("theorem", "numeric", None)
-            for field in set(REPORT_FIELDS) - {"projected_residual"}:
-                assert getattr(rep, field) == getattr(num, field), (q, field)
+            assert rep.constant_C == num.constant_C
+            assert abs(rep.F_value - num.F_value) <= 2e-15 * abs(num.F_value), q
+            assert abs(rep.height - num.height) <= 2e-15 * abs(num.height), q
+            assert rep.truncation_radius <= num.truncation_radius, q
+            assert rep.half_vectors_form <= num.half_vectors_form, q
+            assert rep.half_vectors_dual <= num.half_vectors_dual, q
+            assert rep.tail_estimate < 1e-12 * abs(rep.F_value), q
+            walked[0] += rep.half_vectors_form + rep.half_vectors_dual
+            walked[1] += num.half_vectors_form + num.half_vectors_dual
             worst = max(worst, np.linalg.norm(rep.gradient - num.gradient)
                         / np.linalg.norm(num.gradient))
             assert rep.projected_residual <= 1e-15
@@ -477,6 +487,8 @@ class TestTheoremRoute:
                                        "layers_tested": ref.layers_tested}
         assert worst <= 1e-14
         assert sum(rep.certificate["layers_tested"] for rep in reports[:42]) == 60
+        assert sum(rep.half_vectors_form + rep.half_vectors_dual for rep in reports[:42]) == 518_900
+        assert walked[0] < walked[1]
 
     @pytest.mark.parametrize("name", ["sta3", "stb3", "stc12", "std5b", "ste10a", "stf7a"])
     def test_fd_agreement_of_the_theorem_gradient(self, name):
@@ -557,22 +569,32 @@ class TestTheoremRoute:
             rep = height(normalized_to_det1(e.gram))
             assert (rep.route, rep.certificate) == ("numeric", None)
 
-    @pytest.mark.parametrize("Q", [load_catalog().by_name("stc12").gram, D12,
-                                   GramMatrix([[7, 3], [3, 1009]])],
-                             ids=["stc12", "diag12", "horizon-beyond"])
-    def test_two_walks_and_one_reduction_per_height(self, Q, monkeypatch):
-        # the certificate walks nothing and reduces nothing of its own
+    @pytest.mark.parametrize("Q, walks, judged, route", [
+        (load_catalog().by_name("stc12").gram, 2, 1, "theorem"), (D12, 3, 1, "numeric"),
+        (GramMatrix([[7, 3], [3, 1009]]), 2, 0, "numeric"),
+        (GramMatrix([[4, 9, -3], [9, 30, -9], [-3, -9, 20]]), 2, 1, "numeric")],
+        ids=["stc12", "diag12", "horizon-beyond", "covered-at-the-numeric-radius"])
+    def test_walks_and_one_reduction_per_height(self, Q, walks, judged, route, monkeypatch):
+        # the certificate reduces nothing of its own.  stc12 walks its tested
+        # side at F's radius, passes, and walks the other one; diag(1, 2) is
+        # covered there but fails, so both sides are walked again at the
+        # numeric radius; [[7, 3], [3, 1009]]'s range lies beyond both walks;
+        # the last form's range lies beyond the walk at F's radius but within
+        # the numeric one, where it is judged (and fails) on that walk
         H = sys.modules["latcrit.height"]
         shells = sys.modules["latcrit.shells"]
-        calls = {"walk": 0, "lll": 0}
-        real_walk, real_lll = H.short_vectors_float, shells.lll_reduce
+        calls = {"walk": 0, "lll": 0, "judged": 0}
+        real_walk, real_lll, real_cert = H.short_vectors_float, shells.lll_reduce, H._certificate
         monkeypatch.setattr(H, "short_vectors_float", lambda *a: calls.__setitem__(
             "walk", calls["walk"] + 1) or real_walk(*a))
         monkeypatch.setattr(shells, "lll_reduce", lambda *a: calls.__setitem__(
             "lll", calls["lll"] + 1) or real_lll(*a))
+        monkeypatch.setattr(H, "_certificate", lambda *a: calls.__setitem__(
+            "judged", calls["judged"] + 1) or real_cert(*a))
         rep = height(Q)
-        assert calls == {"walk": 2, "lll": 1}
-        assert rep.route == ("theorem" if Q.n == 4 else "numeric")
+        assert (calls, rep.route) == ({"walk": walks, "lll": 1, "judged": judged}, route)
+        _numeric(monkeypatch)
+        assert (rep.truncation_radius < height(Q).truncation_radius) == (route == "theorem")
 
 
 class TestOneLatticeSumLoop:
@@ -582,7 +604,7 @@ class TestOneLatticeSumLoop:
         # and the float walk never runs
         H = sys.modules["latcrit.height"]
         walks = _record_walks(monkeypatch)
-        rep = height(load_catalog().by_name("std5b"))
+        rep = height(load_catalog().by_name("ste10a"))
         assert walks == {"radius": [rep.truncation_radius] * 2, "integral": 2, "float": 0}
         assert rep.truncation_radius > H._RADII[0]
 
@@ -590,7 +612,7 @@ class TestOneLatticeSumLoop:
         # infinite a-priori tolerances make the prediction the smallest
         # radius; the real check rejects it, and no larger radius is tried
         H = sys.modules["latcrit.height"]
-        e = load_catalog().by_name("std5b")
+        e = load_catalog().by_name("stf7a")
         real = H._bounds
         monkeypatch.setattr(H, "_bounds", lambda *args: [(m, math.inf) for m, _ in real(*args)])
         walks = _record_walks(monkeypatch)
@@ -642,7 +664,10 @@ class TestOneLatticeSumLoop:
             rep = height(L)
             assert rep.route == route
             G = rep.gradient
-            assert abs(rep.F_value - F_value(A)) <= rep.tail_estimate
+            # the two sums round differently (exact layers against float
+            # norms), by more than the tail on the theorem route's radius
+            assert abs(rep.F_value - F_value(A)) <= rep.tail_estimate + 4 * np.spacing(
+                rep.F_value)
             S = np.random.default_rng(Q.n).standard_normal(A.shape)
             S = 0.5 * (S + S.T) / np.linalg.norm(S)
             an = float(np.tensordot(G, S))
@@ -662,7 +687,7 @@ class TestOneLatticeSumLoop:
         H = sys.modules["latcrit.height"]
         real = H._grad_sum
         calls = []
-        monkeypatch.setattr(H, "_certificate", lambda sides, layers: None)
+        monkeypatch.setattr(H, "_certificate", lambda *args: None)
         monkeypatch.setattr(H, "_grad_sum", lambda sides, layers, f: calls.append(
             (sides, layers, f)) or real(sides, layers, f))
         for e in load_catalog().entries:
@@ -868,8 +893,9 @@ class TestOncePerValue:
         assert np.array_equal(g, upper_gamma(1.5, math.pi * H._RADII))
 
     def test_warm_sweep_evaluates_each_distinct_norm_once(self, monkeypatch):
-        # 765,092 vectors on 1,175 exact layers (5,608 distinct float norms
-        # before the layers were exact): one call per side per height, on
+        # 518,900 vectors on 1,065 exact layers at F's radius (765,092 on
+        # 1,175 at the gradient's, 5,608 distinct float norms before the
+        # layers were exact): one call per side per height, on
         # its layers' norms; the radius lanes come from the cache, which
         # fills through the module attribute once per order (n/2 for
         # n = 2..7, and 0), and the basis lanes take the floor
@@ -889,8 +915,8 @@ class TestOncePerValue:
         assert len(lanes) == 2 * len(entries)
         sides = [side for _, _, _, (_, _, _, _, layers, _) in runs for side in layers]
         assert lanes == [len(side.distinct) for side in sides]
-        assert sum(lanes) == 1175
-        assert sum(len(side.half) for side in sides) == 765_092
+        assert sum(lanes) == 1065
+        assert sum(len(side.half) for side in sides) == 518_900
 
 
 class TestClosedFormGamma:
