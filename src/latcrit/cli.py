@@ -384,17 +384,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("height", help="torus height of the determinant-1 form; the truncation "
                        "radius is chosen from proven tail majorants, and exit 2 reports a tail "
                        "that misses its tolerance; the gradient takes the theorem route "
-                       "(-(S_A/2) A^-1, summed at F's own radius) when the walk of an exact "
-                       "form's tested side certifies every layer a 2-design, and the numeric "
-                       "route (summed at the gradient's radius) otherwise")
+                       "(-(S_A/2) A^-1) when the walk of an exact form's tested side "
+                       "certifies every layer a 2-design, summed at F's own radius when the "
+                       "walk there certifies it, and the numeric route (summed at the "
+                       "gradient's radius) otherwise")
     common(p)
     p.set_defaults(func=_cmd_height)
 
     p = sub.add_parser("stationarity",
                        help="stationarity residual of the height: the projected gradient "
                             "residual of the height command's evaluation, with its gradient's "
-                            "route (theorem: stationary by proof, at F's radius; numeric: "
-                            "summed, at the gradient's radius)")
+                            "route (theorem: stationary by proof, at F's radius when the walk "
+                            "there certifies it; numeric: summed, at the gradient's radius)")
     common(p)
     p.set_defaults(func=_cmd_stationarity)
 

@@ -52,10 +52,11 @@ certificate is planned before anything is walked (``_judge``), which fixes
 its tested side and the range of norms it must judge.  Its gradient
 G = -(S_A / 2) A^-1 moves with F's form half S_A alone, so the radius r_F
 is the one where F's majorant and |A^-1|_F / 2 times the form part of it
-meet their tolerances: on the catalogue that is F's own radius.  When an
-exact walk of the tested side to r_F covers the range, that side is walked
-alone and ``_certificate`` judges it, with no further walk, on four
-premises:
+meet their tolerances: on the catalogue that is F's own radius.  It is no
+larger than the numeric route's radius on every form tried, and it is
+taken only when it is not.  When an exact walk of the tested side to r_F
+covers the range, that side is walked alone and ``_certificate`` judges
+it, with no further walk, on four premises:
 - duality: every layer of L is a 2-design exactly when every layer of L*
   is (theta duality, ``certify``'s module docstring), so the certificate of
   either side of the level duality covers both sums;
@@ -72,13 +73,14 @@ premises:
   gathered from that walk are all the certificate's, judged in increasing
   norm by ``design.two_design_verdict``, as ``fully_critical`` judges them.
 On a pass the other side is walked to r_F and F is summed there.  A failed
-layer refutes the certificate, and both sides are walked again at the
-numeric radius: an uncertified input whose range the walk to r_F covers
-pays that one extra walk of its tested side.  A range beyond the walk to
-r_F, a level too large to reach, and every float input walk both sides
-once at the numeric radius, where the certificate is judged if that walk
-covers its range.  Every numeric-route report is the one the summed
-gradient alone gives, bit for bit.
+layer refutes the certificate, and both sides are walked at the numeric
+radius, the tested side's walk kept when the two radii are equal: an
+uncertified input whose range the walk to r_F covers pays at most one
+extra walk of its tested side.  An r_F beyond the numeric radius, a range
+beyond the walk to r_F, a level too large to reach, and every float input
+walk both sides once at the numeric radius, where the certificate is
+judged if that walk covers its range.  Every numeric-route report is the
+one the summed gradient alone gives, bit for bit.
 Tails are majorants: points in an annulus are counted by volume, through a
 fundamental domain of bounded diameter, and summed by parts against the
 monotone summands, so the reported tail estimate is a true upper bound.
@@ -333,18 +335,18 @@ def _exact_bound(integral, radius: float) -> Optional[int]:
     return bound if bound < _TABLE_ENTRIES and _norm_magnitude(P, bound) < FLOAT_EXACT else None
 
 
-def _layers(M: np.ndarray, integral, radius: float) -> _Layers:
+def _layers(M: np.ndarray, integral, radius: float, bound: Optional[int]) -> _Layers:
     """The half-set of M[x] <= radius, grouped into layers.
 
     ``integral`` is None, or (P, unit) with M = P / unit in exact
-    arithmetic.  When ``_exact_bound`` gives P's walk an integer bound, the
-    collector's norms are the integers m, and its own slack admits none
-    above the bound: below 2^20 it adds less than 2^20 1e-9 + 1e-9 < 1.
-    They are grouped by one ``np.bincount`` with no sort, and a layer's
-    norm is m / unit.  Otherwise M is walked and its rounded norms are
-    grouped by ``np.unique``.
+    arithmetic, and ``bound`` is ``_exact_bound(integral, radius)``, which
+    the caller may have needed before the walk.  When it is an integer, P
+    is walked to it: the collector's norms are the integers m, and its own
+    slack admits none above the bound: below 2^20 it adds less than
+    2^20 1e-9 + 1e-9 < 1.  They are grouped by one ``np.bincount`` with no
+    sort, and a layer's norm is m / unit.  Otherwise M is walked and its
+    rounded norms are grouped by ``np.unique``.
     """
-    bound = _exact_bound(integral, radius)
     if bound is not None:
         P, unit = integral
         X, m = short_vectors_float(P, bound)
@@ -556,7 +558,8 @@ def _radius(M: np.ndarray, a_priori: np.ndarray) -> float:
 
 def _walk(sides: _Sides, k: int, radius: float) -> _Layers:
     """Side k's layers to ``radius``: the form's (k = 0) or its inverse's (k = 1)."""
-    return _layers((sides.A, sides.dual)[k], sides.integral[k], radius)
+    return _layers((sides.A, sides.dual)[k], sides.integral[k], radius,
+                   _exact_bound(sides.integral[k], radius))
 
 
 def _tail(M: np.ndarray, radius: float, tolerances: list, what: str) -> float:
@@ -582,38 +585,44 @@ def _certified_sum(sides: _Sides, orders, what: str, gradient: bool = False):
     evaluated once per layer and summed against the layer counts.
 
     An exact input plans its certificate first (``_judge``) and takes the
-    radius r_F of F and the theorem route's gradient.  When an exact walk
-    to r_F covers the tested range, that side is walked alone and judged
-    (``_certificate``); on a pass the other side is walked to r_F,
+    radius r_F of F and the theorem route's gradient, when it is no larger
+    than the radius of F and the numeric route's gradient.  When an exact
+    walk to r_F covers the tested range, that side is walked alone and
+    judged (``_certificate``); on a pass the other side is walked to r_F,
     G = -(S_A / 2) A^-1 with S_A F's form half (the module docstring), and
     that certificate is returned.  A failed layer drops the certificate.
-    Otherwise both sides are walked to the radius of F and the numeric
-    route's gradient, whose certificate is judged on that walk when it
-    covers the range and not yet judged, and ``_grad_sum`` sums G when
-    none passes.  The majorants at the radius must meet the real tolerances
-    (TAIL_REL |S|, and GRAD_TAIL_FLOOR + TAIL_REL |G|), or TruncationError
-    is raised.
+    Otherwise both sides are walked to the numeric route's radius (a walk
+    of the tested side to an equal r_F is kept), its certificate is judged
+    on that walk when it covers the range and not yet judged, and
+    ``_grad_sum`` sums G when none passes.  The majorants at the radius
+    must meet the real tolerances (TAIL_REL |S|, and GRAD_TAIL_FLOOR +
+    TAIL_REL |G|), or TruncationError is raised.
     """
     bounds = _bounds(sides, orders, gradient)
     M, a_priori = np.array([m for m, _ in bounds]), np.array([t for _, t in bounds])
+    radius = _radius(M[:2], a_priori[:2])  # F's, with the numeric route's G
     judge = _judge(sides) if gradient and sides.exact else None
+    walked = [None, None]  # a side's layers already walked to ``radius``
     if judge is not None:
-        radius = _radius(M[[0, 2]], a_priori[[0, 2]])  # F's, with the theorem route's G
-        limit = judge.limit(_exact_bound(sides.integral[judge.side], radius))
+        r_F = _radius(M[[0, 2]], a_priori[[0, 2]])  # F's, with the theorem route's G
+        k = judge.side
+        bound = _exact_bound(sides.integral[k], r_F) if r_F <= radius else None
+        limit = judge.limit(bound)
         if limit is not None:
-            tested = _walk(sides, judge.side, radius)
+            tested = _layers((sides.A, sides.dual)[k], sides.integral[k], r_F, bound)
             certificate = _certificate(sides, judge, limit, tested)
             if certificate is not None:
-                other = _walk(sides, 1 - judge.side, radius)
-                layers = (tested, other) if judge.side == 0 else (other, tested)
+                other = _walk(sides, 1 - k, r_F)
+                layers = (tested, other) if k == 0 else (other, tested)
                 S, form_half, _ = _layer_sums(orders, layers)
                 G, gtol = _theorem_gradient(sides, form_half)
-                tail = _tail(M[[0, 2]], radius, [TAIL_REL * max(abs(S), 1e-30), gtol], what)
-                return S, G, tail, radius, layers, certificate
+                tail = _tail(M[[0, 2]], r_F, [TAIL_REL * max(abs(S), 1e-30), gtol], what)
+                return S, G, tail, r_F, layers, certificate
             judge = None
-    M = M[:2]  # F's, with the numeric route's G
-    radius = _radius(M, a_priori[:2])
-    layers = (_walk(sides, 0, radius), _walk(sides, 1, radius))
+            if r_F == radius:
+                walked[k] = tested
+    M = M[:2]
+    layers = tuple(_walk(sides, k, radius) if walked[k] is None else walked[k] for k in (0, 1))
     S, form_half, f = _layer_sums(orders, layers)
     tolerances = [TAIL_REL * max(abs(S), 1e-30)]
     G = certificate = None
@@ -695,8 +704,9 @@ class HeightReport:
 
     ``truncation_radius`` and the vector counts are those of the final walks,
     and ``tail_estimate`` is the majorant of F's tail plus that of the
-    route's gradient: on the theorem route |A^-1|_F / 2 times the form part
-    of F's.
+    gradient: at the theorem route's own radius |A^-1|_F / 2 times the form
+    part of F's, and at the numeric radius the summed gradient's, which
+    bounds a certified lattice's G too.
     """
 
     height: float
@@ -708,8 +718,7 @@ class HeightReport:
     tail_estimate: float
     half_vectors_form: int   # vectors enumerated, one per antipodal pair, on the form
     half_vectors_dual: int   # and on its inverse, at the truncation radius
-    route: str               # ROUTE_THEOREM or ROUTE_NUMERIC: how the gradient was found,
-    #                          and whose radius: F's (theorem) or the summed gradient's
+    route: str               # ROUTE_THEOREM or ROUTE_NUMERIC: how the gradient was found
     certificate: Optional[dict]  # the theorem route's proof: {tested, level, weight,
     #                              horizon_B, layers_tested} of its certificate; else None
 

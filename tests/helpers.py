@@ -7,7 +7,9 @@ paths.  Three helpers run library code on purpose: ``streamed_verdicts`` is the
 evaluates F with the library's lattice sums (it checks the gradient, not F),
 and the tail-majorant oracle takes its vectors from ``short_vectors_float``
 and its summands from ``upper_gamma`` (it checks the counting and the
-summation by parts, not the enumeration or the special function).
+summation by parts, not the enumeration or the special function).  The
+rounding oracle of F, ``F_at_the_walk``, evaluates the float terms
+``height`` adds, to measure their rounding against mpmath.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from latcrit import (GramMatrix, TruncationError, determinant, double, is_even, layer_moments,
-                     level, short_vectors_float, two_design_verdict, upper_gamma)
+import mpmath as mp
+
+from latcrit import (GramMatrix, TruncationError, determinant, double, enumerate_layers,
+                     gram_inverse, is_even, layer_moments, level, short_vectors_float,
+                     two_design_verdict, upper_gamma)
 from latcrit.cli import RunReport
 
 _height = importlib.import_module("latcrit.height")  # the module; latcrit.height is the function
@@ -443,20 +448,66 @@ def height_remainders(A: np.ndarray, radius: float, route: str) -> tuple[float, 
 def majorant_soundness(Q) -> list[tuple[float, float]]:
     """[(majorant, true remainder)] of F and the gradient at height's certified radius.
 
-    The majorants are those ``height`` certified with on its route: its
-    sides' arrays of F and of that route's gradient (``_bounds``) read at the
-    truncation radius, and their sum must be the report's tail estimate.
-    The remainders come from ``height_remainders``.
+    The majorants are those ``height`` certified with: its sides' arrays of
+    F and of the gradient (``_bounds``) read at the truncation radius, and
+    their sum must be the report's tail estimate.  The gradient's is the
+    theorem route's at that route's own radius r_F, and the numeric
+    route's at the numeric radius, on either route: there the numeric
+    majorant bounds a certified lattice's G too, since it bounds the norms
+    of the summed gradient's terms beyond the radius, whose form part on
+    2-design layers is |A^-1|_F / n times sum (n/2 f + e^{-x}), at least
+    |A^-1|_F / 2 times F's form terms there.  The remainders come from
+    ``height_remainders``.
     """
     H = _height
     sides = H._sides(Q, det1=True)
     rep = H.height(Q)
     j = int(np.searchsorted(H._RADII, rep.truncation_radius, side="right")) - 1
-    F_row, *gradient_rows = H._bounds(sides, H._F_orders(sides.A.shape[0]), True)
-    G_row = gradient_rows[rep.route == H.ROUTE_THEOREM]
+    F_row, numeric, theorem = H._bounds(sides, H._F_orders(sides.A.shape[0]), True)
+    r_F = H._radius(np.array([F_row[0], theorem[0]]), np.array([F_row[1], theorem[1]]))
+    at_r_F = rep.route == H.ROUTE_THEOREM and rep.truncation_radius == r_F
+    G_row = theorem if at_r_F else numeric
     majorants = [float(F_row[0][j]), float(G_row[0][j])]
     assert sum(majorants) == rep.tail_estimate
     return list(zip(majorants, height_remainders(sides.A, rep.truncation_radius, rep.route)))
+
+
+def F_at_the_walk(Q: GramMatrix, radius: float) -> tuple[mp.mpf, float]:
+    """(F summed exactly over the layers ``height`` walks to ``radius``, its rounding allowance).
+
+    Q is rescaled to determinant 1 as ``height`` rescales it.  The layers
+    of Q and of Q^-1 come from ``enumerate_layers`` at the integer bounds of
+    the height's exact walks (Q^-1 is walked on its LLL-reduced basis, whose
+    entries have the same denominator lcm), and each term is evaluated at its exact norm
+    in mpmath at 30 digits.  ``height`` evaluates the k layer terms t_i at
+    their float norms m / unit and adds the products with the layer counts
+    c_i in two dot products and one addition, so its F is within
+    sum c_i |t_i - t_i exact| (each term's rounding, measured here) plus
+    gamma_k sum c_i t_i <= k u sum c_i t_i (the summation's) of the exact
+    sum, u the unit roundoff.
+    """
+    H = _height
+    sides = H._sides(Q, det1=True)
+    det = determinant(Q)
+    u = float(np.finfo(float).eps) / 2
+    exact, term_error, total, k = mp.mpf(0), mp.mpf(0), 0.0, 0
+    with mp.workdps(30):
+        delta = (mp.mpf(det.numerator) / det.denominator) ** (mp.mpf(1) / Q.n)
+        for side, q, a, scale in ((0, Q, Q.n / 2, 1 / delta), (1, gram_inverse(Q), 0.0, delta)):
+            d = q.integral_rescale()[1]
+            bound = H._exact_bound(sides.integral[side], radius)
+            layers = layer_counts(enumerate_layers(q, Fraction(bound, d)))
+            k += len(layers)
+            m = np.array([int(norm * d) for norm in layers])
+            x = math.pi * (m / sides.integral[side][1])
+            terms = H._summand(a, 1.0, x, upper_gamma(a, x))
+            for norm, c, t in zip(layers, layers.values(), terms):
+                xe = mp.pi * mp.mpf(norm.numerator) / norm.denominator * scale
+                te = xe ** (-a) * mp.gammainc(a, xe)
+                exact += c * te
+                term_error += c * abs(mp.mpf(float(t)) - te)
+            total += float(np.array(list(layers.values()), dtype=float) @ terms)
+    return exact, float(term_error) + k * u * total
 
 
 def basis_rule_radius(Q) -> float:
@@ -466,9 +517,11 @@ def basis_rule_radius(Q) -> float:
     the basis vectors of both sides and their negatives, each term
     evaluated with ``upper_gamma``.  On the numeric route the gradient keeps
     its absolute floor; on the theorem route its tolerance takes the form's
-    part of those evaluated terms in place of their floor.  The radius is
-    the first grid radius where both majorants meet these tolerances, or the
-    cap when none does.
+    part of those evaluated terms in place of their floor, and the radius
+    is the smaller of the two.  A radius is the first grid radius where
+    both majorants meet these tolerances, or the cap when none does.  (A
+    certified lattice whose range the walk to r_F does not cover takes the
+    numeric radius; no catalogue form does.)
     """
     H = _height
     sides = H._sides(Q, det1=True)
@@ -477,14 +530,16 @@ def basis_rule_radius(Q) -> float:
     xf, xd = math.pi * np.diag(sides.A), math.pi * np.diag(sides.Ainv)
     form = 2.0 * np.sum(xf ** (-n / 2) * upper_gamma(n / 2, xf))
     basis = form + 2.0 * np.sum(upper_gamma(0.0, xd))
+    rows = [numeric]
     if H.height(Q).route == H.ROUTE_THEOREM:
-        G_major = T_major
-        G_tol = H.GRAD_TAIL_FLOOR + H.TAIL_REL * 0.5 * form * np.linalg.norm(sides.Ainv)
-    else:
-        G_major, G_tol = numeric
-    fits = np.flatnonzero((F_major <= H.TAIL_REL * basis) & (G_major <= G_tol)
-                          & (H._RADII <= H._RADIUS_CAP))
-    return float(H._RADII[fits[0]]) if fits.size else H._RADIUS_CAP
+        rows.append((T_major,
+                     H.GRAD_TAIL_FLOOR + H.TAIL_REL * 0.5 * form * np.linalg.norm(sides.Ainv)))
+    radii = []
+    for G_major, G_tol in rows:
+        fits = np.flatnonzero((F_major <= H.TAIL_REL * basis) & (G_major <= G_tol)
+                              & (H._RADII <= H._RADIUS_CAP))
+        radii.append(float(H._RADII[fits[0]]) if fits.size else H._RADIUS_CAP)
+    return min(radii)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from latcrit import shells
 from latcrit.catalog import load_catalog
 
 from helpers import (
+    F_at_the_walk,
     F_value,
     basis_rule_radius,
     box_layers,
@@ -570,15 +571,18 @@ class TestTheoremRoute:
             assert (rep.route, rep.certificate) == ("numeric", None)
 
     @pytest.mark.parametrize("Q, walks, judged, route", [
-        (load_catalog().by_name("stc12").gram, 2, 1, "theorem"), (D12, 3, 1, "numeric"),
-        (GramMatrix([[7, 3], [3, 1009]]), 2, 0, "numeric"),
+        (load_catalog().by_name("stc12").gram, 2, 1, "theorem"),
+        (GramMatrix([[14, -16, 8], [-16, 45, -20], [8, -20, 9]]), 3, 1, "numeric"),
+        (D12, 2, 1, "numeric"), (GramMatrix([[7, 3], [3, 1009]]), 2, 0, "numeric"),
         (GramMatrix([[4, 9, -3], [9, 30, -9], [-3, -9, 20]]), 2, 1, "numeric")],
-        ids=["stc12", "diag12", "horizon-beyond", "covered-at-the-numeric-radius"])
+        ids=["stc12", "fails-below", "diag12", "horizon-beyond", "covered-at-the-numeric-radius"])
     def test_walks_and_one_reduction_per_height(self, Q, walks, judged, route, monkeypatch):
         # the certificate reduces nothing of its own.  stc12 walks its tested
-        # side at F's radius, passes, and walks the other one; diag(1, 2) is
-        # covered there but fails, so both sides are walked again at the
-        # numeric radius; [[7, 3], [3, 1009]]'s range lies beyond both walks;
+        # side at F's radius, passes, and walks the other one; the second
+        # form is covered there but fails, so both sides are walked again at
+        # the larger numeric radius; diag(1, 2) fails too, but its two radii
+        # are equal and its tested side's walk is kept;
+        # [[7, 3], [3, 1009]]'s range lies beyond both walks;
         # the last form's range lies beyond the walk at F's radius but within
         # the numeric one, where it is judged (and fails) on that walk
         H = sys.modules["latcrit.height"]
@@ -595,6 +599,50 @@ class TestTheoremRoute:
         assert (calls, rep.route) == ({"walk": walks, "lll": 1, "judged": judged}, route)
         _numeric(monkeypatch)
         assert (rep.truncation_radius < height(Q).truncation_radius) == (route == "theorem")
+
+    def test_theorem_radius_is_at_most_the_numeric_one(self):
+        # r_F, where F's majorant and the theorem gradient's meet their
+        # a-priori tolerances, against the radius of F and the numeric
+        # gradient, on every exact kernel form (the catalogue, its working
+        # forms and 900 seeded forms): no walk to r_F is longer than the
+        # numeric route's
+        from helpers import exact_kernel_forms
+
+        H = sys.modules["latcrit.height"]
+        forms = 0
+        for name, q in exact_kernel_forms():
+            sides = H._sides(q, det1=True)
+            bounds = H._bounds(sides, H._F_orders(q.n), True)
+            M, a_priori = np.array([m for m, _ in bounds]), np.array([t for _, t in bounds])
+            assert H._radius(M[[0, 2]], a_priori[[0, 2]]) <= H._radius(M[:2], a_priori[:2]), name
+            forms += 1
+        assert forms == 1001
+
+    def test_a_theorem_radius_beyond_the_numeric_one_is_not_walked(self, monkeypatch):
+        # with the theorem gradient's majorant inflated a millionfold, r_F
+        # lies beyond the numeric radius: both sides are walked once, at the
+        # numeric radius, where stc12's certificate is judged on that walk,
+        # and the tail is F's majorant plus the numeric gradient's
+        H = sys.modules["latcrit.height"]
+        Q = load_catalog().by_name("stc12").gram
+        real = H._bounds
+
+        def inflated(*args):
+            out = real(*args)
+            return out[:2] + [(1e6 * m, t) for m, t in out[2:]]
+
+        monkeypatch.setattr(H, "_bounds", inflated)
+        sides = H._sides(Q, det1=True)
+        bounds = inflated(sides, H._F_orders(Q.n), True)
+        M, a_priori = np.array([m for m, _ in bounds]), np.array([t for _, t in bounds])
+        r_N = H._radius(M[:2], a_priori[:2])
+        assert H._radius(M[[0, 2]], a_priori[[0, 2]]) > r_N
+        walks = _record_walks(monkeypatch)
+        rep = height(Q)
+        assert walks == {"radius": [r_N] * 2, "integral": 2, "float": 0}
+        assert (rep.route, rep.truncation_radius) == ("theorem", r_N)
+        j = int(np.searchsorted(H._RADII, r_N, side="right")) - 1
+        assert rep.tail_estimate == float(M[0, j] + M[1, j])
 
 
 class TestOneLatticeSumLoop:
@@ -654,20 +702,26 @@ class TestOneLatticeSumLoop:
 
     @pytest.mark.parametrize("name", ["sta3", "stc12", "std5b", "ste10a"])
     def test_height_agrees_with_F_value_and_grad_F(self, name):
-        # F against the F-only sum, the gradient against the central
+        # F against a reference sum, the gradient against the central
         # difference of F, and the residual against the tangent projection,
         # on both routes: the exact entry takes the theorem route, its float
-        # form the numeric one
+        # form the numeric one.  The numeric route's F is within its tail of
+        # the F-only sum.  The theorem route sums F at F's own radius, where
+        # the tail (1.0e-17 on sta3) is below one rounding of F: its F is
+        # checked against the exact sum over the same layers, within the
+        # rounding of its terms and of their summation (``F_at_the_walk``);
+        # the truncation beyond is the tail's (TestAnnulusMajorant)
         Q = load_catalog().by_name(name).gram
         A = normalized_to_det1(Q)
         for L, route in ((Q, "theorem"), (A, "numeric")):
             rep = height(L)
             assert rep.route == route
             G = rep.gradient
-            # the two sums round differently (exact layers against float
-            # norms), by more than the tail on the theorem route's radius
-            assert abs(rep.F_value - F_value(A)) <= rep.tail_estimate + 4 * np.spacing(
-                rep.F_value)
+            if route == "numeric":
+                assert abs(rep.F_value - F_value(A)) <= rep.tail_estimate
+            else:
+                exact, rounding = F_at_the_walk(Q, rep.truncation_radius)
+                assert abs(float(rep.F_value - exact)) <= rounding
             S = np.random.default_rng(Q.n).standard_normal(A.shape)
             S = 0.5 * (S + S.T) / np.linalg.norm(S)
             an = float(np.tensordot(G, S))
@@ -819,8 +873,9 @@ class TestSides:
                 Pi, di = qinv.integral_rescale()
                 unit = di / float(determinant(q)) ** (1.0 / q.n)
                 radius = rep.truncation_radius
-                given = H._layers(sides.Ainv, (np.array(Pi, dtype=float), unit), radius)
-                reduced = H._layers(sides.dual, sides.integral[1], radius)
+                integral = (np.array(Pi, dtype=float), unit)
+                given = H._layers(sides.Ainv, integral, radius, H._exact_bound(integral, radius))
+                reduced = H._walk(sides, 1, radius)
                 assert np.array_equal(reduced.distinct, given.distinct), e.name
                 assert np.array_equal(reduced.counts, given.counts), e.name
                 assert rep.half_vectors_dual == len(reduced.half) == len(given.half), e.name
@@ -986,10 +1041,10 @@ def _record_walks(monkeypatch) -> dict:
     real_layers, real_walk = H._layers, H.short_vectors_float
     side = {}
 
-    def layers(M, integral, radius):
+    def layers(M, integral, radius, bound):
         walks["radius"].append(radius)
         side["M"] = M
-        return real_layers(M, integral, radius)
+        return real_layers(M, integral, radius, bound)
 
     def walk(Qf, bound):
         walks["float" if Qf is side["M"] else "integral"] += 1
