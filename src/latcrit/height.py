@@ -43,20 +43,19 @@ the leaves' weights times 1, d and d^2 (d = x_0 - c) per parent with
 (``_leaf_fold``).
 
 That numeric route is the gradient's second one (``HeightReport.route``).
-Its radius must also meet the majorant of the summed gradient, whose
+Its radius r_N must also meet the majorant of the summed gradient, whose
 weights psi1 |m|^2 decay more slowly than F's.  The first, the theorem
 route, reads the paper's theorem off the height's own walks: a lattice
 whose layers are all spherical 2-designs is a stationary point of the
 height.  On a ``GramMatrix``, judged as its integral form d Q, the
-certificate is planned before anything is walked (``_judge``), which fixes
-its tested side and the range of norms it must judge.  Its gradient
-G = -(S_A / 2) A^-1 moves with F's form half S_A alone, so the radius r_F
-is the one where F's majorant and |A^-1|_F / 2 times the form part of it
-meet their tolerances: on the catalogue that is F's own radius.  It is no
-larger than the numeric route's radius on every form tried, and it is
-taken only when it is not.  When an exact walk of the tested side to r_F
-covers the range, that side is walked alone and ``_certificate`` judges
-it, with no further walk, on four premises:
+certificate is planned and counted before anything is walked (``_judge``),
+which fixes its tested side and the range of norms it must judge.  Its
+gradient G = -(S_A / 2) A^-1 moves with F's form half S_A alone, so its
+radius r_F is the one where F's majorant and |A^-1|_F / 2 times the form
+part of it meet their tolerances: on the catalogue that is F's own radius,
+and it is never beyond r_N (``_bounds`` proves it).  The first exact walk
+of the tested side, to r_F and then to r_N, whose bound covers the range
+is judged once by ``_certificate``, on four premises:
 - duality: every layer of L is a 2-design exactly when every layer of L*
   is (theta duality, ``certify``'s module docstring), so the certificate of
   either side of the level duality covers both sums;
@@ -72,15 +71,14 @@ it, with no further walk, on four premises:
   (the horizon of ``certify``) lies at or below its side's b, the layers
   gathered from that walk are all the certificate's, judged in increasing
   norm by ``design.two_design_verdict``, as ``fully_critical`` judges them.
-On a pass the other side is walked to r_F and F is summed there.  A failed
-layer refutes the certificate, and both sides are walked at the numeric
-radius, the tested side's walk kept when the two radii are equal: an
-uncertified input whose range the walk to r_F covers pays at most one
-extra walk of its tested side.  An r_F beyond the numeric radius, a range
-beyond the walk to r_F, a level too large to reach, and every float input
-walk both sides once at the numeric radius, where the certificate is
-judged if that walk covers its range.  Every numeric-route report is the
-one the summed gradient alone gives, bit for bit.
+A pass at r_F sums F there; a pass at r_N sums it at r_N, with the numeric
+gradient's majorant, which bounds a certified G too.  A failed layer, a
+range beyond both walks, a level too large to reach, and every float input
+take the numeric route at r_N.  The judged walk is kept when it lies at the
+final radius, and every other side is walked there once: an uncertified
+input whose range the walk to r_F covers pays at most one extra walk of its
+tested side.  Every numeric-route report is the one the summed gradient
+alone gives, bit for bit.
 Tails are majorants: points in an annulus are counted by volume, through a
 fundamental domain of bounded diameter, and summed by parts against the
 monotone summands, so the reported tail estimate is a true upper bound.
@@ -315,7 +313,7 @@ class _Layers:
     distinct: np.ndarray  # its distinct norms, increasing
     inverse: np.ndarray   # half[k] has norm distinct[inverse[k]]
     counts: np.ndarray    # number of half-set vectors of each distinct norm
-    exact: Optional[tuple] = None  # exact route: (the distinct integer norms m, the bound walked)
+    exact: Optional[np.ndarray] = None  # exact route: the distinct integer norms m
 
 
 def _exact_bound(integral, radius: float) -> Optional[int]:
@@ -356,7 +354,7 @@ def _layers(M: np.ndarray, integral, radius: float, bound: Optional[int]) -> _La
         rank = np.zeros(len(table), dtype=np.intp)
         rank[norms] = np.arange(len(norms))
         return _Layers(half=X, distinct=norms / unit, inverse=rank[m], counts=table[norms],
-                       exact=(norms, bound))
+                       exact=norms)
     X, norms = short_vectors_float(M, radius)
     distinct, inverse, counts = np.unique(norms, return_inverse=True, return_counts=True)
     return _Layers(half=X, distinct=distinct, inverse=inverse, counts=counts)
@@ -388,6 +386,17 @@ def _bounds(sides: _Sides, orders, gradient: bool) -> list:
     M_form of the sum's majorant bounds; its real tolerance
     GRAD_TAIL_FLOOR + TAIL_REL |G| is at least GRAD_TAIL_FLOOR + TAIL_REL
     |A^-1|_F / 2 times the form part of the sum's basis floor.
+
+    The theorem row never needs a larger radius than the numeric one.
+    ``side_majorant`` is linear in g with nonnegative weights, and
+    |A^-1|_F <= sqrt(n) lam, so at every grid radius the theorem row is
+        |A^-1|_F / 2 M_form(f) <= (n/2) lam M_form(f)
+            <= M_form((n/2 f + e^{-x}) lam) + M_dual(e^{-x} lam),
+    the numeric row, and its tolerance is at least GRAD_TAIL_FLOOR, the
+    numeric row's.  Wherever F's row and the numeric row meet their
+    tolerances the theorem row does too, so the radius r_F of F's and the
+    theorem row is at most the radius r_N of F's and the numeric row,
+    _RADIUS_CAP included.
     """
     g = [_summand(a, c, _X, _radius_gamma(a)) for a, c in orders]
     form = sides.side_majorant(0, g[0])
@@ -469,70 +478,54 @@ def _grad_sum(sides: _Sides, layers: tuple, f: np.ndarray) -> tuple[np.ndarray, 
     return 0.5 * (G + G.T), GRAD_TAIL_FLOOR + TAIL_REL * float(np.linalg.norm(G))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _Judge:
-    """The certificate of an exact input, planned before any walk (``_judge``).
+    """The counted certificate of an exact input, planned before any walk (``_judge``).
 
-    ``plan`` is ``certify._plan`` of d Q, counted (``_counted``) once the
-    floor of its horizon fits a walk.  Its tested form T is walked on side
-    ``side`` as T b / a: d Q itself (side 0, a = b = 1), or, for the level
-    dual T = dual_scale (d Q)^-1, d' U^t Q^-1 U (side 1, a / b =
-    dual_scale / (d d'), T in the walk's basis).
+    ``plan`` is ``certify._counted(certify._plan(d Q))``.  Its tested form T
+    is walked on side ``side``: d Q itself (side 0), or, for the level dual
+    T = dual_scale (d Q)^-1, d' U^t Q^-1 U (side 1).  ``T`` is T in the
+    walk's basis, a walked norm m is the tested norm m ``scale``, and the
+    tested range T[x] <= 2B / s is the walked norms m <= ``limit``.
     """
 
     plan: _Plan
     side: int
-    a: int
-    b: int
-
-    def limit(self, walked: Optional[int]) -> Optional[int]:
-        """The tested range's bound on the walked form, if an exact walk to ``walked`` covers it.
-
-        The range T[x] <= 2B / s is floor(2B b / (s a)) on the walked form,
-        which must be at most ``walked``, the integer bound of an exact walk
-        (None for a float walk, which covers nothing).  ``_horizon_floor``
-        rules out a level too large before it is factored; the first call
-        that passes it counts the plan (``_counted``), once.
-        """
-        plan, a, b = self.plan, self.a, self.b
-        if walked is None:
-            return None
-        if not plan.cusps:
-            if 2 * _horizon_floor(plan.weight, plan.level) * b // (plan.s * a) > walked:
-                return None
-            self.plan = plan = _counted(plan)
-        limit = 2 * plan.B * b // (plan.s * a)
-        return limit if limit <= walked else None
+    T: GramMatrix
+    scale: Fraction
+    limit: int
 
 
-def _judge(sides: _Sides) -> _Judge:
-    """The certificate's plan on the integral form d Q of an exact input, with no walk."""
-    P, _, scale = sides.exact
+def _judge(sides: _Sides) -> Optional[_Judge]:
+    """The counted certificate on the integral form d Q of an exact input, with no walk.
+
+    None when even the floor of its horizon (``_horizon_floor``) puts the
+    range at _TABLE_ENTRIES or beyond, past every exact walk's bound: a
+    level too large to reach is ruled out before it is factored.
+    """
+    P, Pi, d = sides.exact
     plan = _plan(P, None, dualize=True)
-    if plan.tested == SIDE_INPUT:
-        return _Judge(plan, 0, 1, 1)
-    r = plan.dual_scale / scale
-    return _Judge(plan, 1, r.numerator, r.denominator)
+    side, scale = (0, Fraction(1)) if plan.tested == SIDE_INPUT else (1, plan.dual_scale / d)
+    if Fraction(2 * _horizon_floor(plan.weight, plan.level), plan.s) / scale >= _TABLE_ENTRIES:
+        return None
+    plan = _counted(plan)
+    a, b = scale.numerator, scale.denominator
+    T = P if side == 0 else _stored([[v * a // b for v in row] for row in Pi], 1, plan.form._det)
+    return _Judge(plan, side, T, scale, math.floor(Fraction(2 * plan.B, plan.s) / scale))
 
 
-def _certificate(sides: _Sides, judge: _Judge, limit: int,
-                 side: _Layers) -> Optional[FullyCriticalReport]:
+def _certificate(sides: _Sides, judge: _Judge, side: _Layers) -> Optional[FullyCriticalReport]:
     """The certificate of an exact input read off the walk of its tested side, or None.
 
-    ``side`` is the exact walk of side ``judge.side``, which covers the
-    tested range, its norms at most ``limit`` (``_Judge.limit``).  The
-    layers in range are gathered into rows (int64 while their count times
-    the largest square stays below INT64_SAFE) and judged as their moments
-    come (``shells._moments``), stopping at the first that fails.  A pass
-    is the report ``fully_critical`` gives.
+    ``side`` is the exact walk of side ``judge.side``, whose bound covers
+    ``judge.limit``.  The layers in range are gathered into rows (int64
+    while their count times the largest square stays below INT64_SAFE) and
+    judged as their moments come (``shells._moments``), stopping at the
+    first that fails.  A pass is the report ``fully_critical`` gives.
     """
-    P, Pi, _ = sides.exact
-    plan, a, b = judge.plan, judge.a, judge.b
-    T = P if judge.side == 0 else _stored([[v * a // b for v in row] for row in Pi], 1,
-                                          plan.form._det)
-    norms = side.exact[0]
+    plan, norms = judge.plan, side.exact
     moments, verdicts = {}, []
-    k = int(np.searchsorted(norms, limit, side="right"))  # the layers in range
+    k = int(np.searchsorted(norms, judge.limit, side="right"))  # the layers in range
     if k:
         pick = np.flatnonzero(side.inverse < k)
         X = side.half.parents[side.half.parent[pick]]
@@ -541,12 +534,12 @@ def _certificate(sides: _Sides, judge: _Judge, limit: int,
         if len(X) * float(np.abs(X).max()) ** 2 >= INT64_SAFE:
             X = X.astype(object)
         for m, card, S in _moments(X, norms[side.inverse[pick]]):
-            norm = Fraction(m * a // b)
-            verdicts.append(two_design_verdict(norm, card, S, T, scale=4))
+            norm = m * judge.scale
+            verdicts.append(two_design_verdict(norm, card, S, judge.T, scale=4))
             if not verdicts[-1].is_design:
                 return None
             moments[norm] = (card, S)
-    return _report(LatticeDescriptor(gram=P), plan, moments, verdicts, 2 * plan.B, "")
+    return _report(LatticeDescriptor(gram=sides.exact[0]), plan, moments, verdicts, 2 * plan.B, "")
 
 
 def _radius(M: np.ndarray, a_priori: np.ndarray) -> float:
@@ -584,57 +577,46 @@ def _certified_sum(sides: _Sides, orders, what: str, gradient: bool = False):
     the sides' integral forms when they have them).  Each summand is
     evaluated once per layer and summed against the layer counts.
 
-    An exact input plans its certificate first (``_judge``) and takes the
-    radius r_F of F and the theorem route's gradient, when it is no larger
-    than the radius of F and the numeric route's gradient.  When an exact
-    walk to r_F covers the tested range, that side is walked alone and
-    judged (``_certificate``); on a pass the other side is walked to r_F,
-    G = -(S_A / 2) A^-1 with S_A F's form half (the module docstring), and
-    that certificate is returned.  A failed layer drops the certificate.
-    Otherwise both sides are walked to the numeric route's radius (a walk
-    of the tested side to an equal r_F is kept), its certificate is judged
-    on that walk when it covers the range and not yet judged, and
-    ``_grad_sum`` sums G when none passes.  The majorants at the radius
-    must meet the real tolerances (TAIL_REL |S|, and GRAD_TAIL_FLOOR +
-    TAIL_REL |G|), or TruncationError is raised.
+    An exact input plans its certificate first (``_judge``).  The first
+    exact walk of its tested side, to the theorem route's radius r_F and
+    then to the numeric route's r_N >= r_F, whose bound covers the tested
+    range is walked and judged once (``_certificate``).  A pass at r_F sums
+    at r_F against F's and the theorem gradient's majorants; a pass at r_N
+    keeps F's and the numeric gradient's, which bound a certified G too.
+    Either way G = -(S_A / 2) A^-1 with S_A F's form half (the module
+    docstring), and the certificate is returned.  Otherwise the radius is
+    r_N and ``_grad_sum`` sums G.  The judged walk is kept when it lies at
+    the final radius, and every other side is walked there.  The majorants
+    at the radius must meet the real tolerances (TAIL_REL |S|, and
+    GRAD_TAIL_FLOOR + TAIL_REL |G|), or TruncationError is raised.
     """
     bounds = _bounds(sides, orders, gradient)
     M, a_priori = np.array([m for m, _ in bounds]), np.array([t for _, t in bounds])
-    radius = _radius(M[:2], a_priori[:2])  # F's, with the numeric route's G
+    rows = slice(2)  # F's, with the numeric route's G when there is one
+    radius = _radius(M[rows], a_priori[rows])
     judge = _judge(sides) if gradient and sides.exact else None
-    walked = [None, None]  # a side's layers already walked to ``radius``
+    layers, certificate = [None, None], None
     if judge is not None:
-        r_F = _radius(M[[0, 2]], a_priori[[0, 2]])  # F's, with the theorem route's G
-        k = judge.side
-        bound = _exact_bound(sides.integral[k], r_F) if r_F <= radius else None
-        limit = judge.limit(bound)
-        if limit is not None:
-            tested = _layers((sides.A, sides.dual)[k], sides.integral[k], r_F, bound)
-            certificate = _certificate(sides, judge, limit, tested)
-            if certificate is not None:
-                other = _walk(sides, 1 - k, r_F)
-                layers = (tested, other) if k == 0 else (other, tested)
-                S, form_half, _ = _layer_sums(orders, layers)
-                G, gtol = _theorem_gradient(sides, form_half)
-                tail = _tail(M[[0, 2]], r_F, [TAIL_REL * max(abs(S), 1e-30), gtol], what)
-                return S, G, tail, r_F, layers, certificate
-            judge = None
-            if r_F == radius:
-                walked[k] = tested
-    M = M[:2]
-    layers = tuple(_walk(sides, k, radius) if walked[k] is None else walked[k] for k in (0, 1))
+        k, r_F = judge.side, _radius(M[[0, 2]], a_priori[[0, 2]])
+        for r in dict.fromkeys((r_F, radius)):
+            bound = _exact_bound(sides.integral[k], r)
+            if bound is not None and judge.limit <= bound:
+                tested = _layers((sides.A, sides.dual)[k], sides.integral[k], r, bound)
+                certificate = _certificate(sides, judge, tested)
+                if certificate is not None and r == r_F:
+                    radius, rows = r_F, [0, 2]  # F's, with the theorem route's G
+                if r == radius:
+                    layers[k] = tested
+                break
+    layers = tuple(_walk(sides, k, radius) if layers[k] is None else layers[k] for k in (0, 1))
     S, form_half, f = _layer_sums(orders, layers)
     tolerances = [TAIL_REL * max(abs(S), 1e-30)]
-    G = certificate = None
+    G = None
     if gradient:
-        if judge is not None:
-            side = layers[judge.side]
-            limit = judge.limit(None if side.exact is None else side.exact[1])
-            certificate = None if limit is None else _certificate(sides, judge, limit, side)
         G, gtol = (_grad_sum(sides, layers, f) if certificate is None
                    else _theorem_gradient(sides, form_half))
         tolerances.append(gtol)
-    return S, G, _tail(M, radius, tolerances, what), radius, layers, certificate
+    return S, G, _tail(M[rows], radius, tolerances, what), radius, layers, certificate
 
 
 def _theorem_gradient(sides: _Sides, form_half) -> tuple[np.ndarray, float]:
@@ -704,9 +686,10 @@ class HeightReport:
 
     ``truncation_radius`` and the vector counts are those of the final walks,
     and ``tail_estimate`` is the majorant of F's tail plus that of the
-    gradient: at the theorem route's own radius |A^-1|_F / 2 times the form
-    part of F's, and at the numeric radius the summed gradient's, which
-    bounds a certified lattice's G too.
+    gradient: |A^-1|_F / 2 times the form part of F's when the certificate
+    passes at the theorem route's radius r_F, and otherwise the summed
+    gradient's at the numeric radius r_N, which bounds a certified
+    lattice's G too.
     """
 
     height: float
@@ -760,9 +743,10 @@ def height(L) -> HeightReport:
     the height at the lattice.  F and the gradient come from the same
     vectors, at a radius where both tails are within tolerance.  On the
     theorem route (module docstring) the tested side's walk certifies every
-    layer a 2-design, the gradient is -(S_A / 2) A^-1 at F's radius, and its
-    residual is zero up to rounding; ``certificate`` names the side tested,
-    its Gamma_0 level, weight and horizon, and the layers tested.  A walk past
+    layer a 2-design, the gradient is -(S_A / 2) A^-1, summed at F's radius
+    when the walk there certifies it, and its residual is zero up to
+    rounding; ``certificate`` names the side tested, its Gamma_0 level,
+    weight and horizon, and the layers tested.  A walk past
     ``shells.DEFAULT_MAX_VECTORS`` vectors raises EnumerationBudgetError.
     """
     sides = _sides(L, det1=True)

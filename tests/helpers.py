@@ -451,13 +451,13 @@ def majorant_soundness(Q) -> list[tuple[float, float]]:
     The majorants are those ``height`` certified with: its sides' arrays of
     F and of the gradient (``_bounds``) read at the truncation radius, and
     their sum must be the report's tail estimate.  The gradient's is the
-    theorem route's at that route's own radius r_F, and the numeric
-    route's at the numeric radius, on either route: there the numeric
-    majorant bounds a certified lattice's G too, since it bounds the norms
-    of the summed gradient's terms beyond the radius, whose form part on
-    2-design layers is |A^-1|_F / n times sum (n/2 f + e^{-x}), at least
-    |A^-1|_F / 2 times F's form terms there.  The remainders come from
-    ``height_remainders``.
+    theorem route's when the certificate passes at that route's own radius
+    r_F, and otherwise the numeric route's at the numeric radius r_N, on
+    either route: there the numeric majorant bounds a certified lattice's
+    G too, since it bounds the norms of the summed gradient's terms beyond
+    the radius, whose form part on 2-design layers is |A^-1|_F / n times
+    sum (n/2 f + e^{-x}), at least |A^-1|_F / 2 times F's form terms there.
+    The remainders come from ``height_remainders``.
     """
     H = _height
     sides = H._sides(Q, det1=True)
@@ -515,31 +515,28 @@ def basis_rule_radius(Q) -> float:
 
     The a-priori tolerance of F is TAIL_REL times the sum of F's terms over
     the basis vectors of both sides and their negatives, each term
-    evaluated with ``upper_gamma``.  On the numeric route the gradient keeps
-    its absolute floor; on the theorem route its tolerance takes the form's
-    part of those evaluated terms in place of their floor, and the radius
-    is the smaller of the two.  A radius is the first grid radius where
-    both majorants meet these tolerances, or the cap when none does.  (A
-    certified lattice whose range the walk to r_F does not cover takes the
-    numeric radius; no catalogue form does.)
+    evaluated with ``upper_gamma``.  On the numeric route the gradient
+    takes the numeric majorant with its absolute floor; on the theorem route
+    it takes the theorem majorant, with the form's part of those evaluated
+    terms in place of their floor, whose radius r_F is never beyond the
+    numeric one (``height._bounds``).  A radius is the first grid radius
+    where both majorants meet these tolerances, or the cap when none does.
+    (A certified lattice whose range the walk to r_F does not cover takes
+    the numeric radius; no catalogue form does.)
     """
     H = _height
     sides = H._sides(Q, det1=True)
     n = sides.A.shape[0]
-    (F_major, _), numeric, (T_major, _) = H._bounds(sides, H._F_orders(n), True)
+    (F_major, _), (G_major, G_tol), (T_major, _) = H._bounds(sides, H._F_orders(n), True)
     xf, xd = math.pi * np.diag(sides.A), math.pi * np.diag(sides.Ainv)
     form = 2.0 * np.sum(xf ** (-n / 2) * upper_gamma(n / 2, xf))
     basis = form + 2.0 * np.sum(upper_gamma(0.0, xd))
-    rows = [numeric]
     if H.height(Q).route == H.ROUTE_THEOREM:
-        rows.append((T_major,
-                     H.GRAD_TAIL_FLOOR + H.TAIL_REL * 0.5 * form * np.linalg.norm(sides.Ainv)))
-    radii = []
-    for G_major, G_tol in rows:
-        fits = np.flatnonzero((F_major <= H.TAIL_REL * basis) & (G_major <= G_tol)
-                              & (H._RADII <= H._RADIUS_CAP))
-        radii.append(float(H._RADII[fits[0]]) if fits.size else H._RADIUS_CAP)
-    return min(radii)
+        G_major = T_major
+        G_tol = H.GRAD_TAIL_FLOOR + H.TAIL_REL * 0.5 * form * np.linalg.norm(sides.Ainv)
+    fits = np.flatnonzero((F_major <= H.TAIL_REL * basis) & (G_major <= G_tol)
+                          & (H._RADII <= H._RADIUS_CAP))
+    return float(H._RADII[fits[0]]) if fits.size else H._RADIUS_CAP
 
 
 # ---------------------------------------------------------------------------

@@ -570,23 +570,34 @@ class TestTheoremRoute:
             rep = height(normalized_to_det1(e.gram))
             assert (rep.route, rep.certificate) == ("numeric", None)
 
-    @pytest.mark.parametrize("Q, walks, judged, route", [
-        (load_catalog().by_name("stc12").gram, 2, 1, "theorem"),
-        (GramMatrix([[14, -16, 8], [-16, 45, -20], [8, -20, 9]]), 3, 1, "numeric"),
-        (D12, 2, 1, "numeric"), (GramMatrix([[7, 3], [3, 1009]]), 2, 0, "numeric"),
-        (GramMatrix([[4, 9, -3], [9, 30, -9], [-3, -9, 20]]), 2, 1, "numeric")],
-        ids=["stc12", "fails-below", "diag12", "horizon-beyond", "covered-at-the-numeric-radius"])
-    def test_walks_and_one_reduction_per_height(self, Q, walks, judged, route, monkeypatch):
+    @pytest.mark.parametrize("Q, walks, judged, route, at", [
+        (load_catalog().by_name("stc12").gram, 2, 1, "theorem", "r_F"),
+        (GramMatrix([[6 * v for v in row]
+                     for row in load_catalog().by_name("ste15a").gram.entries]),
+         2, 1, "theorem", "r_N"),
+        (GramMatrix([[14, -16, 8], [-16, 45, -20], [8, -20, 9]]), 3, 1, "numeric", "r_N"),
+        (D12, 2, 1, "numeric", "r_N"), (GramMatrix([[7, 3], [3, 1009]]), 2, 0, "numeric", "r_N"),
+        (GramMatrix([[4, 9, -3], [9, 30, -9], [-3, -9, 20]]), 2, 1, "numeric", "r_N")],
+        ids=["stc12", "6ste15a", "fails-below", "diag12", "horizon-beyond",
+             "covered-at-the-numeric-radius"])
+    def test_walks_and_one_reduction_per_height(self, Q, walks, judged, route, at, monkeypatch):
         # the certificate reduces nothing of its own.  stc12 walks its tested
-        # side at F's radius, passes, and walks the other one; the second
-        # form is covered there but fails, so both sides are walked again at
-        # the larger numeric radius; diag(1, 2) fails too, but its two radii
-        # are equal and its tested side's walk is kept;
-        # [[7, 3], [3, 1009]]'s range lies beyond both walks;
-        # the last form's range lies beyond the walk at F's radius but within
-        # the numeric one, where it is judged (and fails) on that walk
+        # side at F's radius r_F, passes, and walks the other one there;
+        # 6 ste15a's range lies beyond the walk to r_F but within the walk to
+        # the numeric radius r_N, where it passes and is kept, with the
+        # numeric gradient's majorant in the tail; the third form is covered
+        # at r_F but fails, so both sides are walked again at the larger r_N;
+        # diag(1, 2) fails too, but its two radii are equal and its tested
+        # side's walk is kept; [[7, 3], [3, 1009]]'s range lies beyond both
+        # walks; the last form's range lies beyond the walk to r_F but within
+        # the one to r_N, where it is judged (and fails) on that walk
         H = sys.modules["latcrit.height"]
         shells = sys.modules["latcrit.shells"]
+        sides = H._sides(Q, det1=True)
+        bounds = H._bounds(sides, H._F_orders(Q.n), True)
+        M, a_priori = np.array([m for m, _ in bounds]), np.array([t for _, t in bounds])
+        radii = {"r_F": H._radius(M[[0, 2]], a_priori[[0, 2]]),
+                 "r_N": H._radius(M[:2], a_priori[:2])}
         calls = {"walk": 0, "lll": 0, "judged": 0}
         real_walk, real_lll, real_cert = H.short_vectors_float, shells.lll_reduce, H._certificate
         monkeypatch.setattr(H, "short_vectors_float", lambda *a: calls.__setitem__(
@@ -597,52 +608,38 @@ class TestTheoremRoute:
             "judged", calls["judged"] + 1) or real_cert(*a))
         rep = height(Q)
         assert (calls, rep.route) == ({"walk": walks, "lll": 1, "judged": judged}, route)
+        assert rep.truncation_radius == radii[at]
+        j = int(np.searchsorted(H._RADII, radii[at], side="right")) - 1
+        row = 2 if (route, at) == ("theorem", "r_F") else 1
+        assert rep.tail_estimate == float(M[0, j] + M[row, j])
         _numeric(monkeypatch)
-        assert (rep.truncation_radius < height(Q).truncation_radius) == (route == "theorem")
+        num = height(Q).truncation_radius
+        assert num == radii["r_N"]
+        assert (rep.truncation_radius < num) == (route == "theorem" and at == "r_F")
 
     def test_theorem_radius_is_at_most_the_numeric_one(self):
-        # r_F, where F's majorant and the theorem gradient's meet their
-        # a-priori tolerances, against the radius of F and the numeric
-        # gradient, on every exact kernel form (the catalogue, its working
-        # forms and 900 seeded forms): no walk to r_F is longer than the
-        # numeric route's
+        # the proof of r_F <= r_N (``height._bounds``) and its premises: at
+        # every grid radius the theorem gradient's majorant is at most the
+        # numeric gradient's and its a-priori tolerance at least the numeric
+        # one's, so r_F, where F's majorant and the theorem gradient's meet
+        # their tolerances, is at most r_N, F's and the numeric gradient's.
+        # On every exact kernel form (the catalogue, its working forms and
+        # 900 seeded forms), the 42 float entries, and three diagonal forms
+        # far from the catalogue's shapes
         from helpers import exact_kernel_forms
 
         H = sys.modules["latcrit.height"]
-        forms = 0
-        for name, q in exact_kernel_forms():
+        forms = [q for _, q in exact_kernel_forms()]
+        forms += [e.gram.to_float() for e in load_catalog().entries]
+        forms += [GramMatrix([[2]]), GramMatrix([[1, 0], [0, 100]]),
+                  GramMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 40000]])]
+        for q in forms:
             sides = H._sides(q, det1=True)
-            bounds = H._bounds(sides, H._F_orders(q.n), True)
+            bounds = H._bounds(sides, H._F_orders(sides.A.shape[0]), True)
             M, a_priori = np.array([m for m, _ in bounds]), np.array([t for _, t in bounds])
-            assert H._radius(M[[0, 2]], a_priori[[0, 2]]) <= H._radius(M[:2], a_priori[:2]), name
-            forms += 1
-        assert forms == 1001
-
-    def test_a_theorem_radius_beyond_the_numeric_one_is_not_walked(self, monkeypatch):
-        # with the theorem gradient's majorant inflated a millionfold, r_F
-        # lies beyond the numeric radius: both sides are walked once, at the
-        # numeric radius, where stc12's certificate is judged on that walk,
-        # and the tail is F's majorant plus the numeric gradient's
-        H = sys.modules["latcrit.height"]
-        Q = load_catalog().by_name("stc12").gram
-        real = H._bounds
-
-        def inflated(*args):
-            out = real(*args)
-            return out[:2] + [(1e6 * m, t) for m, t in out[2:]]
-
-        monkeypatch.setattr(H, "_bounds", inflated)
-        sides = H._sides(Q, det1=True)
-        bounds = inflated(sides, H._F_orders(Q.n), True)
-        M, a_priori = np.array([m for m, _ in bounds]), np.array([t for _, t in bounds])
-        r_N = H._radius(M[:2], a_priori[:2])
-        assert H._radius(M[[0, 2]], a_priori[[0, 2]]) > r_N
-        walks = _record_walks(monkeypatch)
-        rep = height(Q)
-        assert walks == {"radius": [r_N] * 2, "integral": 2, "float": 0}
-        assert (rep.route, rep.truncation_radius) == ("theorem", r_N)
-        j = int(np.searchsorted(H._RADII, r_N, side="right")) - 1
-        assert rep.tail_estimate == float(M[0, j] + M[1, j])
+            assert np.all(M[2] <= M[1]) and a_priori[2] >= a_priori[1], q
+            assert H._radius(M[[0, 2]], a_priori[[0, 2]]) <= H._radius(M[:2], a_priori[:2]), q
+        assert len(forms) == 1001 + 42 + 3
 
 
 class TestOneLatticeSumLoop:
