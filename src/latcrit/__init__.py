@@ -44,7 +44,6 @@ from .certify import (
     fully_critical,
     gamma0_cusps,
     gamma0_horizon,
-    gamma0_index,
 )
 from .specfun import GammaDomainError, upper_gamma
 from .height import (

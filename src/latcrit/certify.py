@@ -69,7 +69,7 @@ and weight.  ``_counted`` adds the cusps and the horizon B from one
 factorization of the level (``_gamma0``), after a caller that may not reach
 B compares its floor (``_horizon_floor``) with what it can test.  A walk
 gives the layers in range with their second moments, and ``_report``
-judges them in increasing norm: ``fully_critical`` walks with
+alone judges every one in increasing norm: ``fully_critical`` walks with
 ``layer_moments``; the height reads them off its own walks.
 """
 
@@ -125,11 +125,6 @@ def _gamma0(N: int) -> tuple[int, int]:
     return index, cusps
 
 
-def gamma0_index(N: int) -> int:
-    """Index of Gamma_0(N) in SL_2(Z): N prod_{p | N} (1 + 1/p)."""
-    return _gamma0(N)[0]
-
-
 def gamma0_cusps(N: int) -> int:
     """Number of cusps of Gamma_0(N): sum_{d | N} phi(gcd(d, N/d))."""
     return _gamma0(N)[1]
@@ -142,10 +137,15 @@ def gamma0_horizon(k: int, N: int) -> int:
     the form zero (the module docstring's theorem).  B is at least 1, so
     level-1 input still tests a layer.
     """
+    return _horizon(k, N)[0]
+
+
+def _horizon(k: int, N: int) -> tuple[int, int]:
+    """(``gamma0_horizon(k, N)``, ``gamma0_cusps(N)``) from one factorization of N."""
     if k < 1 or N < 1:
         raise ValueError("weight and level must be positive integers")
     index, cusps = _gamma0(N)
-    return max(1, (k * index - 6 * (cusps - 1)) // 12)
+    return max(1, (k * index - 6 * (cusps - 1)) // 12), cusps
 
 
 def _horizon_floor(k: int, N: int) -> int:
@@ -303,9 +303,8 @@ class _Plan(NamedTuple):
 
 def _counted(plan: _Plan) -> _Plan:
     """``plan`` with the cusps and the horizon of Gamma_0(level), and B the horizon if unset."""
-    horizon = gamma0_horizon(plan.weight, plan.level)
-    return plan._replace(cusps=gamma0_cusps(plan.level), horizon=horizon,
-                         B=horizon if plan.B is None else plan.B)
+    horizon, cusps = _horizon(plan.weight, plan.level)
+    return plan._replace(cusps=cusps, horizon=horizon, B=horizon if plan.B is None else plan.B)
 
 
 def _plan(Q: GramMatrix, override_bound: Optional[int], dualize: bool) -> _Plan:
@@ -362,24 +361,21 @@ def _certify(
                        else f"no bound >= {2 // plan.s} fits"))
     else:  # no bound >= 2 fits: nothing is certified
         bound = 0
-    verdicts = [two_design_verdict(m, card, S, plan.form, scale=4)  # per antipodal pair
-                for m, (card, S) in moments.items()]
-    return _report(desc, plan, moments, verdicts, bound, note)
+    return _report(desc, plan, moments, plan.form, bound, note)
 
 
-def _report(desc: LatticeDescriptor, plan: _Plan, moments: dict, verdicts, bound: int,
+def _report(desc: LatticeDescriptor, plan: _Plan, moments: dict, T: GramMatrix, bound: int,
             note: str) -> FullyCriticalReport:
     """The report of ``plan`` on the layers of ``moments``, every layer with (x.x) <= bound.
 
-    ``verdicts`` are those layers' verdicts in order, restated per
-    antipodal pair (scale 4); ``bound``, on the even form, is 2B unless the
+    The one verdict loop: every layer of ``moments``, in increasing norm, is
+    judged on ``T``, the tested form in the moments' basis, restated per
+    antipodal pair (scale 4).  ``bound``, on the even form, is 2B unless the
     budget cut it.
     """
-    per_layer, failure_norm = tuple(verdicts), None
-    for v in per_layer:
-        if not v.is_design:
-            failure_norm = v.norm
-            break
+    per_layer = tuple(two_design_verdict(m, card, S, T, scale=4)
+                      for m, (card, S) in moments.items())
+    failure_norm = next((v.norm for v in per_layer if not v.is_design), None)
     certified = Fraction(bound, plan.s)
     if failure_norm is not None:
         verdict = VERDICT_FAILURE

@@ -69,8 +69,8 @@ is judged once by ``_certificate``, on four premises:
 - completeness: an exact walk (the bincount route) to the integer bound b
   holds every vector of norm at most b, so when the tested side's range
   (the horizon of ``certify``) lies at or below its side's b, the layers
-  gathered from that walk are all the certificate's, judged in increasing
-  norm by ``design.two_design_verdict``, as ``fully_critical`` judges them.
+  gathered from that walk are all the certificate's, and ``certify._report``
+  judges every one in increasing norm, as it does for ``fully_critical``.
 A pass at r_F sums F there; a pass at r_N sums it at r_N, with the numeric
 gradient's majorant, which bounds a certified G too.  A failed layer, a
 range beyond both walks, a level too large to reach, and every float input
@@ -97,6 +97,7 @@ import numpy as np
 from . import shells
 from .certify import (
     SIDE_INPUT,
+    VERDICT_CRITICAL,
     FullyCriticalReport,
     _counted,
     _horizon_floor,
@@ -104,11 +105,9 @@ from .certify import (
     _plan,
     _report,
 )
-from .design import two_design_verdict
 from .gram import GramMatrix, LatticeDescriptor, _scaled, _stored, determinant, gram_inverse
 from .shells import (
     FLOAT_EXACT,
-    INT64_SAFE,
     HalfSet,
     _moments,
     _norm_magnitude,
@@ -518,28 +517,19 @@ def _certificate(sides: _Sides, judge: _Judge, side: _Layers) -> Optional[FullyC
     """The certificate of an exact input read off the walk of its tested side, or None.
 
     ``side`` is the exact walk of side ``judge.side``, whose bound covers
-    ``judge.limit``.  The layers in range are gathered into rows (int64
-    while their count times the largest square stays below INT64_SAFE) and
-    judged as their moments come (``shells._moments``), stopping at the
-    first that fails.  A pass is the report ``fully_critical`` gives.
+    ``judge.limit``.  The layers in range are picked, with their rows
+    (``HalfSet.rows``) and moments (``shells._moments``), and
+    ``certify._report`` judges every one on ``judge.T``: its report, the
+    one ``fully_critical`` gives, is returned when it is fully critical.
     """
     plan, norms = judge.plan, side.exact
-    moments, verdicts = {}, []
     k = int(np.searchsorted(norms, judge.limit, side="right"))  # the layers in range
-    if k:
-        pick = np.flatnonzero(side.inverse < k)
-        X = side.half.parents[side.half.parent[pick]]
-        X[:, 0] = side.half.x0[pick]
-        X = X.astype(np.int64)
-        if len(X) * float(np.abs(X).max()) ** 2 >= INT64_SAFE:
-            X = X.astype(object)
-        for m, card, S in _moments(X, norms[side.inverse[pick]]):
-            norm = m * judge.scale
-            verdicts.append(two_design_verdict(norm, card, S, judge.T, scale=4))
-            if not verdicts[-1].is_design:
-                return None
-            moments[norm] = (card, S)
-    return _report(LatticeDescriptor(gram=sides.exact[0]), plan, moments, verdicts, 2 * plan.B, "")
+    pick = np.flatnonzero(side.inverse < k)
+    moments = {m * judge.scale: (card, S)
+               for m, card, S in _moments(side.half.rows(pick), norms[side.inverse[pick]])}
+    report = _report(LatticeDescriptor(gram=sides.exact[0]), plan, moments, judge.T,
+                     2 * plan.B, "")
+    return report if report.verdict == VERDICT_CRITICAL else None
 
 
 def _radius(M: np.ndarray, a_priori: np.ndarray) -> float:

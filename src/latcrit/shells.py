@@ -14,8 +14,8 @@ the same order, so the yields, and with them the completeness argument
 below, do not depend on where the walk hands over; the scalar frontier holds
 at most 32 nodes, so the walk's memory bound still holds.  The walk yields
 its leaves compact, in slices of at most ``_CHUNK_ROWS``: the level-0
-parents, and each leaf's parent index, last coordinate x_0 and norm.  The
-certificate (``_half_candidates``) gathers them into rows; the height's one collector
+parents, and each leaf's parent index, last coordinate x_0 and norm.  Both
+certificates gather them into int64 rows by ``HalfSet.rows``; the height's one collector
 (``short_vectors_float``) keeps them compact (``HalfSet``), so that the
 height sums over each parent's leaves in closed form.  The float search
 tree is pruned with an inflated bound and every candidate is re-verified
@@ -25,7 +25,8 @@ with b and c computed once per parent at the last level: on an integral
 form it is exact in float64 while ``_norm_magnitude`` is below 2^53, and
 beyond that the certificate's norms run in Python ints.  The same magnitude bounds the walk's
 coordinates and decides, once per walk, whether the vectors in input
-coordinates and their moments fit int64; where not, they run in Python ints.
+coordinates fit int64; where not, they run in Python ints.  ``_moments``
+decides the same for their moments, from its own rows.
 
 Only one representative per antipodal pair {x, -x} is walked (the highest
 nonzero coordinate is kept positive); full layers are reconstituted from the
@@ -315,7 +316,7 @@ def _half_candidates(
 
     X_orig rows are in the coordinates of Q; norms_scaled are integers equal
     to d * Q[x] where d clears the denominators of Q.  X_orig holds Python
-    ints unless its entries and any chunk's sums of their products stay below
+    ints unless its entries, and so the map back's partial sums, stay below
     INT64_SAFE: walked coordinates are at most xmax_k <= sqrt(magnitude / P_kk)
     (``_norm_magnitude``), input ones at most |U| xmax.  A negative
     ``max_vectors`` is refused, and so is a form whose LLL-reduced integral
@@ -337,13 +338,11 @@ def _half_candidates(
     magnitude = _norm_magnitude(P, bound_int)
     walk_exact = magnitude < FLOAT_EXACT
     coord = float((np.abs(U) @ np.sqrt(magnitude / np.diag(P))).max())
-    if _CHUNK_ROWS * coord * coord >= INT64_SAFE:
+    if coord >= INT64_SAFE:
         U = U.astype(object)
     seen = 0
     for X, p, x, norms in _fp_rows(P.astype(float), float(bound_int)):
-        X = X[p]
-        X[:, 0] = x
-        X = X.astype(np.int64)
+        X = HalfSet(X, p, x).rows()
         norms = norms.astype(np.int64) if walk_exact else _exact_norms(X, P)
         mask = norms <= bound_int
         X, norms = X[mask], norms[mask]
@@ -366,9 +365,9 @@ def _sorted_rows(X: np.ndarray, norms: np.ndarray) -> np.ndarray:
 
 
 def _runs(norms: np.ndarray) -> Iterator[tuple[int, int, int]]:
-    """(norm, start, stop) of each run of equal values in sorted norms."""
+    """(norm, start, stop) of each run of equal values in sorted norms; none for no norms."""
     cuts = [0, *(np.flatnonzero(norms[1:] != norms[:-1]) + 1).tolist(), len(norms)]
-    return ((norms[a], a, b) for a, b in zip(cuts, cuts[1:]))
+    return ((norms[a], a, b) for a, b in zip(cuts, cuts[1:]) if a < b)
 
 
 def enumerate_layers(
@@ -453,14 +452,20 @@ def _moments(X: np.ndarray, norms: np.ndarray) -> Iterator[tuple[int, int, np.nd
 
     The rows are grouped by one stable sort of their integer norms; each
     run of equal norms gives its count and X^t X, both doubled for the
-    antipodes, S in Python ints.  The product runs in X's dtype: int64 only
-    while INT64_SAFE bounds its sums (``_half_candidates``).
+    antipodes, S in Python ints; no rows give none.  The products run in
+    the dtype ``_summable`` picks from these rows: the one int64 rule.
     """
+    X = _summable(X)
     order = np.argsort(norms, kind="stable")
     X, norms = X[order], norms[order]
     for m, a, b in _runs(norms):
         Xg = X[a:b]
         yield int(m), 2 * len(Xg), 2 * (Xg.T @ Xg).astype(object)
+
+
+def _summable(X: np.ndarray) -> np.ndarray:
+    """X, or X in Python ints unless INT64_SAFE bounds len(X) max|X|^2, and so X^t X's sums."""
+    return X if len(X) * float(np.abs(X).max(initial=0)) ** 2 < INT64_SAFE else X.astype(object)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +486,12 @@ class HalfSet:
 
     def __len__(self) -> int:
         return len(self.x0)
+
+    def rows(self, pick=slice(None)) -> np.ndarray:
+        """The vectors ``pick`` (all by default) as int64 rows, from a walk of an integral form."""
+        X = self.parents[self.parent[pick]]
+        X[:, 0] = self.x0[pick]
+        return X.astype(np.int64)
 
 
 def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[HalfSet, np.ndarray]:

@@ -14,7 +14,6 @@ from latcrit import (
     conjecture_probe,
     determinant,
     fully_critical,
-    gamma0_index,
     gram_inverse,
     is_even,
     level,
@@ -25,7 +24,7 @@ from latcrit import (
     two_design_verdict,
 )
 from latcrit.catalog import load_catalog
-from latcrit.certify import SIDE_INPUT, SIDE_LEVEL_DUAL, _certify, _horizon_floor
+from latcrit.certify import SIDE_INPUT, SIDE_LEVEL_DUAL, _certify, _gamma0, _horizon_floor
 from latcrit.cli import _random_integral_spd
 from latcrit.gram import _level_dual
 from latcrit.shells import DEFAULT_MAX_VECTORS
@@ -69,16 +68,16 @@ def own_side(q):
 
 @pytest.fixture
 def walk_dtypes(monkeypatch):
-    """The dtypes of the input-coordinate vectors every exact walk yields."""
+    """The dtypes ``shells._moments`` sums the exact walks' moments in (``_summable``)."""
     S = sys.modules["latcrit.shells"]
-    real, seen = S._half_candidates, set()
+    real, seen = S._summable, set()
 
-    def walk(*args, **kwargs):
-        for X, norms, d in real(*args, **kwargs):
-            seen.add(X.dtype)
-            yield X, norms, d
+    def summable(X):
+        X = real(X)
+        seen.add(X.dtype)
+        return X
 
-    monkeypatch.setattr(S, "_half_candidates", walk)
+    monkeypatch.setattr(S, "_summable", summable)
     return seen
 
 
@@ -114,12 +113,12 @@ class TestGamma1Index:
 class TestGamma0Index:
     def test_against_projective_line(self):
         # [SL2(Z) : Gamma_0(N)] = |P^1(Z/N)|
-        assert [gamma0_index(N) for N in range(1, 31)] == [
+        assert [_gamma0(N)[0] for N in range(1, 31)] == [
             projective_line_size(N) for N in range(1, 31)]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            gamma0_index(0)
+            _gamma0(0)
 
 
 class TestSturmBound:
@@ -153,34 +152,34 @@ class TestSturmBound:
         # horizon of every weight up to 12
         for N in range(1, 2001):
             index, cusps = sturm_bound(12, N), gamma0_cusps_divisor_sum(N)
-            assert (gamma0_index(N), gamma0_cusps(N)) == (index, cusps), N
+            assert (_gamma0(N)[0], gamma0_cusps(N)) == (index, cusps), N
             for k in range(1, 13):
                 assert gamma0_horizon(k, N) == max(1, (k * index - 6 * (cusps - 1)) // 12), (k, N)
         # prime powers and products of them beyond the orbit test's range
         for N in (243, 256, 360, 484, 500):
             assert gamma0_cusps(N) == gamma0_cusp_orbits(N), N
-            assert gamma0_index(N) == projective_line_size(N), N
+            assert _gamma0(N)[0] == projective_line_size(N), N
 
     def test_gamma0_counts_factor_a_large_level_at_once(self):
         # 10^12 has 169 divisors and 2^60 has 61; the divisor scan that
         # defines the cusps would walk to 10^6 and 2^30
         assert gamma0_cusps(10**12) == (2**6 + 2**5) * (5**6 + 5**5) == 1_800_000
-        assert (gamma0_cusps(2**60), gamma0_index(2**60)) == (2**30 + 2**29, 3 * 2**59)
+        assert (gamma0_cusps(2**60), _gamma0(2**60)[0]) == (2**30 + 2**29, 3 * 2**59)
         assert gamma0_horizon(5, 2**60) == (5 * 3 * 2**59 - 6 * (2**30 + 2**29 - 1)) // 12
 
     def test_horizon_floor_never_exceeds_the_horizon(self):
         # the floor (k - 1)(N + 1) - 6 over 12 counts no cusp and no index;
         # its genus bound on the cusp count, c <= I/6 + 2, is tight at N = 4
         for N in range(1, 3001):
-            assert gamma0_cusps(N) <= Fraction(gamma0_index(N), 6) + 2, N
+            assert gamma0_cusps(N) <= Fraction(_gamma0(N)[0], 6) + 2, N
             for k in range(1, 13):
                 assert _horizon_floor(k, N) <= gamma0_horizon(k, N), (k, N)
-        assert gamma0_cusps(4) == Fraction(gamma0_index(4), 6) + 2
+        assert gamma0_cusps(4) == Fraction(_gamma0(4)[0], 6) + 2
 
     def test_plan_counts_cusps_only_when_asked(self, monkeypatch):
         # the plan walks and counts nothing; the height's certificate compares
         # the horizon's floor with its walk first, and ``_counted`` then reads
-        # the cusps and the horizon, each from one factorization of the level
+        # the cusps and the horizon from one factorization of the level
         C = sys.modules["latcrit.certify"]
         real, counted = C._gamma0, []
         monkeypatch.setattr(C, "_gamma0", lambda N: counted.append(N) or real(N))
@@ -192,7 +191,7 @@ class TestSturmBound:
         plan = C._plan(ste10a, None, True)
         assert counted == []
         got = C._counted(plan)
-        assert (got.horizon, got.cusps, got.B, counted) == (12, 6, 12, [20, 20])
+        assert (got.horizon, got.cusps, got.B, counted) == (12, 6, 12, [20])
         assert got == C._counted(got)
         assert C._counted(C._plan(ste10a, 5, True))[-3:] == (6, 12, 5)
 

@@ -432,10 +432,10 @@ def _numeric(monkeypatch):
 
 
 def _record_verdicts(monkeypatch) -> list:
-    """Record the norm of every layer the height's certificate judges."""
-    H = sys.modules["latcrit.height"]
-    real, judged = H.two_design_verdict, []
-    monkeypatch.setattr(H, "two_design_verdict", lambda m, card, S, Q, scale=1: judged.append(
+    """Record the norm of every layer judged: the height's certificate judges in ``certify``."""
+    C = sys.modules["latcrit.certify"]
+    real, judged = C.two_design_verdict, []
+    monkeypatch.setattr(C, "two_design_verdict", lambda m, card, S, Q, scale=1: judged.append(
         m) or real(m, card, S, Q, scale))
     return judged
 
@@ -504,28 +504,36 @@ class TestTheoremRoute:
         an = float(np.tensordot(rep.gradient, S))
         assert abs(directional_derivative_fd(A, S, 1e-4) - an) <= 1e-4 * abs(an)
 
-    def test_uncertified_forms_judge_at_most_their_first_layer(self, monkeypatch):
+    def test_uncertified_forms_judge_every_layer_as_fully_critical_does(self, monkeypatch):
         # diag(1, 2) and the seeded forms whose certificate fails at its first
-        # layer: the numeric route, every other field as with the theorem
-        # route turned off, bit for bit, and no layer judged after the one
-        # that fails (none when the walk does not reach the horizon)
+        # layer: the report the height judges (``certify._report``) is
+        # fully_critical's on the integral form d Q, every layer's verdict
+        # included, so no stop at a failed layer hides the later ones; then
+        # the numeric route, every other field as with the theorem route
+        # turned off, bit for bit
         from helpers import exact_kernel_forms
 
+        H = sys.modules["latcrit.height"]
         forms = [D12] + [q for name, q in exact_kernel_forms(60)
                          if name.startswith("seeded") and q.n <= 5]
-        failing = []
+        failing, refs = [], []
         for q in forms:
             P, _ = q.integral_rescale()
             ref = fully_critical(GramMatrix(P))
             if ref.per_layer and not ref.per_layer[0].is_design:
                 failing.append(q)
+                refs.append({**ref.to_dict(), "name": None})
         assert D12 in failing and len(failing) >= 40
-        judged = _record_verdicts(monkeypatch)
-        reports = []
-        for q in failing:
+        real, judged = H._report, []
+        monkeypatch.setattr(H, "_report", lambda *args: judged.append(real(*args)) or judged[-1])
+        reports, later = [], 0
+        for q, ref in zip(failing, refs):
             judged.clear()
             reports.append(height(q))
-            assert len(judged) <= 1, q
+            assert [{**rep.to_dict(), "name": None} for rep in judged] == [ref], q
+            assert judged[0].layers_tested == len(judged[0].cardinalities), q
+            later += judged[0].layers_tested > 1
+        assert later >= 40
         monkeypatch.undo()
         _numeric(monkeypatch)
         for q, rep in zip(failing, reports):

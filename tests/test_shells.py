@@ -352,6 +352,12 @@ class TestStreaming:
             direct = X.T.astype(object) @ X.astype(object)
             assert (S == direct).all()
 
+    def test_no_rows_give_no_layers(self):
+        # the height's certificate takes the moments of no rows when no layer
+        # is in range: no runs and no moments, not an IndexError
+        assert list(shells._runs(np.empty(0, np.int64))) == []
+        assert list(shells._moments(np.empty((0, 3), np.int64), np.empty(0, np.int64))) == []
+
     def test_budget_error(self):
         q = load_catalog().by_name("ste10a").gram
         with pytest.raises(EnumerationBudgetError) as exc:
