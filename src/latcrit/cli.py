@@ -24,7 +24,10 @@ only when some row is a failure, and 2 when a row is inconclusive.
 
 Text output for certification runs mirrors the reference transcript style
 ("150 = 150, 2-DESIGN on the layer (x,x)=3") so diffs against it are
-trivial; --format json emits a reparsable RunReport instead.
+trivial; a run of more than ``_EMPTY_RUN`` empty layers is one line
+("the layers (x,x)=3..412 are empty"), so a range of 10^9 norms writes as
+many lines as it has nonempty layers.  --format json emits a reparsable
+RunReport instead.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ from .shells import (
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_INCONCLUSIVE = 2
+# a run of more empty layers than this is one transcript line; the catalogue's longest run is 13
+_EMPTY_RUN = 16
 
 
 @dataclass
@@ -172,6 +177,12 @@ def _cmd_design(args):
             EXIT_OK if verdict.is_design else EXIT_FAILURE)
 
 
+def _layer_line(v) -> str:
+    tag = "2-DESIGN" if v.is_design else "NOT a 2-design"
+    rel = "=" if v.is_design else "!="
+    return f"{v.lhs} {rel} {v.rhs}, {tag} on the layer (x,x)={v.norm}"
+
+
 def _transcript(report: FullyCriticalReport) -> str:
     lines = [
         f"{report.input.name or 'input'}: {report.group} ({report.cusps} cusps) with "
@@ -186,22 +197,21 @@ def _transcript(report: FullyCriticalReport) -> str:
         lines.append("the layers tested are those of the level dual N W^-1 of the even form "
                      "W, the sparser side; by theta duality they are all 2-designs exactly "
                      "when the input's are")
-    by_norm = {v.norm: v for v in report.per_layer}
     upto = report.certified_upto
     if upto is not None and upto.denominator == 1 and report.input.gram.is_integral:
-        for k in range(1, int(upto) + 1):
-            v = by_norm.get(Fraction(k))
-            if v is None:
-                lines.append(f"the layer (x,x)={k} is empty")
-            elif v.is_design:
-                lines.append(f"{v.lhs} = {v.rhs}, 2-DESIGN on the layer (x,x)={k}")
+        by_norm = {int(v.norm): v for v in report.per_layer
+                   if v.norm.denominator == 1 and 1 <= v.norm <= upto}
+        k = 1  # every integer norm from 1 to upto is written, each empty run up to _EMPTY_RUN long
+        for m in [*sorted(by_norm), int(upto) + 1]:
+            if m - k > _EMPTY_RUN:
+                lines.append(f"the layers (x,x)={k}..{m - 1} are empty")
             else:
-                lines.append(f"{v.lhs} != {v.rhs}, NOT a 2-design on the layer (x,x)={k}")
+                lines += [f"the layer (x,x)={j} is empty" for j in range(k, m)]
+            if m in by_norm:
+                lines.append(_layer_line(by_norm[m]))
+            k = m + 1
     else:
-        for v in report.per_layer:
-            tag = "2-DESIGN" if v.is_design else "NOT a 2-design"
-            rel = "=" if v.is_design else "!="
-            lines.append(f"{v.lhs} {rel} {v.rhs}, {tag} on the layer (x,x)={v.norm}")
+        lines += [_layer_line(v) for v in report.per_layer]
     if report.verdict == VERDICT_CRITICAL:
         lines.append("RESULT: fully critical (2-designs on every layer)")
     elif report.verdict == VERDICT_FAILURE:

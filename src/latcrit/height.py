@@ -28,34 +28,42 @@ grouped into layers and special functions run once per layer.  For a
 form P (d Q, and d' Q^-1 on its LLL-reduced basis), whose norms m are
 integers; the walk's float64 leaf norms are exact while every product and
 partial sum stays below 2^53, which ``shells._norm_magnitude`` guards, so
-the order BLAS sums them in cannot change a bit.  A layer is one value of m, found by ``np.bincount``
-with no sort; its float norm m / (d det(Q)^{1/n}) (or the inverse's
-analogue) is the only rounding.  Float-array input, and a
+the order BLAS sums them in cannot change a bit.  Layers are counted from
+the integer norms: a layer is one value of m, counted by ``np.bincount``
+with no sort, and its float norm m / (d det(Q)^{1/n}) (or the inverse's
+analogue) is the only rounding.  Each vector keeps its m, which picks the
+certificate's vectors; the index from a vector to its layer is built only
+when the summed gradient reads it.  Float-array input, and a
 ``GramMatrix`` that fails the guard or would need a bincount table of
 2^20 entries or more, walk the float form and group its rounded norms
 with ``np.unique``.  Both routes collect with ``shells.short_vectors_float``.
 Gamma(a, pi t) on the grid is cached per order a.
 The collector keeps the walk's compact form, each leaf a level-0 parent and
-its last coordinate x_0, and the gradient builds no vector: it re-centres
-each parent on an integer near the middle of its leaves' x_0 interval, sums
-the leaves' weights times 1, d and d^2 (d = x_0 - c) per parent with
-``np.bincount``, and adds the parents' closed forms in blocked sums
-(``_leaf_fold``).
+its last coordinate x_0, slice by slice as the walk gave them: the
+vectors are joined on first read, by the summed gradient alone
+(``shells.HalfSet``), and the certificate gathers its rows slice by
+slice.  The gradient builds no vector: it re-centres each parent on an
+integer near the middle of its leaves' x_0 interval, sums the leaves'
+weights times 1, d and d^2 (d = x_0 - c) per parent with ``np.bincount``,
+and adds the parents' closed forms in blocked sums (``_leaf_fold``).
 
 That numeric route is the gradient's second one (``HeightReport.route``).
-Its radius r_N must also meet the majorant of the summed gradient, whose
-weights psi1 |m|^2 decay more slowly than F's.  The first, the theorem
-route, reads the paper's theorem off the height's own walks: a lattice
-whose layers are all spherical 2-designs is a stationary point of the
-height.  On a ``GramMatrix``, judged as its integral form d Q, the
-certificate is planned and counted before anything is walked (``_judge``),
-which fixes its tested side and the range of norms it must judge.  Its
+Its radius r_N must also meet the majorant of the summed gradient
+(``_numeric_bound``), whose weights psi1 |m|^2 decay more slowly than F's;
+that majorant and r_N are computed only after a failed certificate.  The
+first route, the theorem route, reads the paper's theorem off the
+height's own walks: a lattice whose layers are all spherical 2-designs is
+a stationary point of the height.  On a ``GramMatrix``, judged as its
+integral form d Q, the certificate is planned and counted before anything
+is walked (``_judge``), which fixes its tested side and the range of norms
+it must judge.  Its
 gradient G = -(S_A / 2) A^-1 moves with F's form half S_A alone, so its
 radius r_F is the one where F's majorant and |A^-1|_F / 2 times the form
-part of it meet their tolerances: on the catalogue that is F's own radius,
-and it is never beyond r_N (``_bounds`` proves it).  The first exact walk
-of the tested side, to r_F and then to r_N, whose bound covers the range
-is judged once by ``_certificate``, on four premises:
+part of it meet their tolerances (``_bounds``): on the catalogue that is
+F's own radius, and it is never beyond r_N (``_numeric_bound`` proves it).
+The first exact walk of the tested side, to r_F and then to r_N, whose
+bound covers the range is judged once by ``_certificate``, on four
+premises:
 - duality: every layer of L is a 2-design exactly when every layer of L*
   is (theta duality, ``certify``'s module docstring), so the certificate of
   either side of the level duality covers both sums;
@@ -228,10 +236,16 @@ class _Sides:
     Ainv: np.ndarray
     det: float       # the input form's determinant
     dual: np.ndarray      # A^-1 in the basis its vectors are walked in: U^t A^-1 U
-    dual_map: np.ndarray  # U^t A^-1: a walked dual vector z is the row z U^t A^-1 in the gradient
+    U: Optional[np.ndarray]  # the dual's reducing transform, or None (U = I) for float input
     integral: tuple  # (P, unit) for A and for ``dual``, each P / unit; (None, None) for float input
+    inv_diag: tuple  # diag(P^-1) of each side's integral form, or None where it is not held
     counts: tuple    # _annulus_counts on the radii, for A and for A^-1
     exact: Optional[tuple] = None  # (d Q, a GramMatrix; the rows d' U^t Q^-1 U; d d'), or None
+
+    @functools.cached_property
+    def dual_map(self) -> np.ndarray:
+        """U^t A^-1: a walked dual vector z is the row z U^t A^-1 in the summed gradient."""
+        return self.Ainv if self.U is None else self.U.T.astype(float) @ self.Ainv
 
     def majorant(self, g_form: np.ndarray, g_dual: np.ndarray) -> np.ndarray:
         """Bound at each t_j on the sum of g over the vectors of norm > t_j, both sides.
@@ -276,10 +290,13 @@ def _sides(L, det1: bool) -> _Sides:
     d' U^t Q^-1 U at units d delta and d' / delta, with U from the exact
     ``lll_reduce`` of Q^-1: the dual is walked on its reduced basis, which
     prunes better than a skewed input basis, and its vectors z enter the
-    gradient as the rows z U^t A^-1 (``dual_map``).  The majorants stay on
-    A^-1: the walk covers the same lattice vectors, with the same norms, at
-    the same radius.  A float form is validated and inverted once,
-    symmetrized, and walked in its given basis (U = I).
+    gradient as the rows z U^t A^-1 (``dual_map``, built on first read).
+    The majorants stay on A^-1: the walk covers the same lattice vectors,
+    with the same norms, at the same radius.  The exact inverse also gives
+    the diagonal of (d Q)^-1, diag(Q^-1) / d, for the form's walk bound
+    (``_exact_bound``); the dual's reduced form keeps its float inversion.
+    A float form is validated and inverted once, symmetrized, and walked in
+    its given basis (U = I).
     """
     Q = L.gram if isinstance(L, LatticeDescriptor) else L
     if isinstance(Q, GramMatrix):
@@ -288,9 +305,10 @@ def _sides(L, det1: bool) -> _Sides:
         Qinv = gram_inverse(Q)
         Qred, U = shells.lll_reduce(Qinv)
         (P, d), (Pi, di) = Q.integral_rescale(), Qred.integral_rescale()
-        A, Ainv, dual = Q.to_float() / delta, Qinv.to_float() * delta, Qred.to_float() * delta
-        dual_map = U.T.astype(float) @ Ainv
+        Qinv_f = Qinv.to_float()
+        A, Ainv, dual = Q.to_float() / delta, Qinv_f * delta, Qred.to_float() * delta
         integral = ((np.array(P, dtype=float), d * delta), (np.array(Pi, dtype=float), di / delta))
+        inv_diag = (np.diag(Qinv_f) / d, None)
         exact = (Q if d == 1 else _scaled(Q, 1, 1), Pi, d * di)
     else:
         A = _as_form(Q)
@@ -298,9 +316,9 @@ def _sides(L, det1: bool) -> _Sides:
         if det1:
             A = A / det ** (1.0 / A.shape[0])
         Ainv = np.linalg.inv(A)
-        Ainv = dual = dual_map = 0.5 * (Ainv + Ainv.T)
-        integral, exact = (None, None), None
-    return _Sides(A=A, Ainv=Ainv, det=det, dual=dual, dual_map=dual_map, integral=integral,
+        Ainv = dual = 0.5 * (Ainv + Ainv.T)
+        U, integral, inv_diag, exact = None, (None, None), (None, None), None
+    return _Sides(A=A, Ainv=Ainv, det=det, dual=dual, U=U, integral=integral, inv_diag=inv_diag,
                   counts=(_annulus_counts(A, _RADII), _annulus_counts(Ainv, _RADII)), exact=exact)
 
 
@@ -310,15 +328,25 @@ class _Layers:
 
     half: HalfSet         # one vector per antipodal pair, in the walk's compact form
     distinct: np.ndarray  # its distinct norms, increasing
-    inverse: np.ndarray   # half[k] has norm distinct[inverse[k]]
     counts: np.ndarray    # number of half-set vectors of each distinct norm
+    norms: np.ndarray     # half[k]'s norm: the integer m on the exact route, else the float one
     exact: Optional[np.ndarray] = None  # exact route: the distinct integer norms m
 
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        """half[k] has norm distinct[inverse[k]]; built on first read, by ``_grad_sum`` alone."""
+        if self.exact is None:
+            return np.searchsorted(self.distinct, self.norms)
+        rank = np.zeros(int(self.exact[-1]) + 1 if len(self.exact) else 0, dtype=np.intp)
+        rank[self.exact] = np.arange(len(self.exact))
+        return rank[self.norms]
 
-def _exact_bound(integral, radius: float) -> Optional[int]:
+
+def _exact_bound(integral, radius: float, inv_diag=None) -> Optional[int]:
     """The integer bound of an exact walk of ``integral`` to ``radius``, or None for the float route.
 
-    ``integral`` is None, or (P, unit) with P an integral form (float array).
+    ``integral`` is None, or (P, unit) with P an integral form (float array),
+    and ``inv_diag`` diag(P^-1) when it is held (``_Sides.inv_diag``).
     The bound is floor(_slack_bound(radius) unit), the float route's slack,
     which rounds toward inclusion so that no vector within the radius is
     dropped.  The walk is exact when its norms are float-exact
@@ -329,7 +357,8 @@ def _exact_bound(integral, radius: float) -> Optional[int]:
         return None
     P, unit = integral
     bound = math.floor(_slack_bound(radius) * unit)
-    return bound if bound < _TABLE_ENTRIES and _norm_magnitude(P, bound) < FLOAT_EXACT else None
+    return (bound if bound < _TABLE_ENTRIES and _norm_magnitude(P, bound, inv_diag) < FLOAT_EXACT
+            else None)
 
 
 def _layers(M: np.ndarray, integral, radius: float, bound: Optional[int]) -> _Layers:
@@ -340,9 +369,10 @@ def _layers(M: np.ndarray, integral, radius: float, bound: Optional[int]) -> _La
     the caller may have needed before the walk.  When it is an integer, P
     is walked to it: the collector's norms are the integers m, and its own
     slack admits none above the bound: below 2^20 it adds less than
-    2^20 1e-9 + 1e-9 < 1.  They are grouped by one ``np.bincount`` with no
+    2^20 1e-9 + 1e-9 < 1.  They are counted by one ``np.bincount`` with no
     sort, and a layer's norm is m / unit.  Otherwise M is walked and its
-    rounded norms are grouped by ``np.unique``.
+    rounded norms are counted by ``np.unique``.  Each vector keeps its norm;
+    the index of its layer is built only when it is read (``_Layers``).
     """
     if bound is not None:
         P, unit = integral
@@ -350,13 +380,10 @@ def _layers(M: np.ndarray, integral, radius: float, bound: Optional[int]) -> _La
         m = m.astype(np.int64)
         table = np.bincount(m)
         norms = np.flatnonzero(table)
-        rank = np.zeros(len(table), dtype=np.intp)
-        rank[norms] = np.arange(len(norms))
-        return _Layers(half=X, distinct=norms / unit, inverse=rank[m], counts=table[norms],
-                       exact=norms)
+        return _Layers(half=X, distinct=norms / unit, counts=table[norms], norms=m, exact=norms)
     X, norms = short_vectors_float(M, radius)
-    distinct, inverse, counts = np.unique(norms, return_inverse=True, return_counts=True)
-    return _Layers(half=X, distinct=distinct, inverse=inverse, counts=counts)
+    distinct, counts = np.unique(norms, return_counts=True)
+    return _Layers(half=X, distinct=distinct, counts=counts, norms=norms)
 
 
 def _F_orders(n: int) -> tuple:
@@ -375,39 +402,49 @@ def _gradient_weight(n: int, xs: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _bounds(sides: _Sides, orders, gradient: bool) -> list:
-    """(majorant on the grid, a-priori tolerance) of the sum, then, if asked, of the gradient.
+    """(majorant on the grid, a-priori tolerance) of the sum, then, if asked, of the theorem's G.
 
-    The gradient has two rows, its numeric route's and its theorem route's.
-    The numeric route's tail is bounded in Frobenius norm term by term:
-    psi1(c) |m|^2 <= psi1(c) c lam and psi2(b) |A^-1 y|^2 <= exp(-pi b) lam,
-    both decreasing.  The theorem route's G = -(S_A / 2) A^-1 moves with
-    S_A alone, so its tail is |A^-1|_F / 2 times S_A's, which the form part
-    M_form of the sum's majorant bounds; its real tolerance
-    GRAD_TAIL_FLOOR + TAIL_REL |G| is at least GRAD_TAIL_FLOOR + TAIL_REL
-    |A^-1|_F / 2 times the form part of the sum's basis floor.
-
-    The theorem row never needs a larger radius than the numeric one.
-    ``side_majorant`` is linear in g with nonnegative weights, and
-    |A^-1|_F <= sqrt(n) lam, so at every grid radius the theorem row is
-        |A^-1|_F / 2 M_form(f) <= (n/2) lam M_form(f)
-            <= M_form((n/2 f + e^{-x}) lam) + M_dual(e^{-x} lam),
-    the numeric row, and its tolerance is at least GRAD_TAIL_FLOOR, the
-    numeric row's.  Wherever F's row and the numeric row meet their
-    tolerances the theorem row does too, so the radius r_F of F's and the
-    theorem row is at most the radius r_N of F's and the numeric row,
-    _RADIUS_CAP included.
+    The theorem route's G = -(S_A / 2) A^-1 moves with S_A alone, so its
+    tail is |A^-1|_F / 2 times S_A's, which the form part M_form of the
+    sum's majorant bounds; its real tolerance GRAD_TAIL_FLOOR + TAIL_REL |G|
+    is at least GRAD_TAIL_FLOOR + TAIL_REL |A^-1|_F / 2 times the form part
+    of the sum's basis floor.  The numeric route's row is
+    ``_numeric_bound``'s, built only when the certificate does not pass at
+    the radius r_F of these rows.
     """
     g = [_summand(a, c, _X, _radius_gamma(a)) for a, c in orders]
     form = sides.side_majorant(0, g[0])
     floors = sides.basis_floors(orders)
     out = [(form + sides.side_majorant(1, g[1]), TAIL_REL * float(sum(floors)))]
     if gradient:
-        lam = _norm_factor(sides.Ainv)
-        grad_form = _gradient_weight(sides.A.shape[0], _X, g[0]) * _X / math.pi * lam
         half_norm = 0.5 * float(np.linalg.norm(sides.Ainv))
-        out += [(sides.majorant(grad_form, np.exp(-_X) * lam), GRAD_TAIL_FLOOR),
-                (half_norm * form, GRAD_TAIL_FLOOR + TAIL_REL * half_norm * floors[0])]
+        out.append((half_norm * form, GRAD_TAIL_FLOOR + TAIL_REL * half_norm * floors[0]))
     return out
+
+
+def _numeric_bound(sides: _Sides) -> tuple:
+    """(majorant on the grid, a-priori tolerance) of the numeric route's gradient (``_grad_sum``).
+
+    Its tail is bounded in Frobenius norm term by term:
+    psi1(c) |m|^2 <= psi1(c) c lam and psi2(b) |A^-1 y|^2 <= exp(-pi b) lam,
+    both decreasing, with lam = ``_norm_factor``.
+
+    The theorem row of ``_bounds`` never needs a larger radius than this
+    one.  ``side_majorant`` is linear in g with nonnegative weights, and
+    |A^-1|_F <= sqrt(n) lam, so at every grid radius, with f F's form
+    summand, the theorem row is
+        |A^-1|_F / 2 M_form(f) <= (n/2) lam M_form(f)
+            <= M_form((n/2 f + e^{-x}) lam) + M_dual(e^{-x} lam),
+    this row, and its tolerance is at least GRAD_TAIL_FLOOR, this row's.
+    Wherever F's row and this one meet their tolerances the theorem row
+    does too, so the radius r_F of F's and the theorem row is at most the
+    radius r_N of F's and this row, _RADIUS_CAP included.
+    """
+    n = sides.A.shape[0]
+    (a, c), _ = _F_orders(n)
+    lam = _norm_factor(sides.Ainv)
+    grad_form = _gradient_weight(n, _X, _summand(a, c, _X, _radius_gamma(a))) * _X / math.pi * lam
+    return sides.majorant(grad_form, np.exp(-_X) * lam), GRAD_TAIL_FLOOR
 
 
 def _blocked_sum(L: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -517,37 +554,55 @@ def _certificate(sides: _Sides, judge: _Judge, side: _Layers) -> Optional[FullyC
     """The certificate of an exact input read off the walk of its tested side, or None.
 
     ``side`` is the exact walk of side ``judge.side``, whose bound covers
-    ``judge.limit``.  The layers in range are picked, with their rows
-    (``HalfSet.rows``) and moments (``shells._moments``), and
-    ``certify._report`` judges every one on ``judge.T``: its report, the
-    one ``fully_critical`` gives, is returned when it is fully critical.
+    ``judge.limit``.  The vectors of the layers in range, of walked norm
+    m <= ``judge.limit``, are picked, with their rows (``HalfSet.rows``)
+    and moments (``shells._moments``), and ``certify._report`` judges every
+    layer on ``judge.T``: its report, the one ``fully_critical`` gives, is
+    returned when it is fully critical.
     """
-    plan, norms = judge.plan, side.exact
-    k = int(np.searchsorted(norms, judge.limit, side="right"))  # the layers in range
-    pick = np.flatnonzero(side.inverse < k)
+    plan = judge.plan
+    pick = np.flatnonzero(side.norms <= judge.limit)
     moments = {m * judge.scale: (card, S)
-               for m, card, S in _moments(side.half.rows(pick), norms[side.inverse[pick]])}
+               for m, card, S in _moments(side.half.rows(pick), side.norms[pick])}
     report = _report(LatticeDescriptor(gram=sides.exact[0]), plan, moments, judge.T,
                      2 * plan.B, "")
     return report if report.verdict == VERDICT_CRITICAL else None
 
 
-def _radius(M: np.ndarray, a_priori: np.ndarray) -> float:
-    """The first grid radius up to _RADIUS_CAP where every majorant row meets its a-priori
-    tolerance, or that cap when none does."""
+def _radius(rows: list) -> float:
+    """The first grid radius up to _RADIUS_CAP where every (majorant, a-priori tolerance) row
+    meets its tolerance, or that cap when none does."""
+    M, a_priori = np.array([m for m, _ in rows]), np.array([t for _, t in rows])
     fits = np.flatnonzero(np.all(M <= a_priori[:, None], axis=0) & (_RADII <= _RADIUS_CAP))
     return float(_RADII[fits[0]]) if fits.size else _RADIUS_CAP
+
+
+def _side_bound(sides: _Sides, k: int, radius: float) -> Optional[int]:
+    """``_exact_bound`` of side k's walk to ``radius``."""
+    return _exact_bound(sides.integral[k], radius, sides.inv_diag[k])
 
 
 def _walk(sides: _Sides, k: int, radius: float) -> _Layers:
     """Side k's layers to ``radius``: the form's (k = 0) or its inverse's (k = 1)."""
     return _layers((sides.A, sides.dual)[k], sides.integral[k], radius,
-                   _exact_bound(sides.integral[k], radius))
+                   _side_bound(sides, k, radius))
 
 
-def _tail(M: np.ndarray, radius: float, tolerances: list, what: str) -> float:
+def _judged(sides: _Sides, judge: _Judge, radius: float) -> tuple:
+    """(the tested side's exact walk to ``radius``, its certificate or None), or (None, None)
+    when that walk's bound does not cover the tested range."""
+    k = judge.side
+    bound = _side_bound(sides, k, radius)
+    if bound is None or judge.limit > bound:
+        return None, None
+    tested = _layers((sides.A, sides.dual)[k], sides.integral[k], radius, bound)
+    return tested, _certificate(sides, judge, tested)
+
+
+def _tail(rows: list, radius: float, tolerances: list, what: str) -> float:
     """The majorant rows' sum at ``radius``, once each meets its real tolerance."""
-    tails = M[:, np.searchsorted(_RADII, radius, side="right") - 1]
+    j = np.searchsorted(_RADII, radius, side="right") - 1
+    tails = np.array([m[j] for m, _ in rows])
     if not np.all(tails <= np.array(tolerances)):
         raise TruncationError(f"{what}: tail tolerance unattained at radius {radius:.6g}")
     return float(np.sum(tails))
@@ -559,45 +614,45 @@ def _certified_sum(sides: _Sides, orders, what: str, gradient: bool = False):
     S sums c x^{-a} Gamma(a, x) over the nonzero vectors of A at
     x = pi A[m], and over those of A^-1 at x = pi A^-1[y], with ``orders``
     ((a, c) for A, then for A^-1).  With ``gradient`` (only for F's orders)
-    G is F's gradient, else None.  ``_bounds`` gives each quantity's tail
-    majorant at every grid radius and its a-priori tolerance, and a radius
-    is the first grid radius where the majorants it needs meet them
+    G is F's gradient, else None.  ``_bounds`` gives F's tail majorant at
+    every grid radius and its a-priori tolerance, and the theorem
+    gradient's, and ``_numeric_bound`` the numeric gradient's; a radius is
+    the first grid radius where the majorants it needs meet them
     (``_radius``).  The vectors of norm <= radius of A and of A^-1 are
     collected once each and grouped by norm into ``layers`` (``_layers``, on
     the sides' integral forms when they have them).  Each summand is
     evaluated once per layer and summed against the layer counts.
 
-    An exact input plans its certificate first (``_judge``).  The first
-    exact walk of its tested side, to the theorem route's radius r_F and
-    then to the numeric route's r_N >= r_F, whose bound covers the tested
-    range is walked and judged once (``_certificate``).  A pass at r_F sums
-    at r_F against F's and the theorem gradient's majorants; a pass at r_N
-    keeps F's and the numeric gradient's, which bound a certified G too.
-    Either way G = -(S_A / 2) A^-1 with S_A F's form half (the module
-    docstring), and the certificate is returned.  Otherwise the radius is
-    r_N and ``_grad_sum`` sums G.  The judged walk is kept when it lies at
-    the final radius, and every other side is walked there.  The majorants
+    An exact input plans its certificate first (``_judge``).  Its tested
+    side is walked to the theorem route's radius r_F and judged once there
+    (``_certificate``) when that walk's bound covers the tested range.  A
+    pass sums at r_F against F's and the theorem gradient's majorants, and
+    builds no more than the report reads: the numeric gradient's majorant,
+    r_N, the walks' joined vectors, their layer index and the dual map are
+    never built.  Anything else takes the numeric route's r_N >= r_F, and a
+    range beyond the walk to r_F is judged on the walk to r_N instead; a
+    pass there keeps F's and the numeric gradient's majorants, which bound a
+    certified G too.  On a pass G = -(S_A / 2) A^-1 with S_A F's form half
+    (the module docstring), and the certificate is returned; otherwise the
+    radius is r_N and ``_grad_sum`` sums G.  The judged walk is kept when it
+    lies at the final radius, and every other side is walked there.  The majorants
     at the radius must meet the real tolerances (TAIL_REL |S|, and
     GRAD_TAIL_FLOOR + TAIL_REL |G|), or TruncationError is raised.
     """
-    bounds = _bounds(sides, orders, gradient)
-    M, a_priori = np.array([m for m, _ in bounds]), np.array([t for _, t in bounds])
-    rows = slice(2)  # F's, with the numeric route's G when there is one
-    radius = _radius(M[rows], a_priori[rows])
+    rows = _bounds(sides, orders, gradient)  # F's, with the theorem route's G when there is one
+    radius = _radius(rows)
     judge = _judge(sides) if gradient and sides.exact else None
-    layers, certificate = [None, None], None
-    if judge is not None:
-        k, r_F = judge.side, _radius(M[[0, 2]], a_priori[[0, 2]])
-        for r in dict.fromkeys((r_F, radius)):
-            bound = _exact_bound(sides.integral[k], r)
-            if bound is not None and judge.limit <= bound:
-                tested = _layers((sides.A, sides.dual)[k], sides.integral[k], r, bound)
-                certificate = _certificate(sides, judge, tested)
-                if certificate is not None and r == r_F:
-                    radius, rows = r_F, [0, 2]  # F's, with the theorem route's G
-                if r == radius:
-                    layers[k] = tested
-                break
+    tested, certificate = _judged(sides, judge, radius) if judge else (None, None)
+    if gradient and certificate is None:  # the numeric route, at its radius r_N >= r_F
+        rows = [rows[0], _numeric_bound(sides)]
+        r_N = _radius(rows)
+        if r_N != radius:  # a failed walk to r_F is dropped; one short of the range tries r_N
+            tested, certificate = (_judged(sides, judge, r_N) if judge and tested is None
+                                   else (None, None))
+        radius = r_N
+    layers = [None, None]
+    if tested is not None:
+        layers[judge.side] = tested
     layers = tuple(_walk(sides, k, radius) if layers[k] is None else layers[k] for k in (0, 1))
     S, form_half, f = _layer_sums(orders, layers)
     tolerances = [TAIL_REL * max(abs(S), 1e-30)]
@@ -606,7 +661,7 @@ def _certified_sum(sides: _Sides, orders, what: str, gradient: bool = False):
         G, gtol = (_grad_sum(sides, layers, f) if certificate is None
                    else _theorem_gradient(sides, form_half))
         tolerances.append(gtol)
-    return S, G, _tail(M[rows], radius, tolerances, what), radius, layers, certificate
+    return S, G, _tail(rows, radius, tolerances, what), radius, layers, certificate
 
 
 def _theorem_gradient(sides: _Sides, form_half) -> tuple[np.ndarray, float]:
@@ -717,7 +772,8 @@ def _projected_residual(Ainv: np.ndarray, G: np.ndarray) -> float:
 
     Ainv is the sides' A^-1, which is symmetric (``_sides``).
     """
-    lam = float(np.tensordot(Ainv, G)) / float(np.tensordot(Ainv, Ainv))
+    a, g = Ainv.ravel(), G.ravel()
+    lam = float(np.dot(a, g)) / float(np.dot(a, a))
     P = G - lam * Ainv
     return float(np.linalg.norm(P)) / max(float(np.linalg.norm(G)), 1e-300)
 

@@ -16,8 +16,9 @@ at most 32 nodes, so the walk's memory bound still holds.  The walk yields
 its leaves compact, in slices of at most ``_CHUNK_ROWS``: the level-0
 parents, and each leaf's parent index, last coordinate x_0 and norm.  Both
 certificates gather them into int64 rows by ``HalfSet.rows``; the height's one collector
-(``short_vectors_float``) keeps them compact (``HalfSet``), so that the
-height sums over each parent's leaves in closed form.  The float search
+(``short_vectors_float``) keeps them compact and sliced (``HalfSet``), so that the
+height sums over each parent's leaves in closed form, joining the slices
+only when it sums them.  The float search
 tree is pruned with an inflated bound and every candidate is re-verified
 with its exact norm, so the resulting layers are complete and exact.  The
 walk gives each leaf its norm by the leaf quadratic (P_00 x_0 + 2b) x_0 + c,
@@ -39,8 +40,8 @@ norms (``_runs``).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -280,19 +281,23 @@ def _slack_bound(bound: float) -> float:
     return bound * (1 + 1e-9) + 1e-9
 
 
-def _norm_magnitude(P: np.ndarray, bound: int) -> float:
+def _norm_magnitude(P: np.ndarray, bound: int, inv_diag=None) -> float:
     """A bound on every product and partial sum of the norms of the walk to P[x] <= bound.
 
-    P is an integral form (int64, or float holding integers).  A walked row
-    has |x_k| <= sqrt(bound (P^-1)_kk) plus the walk's slack, so with
-    xmax_k = that root + 2 the sum sum_jk xmax_j |P_jk| xmax_k bounds
-    sum_jk |x_j||P_jk||x_k|, and, as every xmax_k >= 2, also each entry of
-    X @ P, each product and each partial sum, in any order, and each partial
-    result of the walk's leaf quadratic (see ``_fp_rows``).  Its terms are
-    nonnegative, so it is at least P_kk xmax_k^2.
+    P is an integral form (int64, or float holding integers), and
+    ``inv_diag`` the diagonal of P^-1 when the caller holds it, else P is
+    inverted in floats.  A walked row has |x_k| <= sqrt(bound (P^-1)_kk)
+    plus the walk's slack, so with xmax_k = that root + 2 the sum
+    sum_jk xmax_j |P_jk| xmax_k bounds sum_jk |x_j||P_jk||x_k|, and, as
+    every xmax_k >= 2, also each entry of X @ P, each product and each
+    partial sum, in any order, and each partial result of the walk's leaf
+    quadratic (see ``_fp_rows``).  Its terms are nonnegative, so it is at
+    least P_kk xmax_k^2.
     """
     Pf = np.asarray(P, dtype=float)
-    xmax = np.sqrt(np.maximum(np.diag(np.linalg.inv(Pf)), 0.0) * float(bound)) + 2.0
+    if inv_diag is None:
+        inv_diag = np.diag(np.linalg.inv(Pf))
+    xmax = np.sqrt(np.maximum(inv_diag, 0.0) * float(bound)) + 2.0
     return float(xmax @ np.abs(Pf) @ xmax)
 
 
@@ -472,26 +477,62 @@ def _summable(X: np.ndarray) -> np.ndarray:
 # the height's collector (no LLL step: the vectors stay in the coordinates given)
 
 
-@dataclass(frozen=True, eq=False)
 class HalfSet:
     """Float vectors in the walk's compact form: vector k is parents[parent[k]] with x_0 = x0[k].
 
-    ``parents`` hold x_0 = 0 and ``parent`` is nondecreasing, so each
-    parent's vectors are consecutive; ``len`` counts the vectors.
+    A walk's set keeps the walk's slices (X, p, x_0) as they came
+    (``_fp_rows``): p indexes the slice's frontier X of level-0 parents, and
+    consecutive slices may share one X.  ``parents``, ``parent`` and ``x0``
+    join them on first read: the frontiers concatenated once each, the
+    indices offset into them; ``parents`` hold x_0 = 0 and ``parent`` is
+    nondecreasing, so each parent's vectors are consecutive.  ``len`` counts
+    the vectors and ``rows`` gathers them slice by slice, so neither joins.
     """
 
-    parents: np.ndarray  # (parents, n) float
-    parent: np.ndarray   # (vectors,) intp
-    x0: np.ndarray       # (vectors,) float
+    def __init__(self, parents: np.ndarray, parent: np.ndarray, x0: np.ndarray):
+        self.slices = ((parents, parent, x0),)  # (parents, n) float, (vectors,) intp and float
+
+    @classmethod
+    def walked(cls, slices: tuple) -> HalfSet:
+        """The set of a walk's nonempty list of slices (X, p, x_0), joined on first read."""
+        half = cls.__new__(cls)
+        half.slices = slices
+        return half
 
     def __len__(self) -> int:
-        return len(self.x0)
+        return sum(len(x) for _, _, x in self.slices)
 
-    def rows(self, pick=slice(None)) -> np.ndarray:
-        """The vectors ``pick`` (all by default) as int64 rows, from a walk of an integral form."""
-        X = self.parents[self.parent[pick]]
-        X[:, 0] = self.x0[pick]
-        return X.astype(np.int64)
+    @functools.cached_property
+    def _joined(self) -> tuple:
+        if len(self.slices) == 1:
+            return self.slices[0]
+        frontiers, parent, start = [], [], 0
+        for X, p, _ in self.slices:
+            if not frontiers or X is not frontiers[-1]:  # a new frontier, indexed from ``start``
+                start += len(frontiers[-1]) if frontiers else 0
+                frontiers.append(X)
+            parent.append(p + start)
+        return (np.concatenate(frontiers), np.concatenate(parent),
+                np.concatenate([x for _, _, x in self.slices]))
+
+    parents = property(lambda self: self._joined[0])
+    parent = property(lambda self: self._joined[1])
+    x0 = property(lambda self: self._joined[2])
+
+    def rows(self, pick=None) -> np.ndarray:
+        """The vectors ``pick`` (increasing indices; all by default) as int64 rows, from a walk
+        of an integral form, gathered slice by slice."""
+        out, start = [], 0
+        for X, p, x in self.slices:
+            k = slice(None)
+            if pick is not None:
+                stop = start + len(x)
+                k = pick[pick.searchsorted(start):pick.searchsorted(stop)] - start
+                start = stop
+            R = X[p[k]]
+            R[:, 0] = x[k]
+            out.append(R)
+        return (out[0] if len(out) == 1 else np.concatenate(out)).astype(np.int64)
 
 
 def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[HalfSet, np.ndarray]:
@@ -504,35 +545,31 @@ def short_vectors_float(Qf: np.ndarray, bound: float) -> tuple[HalfSet, np.ndarr
     FLOAT_EXACT the norms are the exact integers.  Returns (half, norms),
     one representative per antipodal pair, in the walk's order, which does
     not depend on the bound; they are not sorted by norm.  ``half`` keeps
-    the walk's compact level-0 form: the slices' parents concatenated
-    once each, and every leaf's parent index into them and x_0.  The bound
-    must be finite and nonnegative.  More kept vectors (two per leaf) than
-    ``DEFAULT_MAX_VECTORS``, read at each call, raise EnumerationBudgetError.
+    the walk's compact level-0 form slice by slice, joined only when its
+    parents, parent indices or x_0 are read (``HalfSet``); ``norms`` is one
+    array.  The bound must be finite and nonnegative.  More kept vectors
+    (two per leaf) than ``DEFAULT_MAX_VECTORS``, read at each call, raise
+    EnumerationBudgetError.
     """
     bound = float(bound)
     if not (math.isfinite(bound) and bound >= 0):
         raise ValueError(f"enumeration bound must be finite and nonnegative, got {bound}")
     Qf = np.asarray(Qf, dtype=float)
     cut = _slack_bound(bound)
-    parents, leaves, start, seen = [], [], 0, 0
+    slices, norm_slices, seen = [], [], 0
     for X, p, x, norms in _fp_rows(Qf, bound):
-        if not parents or X is not parents[-1]:  # a new frontier, indexed from ``start``
-            start += len(parents[-1]) if parents else 0
-            parents.append(X)
         keep = norms <= cut
         if not keep.all():
             p, x, norms = p[keep], x[keep], norms[keep]
         seen += 2 * len(x)
         if seen > DEFAULT_MAX_VECTORS:
             raise EnumerationBudgetError(seen, DEFAULT_MAX_VECTORS, bound)
-        leaves.append((p + start, x, norms))
-    if not leaves:
+        slices.append((X, p, x))
+        norm_slices.append(norms)
+    if not slices:
         return HalfSet(np.empty((0, Qf.shape[0])), np.empty(0, np.intp), np.empty(0)), np.empty(0)
-    if len(leaves) == 1:
-        (p, x, norms), = leaves
-        return HalfSet(parents[0], p, x), norms
-    p, x, norms = (np.concatenate(a) for a in zip(*leaves))
-    return HalfSet(np.concatenate(parents), p, x), norms
+    return HalfSet.walked(tuple(slices)), (norm_slices[0] if len(norm_slices) == 1
+                                           else np.concatenate(norm_slices))
 
 
 def dump_spectrum(layers: dict[Fraction, np.ndarray]) -> str:

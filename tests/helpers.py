@@ -449,7 +449,7 @@ def majorant_soundness(Q) -> list[tuple[float, float]]:
     """[(majorant, true remainder)] of F and the gradient at height's certified radius.
 
     The majorants are those ``height`` certified with: its sides' arrays of
-    F and of the gradient (``_bounds``) read at the truncation radius, and
+    F and of the gradient (``_bounds`` and ``_numeric_bound``) read at the truncation radius, and
     their sum must be the report's tail estimate.  The gradient's is the
     theorem route's when the certificate passes at that route's own radius
     r_F, and otherwise the numeric route's at the numeric radius r_N, on
@@ -463,10 +463,9 @@ def majorant_soundness(Q) -> list[tuple[float, float]]:
     sides = H._sides(Q, det1=True)
     rep = H.height(Q)
     j = int(np.searchsorted(H._RADII, rep.truncation_radius, side="right")) - 1
-    F_row, numeric, theorem = H._bounds(sides, H._F_orders(sides.A.shape[0]), True)
-    r_F = H._radius(np.array([F_row[0], theorem[0]]), np.array([F_row[1], theorem[1]]))
-    at_r_F = rep.route == H.ROUTE_THEOREM and rep.truncation_radius == r_F
-    G_row = theorem if at_r_F else numeric
+    F_row, theorem = H._bounds(sides, H._F_orders(sides.A.shape[0]), True)
+    at_r_F = rep.route == H.ROUTE_THEOREM and rep.truncation_radius == H._radius([F_row, theorem])
+    G_row = theorem if at_r_F else H._numeric_bound(sides)
     majorants = [float(F_row[0][j]), float(G_row[0][j])]
     assert sum(majorants) == rep.tail_estimate
     return list(zip(majorants, height_remainders(sides.A, rep.truncation_radius, rep.route)))
@@ -519,7 +518,7 @@ def basis_rule_radius(Q) -> float:
     takes the numeric majorant with its absolute floor; on the theorem route
     it takes the theorem majorant, with the form's part of those evaluated
     terms in place of their floor, whose radius r_F is never beyond the
-    numeric one (``height._bounds``).  A radius is the first grid radius
+    numeric one (``height._numeric_bound``).  A radius is the first grid radius
     where both majorants meet these tolerances, or the cap when none does.
     (A certified lattice whose range the walk to r_F does not cover takes
     the numeric radius; no catalogue form does.)
@@ -527,7 +526,8 @@ def basis_rule_radius(Q) -> float:
     H = _height
     sides = H._sides(Q, det1=True)
     n = sides.A.shape[0]
-    (F_major, _), (G_major, G_tol), (T_major, _) = H._bounds(sides, H._F_orders(n), True)
+    (F_major, _), (T_major, _) = H._bounds(sides, H._F_orders(n), True)
+    G_major, G_tol = H._numeric_bound(sides)
     xf, xd = math.pi * np.diag(sides.A), math.pi * np.diag(sides.Ainv)
     form = 2.0 * np.sum(xf ** (-n / 2) * upper_gamma(n / 2, xf))
     basis = form + 2.0 * np.sum(upper_gamma(0.0, xd))

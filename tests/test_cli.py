@@ -14,7 +14,7 @@ import pytest
 import latcrit
 from latcrit import (VERDICT_FAILURE, DesignVerdict, GramMatrix, __version__, conjecture_probe,
                      fully_critical, height, load_catalog, shells)
-from latcrit.cli import RunReport, _random_integral_spd, main
+from latcrit.cli import _EMPTY_RUN, RunReport, _random_integral_spd, main
 
 from helpers import (box_vectors, envelope, gram_json, moment_identity_holds, pair_sum_bruteforce,
                      random_rational_spd)
@@ -39,6 +39,30 @@ class TestFullyCritical:
         assert "150 = 150, 2-DESIGN on the layer (x,x)=3" in out
         assert "4118640000 = 4118640000, 2-DESIGN on the layer (x,x)=60" in out
         assert "RESULT: fully critical" in out
+
+    def test_transcript_collapses_long_empty_runs(self, tmp_path, capsys):
+        # [[2, 1], [1, 100003]] fails at norm 2 with 929 layers tested up to
+        # the horizon 412,752: one line per norm would be 412,754 lines.  A
+        # run of more than _EMPTY_RUN empty layers is one line, so every norm
+        # is still written and the lines stay a small multiple of the layers
+        path = tmp_path / "long.txt"
+        path.write_text("2\n2 1\n1 100003\n", encoding="utf-8")
+        rc = main(["fully-critical", "--gram", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert "horizon B = 412752, 929 nonempty layers tested" in lines[0]
+        assert "4 != 2, NOT a 2-design on the layer (x,x)=2" in lines
+        assert lines[-1] == "RESULT: FAILURE at the layer (x,x)=2"
+        assert len(lines) <= 3 * 929
+        written = 0
+        for line in lines[1:-1]:
+            if line.startswith("the layers (x,x)="):
+                a, b = map(int, line.split("=")[1].split(" ")[0].split(".."))
+                assert b - a + 1 > _EMPTY_RUN
+                written += b - a + 1
+            else:
+                written += 1
+        assert written == 412752
 
     def test_failure_exit_code(self, diag12_file, capsys):
         rc = main(["fully-critical", "--gram", diag12_file])
@@ -425,8 +449,9 @@ class TestNumericCommands:
         # infinite a-priori tolerances make the first grid radius the chosen
         # one, where stf7a's certified tail misses its real tolerance
         H = sys.modules["latcrit.height"]
-        real = H._bounds
+        real, real_numeric = H._bounds, H._numeric_bound
         monkeypatch.setattr(H, "_bounds", lambda *args: [(m, math.inf) for m, _ in real(*args)])
+        monkeypatch.setattr(H, "_numeric_bound", lambda sides: (real_numeric(sides)[0], math.inf))
         rc = main(["height", "--name", "stf7a"])
         err = capsys.readouterr().err
         assert rc == 2

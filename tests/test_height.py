@@ -602,10 +602,9 @@ class TestTheoremRoute:
         H = sys.modules["latcrit.height"]
         shells = sys.modules["latcrit.shells"]
         sides = H._sides(Q, det1=True)
-        bounds = H._bounds(sides, H._F_orders(Q.n), True)
-        M, a_priori = np.array([m for m, _ in bounds]), np.array([t for _, t in bounds])
-        radii = {"r_F": H._radius(M[[0, 2]], a_priori[[0, 2]]),
-                 "r_N": H._radius(M[:2], a_priori[:2])}
+        F_row, theorem = H._bounds(sides, H._F_orders(Q.n), True)
+        numeric = H._numeric_bound(sides)
+        radii = {"r_F": H._radius([F_row, theorem]), "r_N": H._radius([F_row, numeric])}
         calls = {"walk": 0, "lll": 0, "judged": 0}
         real_walk, real_lll, real_cert = H.short_vectors_float, shells.lll_reduce, H._certificate
         monkeypatch.setattr(H, "short_vectors_float", lambda *a: calls.__setitem__(
@@ -618,15 +617,15 @@ class TestTheoremRoute:
         assert (calls, rep.route) == ({"walk": walks, "lll": 1, "judged": judged}, route)
         assert rep.truncation_radius == radii[at]
         j = int(np.searchsorted(H._RADII, radii[at], side="right")) - 1
-        row = 2 if (route, at) == ("theorem", "r_F") else 1
-        assert rep.tail_estimate == float(M[0, j] + M[row, j])
+        row = theorem if (route, at) == ("theorem", "r_F") else numeric
+        assert rep.tail_estimate == float(F_row[0][j] + row[0][j])
         _numeric(monkeypatch)
         num = height(Q).truncation_radius
         assert num == radii["r_N"]
         assert (rep.truncation_radius < num) == (route == "theorem" and at == "r_F")
 
     def test_theorem_radius_is_at_most_the_numeric_one(self):
-        # the proof of r_F <= r_N (``height._bounds``) and its premises: at
+        # the proof of r_F <= r_N (``height._numeric_bound``) and its premises: at
         # every grid radius the theorem gradient's majorant is at most the
         # numeric gradient's and its a-priori tolerance at least the numeric
         # one's, so r_F, where F's majorant and the theorem gradient's meet
@@ -643,11 +642,59 @@ class TestTheoremRoute:
                   GramMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 40000]])]
         for q in forms:
             sides = H._sides(q, det1=True)
-            bounds = H._bounds(sides, H._F_orders(sides.A.shape[0]), True)
-            M, a_priori = np.array([m for m, _ in bounds]), np.array([t for _, t in bounds])
-            assert np.all(M[2] <= M[1]) and a_priori[2] >= a_priori[1], q
-            assert H._radius(M[[0, 2]], a_priori[[0, 2]]) <= H._radius(M[:2], a_priori[:2]), q
+            F_row, theorem = H._bounds(sides, H._F_orders(sides.A.shape[0]), True)
+            numeric = H._numeric_bound(sides)
+            assert np.all(theorem[0] <= numeric[0]) and theorem[1] >= numeric[1], q
+            assert H._radius([F_row, theorem]) <= H._radius([F_row, numeric]), q
         assert len(forms) == 1001 + 42 + 3
+
+
+def _record_built(monkeypatch) -> tuple[dict, list]:
+    """Count ``_norm_factor`` and float inversions, and keep every walk's HalfSet."""
+    H = sys.modules["latcrit.height"]
+    calls, halves = {"norm_factor": 0, "inv": 0}, []
+    real_factor, real_inv, real_walk = H._norm_factor, np.linalg.inv, H.short_vectors_float
+
+    def counted(key, fn):
+        return lambda *a: calls.__setitem__(key, calls[key] + 1) or fn(*a)
+
+    monkeypatch.setattr(H, "_norm_factor", counted("norm_factor", real_factor))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", real_inv))
+    def walk(*args):
+        out = real_walk(*args)
+        halves.append(out[0])
+        return out
+
+    monkeypatch.setattr(H, "short_vectors_float", walk)
+    return calls, halves
+
+
+class TestBuiltOnFirstRead:
+    def test_theorem_route_builds_only_what_its_report_reads(self, monkeypatch):
+        # every catalogue height passes at F's radius r_F: the numeric
+        # gradient's majorant and its lam_max are never built, no walk is
+        # joined, no layer index and no dual map is built, and the one float
+        # inversion per height bounds the dual's walk (the form's reads
+        # diag(Q^-1) off the exact inverse)
+        calls, halves = _record_built(monkeypatch)
+        runs = _record_certified_sums(monkeypatch)
+        for e in load_catalog().entries:
+            assert height(e).route == "theorem"
+        assert calls == {"norm_factor": 0, "inv": 42} and len(halves) == 84
+        assert not any("_joined" in vars(half) for half in halves)
+        for sides, _, _, (*_, layers, _) in runs:
+            assert "dual_map" not in vars(sides)
+            assert not any("inverse" in vars(side) for side in layers)
+
+    def test_numeric_route_builds_them(self, monkeypatch):
+        # diag(1, 2) fails its certificate at r_F = r_N and sums its gradient
+        calls, halves = _record_built(monkeypatch)
+        runs = _record_certified_sums(monkeypatch)
+        assert height(D12).route == "numeric"
+        assert calls["norm_factor"] == 1 and len(halves) == 2
+        assert all("_joined" in vars(half) for half in halves)
+        [(sides, _, _, (*_, layers, _))] = runs
+        assert "dual_map" in vars(sides) and all("inverse" in vars(side) for side in layers)
 
 
 class TestOneLatticeSumLoop:
@@ -666,8 +713,9 @@ class TestOneLatticeSumLoop:
         # radius; the real check rejects it, and no larger radius is tried
         H = sys.modules["latcrit.height"]
         e = load_catalog().by_name("stf7a")
-        real = H._bounds
+        real, real_numeric = H._bounds, H._numeric_bound
         monkeypatch.setattr(H, "_bounds", lambda *args: [(m, math.inf) for m, _ in real(*args)])
+        monkeypatch.setattr(H, "_numeric_bound", lambda sides: (real_numeric(sides)[0], math.inf))
         walks = _record_walks(monkeypatch)
         with pytest.raises(TruncationError):
             height(e)
@@ -1151,6 +1199,7 @@ class TestAnnulusMajorant:
 
     def test_majorant_is_nonincreasing_in_the_radius(self):
         H = sys.modules["latcrit.height"]
-        for majorant, _ in H._bounds(H._sides(D4, det1=True), H._F_orders(4), True):
+        sides = H._sides(D4, det1=True)
+        for majorant, _ in [*H._bounds(sides, H._F_orders(4), True), H._numeric_bound(sides)]:
             assert np.all(np.diff(majorant) <= 0.0)
             assert majorant[-1] == 0.0

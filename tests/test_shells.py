@@ -246,6 +246,26 @@ class TestSplitFrontiers:
         assert np.array_equal(half_rows(X), half_rows(float_default[0]))
         assert np.array_equal(norms, float_default[1])
 
+    def test_rows_gather_slice_by_slice(self, monkeypatch):
+        # at 64 rows a slice the walk of stc12's integral form to 40 spans 34
+        # slices, which share 6 frontiers; rows(pick), for sorted picks
+        # within and across slices, gathers the rows the joined set gives,
+        # and neither rows nor len joins the slices
+        P = np.array(lll_reduce(load_catalog().by_name("stc12").gram)[0].integral_rescale()[0],
+                     dtype=float)
+        monkeypatch.setattr(shells, "_CHUNK_ROWS", 64)
+        half, norms = short_vectors_float(P, 40.0)
+        frontiers = {id(X): len(X) for X, _, _ in half.slices}
+        assert len(half.slices) > 5 * len(frontiers) > 25 and len(half) == len(norms)
+        picks = [np.empty(0, np.intp), np.arange(0, len(half), 7), np.flatnonzero(norms <= 12),
+                 np.arange(len(half))]
+        got = [half.rows(pick) for pick in picks] + [half.rows()]
+        assert "_joined" not in vars(half)
+        joined = half_rows(half).astype(np.int64)
+        assert len(half.parents) == sum(frontiers.values())
+        for pick, rows in zip(picks + [slice(None)], got):
+            assert rows.dtype == np.int64 and np.array_equal(rows, joined[pick])
+
 
 class TestInvariants:
     def test_unimodular_invariance_of_counts(self):
