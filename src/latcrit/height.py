@@ -577,22 +577,17 @@ def _radius(rows: list) -> float:
     return float(_RADII[fits[0]]) if fits.size else _RADIUS_CAP
 
 
-def _side_bound(sides: _Sides, k: int, radius: float) -> Optional[int]:
-    """``_exact_bound`` of side k's walk to ``radius``."""
-    return _exact_bound(sides.integral[k], radius, sides.inv_diag[k])
-
-
 def _walk(sides: _Sides, k: int, radius: float) -> _Layers:
     """Side k's layers to ``radius``: the form's (k = 0) or its inverse's (k = 1)."""
     return _layers((sides.A, sides.dual)[k], sides.integral[k], radius,
-                   _side_bound(sides, k, radius))
+                   _exact_bound(sides.integral[k], radius, sides.inv_diag[k]))
 
 
 def _judged(sides: _Sides, judge: _Judge, radius: float) -> tuple:
     """(the tested side's exact walk to ``radius``, its certificate or None), or (None, None)
     when that walk's bound does not cover the tested range."""
     k = judge.side
-    bound = _side_bound(sides, k, radius)
+    bound = _exact_bound(sides.integral[k], radius, sides.inv_diag[k])
     if bound is None or judge.limit > bound:
         return None, None
     tested = _layers((sides.A, sides.dual)[k], sides.integral[k], radius, bound)

@@ -494,7 +494,7 @@ class HalfSet:
 
     @classmethod
     def walked(cls, slices: tuple) -> HalfSet:
-        """The set of a walk's nonempty list of slices (X, p, x_0), joined on first read."""
+        """The set of a walk's slices (X, p, x_0), at least one, joined on first read."""
         half = cls.__new__(cls)
         half.slices = slices
         return half
