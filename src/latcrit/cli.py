@@ -226,7 +226,8 @@ def _cmd_fully_critical(args):
     rep = fully_critical(desc, args.bound, max_vectors=args.max_vectors)
     code = {VERDICT_CRITICAL: EXIT_OK, VERDICT_FAILURE: EXIT_FAILURE}.get(
         rep.verdict, EXIT_INCONCLUSIVE)
-    return _input_dict(desc), rep.to_dict(), _transcript(rep), code
+    text = _transcript(rep) if args.format == "text" else ""  # JSON carries the report alone
+    return _input_dict(desc), rep.to_dict(), text, code
 
 
 def _route_text(hrep) -> str:

@@ -8,7 +8,7 @@ and x = pi Q^-1[y]: the zeta body has (a, b, c) = (s, n/2 - s, det^{-1/2})
 and the height's invariant F has (n/2, 0, 1).  Every such sum is evaluated
 by ``_certified_sum`` with one summand on the ``_Sides`` built once per
 call: A (at determinant 1 for the height), A^-1 (for a ``GramMatrix``,
-from the exact inverse the dual's walk reads), their integral forms and
+from the exact inverse), the forms their walks start from, and their
 annulus counts.  The height's gradient on the determinant-1 manifold is its
 one extra quantity, weighted by F's summand through the incomplete-gamma
 recurrence.  The tail majorants are evaluated on one fixed geometric grid
@@ -23,29 +23,24 @@ The check of the same majorants against the real tolerance stays as the
 guard of record: it raises ``TruncationError``.
 
 A summand depends only on its vector's norm, so each side's vectors are
-grouped into layers and special functions run once per layer.  For a
-``GramMatrix`` the layers are exact: each side is walked on its integral
-form P (d Q, and d' Q^-1 on its LLL-reduced basis), whose norms m are
-integers; the walk's float64 leaf norms are exact while every product and
-partial sum stays below 2^53, which ``shells._norm_magnitude`` guards, so
-the order BLAS sums them in cannot change a bit.  Layers are counted from
-the integer norms: a layer is one value of m, counted by ``np.bincount``
-with no sort, and its float norm m / (d det(Q)^{1/n}) (or the inverse's
-analogue) is the only rounding.  Each vector keeps its m, which picks the
-certificate's vectors; the index from a vector to its layer is built only
-when the summed gradient reads it.  Float-array input, and a
-``GramMatrix`` that fails the guard or would need a bincount table of
-2^20 entries or more, walk the float form and group its rounded norms
-with ``np.unique``.  Both routes collect with ``shells.short_vectors_float``.
-Gamma(a, pi t) on the grid is cached per order a.
-The collector keeps the walk's compact form, each leaf a level-0 parent and
-its last coordinate x_0, slice by slice as the walk gave them: the
-vectors are joined on first read, by the summed gradient alone
-(``shells.HalfSet``), and the certificate gathers its rows slice by
-slice.  The gradient builds no vector: it re-centres each parent on an
-integer near the middle of its leaves' x_0 interval, sums the leaves'
-weights times 1, d and d^2 (d = x_0 - c) per parent with ``np.bincount``,
-and adds the parents' closed forms in blocked sums (``_leaf_fold``).
+grouped into layers and special functions run once per layer.  Both sides
+of a ``GramMatrix`` are walked by one rule: every exact walk starts from a
+walk record (``shells.walk_record``), so the form and its inverse are each
+walked on the integral rows P of their LLL-reduced basis, whose norms m are
+integers, while the majorants stay on A and A^-1 in the input basis, so
+that no radius moves.  The walk's float64 leaf norms are exact while every
+product and partial sum stays below 2^53 (``shells._norm_magnitude``), so
+the order BLAS sums them in cannot change a bit.  A layer is one value of
+m, counted by ``np.bincount`` with no sort, and m / unit is its float norm,
+the only rounding.  Each vector keeps its m, which picks the certificate's
+vectors.  Float-array input, and a ``GramMatrix`` that fails the guard or
+would need a bincount table of 2^20 entries or more, walk the float form
+and group its rounded norms with ``np.unique``.  Both routes collect with
+``shells.short_vectors_float`` in the walk's compact form
+(``shells.HalfSet``).  The summed gradient builds no vector: it maps each
+level-0 parent to the input basis (``_Sides.maps``) and sums its leaves in
+closed form (``_leaf_fold``).  Gamma(a, pi t) on the grid is cached per
+order a.
 
 That numeric route is the gradient's second one (``HeightReport.route``).
 Its radius r_N must also meet the majorant of the summed gradient
@@ -227,25 +222,27 @@ def _radius_gamma(a: float) -> np.ndarray:
 class _Sides:
     """A form A and its inverse, built once per sum by ``_sides``.
 
-    ``majorant`` bounds a sum's tail at each radius, and ``basis_floors``
-    bound each side's part of a sum from below by its basis vectors' terms
-    without evaluating Gamma.
+    Side k (0 the form, 1 its inverse) is walked on ``walked[k]``, the side
+    in the basis of its reducing transform ``U[k]``.  ``majorant`` and
+    ``basis_floors`` read A and A^-1 in the input basis: they bound a sum's
+    tail at each radius, and each side's part of it from below by its basis
+    vectors' terms, without evaluating Gamma.
     """
 
     A: np.ndarray
     Ainv: np.ndarray
     det: float       # the input form's determinant
-    dual: np.ndarray      # A^-1 in the basis its vectors are walked in: U^t A^-1 U
-    U: Optional[np.ndarray]  # the dual's reducing transform, or None (U = I) for float input
-    integral: tuple  # (P, unit) for A and for ``dual``, each P / unit; (None, None) for float input
-    inv_diag: tuple  # diag(P^-1) of each side's integral form, or None where it is not held
+    walked: tuple    # U^t A U and U^t A^-1 U, with each side's U
+    U: tuple         # each side's reducing transform (the identity for float input)
+    integral: tuple  # each side's (P, unit): int64 rows with walked = P / unit, or None
     counts: tuple    # _annulus_counts on the radii, for A and for A^-1
-    exact: Optional[tuple] = None  # (d Q, a GramMatrix; the rows d' U^t Q^-1 U; d d'), or None
+    exact: Optional[tuple] = None  # (d Q, a GramMatrix; d d', the records' denominators), or None
 
     @functools.cached_property
-    def dual_map(self) -> np.ndarray:
-        """U^t A^-1: a walked dual vector z is the row z U^t A^-1 in the summed gradient."""
-        return self.Ainv if self.U is None else self.U.T.astype(float) @ self.Ainv
+    def maps(self) -> tuple:
+        """(U^t, U^t A^-1): a walked form vector x is the row x U^t of the input basis, and a
+        walked dual vector z enters the summed gradient as the row z U^t A^-1."""
+        return self.U[0].T.astype(float), self.U[1].T.astype(float) @ self.Ainv
 
     def majorant(self, g_form: np.ndarray, g_dual: np.ndarray) -> np.ndarray:
         """Bound at each t_j on the sum of g over the vectors of norm > t_j, both sides.
@@ -285,16 +282,14 @@ class _Sides:
 def _sides(L, det1: bool) -> _Sides:
     """The sides of a lattice or a form, rescaled to determinant 1 if ``det1``.
 
-    A ``GramMatrix`` Q gives A = Q / delta, delta = det(Q)^{1/n} or 1,
-    A^-1 = delta Q^-1 from the exact inverse, and the integral forms d Q and
-    d' U^t Q^-1 U at units d delta and d' / delta, with U from the exact
-    ``lll_reduce`` of Q^-1: the dual is walked on its reduced basis, which
-    prunes better than a skewed input basis, and its vectors z enter the
-    gradient as the rows z U^t A^-1 (``dual_map``, built on first read).
-    The majorants stay on A^-1: the walk covers the same lattice vectors,
-    with the same norms, at the same radius.  The exact inverse also gives
-    the diagonal of (d Q)^-1, diag(Q^-1) / d, for the form's walk bound
-    (``_exact_bound``); the dual's reduced form keeps its float inversion.
+    A ``GramMatrix`` Q gives A = Q / delta, delta = det(Q)^{1/n} or 1, and
+    A^-1 = delta Q^-1 from the exact inverse.  Each side is walked on the
+    walk record (``shells.walk_record``) of Q or of Q^-1, its LLL-reduced
+    basis, which prunes better than a skewed input basis: as the integral
+    rows d U^t Q U at unit d delta and d' U^t Q^-1 U at unit d' / delta, or,
+    beyond int64, as the reduced float form.  The majorants, ``basis_floors``
+    and the annulus counts stay on A and A^-1 in the input basis: the walks
+    cover the same lattice vectors with the same norms, and no radius moves.
     A float form is validated and inverted once, symmetrized, and walked in
     its given basis (U = I).
     """
@@ -303,22 +298,21 @@ def _sides(L, det1: bool) -> _Sides:
         det = float(determinant(Q))
         delta = det ** (1.0 / Q.n) if det1 else 1.0
         Qinv = gram_inverse(Q)
-        Qred, U = shells.lll_reduce(Qinv)
-        (P, d), (Pi, di) = Q.integral_rescale(), Qred.integral_rescale()
-        Qinv_f = Qinv.to_float()
-        A, Ainv, dual = Q.to_float() / delta, Qinv_f * delta, Qred.to_float() * delta
-        integral = ((np.array(P, dtype=float), d * delta), (np.array(Pi, dtype=float), di / delta))
-        inv_diag = (np.diag(Qinv_f) / d, None)
-        exact = (Q if d == 1 else _scaled(Q, 1, 1), Pi, d * di)
+        (Qr, P, d, U), (Qr_inv, P_inv, d_inv, U_inv) = map(shells.walk_record, (Q, Qinv))
+        A, Ainv = Q.to_float() / delta, Qinv.to_float() * delta
+        walked, U = (Qr.to_float() / delta, Qr_inv.to_float() * delta), (U, U_inv)
+        integral = tuple(None if rows is None else (rows, unit)
+                         for rows, unit in ((P, d * delta), (P_inv, d_inv / delta)))
+        exact = (Q if d == 1 else _scaled(Q, 1, 1), d * d_inv)
     else:
         A = _as_form(Q)
         det = _finite_det(A)
         if det1:
             A = A / det ** (1.0 / A.shape[0])
         Ainv = np.linalg.inv(A)
-        Ainv = dual = 0.5 * (Ainv + Ainv.T)
-        U, integral, inv_diag, exact = None, (None, None), (None, None), None
-    return _Sides(A=A, Ainv=Ainv, det=det, dual=dual, U=U, integral=integral, inv_diag=inv_diag,
+        Ainv = 0.5 * (Ainv + Ainv.T)
+        walked, U, integral, exact = (A, Ainv), (np.eye(len(A)),) * 2, (None, None), None
+    return _Sides(A=A, Ainv=Ainv, det=det, walked=walked, U=U, integral=integral,
                   counts=(_annulus_counts(A, _RADII), _annulus_counts(Ainv, _RADII)), exact=exact)
 
 
@@ -342,11 +336,10 @@ class _Layers:
         return rank[self.norms]
 
 
-def _exact_bound(integral, radius: float, inv_diag=None) -> Optional[int]:
+def _exact_bound(integral, radius: float) -> Optional[int]:
     """The integer bound of an exact walk of ``integral`` to ``radius``, or None for the float route.
 
-    ``integral`` is None, or (P, unit) with P an integral form (float array),
-    and ``inv_diag`` diag(P^-1) when it is held (``_Sides.inv_diag``).
+    ``integral`` is None, or (P, unit) with P a walk record's int64 rows.
     The bound is floor(_slack_bound(radius) unit), the float route's slack,
     which rounds toward inclusion so that no vector within the radius is
     dropped.  The walk is exact when its norms are float-exact
@@ -357,8 +350,7 @@ def _exact_bound(integral, radius: float, inv_diag=None) -> Optional[int]:
         return None
     P, unit = integral
     bound = math.floor(_slack_bound(radius) * unit)
-    return (bound if bound < _TABLE_ENTRIES and _norm_magnitude(P, bound, inv_diag) < FLOAT_EXACT
-            else None)
+    return bound if bound < _TABLE_ENTRIES and _norm_magnitude(P, bound) < FLOAT_EXACT else None
 
 
 def _layers(M: np.ndarray, integral, radius: float, bound: Optional[int]) -> _Layers:
@@ -461,8 +453,8 @@ def _blocked_sum(L: np.ndarray, R: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(prods.T).sum(axis=1).reshape(a, b)
 
 
-def _leaf_fold(half: HalfSet, w: np.ndarray, M: np.ndarray, B) -> np.ndarray:
-    """sum_k w_k v_k v_k^t over the vectors y_k of ``half``, walked on M; v_k = y_k B or y_k.
+def _leaf_fold(half: HalfSet, w: np.ndarray, M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """sum_k w_k v_k v_k^t over the vectors y_k of ``half``, walked on M; v_k = y_k B.
 
     A parent's leaves are C + d e_0, with C the parent at x_0 = c, the integer
     nearest the centre -(C M)_0 / M_00 of their x_0 interval, and d = x_0 - c.
@@ -477,9 +469,7 @@ def _leaf_fold(half: HalfSet, w: np.ndarray, M: np.ndarray, B) -> np.ndarray:
     wd = w * d
     C = half.parents.copy()
     C[:, 0] = c
-    g = np.eye(n)[0]
-    if B is not None:
-        C, g = C @ B, B[0]
+    C, g = C @ B, B[0]
     L = np.empty((k, n + 1))  # [W_0 v, W_1]
     np.multiply(C, np.bincount(p, w, k)[:, None], out=L[:, :n])
     L[:, n] = np.bincount(p, wd, k)
@@ -499,8 +489,8 @@ def _grad_sum(sides: _Sides, layers: tuple, f: np.ndarray) -> tuple[np.ndarray, 
     Both weights are evaluated on the distinct norms of ``layers`` (the
     form's, then the dual's; f, F's summand, is given there) and gathered
     to the vectors through the layers' inverse index.  No vector is built:
-    ``_leaf_fold`` sums each level-0 parent's leaves in closed form, the
-    dual's mapped by ``sides.dual_map``.  Its sums over parents are blocked:
+    ``_leaf_fold`` sums each level-0 parent's leaves in closed form, each
+    side's mapped by its gradient map (``sides.maps``).  Its sums over parents are blocked:
     as one gemm over all parents, the catalogue's largest projected
     residual reads 7.1e-14, and blocked 4.3e-15.
     """
@@ -509,8 +499,8 @@ def _grad_sum(sides: _Sides, layers: tuple, f: np.ndarray) -> tuple[np.ndarray, 
     c, b = form.distinct, dual.distinct
     w1 = _gradient_weight(n, math.pi * c, f)[form.inverse]
     w2 = (np.exp(-math.pi * b) / b)[dual.inverse]
-    G = 2.0 * (_leaf_fold(dual.half, w2, sides.dual, sides.dual_map)
-               - _leaf_fold(form.half, w1, sides.A, None))
+    (M_form, M_dual), (B_form, B_dual) = sides.walked, sides.maps
+    G = 2.0 * (_leaf_fold(dual.half, w2, M_dual, B_dual) - _leaf_fold(form.half, w1, M_form, B_form))
     return 0.5 * (G + G.T), GRAD_TAIL_FLOOR + TAIL_REL * float(np.linalg.norm(G))
 
 
@@ -519,10 +509,10 @@ class _Judge:
     """The counted certificate of an exact input, planned before any walk (``_judge``).
 
     ``plan`` is ``certify._counted(certify._plan(d Q))``.  Its tested form T
-    is walked on side ``side``: d Q itself (side 0), or, for the level dual
-    T = dual_scale (d Q)^-1, d' U^t Q^-1 U (side 1).  ``T`` is T in the
-    walk's basis, a walked norm m is the tested norm m ``scale``, and the
-    tested range T[x] <= 2B / s is the walked norms m <= ``limit``.
+    (d Q, or the level dual dual_scale (d Q)^-1) is walked on side ``side``'s
+    integral rows, where a walked norm m is the tested norm m ``scale``:
+    ``T`` is T in the walk's basis, and the tested range T[x] <= 2B / s is
+    the walked norms m <= ``limit``.
     """
 
     plan: _Plan
@@ -535,18 +525,21 @@ class _Judge:
 def _judge(sides: _Sides) -> Optional[_Judge]:
     """The counted certificate on the integral form d Q of an exact input, with no walk.
 
-    None when even the floor of its horizon (``_horizon_floor``) puts the
-    range at _TABLE_ENTRIES or beyond, past every exact walk's bound: a
-    level too large to reach is ruled out before it is factored.
+    None when the tested side has no integral rows, or when even the floor
+    of its horizon (``_horizon_floor``) puts the range at _TABLE_ENTRIES or
+    beyond: both are past every exact walk's bound, and a level too large
+    to reach is ruled out before it is factored.
     """
-    P, Pi, d = sides.exact
+    P, d = sides.exact
     plan = _plan(P, None, dualize=True)
     side, scale = (0, Fraction(1)) if plan.tested == SIDE_INPUT else (1, plan.dual_scale / d)
-    if Fraction(2 * _horizon_floor(plan.weight, plan.level), plan.s) / scale >= _TABLE_ENTRIES:
+    floor = Fraction(2 * _horizon_floor(plan.weight, plan.level), plan.s) / scale
+    if sides.integral[side] is None or floor >= _TABLE_ENTRIES:
         return None
     plan = _counted(plan)
     a, b = scale.numerator, scale.denominator
-    T = P if side == 0 else _stored([[v * a // b for v in row] for row in Pi], 1, plan.form._det)
+    T = _stored([[v * a // b for v in row] for row in sides.integral[side][0].tolist()], 1,
+                plan.form._det)
     return _Judge(plan, side, T, scale, math.floor(Fraction(2 * plan.B, plan.s) / scale))
 
 
@@ -579,18 +572,18 @@ def _radius(rows: list) -> float:
 
 def _walk(sides: _Sides, k: int, radius: float) -> _Layers:
     """Side k's layers to ``radius``: the form's (k = 0) or its inverse's (k = 1)."""
-    return _layers((sides.A, sides.dual)[k], sides.integral[k], radius,
-                   _exact_bound(sides.integral[k], radius, sides.inv_diag[k]))
+    return _layers(sides.walked[k], sides.integral[k], radius,
+                   _exact_bound(sides.integral[k], radius))
 
 
 def _judged(sides: _Sides, judge: _Judge, radius: float) -> tuple:
     """(the tested side's exact walk to ``radius``, its certificate or None), or (None, None)
     when that walk's bound does not cover the tested range."""
     k = judge.side
-    bound = _exact_bound(sides.integral[k], radius, sides.inv_diag[k])
+    bound = _exact_bound(sides.integral[k], radius)
     if bound is None or judge.limit > bound:
         return None, None
-    tested = _layers((sides.A, sides.dual)[k], sides.integral[k], radius, bound)
+    tested = _layers(sides.walked[k], sides.integral[k], radius, bound)
     return tested, _certificate(sides, judge, tested)
 
 
@@ -618,20 +611,16 @@ def _certified_sum(sides: _Sides, orders, what: str, gradient: bool = False):
     the sides' integral forms when they have them).  Each summand is
     evaluated once per layer and summed against the layer counts.
 
-    An exact input plans its certificate first (``_judge``).  Its tested
-    side is walked to the theorem route's radius r_F and judged once there
-    (``_certificate``) when that walk's bound covers the tested range.  A
-    pass sums at r_F against F's and the theorem gradient's majorants, and
-    builds no more than the report reads: the numeric gradient's majorant,
-    r_N, the walks' joined vectors, their layer index and the dual map are
-    never built.  Anything else takes the numeric route's r_N >= r_F, and a
-    range beyond the walk to r_F is judged on the walk to r_N instead; a
-    pass there keeps F's and the numeric gradient's majorants, which bound a
-    certified G too.  On a pass G = -(S_A / 2) A^-1 with S_A F's form half
-    (the module docstring), and the certificate is returned; otherwise the
-    radius is r_N and ``_grad_sum`` sums G.  The judged walk is kept when it
-    lies at the final radius, and every other side is walked there.  The majorants
-    at the radius must meet the real tolerances (TAIL_REL |S|, and
+    An exact input plans its certificate first (``_judge``) and judges the
+    first exact walk of its tested side, to r_F and then to r_N >= r_F,
+    whose bound covers the tested range (``_judged``; the module docstring).
+    A pass at r_F builds no more than the report reads: the numeric
+    gradient's majorant, r_N, the walks' joined vectors, their layer index
+    and the gradient maps are never built.  On a pass G = -(S_A / 2) A^-1
+    and the certificate is returned; otherwise the radius is r_N and
+    ``_grad_sum`` sums G.  The judged walk is kept when it lies at the final
+    radius, and every other side is walked there.  The majorants at the
+    radius must meet the real tolerances (TAIL_REL |S|, and
     GRAD_TAIL_FLOOR + TAIL_REL |G|), or TruncationError is raised.
     """
     rows = _bounds(sides, orders, gradient)  # F's, with the theorem route's G when there is one

@@ -1,33 +1,30 @@
 """Short-vector enumeration and layer decomposition.
 
 All nonzero integer vectors x with Q[x] <= B are found by a branch-and-bound
-walk over a floating-point Cholesky factorization (Fincke-Pohst), after an
-exact integral LLL reduction of the Gram matrix that updates the reduced Gram
-matrix in place with each column operation.  The walk (``_fp_rows``) has two
-phases.  It expands the sparse top of the tree node by node on Python floats
-while a whole level creates at most ``_SCALAR_CHILDREN`` (32) children: a
-vectorized level costs about 30 us of numpy calls however few nodes it
-holds, a Python child about 1-2 us.  From the first level that would create
-more, and always at the leaf level, it goes one tree level at a time over
-numpy frontiers, depth first.  Both phases run the same IEEE operations in
-the same order, so the yields, and with them the completeness argument
-below, do not depend on where the walk hands over; the scalar frontier holds
-at most 32 nodes, so the walk's memory bound still holds.  The walk yields
-its leaves compact, in slices of at most ``_CHUNK_ROWS``: the level-0
-parents, and each leaf's parent index, last coordinate x_0 and norm.  Both
-certificates gather them into int64 rows by ``HalfSet.rows``; the height's one collector
-(``short_vectors_float``) keeps them compact and sliced (``HalfSet``), so that the
-height sums over each parent's leaves in closed form, joining the slices
-only when it sums them.  The float search
-tree is pruned with an inflated bound and every candidate is re-verified
-with its exact norm, so the resulting layers are complete and exact.  The
-walk gives each leaf its norm by the leaf quadratic (P_00 x_0 + 2b) x_0 + c,
-with b and c computed once per parent at the last level: on an integral
-form it is exact in float64 while ``_norm_magnitude`` is below 2^53, and
-beyond that the certificate's norms run in Python ints.  The same magnitude bounds the walk's
-coordinates and decides, once per walk, whether the vectors in input
-coordinates fit int64; where not, they run in Python ints.  ``_moments``
-decides the same for their moments, from its own rows.
+walk over a floating-point Cholesky factorization (Fincke-Pohst).  Every
+exact walk starts from one walk record (``walk_record``): the exact integral
+LLL reduction Q_red = U^t Q U, its integral rows as int64, their
+denominator and U.  The certificate (``layer_moments``,
+``enumerate_layers``) and both sides of the height walk those rows: a
+walked vector z is the vector U z of Q's basis, with the same norm.
+The walk (``_fp_rows``) expands the sparse top of the tree node by node on
+Python floats and the levels below over numpy frontiers, depth first; both
+phases run the same IEEE operations in the same order, so the yields, and
+with them the completeness argument below, do not depend on where it hands
+over.  It yields its leaves compact, in slices of at most ``_CHUNK_ROWS``:
+the level-0 parents, and each leaf's parent index, last coordinate x_0 and
+norm.  The certificates gather them into int64 rows by ``HalfSet.rows``;
+the height's one collector (``short_vectors_float``) keeps them compact and
+sliced (``HalfSet``), so that the height sums over each parent's leaves in
+closed form.  The float search tree is pruned with an inflated bound and
+every candidate is re-verified with its exact norm, so the resulting layers
+are complete and exact.  Each leaf's norm is the leaf quadratic
+(P_00 x_0 + 2b) x_0 + c, with b and c computed once per parent: on an
+integral form it is exact in float64 while ``_norm_magnitude`` is below
+2^53, and beyond that the certificate's norms run in Python ints.  The same
+magnitude bounds the walk's coordinates and decides, once per walk, whether
+the vectors in input coordinates fit int64; ``_moments`` decides the same
+for their moments, from its own rows.
 
 Only one representative per antipodal pair {x, -x} is walked (the highest
 nonzero coordinate is kept positive); full layers are reconstituted from the
@@ -281,12 +278,12 @@ def _slack_bound(bound: float) -> float:
     return bound * (1 + 1e-9) + 1e-9
 
 
-def _norm_magnitude(P: np.ndarray, bound: int, inv_diag=None) -> float:
+def _norm_magnitude(P: np.ndarray, bound: int) -> float:
     """A bound on every product and partial sum of the norms of the walk to P[x] <= bound.
 
-    P is an integral form (int64, or float holding integers), and
-    ``inv_diag`` the diagonal of P^-1 when the caller holds it, else P is
-    inverted in floats.  A walked row has |x_k| <= sqrt(bound (P^-1)_kk)
+    P is an integral form (int64, or float holding integers), inverted in
+    floats; every caller passes a walk record's reduced rows
+    (``walk_record``).  A walked row has |x_k| <= sqrt(bound (P^-1)_kk)
     plus the walk's slack, so with xmax_k = that root + 2 the sum
     sum_jk xmax_j |P_jk| xmax_k bounds sum_jk |x_j||P_jk||x_k|, and, as
     every xmax_k >= 2, also each entry of X @ P, each product and each
@@ -295,9 +292,7 @@ def _norm_magnitude(P: np.ndarray, bound: int, inv_diag=None) -> float:
     least P_kk xmax_k^2.
     """
     Pf = np.asarray(P, dtype=float)
-    if inv_diag is None:
-        inv_diag = np.diag(np.linalg.inv(Pf))
-    xmax = np.sqrt(np.maximum(inv_diag, 0.0) * float(bound)) + 2.0
+    xmax = np.sqrt(np.maximum(np.diag(np.linalg.inv(Pf)), 0.0) * float(bound)) + 2.0
     return float(xmax @ np.abs(Pf) @ xmax)
 
 
@@ -311,6 +306,20 @@ def _exact_norms(X: np.ndarray, P: np.ndarray) -> np.ndarray:
     return np.asarray((Xo @ P.astype(object) * Xo).sum(axis=1))
 
 
+def walk_record(Q: GramMatrix) -> tuple:
+    """(Q_red, P, d, U): the walk record of Q, where every exact walk starts.
+
+    Q_red = U^t Q U is the exact LLL reduction of Q (``lll_reduce``) and P
+    its integral form d Q_red as int64 rows, or None when an entry leaves
+    int64: the walk runs on int64 rows, so the certificate refuses such a
+    form (``_half_candidates``) and the height walks Q_red in floats.
+    """
+    Qred, U = lll_reduce(Q)
+    rows, d = Qred.integral_rescale()
+    fits = all(-2 ** 63 <= v < 2 ** 63 for row in rows for v in row)
+    return Qred, np.array(rows, dtype=np.int64) if fits else None, d, U
+
+
 def _half_candidates(
     Q: GramMatrix,
     bound: Fraction,
@@ -319,24 +328,23 @@ def _half_candidates(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """Yield (X_orig, norms_scaled, denominator) chunks of exact short vectors.
 
-    X_orig rows are in the coordinates of Q; norms_scaled are integers equal
-    to d * Q[x] where d clears the denominators of Q.  X_orig holds Python
-    ints unless its entries, and so the map back's partial sums, stay below
-    INT64_SAFE: walked coordinates are at most xmax_k <= sqrt(magnitude / P_kk)
+    The walk is Q's record's (``walk_record``).  X_orig rows are in the
+    coordinates of Q; norms_scaled are integers equal to d * Q[x] where d
+    clears the denominators of Q.  X_orig holds Python ints unless its
+    entries, and so the map back's partial sums, stay below INT64_SAFE:
+    walked coordinates are at most xmax_k <= sqrt(magnitude / P_kk)
     (``_norm_magnitude``), input ones at most |U| xmax.  A negative
-    ``max_vectors`` is refused, and so is a form whose LLL-reduced integral
-    rows leave int64, which the walk runs on.
+    ``max_vectors`` is refused, and so is a form whose record has no int64
+    rows.
     """
     if bound <= 0:
         raise ValueError("enumeration bound must be positive")
     if max_vectors < 0:
         raise ValueError(f"enumeration budget must be nonnegative, got {max_vectors}")
-    Qred, U = lll_reduce(Q)
-    rows, d = Qred.integral_rescale()
-    if not all(-2 ** 63 <= v < 2 ** 63 for row in rows for v in row):
+    _, P, d, U = walk_record(Q)
+    if P is None:
         raise ValueError("cannot walk this form: its LLL-reduced integral form has an entry "
                          "beyond int64 (|entry| >= 2^63), and the walk runs on int64 rows")
-    P = np.array(rows, dtype=np.int64)
     bound_int = math.floor(bound * d)
     if bound_int < 1:
         return
@@ -474,7 +482,7 @@ def _summable(X: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the height's collector (no LLL step: the vectors stay in the coordinates given)
+# the height's collector (it walks the form it is given: on an exact input, a walk record's rows)
 
 
 class HalfSet:

@@ -476,8 +476,8 @@ def F_at_the_walk(Q: GramMatrix, radius: float) -> tuple[mp.mpf, float]:
 
     Q is rescaled to determinant 1 as ``height`` rescales it.  The layers
     of Q and of Q^-1 come from ``enumerate_layers`` at the integer bounds of
-    the height's exact walks (Q^-1 is walked on its LLL-reduced basis, whose
-    entries have the same denominator lcm), and each term is evaluated at its exact norm
+    the height's exact walks (each side is walked on its LLL-reduced basis,
+    whose entries have the same denominator lcm), and each term is evaluated at its exact norm
     in mpmath at 30 digits.  ``height`` evaluates the k layer terms t_i at
     their float norms m / unit and adds the products with the layer counts
     c_i in two dot products and one addition, so its F is within

@@ -162,6 +162,20 @@ class TestFullyCritical:
         assert rep.outcome["group"] == "Gamma0(3)" and rep.outcome["character_D"] == -3
         assert rep.outcome["layers_tested"] == 1 and rep.outcome["vacuous"] is False
 
+    def test_json_format_builds_no_transcript(self, capsys, monkeypatch):
+        # the transcript is built only when it is printed: with it made to
+        # raise, the JSON run exits 0 with the outcome it gives otherwise
+        argv = ["fully-critical", "--name", "stf8", "--format", "json"]
+        assert main(argv) == 0
+        want = envelope(capsys.readouterr().out).outcome
+
+        def refuse(report):
+            raise AssertionError("transcript built under --format json")
+
+        monkeypatch.setattr(sys.modules["latcrit.cli"], "_transcript", refuse)
+        assert main(argv) == 0
+        assert envelope(capsys.readouterr().out).outcome == want
+
 
 class TestDesign:
     def test_counterexample(self, diag12_file, capsys):

@@ -589,7 +589,8 @@ class TestTheoremRoute:
         ids=["stc12", "6ste15a", "fails-below", "diag12", "horizon-beyond",
              "covered-at-the-numeric-radius"])
     def test_walks_and_one_reduction_per_height(self, Q, walks, judged, route, at, monkeypatch):
-        # the certificate reduces nothing of its own.  stc12 walks its tested
+        # the height reduces each side once, on its walk record, and the
+        # certificate reduces nothing of its own.  stc12 walks its tested
         # side at F's radius r_F, passes, and walks the other one there;
         # 6 ste15a's range lies beyond the walk to r_F but within the walk to
         # the numeric radius r_N, where it passes and is kept, with the
@@ -614,7 +615,7 @@ class TestTheoremRoute:
         monkeypatch.setattr(H, "_certificate", lambda *a: calls.__setitem__(
             "judged", calls["judged"] + 1) or real_cert(*a))
         rep = height(Q)
-        assert (calls, rep.route) == ({"walk": walks, "lll": 1, "judged": judged}, route)
+        assert (calls, rep.route) == ({"walk": walks, "lll": 2, "judged": judged}, route)
         assert rep.truncation_radius == radii[at]
         j = int(np.searchsorted(H._RADII, radii[at], side="right")) - 1
         row = theorem if (route, at) == ("theorem", "r_F") else numeric
@@ -673,17 +674,17 @@ class TestBuiltOnFirstRead:
     def test_theorem_route_builds_only_what_its_report_reads(self, monkeypatch):
         # every catalogue height passes at F's radius r_F: the numeric
         # gradient's majorant and its lam_max are never built, no walk is
-        # joined, no layer index and no dual map is built, and the one float
-        # inversion per height bounds the dual's walk (the form's reads
-        # diag(Q^-1) off the exact inverse)
+        # joined, no layer index and no gradient map is built, and the two
+        # float inversions per height bound the walks of its two reduced
+        # integral forms
         calls, halves = _record_built(monkeypatch)
         runs = _record_certified_sums(monkeypatch)
         for e in load_catalog().entries:
             assert height(e).route == "theorem"
-        assert calls == {"norm_factor": 0, "inv": 42} and len(halves) == 84
+        assert calls == {"norm_factor": 0, "inv": 84} and len(halves) == 84
         assert not any("_joined" in vars(half) for half in halves)
         for sides, _, _, (*_, layers, _) in runs:
-            assert "dual_map" not in vars(sides)
+            assert "maps" not in vars(sides)
             assert not any("inverse" in vars(side) for side in layers)
 
     def test_numeric_route_builds_them(self, monkeypatch):
@@ -694,7 +695,7 @@ class TestBuiltOnFirstRead:
         assert calls["norm_factor"] == 1 and len(halves) == 2
         assert all("_joined" in vars(half) for half in halves)
         [(sides, _, _, (*_, layers, _))] = runs
-        assert "dual_map" in vars(sides) and all("inverse" in vars(side) for side in layers)
+        assert "maps" in vars(sides) and all("inverse" in vars(side) for side in layers)
 
 
 class TestOneLatticeSumLoop:
@@ -862,30 +863,35 @@ class TestSides:
     def test_exact_sides_take_the_exact_inverse(self, monkeypatch):
         # a GramMatrix's A has the bits of normalized_to_det1 (of the form
         # itself without det1) and its A^-1 is the exact inverse times delta,
-        # bit for bit, on the catalogue and its duals; the dual is walked on
-        # the LLL-reduced Qr = U^t Q^-1 U, as delta Qr and the integral form
-        # d' Qr at unit d' / delta, and mapped by U^t A^-1; the form's
-        # integral form is d Q at unit d delta; no float matrix is inverted
+        # bit for bit, on the catalogue and its duals.  Each side is walked
+        # on its walk record, the LLL-reduced Qr = U^t Q U and
+        # Qr' = U'^t Q^-1 U': as Qr / delta and delta Qr', as the int64
+        # integral rows d Qr at unit d delta and d' Qr' at unit d' / delta,
+        # and mapped by U^t and U'^t A^-1; no float matrix is inverted
         H = sys.modules["latcrit.height"]
         inverted, real_inv = [], np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda M: inverted.append(M) or real_inv(M))
         for e in load_catalog().entries:
             for q in (e.gram, gram_inverse(e.gram)):
                 qinv = gram_inverse(q)
-                qred, U = lll_reduce(qinv)
-                (P, d), (Pi, di) = q.integral_rescale(), qred.integral_rescale()
+                (qred, U), (qred_inv, U_inv) = lll_reduce(q), lll_reduce(qinv)
+                (P, d), (Pi, di) = qred.integral_rescale(), qred_inv.integral_rescale()
                 delta = float(determinant(q)) ** (1.0 / q.n)
                 sides = H._sides(q, det1=True)
                 assert np.array_equal(sides.A, normalized_to_det1(q)), e.name
                 assert np.array_equal(sides.Ainv, qinv.to_float() * delta), e.name
-                assert np.array_equal(sides.dual, qred.to_float() * delta), e.name
-                assert np.array_equal(sides.dual_map, U.T.astype(float) @ sides.Ainv), e.name
+                assert np.array_equal(sides.walked[0], qred.to_float() / delta), e.name
+                assert np.array_equal(sides.walked[1], qred_inv.to_float() * delta), e.name
+                assert np.array_equal(sides.U[0], U) and np.array_equal(sides.U[1], U_inv)
+                assert np.array_equal(sides.maps[0], U.T), e.name
+                assert np.array_equal(sides.maps[1], U_inv.T.astype(float) @ sides.Ainv), e.name
                 assert sides.det == float(determinant(q))
                 [(Pf, unit), (Pif, unit_inv)] = sides.integral
-                assert np.array_equal(Pf, P) and unit == d * delta
-                assert np.array_equal(Pif, Pi) and unit_inv == di / delta
+                assert Pf.dtype == Pif.dtype == np.int64
+                assert Pf.tolist() == P and unit == d * delta and d == q.integral_rescale()[1]
+                assert Pif.tolist() == Pi and unit_inv == di / delta
                 assert sides.exact[0]._P == q._P and sides.exact[0].is_integral
-                assert sides.exact[1] == Pi and sides.exact[2] == d * di
+                assert sides.exact[1] == d * di
                 plain = H._sides(q, det1=False)
                 assert np.array_equal(plain.A, q.to_float())
                 assert np.array_equal(plain.Ainv, qinv.to_float())
@@ -907,45 +913,50 @@ class TestSides:
                 Ainv = real_inv(A)
                 assert np.array_equal(sides.Ainv, 0.5 * (Ainv + Ainv.T))
                 assert sides.det == det and sides.integral == (None, None) and sides.exact is None
-                assert sides.dual is sides.Ainv and sides.dual_map is sides.Ainv
-
+                assert sides.walked[0] is sides.A and sides.walked[1] is sides.Ainv
+                assert all(np.array_equal(U, np.eye(len(A))) for U in sides.U)
+                assert np.array_equal(sides.maps[1], sides.Ainv)
 
     def test_reduced_dual_walk_keeps_the_layers(self):
-        # on the catalogue and its duals, the dual walked on its LLL-reduced
-        # basis gives the layers the input basis gives at the height's
-        # radius: the same distinct norms and per-layer counts (the
-        # brute-force box's for n <= 5), and half_vectors_dual unchanged;
-        # 26 of the 42 entries' dual bases change under the reduction
+        # on the catalogue, its duals and ste36 under six column shears, each
+        # side walked on its LLL-reduced basis gives the layers its input
+        # basis gives at the height's radius: the same distinct norms and
+        # per-layer counts (the brute-force box's for n <= 5), and
+        # half_vectors_form and half_vectors_dual unchanged; 26 of the 42
+        # entries' dual bases and 19 of their own bases change under the
+        # reduction, and so does the sheared form's
         H = sys.modules["latcrit.height"]
         changed = []
-        for e in load_catalog().entries:
-            for q in (e.gram, gram_inverse(e.gram)):
-                rep = height(q)
-                sides = H._sides(q, det1=True)
-                qinv = gram_inverse(q)
-                Pi, di = qinv.integral_rescale()
-                unit = di / float(determinant(q)) ** (1.0 / q.n)
-                radius = rep.truncation_radius
-                integral = (np.array(Pi, dtype=float), unit)
-                given = H._layers(sides.Ainv, integral, radius, H._exact_bound(integral, radius))
-                reduced = H._walk(sides, 1, radius)
-                assert np.array_equal(reduced.distinct, given.distinct), e.name
-                assert np.array_equal(reduced.counts, given.counts), e.name
-                assert rep.half_vectors_dual == len(reduced.half) == len(given.half), e.name
+        forms = [(e.name, q) for e in load_catalog().entries for q in (e.gram, gram_inverse(e.gram))]
+        for name, q in forms + [("sheared ste36", SHEARED_STE36)]:
+            rep = height(q)
+            sides = H._sides(q, det1=True)
+            radius = rep.truncation_radius
+            for k, (p, half_vectors) in enumerate(((q, rep.half_vectors_form),
+                                                   (gram_inverse(q), rep.half_vectors_dual))):
+                P, d = p.integral_rescale()
+                unit = sides.integral[k][1]
+                integral = (np.array(P, dtype=float), unit)
+                given = H._layers((sides.A, sides.Ainv)[k], integral, radius,
+                                  H._exact_bound(integral, radius))
+                reduced = H._walk(sides, k, radius)
+                assert np.array_equal(reduced.distinct, given.distinct), (name, k)
+                assert np.array_equal(reduced.counts, given.counts), (name, k)
+                assert half_vectors == len(reduced.half) == len(given.half), (name, k)
                 if q.n <= 5:
                     m = np.rint(reduced.distinct * unit).astype(np.int64)
-                    bound = Fraction(math.floor((radius * (1 + 1e-9) + 1e-9) * unit), di)
-                    assert {Fraction(int(k), di): 2 * int(c) for k, c in zip(m, reduced.counts)
-                            } == box_layers(qinv, bound), e.name
-                changed.append(not np.array_equal(sides.dual, sides.Ainv))
-        assert sum(changed[::2]) == 26 and sum(changed) > 26
+                    bound = Fraction(math.floor((radius * (1 + 1e-9) + 1e-9) * unit), d)
+                    assert {Fraction(int(v), d): 2 * int(c) for v, c in zip(m, reduced.counts)
+                            } == box_layers(p, bound), (name, k)
+                changed.append(not np.array_equal(sides.U[k], np.eye(q.n)))
+        assert sum(changed[1:-2:4]) == 26 and sum(changed[:-2:4]) == 19 and changed[-2]
 
 
 class TestOncePerValue:
     @pytest.mark.parametrize("name", ["sta2", "stc12", "std5b", "ste10a", "stf28a"])
     def test_layers_regroup_the_walk(self, name, monkeypatch):
-        # each side's half-set is the float walk's of the form it walks (the
-        # dual's on its reduced basis), in walk order; its exact integer
+        # each side's half-set is the float walk's of the form it walks (its
+        # reduced basis, rows in reduced coordinates), in walk order; its exact integer
         # norms regroup into the layers through the inverse index;
         # the layer counts are the exact ones (the certificate's enumeration,
         # and the brute-force box where it is small); and a summand summed
@@ -958,9 +969,9 @@ class TestOncePerValue:
         [(sides, _, _, (_, _, _, radius, (form, dual), _))] = runs
         a = sides.A.shape[0] / 2
         for q, M, (P, unit), side, g in (
-                (Q, sides.A, sides.integral[0], form,
+                (Q, sides.walked[0], sides.integral[0], form,
                  lambda c: H._summand(a, 1.0, math.pi * c, upper_gamma(a, math.pi * c))),
-                (gram_inverse(Q), sides.dual, sides.integral[1], dual,
+                (gram_inverse(Q), sides.walked[1], sides.integral[1], dual,
                  lambda b: upper_gamma(0.0, math.pi * b))):
             X, _ = H.short_vectors_float(M, radius)
             rows = half_rows(side.half)
@@ -1064,6 +1075,9 @@ def _random_forms():
 
 
 SKEWED = np.diag([10.0, 10.0, 0.01])  # det 1; lam_max(A^-1) = 100 > lam_max(A) = 10
+# ste36 under six seeded column shears: a skewed basis of a catalogue lattice
+SHEARED_STE36 = GramMatrix([[2, -4, 0, 5, 4, 1], [-4, 26, 3, -26, 0, -7], [0, 3, 2, -2, 4, -1],
+                            [5, -26, -2, 28, 7, 7], [4, 0, 4, 7, 26, 0], [1, -7, -1, 7, 0, 2]])
 ZETA_CASES = [(A2.to_float(), 1.7), (SKEWED, 0.8), (SKEWED, -0.6),
               (normalized_to_det1(D4), 1.2), (3.0 * A3.to_float(), 2.5)]
 

@@ -451,6 +451,50 @@ class TestLLL:
         assert transform_gram(sheared_z2(K), U) == red
 
 
+class TestWalkRecord:
+    def test_record_is_the_reduction_with_int64_rows(self):
+        # (Q_red, P, d, U): lll_reduce's pair, and P = d Q_red as int64 rows,
+        # with d Q integral; a reduced form beyond int64 has no rows
+        for name, Q in exact_kernel_forms():
+            red, P, d, U = shells.walk_record(Q)
+            want_red, want_U = lll_reduce(Q)
+            assert red == want_red and np.array_equal(U, want_U), name
+            assert P.dtype == np.int64 and P.tolist() == red.integral_rescale()[0], name
+            assert d == Q.integral_rescale()[1], name
+        red, P, d, _ = shells.walk_record(GramMatrix([[2, 1], [1, 10**30 + 7]]))
+        assert P is None and d == 1 and red.entries[1][1] == 10**30 + 7
+
+    def test_walked_coordinates_meet_the_magnitude_premise(self):
+        # the premise of the float-exact guard (shells._norm_magnitude): every
+        # coordinate of every leaf the walk yields, before any mask, has
+        # |x_k| <= sqrt(bound (P^-1)_kk) + 2, with P^-1 taken in Fractions
+        # (cofactors, by the independent Bareiss oracle); so every row's
+        # sum_jk |x_j| |P_jk| |x_k| is within the guard's magnitude.  On the
+        # reduced walks of the exact kernel forms at three integer bounds
+        from helpers import bareiss_determinant
+
+        walked = 0
+        for name, Q in exact_kernel_forms():
+            _, P, _, _ = shells.walk_record(Q)
+            rows = P.tolist()
+            n = len(rows)
+            det = bareiss_determinant(rows)
+            inv_diag = [bareiss_determinant([r[:k] + r[k + 1:] for r in rows[:k] + rows[k + 1:]])
+                        / det for k in range(n)]
+            for bound in (1, 5, 12):
+                leaves = [shells.HalfSet(X, p, x).rows()
+                          for X, p, x, _ in shells._fp_rows(P.astype(float), float(bound))]
+                if not leaves:
+                    continue
+                X = np.concatenate(leaves)
+                walked += len(X)
+                for k, top in enumerate(np.abs(X).max(axis=0).tolist()):
+                    assert top <= 2 or (top - 2) ** 2 <= bound * inv_diag[k], (name, bound, k)
+                spread = ((np.abs(X) @ np.abs(P)) * np.abs(X)).sum(axis=1).max()
+                assert spread <= shells._norm_magnitude(P, bound), (name, bound)
+        assert walked > 100_000
+
+
 class TestFormats:
     def test_cardinality_vector(self):
         layers = enumerate_layers(I2, 5)
