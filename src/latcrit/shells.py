@@ -6,7 +6,8 @@ exact walk starts from one walk record (``walk_record``): the exact integral
 LLL reduction Q_red = U^t Q U, its integral rows as int64, their
 denominator and U.  The certificate (``layer_moments``,
 ``enumerate_layers``) and both sides of the height walk those rows: a
-walked vector z is the vector U z of Q's basis, with the same norm.
+walked vector z is the vector U z of Q's basis, with the same norm, and the
+height keeps its majorants on Q's basis, so that no radius moves.
 The walk (``_fp_rows``) expands the sparse top of the tree node by node on
 Python floats and the levels below over numpy frontiers, depth first; both
 phases run the same IEEE operations in the same order, so the yields, and

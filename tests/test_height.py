@@ -926,8 +926,10 @@ class TestSides:
         # entries' dual bases and 19 of their own bases change under the
         # reduction, and so does the sheared form's
         H = sys.modules["latcrit.height"]
-        changed = []
-        forms = [(e.name, q) for e in load_catalog().entries for q in (e.gram, gram_inverse(e.gram))]
+        changed = {}  # (name, side): the reduction changed the side's basis
+        entries = load_catalog().entries
+        forms = [(name, q) for e in entries
+                 for name, q in ((e.name, e.gram), (f"{e.name}^-1", gram_inverse(e.gram)))]
         for name, q in forms + [("sheared ste36", SHEARED_STE36)]:
             rep = height(q)
             sides = H._sides(q, det1=True)
@@ -948,8 +950,9 @@ class TestSides:
                     bound = Fraction(math.floor((radius * (1 + 1e-9) + 1e-9) * unit), d)
                     assert {Fraction(int(v), d): 2 * int(c) for v, c in zip(m, reduced.counts)
                             } == box_layers(p, bound), (name, k)
-                changed.append(not np.array_equal(sides.U[k], np.eye(q.n)))
-        assert sum(changed[1:-2:4]) == 26 and sum(changed[:-2:4]) == 19 and changed[-2]
+                changed[name, k] = not np.array_equal(sides.U[k], np.eye(q.n))
+        assert [sum(changed[e.name, k] for e in entries) for k in (0, 1)] == [19, 26]
+        assert changed["sheared ste36", 0]
 
 
 class TestOncePerValue:
