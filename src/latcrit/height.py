@@ -38,8 +38,8 @@ would need a bincount table of 2^20 entries or more, walk the float form
 and group its rounded norms with ``np.unique``.  Both routes collect with
 ``shells.short_vectors_float`` in the walk's compact form
 (``shells.HalfSet``).  The summed gradient builds no vector: it maps each
-level-0 parent to the input basis (``_Sides.maps``) and sums its leaves in
-closed form (``_leaf_fold``).  Gamma(a, pi t) on the grid is cached per
+level-0 parent by its side's gradient map (``_Sides.maps``) and sums its
+leaves in closed form (``_leaf_fold``).  Gamma(a, pi t) on the grid is cached per
 order a.
 
 That numeric route is the gradient's second one (``HeightReport.route``).
